@@ -390,6 +390,7 @@ mod tests {
 
     #[test]
     fn retired_objects_run_destructors_then_recycle() {
+        let _serial = crate::tests::own_the_global_epoch();
         use std::sync::atomic::AtomicUsize;
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct D(#[allow(dead_code)] u64);

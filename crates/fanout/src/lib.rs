@@ -8,7 +8,10 @@
 //!   so point operations beat binary trees;
 //! * **O(1) snapshots** via versioned pointers ⇒ linearizable range
 //!   queries by snapshot traversal, costing Θ(log n + range);
-//! * **no augmentation** ⇒ rank/size queries must scan, Θ(#keys ≤ k);
+//! * **no augmentation on the update path** ⇒ updates maintain no counts,
+//!   so a one-shot `snapshot().rank(k)` scans, Θ(#keys ≤ k) — the
+//!   evaluation's "unaugmented competitor" cost. A snapshot that is *held*
+//!   (a serving lease) amortizes that scan: see "Order statistics" below;
 //! * **per-subtree publication** ⇒ updates on disjoint subtrees commit
 //!   concurrently instead of serializing on one root word.
 //!
@@ -54,6 +57,21 @@
 //! and retires exactly as much: zero global-allocator traffic, proven by
 //! the counting-allocator window in `crates/core/tests/zero_alloc_hot_path.rs`.
 //!
+//! ## Order statistics: a snapshot-scoped subtree-count index
+//!
+//! The subtree under a node at a registered timestamp never changes, so a
+//! [`FanoutSnapshot`] memoizes each internal node's key count the first
+//! time a query needs it and answers `len`/`rank`/`select`/`range_count`
+//! from those totals. Cost model: **cold**, a query walks what a scan of
+//! the keys it covers would walk (Θ(keys covered), paid at most once per
+//! node per snapshot); **warm**, it touches O(fanout × height) nodes. The
+//! index is a private field of the snapshot and dies with it: nothing is
+//! shared, nothing is written on the update path, and a snapshot that is
+//! never asked an order statistic builds nothing. The fill grows with n
+//! per snapshot, so when a scan approaches the time a snapshot is held
+//! for, a structure whose *updates* maintain counts (the BAT) is the
+//! right choice.
+//!
 //! Substitution notes (DESIGN.md §2.5): verlib's lock-based versioned
 //! nodes are replaced by the workspace's LLX/SCX coordination — at edge
 //! granularity by default (one frozen edge per non-split publish), or one
@@ -64,6 +82,7 @@
 
 use sched::atomic::{AtomicU64, Ordering};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ebr::CachePadded;
@@ -420,6 +439,16 @@ pub struct FanoutSnapshot<'t> {
     /// ([`FanoutSet::snapshot`]) or rides a registration the caller holds
     /// ([`FanoutSet::snapshot_at`], the sharded cut).
     registered: bool,
+    /// The subtree-count index: internal-node address → keys under it as
+    /// of `ts`, filled lazily by [`FanoutSnapshot::total`] (a leaf's count
+    /// is its `len` byte and is never stored). Sound for exactly this
+    /// snapshot's lifetime: the registration at or below `ts` keeps every
+    /// version record a read at `ts` resolves to untrimmed, so an edge
+    /// this snapshot has read once reads the same child ever after, and
+    /// `_guard` keeps every node so reached unrecycled, so an address
+    /// names one node. Neither holds past `drop`, hence a private field
+    /// rather than anything the set could hand to the next snapshot.
+    counts: RefCell<HashMap<u64, u64>>,
     _guard: ebr::Guard,
 }
 
@@ -825,6 +854,7 @@ impl FanoutSet {
             root,
             ts,
             registered: true,
+            counts: RefCell::default(),
             _guard: guard,
         }
     }
@@ -844,6 +874,7 @@ impl FanoutSet {
             root,
             ts,
             registered: false,
+            counts: RefCell::default(),
             _guard: guard,
         }
     }
@@ -866,9 +897,9 @@ impl FanoutSet {
         }
     }
 
-    /// Θ(n) size (unaugmented).
+    /// Θ(n) size (unaugmented: a fresh snapshot's cold count).
     pub fn len_slow(&self) -> u64 {
-        self.snapshot().range_count(0, u64::MAX)
+        self.snapshot().len()
     }
 
     /// Longest version chain reachable from the current tree (diagnostic
@@ -944,38 +975,125 @@ impl FanoutSnapshot<'_> {
                 Body::Leaf { .. } => return sorted_contains(node.keys(), k),
                 Body::Internal { len, seps, edges } => {
                     let idx = count_le(&seps[..*len as usize - 1], k);
-                    raw = edges[idx].read_at(self.set.sync.clock(), self.ts);
+                    raw = self.child_at(&edges[idx]);
                 }
             }
         }
     }
 
-    /// Count keys in `[lo, hi]` — Θ(log n + range/F) snapshot traversal.
+    /// The child `edge` led to at this snapshot's timestamp.
+    #[inline]
+    fn child_at(&self, edge: &PubEdge) -> u64 {
+        edge.read_at(self.set.sync.clock(), self.ts)
+    }
+
+    /// Keys under `raw` as of this snapshot: a leaf's `len`, an internal
+    /// node's memoized sum over its children (computed on first use).
+    fn total(&self, raw: u64) -> u64 {
+        // SAFETY: `raw` was reached from `self.root` by reads at `self.ts`
+        // under this snapshot's pin, so it is a live node (see `counts`).
+        // guard: `self._guard` pins for the snapshot's whole lifetime.
+        let node = unsafe { BNode::from_raw(raw) };
+        match &node.body {
+            Body::Leaf { len, .. } => *len as u64,
+            Body::Internal { .. } => {
+                if let Some(&n) = self.counts.borrow().get(&raw) {
+                    return n;
+                }
+                let n = node
+                    .fan()
+                    .1
+                    .iter()
+                    .map(|e| self.total(self.child_at(e)))
+                    .sum();
+                self.counts.borrow_mut().insert(raw, n);
+                n
+            }
+        }
+    }
+
+    /// Number of keys in the snapshot. Cold Θ(n) once, then O(1).
+    pub fn len(&self) -> u64 {
+        self.total(self.root)
+    }
+
+    /// Whether the snapshot holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Count keys in `[lo, hi]`: the memoized totals of the subtrees
+    /// wholly inside the interval plus a descent into the ≤ 2 boundary
+    /// children per level. Cold Θ(log n + range/F) as a scan; warm
+    /// O(fanout × height).
     pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
         if lo > hi {
             return 0;
         }
-        self.count_rec(self.root, lo, hi)
+        // A bound at the end of the key domain constrains nothing.
+        self.count_rec(
+            self.root,
+            (lo > 0).then_some(lo),
+            (hi < u64::MAX).then_some(hi),
+        )
     }
 
-    fn count_rec(&self, raw: u64, lo: u64, hi: u64) -> u64 {
+    /// Keys under `raw` within the bounds; `None` means every key under
+    /// `raw` is already known to be on the right side of that bound.
+    fn count_rec(&self, raw: u64, lo: Option<u64>, hi: Option<u64>) -> u64 {
+        if lo.is_none() && hi.is_none() {
+            return self.total(raw);
+        }
+        // SAFETY: as in `total`.
+        // guard: `self._guard` pins for the snapshot's whole lifetime.
         let node = unsafe { BNode::from_raw(raw) };
         match &node.body {
             Body::Leaf { .. } => {
                 let keys = node.keys();
-                let a = count_lt(keys, lo);
-                let b = count_le(keys, hi);
+                let a = lo.map_or(0, |lo| count_lt(keys, lo));
+                let b = hi.map_or(keys.len(), |hi| count_le(keys, hi));
                 (b - a) as u64
             }
             Body::Internal { .. } => {
                 let (seps, edges) = node.fan();
-                let first = count_le(seps, lo);
-                let last = count_le(seps, hi);
+                let first = lo.map_or(0, |lo| count_le(seps, lo));
+                let last = hi.map_or(seps.len(), |hi| count_le(seps, hi));
+                // Children strictly between `first` and `last` lie wholly
+                // inside the interval; only the two ends inherit a bound.
                 (first..=last)
                     .map(|i| {
-                        self.count_rec(edges[i].read_at(self.set.sync.clock(), self.ts), lo, hi)
+                        self.count_rec(
+                            self.child_at(&edges[i]),
+                            lo.filter(|_| i == first),
+                            hi.filter(|_| i == last),
+                        )
                     })
                     .sum()
+            }
+        }
+    }
+
+    /// The `i`-th smallest key (0-indexed), descending by child totals.
+    /// Cold Θ(#keys ≤ answer) as a scan; warm O(fanout × height).
+    pub fn select(&self, mut i: u64) -> Option<u64> {
+        let mut raw = self.root;
+        loop {
+            // SAFETY: as in `total`.
+            // guard: `self._guard` pins for the snapshot's whole lifetime.
+            let node = unsafe { BNode::from_raw(raw) };
+            match &node.body {
+                Body::Leaf { .. } => return node.keys().get(i as usize).copied(),
+                Body::Internal { .. } => {
+                    raw = node.fan().1.iter().find_map(|e| {
+                        let child = self.child_at(e);
+                        let n = self.total(child);
+                        if i < n {
+                            return Some(child);
+                        }
+                        i -= n;
+                        None
+                    })?;
+                }
             }
         }
     }
@@ -1002,13 +1120,14 @@ impl FanoutSnapshot<'_> {
                 let first = count_le(seps, lo);
                 let last = count_le(seps, hi);
                 for e in &edges[first..=last] {
-                    self.collect_rec(e.read_at(self.set.sync.clock(), self.ts), lo, hi, out);
+                    self.collect_rec(self.child_at(e), lo, hi, out);
                 }
             }
         }
     }
 
-    /// Rank (keys ≤ k) — Θ(#keys ≤ k) scan: unaugmented cost model.
+    /// Rank (keys ≤ k): cold Θ(#keys ≤ k), the unaugmented scan; warm
+    /// O(fanout × height).
     pub fn rank(&self, k: u64) -> u64 {
         self.range_count(0, k)
     }
@@ -1199,7 +1318,10 @@ mod sched_tests {
     /// Snapshots cut through explored interleavings consistently: a
     /// snapshot taken while two sibling-slot writers race must observe
     /// one of the four possible consistent states (neither/either/both
-    /// keys), never a torn count.
+    /// keys), never a torn count — not when the count is first computed
+    /// (filling the subtree-count index while the writers publish), not
+    /// when it is answered again from the index, and not in a `select`
+    /// descending by the memoized totals.
     #[test]
     fn snapshots_stay_consistent_across_explored_interleavings() {
         let cfg = ExploreConfig {
@@ -1217,13 +1339,28 @@ mod sched_tests {
             let t2 = sched::spawn(move || assert!(s2.insert(kb)));
             let reader = sched::spawn(move || {
                 let snap = s3.snapshot();
-                let n = snap.range_count(0, u64::MAX);
+                let cold = snap.range_count(0, u64::MAX);
                 let (a, b) = (snap.contains(ka), snap.contains(kb));
                 assert_eq!(
-                    n,
+                    cold,
                     base + a as u64 + b as u64,
                     "snapshot count must match its own membership cut"
                 );
+                assert_eq!(
+                    snap.range_count(0, u64::MAX),
+                    cold,
+                    "a warm count must repeat the cold one"
+                );
+                // The rank(k)-th smallest key is the largest key <= k: `k`
+                // itself exactly when the cut holds it (smaller keys exist,
+                // so the rank is never 0).
+                for (k, present) in [(ka, a), (kb, b)] {
+                    assert_eq!(
+                        snap.select(snap.rank(k) - 1) == Some(k),
+                        present,
+                        "select(rank({k}) - 1) must agree with the cut's membership"
+                    );
+                }
             });
             t1.join();
             t2.join();

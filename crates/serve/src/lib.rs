@@ -502,8 +502,10 @@ fn point_worker<S: ShardMember>(sh: &Shared<'_, S>, idx: usize) {
 fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration, quantum: usize) {
     let mut lease = SnapshotLease::take(sh.set, lease_period);
     'run: loop {
-        // One cut per lease period amortizes the collect loop across
-        // every analytics request served under it.
+        // One cut per lease period amortizes the collect loop — and, on
+        // fanout shards, the cut's subtree-count fill, which the period's
+        // first queries pay — across every analytics request served
+        // under it.
         let snap = sh.set.snapshot_at(lease.ts());
         loop {
             let mut served = 0usize;
@@ -847,6 +849,86 @@ mod tests {
         churn(7);
         assert!(max_chain(&set) <= 4);
         ebr::flush();
+    }
+
+    /// The analytics worker's shape on one thread: a cut taken at the
+    /// lease's timestamp keeps answering for lease time — first cold,
+    /// then from the members' subtree-count indexes — while point ops
+    /// land underneath it, and a cut taken after `renew` answers for the
+    /// forest as it now stands: an index never outlives its cut.
+    #[test]
+    fn leased_cut_answers_for_lease_time_until_renewed() {
+        use std::collections::BTreeSet;
+        const MAX_KEY: u64 = 1 << 14;
+
+        // ~100 mixed rank / select / range_count answers against `sorted`.
+        fn check(
+            cut: &shard::ShardedSnapshot<'_, fanout::FanoutSet>,
+            sorted: &[u64],
+            rng: &mut u64,
+        ) {
+            let below = |k: u64| sorted.partition_point(|&x| x < k) as u64;
+            let rank = |k: u64| sorted.partition_point(|&x| x <= k) as u64;
+            for _ in 0..100 {
+                let r = xorshift(rng);
+                let k = r % MAX_KEY;
+                match (r >> 32) % 3 {
+                    0 => assert_eq!(cut.rank(k), rank(k), "rank({k})"),
+                    1 => {
+                        let i = k % (sorted.len() as u64 + 1);
+                        assert_eq!(
+                            cut.select(i),
+                            sorted.get(i as usize).copied(),
+                            "select({i})"
+                        );
+                    }
+                    _ => assert_eq!(
+                        cut.range_count(k, k + 1024),
+                        rank(k + 1024) - below(k),
+                        "range_count({k}, {})",
+                        k + 1024
+                    ),
+                }
+            }
+        }
+
+        // One shard is the shipped forest (select descends the member);
+        // two shards take the hashed bisection.
+        for shards in [1, 2] {
+            let set = build_forest(shards, 4096, MAX_KEY);
+            let mut live: BTreeSet<u64> = (0..MAX_KEY).step_by(4).collect();
+            let mut rng = 0x1EA5_E000 + shards as u64;
+            let mut lease = SnapshotLease::take(&set, Duration::from_secs(3600));
+
+            let cut = set.snapshot_at(lease.ts());
+            let frozen: Vec<u64> = live.iter().copied().collect();
+            for _ in 0..10 {
+                for _ in 0..1_000 {
+                    let r = xorshift(&mut rng);
+                    let k = r % MAX_KEY;
+                    if (r >> 32) & 1 == 0 {
+                        assert_eq!(set.insert(k), live.insert(k), "insert({k})");
+                    } else {
+                        assert_eq!(set.remove(k), live.remove(&k), "remove({k})");
+                    }
+                }
+                check(&cut, &frozen, &mut rng);
+            }
+            assert_eq!(cut.len(), frozen.len() as u64);
+
+            drop(cut);
+            lease.renew();
+            let cut = set.snapshot_at(lease.ts());
+            let now: Vec<u64> = live.iter().copied().collect();
+            assert_ne!(now, frozen, "10 K point ops must have changed the forest");
+            for _ in 0..10 {
+                check(&cut, &now, &mut rng);
+            }
+            assert_eq!(cut.len(), now.len() as u64);
+            drop(cut);
+            drop(lease);
+            ebr::flush();
+        }
     }
 
     #[test]

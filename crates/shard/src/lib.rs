@@ -11,12 +11,15 @@
 //! * **Point operations** route to one shard ([`Partition::shard_of`])
 //!   and proceed with zero cross-shard coordination.
 //! * **Order statistics decompose over shards.** `rank(k)` is the sum of
-//!   full-shard sizes wholly below `k` (O(1) each, from the root version's
-//!   size field) plus one in-shard rank; `select(i)` walks the shard size
-//!   prefix sums and descends exactly one shard; `range_count`/
-//!   `range_collect` fan out only to the shards the partition maps the
-//!   interval onto (all of them under hashing, a contiguous run under
-//!   range partitioning).
+//!   full-shard sizes wholly below `k` plus one in-shard rank; `select(i)`
+//!   walks the shard size prefix sums and descends exactly one shard;
+//!   `range_count`/`range_collect` fan out only to the shards the
+//!   partition maps the interval onto (all of them under hashing, a
+//!   contiguous run under range partitioning). What each per-shard answer
+//!   costs is the member's business ([`MemberSnap`]): O(log n) on a BAT
+//!   shard, whose updates maintain sizes; on a fanout shard a scan the
+//!   first time a cut is asked, O(fanout × height) from the cut's own
+//!   subtree-count index after that.
 //! * **Consistent cuts come from a shared clock.** All shards of one
 //!   forest stamp their version records from a single [`vedge::SnapClock`]
 //!   (Wei et al.'s timestamp trick \[33\], widened from one tree to a
@@ -94,12 +97,14 @@ impl Partition {
         }
     }
 
-    /// Whether shard order equals key order (contiguous spans). When
-    /// true, per-shard results concatenate in shard order already sorted
-    /// and whole shards below a key contribute their size to its rank.
+    /// Whether shard order equals key order over `n` shards (contiguous
+    /// spans, or a single shard under any policy). When true, per-shard
+    /// results concatenate in shard order already sorted, whole shards
+    /// below a key contribute their size to its rank, and `select`
+    /// descends one shard.
     #[inline]
-    fn is_ordered(&self) -> bool {
-        matches!(self, Partition::Range { .. })
+    fn is_ordered(&self, n: usize) -> bool {
+        n == 1 || matches!(self, Partition::Range { .. })
     }
 }
 
@@ -127,7 +132,10 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
     fn remove(&self, k: u64) -> bool;
     /// Linearizable membership.
     fn contains(&self, k: u64) -> bool;
-    /// Current size (O(1) for the BAT, Θ(n) for unaugmented members).
+    /// Current size: O(1) for the BAT (its updates maintain the count);
+    /// Θ(n) for the fanout tree, whose updates maintain none — each call
+    /// is a fresh snapshot's cold count, with no held snapshot to amortize
+    /// it over.
     fn len(&self) -> u64;
     /// Whether the member holds no keys.
     fn is_empty(&self) -> bool {
@@ -151,6 +159,12 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
 /// The query surface a member snapshot offers the cross-shard
 /// decompositions. `rank(k)` counts keys ≤ `k`, as everywhere in this
 /// workspace.
+///
+/// Cost of `len`/`rank`/`select`/`range_count`: O(log n) on a BAT
+/// snapshot (sizes live in the version tree). On a fanout snapshot, cold
+/// Θ(keys covered) — paid once per subtree per snapshot — then
+/// O(fanout × height) from the snapshot's own subtree-count index, so a
+/// cut held for a lease period serves all but its first queries warm.
 pub trait MemberSnap {
     fn contains(&self, k: u64) -> bool;
     fn len(&self) -> u64;
@@ -328,7 +342,7 @@ impl MemberSnap for FanoutSnapshot<'_> {
         FanoutSnapshot::contains(self, k)
     }
     fn len(&self) -> u64 {
-        self.range_count(0, u64::MAX)
+        FanoutSnapshot::len(self)
     }
     fn rank(&self, k: u64) -> u64 {
         FanoutSnapshot::rank(self, k)
@@ -340,8 +354,7 @@ impl MemberSnap for FanoutSnapshot<'_> {
         FanoutSnapshot::range_collect(self, lo, hi)
     }
     fn select(&self, i: u64) -> Option<u64> {
-        // Unaugmented member: select by scan, as its solo adapter does.
-        self.range_collect(0, u64::MAX).into_iter().nth(i as usize)
+        FanoutSnapshot::select(self, i)
     }
     fn token(&self) -> u64 {
         0
@@ -538,6 +551,12 @@ impl<S: ShardMember> Drop for ShardedSnapshot<'_, S> {
 }
 
 impl<S: ShardMember> ShardedSnapshot<'_, S> {
+    /// Whether this cut's shard order is key order.
+    #[inline]
+    fn ordered(&self) -> bool {
+        self.set.partition.is_ordered(self.snaps.len())
+    }
+
     /// Total keys in the cut.
     pub fn len(&self) -> u64 {
         self.snaps.iter().map(|s| s.len()).sum()
@@ -556,11 +575,11 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
 
     /// Keys ≤ `k`. Under range partitioning this is the paper-shaped
     /// decomposition: whole shards below `k`'s shard contribute their
-    /// O(1) sizes and exactly one shard answers an in-shard rank; under
+    /// sizes and exactly one shard answers an in-shard rank; under
     /// hashing every shard holds keys on both sides of `k`, so each
     /// contributes an in-shard rank.
     pub fn rank(&self, k: u64) -> u64 {
-        if self.set.partition.is_ordered() {
+        if self.ordered() {
             let s = self.set.partition.shard_of(k, self.snaps.len());
             self.snaps[..s].iter().map(|x| x.len()).sum::<u64>() + self.snaps[s].rank(k)
         } else {
@@ -568,13 +587,14 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
         }
     }
 
-    /// The `i`-th smallest key (0-indexed). Ordered partitions walk the
-    /// shard size prefix sums and descend one shard; hashed partitions
-    /// binary-search the key domain for the smallest `k` with
-    /// `rank(k) ≥ i + 1` (≤ 64 cross-shard ranks, all on this one cut —
-    /// rank jumps exactly at present keys, so the infimum is the answer).
+    /// The `i`-th smallest key (0-indexed). When shard order is key order
+    /// this walks the shard size prefix sums and descends one shard;
+    /// hashed multi-shard cuts binary-search for the smallest `k` with
+    /// `rank(k) ≥ i + 1` between 0 and the cut's own largest key (where
+    /// rank reaches `len`), all on this one cut — rank jumps exactly at
+    /// present keys, so the infimum is the answer.
     pub fn select(&self, i: u64) -> Option<u64> {
-        if self.set.partition.is_ordered() {
+        if self.ordered() {
             let mut i = i;
             for snap in &self.snaps {
                 let n = snap.len();
@@ -588,7 +608,7 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             if i >= self.len() {
                 return None;
             }
-            let (mut lo, mut hi) = (0u64, u64::MAX);
+            let (mut lo, mut hi) = (0u64, self.max_key()?);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 if self.rank(mid) > i {
@@ -599,6 +619,14 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             }
             Some(lo)
         }
+    }
+
+    /// The largest key in the cut (`None` when empty).
+    fn max_key(&self) -> Option<u64> {
+        self.snaps
+            .iter()
+            .filter_map(|s| s.select(s.len().checked_sub(1)?))
+            .max()
     }
 
     /// Keys in `[lo, hi]`, fanning out only to the shards the partition
@@ -628,7 +656,7 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             .shards_overlapping(lo, hi, n)
             .flat_map(|s| self.snaps[s].range_collect(lo, hi))
             .collect();
-        if !self.set.partition.is_ordered() {
+        if !self.ordered() {
             out.sort_unstable();
         }
         out

@@ -93,6 +93,57 @@ fn fanout_forest_matches_oracle_sequentially() {
     }
 }
 
+/// `select` takes one of three routes through a cut: a one-shard forest
+/// under any policy asks its member, range shards walk the size prefix
+/// sums and ask one member, hashed shards bisect up to the cut's largest
+/// key. Each is checked at *every* index `0..=len` on a cut that is held
+/// while the live forest is churned, so the answers come from the
+/// members' subtree-count indexes, cold and then warm.
+#[test]
+fn fanout_forest_select_matches_oracle_at_every_index() {
+    for (shards, partition) in [
+        (1, Partition::Hash),
+        (4, Partition::Hash),
+        (4, Partition::Range { max_key: MAX_KEY }),
+    ] {
+        let set = ShardedSet::<fanout::FanoutSet>::new(shards, partition);
+        let mut oracle = BTreeSet::new();
+        let mut x = 0x5E1E_C700_u64 + shards as u64;
+        // Keys past a range partition's `max_key` land in its last shard;
+        // `u64::MAX` is the widest bisection a hashed cut can need.
+        for k in [MAX_KEY + 7, u64::MAX] {
+            assert_eq!(set.insert(k), oracle.insert(k));
+        }
+        for _ in 0..3_000 {
+            let k = xs(&mut x) % MAX_KEY;
+            if xs(&mut x).is_multiple_of(3) {
+                assert_eq!(set.remove(k), oracle.remove(&k), "remove({k})");
+            } else {
+                assert_eq!(set.insert(k), oracle.insert(k), "insert({k})");
+            }
+        }
+        let snap = set.snapshot();
+        let frozen: Vec<u64> = oracle.iter().copied().collect();
+        for &k in frozen.iter().step_by(2) {
+            assert!(set.remove(k));
+        }
+        for _ in 0..1_000 {
+            set.insert(xs(&mut x) % MAX_KEY);
+        }
+        assert_eq!(snap.len(), frozen.len() as u64, "{partition:?} x{shards}");
+        for i in 0..=frozen.len() {
+            assert_eq!(
+                snap.select(i as u64),
+                frozen.get(i).copied(),
+                "{partition:?} x{shards}: select({i}) of {}",
+                frozen.len()
+            );
+        }
+        drop(snap);
+        ebr::flush();
+    }
+}
+
 #[test]
 fn combining_bat_forest_matches_oracle_sequentially() {
     // Combining shards must be semantically invisible: cap 1 degenerates

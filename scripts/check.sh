@@ -11,4 +11,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Writes the machine-readable violation inventory for the CI artifact.
 cargo run -q -p lint -- --json lint-report.json
 cargo build --release
+# The benchmark is a workspace of its own (benchmark/Cargo.toml), so no
+# other step compiles it: a change to the API of the crates it path-depends
+# on would break it unnoticed. Build it, and hold its catalog to what
+# BENCHMARK.json declares (benchmark/run.sh refuses to run when they differ).
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+"${CARGO_TARGET_DIR:-benchmark/target}/release/cbat-benchmark" --manifest | cmp - BENCHMARK.json
 cargo test -q
