@@ -81,7 +81,7 @@
 //! rather than \[33\]'s background scheme.
 
 use sched::atomic::{AtomicU64, Ordering};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -440,15 +440,16 @@ pub struct FanoutSnapshot<'t> {
     /// ([`FanoutSet::snapshot_at`], the sharded cut).
     registered: bool,
     /// The subtree-count index: internal-node address → keys under it as
-    /// of `ts`, filled lazily by [`FanoutSnapshot::total`] (a leaf's count
-    /// is its `len` byte and is never stored). Sound for exactly this
-    /// snapshot's lifetime: the registration at or below `ts` keeps every
-    /// version record a read at `ts` resolves to untrimmed, so an edge
-    /// this snapshot has read once reads the same child ever after, and
-    /// `_guard` keeps every node so reached unrecycled, so an address
+    /// of `ts`, created and filled lazily by [`FanoutSnapshot::total`] (a
+    /// leaf's count is its `len` byte and is never stored), so taking a
+    /// snapshot builds nothing, not even an empty map. Sound for exactly
+    /// this snapshot's lifetime: the registration at or below `ts` keeps
+    /// every version record a read at `ts` resolves to untrimmed, so an
+    /// edge this snapshot has read once reads the same child ever after,
+    /// and `_guard` keeps every node so reached unrecycled, so an address
     /// names one node. Neither holds past `drop`, hence a private field
     /// rather than anything the set could hand to the next snapshot.
-    counts: RefCell<HashMap<u64, u64>>,
+    counts: OnceCell<RefCell<HashMap<u64, u64>>>,
     _guard: ebr::Guard,
 }
 
@@ -854,7 +855,7 @@ impl FanoutSet {
             root,
             ts,
             registered: true,
-            counts: RefCell::default(),
+            counts: OnceCell::new(),
             _guard: guard,
         }
     }
@@ -874,7 +875,7 @@ impl FanoutSet {
             root,
             ts,
             registered: false,
-            counts: RefCell::default(),
+            counts: OnceCell::new(),
             _guard: guard,
         }
     }
@@ -997,7 +998,8 @@ impl FanoutSnapshot<'_> {
         match &node.body {
             Body::Leaf { len, .. } => *len as u64,
             Body::Internal { .. } => {
-                if let Some(&n) = self.counts.borrow().get(&raw) {
+                let counts = self.counts.get_or_init(RefCell::default);
+                if let Some(&n) = counts.borrow().get(&raw) {
                     return n;
                 }
                 let n = node
@@ -1006,7 +1008,7 @@ impl FanoutSnapshot<'_> {
                     .iter()
                     .map(|e| self.total(self.child_at(e)))
                     .sum();
-                self.counts.borrow_mut().insert(raw, n);
+                counts.borrow_mut().insert(raw, n);
                 n
             }
         }

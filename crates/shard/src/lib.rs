@@ -589,10 +589,10 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
 
     /// The `i`-th smallest key (0-indexed). When shard order is key order
     /// this walks the shard size prefix sums and descends one shard;
-    /// hashed multi-shard cuts binary-search for the smallest `k` with
-    /// `rank(k) ≥ i + 1` between 0 and the cut's own largest key (where
-    /// rank reaches `len`), all on this one cut — rank jumps exactly at
-    /// present keys, so the infimum is the answer.
+    /// hashed multi-shard cuts binary-search the key domain for the
+    /// smallest `k` with `rank(k) ≥ i + 1` (≤ 64 cross-shard ranks, all on
+    /// this one cut — rank jumps exactly at present keys, so the infimum
+    /// is the answer).
     pub fn select(&self, i: u64) -> Option<u64> {
         if self.ordered() {
             let mut i = i;
@@ -608,7 +608,7 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             if i >= self.len() {
                 return None;
             }
-            let (mut lo, mut hi) = (0u64, self.max_key()?);
+            let (mut lo, mut hi) = (0u64, u64::MAX);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 if self.rank(mid) > i {
@@ -619,14 +619,6 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             }
             Some(lo)
         }
-    }
-
-    /// The largest key in the cut (`None` when empty).
-    fn max_key(&self) -> Option<u64> {
-        self.snaps
-            .iter()
-            .filter_map(|s| s.select(s.len().checked_sub(1)?))
-            .max()
     }
 
     /// Keys in `[lo, hi]`, fanning out only to the shards the partition

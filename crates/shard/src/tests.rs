@@ -95,8 +95,8 @@ fn fanout_forest_matches_oracle_sequentially() {
 
 /// `select` takes one of three routes through a cut: a one-shard forest
 /// under any policy asks its member, range shards walk the size prefix
-/// sums and ask one member, hashed shards bisect up to the cut's largest
-/// key. Each is checked at *every* index `0..=len` on a cut that is held
+/// sums and ask one member, hashed shards bisect the key domain. Each is
+/// checked at *every* index `0..=len` on a cut that is held
 /// while the live forest is churned, so the answers come from the
 /// members' subtree-count indexes, cold and then warm.
 #[test]
@@ -110,7 +110,7 @@ fn fanout_forest_select_matches_oracle_at_every_index() {
         let mut oracle = BTreeSet::new();
         let mut x = 0x5E1E_C700_u64 + shards as u64;
         // Keys past a range partition's `max_key` land in its last shard;
-        // `u64::MAX` is the widest bisection a hashed cut can need.
+        // `u64::MAX` is the far end of a hashed cut's bisection.
         for k in [MAX_KEY + 7, u64::MAX] {
             assert_eq!(set.insert(k), oracle.insert(k));
         }
