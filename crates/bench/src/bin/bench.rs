@@ -1,65 +1,70 @@
-//! `bench_pr9` — the PR 9 sweep: everything `bench_pr6` tracked, plus
-//! the flat-combining group-commit scenarios this PR adds.
+//! `bench` — the exploratory sweep over every layer of the stack. Claims
+//! are judged on `benchmark/run.sh`, not here; the committed
+//! `BENCH_PR*.json` files are the frozen output of this binary's
+//! ancestors (they also hold the seed-cost and single-root rows, whose
+//! code paths are gone).
 //!
-//! 1. **BAT mixes** (trajectory continuity): the three PR 2/3 scenario
-//!    mixes × baseline/optimized hot path × thread counts, so
-//!    `scripts/bench_compare.sh` can diff `BENCH_PR6.json` against this
-//!    file point-for-point (throughput *and* p99 update latency).
-//! 2. **Contended writers** (PR 3 gate, kept): disjoint per-thread key
-//!    slices on the fanout tree — single-root CAS baseline vs
-//!    versioned-edge optimized.
-//! 3. **Same-slice adversary** (PR 4 gate, kept): per-holder vs per-edge
-//!    publication granularity under one hot 16-key slice, with SCX abort
-//!    rates.
-//! 4. **Zipf / sorted-stream scenarios** (trajectory continuity, BAT).
+//! 1. **BAT mixes**: the three scenario mixes × thread counts
+//!    (throughput *and* p99 update latency).
+//! 2. **Contended writers**: disjoint per-thread key slices on the
+//!    versioned-edge fanout tree.
+//! 3. **Same-slice adversary**: per-holder vs per-edge publication
+//!    granularity under one hot 16-key slice, with SCX abort rates.
+//! 4. **Zipf / sorted-stream scenarios** (BAT).
 //! 5. **Fig. 9 latency-vs-throughput**: paced-worker sweep on BAT.
 //! 6. **Adapter sweep**: every adapter × every mix × every distribution —
 //!    completing the loop asserts no scenario panics on any adapter (the
-//!    lineup now includes both sharded forests).
-//! 7. **Shards × threads sweep** (the PR 6 gate): the update-heavy mix on
+//!    lineup includes both sharded forests).
+//! 7. **Shards × threads sweep**: the update-heavy mix on
 //!    [`bench::ShardedBatAdapter`] at 1/2/4/8 hash shards × every thread
-//!    count. Rows carry a `"shards"` field (absent rows mean 1) so
-//!    `bench_compare.sh` keys trajectory points on (mix, threads,
-//!    shards). Lagging points are re-measured (best-of repair) because a
-//!    shared 1-core host's noise exceeds the expected per-shard deltas.
+//!    count. Rows carry a `"shards"` field. Lagging points are
+//!    re-measured (best-of repair) because a shared 1-core host's noise
+//!    exceeds the expected per-shard deltas.
 //! 8. **Hot-drift scenario** (`KeyDist::HotDrift`): a zipf hot set whose
 //!    center sweeps the key space, one row per lineup adapter — the
 //!    scenario a static range partition cannot be pre-tuned for.
 //! 9. **Single-thread `find` microbench**: ns/op of `contains` on the
 //!    branchless fanout search and on BAT, the baseline row for a future
 //!    SIMD leaf-search PR.
-//! 10. **Combining rows** (the PR 9 gate): the update-heavy mix on
+//! 10. **Combining rows**: the update-heavy mix on
 //!     [`bench::BatFcAdapter`] across batch caps × thread counts. Rows
-//!     carry a `"batch_cap"` field (absent rows mean 1, i.e. no
-//!     combining) so `bench_compare.sh` keys trajectory points on (mix,
-//!     threads, shards, batch_cap). The acceptance gate is the best
-//!     combining cap beating the plain optimized BAT at TT >= 4, with
+//!     carry a `"batch_cap"` field (1 means no combining). The gate is
+//!     the best combining cap beating the plain BAT at TT >= 4, with
 //!     best-of repair against 1-core host noise.
 //! 11. **Combining shards**: the update-heavy mix on the combining-BAT
 //!     forest (`ShardedBAT-FC/4`, cap 8 per shard), the row that shows
-//!     per-shard rings compose with the PR 6 front-end.
+//!     per-shard rings compose with the sharded front-end.
 //! 12. **Batch-size × offered-load sweep** (Fig. 9 pacing): paced
 //!     workers at fractions of saturation for each batch cap, recording
 //!     update p50/p99 — the latency price of forming bigger batches at
 //!     low load, and the throughput payoff at saturation.
+//! 13. **End-to-end serving sweep**: `serve::run_serve` on the sharded
+//!     fanout forest — pipelined clients behind bounded per-shard request
+//!     rings, an analytics worker on leased snapshots — at stepped
+//!     offered load, recording per-class end-to-end p50/p99/p999 plus the
+//!     headline "requests/sec at p99 < X µs" row. A calibration run
+//!     measures flat-combining batch occupancy and feeds
+//!     `serve::pick_batch_cap` to choose the per-shard `batch_cap` for a
+//!     combining-forest serving row.
 //!
 //! ```text
-//! cargo run -p bench --release --bin bench_pr9 -- \
-//!     [--pr 9] [--threads 1,2,4,8] [--duration-ms 500] [--trials 3] \
-//!     [--max-key 32768] [--out BENCH_PR<pr>.json]
+//! cargo run -p bench --release --bin bench -- \
+//!     [--threads 1,2,4,8] [--duration-ms 500] [--trials 3] \
+//!     [--max-key 32768] [--out FILE.json]
 //! ```
+//! The JSON report goes to stdout, and to `--out` when given.
 
 use std::time::{Duration, Instant};
 
 use bench::{
     full_lineup, BatAdapter, BatFcAdapter, FanoutAdapter, PerHolderFanoutAdapter,
-    ShardedBatAdapter, ShardedFcBatAdapter, SingleRootFanoutAdapter,
+    ShardedBatAdapter, ShardedFcBatAdapter,
 };
 use shard::Partition;
 use workloads::{BenchSet, KeyDist, OpMix, QueryKind, RunConfig, RunResult};
 
-/// The scenario mixes shared with `bench_pr2`..`bench_pr4` (name,
-/// paper-style mix string, shares in percent: insert-delete-find-query).
+/// The scenario mixes (name, paper-style mix string, shares in percent:
+/// insert-delete-find-query).
 const MIXES: [(&str, &str, [u32; 4]); 3] = [
     ("update-heavy", "50i-50d-0f-0rq", [50, 50, 0, 0]),
     ("mixed", "25i-25d-40f-10rq", [25, 25, 40, 10]),
@@ -77,7 +82,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const BATCH_CAPS: [usize; 5] = [1, 4, 8, 16, 32];
 
 struct Opts {
-    pr: u32,
     threads: Vec<usize>,
     duration: Duration,
     trials: usize,
@@ -88,7 +92,6 @@ struct Opts {
 impl Opts {
     fn parse() -> Opts {
         let mut o = Opts {
-            pr: 9,
             threads: vec![1, 2, 4, 8],
             duration: Duration::from_millis(500),
             trials: 3,
@@ -102,7 +105,6 @@ impl Opts {
                     .unwrap_or_else(|| panic!("missing value for {name}"))
             };
             match a.as_str() {
-                "--pr" => o.pr = val("--pr").parse().expect("pr number"),
                 "--threads" => {
                     o.threads = val("--threads")
                         .split(',')
@@ -125,12 +127,6 @@ impl Opts {
         assert!(o.trials >= 1, "--trials must be >= 1");
         o
     }
-
-    fn out(&self) -> String {
-        self.out
-            .clone()
-            .unwrap_or_else(|| format!("BENCH_PR{}.json", self.pr))
-    }
 }
 
 fn config(opts: &Opts, mix: [u32; 4], threads: usize, trial: usize) -> RunConfig {
@@ -148,12 +144,8 @@ struct Row {
     mode: &'static str,
     threads: usize,
     /// Shard count of the adapter under test; 1 for unsharded rows.
-    /// `bench_compare.sh` defaults absent fields to 1 so pre-PR-6 files
-    /// stay comparable.
     shards: usize,
     /// Max ops per combined batch; 1 for non-combining rows.
-    /// `bench_compare.sh` defaults absent fields to 1 so pre-PR-9 files
-    /// stay comparable.
     batch_cap: usize,
     mops: f64,
     upd_p50_ns: f64,
@@ -263,86 +255,41 @@ fn main() {
     let opts = Opts::parse();
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- 1. BAT mixes, baseline first (cold pools cannot flatter it). ---
-    for &mode in &["baseline", "optimized"] {
-        eprintln!("== BAT {mode} hot path ==");
-        cbat_core::hotpath::set_baseline(mode == "baseline");
-        for mix in &MIXES {
-            for &tt in &opts.threads {
-                let (mops, r) = best_of(
-                    &opts,
-                    mix.0,
-                    mode,
-                    tt,
-                    || Box::new(BatAdapter::plain()),
-                    |trial| config(&opts, mix.2, tt, trial),
-                );
-                rows.push(Row::from(mix.1, mode, tt, mops, &r));
-            }
-        }
-    }
-    cbat_core::hotpath::set_baseline(false);
-
-    let mut gains = Vec::new();
-    for (_, mix, _) in &MIXES {
+    // --- 1. BAT mixes. ---
+    eprintln!("== BAT mixes ==");
+    for mix in &MIXES {
         for &tt in &opts.threads {
-            let at = |mode: &str| {
-                rows.iter()
-                    .find(|r| r.mode == mode && r.mix == *mix && r.threads == tt)
-                    .expect("swept row")
-                    .mops
-            };
-            let (base, opt) = (at("baseline"), at("optimized"));
-            let gain = opt / base - 1.0;
-            eprintln!(
-                "{mix} TT={tt}: baseline {base:.3} -> optimized {opt:.3} Mops/s ({:+.1}%)",
-                gain * 100.0
+            let (mops, r) = best_of(
+                &opts,
+                mix.0,
+                "optimized",
+                tt,
+                || Box::new(BatAdapter::plain()),
+                |trial| config(&opts, mix.2, tt, trial),
             );
-            gains.push(format!(
-                "    {{\"mix\": \"{mix}\", \"threads\": {tt}, \"gain\": {gain:.4}}}"
-            ));
+            rows.push(Row::from(mix.1, "optimized", tt, mops, &r));
         }
     }
 
-    // --- 2. Contended writers (PR 3 gate): single-root vs versioned. ---
-    eprintln!("== contended-writers: fanout publication schemes ==");
-    let contended_cfg = |opts: &Opts, tt: usize, trial: usize| {
-        let mut cfg = config(opts, [50, 50, 0, 0], tt, trial);
-        cfg.dist = KeyDist::Disjoint;
-        cfg
-    };
-    let mut fanout_gains = Vec::new();
+    // --- 2. Contended writers: disjoint slices on versioned edges. ---
+    eprintln!("== contended-writers (fanout, versioned edges) ==");
     for &tt in &opts.threads {
-        let (base, rb) = best_of(
-            &opts,
-            "contended-writers",
-            "baseline",
-            tt,
-            || Box::new(SingleRootFanoutAdapter::new()),
-            |trial| contended_cfg(&opts, tt, trial),
-        );
-        let (opt, ro) = best_of(
+        let (mops, r) = best_of(
             &opts,
             "contended-writers",
             "optimized",
             tt,
             || Box::new(FanoutAdapter::new()),
-            |trial| contended_cfg(&opts, tt, trial),
+            |trial| {
+                let mut cfg = config(&opts, [50, 50, 0, 0], tt, trial);
+                cfg.dist = KeyDist::Disjoint;
+                cfg
+            },
         );
-        rows.push(Row::from("contended-writers", "baseline", tt, base, &rb));
-        rows.push(Row::from("contended-writers", "optimized", tt, opt, &ro));
-        let gain = opt / base - 1.0;
-        eprintln!(
-            "contended-writers TT={tt}: single-root {base:.3} -> versioned-edges {opt:.3} Mops/s ({:+.1}%)",
-            gain * 100.0
-        );
-        fanout_gains.push(format!(
-            "    {{\"threads\": {tt}, \"single_root_mops\": {base:.6}, \
-             \"versioned_mops\": {opt:.6}, \"gain\": {gain:.4}}}"
-        ));
+        rows.push(Row::from("contended-writers", "optimized", tt, mops, &r));
     }
 
-    // --- 3. Same-slice adversary (PR 4 gate): per-holder vs per-edge. ---
+    // --- 3. Same-slice adversary: per-holder vs per-edge. ---
     eprintln!("== same-slice adversary: publication granularity ==");
     let same_slice_cfg = |opts: &Opts, tt: usize, trial: usize| {
         let mut cfg = config(opts, [50, 50, 0, 0], tt, trial);
@@ -354,7 +301,7 @@ fn main() {
         let (holder, rh) = best_of(
             &opts,
             "same-slice",
-            "baseline",
+            "per-holder",
             tt,
             || Box::new(PerHolderFanoutAdapter::new()),
             |trial| same_slice_cfg(&opts, tt, trial),
@@ -362,13 +309,13 @@ fn main() {
         let (edge, re) = best_of(
             &opts,
             "same-slice",
-            "optimized",
+            "per-edge",
             tt,
             || Box::new(FanoutAdapter::new()),
             |trial| same_slice_cfg(&opts, tt, trial),
         );
-        rows.push(Row::from("same-slice", "baseline", tt, holder, &rh));
-        rows.push(Row::from("same-slice", "optimized", tt, edge, &re));
+        rows.push(Row::from("same-slice", "per-holder", tt, holder, &rh));
+        rows.push(Row::from("same-slice", "per-edge", tt, edge, &re));
         let gain = edge / holder - 1.0;
         eprintln!(
             "same-slice TT={tt}: per-holder {holder:.3} (abort {:.4}) -> per-edge {edge:.3} \
@@ -389,8 +336,8 @@ fn main() {
         ));
     }
 
-    // --- 4. Zipf and sorted-stream scenario points (trajectory). ---
-    eprintln!("== key-distribution scenarios (BAT, optimized) ==");
+    // --- 4. Zipf and sorted-stream scenario points. ---
+    eprintln!("== key-distribution scenarios (BAT) ==");
     for (name, dist, prefill) in [
         ("zipf-0.95", KeyDist::Zipf(0.95), true),
         ("sorted-stream", KeyDist::Sorted, false),
@@ -461,7 +408,7 @@ fn main() {
 
     // --- 6. Adapter sweep: every adapter × mix × distribution. ---
     // Completing this loop is itself the assertion that no scenario
-    // panics on any adapter (the lineup now includes the sharded BAT and
+    // panics on any adapter (the lineup includes the sharded BAT and
     // sharded fanout forests).
     eprintln!("== adapter sweep ==");
     let mut sweep = Vec::new();
@@ -496,7 +443,7 @@ fn main() {
         eprintln!("  {:>12}: all adapters x all dists ok", mix.0);
     }
 
-    // --- 7. Shards × threads sweep (the PR 6 gate). ---
+    // --- 7. Shards × threads sweep. ---
     // Update-heavy uniform mix on the hash-sharded BAT forest. One-core
     // hosts cannot show parallel speedup, but smaller per-shard trees
     // (shallower searches, cheaper rebalances) keep the curve from
@@ -640,7 +587,7 @@ fn main() {
         ebr::flush();
     }
 
-    // --- 10. Combining rows (the PR 9 gate): batch caps × threads. ---
+    // --- 10. Combining rows: batch caps × threads. ---
     // Update-heavy uniform mix through the flat-combining group commit.
     // Single-threaded there is no one to combine with (cap 1 measures
     // the pure ring overhead); at TT >= 4 batches form and one propagate
@@ -669,7 +616,7 @@ fn main() {
         fc_results.push(per_tt);
     }
     // Best-of repair against host noise: at TT >= 4 the best combining
-    // cap must beat the plain optimized BAT (the PR 9 acceptance gate);
+    // cap must beat the plain BAT (the combining acceptance gate);
     // re-measure caps whose deficit is within noise, keeping the better
     // measurement. The round cap bounds the run when a deficit is real.
     let plain_at = |rows: &[Row], tt: usize| {
@@ -822,29 +769,196 @@ fn main() {
         }
     }
 
+    // --- 13. End-to-end serving sweep. ---
+    // `serve::run_serve` on the sharded fanout forest: pipelined clients
+    // behind bounded per-shard rings, analytics on leased snapshots.
+    // First find the open-throttle completion rate, then step offered
+    // load at fractions of it, recording per-class end-to-end tails.
+    // Latency clocks start at the *scheduled* arrival under pacing, so
+    // saturation shows up as latency instead of being hidden.
+    eprintln!("== end-to-end serving sweep (ShardedFanout/2) ==");
+    let serve_shards = 2usize;
+    let serve_clients = 2usize;
+    let serve_cfg = |offered: u64| serve::ServeConfig {
+        clients: serve_clients,
+        window: 16,
+        point_queue_cap: 64,
+        analytics_queue_cap: 64,
+        duration: opts.duration.min(Duration::from_millis(400)),
+        offered_rps: offered,
+        mix: serve::ClassMix {
+            stat_pm: 150,
+            range_pm: 50,
+        },
+        max_key: opts.max_key,
+        lease: Duration::from_millis(10),
+        quantum: 8,
+        range_span: 1 << 10,
+        seed: 0x00BE_9C42,
+    };
+    let class_name = |i: usize| ["point", "stat", "range"][i];
+    let serve_set = serve::build_forest(serve_shards, opts.max_key / 2, opts.max_key);
+    // Open-throttle calibration: the forest's completion ceiling.
+    let open = serve::run_serve(&serve_set, &serve_cfg(0));
+    let ceiling = open.rps();
+    eprintln!("  open throttle: {ceiling:.0} req/s");
+    let mut serve_rows = Vec::new();
+    let mut headline: Option<(f64, f64, u64)> = None; // (rps, agg p99 us, offered)
+    for frac in [0.3, 0.6, 0.9, 0.0] {
+        let offered = (ceiling * frac) as u64; // 0 = open throttle
+        let mut best: Option<serve::ServeReport> = None;
+        for _ in 0..opts.trials {
+            let rep = serve::run_serve(&serve_set, &serve_cfg(offered));
+            if best.as_ref().is_none_or(|b| rep.rps() > b.rps()) {
+                best = Some(rep);
+            }
+            ebr::flush();
+        }
+        let rep = best.unwrap();
+        let mut agg: Vec<u64> = Vec::new();
+        for (ci, c) in rep.classes.iter().enumerate() {
+            let mut s = c.samples.clone();
+            s.sort_unstable();
+            agg.extend_from_slice(&s);
+            serve_rows.push(format!(
+                "    {{\"offered_rps\": {offered}, \"class\": \"{}\", \
+                 \"completed\": {}, \"rejected\": {}, \
+                 \"p50_ns\": {:.0}, \"p99_ns\": {:.0}, \"p999_ns\": {:.0}}}",
+                class_name(ci),
+                c.completed,
+                c.rejected,
+                workloads::percentile(&s, 0.50),
+                workloads::percentile(&s, 0.99),
+                workloads::percentile(&s, 0.999),
+            ));
+        }
+        agg.sort_unstable();
+        let p99_us = workloads::percentile(&agg, 0.99) / 1e3;
+        eprintln!(
+            "  offered {:>7} req/s: done {:.0}/s, rej {}, agg p50 {:.1} us, p99 {:.1} us, \
+             p999 {:.1} us, {} lease renewals",
+            if offered == 0 {
+                "open".to_string()
+            } else {
+                offered.to_string()
+            },
+            rep.rps(),
+            rep.rejected(),
+            workloads::percentile(&agg, 0.50) / 1e3,
+            p99_us,
+            workloads::percentile(&agg, 0.999) / 1e3,
+            rep.lease_renewals,
+        );
+        // Headline: the fastest step where the server kept up with the
+        // offered rate (or the open-throttle ceiling itself).
+        let kept_up = offered == 0 || rep.rps() >= 0.95 * offered as f64;
+        if kept_up && headline.as_ref().is_none_or(|h| rep.rps() > h.0) {
+            headline = Some((rep.rps(), p99_us, offered));
+        }
+    }
+    let (h_rps, h_p99, h_offered) = headline.expect("at least the open row qualifies");
+    eprintln!(
+        "HEADLINE: {h_rps:.0} requests/sec at p99 < {:.0} us",
+        h_p99.ceil()
+    );
+
+    // Occupancy-driven batch_cap pick (the fc_sweep signal feeding the
+    // combining forest): measure batch fill on one combining BAT under
+    // the serving write parallelism, let `pick_batch_cap` choose, and
+    // record a serving row on the combining forest at that cap.
+    let occupancy = {
+        let cal = cbat_core::BatSet::<u64, cbat_core::SizeOnly>::with_combining(32);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for t in 0..serve_clients.max(2) {
+                let (cal, stop) = (&cal, &stop);
+                scope.spawn(move || {
+                    let mut x = 0x00BE_9C42u64 ^ ((t as u64) << 40) | 1;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = x % opts.max_key;
+                        if x & 1 == 0 {
+                            cal.insert(k);
+                        } else {
+                            cal.remove(&k);
+                        }
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_millis(100));
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        cal.combining_occupancy().expect("combining is on")
+    };
+    let cap = serve::pick_batch_cap(serve_clients, occupancy);
+    eprintln!("  occupancy {occupancy:.3} at {serve_clients} writers -> batch_cap {cap}");
+    fn serve_fc_row<const CAP: usize>(
+        opts: &Opts,
+        cfg: &serve::ServeConfig,
+        shards: usize,
+    ) -> serve::ServeReport {
+        let set = shard::ShardedSet::<shard::CombiningBat<CAP>>::new(shards, Partition::Hash);
+        let step = 2u64.max(opts.max_key / (opts.max_key / 2).max(1));
+        let mut k = 0;
+        while k < opts.max_key {
+            set.insert(k);
+            k += step;
+        }
+        serve::run_serve(&set, cfg)
+    }
+    let fc_rep = match cap {
+        1 => serve_fc_row::<1>(&opts, &serve_cfg(0), serve_shards),
+        8 => serve_fc_row::<8>(&opts, &serve_cfg(0), serve_shards),
+        _ => serve_fc_row::<32>(&opts, &serve_cfg(0), serve_shards),
+    };
+    let mut fc_agg: Vec<u64> = fc_rep
+        .classes
+        .iter()
+        .flat_map(|c| c.samples.iter().copied())
+        .collect();
+    fc_agg.sort_unstable();
+    eprintln!(
+        "  combining forest (cap {cap}): {:.0} req/s, agg p99 {:.1} us",
+        fc_rep.rps(),
+        workloads::percentile(&fc_agg, 0.99) / 1e3
+    );
+    let serve_fc = format!(
+        "    {{\"batch_cap\": {cap}, \"occupancy\": {occupancy:.4}, \"rps\": {:.1}, \
+         \"p50_ns\": {:.0}, \"p99_ns\": {:.0}, \"p999_ns\": {:.0}}}",
+        fc_rep.rps(),
+        workloads::percentile(&fc_agg, 0.50),
+        workloads::percentile(&fc_agg, 0.99),
+        workloads::percentile(&fc_agg, 0.999),
+    );
+
     let json_rows: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!(
-        "{{\n  \"pr\": {},\n  \"title\": \"flat-combining group commit: one propagate per batch of updates\",\n  \
-         \"workload\": {{\"dist\": \"uniform\", \"max_key\": {}, \"prefill\": true, \
+        "{{\n  \"workload\": {{\"dist\": \"uniform\", \"max_key\": {}, \"prefill\": true, \
          \"duration_ms\": {}, \"trials\": {}, \"structure\": \"BAT\", \"rq_size\": 100, \
          \"host_cores\": {}}},\n  \
          \"caveats\": \"On a 1-core host the shards x threads sweep cannot show parallel \
 speedup: all shards timeshare one core, so the acceptance gate is non-decreasing aggregate \
 throughput in shard count (smaller per-shard trees) rather than linear scaling, and lagging \
 points are re-measured best-of against host noise (see shard-sweep rows' shards field). \
-Multicore shard scaling is the ROADMAP item. Hot-drift rows are scenario measurements (no \
-baseline twin); find microbench rows are the scalar-search baseline for a future SIMD PR. \
+Multicore shard scaling is the ROADMAP item. Hot-drift rows are scenario measurements; \
+find microbench rows are the scalar-search baseline for a future SIMD PR. \
 Combining rows (mode 'combining', batch_cap field; absent means 1) share the same noise \
-policy: the fc gate (best cap beats plain optimized at TT >= 4) is best-of repaired. The \
+policy: the fc gate (best cap beats plain BAT at TT >= 4) is best-of repaired. The \
 fc_sweep paces every batch cap against the same plain-BAT saturation point so offered rates \
-are comparable across caps.\",\n  \
-         \"results\": [\n{}\n  ],\n  \"throughput_gain\": [\n{}\n  ],\n  \
-         \"fanout_contended_gain\": [\n{}\n  ],\n  \"fanout_same_slice\": [\n{}\n  ],\n  \
+are comparable across caps. Serve rows measure end-to-end request latency (client scheduled \
+arrival to reaped response) through the serving layer, not bare structure ops; on a 1-core \
+host the clients, workers and analytics thread timeshare one CPU, so serve req/s is far \
+below bare-structure Mops and the headline is a latency-at-load point, not a peak.\",\n  \
+         \"results\": [\n{}\n  ],\n  \"fanout_same_slice\": [\n{}\n  ],\n  \
          \"fig9\": [\n{}\n  ],\n  \"adapter_sweep\": [\n{}\n  ],\n  \
          \"shard_scaling\": [\n{}\n  ],\n  \"hot_drift\": [\n{}\n  ],\n  \
          \"find_microbench\": [\n{}\n  ],\n  \
-         \"fc_gain\": [\n{}\n  ],\n  \"fc_sweep\": [\n{}\n  ]\n}}\n",
-        opts.pr,
+         \"fc_gain\": [\n{}\n  ],\n  \"fc_sweep\": [\n{}\n  ],\n  \
+         \"serve\": [\n{}\n  ],\n  \"serve_fc\": [\n{}\n  ],\n  \
+         \"serve_headline\": {{\"requests_per_sec\": {:.1}, \"p99_us\": {:.1}, \
+         \"offered_rps\": {}, \"shards\": {}, \"clients\": {}}}\n}}\n",
         opts.max_key,
         opts.duration.as_millis(),
         opts.trials,
@@ -852,8 +966,6 @@ are comparable across caps.\",\n  \
             .map(|n| n.get())
             .unwrap_or(1),
         json_rows.join(",\n"),
-        gains.join(",\n"),
-        fanout_gains.join(",\n"),
         granularity_rows.join(",\n"),
         fig9.join(",\n"),
         sweep.join(",\n"),
@@ -862,9 +974,17 @@ are comparable across caps.\",\n  \
         find_rows.join(",\n"),
         fc_gain.join(",\n"),
         fc_sweep.join(",\n"),
+        serve_rows.join(",\n"),
+        serve_fc,
+        h_rps,
+        h_p99,
+        h_offered,
+        serve_shards,
+        serve_clients,
     );
-    let out = opts.out();
-    std::fs::write(&out, &json).expect("write json");
-    eprintln!("wrote {out}");
+    if let Some(out) = &opts.out {
+        std::fs::write(out, &json).expect("write json");
+        eprintln!("wrote {out}");
+    }
     print!("{json}");
 }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use cbat_core::{BatSet, DelegationPolicy, SizeOnly};
 use chromatic::ChromaticSet;
-use fanout::{FanoutSet, SingleRootFanoutSet};
+use fanout::FanoutSet;
 use frbst::FrSet;
 use shard::{Partition, ShardMember, ShardedSet};
 use vcas::VcasSet;
@@ -370,26 +370,14 @@ fanout_adapter!(
 );
 
 fanout_adapter!(
-    /// The PR 3 fanout tree publication scheme (versioned edges, but the
-    /// whole holder node frozen per publish) — the conflict-granularity
-    /// ablation `bench_pr4`'s same-slice scenario measures
-    /// [`FanoutAdapter`] against. Identical structure and pools; only the
-    /// freeze granularity differs.
+    /// The per-holder publication scheme (versioned edges, but the whole
+    /// holder node frozen per publish) — the conflict-granularity ablation
+    /// the `bench` same-slice section measures [`FanoutAdapter`] against.
+    /// Identical structure and pools; only the freeze granularity differs.
     PerHolderFanoutAdapter,
     FanoutSet,
     FanoutSet::new_per_holder(),
     "VerlibBTree* (per-holder)"
-);
-
-fanout_adapter!(
-    /// The pre-PR 3 fanout tree (whole-path COW under one root CAS) — the
-    /// publication-scheme ablation `bench_pr3`'s contended-writers scenario
-    /// measures [`FanoutAdapter`] against. Pools and workloads are
-    /// identical; only the publication mechanism differs.
-    SingleRootFanoutAdapter,
-    SingleRootFanoutSet,
-    SingleRootFanoutSet::new(),
-    "VerlibBTree* (single-root)"
 );
 
 /// The sharded front-end over any forest member (`crates/shard`): point
@@ -570,13 +558,13 @@ pub fn lineup() -> Vec<Box<dyn BenchSet>> {
 }
 
 /// Every adapter in the workspace, including the point-only ablation —
-/// the lineup `bench_pr2` sweeps to prove no mix panics on any adapter.
+/// the lineup the `bench` adapter sweep runs to prove no mix panics on any
+/// adapter.
 pub fn full_lineup() -> Vec<Box<dyn BenchSet>> {
     let mut all = lineup();
     all.push(Box::new(BatAdapter::plain()));
     all.push(Box::new(BatAdapter::del()));
     all.push(Box::new(ChromaticAdapter::new()));
-    all.push(Box::new(SingleRootFanoutAdapter::new()));
     all.push(Box::new(PerHolderFanoutAdapter::new()));
     all.push(Box::new(ShardedBatAdapter::new(4, Partition::Hash)));
     all.push(Box::new(ShardedFanoutAdapter::new(4, Partition::Hash)));
@@ -612,7 +600,6 @@ mod tests {
         exercise(&FrAdapter::new());
         exercise(&VcasAdapter::new());
         exercise(&FanoutAdapter::new());
-        exercise(&SingleRootFanoutAdapter::new());
         for p in [Partition::Hash, Partition::Range { max_key: 128 }] {
             for shards in [1, 4] {
                 exercise(&ShardedBatAdapter::new(shards, p));

@@ -52,13 +52,11 @@
 pub mod augment;
 pub mod bulk;
 pub mod combine;
-pub mod hotpath;
 pub mod interval;
 pub mod map;
 pub mod propagate;
 pub mod queries;
 pub mod refresh;
-pub mod sched_hunt;
 pub mod snapshot;
 pub mod stats;
 pub mod version;

@@ -11,13 +11,10 @@
 //! [`PropScratch`] arena instead of being heap-allocated per call. The
 //! `refreshed` set is a root-to-leaf path (O(log n) entries), so a plain
 //! vector with linear membership checks beats hashing *and* allocates
-//! nothing after warm-up. In baseline mode ([`crate::hotpath`]) every call
-//! builds fresh vectors, reproducing the seed's per-update allocations for
-//! before/after measurement.
+//! nothing after warm-up.
 
 use sched::atomic::Ordering;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::time::Duration;
 #[cfg(not(feature = "sched-test"))]
 use std::time::Instant;
@@ -69,9 +66,6 @@ struct PropScratch {
     /// Raw pointers of nodes already refreshed by this propagate. A
     /// root-to-leaf path, so membership is a short linear scan.
     refreshed: Vec<u64>,
-    /// Baseline mode only: the seed's per-call hashed `refreshed` set,
-    /// kept so the before/after benchmark measures the true "before".
-    refreshed_hash: Option<HashSet<u64>>,
     /// Descent stack of raw node pointers (bottom = entry).
     stack: Vec<u64>,
     /// Replaced versions, retired together once the root is reached (§6).
@@ -81,27 +75,8 @@ struct PropScratch {
 impl PropScratch {
     fn clear(&mut self) {
         self.refreshed.clear();
-        self.refreshed_hash = None;
         self.stack.clear();
         self.to_retire.clear();
-    }
-
-    #[inline]
-    fn is_refreshed(&self, raw: u64) -> bool {
-        match &self.refreshed_hash {
-            Some(h) => h.contains(&raw),
-            None => self.refreshed.contains(&raw),
-        }
-    }
-
-    #[inline]
-    fn mark_refreshed(&mut self, raw: u64) {
-        match &mut self.refreshed_hash {
-            Some(h) => {
-                h.insert(raw);
-            }
-            None => self.refreshed.push(raw),
-        }
     }
 }
 
@@ -213,17 +188,9 @@ pub fn propagate<K, V, A>(
 {
     let h = stats.local();
     h.incr_propagates();
-    let baseline = crate::hotpath::baseline();
     // Take the thread-local scratch for the duration of the call (put back
-    // at the end, retaining capacity). Baseline mode allocates fresh.
-    let mut scratch = if baseline {
-        PropScratch {
-            refreshed_hash: Some(HashSet::new()),
-            ..PropScratch::default()
-        }
-    } else {
-        SCRATCH.with(|s| s.take())
-    };
+    // at the end, retaining capacity).
+    let mut scratch = SCRATCH.with(|s| s.take());
     let ps: u64 = match policy {
         DelegationPolicy::None => 0,
         _ => PropStatus::alloc() as u64,
@@ -250,22 +217,14 @@ pub fn propagate<K, V, A>(
             // SAFETY: `child_raw` was just read from a live parent under
             // our epoch pin (fence above re-checks non-null in debug).
             let child = unsafe { BatNode::<K, V, A>::from_raw(child_raw) };
-            if baseline {
-                // Faithful "before": one shared-stripe RMW per node
-                // visited, exactly as the seed counted.
-                stats.incr_nodes_visited();
-            } else {
-                descended += 1;
-            }
-            if scratch.is_refreshed(child_raw) || child.is_leaf() {
+            descended += 1;
+            if scratch.refreshed.contains(&child_raw) || child.is_leaf() {
                 break;
             }
             scratch.stack.push(child_raw);
             next = child;
         }
-        if descended > 0 {
-            h.add_nodes_visited(descended);
-        }
+        h.add_nodes_visited(descended);
         // SAFETY: stack entries stay pinned by `guard` (see the descent
         // comment above).
         let top = unsafe {
@@ -371,7 +330,7 @@ pub fn propagate<K, V, A>(
             }
         }
 
-        scratch.mark_refreshed(top.as_raw());
+        scratch.refreshed.push(top.as_raw());
         if top.as_raw() == entry.as_raw() {
             break;
         }
@@ -400,8 +359,6 @@ pub fn propagate<K, V, A>(
         unsafe { retire_version::<K, V, A>(guard, v) };
     }
 
-    if !baseline {
-        scratch.clear();
-        SCRATCH.with(|s| *s.borrow_mut() = scratch);
-    }
+    scratch.clear();
+    SCRATCH.with(|s| *s.borrow_mut() = scratch);
 }

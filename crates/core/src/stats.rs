@@ -9,9 +9,7 @@
 //! lazily. A counter bump therefore touches only a line this core already
 //! owns — the seed's single shared `AtomicU64`s made every node visited
 //! by a propagate a cross-core cacheline ping-pong under multi-threaded
-//! update load. In baseline mode (see [`crate::hotpath`]) all threads are
-//! routed to stripe 0, deliberately restoring that contention for
-//! before/after measurement.
+//! update load.
 
 use sched::atomic::{AtomicU64, Ordering};
 
@@ -76,15 +74,10 @@ fn read_counter(c: &AtomicU64) -> u64 {
 }
 
 impl BatStats {
-    /// The calling thread's stripe (stripe 0 for everyone in baseline
-    /// mode, to reproduce the pre-striping contention).
+    /// The calling thread's stripe.
     #[inline]
     fn stripe(&self) -> &Stripe {
-        let id = if crate::hotpath::baseline() {
-            0
-        } else {
-            ebr::thread_id()
-        };
+        let id = ebr::thread_id();
         debug_assert!(id < self.stripes.len());
         &self.stripes[id]
     }

@@ -1,7 +1,7 @@
-//! sched-driven hunt for the ROADMAP's rare BAT-baseline reclamation race
-//! (one livelock + one SIGSEGV on a null `BatNode` in `read_version →
+//! sched-driven hunt for the ROADMAP's rare BAT reclamation race (one
+//! livelock + one SIGSEGV on a null `BatNode` in `read_version →
 //! VersionSlot::load`, `crates/core/src/refresh.rs`, seen twice in ~6
-//! `bench_pr4` sweeps and never in ~430 wall-clock reruns).
+//! sweeps recording `BENCH_PR4.json` and never in ~430 wall-clock reruns).
 //!
 //! Under the deterministic scheduler every shared-memory access of the
 //! insert/remove/contains/rank mix is a preemption point, reclamation
@@ -13,12 +13,72 @@
 //! byte-replayable* failure instead of a once-in-430-runs SIGSEGV.
 //!
 //! The default corpus is sized for CI; set `CBAT_SCHED_HUNT_SCHEDULES`
-//! for long campaigns (`bench --example bat_baseline_hunt -- --sched N`
-//! wraps the same body for out-of-CI hunting).
+//! for long campaigns.
 #![cfg(feature = "sched-test")]
 
-use cbat_core::sched_hunt::{hunt_body, hunt_body_baseline_toggle};
+use std::sync::Arc;
+
+use cbat_core::{BatSet, DelegationPolicy};
 use sched::{explore, ExploreConfig, Policy};
+
+/// Key space of the hunt mix: small enough that every operation contends
+/// on structure and version-tree state.
+const KEY_SPACE: u64 = 24;
+
+/// One hunt scenario: three vthreads running a mixed workload whose op
+/// streams derive from `opseed` (fixed per exploration; the schedule
+/// supplies the interleaving diversity). The rank/len shares exercise the
+/// `read_version` walk — the historical crash site — concurrently with
+/// structural updates and version retirement. Ends with a version-tree
+/// self-consistency oracle.
+fn hunt_body(opseed: u64) {
+    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::None));
+    for k in (0..KEY_SPACE).step_by(3) {
+        set.insert(k);
+    }
+    let hs: Vec<_> = (0..3u64)
+        .map(|t| {
+            let set = set.clone();
+            sched::spawn(move || {
+                let mut x = opseed ^ (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for _ in 0..10 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = x % KEY_SPACE;
+                    match x % 4 {
+                        0 => {
+                            set.insert(k);
+                        }
+                        1 => {
+                            set.remove(&k);
+                        }
+                        2 => {
+                            set.contains(&k);
+                        }
+                        _ => {
+                            // The read_version-heavy path: a rank query
+                            // reads the root version and walks the
+                            // version tree.
+                            set.rank(&k);
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in hs {
+        h.join();
+    }
+    // Post-race consistency: the version tree agrees with itself.
+    let n = set.len();
+    assert_eq!(
+        set.range_count(&0, &(KEY_SPACE - 1)),
+        n,
+        "root size and range count diverged"
+    );
+    assert_eq!(set.rank(&(KEY_SPACE - 1)), n);
+}
 
 #[test]
 fn bat_reclamation_hunt_under_explored_schedules() {
@@ -49,41 +109,6 @@ fn bat_reclamation_hunt_under_explored_schedules() {
     }
     eprintln!(
         "sched hunt: {explored} schedules clean (poisoning + fences armed); \
-         scale with CBAT_SCHED_HUNT_SCHEDULES"
-    );
-}
-
-#[test]
-fn bat_baseline_toggle_hunt_under_explored_schedules() {
-    // Same mix, plus a fourth vthread flipping `hotpath::set_baseline`
-    // mid-race: schedules interleave pool-bypass (malloc/free) allocation
-    // with pooled allocation inside one contended campaign, so the path
-    // the pool's reclamation poison cannot see is explored too.
-    let budget: usize = std::env::var("CBAT_SCHED_HUNT_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
-    let per_cell = (budget / 4).max(1);
-    let mut explored = 0usize;
-    for (opseed, policy, seed) in [
-        (0x0BA7_0003u64, Policy::RandomWalk, 0x4017_0005u64),
-        (0x0BA7_0003, Policy::Pct { depth: 3 }, 0x4017_0006),
-        (0x0BA7_0004, Policy::RandomWalk, 0x4017_0007),
-        (0x0BA7_0004, Policy::Pct { depth: 3 }, 0x4017_0008),
-    ] {
-        let cfg = ExploreConfig {
-            schedules: per_cell,
-            seed,
-            max_steps: 3_000_000,
-            policy,
-            stop_on_failure: true,
-        };
-        let report = explore(&cfg, move || hunt_body_baseline_toggle(opseed));
-        report.assert_clean("BAT baseline-toggle hunt");
-        explored += report.schedules;
-    }
-    eprintln!(
-        "baseline-toggle hunt: {explored} schedules clean; \
          scale with CBAT_SCHED_HUNT_SCHEDULES"
     );
 }

@@ -11,9 +11,9 @@
 //! every retired object's memory flows back to it, so a measured window
 //! of mixed inserts/removes — leaf patches, delete patches, BLK/RB/W
 //! rebalancing steps, version refreshes, delegation statuses — performs
-//! no heap allocation at all. Flipping `hotpath::set_baseline(true)`
-//! restores the seed's malloc-per-object behavior in the same binary,
-//! which the final window demonstrates.
+//! no heap allocation at all. The final window is the control: the same
+//! churn on a freshly spawned thread, whose pools and scratch start empty,
+//! does allocate.
 //!
 //! This file deliberately holds a single `#[test]`: the libtest harness
 //! runs tests of one binary on multiple threads, and any concurrent test
@@ -70,7 +70,7 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
     // per-edge state lives inside the pooled nodes, never on the heap.
     fanout_versioned_edge_window(fanout::FanoutSet::new(), "per-edge");
     fanout_versioned_edge_window(fanout::FanoutSet::new_per_holder(), "per-holder");
-    baseline_mode_allocates_again();
+    cold_thread_allocates();
 }
 
 fn propagate_window() {
@@ -264,25 +264,33 @@ fn fanout_versioned_edge_window(s: fanout::FanoutSet, granularity: &str) {
     assert!(s.debug_max_version_chain() <= 2);
 }
 
-/// Control: with `hotpath::set_baseline(true)` the pools are bypassed and
-/// the same churn loop hits the global allocator again — proving the
-/// counter actually observes the update path.
-fn baseline_mode_allocates_again() {
-    cbat_core::hotpath::set_baseline(true);
+/// Control: the same churn loop on a freshly spawned thread — whose
+/// thread-local pools and scratch start empty — hits the global allocator
+/// again, proving the counter actually observes the update path.
+fn cold_thread_allocates() {
     let m = BatMap::<u64, u64>::new();
     for k in 0..256u64 {
         m.insert(k, k);
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for k in 0..128u64 {
-        m.remove(&k);
-        m.insert(k, k);
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    cbat_core::hotpath::set_baseline(false);
+    let misses = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let (_, m0, _) = ebr::pool::local_stats();
+                ALLOCS.store(0, Ordering::SeqCst);
+                COUNTING.store(true, Ordering::SeqCst);
+                for k in 0..128u64 {
+                    m.remove(&k);
+                    m.insert(k, k);
+                }
+                COUNTING.store(false, Ordering::SeqCst);
+                ebr::pool::local_stats().1 - m0
+            })
+            .join()
+            .expect("cold churn thread")
+    });
+    assert!(misses > 0, "a cold thread's pools must miss");
     assert!(
-        ALLOCS.load(Ordering::SeqCst) > 0,
-        "baseline mode must restore per-update heap allocation"
+        ALLOCS.load(Ordering::SeqCst) >= misses,
+        "every pool miss must reach the counted global allocator"
     );
 }

@@ -26,17 +26,9 @@
 //! [`MAX_PER_CLASS`] blocks; overflow and thread exit fall back to the
 //! global allocator, so the pool can never hold more than a bounded amount
 //! of memory per thread.
-//!
-//! [`set_enabled`] exists for the before/after benchmark
-//! (`bench_pr1`): with pooling disabled every call degrades to plain
-//! `malloc`/`free`, reproducing the seed's allocation behavior in the same
-//! binary. Blocks allocated in one mode may be freed in the other; both
-//! modes use the global allocator with the same layout, so this is sound.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, RefCell};
-
-use sched::atomic::{AtomicBool, Ordering};
 
 use crate::Guard;
 
@@ -47,8 +39,6 @@ const MAX_PER_CLASS: usize = 4096;
 /// process pools a handful of types (versions, statuses); beyond the cap,
 /// new layouts simply bypass the pool.
 const MAX_CLASSES: usize = 32;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Debug-build poison byte written over every block the pool recycles.
 ///
@@ -97,22 +87,6 @@ fn check_poison(p: *mut u8, size: usize) {
             bytes[off]
         );
     }
-}
-
-/// Globally enable or disable pooling (enabled by default). Disabling does
-/// not flush existing free lists; it only routes new traffic to the global
-/// allocator. Used by the before/after benchmarks.
-pub fn set_enabled(on: bool) {
-    // ordering: independent mode flag; no data is published through it,
-    // and either mode handles blocks allocated by the other (module docs).
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether pooling is currently enabled.
-pub fn enabled() -> bool {
-    // ordering: see `set_enabled` — a stale read only routes one
-    // alloc/free to the slower-but-sound global-allocator path.
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Calling thread's pool counters since thread start: `(hits, misses,
@@ -179,37 +153,35 @@ unsafe fn raw_alloc(layout: Layout) -> *mut u8 {
 
 /// Obtain memory for `layout`, preferring the thread-local free list.
 fn acquire_memory(layout: Layout) -> *mut u8 {
-    if enabled() {
-        let pooled = POOLS
-            .try_with(|pools| {
-                // `try_borrow_mut` guards against re-entry from a
-                // destructor running inside `release_memory`.
-                let mut classes = match pools.classes.try_borrow_mut() {
-                    Ok(c) => c,
-                    Err(_) => return None,
-                };
-                let hit = classes
-                    .iter_mut()
-                    .find(|c| c.size == layout.size() && c.align == layout.align())
-                    .and_then(|c| c.free.pop());
-                match hit {
-                    Some(p) => {
-                        pools.hits.set(pools.hits.get() + 1);
-                        Some(p)
-                    }
-                    None => {
-                        pools.misses.set(pools.misses.get() + 1);
-                        None
-                    }
+    let pooled = POOLS
+        .try_with(|pools| {
+            // `try_borrow_mut` guards against re-entry from a
+            // destructor running inside `release_memory`.
+            let mut classes = match pools.classes.try_borrow_mut() {
+                Ok(c) => c,
+                Err(_) => return None,
+            };
+            let hit = classes
+                .iter_mut()
+                .find(|c| c.size == layout.size() && c.align == layout.align())
+                .and_then(|c| c.free.pop());
+            match hit {
+                Some(p) => {
+                    pools.hits.set(pools.hits.get() + 1);
+                    Some(p)
                 }
-            })
-            .ok()
-            .flatten();
-        if let Some(p) = pooled {
-            #[cfg(debug_assertions)]
-            check_poison(p, layout.size());
-            return p;
-        }
+                None => {
+                    pools.misses.set(pools.misses.get() + 1);
+                    None
+                }
+            }
+        })
+        .ok()
+        .flatten();
+    if let Some(p) = pooled {
+        #[cfg(debug_assertions)]
+        check_poison(p, layout.size());
+        return p;
     }
     // SAFETY: callers reach here only with non-zero-size layouts (the
     // zero-size case short-circuits in `alloc_pooled`).
@@ -217,51 +189,49 @@ fn acquire_memory(layout: Layout) -> *mut u8 {
 }
 
 /// Return a dead block to the calling thread's free list (or the global
-/// allocator if the pool is full, disabled, or mid-teardown).
+/// allocator if the pool is full or mid-teardown).
 fn release_memory(p: *mut u8, layout: Layout) {
-    if enabled() {
-        let kept = POOLS
-            .try_with(|pools| {
-                let mut classes = match pools.classes.try_borrow_mut() {
-                    Ok(c) => c,
-                    Err(_) => return false,
-                };
-                let class = match classes
-                    .iter_mut()
-                    .position(|c| c.size == layout.size() && c.align == layout.align())
-                {
-                    Some(i) => &mut classes[i],
-                    None if classes.len() < MAX_CLASSES => {
-                        classes.push(Class {
-                            size: layout.size(),
-                            align: layout.align(),
-                            free: Vec::new(),
-                        });
-                        classes.last_mut().expect("just pushed")
-                    }
-                    None => return false,
-                };
-                if class.free.len() < MAX_PER_CLASS {
-                    // SAFETY: `p` is a dead block of exactly this layout,
-                    // surrendered by the caller.
-                    #[cfg(debug_assertions)]
-                    unsafe {
-                        poison_block(p, layout.size())
-                    };
-                    class.free.push(p);
-                    pools.recycled.set(pools.recycled.get() + 1);
-                    true
-                } else {
-                    false
+    let kept = POOLS
+        .try_with(|pools| {
+            let mut classes = match pools.classes.try_borrow_mut() {
+                Ok(c) => c,
+                Err(_) => return false,
+            };
+            let class = match classes
+                .iter_mut()
+                .position(|c| c.size == layout.size() && c.align == layout.align())
+            {
+                Some(i) => &mut classes[i],
+                None if classes.len() < MAX_CLASSES => {
+                    classes.push(Class {
+                        size: layout.size(),
+                        align: layout.align(),
+                        free: Vec::new(),
+                    });
+                    classes.last_mut().expect("just pushed")
                 }
-            })
-            .unwrap_or(false);
-        if kept {
-            return;
-        }
+                None => return false,
+            };
+            if class.free.len() < MAX_PER_CLASS {
+                // SAFETY: `p` is a dead block of exactly this layout,
+                // surrendered by the caller.
+                #[cfg(debug_assertions)]
+                unsafe {
+                    poison_block(p, layout.size())
+                };
+                class.free.push(p);
+                pools.recycled.set(pools.recycled.get() + 1);
+                true
+            } else {
+                false
+            }
+        })
+        .unwrap_or(false);
+    if kept {
+        return;
     }
-    // SAFETY: `p` was allocated with `layout` (by `acquire_memory` in
-    // either mode — both use the global allocator) and is dead.
+    // SAFETY: `p` was allocated with `layout` (every block `acquire_memory`
+    // hands out originates in the global allocator) and is dead.
     unsafe { dealloc(p, layout) };
 }
 
@@ -339,22 +309,8 @@ pub unsafe fn dispose_pooled<T>(ptr: *mut T) {
 mod tests {
     use super::*;
 
-    /// `set_enabled` is process-global, and the poison tests depend on
-    /// their blocks actually landing on the free list: serialize every
-    /// test that toggles or depends on the enabled state. (`into_inner`
-    /// on poison recovery: the should-panic test unwinds while holding
-    /// the lock by design.)
-    static ENABLED_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn enabled_state_lock() -> std::sync::MutexGuard<'static, ()> {
-        ENABLED_STATE
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     #[test]
     fn alloc_reuses_released_memory() {
-        let _serial = enabled_state_lock();
         // Addresses may legitimately differ if other tests interleave on
         // this thread, so assert via the hit counter instead.
         let a = alloc_pooled(41u128);
@@ -369,7 +325,6 @@ mod tests {
 
     #[test]
     fn layout_classes_are_shared_across_types() {
-        let _serial = enabled_state_lock();
         #[repr(align(8))]
         struct A(#[allow(dead_code)] [u64; 3]);
         #[repr(align(8))]
@@ -391,7 +346,7 @@ mod tests {
     #[test]
     fn retired_objects_run_destructors_then_recycle() {
         let _serial = crate::tests::own_the_global_epoch();
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct D(#[allow(dead_code)] u64);
         impl Drop for D {
@@ -413,16 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_falls_back_to_malloc() {
-        let _serial = enabled_state_lock();
-        set_enabled(false);
-        let p = alloc_pooled(7u16);
-        assert_eq!(unsafe { *p }, 7);
-        unsafe { dispose_pooled(p) };
-        set_enabled(true);
-    }
-
-    #[test]
     fn zero_sized_types_are_supported() {
         struct Z;
         let p = alloc_pooled(Z);
@@ -439,11 +384,6 @@ mod tests {
     fn poison_check_trips_on_use_after_retire() {
         // A layout distinctive to this test; each #[test] runs on its own
         // thread, so this thread's free list holds exactly our block.
-        // The lock keeps `disabled_pool_falls_back_to_malloc` from
-        // disabling pooling mid-test, which would send our block to the
-        // OS allocator instead of the (poisoned) free list.
-        let _serial = enabled_state_lock();
-        assert!(enabled());
         let p = alloc_pooled([7u64; 5]);
         unsafe { dispose_pooled(p) };
         // Use-after-retire: write through the stale pointer.
@@ -457,8 +397,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn poisoned_blocks_recycle_cleanly_when_untouched() {
-        let _serial = enabled_state_lock();
-        assert!(enabled());
         let p = alloc_pooled([9u64; 5]);
         unsafe { dispose_pooled(p) };
         // Block is poisoned while parked on the free list.

@@ -15,15 +15,15 @@
 //! * **per-subtree publication** ⇒ updates on disjoint subtrees commit
 //!   concurrently instead of serializing on one root word.
 //!
-//! ## Mechanism: per-subtree versioned edges (PR 3) at per-edge
-//! publication granularity (PR 4 tentpole)
+//! ## Mechanism: per-subtree versioned edges at per-edge publication
+//! granularity
 //!
-//! Until PR 3 this tree was an immutable COW B-tree under a *single*
-//! atomic root pointer: every update copied the whole root-to-leaf path
-//! and published with one root `compare_exchange`, so all writers —
-//! however disjoint their keys — contended on one word (that scheme
-//! survives as [`single_root::SingleRootFanoutSet`], the benchmark
-//! ablation). Now every internal node's child slots are independently
+//! An immutable COW B-tree under a *single* atomic root pointer copies the
+//! whole root-to-leaf path per update and publishes with one root
+//! `compare_exchange`, so all writers — however disjoint their keys —
+//! contend on one word (`BENCH_PR10.json` `fanout_contended_gain` records
+//! what that cost: versioned edges won by +28…+39 % at two or more
+//! threads). Here every internal node's child slots are independently
 //! CAS-able **versioned edges** (the mechanism of Wei et al., PPoPP 2021
 //! \[33\], that verlib generalizes), each carrying its *own* LLX/SCX
 //! freeze word ([`vedge::PubEdge`]):
@@ -35,9 +35,10 @@
 //! * the publish is an LLX/SCX (\[6\]) that freezes **only the one edge
 //!   it publishes on** — not the node holding it — so two writers under
 //!   the same parent on *different* child slots share no frozen records
-//!   and commit concurrently (PR 3 froze the whole holder node, aborting
-//!   same-parent siblings; that scheme is retained runtime-selectably via
-//!   [`FanoutSet::new_per_holder`] as the granularity ablation);
+//!   and commit concurrently (freezing the whole holder node instead
+//!   aborts same-parent siblings; that scheme is retained
+//!   runtime-selectably via [`FanoutSet::new_per_holder`] as the
+//!   granularity ablation);
 //! * a split cascade still invalidates everything inside the region it
 //!   replaces: the publication freezes and finalizes **every occupied
 //!   edge of every replaced internal**, so a straggler about to publish
@@ -89,13 +90,10 @@ use ebr::CachePadded;
 use llxscx::{llx, scx, Linked, Llx, RecordHeader, MAX_V};
 use vedge::{PubEdge, SnapClock, VersionRecord};
 
-pub mod single_root;
-pub use single_root::{SingleRootFanoutSet, SingleRootSnapshot};
-
 /// Maximum keys per leaf before splitting.
-pub(crate) const LEAF_CAP: usize = 16;
+const LEAF_CAP: usize = 16;
 /// Maximum children per internal node before splitting.
-pub(crate) const NODE_CAP: usize = 16;
+const NODE_CAP: usize = 16;
 
 /// A fixed-capacity tree node. Leaf contents are immutable (leaves are
 /// replaced wholesale); an internal node's separators are immutable but
@@ -209,8 +207,9 @@ impl BNode {
 // comparison *count* beats binary search: no data-dependent branches (each
 // `<=` compiles to a flag-setting compare plus an add on x86/aarch64), one
 // short loop the compiler unrolls, and the same shape a later `core::simd`
-// PR vectorizes directly (compare-mask + popcount). `bench_pr6` records the
-// single-thread `find` ns/op baseline this replaces binary search at.
+// PR vectorizes directly (compare-mask + popcount). `BENCH_PR6.json`
+// (`find_microbench`) records the single-thread `find` ns/op baseline this
+// replaces binary search at.
 // ---------------------------------------------------------------------------
 
 /// Number of keys in sorted `xs` that are `<= k` — identical to

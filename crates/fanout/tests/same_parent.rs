@@ -213,38 +213,51 @@ fn per_holder_ablation_stays_correct() {
 /// run the identical workload against per-edge and per-holder sets and
 /// require the per-edge abort rate not to exceed the per-holder rate
 /// beyond noise — the whole point of edge granularity is a strictly
-/// smaller conflict set. (On a single-core host both rates are small, so
-/// this is a soundness bound; `bench_pr4` records the measured gap.)
+/// smaller conflict set. (On a one- or two-core host both rates are small,
+/// so this is a soundness bound; `BENCH_PR4.json` `fanout_same_slice`
+/// records the measured gap.)
+///
+/// The abort rate depends far more on whether the host runs the four
+/// threads in parallel or time-slices them than on the scheme, so the two
+/// sets must be measured under one scheduling regime: the *same* threads
+/// drive both on one key stream, op by op. Which set goes first
+/// alternates by iteration parity — a fixed order biases the first set's
+/// rate high.
 #[test]
 fn same_slice_abort_rate_never_exceeds_per_holder() {
-    fn churn(s: &Arc<FanoutSet>) -> f64 {
-        // Surround the hot slice with neighbors so it spans real leaves.
-        for k in 0..256u64 {
-            s.insert(k);
-        }
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    let mut rng = Xorshift::new(0x5A5A + t);
-                    for _ in 0..12_000 {
-                        let k = 120 + rng.below(16);
-                        if rng.below(2) == 0 {
+    let edge = FanoutSet::new();
+    let holder = FanoutSet::new_per_holder();
+    // Surround the hot slice with neighbors so it spans real leaves.
+    for k in 0..256u64 {
+        edge.insert(k);
+        holder.insert(k);
+    }
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (edge, holder) = (&edge, &holder);
+            scope.spawn(move || {
+                let mut rng = Xorshift::new(0x5A5A + t);
+                for i in 0..12_000 {
+                    let k = 120 + rng.below(16);
+                    let insert = rng.below(2) == 0;
+                    let order = if i % 2 == 0 {
+                        [edge, holder]
+                    } else {
+                        [holder, edge]
+                    };
+                    for s in order {
+                        if insert {
                             s.insert(k);
                         } else {
                             s.remove(k);
                         }
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                }
+            });
         }
-        s.pub_stats().abort_rate()
-    }
-    let edge_rate = churn(&Arc::new(FanoutSet::new()));
-    let holder_rate = churn(&Arc::new(FanoutSet::new_per_holder()));
+    });
+    let edge_rate = edge.pub_stats().abort_rate();
+    let holder_rate = holder.pub_stats().abort_rate();
     assert!(
         edge_rate <= holder_rate + 0.05,
         "per-edge abort rate {edge_rate:.4} must not exceed per-holder \

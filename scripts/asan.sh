@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# AddressSanitizer pass over the reclamation-heavy crates, aimed squarely
-# at the unreproduced BAT-baseline heap corruption (ROADMAP forensics:
-# SIGSEGV at offset 0x30 in `read_version` → `VersionSlot::load`, and a
-# `malloc_consolidate` abort on an unaligned fastbin chunk — classic
-# allocator-metadata corruption in the pool-*bypass* raw malloc/free
-# path). ASan instruments exactly what EBR pool poisoning cannot see:
-# every raw allocation gets redzones and a reuse quarantine, so a
+# AddressSanitizer pass over the reclamation-heavy crates, aimed at the
+# unreproduced BAT heap corruption (ROADMAP forensics: SIGSEGV at offset
+# 0x30 in `read_version` → `VersionSlot::load`, and a `malloc_consolidate`
+# abort on an unaligned fastbin chunk — classic allocator-metadata
+# corruption). ASan instruments exactly what EBR pool poisoning cannot
+# see: every raw allocation gets redzones and a reuse quarantine, so a
 # use-after-retire or overflow reports at the faulting access instead of
 # crashing minutes later inside glibc.
 #
@@ -14,13 +13,11 @@
 # pipelines on stable-only hosts. An explicit `--target` keeps build
 # scripts and proc macros uninstrumented.
 #
-# Usage: scripts/asan.sh            # tests + ASAN_HUNT_ITERS hunt rounds
-#        ASAN_HUNT_ITERS=0 scripts/asan.sh   # tests only
+# Usage: scripts/asan.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TARGET=x86_64-unknown-linux-gnu
-HUNT_ITERS="${ASAN_HUNT_ITERS:-1}"
 
 if ! cargo +nightly --version >/dev/null 2>&1; then
     echo "asan: no nightly toolchain — skipping (rustup toolchain install nightly)"
@@ -59,15 +56,5 @@ timeout 1200 cargo +nightly run --release -p bench \
 echo "== asan: serve example (request-cell handoff, leased snapshots) =="
 timeout 1200 cargo +nightly run --release -p serve \
     --example serve --target "$TARGET"
-
-if [ "$HUNT_ITERS" -gt 0 ]; then
-    # Wall-clock rounds of the exact workload that produced the original
-    # crashes: bench_pr4 section 1's baseline half on the pool-bypassing
-    # hot path. Release opt so the interleavings resemble the original
-    # runs; each iteration is ~36 runs of 600 ms (plus ASan overhead).
-    echo "== asan: bat_baseline_hunt wall-clock mode, $HUNT_ITERS iteration(s) =="
-    timeout 3600 cargo +nightly run --release -p bench \
-        --example bat_baseline_hunt --target "$TARGET" -- "$HUNT_ITERS"
-fi
 
 echo "asan: clean"
