@@ -8,44 +8,27 @@
 //!    (throughput *and* p99 update latency).
 //! 2. **Contended writers**: disjoint per-thread key slices on the
 //!    versioned-edge fanout tree.
-//! 3. **Same-slice adversary**: per-holder vs per-edge publication
-//!    granularity under one hot 16-key slice, with SCX abort rates.
-//! 4. **Zipf / sorted-stream scenarios** (BAT).
-//! 5. **Fig. 9 latency-vs-throughput**: paced-worker sweep on BAT.
-//! 6. **Adapter sweep**: every adapter × every mix × every distribution —
+//! 3. **Zipf / sorted-stream scenarios** (BAT).
+//! 4. **Fig. 9 latency-vs-throughput**: paced-worker sweep on BAT.
+//! 5. **Adapter sweep**: every adapter × every mix × every distribution —
 //!    completing the loop asserts no scenario panics on any adapter (the
 //!    lineup includes both sharded forests).
-//! 7. **Shards × threads sweep**: the update-heavy mix on
+//! 6. **Shards × threads sweep**: the update-heavy mix on
 //!    [`bench::ShardedBatAdapter`] at 1/2/4/8 hash shards × every thread
 //!    count. Rows carry a `"shards"` field. Lagging points are
 //!    re-measured (best-of repair) because a shared 1-core host's noise
 //!    exceeds the expected per-shard deltas.
-//! 8. **Hot-drift scenario** (`KeyDist::HotDrift`): a zipf hot set whose
+//! 7. **Hot-drift scenario** (`KeyDist::HotDrift`): a zipf hot set whose
 //!    center sweeps the key space, one row per lineup adapter — the
 //!    scenario a static range partition cannot be pre-tuned for.
-//! 9. **Single-thread `find` microbench**: ns/op of `contains` on the
+//! 8. **Single-thread `find` microbench**: ns/op of `contains` on the
 //!    branchless fanout search and on BAT, the baseline row for a future
 //!    SIMD leaf-search PR.
-//! 10. **Combining rows**: the update-heavy mix on
-//!     [`bench::BatFcAdapter`] across batch caps × thread counts. Rows
-//!     carry a `"batch_cap"` field (1 means no combining). The gate is
-//!     the best combining cap beating the plain BAT at TT >= 4, with
-//!     best-of repair against 1-core host noise.
-//! 11. **Combining shards**: the update-heavy mix on the combining-BAT
-//!     forest (`ShardedBAT-FC/4`, cap 8 per shard), the row that shows
-//!     per-shard rings compose with the sharded front-end.
-//! 12. **Batch-size × offered-load sweep** (Fig. 9 pacing): paced
-//!     workers at fractions of saturation for each batch cap, recording
-//!     update p50/p99 — the latency price of forming bigger batches at
-//!     low load, and the throughput payoff at saturation.
-//! 13. **End-to-end serving sweep**: `serve::run_serve` on the sharded
-//!     fanout forest — pipelined clients behind bounded per-shard request
-//!     rings, an analytics worker on leased snapshots — at stepped
-//!     offered load, recording per-class end-to-end p50/p99/p999 plus the
-//!     headline "requests/sec at p99 < X µs" row. A calibration run
-//!     measures flat-combining batch occupancy and feeds
-//!     `serve::pick_batch_cap` to choose the per-shard `batch_cap` for a
-//!     combining-forest serving row.
+//! 9. **End-to-end serving sweep**: `serve::run_serve` on the sharded
+//!    fanout forest — pipelined clients behind bounded per-shard request
+//!    rings, an analytics worker on leased snapshots — at stepped
+//!    offered load, recording per-class end-to-end p50/p99/p999 plus the
+//!    headline "requests/sec at p99 < X µs" row.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench -- \
@@ -56,10 +39,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{
-    full_lineup, BatAdapter, BatFcAdapter, FanoutAdapter, PerHolderFanoutAdapter,
-    ShardedBatAdapter, ShardedFcBatAdapter,
-};
+use bench::{full_lineup, BatAdapter, FanoutAdapter, ShardedBatAdapter};
 use shard::Partition;
 use workloads::{BenchSet, KeyDist, OpMix, QueryKind, RunConfig, RunResult};
 
@@ -71,15 +51,10 @@ const MIXES: [(&str, &str, [u32; 4]); 3] = [
     ("query-heavy", "5i-5d-60f-30rq", [5, 5, 60, 30]),
 ];
 
-/// Shard counts of the section-7 sweep (acceptance gate: aggregate
+/// Shard counts of the section-6 sweep (acceptance gate: aggregate
 /// update throughput non-decreasing in shard count at every thread
 /// level).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Batch caps of the section-10 combining sweep. Cap 1 degenerates to
-/// one propagate per op through the ring (the combining-overhead
-/// ablation); larger caps amortize more propagates per batch.
-const BATCH_CAPS: [usize; 5] = [1, 4, 8, 16, 32];
 
 struct Opts {
     threads: Vec<usize>,
@@ -145,8 +120,6 @@ struct Row {
     threads: usize,
     /// Shard count of the adapter under test; 1 for unsharded rows.
     shards: usize,
-    /// Max ops per combined batch; 1 for non-combining rows.
-    batch_cap: usize,
     mops: f64,
     upd_p50_ns: f64,
     upd_p99_ns: f64,
@@ -158,14 +131,12 @@ impl Row {
     fn json(&self) -> String {
         format!(
             "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"shards\": {}, \
-             \"batch_cap\": {}, \
              \"mops\": {:.6}, \"upd_p50_ns\": {:.0}, \"upd_p99_ns\": {:.0}, \
              \"abort_rate\": {:.6}, \"retry_rate\": {:.6}}}",
             self.mix,
             self.mode,
             self.threads,
             self.shards,
-            self.batch_cap,
             self.mops,
             self.upd_p50_ns,
             self.upd_p99_ns,
@@ -180,7 +151,6 @@ impl Row {
             mode,
             threads,
             shards: 1,
-            batch_cap: 1,
             mops,
             upd_p50_ns: r.update_p50_ns,
             upd_p99_ns: r.update_p99_ns,
@@ -289,54 +259,7 @@ fn main() {
         rows.push(Row::from("contended-writers", "optimized", tt, mops, &r));
     }
 
-    // --- 3. Same-slice adversary: per-holder vs per-edge. ---
-    eprintln!("== same-slice adversary: publication granularity ==");
-    let same_slice_cfg = |opts: &Opts, tt: usize, trial: usize| {
-        let mut cfg = config(opts, [50, 50, 0, 0], tt, trial);
-        cfg.dist = KeyDist::SameSlice;
-        cfg
-    };
-    let mut granularity_rows = Vec::new();
-    for &tt in &opts.threads {
-        let (holder, rh) = best_of(
-            &opts,
-            "same-slice",
-            "per-holder",
-            tt,
-            || Box::new(PerHolderFanoutAdapter::new()),
-            |trial| same_slice_cfg(&opts, tt, trial),
-        );
-        let (edge, re) = best_of(
-            &opts,
-            "same-slice",
-            "per-edge",
-            tt,
-            || Box::new(FanoutAdapter::new()),
-            |trial| same_slice_cfg(&opts, tt, trial),
-        );
-        rows.push(Row::from("same-slice", "per-holder", tt, holder, &rh));
-        rows.push(Row::from("same-slice", "per-edge", tt, edge, &re));
-        let gain = edge / holder - 1.0;
-        eprintln!(
-            "same-slice TT={tt}: per-holder {holder:.3} (abort {:.4}) -> per-edge {edge:.3} \
-             Mops/s (abort {:.4}) ({:+.1}% tput)",
-            rh.abort_rate(),
-            re.abort_rate(),
-            gain * 100.0
-        );
-        granularity_rows.push(format!(
-            "    {{\"threads\": {tt}, \"per_holder_mops\": {holder:.6}, \
-             \"per_edge_mops\": {edge:.6}, \"gain\": {gain:.4}, \
-             \"per_holder_abort_rate\": {:.6}, \"per_edge_abort_rate\": {:.6}, \
-             \"per_holder_retry_rate\": {:.6}, \"per_edge_retry_rate\": {:.6}}}",
-            rh.abort_rate(),
-            re.abort_rate(),
-            rh.retry_rate(),
-            re.retry_rate()
-        ));
-    }
-
-    // --- 4. Zipf and sorted-stream scenario points. ---
+    // --- 3. Zipf and sorted-stream scenario points. ---
     eprintln!("== key-distribution scenarios (BAT) ==");
     for (name, dist, prefill) in [
         ("zipf-0.95", KeyDist::Zipf(0.95), true),
@@ -360,7 +283,7 @@ fn main() {
         }
     }
 
-    // --- 5. Fig. 9: latency vs (offered) throughput, paced workers. ---
+    // --- 4. Fig. 9: latency vs (offered) throughput, paced workers. ---
     eprintln!("== Fig. 9 latency-vs-throughput sweep (BAT, mixed mix) ==");
     let fig9_tt = *opts.threads.iter().max().unwrap().min(&4);
     let (saturated, _) = best_of(
@@ -406,7 +329,7 @@ fn main() {
         ));
     }
 
-    // --- 6. Adapter sweep: every adapter × mix × distribution. ---
+    // --- 5. Adapter sweep: every adapter × mix × distribution. ---
     // Completing this loop is itself the assertion that no scenario
     // panics on any adapter (the lineup includes the sharded BAT and
     // sharded fanout forests).
@@ -443,7 +366,7 @@ fn main() {
         eprintln!("  {:>12}: all adapters x all dists ok", mix.0);
     }
 
-    // --- 7. Shards × threads sweep. ---
+    // --- 6. Shards × threads sweep. ---
     // Update-heavy uniform mix on the hash-sharded BAT forest. One-core
     // hosts cannot show parallel speedup, but smaller per-shard trees
     // (shallower searches, cheaper rebalances) keep the curve from
@@ -513,7 +436,6 @@ fn main() {
                 mode: "optimized",
                 threads: tt,
                 shards: s,
-                batch_cap: 1,
                 mops: shard_mops[ti][si],
                 upd_p50_ns: r.update_p50_ns,
                 upd_p99_ns: r.update_p99_ns,
@@ -536,7 +458,7 @@ fn main() {
         ));
     }
 
-    // --- 8. Hot-drift scenario: one row per lineup adapter. ---
+    // --- 7. Hot-drift scenario: one row per lineup adapter. ---
     // The zipf hot set's center sweeps the whole key space every 100 ms,
     // so no static partition keeps the hot keys on one shard for long —
     // the scenario that distinguishes hash sharding (hot set spreads
@@ -569,7 +491,7 @@ fn main() {
         ebr::flush();
     }
 
-    // --- 9. Single-thread find ns/op (SIMD-leaf-search baseline row). ---
+    // --- 8. Single-thread find ns/op (SIMD-leaf-search baseline row). ---
     eprintln!("== single-thread find microbench ==");
     let mut find_rows = Vec::new();
     for (name, set) in [
@@ -587,189 +509,7 @@ fn main() {
         ebr::flush();
     }
 
-    // --- 10. Combining rows: batch caps × threads. ---
-    // Update-heavy uniform mix through the flat-combining group commit.
-    // Single-threaded there is no one to combine with (cap 1 measures
-    // the pure ring overhead); at TT >= 4 batches form and one propagate
-    // per batch must beat one propagate per op.
-    eprintln!("== combining sweep (BAT-FC, update-heavy) ==");
-    let fc_point = |opts: &Opts, tt: usize, cap: usize| {
-        best_of(
-            opts,
-            "fc-sweep",
-            "optimized",
-            tt,
-            move || Box::new(BatFcAdapter::new(cap)),
-            |trial| config(opts, [50, 50, 0, 0], tt, trial),
-        )
-    };
-    // mops[(tt index, cap index)]
-    let mut fc_mops = vec![vec![0.0f64; BATCH_CAPS.len()]; opts.threads.len()];
-    let mut fc_results: Vec<Vec<RunResult>> = Vec::new();
-    for (ti, &tt) in opts.threads.iter().enumerate() {
-        let mut per_tt = Vec::new();
-        for (ci, &cap) in BATCH_CAPS.iter().enumerate() {
-            let (mops, r) = fc_point(&opts, tt, cap);
-            fc_mops[ti][ci] = mops;
-            per_tt.push(r);
-        }
-        fc_results.push(per_tt);
-    }
-    // Best-of repair against host noise: at TT >= 4 the best combining
-    // cap must beat the plain BAT (the combining acceptance gate);
-    // re-measure caps whose deficit is within noise, keeping the better
-    // measurement. The round cap bounds the run when a deficit is real.
-    let plain_at = |rows: &[Row], tt: usize| {
-        rows.iter()
-            .find(|r| r.mode == "optimized" && r.mix == "50i-50d-0f-0rq" && r.threads == tt)
-            .expect("swept row")
-            .mops
-    };
-    for round in 0..8 {
-        let mut lagging = 0usize;
-        for (ti, &tt) in opts.threads.iter().enumerate() {
-            if tt < 4 {
-                continue;
-            }
-            let plain = plain_at(&rows, tt);
-            let best = fc_mops[ti].iter().cloned().fold(0.0f64, f64::max);
-            if best > plain {
-                continue;
-            }
-            lagging += 1;
-            eprintln!(
-                "  repair round {round}: TT={tt} best combining {best:.3} <= plain \
-                 {plain:.3} Mops/s, re-measuring caps"
-            );
-            for (ci, &cap) in BATCH_CAPS.iter().enumerate() {
-                let (mops, r) = fc_point(&opts, tt, cap);
-                if mops > fc_mops[ti][ci] {
-                    fc_mops[ti][ci] = mops;
-                    fc_results[ti][ci] = r;
-                }
-            }
-        }
-        if lagging == 0 {
-            break;
-        }
-    }
-    let mut fc_gain = Vec::new();
-    for (ti, &tt) in opts.threads.iter().enumerate() {
-        for (ci, &cap) in BATCH_CAPS.iter().enumerate() {
-            let r = &fc_results[ti][ci];
-            rows.push(Row {
-                mix: "50i-50d-0f-0rq".into(),
-                mode: "combining",
-                threads: tt,
-                shards: 1,
-                batch_cap: cap,
-                mops: fc_mops[ti][ci],
-                upd_p50_ns: r.update_p50_ns,
-                upd_p99_ns: r.update_p99_ns,
-                abort_rate: r.abort_rate(),
-                retry_rate: r.retry_rate(),
-            });
-        }
-        let plain = plain_at(&rows, tt);
-        let mut best_ci = 0;
-        for ci in 1..BATCH_CAPS.len() {
-            if fc_mops[ti][ci] > fc_mops[ti][best_ci] {
-                best_ci = ci;
-            }
-        }
-        let best = fc_mops[ti][best_ci];
-        let gain = best / plain - 1.0;
-        eprintln!(
-            "fc-sweep TT={tt}: plain {plain:.3} -> best combining {best:.3} Mops/s \
-             at cap {} ({:+.1}%)",
-            BATCH_CAPS[best_ci],
-            gain * 100.0
-        );
-        fc_gain.push(format!(
-            "    {{\"threads\": {tt}, \"plain_mops\": {plain:.6}, \
-             \"best_combining_mops\": {best:.6}, \"best_batch_cap\": {}, \
-             \"gain\": {gain:.4}}}",
-            BATCH_CAPS[best_ci]
-        ));
-    }
-
-    // --- 11. Combining shards: per-shard rings under the forest. ---
-    eprintln!("== combining shards (ShardedBAT-FC/4, cap 8, update-heavy) ==");
-    for &tt in &opts.threads {
-        let (mops, r) = best_of(
-            &opts,
-            "fc-shards",
-            "combining",
-            tt,
-            || Box::new(ShardedFcBatAdapter::new(4, Partition::Hash)),
-            |trial| config(&opts, [50, 50, 0, 0], tt, trial),
-        );
-        rows.push(Row {
-            mix: "fc-shards".into(),
-            mode: "combining",
-            threads: tt,
-            shards: 4,
-            batch_cap: 8,
-            mops,
-            upd_p50_ns: r.update_p50_ns,
-            upd_p99_ns: r.update_p99_ns,
-            abort_rate: r.abort_rate(),
-            retry_rate: r.retry_rate(),
-        });
-    }
-
-    // --- 12. Batch-size × offered-load sweep (Fig. 9 pacing). ---
-    // The latency price of combining: at low offered load batches barely
-    // form (each op pays ring + token traffic for nothing), at
-    // saturation big batches amortize propagates. Paced against the
-    // *plain* saturation point so every cap sees the same offered rates.
-    eprintln!("== batch-size x offered-load sweep (BAT-FC, update-heavy) ==");
-    let fc_tt = *opts.threads.iter().max().unwrap().min(&4);
-    let (fc_saturated, _) = best_of(
-        &opts,
-        "fc-saturation",
-        "optimized",
-        fc_tt,
-        || Box::new(BatAdapter::plain()),
-        |trial| config(&opts, [50, 50, 0, 0], fc_tt, trial),
-    );
-    let mut fc_sweep = Vec::new();
-    for &cap in &[1usize, 8, 32] {
-        for frac in [0.3, 0.6, 0.9, 1.0] {
-            let offered = fc_saturated * frac;
-            let (_, r) = best_of(
-                &opts,
-                "fc-sweep-point",
-                "combining",
-                fc_tt,
-                move || Box::new(BatFcAdapter::new(cap)),
-                |trial| {
-                    let mut cfg = config(&opts, [50, 50, 0, 0], fc_tt, trial);
-                    // frac == 1.0 runs unthrottled (closed-loop saturation).
-                    cfg.offered_mops = if frac < 1.0 { offered } else { 0.0 };
-                    cfg
-                },
-            );
-            eprintln!(
-                "fc cap {cap} offered {:.3} Mops/s: achieved {:.3}, upd p50 {:.0} ns, \
-                 p99 {:.0} ns",
-                offered,
-                r.mops(),
-                r.update_p50_ns,
-                r.update_p99_ns
-            );
-            fc_sweep.push(format!(
-                "    {{\"threads\": {fc_tt}, \"batch_cap\": {cap}, \
-                 \"offered_mops\": {offered:.6}, \"achieved_mops\": {:.6}, \
-                 \"upd_p50_ns\": {:.0}, \"upd_p99_ns\": {:.0}}}",
-                r.mops(),
-                r.update_p50_ns,
-                r.update_p99_ns
-            ));
-        }
-    }
-
-    // --- 13. End-to-end serving sweep. ---
+    // --- 9. End-to-end serving sweep. ---
     // `serve::run_serve` on the sharded fanout forest: pipelined clients
     // behind bounded per-shard rings, analytics on leased snapshots.
     // First find the open-throttle completion rate, then step offered
@@ -862,77 +602,6 @@ fn main() {
         h_p99.ceil()
     );
 
-    // Occupancy-driven batch_cap pick (the fc_sweep signal feeding the
-    // combining forest): measure batch fill on one combining BAT under
-    // the serving write parallelism, let `pick_batch_cap` choose, and
-    // record a serving row on the combining forest at that cap.
-    let occupancy = {
-        let cal = cbat_core::BatSet::<u64, cbat_core::SizeOnly>::with_combining(32);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for t in 0..serve_clients.max(2) {
-                let (cal, stop) = (&cal, &stop);
-                scope.spawn(move || {
-                    let mut x = 0x00BE_9C42u64 ^ ((t as u64) << 40) | 1;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let k = x % opts.max_key;
-                        if x & 1 == 0 {
-                            cal.insert(k);
-                        } else {
-                            cal.remove(&k);
-                        }
-                    }
-                });
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        });
-        cal.combining_occupancy().expect("combining is on")
-    };
-    let cap = serve::pick_batch_cap(serve_clients, occupancy);
-    eprintln!("  occupancy {occupancy:.3} at {serve_clients} writers -> batch_cap {cap}");
-    fn serve_fc_row<const CAP: usize>(
-        opts: &Opts,
-        cfg: &serve::ServeConfig,
-        shards: usize,
-    ) -> serve::ServeReport {
-        let set = shard::ShardedSet::<shard::CombiningBat<CAP>>::new(shards, Partition::Hash);
-        let step = 2u64.max(opts.max_key / (opts.max_key / 2).max(1));
-        let mut k = 0;
-        while k < opts.max_key {
-            set.insert(k);
-            k += step;
-        }
-        serve::run_serve(&set, cfg)
-    }
-    let fc_rep = match cap {
-        1 => serve_fc_row::<1>(&opts, &serve_cfg(0), serve_shards),
-        8 => serve_fc_row::<8>(&opts, &serve_cfg(0), serve_shards),
-        _ => serve_fc_row::<32>(&opts, &serve_cfg(0), serve_shards),
-    };
-    let mut fc_agg: Vec<u64> = fc_rep
-        .classes
-        .iter()
-        .flat_map(|c| c.samples.iter().copied())
-        .collect();
-    fc_agg.sort_unstable();
-    eprintln!(
-        "  combining forest (cap {cap}): {:.0} req/s, agg p99 {:.1} us",
-        fc_rep.rps(),
-        workloads::percentile(&fc_agg, 0.99) / 1e3
-    );
-    let serve_fc = format!(
-        "    {{\"batch_cap\": {cap}, \"occupancy\": {occupancy:.4}, \"rps\": {:.1}, \
-         \"p50_ns\": {:.0}, \"p99_ns\": {:.0}, \"p999_ns\": {:.0}}}",
-        fc_rep.rps(),
-        workloads::percentile(&fc_agg, 0.50),
-        workloads::percentile(&fc_agg, 0.99),
-        workloads::percentile(&fc_agg, 0.999),
-    );
-
     let json_rows: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!(
         "{{\n  \"workload\": {{\"dist\": \"uniform\", \"max_key\": {}, \"prefill\": true, \
@@ -944,19 +613,15 @@ throughput in shard count (smaller per-shard trees) rather than linear scaling, 
 points are re-measured best-of against host noise (see shard-sweep rows' shards field). \
 Multicore shard scaling is the ROADMAP item. Hot-drift rows are scenario measurements; \
 find microbench rows are the scalar-search baseline for a future SIMD PR. \
-Combining rows (mode 'combining', batch_cap field; absent means 1) share the same noise \
-policy: the fc gate (best cap beats plain BAT at TT >= 4) is best-of repaired. The \
-fc_sweep paces every batch cap against the same plain-BAT saturation point so offered rates \
-are comparable across caps. Serve rows measure end-to-end request latency (client scheduled \
+Serve rows measure end-to-end request latency (client scheduled \
 arrival to reaped response) through the serving layer, not bare structure ops; on a 1-core \
 host the clients, workers and analytics thread timeshare one CPU, so serve req/s is far \
 below bare-structure Mops and the headline is a latency-at-load point, not a peak.\",\n  \
-         \"results\": [\n{}\n  ],\n  \"fanout_same_slice\": [\n{}\n  ],\n  \
+         \"results\": [\n{}\n  ],\n  \
          \"fig9\": [\n{}\n  ],\n  \"adapter_sweep\": [\n{}\n  ],\n  \
          \"shard_scaling\": [\n{}\n  ],\n  \"hot_drift\": [\n{}\n  ],\n  \
          \"find_microbench\": [\n{}\n  ],\n  \
-         \"fc_gain\": [\n{}\n  ],\n  \"fc_sweep\": [\n{}\n  ],\n  \
-         \"serve\": [\n{}\n  ],\n  \"serve_fc\": [\n{}\n  ],\n  \
+         \"serve\": [\n{}\n  ],\n  \
          \"serve_headline\": {{\"requests_per_sec\": {:.1}, \"p99_us\": {:.1}, \
          \"offered_rps\": {}, \"shards\": {}, \"clients\": {}}}\n}}\n",
         opts.max_key,
@@ -966,16 +631,12 @@ below bare-structure Mops and the headline is a latency-at-load point, not a pea
             .map(|n| n.get())
             .unwrap_or(1),
         json_rows.join(",\n"),
-        granularity_rows.join(",\n"),
         fig9.join(",\n"),
         sweep.join(",\n"),
         shard_scaling.join(",\n"),
         hot_drift.join(",\n"),
         find_rows.join(",\n"),
-        fc_gain.join(",\n"),
-        fc_sweep.join(",\n"),
         serve_rows.join(",\n"),
-        serve_fc,
         h_rps,
         h_p99,
         h_offered,

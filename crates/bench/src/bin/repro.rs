@@ -25,8 +25,7 @@
 //! ```
 //!
 //! Output is CSV on stdout: `experiment,structure,x,mops[,extra…]`, one
-//! block per experiment, ready for plotting. EXPERIMENTS.md interprets
-//! the results against the paper's figures.
+//! block per experiment, ready for plotting.
 
 use std::time::Duration;
 
@@ -152,7 +151,7 @@ fn table1() {
     println!("BAT-EagerDel,yes,yes,2,yes (with timeout fallback)");
     println!("FR-BST,yes,no,2,yes");
     println!("VcasBST,no,no,2,yes");
-    println!("VerlibBTree*,no,yes,16,root-CAS (see DESIGN.md §2.5)");
+    println!("VerlibBTree*,no,yes,16,yes (LLX/SCX per edge)");
     println!("Chromatic (unaugmented),no,yes,2,yes");
 }
 

@@ -104,81 +104,6 @@ impl BenchSet for BatAdapter {
     }
 }
 
-/// `BenchSet::name` wants a `&'static str`; the sweeps only use these
-/// batch caps, and any other cap gets the bare name.
-macro_rules! fc_name {
-    ($cap:expr) => {
-        match $cap {
-            1 => "BAT-FC/1",
-            2 => "BAT-FC/2",
-            4 => "BAT-FC/4",
-            8 => "BAT-FC/8",
-            16 => "BAT-FC/16",
-            32 => "BAT-FC/32",
-            64 => "BAT-FC/64",
-            _ => "BAT-FC",
-        }
-    };
-}
-
-/// BAT in flat-combining group-commit mode (PR 9): writers enqueue into
-/// the publication ring and one combiner per batch runs a single
-/// root-to-leaf propagate covering every drained op.
-pub struct BatFcAdapter {
-    set: BatSet<u64, SizeOnly>,
-    name: &'static str,
-}
-
-impl BatFcAdapter {
-    /// Combining BAT with the given max ops per combined batch.
-    pub fn new(batch_cap: usize) -> Self {
-        BatFcAdapter {
-            set: BatSet::with_combining(batch_cap),
-            name: fc_name!(batch_cap),
-        }
-    }
-
-    /// The wrapped set (for combining stats).
-    pub fn inner(&self) -> &BatSet<u64, SizeOnly> {
-        &self.set
-    }
-}
-
-impl BenchSet for BatFcAdapter {
-    fn insert(&self, k: u64) -> bool {
-        self.set.insert(k)
-    }
-    fn remove(&self, k: u64) -> bool {
-        self.set.remove(&k)
-    }
-    fn contains(&self, k: u64) -> bool {
-        self.set.contains(&k)
-    }
-    fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.set.range_count(&lo, &hi)
-    }
-    fn rank(&self, k: u64) -> u64 {
-        self.set.rank(&k)
-    }
-    fn select(&self, i: u64) -> Option<u64> {
-        self.set.select(i)
-    }
-    fn size_hint(&self) -> u64 {
-        self.set.len()
-    }
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn contention(&self) -> Option<ContentionCounters> {
-        let s = self.set.stats().snapshot();
-        Some(ContentionCounters {
-            attempts: s.cas_attempts,
-            aborts: s.cas_failures,
-            retries: s.cas_failures,
-        })
-    }
-}
-
 /// FR-BST (unbalanced augmented baseline).
 pub struct FrAdapter {
     set: FrSet<u64>,
@@ -288,97 +213,70 @@ impl BenchSet for VcasAdapter {
     }
 }
 
-/// All fanout trees expose the same set/snapshot API (including
-/// `pub_stats`); one macro body serves the live adapter and both
-/// publication-scheme ablations.
-macro_rules! fanout_adapter {
-    ($(#[$doc:meta])* $adapter:ident, $set:ty, $ctor:expr, $name:literal) => {
-        $(#[$doc])*
-        pub struct $adapter {
-            set: $set,
-            approx_size: AtomicI64,
-        }
-
-        impl $adapter {
-            pub fn new() -> Self {
-                $adapter {
-                    set: $ctor,
-                    approx_size: AtomicI64::new(0),
-                }
-            }
-        }
-
-        impl Default for $adapter {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl BenchSet for $adapter {
-            fn insert(&self, k: u64) -> bool {
-                let ok = self.set.insert(k);
-                if ok {
-                    self.approx_size.fetch_add(1, Ordering::Relaxed);
-                }
-                ok
-            }
-            fn remove(&self, k: u64) -> bool {
-                let ok = self.set.remove(k);
-                if ok {
-                    self.approx_size.fetch_sub(1, Ordering::Relaxed);
-                }
-                ok
-            }
-            fn contains(&self, k: u64) -> bool {
-                self.set.contains(k)
-            }
-            fn range_count(&self, lo: u64, hi: u64) -> u64 {
-                self.set.snapshot().range_count(lo, hi)
-            }
-            fn rank(&self, k: u64) -> u64 {
-                self.set.snapshot().rank(k)
-            }
-            fn select(&self, i: u64) -> Option<u64> {
-                let snap = self.set.snapshot();
-                snap.range_collect(0, u64::MAX).into_iter().nth(i as usize)
-            }
-            fn size_hint(&self) -> u64 {
-                self.approx_size.load(Ordering::Relaxed).max(0) as u64
-            }
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn contention(&self) -> Option<ContentionCounters> {
-                let s = self.set.pub_stats();
-                Some(ContentionCounters {
-                    attempts: s.attempts,
-                    aborts: s.aborts,
-                    retries: s.retries,
-                })
-            }
-        }
-    };
+/// Higher-fanout snapshot baseline (VerlibBTree stand-in).
+pub struct FanoutAdapter {
+    set: FanoutSet,
+    approx_size: AtomicI64,
 }
 
-fanout_adapter!(
-    /// Higher-fanout snapshot baseline (VerlibBTree stand-in), publishing
-    /// at per-edge conflict granularity.
-    FanoutAdapter,
-    FanoutSet,
-    FanoutSet::new(),
-    "VerlibBTree*"
-);
+impl FanoutAdapter {
+    pub fn new() -> Self {
+        FanoutAdapter {
+            set: FanoutSet::new(),
+            approx_size: AtomicI64::new(0),
+        }
+    }
+}
 
-fanout_adapter!(
-    /// The per-holder publication scheme (versioned edges, but the whole
-    /// holder node frozen per publish) — the conflict-granularity ablation
-    /// the `bench` same-slice section measures [`FanoutAdapter`] against.
-    /// Identical structure and pools; only the freeze granularity differs.
-    PerHolderFanoutAdapter,
-    FanoutSet,
-    FanoutSet::new_per_holder(),
-    "VerlibBTree* (per-holder)"
-);
+impl Default for FanoutAdapter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BenchSet for FanoutAdapter {
+    fn insert(&self, k: u64) -> bool {
+        let ok = self.set.insert(k);
+        if ok {
+            self.approx_size.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+    fn remove(&self, k: u64) -> bool {
+        let ok = self.set.remove(k);
+        if ok {
+            self.approx_size.fetch_sub(1, Ordering::Relaxed);
+        }
+        ok
+    }
+    fn contains(&self, k: u64) -> bool {
+        self.set.contains(k)
+    }
+    fn range_count(&self, lo: u64, hi: u64) -> u64 {
+        self.set.snapshot().range_count(lo, hi)
+    }
+    fn rank(&self, k: u64) -> u64 {
+        self.set.snapshot().rank(k)
+    }
+    fn select(&self, i: u64) -> Option<u64> {
+        let snap = self.set.snapshot();
+        snap.range_collect(0, u64::MAX).into_iter().nth(i as usize)
+    }
+    fn size_hint(&self) -> u64 {
+        self.approx_size.load(Ordering::Relaxed).max(0) as u64
+    }
+    fn name(&self) -> &'static str {
+        "VerlibBTree*"
+    }
+    fn contention(&self) -> Option<ContentionCounters> {
+        let s = self.set.pub_stats();
+        Some(ContentionCounters {
+            attempts: s.attempts,
+            aborts: s.aborts,
+            retries: s.retries,
+        })
+    }
+}
 
 /// The sharded front-end over any forest member (`crates/shard`): point
 /// ops route to one shard, order statistics decompose across the forest,
@@ -429,17 +327,7 @@ impl ShardedBatAdapter {
     }
 }
 
-/// The combining-BAT forest front-end (batch cap 8 per shard; the cap
-/// is a const parameter of the member, see [`shard::CombiningBat`]).
-pub type ShardedFcBatAdapter = ShardedAdapter<shard::CombiningBat<8>>;
-
-impl ShardedFcBatAdapter {
-    pub fn new(shards: usize, partition: Partition) -> Self {
-        Self::with_name(shards, partition, shard_name!(shards, "ShardedBAT-FC"))
-    }
-}
-
-/// The per-edge fanout forest front-end.
+/// The fanout forest front-end.
 pub type ShardedFanoutAdapter = ShardedAdapter<FanoutSet>;
 
 impl ShardedFanoutAdapter {
@@ -565,11 +453,8 @@ pub fn full_lineup() -> Vec<Box<dyn BenchSet>> {
     all.push(Box::new(BatAdapter::plain()));
     all.push(Box::new(BatAdapter::del()));
     all.push(Box::new(ChromaticAdapter::new()));
-    all.push(Box::new(PerHolderFanoutAdapter::new()));
     all.push(Box::new(ShardedBatAdapter::new(4, Partition::Hash)));
     all.push(Box::new(ShardedFanoutAdapter::new(4, Partition::Hash)));
-    all.push(Box::new(BatFcAdapter::new(8)));
-    all.push(Box::new(ShardedFcBatAdapter::new(4, Partition::Hash)));
     all
 }
 
@@ -594,9 +479,6 @@ mod tests {
         exercise(&BatAdapter::plain());
         exercise(&BatAdapter::del());
         exercise(&BatAdapter::eager());
-        for cap in [1, 4, 64] {
-            exercise(&BatFcAdapter::new(cap));
-        }
         exercise(&FrAdapter::new());
         exercise(&VcasAdapter::new());
         exercise(&FanoutAdapter::new());
@@ -604,7 +486,6 @@ mod tests {
             for shards in [1, 4] {
                 exercise(&ShardedBatAdapter::new(shards, p));
                 exercise(&ShardedFanoutAdapter::new(shards, p));
-                exercise(&ShardedFcBatAdapter::new(shards, p));
             }
         }
     }

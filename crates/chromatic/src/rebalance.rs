@@ -13,7 +13,7 @@
 //! RB1 rotation in the paper's Fig. 1) and preserves the *weighted path
 //! invariant*: every root-to-leaf path inside the real tree has the same
 //! total weight. The case analysis is the weighted generalization of the
-//! red-black fix-ups; DESIGN.md §2.2 maps our names to \[7\]'s.
+//! red-black fix-ups.
 
 use ebr::Guard;
 use llxscx::Llx;

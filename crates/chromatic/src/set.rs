@@ -1,7 +1,6 @@
 //! A plain (unaugmented) concurrent ordered set/map facade over the
 //! chromatic tree. This is the "fastest unaugmented balanced tree we
-//! build" — the ablation baseline quantifying BAT's augmentation overhead
-//! (DESIGN.md experiment A2).
+//! build" — the ablation baseline quantifying BAT's augmentation overhead.
 
 use ebr::Guard;
 

@@ -51,7 +51,6 @@
 
 pub mod augment;
 pub mod bulk;
-pub mod combine;
 pub mod interval;
 pub mod map;
 pub mod propagate;

@@ -30,9 +30,6 @@ where
 {
     pub(crate) tree: ChromaticTree<K, V, VersionSlot<K, V, A>>,
     policy: DelegationPolicy,
-    /// `Some` = flat-combining group commit (see [`crate::combine`]):
-    /// updates are published to a ring and batched into one propagate.
-    pub(crate) combining: Option<crate::combine::Combining>,
     /// Work counters (§7 statistics).
     pub stats: BatStats,
 }
@@ -71,42 +68,11 @@ where
         Self::with_options(false, policy)
     }
 
-    /// Flat-combining group commit (see [`crate::combine`]): writers
-    /// publish ops into a ring; one combiner applies up to `batch_cap`
-    /// of them per root-to-leaf propagate. Balanced tree; delegation is
-    /// irrelevant under the combiner token, so the policy is `None`.
-    pub fn with_combining(batch_cap: usize) -> Self {
-        let mut map = Self::with_options(true, DelegationPolicy::None);
-        map.combining = Some(crate::combine::Combining::new(batch_cap));
-        map
-    }
-
-    /// `Some(batch_cap)` when this map runs in combining mode.
-    pub fn combining_cap(&self) -> Option<usize> {
-        self.combining.as_ref().map(|c| c.batch_cap())
-    }
-
-    /// Mean group-commit batch fill as a fraction of `batch_cap` (`None`
-    /// when not combining, 0.0 before the first combined batch). This is
-    /// the measured-occupancy signal behind the serving layer's
-    /// per-shard batch-cap pick: a ring that drains near-empty batches
-    /// wants a smaller cap (the PR 9 `fc_sweep` latency data), a ring
-    /// combining full batches earns a larger one.
-    pub fn combining_occupancy(&self) -> Option<f64> {
-        let cap = self.combining_cap()? as f64;
-        let s = self.stats.snapshot();
-        if s.combined_batches == 0 {
-            return Some(0.0);
-        }
-        Some(s.avg_combined_batch() / cap)
-    }
-
     /// Full-control constructor.
     pub fn with_options(balanced: bool, policy: DelegationPolicy) -> Self {
         let map = BatMap {
             tree: ChromaticTree::with_balance(balanced),
             policy,
-            combining: None,
             stats: BatStats::default(),
         };
         // Initialize the entry's version so queries never observe nil
@@ -130,9 +96,6 @@ where
     /// Insert `k → v`. Returns `true` iff `k` was absent. Linearizes at
     /// the operation's arrival point at the root (§4.1).
     pub fn insert(&self, k: K, v: V) -> bool {
-        if self.combining.is_some() {
-            return self.combined_update(k, Some(v));
-        }
         let guard = ebr::pin();
         let changed = self.tree.insert(k.clone(), v, &guard).changed;
         propagate(
@@ -149,9 +112,6 @@ where
     /// failed delete must propagate (a concurrent delete of the same key
     /// may not have reached the root yet — §4's pseudocode discussion).
     pub fn remove(&self, k: &K) -> bool {
-        if self.combining.is_some() {
-            return self.combined_update(k.clone(), None);
-        }
         let guard = ebr::pin();
         let changed = self.tree.delete(k, &guard).changed;
         propagate(
@@ -283,13 +243,6 @@ where
         }
     }
 
-    /// Flat-combining group commit (see [`BatMap::with_combining`]).
-    pub fn with_combining(batch_cap: usize) -> Self {
-        BatSet {
-            map: BatMap::with_combining(batch_cap),
-        }
-    }
-
     /// Insert `k`; `true` iff newly added.
     pub fn insert(&self, k: K) -> bool {
         self.map.insert(k, ())
@@ -349,12 +302,6 @@ where
     /// cache-padded stripes; see [`crate::stats::BatStats`]).
     pub fn stats(&self) -> &BatStats {
         &self.map.stats
-    }
-
-    /// Mean group-commit batch fill fraction (see
-    /// [`BatMap::combining_occupancy`]).
-    pub fn combining_occupancy(&self) -> Option<f64> {
-        self.map.combining_occupancy()
     }
 }
 

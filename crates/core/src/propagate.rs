@@ -85,7 +85,7 @@ thread_local! {
 }
 
 /// Result of waiting on a delegation chain.
-pub(crate) enum WaitResult {
+enum WaitResult {
     Done,
     TimedOut,
 }
@@ -109,14 +109,30 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 /// Under `sched-test` the deadline is a yield-count budget instead (see
 /// [`SCHED_WAIT_YIELD_BUDGET`]), keeping exploration bodies clock-free.
 ///
-/// Safety of the chased pointers: every `PropStatus` we can reach is kept
-/// alive by the epoch pins of the still-running propagates that link to it
-/// (§6; see DESIGN.md for the pin-ordering argument).
-pub(crate) fn wait_for_delegatee(
-    start: u64,
-    timeout: Option<Duration>,
-    h: &StatsHandle<'_>,
-) -> WaitResult {
+/// # Pin ordering: why the chased pointers are live
+///
+/// A propagate retires its `PropStatus` exactly once, at its own end, and
+/// the memory is reused only after a grace period — so a status retired
+/// *while the caller is pinned* stays readable until the caller unpins.
+/// The caller holds `propagate`'s guard for the whole wait; every status
+/// it can reach was retired, if at all, after that pin began:
+///
+/// * `start` is the `status` of the version that beat the caller's refresh
+///   CAS. Every refresh builds a new version object, and this one was
+///   installed between the caller's read of the old version and its
+///   failed CAS, i.e. during the caller's pin; its installer retires the
+///   status only later, when its propagate ends.
+/// * A non-zero `delegatee` read from a reached status `d` was stored by
+///   `d`'s owner *after* the install through which `d` was reached: a link
+///   stored earlier was reset to 0 when the owner timed out and resumed
+///   (an owner whose wait returned `Done` never installs again). The link
+///   is the blocker of a refresh the owner began after that install, so
+///   the linked propagate's own install — and hence the retire of its
+///   status — is later still, and the same argument applies to it.
+///
+/// So the chain needs no pin but the caller's (§6 retires a `PropStatus`
+/// "even while still reachable" for this reason).
+fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>) -> WaitResult {
     // `checked_add`: a timeout too large to represent as an instant (e.g.
     // Duration::MAX) degrades to "never time out", like the seed's
     // elapsed()-based check, instead of panicking.
@@ -124,9 +140,10 @@ pub(crate) fn wait_for_delegatee(
     let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
     #[cfg(feature = "sched-test")]
     let mut yield_budget = timeout.map(|_| SCHED_WAIT_YIELD_BUDGET);
-    // SAFETY: `start` is a live PropStatus — see the pin-ordering argument
-    // in the doc comment above; the linking propagate's epoch pin outlives
-    // this wait.
+    // SAFETY: `start` was retired, if at all, after the caller's pin began
+    // (first bullet of "Pin ordering" above), and the caller stays pinned
+    // for the whole wait.
+    // guard: the caller's `propagate` holds its `&Guard` across this call.
     let mut d = unsafe { &*(start as *const PropStatus) };
     let mut spins = 0u32;
     loop {
@@ -135,8 +152,10 @@ pub(crate) fn wait_for_delegatee(
         }
         let next = d.delegatee.load(Ordering::Acquire);
         if next != 0 {
-            // SAFETY: same pin-ordering argument as `start` — a non-zero
-            // `delegatee` link is published before its target can retire.
+            // SAFETY: a non-zero link read from a reached status names a
+            // status retired after the caller's pin began (second bullet
+            // of "Pin ordering" above).
+            // guard: as for `start`.
             d = unsafe { &*(next as *const PropStatus) };
             continue;
         }

@@ -25,9 +25,6 @@ struct Stripe {
     cas_failures: AtomicU64,
     delegations: AtomicU64,
     delegation_timeouts: AtomicU64,
-    combined_batches: AtomicU64,
-    combined_ops: AtomicU64,
-    combiner_handoffs: AtomicU64,
 }
 
 /// Counters for one augmented tree instance (striped per thread).
@@ -100,15 +97,6 @@ impl BatStats {
         /// Count one delegation-wait timeout (the lock-free fallback of
         /// Fig. 13 lines 19–21).
         incr_delegation_timeouts, add_delegation_timeouts => delegation_timeouts;
-        /// Count one group-commit batch (flat-combining mode): one
-        /// root-to-leaf propagate covering a whole drained batch.
-        incr_combined_batches, add_combined_batches => combined_batches;
-        /// Count operations carried by group-commit batches; together
-        /// with `combined_batches` this yields the mean batch size.
-        incr_combined_ops, add_combined_ops => combined_ops;
-        /// Count one acquisition of the combiner token (each acquisition
-        /// is a handoff of the combiner role to a new writer).
-        incr_combiner_handoffs, add_combiner_handoffs => combiner_handoffs;
     }
 
     /// Borrow the calling thread's stripe as a [`StatsHandle`], hoisting
@@ -134,9 +122,6 @@ impl BatStats {
             snap.cas_failures += read_counter(&stripe.cas_failures);
             snap.delegations += read_counter(&stripe.delegations);
             snap.delegation_timeouts += read_counter(&stripe.delegation_timeouts);
-            snap.combined_batches += read_counter(&stripe.combined_batches);
-            snap.combined_ops += read_counter(&stripe.combined_ops);
-            snap.combiner_handoffs += read_counter(&stripe.combiner_handoffs);
         }
         snap
     }
@@ -189,9 +174,6 @@ impl<'a> StatsHandle<'a> {
         incr_cas_failures, add_cas_failures => cas_failures;
         incr_delegations, add_delegations => delegations;
         incr_delegation_timeouts, add_delegation_timeouts => delegation_timeouts;
-        incr_combined_batches, add_combined_batches => combined_batches;
-        incr_combined_ops, add_combined_ops => combined_ops;
-        incr_combiner_handoffs, add_combiner_handoffs => combiner_handoffs;
     }
 }
 
@@ -205,9 +187,6 @@ pub struct StatsSnapshot {
     pub cas_failures: u64,
     pub delegations: u64,
     pub delegation_timeouts: u64,
-    pub combined_batches: u64,
-    pub combined_ops: u64,
-    pub combiner_handoffs: u64,
 }
 
 impl StatsSnapshot {
@@ -221,9 +200,6 @@ impl StatsSnapshot {
             cas_failures: self.cas_failures - earlier.cas_failures,
             delegations: self.delegations - earlier.delegations,
             delegation_timeouts: self.delegation_timeouts - earlier.delegation_timeouts,
-            combined_batches: self.combined_batches - earlier.combined_batches,
-            combined_ops: self.combined_ops - earlier.combined_ops,
-            combiner_handoffs: self.combiner_handoffs - earlier.combiner_handoffs,
         }
     }
 
@@ -240,11 +216,6 @@ impl StatsSnapshot {
     /// Average CASes attempted per propagate (paper §7).
     pub fn avg_cas_per_propagate(&self) -> f64 {
         self.cas_attempts as f64 / self.propagates.max(1) as f64
-    }
-
-    /// Mean updates carried per group-commit batch (combining mode).
-    pub fn avg_combined_batch(&self) -> f64 {
-        self.combined_ops as f64 / self.combined_batches.max(1) as f64
     }
 }
 

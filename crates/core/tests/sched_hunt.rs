@@ -14,12 +14,16 @@
 //!
 //! The default corpus is sized for CI; set `CBAT_SCHED_HUNT_SCHEDULES`
 //! for long campaigns.
+//!
+//! The hunt is only replayable if scheduled code is clock-free, so this
+//! file also holds the check that `wait_for_delegatee`'s timeout is a
+//! yield budget under `sched-test`, never a wall-clock read.
 #![cfg(feature = "sched-test")]
 
 use std::sync::Arc;
 
 use cbat_core::{BatSet, DelegationPolicy};
-use sched::{explore, ExploreConfig, Policy};
+use sched::{explore, run_random, ExploreConfig, Policy};
 
 /// Key space of the hunt mix: small enough that every operation contends
 /// on structure and version-tree state.
@@ -111,4 +115,50 @@ fn bat_reclamation_hunt_under_explored_schedules() {
         "sched hunt: {explored} schedules clean (poisoning + fences armed); \
          scale with CBAT_SCHED_HUNT_SCHEDULES"
     );
+}
+
+#[test]
+fn delegation_timeout_is_deterministic_yield_budget() {
+    // With the wall-clock deadline modeled as a yield budget
+    // (`SCHED_WAIT_YIELD_BUDGET`), a schedule is a pure function of its seed. Any
+    // Instant::now() left on a scheduled path would make these traces
+    // diverge (the timeout would fire at host-dependent moments).
+    fn body() {
+        let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::Del {
+            timeout: Some(std::time::Duration::from_nanos(1)),
+        }));
+        set.insert(1_000);
+        let hs: Vec<_> = (0..2u64)
+            .map(|t| {
+                let set = set.clone();
+                sched::spawn(move || {
+                    // Same-key contention so refreshes collide, delegation
+                    // triggers, and the yield-budget timeout path runs.
+                    for i in 0..6u64 {
+                        let k = (t + i) % 2;
+                        if i % 2 == 0 {
+                            set.insert(k);
+                        } else {
+                            set.remove(&k);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join();
+        }
+        let snap = set.snapshot();
+        assert_eq!(snap.len(), snap.keys().len() as u64);
+    }
+    let a = run_random(0xD37E_2217, 3_000_000, body);
+    assert!(a.failure.is_none(), "run 1 failed: {:?}", a.failure);
+    let b = run_random(0xD37E_2217, 3_000_000, body);
+    assert!(b.failure.is_none(), "run 2 failed: {:?}", b.failure);
+    assert_eq!(
+        a.trace.render(),
+        b.trace.render(),
+        "schedule must be a pure function of the seed (wall clock leaked?)"
+    );
+    assert_eq!(a.steps, b.steps);
 }

@@ -65,11 +65,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_hot_paths_perform_zero_heap_allocations() {
     propagate_window();
     node_churn_window();
-    // PR 4: the per-edge publish path (edge-granular freeze words) must
-    // stay pool-served exactly like the retained per-holder ablation —
-    // per-edge state lives inside the pooled nodes, never on the heap.
-    fanout_versioned_edge_window(fanout::FanoutSet::new(), "per-edge");
-    fanout_versioned_edge_window(fanout::FanoutSet::new_per_holder(), "per-holder");
+    // The edge-granular freeze words live inside the pooled nodes, never
+    // on the heap.
+    fanout_versioned_edge_window();
     cold_thread_allocates();
 }
 
@@ -202,8 +200,8 @@ fn node_churn_window() {
     assert!(m.contains(&1000));
 }
 
-/// PR 3/4 window: steady-state churn on the fanout tree's versioned-edge
-/// update path, at either publication granularity. Every update allocates
+/// Steady-state churn on the fanout tree's versioned-edge update path.
+/// Every update allocates
 /// a pooled leaf copy plus a pooled version record, publishes through
 /// LLX/SCX (immortal descriptors — no allocation; the per-thread scratch
 /// vectors for freeze sets are at capacity after warm-up), retires the
@@ -211,7 +209,8 @@ fn node_churn_window() {
 /// with the pools warm, a measured window of mixed inserts and removes —
 /// occasional split cascades included — must be served entirely from
 /// free-list hits.
-fn fanout_versioned_edge_window(s: fanout::FanoutSet, granularity: &str) {
+fn fanout_versioned_edge_window() {
+    let s = fanout::FanoutSet::new();
     for k in 0..2048u64 {
         s.insert(k);
     }
@@ -244,16 +243,16 @@ fn fanout_versioned_edge_window(s: fanout::FanoutSet, granularity: &str) {
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         allocs, 0,
-        "steady-state {granularity} versioned-edge updates must not touch the global allocator"
+        "steady-state versioned-edge updates must not touch the global allocator"
     );
     assert!(
         h1 > h0,
-        "{granularity} window must be served by pool hits (hits {h0} -> {h1})"
+        "fanout window must be served by pool hits (hits {h0} -> {h1})"
     );
     assert_eq!(
         m1 - m0,
         0,
-        "no {granularity} pool miss may fall through to malloc in the window"
+        "no fanout pool miss may fall through to malloc in the window"
     );
 
     // Sanity: contents match the parity round 11 ended on, and trimming

@@ -44,9 +44,7 @@ use std::sync::OnceLock;
 use ebr::CachePadded;
 
 /// Maximum records an SCX can freeze. The chromatic tree needs at most 5
-/// (grandparent, parent, node, sibling, nephew). `fanout`'s *per-holder*
-/// publication freezes the edge holder plus every internal node a split
-/// cascade replaces — one per level. Its *per-edge* publication (PR 4)
+/// (grandparent, parent, node, sibling, nephew). `fanout`'s publication
 /// freezes records at edge granularity: one publication edge plus every
 /// occupied edge of every cascade-replaced internal, up to fanout (16)
 /// records per replaced level — 128 covers cascades through 7 simultaneously

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use serve::{build_forest, pick_batch_cap, Class, ClassMix, ServeConfig};
+use serve::{build_forest, Class, ClassMix, ServeConfig};
 
 fn pct(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -21,12 +21,7 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 fn main() {
     let shards = 2;
     let set = build_forest(shards, 1 << 14, 1 << 16);
-    println!(
-        "forest: {} shards, {} keys, batch_cap hint {}",
-        shards,
-        set.len(),
-        pick_batch_cap(2, 0.5)
-    );
+    println!("forest: {} shards, {} keys", shards, set.len());
     println!(
         "{:>10} {:>9} {:>7} {:>9} {:>9} {:>9} {:>6}",
         "offered", "done/s", "rej", "p50us", "p99us", "p999us", "lease"

@@ -315,31 +315,6 @@ impl<S: ShardMember> Drop for SnapshotLease<'_, S> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-cap pick from PR 9 occupancy data
-// ---------------------------------------------------------------------------
-
-/// Pick a flat-combining `batch_cap` for a shard from the writer count
-/// and the measured combining occupancy (PR 9's `fc_sweep` signal,
-/// [`cbat_core` `combining_occupancy`]: average combined batch ÷ cap).
-///
-/// Seeded from `BENCH_PR10.json`'s `fc_gain` section (PR 9 data): with
-/// one writer per shard combining is pure overhead (best cap 1, the
-/// no-combining degenerate case); at 2 writers small batches win
-/// (cap 8, +2.8% over no combining); at 4+ writers large batches win
-/// (cap 32, +26%) — but only when the sweep shows batches actually
-/// filling. Low occupancy (< 0.4) at high caps means waiting for
-/// combiners that never materialize, so we fall back to cap 8.
-pub fn pick_batch_cap(writers_per_shard: usize, occupancy: f64) -> usize {
-    if writers_per_shard <= 1 {
-        1
-    } else if writers_per_shard >= 4 && occupancy >= 0.4 {
-        32
-    } else {
-        8
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Server configuration / report
 // ---------------------------------------------------------------------------
 
@@ -776,20 +751,6 @@ mod tests {
             assert_eq!(r.try_pop(), Some(v));
         }
         assert_eq!(r.try_pop(), None);
-    }
-
-    #[test]
-    fn pick_batch_cap_follows_pr9_sweep() {
-        // 1 writer: combining is pure overhead.
-        assert_eq!(pick_batch_cap(1, 1.0), 1);
-        assert_eq!(pick_batch_cap(0, 0.0), 1);
-        // 2 writers: small batches.
-        assert_eq!(pick_batch_cap(2, 0.9), 8);
-        // 4+ writers with batches actually filling: go big.
-        assert_eq!(pick_batch_cap(4, 0.6), 32);
-        assert_eq!(pick_batch_cap(8, 0.4), 32);
-        // 4+ writers but batches never fill: big caps just wait.
-        assert_eq!(pick_batch_cap(8, 0.1), 8);
     }
 
     #[test]

@@ -246,57 +246,6 @@ impl MemberSnap for Snapshot<u64, (), SizeOnly> {
     }
 }
 
-// --- Combining-BAT member: flat-combining group commit per shard -------
-
-/// A BAT shard in flat-combining group-commit mode (PR 9): each shard
-/// owns its own publication ring and combiner token, so batches form
-/// from the writers the partition routes to that shard. The batch cap is
-/// a const parameter because [`ShardMember::new_in_forest`] carries no
-/// runtime configuration.
-pub struct CombiningBat<const CAP: usize>(BatSet<u64, SizeOnly>);
-
-impl<const CAP: usize> ShardMember for CombiningBat<CAP> {
-    type Snap<'a> = Snapshot<u64, (), SizeOnly>;
-
-    const TIMESTAMP_EXACT: bool = false;
-
-    fn new_in_forest(_sync: &Arc<SnapClock>) -> Self {
-        // Same cut protocol as the plain BAT member: the combined batch
-        // publishes one root version per commit, which the forest's
-        // double-collect validates with version tokens.
-        CombiningBat(BatSet::with_combining(CAP))
-    }
-
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k)
-    }
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k)
-    }
-    fn contains(&self, k: u64) -> bool {
-        self.0.contains(&k)
-    }
-    fn len(&self) -> u64 {
-        self.0.len()
-    }
-
-    fn snapshot_at(&self, _ts: u64) -> Self::Snap<'_> {
-        self.0.snapshot()
-    }
-
-    fn version_token(&self) -> u64 {
-        self.0.version_token()
-    }
-
-    fn contention(&self) -> (u64, u64, u64) {
-        let s = self.0.stats().snapshot();
-        (s.cas_attempts, s.cas_failures, s.cas_failures)
-    }
-}
-
-/// The combining-BAT forest (the benchmarks' `ShardedBAT-FC`).
-pub type ShardedFcBatSet<const CAP: usize> = ShardedSet<CombiningBat<CAP>>;
-
 // --- Fanout member: timestamp-exact snapshots, one registration IS the
 // cut --------------------------------------------------------------------
 
@@ -306,8 +255,7 @@ impl ShardMember for FanoutSet {
     const TIMESTAMP_EXACT: bool = true;
 
     fn new_in_forest(sync: &Arc<SnapClock>) -> Self {
-        // Per-edge publication granularity (the PR 4 flagship variant).
-        FanoutSet::with_clock(false, sync.clone())
+        FanoutSet::with_clock(sync.clone())
     }
 
     fn insert(&self, k: u64) -> bool {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cbat_core::BatSet;
 
-use super::{CombiningBat, Partition, ShardMember, ShardedSet};
+use super::{Partition, ShardMember, ShardedSet};
 
 const MAX_KEY: u64 = 4096;
 
@@ -144,16 +144,6 @@ fn fanout_forest_select_matches_oracle_at_every_index() {
     }
 }
 
-#[test]
-fn combining_bat_forest_matches_oracle_sequentially() {
-    // Combining shards must be semantically invisible: cap 1 degenerates
-    // to per-op commits, cap 8 exercises multi-op batches per shard.
-    for p in policies() {
-        sequential_oracle::<CombiningBat<1>>(2, p);
-        sequential_oracle::<CombiningBat<8>>(4, p);
-    }
-}
-
 /// Concurrent acceptance test: threads apply disjoint deterministic op
 /// streams (so the final membership is interleaving-independent), then
 /// the forest's order statistics are compared point by point against a
@@ -241,13 +231,6 @@ fn fanout_forest_agrees_with_single_tree_under_concurrent_updates() {
     }
 }
 
-#[test]
-fn combining_bat_forest_agrees_with_single_tree_under_concurrent_updates() {
-    for p in policies() {
-        concurrent_vs_single_tree::<CombiningBat<8>>(p);
-    }
-}
-
 /// Mid-flight cut consistency: while writers churn, every snapshot must
 /// be internally coherent — its size, rank, select and range views all
 /// describe the same instant.
@@ -304,13 +287,6 @@ fn fanout_forest_cuts_are_coherent_mid_flight() {
     for p in policies() {
         cuts_are_coherent_mid_flight::<fanout::FanoutSet>(p);
     }
-}
-
-#[test]
-fn combining_bat_forest_cuts_are_coherent_mid_flight() {
-    // Group commit means a cut may land between batches, never inside
-    // one: the double-collect sees one root version per shard per batch.
-    cuts_are_coherent_mid_flight::<CombiningBat<8>>(Partition::Hash);
 }
 
 #[test]

@@ -24,8 +24,8 @@
 //!   [`VersionedEdge::read_at`] for timestamped snapshot traversal.
 //! * [`PubEdge`] — a [`VersionedEdge`] bundled with its own `llxscx`
 //!   record header, so publication conflicts resolve at *edge* rather
-//!   than holder-node granularity (the PR 4 tentpole; `fanout` publishes
-//!   through these, `vcas` keeps plain edges under its node headers).
+//!   than holder-node granularity (`fanout` publishes through these,
+//!   `vcas` keeps plain edges under its node headers).
 //! * [`SnapRegistry`] — per-thread announcement slots for live snapshot
 //!   timestamps. Writers ask [`SnapRegistry::min_active`] for the oldest
 //!   timestamp any live snapshot can read at; with no snapshots live this
@@ -303,15 +303,14 @@ impl VersionedEdge {
 /// record a publication on this edge loads-links and freezes is the *edge
 /// itself*, not the node holding it.
 ///
-/// This is the per-edge conflict granularity of the PR 4 tentpole. With a
-/// per-holder scheme, publishing on any child slot freezes the holder
-/// node's one header, so two writers updating *different* slots of the
-/// same parent invalidate each other's LLX snapshots and one must retry.
+/// Were the freeze word the holder node's, publishing on any child slot
+/// would freeze it, so two writers updating *different* slots of the same
+/// parent would invalidate each other's LLX snapshots and one would retry.
 /// With `PubEdge`, an SCX certifies and CASes only the slot it publishes
 /// on: same-parent writers on sibling slots share no frozen records and
-/// commit concurrently. The holder's node-level header is still the right
-/// tool when a node is replaced wholesale (split cascades finalize every
-/// occupied `PubEdge` of the replaced internal instead — see `fanout`).
+/// commit concurrently. A node replaced wholesale is invalidated by
+/// finalizing every occupied `PubEdge` of it (split cascades — see
+/// `fanout`).
 ///
 /// The embedded header starts unfrozen/unmarked; the version-record
 /// install/trim protocol of the inner [`VersionedEdge`] is unchanged.

@@ -38,15 +38,6 @@ timeout 900 cargo +nightly test -q -p ebr --tests --target "$TARGET"
 echo "== asan: cbat-core (BAT hot paths, version reclamation) =="
 timeout 1200 cargo +nightly test -q -p cbat-core --tests --target "$TARGET"
 
-# Combining group commit (PR 9): the pooled-OpCell handoff (waiter
-# disposes the cell after the combiner's status release — any combiner
-# access after that store is a use-after-free ASan's quarantine catches)
-# and publication-ring slot reuse across wrap-arounds, driven wall-clock
-# across batch caps, thread counts and the sharded forest.
-echo "== asan: fc_workload (combining group commit, pooled op cells) =="
-timeout 1200 cargo +nightly run --release -p bench \
-    --example fc_workload --target "$TARGET" -- 1
-
 # Serving layer (PR 10): the end-to-end request path — client-owned
 # request cells handed through MPMC rings to per-shard and analytics
 # workers (any worker access after the done-flag release store is a

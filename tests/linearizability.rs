@@ -3,18 +3,14 @@
 //! The checker and history recorder live in `workloads::linearize` (they
 //! were extracted from this file so any `BenchSet` adapter can run under
 //! them); this suite drives the real structures through the bench
-//! adapters: BAT under two delegation policies, the fanout tree at both
-//! publication granularities (per-edge — the PR 4 tentpole — and the
-//! retained per-holder ablation), and the unaugmented chromatic tree.
+//! adapters: BAT under two delegation policies, the fanout tree, the
+//! unaugmented chromatic tree and the two sharded forests.
 //!
 //! Histories are recorded on a hot 8-key space by 6 threads, so nearly
 //! every operation contends; each per-key sub-history is then checked
 //! against sequential boolean-set semantics.
 
-use bench::{
-    BatAdapter, ChromaticAdapter, FanoutAdapter, PerHolderFanoutAdapter, ShardedBatAdapter,
-    ShardedFanoutAdapter,
-};
+use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter, ShardedBatAdapter, ShardedFanoutAdapter};
 use shard::Partition;
 use workloads::linearize::assert_point_ops_linearizable;
 use workloads::BenchSet;
@@ -37,14 +33,6 @@ fn point_ops_linearizable_eager_del() {
 #[test]
 fn point_ops_linearizable_fanout_per_edge() {
     check(&FanoutAdapter::new(), "fanout (per-edge publication)");
-}
-
-#[test]
-fn point_ops_linearizable_fanout_per_holder() {
-    check(
-        &PerHolderFanoutAdapter::new(),
-        "fanout (per-holder ablation)",
-    );
 }
 
 #[test]
