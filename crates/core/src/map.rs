@@ -9,7 +9,7 @@
 use chromatic::{ChromaticTree, SentKey};
 
 use crate::augment::{Augmentation, SizeOnly};
-use crate::propagate::{propagate, DelegationPolicy};
+use crate::propagate::{propagate, warm_up, DelegationPolicy};
 use crate::refresh::read_version;
 use crate::snapshot::Snapshot;
 use crate::stats::BatStats;
@@ -97,14 +97,10 @@ where
     /// the operation's arrival point at the root (§4.1).
     pub fn insert(&self, k: K, v: V) -> bool {
         let guard = ebr::pin();
-        let changed = self.tree.insert(k.clone(), v, &guard).changed;
-        propagate(
-            self.tree.entry(),
-            &SentKey::Key(k),
-            self.policy,
-            &self.stats,
-            &guard,
-        );
+        let key = SentKey::Key(k.clone());
+        warm_up(self.tree.entry(), &key, &guard);
+        let changed = self.tree.insert(k, v, &guard).changed;
+        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }
 
@@ -113,14 +109,10 @@ where
     /// may not have reached the root yet — §4's pseudocode discussion).
     pub fn remove(&self, k: &K) -> bool {
         let guard = ebr::pin();
+        let key = SentKey::Key(k.clone());
+        warm_up(self.tree.entry(), &key, &guard);
         let changed = self.tree.delete(k, &guard).changed;
-        propagate(
-            self.tree.entry(),
-            &SentKey::Key(k.clone()),
-            self.policy,
-            &self.stats,
-            &guard,
-        );
+        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }
 

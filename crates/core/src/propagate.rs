@@ -12,6 +12,15 @@
 //! `refreshed` set is a root-to-leaf path (O(log n) entries), so a plain
 //! vector with linear membership checks beats hashing *and* allocates
 //! nothing after warm-up.
+//!
+//! ## Overlapping the misses
+//!
+//! A propagate refreshes the search path bottom-up, and each refresh reads
+//! its off-path child, then that child's version, then writes a pool block
+//! — three cache misses at 2^19 keys, each dependent on the last, and the
+//! refresh CAS fences before the next level starts. Every one of those
+//! addresses is known before the first refresh, so [`warm_up`] walks the
+//! path once up front and prefetches them all; see there.
 
 use sched::atomic::Ordering;
 use std::cell::RefCell;
@@ -25,7 +34,7 @@ use ebr::Guard;
 use crate::augment::Augmentation;
 use crate::refresh::{refresh_top, BatNode};
 use crate::stats::{BatStats, StatsHandle};
-use crate::version::{retire_version, PropStatus};
+use crate::version::{PropStatus, Version};
 
 /// Which propagate variant a tree runs (paper §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,6 +194,75 @@ fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>
             }
         } else {
             std::hint::spin_loop();
+        }
+    }
+}
+
+/// Read-only prelude of an update: start, early and side by side, the cache
+/// misses the coming [`propagate`]`(entry, key)` would take one by one.
+///
+/// Walks `entry → leaf` by `key`. At each step it prefetches the *off-path*
+/// child — every line the node overlaps, since a pooled 64-byte node is
+/// 16-aligned and usually straddles two — and remembers it; these misses
+/// overlap the walk's own pointer chase. Then it has `ebr::pool`
+/// write-prefetch the free blocks the path's new versions (and the update's
+/// two leaf versions) will be built in, and in a second pass, the sibling
+/// nodes having arrived, reads each one's version pointer and prefetches
+/// that version. The refresh chain then runs on warm lines.
+///
+/// A pure hint: it CASes nothing, touches no [`BatStats`] counter, and what
+/// it reads may be stale by the time `propagate` runs — `propagate` rereads
+/// everything. Under `sched-test` the body is compiled out: its loads would
+/// be yield points, and explored schedules must not depend on a hint.
+pub fn warm_up<K, V, A>(entry: &BatNode<K, V, A>, key: &SentKey<K>, _guard: &Guard)
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    #[cfg(feature = "sched-test")]
+    let _ = (entry, key);
+    #[cfg(not(feature = "sched-test"))]
+    {
+        use crate::refresh::{fence_node_ptr, fence_version_ptr};
+
+        // Siblings remembered, and so the depth walked to: well above a
+        // balanced tree's height at any size that fits in memory, and a
+        // bound on what the pass can cost on a degenerate FR-BST path.
+        const WARM_UP_DEPTH: usize = 64;
+
+        let mut siblings = [0u64; WARM_UP_DEPTH];
+        let mut depth = 0;
+        let mut node = entry;
+        while depth < WARM_UP_DEPTH {
+            let (on, off) = if key < node.key() {
+                (node.left_raw(), node.right_raw())
+            } else {
+                (node.right_raw(), node.left_raw())
+            };
+            if on == 0 {
+                break; // `node` is the leaf
+            }
+            ebr::prefetch::<BatNode<K, V, A>, false>(off);
+            fence_node_ptr(on, node.as_raw(), "warm-up on-path");
+            fence_node_ptr(off, node.as_raw(), "warm-up off-path");
+            siblings[depth] = off;
+            depth += 1;
+            // SAFETY: `on` was read from a live internal node under
+            // `_guard`'s pin, so the child cannot be freed before the
+            // caller unpins (fenced non-null above in debug builds).
+            node = unsafe { BatNode::<K, V, A>::from_raw(on) };
+        }
+        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + 2);
+        for &sibling in &siblings[..depth] {
+            // SAFETY: as for `on` above — a child link read from a live
+            // node under `_guard`'s pin.
+            let sibling = unsafe { BatNode::<K, V, A>::from_raw(sibling) };
+            let v = sibling.plugin.load();
+            fence_version_ptr(v, sibling.as_raw());
+            if v != 0 {
+                ebr::prefetch::<Version<K, V, A>, false>(v);
+            }
         }
     }
 }
@@ -371,12 +449,10 @@ pub fn propagate<K, V, A>(
     // Once the root is refreshed (or our delegatee finished, which implies
     // the same), every replaced version is unreachable from the root of
     // the version tree (§6): retire the toRetire list.
-    for &v in &scratch.to_retire {
-        // SAFETY: `v` was the replaced (now unreachable) version of a
-        // successful refresh by *this* propagate — we are its unique
-        // retirer, and `guard` defers the free past all current pins.
-        unsafe { retire_version::<K, V, A>(guard, v) };
-    }
+    // SAFETY: each entry was the replaced (now unreachable) version of a
+    // successful refresh by *this* propagate — we are its unique retirer,
+    // and `guard` defers the free past all current pins.
+    unsafe { ebr::pool::retire_pooled_batch::<Version<K, V, A>>(guard, &scratch.to_retire) };
 
     scratch.clear();
     SCRATCH.with(|s| *s.borrow_mut() = scratch);

@@ -27,13 +27,13 @@ pub type BatNode<K, V, A> = Node<K, V, VersionSlot<K, V, A>>;
 #[cfg(debug_assertions)]
 const POISON_PTR: u64 = 0xDDDD_DDDD_DDDD_DDDD;
 
-/// Debug fence for the ROADMAP's rare BAT-baseline crash (one SIGSEGV at
-/// address `0x30` symbolized to `read_version → VersionSlot::load`, i.e. a
-/// null `BatNode` reached through a child pointer): validate a child
-/// pointer *before* dereferencing it, so the hunt fails fast with context
-/// (pointer, parent, EBR epoch, thread id) instead of faulting on a null
-/// or recycled node. Alignment rejects `0xDD…`-poisoned words too — the
-/// poison pattern is odd.
+/// Debug fence for the ROADMAP's rare memory bug in the BAT hot path (one
+/// SIGSEGV at address `0x30` symbolized to `read_version →
+/// VersionSlot::load`, i.e. a null `BatNode` reached through a child
+/// pointer): validate a child pointer *before* dereferencing it, so the
+/// hunt fails fast with context (pointer, parent, EBR epoch, thread id)
+/// instead of faulting on a null or recycled node. Alignment rejects
+/// `0xDD…`-poisoned words too — the poison pattern is odd.
 #[inline]
 pub fn fence_node_ptr(raw: u64, parent: u64, role: &'static str) {
     #[cfg(debug_assertions)]
@@ -41,8 +41,8 @@ pub fn fence_node_ptr(raw: u64, parent: u64, role: &'static str) {
         panic!(
             "BAT reclamation fence: {role} child pointer {raw:#x} of node \
              {parent:#x} is null/poisoned/misaligned (ebr epoch {}, thread \
-             {}) — latent reclamation race, see ROADMAP \"Rare \
-             liveness/memory bug in the BAT baseline hot path\"",
+             {}) — latent reclamation race, see ROADMAP \"Rare memory \
+             bug in the BAT hot path\"",
             ebr::stats().epoch,
             ebr::thread_id(),
         );
@@ -55,7 +55,7 @@ pub fn fence_node_ptr(raw: u64, parent: u64, role: &'static str) {
 /// recycled-and-poisoned slot would hand back `0xDD…`, which the next
 /// `Version::from_raw` would fault on far from the cause.
 #[inline]
-fn fence_version_ptr(v: u64, node: u64) {
+pub(crate) fn fence_version_ptr(v: u64, node: u64) {
     #[cfg(debug_assertions)]
     if v == POISON_PTR || (v != 0 && !v.is_multiple_of(8)) {
         panic!(

@@ -9,7 +9,10 @@
 //! lazily. A counter bump therefore touches only a line this core already
 //! owns — the seed's single shared `AtomicU64`s made every node visited
 //! by a propagate a cross-core cacheline ping-pong under multi-threaded
-//! update load.
+//! update load. And since a stripe has one writer, a bump is a plain load
+//! and store ([`bump`]), not a locked read-modify-write: a propagate bumps
+//! some 25 times, and a `lock xadd` is a full fence that would sit in the
+//! middle of the refresh chain's cache misses.
 
 use sched::atomic::{AtomicU64, Ordering};
 
@@ -41,22 +44,31 @@ impl Default for BatStats {
     }
 }
 
+/// Add `n` to a counter of the calling thread's own stripe.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    // ordering: single-writer monotone counter; readers only need eventual
+    // totals (`snapshot`). With one writer a load + store loses nothing. A
+    // stripe changes writer only when its EBR slot does, and that hand-off
+    // goes through the slot's SeqCst `registered` flag (released after the
+    // old thread's last bump, acquired before the new thread's first), so
+    // the new writer's load sees the old writer's last store.
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 macro_rules! incr_methods {
     ($($(#[$doc:meta])* $incr:ident, $add:ident => $field:ident;)*) => {
         $(
             $(#[$doc])*
             #[inline]
             pub fn $incr(&self) {
-                // ordering: monotonic counter bump on the caller's own
-                // stripe; readers only need eventual totals (`snapshot`).
-                self.stripe().$field.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stripe().$field, 1);
             }
 
             /// Batched variant of the matching increment.
             #[inline]
             pub fn $add(&self, n: u64) {
-                // ordering: as for the unbatched increment above.
-                self.stripe().$field.fetch_add(n, Ordering::Relaxed);
+                bump(&self.stripe().$field, n);
             }
         )*
     };
@@ -143,16 +155,13 @@ macro_rules! handle_incr_methods {
             /// See the like-named method on [`BatStats`].
             #[inline]
             pub fn $incr(&self) {
-                // ordering: monotonic stripe-local counter bump, as on
-                // [`BatStats`]; readers only sum eventual totals.
-                self.stripe.$field.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stripe.$field, 1);
             }
 
             /// Batched variant of the matching increment.
             #[inline]
             pub fn $add(&self, n: u64) {
-                // ordering: as for the unbatched increment above.
-                self.stripe.$field.fetch_add(n, Ordering::Relaxed);
+                bump(&self.stripe.$field, n);
             }
         )*
     };

@@ -264,6 +264,16 @@ mod tests {
 
     type Ver = Version<u64, u64, SizeOnly>;
 
+    /// Pooled objects are 16-aligned `malloc` blocks, so one of at most 64
+    /// bytes overlaps at most two cache lines: what `warm_up` fetches per
+    /// object, and what a query pays per version it reads.
+    #[test]
+    fn hot_objects_fit_in_64_bytes() {
+        use std::mem::size_of;
+        assert!(size_of::<Version<u64, (), SizeOnly>>() <= 64);
+        assert!(size_of::<crate::refresh::BatNode<u64, (), SizeOnly>>() <= 64);
+    }
+
     #[test]
     fn leaf_versions_have_size_one() {
         let v = Ver::for_leaf(&7, &70);

@@ -34,8 +34,10 @@ use std::sync::Mutex;
 
 mod pad;
 pub mod pool;
+mod prefetch;
 
 pub use pad::CachePadded;
+pub use prefetch::prefetch;
 
 /// Maximum number of concurrently registered threads.
 ///
@@ -69,16 +71,24 @@ struct Slot {
     announce: AtomicU64,
     /// 1 if the slot is owned by a live thread.
     registered: AtomicU64,
+    /// Objects the slot's owners have retired / freed, for tests and leak
+    /// diagnostics. Per slot, so that a retire writes only lines its own
+    /// thread owns (DEBRA's rule for every per-operation write): bumped by
+    /// the current owner alone ([`bump_owned`]), never reset, summed over
+    /// the slots by [`stats`].
+    retired: AtomicUsize,
+    freed: AtomicUsize,
 }
 
 struct Global {
     epoch: CachePadded<AtomicU64>,
     slots: Vec<CachePadded<Slot>>,
+    /// One past the highest slot index ever registered. Slots at or above
+    /// it have never had an owner, so scans stop there instead of walking
+    /// the whole table (see [`Global::try_advance`]).
+    registered_hwm: CachePadded<AtomicUsize>,
     /// Limbo bags abandoned by exited threads: (retire_epoch, items).
     orphans: Mutex<Vec<(u64, Vec<Retired>)>>,
-    /// Total retires/frees, for tests and leak diagnostics.
-    retired_count: CachePadded<AtomicUsize>,
-    freed_count: CachePadded<AtomicUsize>,
 }
 
 impl Global {
@@ -88,22 +98,40 @@ impl Global {
             slots.push(CachePadded::new(Slot {
                 announce: AtomicU64::new(QUIESCENT),
                 registered: AtomicU64::new(0),
+                retired: AtomicUsize::new(0),
+                freed: AtomicUsize::new(0),
             }));
         }
         Global {
             epoch: CachePadded::new(AtomicU64::new(2)),
             slots,
+            registered_hwm: CachePadded::new(AtomicUsize::new(0)),
             orphans: Mutex::new(Vec::new()),
-            retired_count: CachePadded::new(AtomicUsize::new(0)),
-            freed_count: CachePadded::new(AtomicUsize::new(0)),
         }
+    }
+
+    /// The slots that have ever had an owner.
+    fn used_slots(&self) -> &[CachePadded<Slot>] {
+        &self.slots[..self.registered_hwm.load(Ordering::SeqCst)]
     }
 
     /// Attempt to advance the global epoch by one. Succeeds only if every
     /// registered, pinned thread has announced the current epoch.
+    ///
+    /// Only the slots below the high-water mark are scanned — the whole
+    /// table is 32 KiB of padded lines, two thirds of an L1d, and this runs
+    /// every [`COLLECT_THRESHOLD`] retires. A thread whose `register`
+    /// raises the mark past what this scan read is not missed: every
+    /// access involved is `SeqCst`, this scan loads `epoch` before the
+    /// mark, and the registrant `fetch_max`es the mark before its first
+    /// `pin` loads `epoch`. If the scan's load of the mark comes before
+    /// that `fetch_max` in the single total order, so does its load of
+    /// `epoch`, hence the registrant's pin reads `cur` or later and
+    /// announces ≥ `cur` — exactly a thread that was quiescent during the
+    /// scan, which never blocks the step to `cur + 1`.
     fn try_advance(&self) -> u64 {
         let cur = self.epoch.load(Ordering::SeqCst);
-        for slot in &self.slots {
+        for slot in self.used_slots() {
             if slot.registered.load(Ordering::SeqCst) == 0 {
                 continue;
             }
@@ -209,6 +237,8 @@ fn register() -> Local {
                 .is_ok()
         {
             slot.announce.store(QUIESCENT, Ordering::SeqCst);
+            // Before this thread's first pin; see `Global::try_advance`.
+            g.registered_hwm.fetch_max(id + 1, Ordering::SeqCst);
             return Local {
                 id,
                 pin_depth: Cell::new(0),
@@ -327,7 +357,21 @@ impl Guard {
     /// As for [`Guard::retire`]; additionally `free(ptr)` must be sound on
     /// any thread.
     pub unsafe fn retire_with(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
-        retire_impl(Retired { ptr, free });
+        retire_impl(std::iter::once(Retired { ptr, free }));
+    }
+
+    /// [`Guard::retire_with`] for a whole list sharing one reclamation
+    /// function: one thread-local access, one epoch load, one bag lookup
+    /// and one counter bump for all of `ptrs` (a propagate retires a
+    /// path's worth of versions at once).
+    ///
+    /// # Safety
+    /// As for [`Guard::retire_with`], for every element of `ptrs`.
+    pub unsafe fn retire_batch_with(&self, ptrs: &[u64], free: unsafe fn(*mut u8)) {
+        retire_impl(ptrs.iter().map(|&p| Retired {
+            ptr: p as *mut u8,
+            free,
+        }));
     }
 }
 
@@ -347,10 +391,10 @@ pub unsafe fn retire_unpinned<T: Send>(ptr: *mut T) {
         // SAFETY: see above.
         drop(unsafe { Box::from_raw(p as *mut T) });
     }
-    retire_impl(Retired {
+    retire_impl(std::iter::once(Retired {
         ptr: ptr as *mut u8,
         free: free_box::<T>,
-    });
+    }));
 }
 
 /// [`retire_unpinned`] with a caller-supplied reclamation function (the
@@ -360,37 +404,47 @@ pub unsafe fn retire_unpinned<T: Send>(ptr: *mut T) {
 /// As for [`retire_unpinned`]; additionally `free(ptr)` must be sound on
 /// any thread.
 pub unsafe fn retire_unpinned_with(ptr: *mut u8, free: unsafe fn(*mut u8)) {
-    retire_impl(Retired { ptr, free });
+    retire_impl(std::iter::once(Retired { ptr, free }));
 }
 
-fn retire_impl(item: Retired) {
+/// Add `n` to a statistics counter that only the calling thread writes.
+#[inline]
+fn bump_owned(counter: &AtomicUsize, n: usize) {
+    // ordering: single-writer monotone statistic, read only by `stats()`.
+    // With one writer a load + store loses nothing and is not a locked
+    // RMW. A slot changes owner through `registered`: the old owner's
+    // SeqCst store of 0 follows its last bump, the new owner's SeqCst CAS
+    // reads that 0, so the new owner's first load here sees the old
+    // owner's last value.
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+fn retire_impl(items: impl ExactSizeIterator<Item = Retired>) {
+    let n = items.len();
+    if n == 0 {
+        return;
+    }
     let g = global();
-    // ordering: monotonic statistics counter; nothing in the reclamation
-    // protocol reads it, only the `stats()` reporting snapshot.
-    g.retired_count.fetch_add(1, Ordering::Relaxed);
     let epoch = g.epoch.load(Ordering::SeqCst);
     let should_collect = with_local(|local| {
+        bump_owned(&g.slots[local.id].retired, n);
         {
             let mut bags = local.bags.borrow_mut();
             match bags.iter_mut().find(|b| b.epoch == epoch) {
-                Some(bag) => bag.items.push(item),
+                Some(bag) => bag.items.extend(items),
                 None => {
                     // Reuse an emptied bag vector (with its capacity) so
                     // steady-state retiring does not touch the allocator.
-                    let mut items = local.spare_bags.borrow_mut().pop().unwrap_or_default();
-                    items.push(item);
-                    bags.push(Bag { epoch, items });
+                    let mut bag = local.spare_bags.borrow_mut().pop().unwrap_or_default();
+                    bag.extend(items);
+                    bags.push(Bag { epoch, items: bag });
                 }
             }
         }
-        let n = local.since_collect.get() + 1;
-        local.since_collect.set(n);
-        if n >= COLLECT_THRESHOLD {
-            local.since_collect.set(0);
-            true
-        } else {
-            false
-        }
+        let since = local.since_collect.get() + n;
+        let due = since >= COLLECT_THRESHOLD;
+        local.since_collect.set(if due { 0 } else { since });
+        due
     });
     if should_collect {
         collect();
@@ -466,8 +520,7 @@ pub fn collect() {
     }
 
     if freed > 0 {
-        // ordering: statistics counter, as for `retired_count`.
-        g.freed_count.fetch_add(freed, Ordering::Relaxed);
+        with_local(|local| bump_owned(&g.slots[local.id].freed, freed));
     }
 }
 
@@ -490,11 +543,24 @@ pub struct Stats {
 /// Snapshot the global reclamation counters.
 pub fn stats() -> Stats {
     let g = global();
+    let sum = |counter: fn(&Slot) -> &AtomicUsize| {
+        let mut total = 0;
+        for slot in g.used_slots() {
+            // ordering: reporting-only read of a monotone per-slot counter;
+            // the sum claims no consistent cut across slots.
+            total += counter(slot).load(Ordering::Relaxed);
+        }
+        total
+    };
+    // Frees first, because every free follows its retire: a caller taking
+    // `retired - freed` while other threads run should err towards too
+    // much garbage, not wrap.
+    let freed = sum(|s| &s.freed);
+    let retired = sum(|s| &s.retired);
     Stats {
         epoch: g.epoch.load(Ordering::SeqCst),
-        // ordering: reporting-only reads of monotone counters.
-        retired: g.retired_count.load(Ordering::Relaxed),
-        freed: g.freed_count.load(Ordering::Relaxed),
+        retired,
+        freed,
     }
 }
 
@@ -596,6 +662,53 @@ mod tests {
         flush();
         flush();
         assert_eq!(flag.load(Ordering::SeqCst), 1, "leaked after unpin");
+    }
+
+    /// `try_advance` scans only the slots below the high-water mark it
+    /// read; a thread that registers above an earlier mark must still
+    /// hold the epoch with its pin.
+    #[test]
+    fn a_pin_above_the_previous_high_water_mark_holds_the_epoch() {
+        let _serial = own_the_global_epoch();
+        use std::sync::mpsc;
+        let g = global();
+        let _ = thread_id();
+        let mark = g.registered_hwm.load(Ordering::SeqCst);
+        // `register` takes the lowest free slot: park every thread that
+        // lands below the mark until one lands at or above it, and pins.
+        let (ids_tx, ids) = mpsc::channel();
+        let mut parked = Vec::new();
+        loop {
+            let (release, released) = mpsc::channel::<()>();
+            let ids_tx = ids_tx.clone();
+            let handle = std::thread::spawn(move || {
+                let id = thread_id();
+                let guard = (id >= mark).then(pin);
+                ids_tx.send(id).unwrap();
+                let _ = released.recv();
+                drop(guard);
+            });
+            parked.push((release, handle));
+            if ids.recv().unwrap() >= mark {
+                break;
+            }
+        }
+        assert!(g.registered_hwm.load(Ordering::SeqCst) > mark);
+        let e0 = stats().epoch;
+        for _ in 0..8 {
+            collect();
+        }
+        assert!(
+            stats().epoch <= e0 + 1,
+            "epoch went {e0} -> {} past a pin in a slot above mark {mark}",
+            stats().epoch
+        );
+        for (release, handle) in parked {
+            drop(release);
+            handle.join().unwrap();
+        }
+        flush();
+        assert!(stats().epoch > e0 + 1, "the pin was what held the epoch");
     }
 
     #[test]

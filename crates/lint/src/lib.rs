@@ -30,7 +30,7 @@
 //!    `&*` casts) in protocol crates with no epoch-guard evidence in the
 //!    enclosing function — no `Guard` parameter, no `pin()`, no
 //!    `// guard:` annotation documenting the caller's pin obligation.
-//!    This is the heuristic aimed at the unreproduced BAT-baseline
+//!    This is the heuristic aimed at the unreproduced BAT
 //!    heap-corruption bug: a pooled pointer dereferenced outside a pin
 //!    is exactly the shape that bug must have. Warn-tier: surfaced in
 //!    the report, never fails the build.

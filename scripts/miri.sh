@@ -23,6 +23,11 @@
 # protocol's representation, not an accident); `-Zmiri-disable-isolation`
 # for the tests that read wall-clock time.
 #
+# `ebr::prefetch` compiles to nothing under Miri, so the `ebr` pass walks
+# `pool::prefetch_free` and the `augmentation_laws` pass walks the warm-up
+# descent of every insert/remove (`cbat_core::propagate::warm_up`) as
+# ordinary, checked loads.
+#
 # The miri component needs a download on first use; on offline hosts the
 # attempt fails and this script skips (exit 0) so it can sit in pipelines
 # unconditionally.

@@ -164,3 +164,51 @@ fn tree_drop_is_clean() {
     }
     ebr::flush();
 }
+
+/// The retire/free counters and the `BatStats` stripes are per-thread
+/// words their owner bumps with a plain load + store, and sequentially
+/// spawned threads reuse one EBR slot — and so one stripe and one pair of
+/// counters: every hand-off must carry the totals over exactly. Lost
+/// `propagates` bumps show in the count; a lost `retired` or `freed` bump
+/// shows once the process is quiescent and the limbo is empty, where the
+/// two totals must meet.
+#[test]
+fn counters_stay_exact_across_slot_reuse() {
+    let _serial = own_the_global_epoch();
+    use std::sync::Arc;
+    const THREADS: u64 = 64;
+    const UPDATES: u64 = 100;
+    let set = Arc::new(BatSet::<u64>::new());
+    for t in 0..THREADS {
+        let set = set.clone();
+        std::thread::spawn(move || {
+            for i in 0..UPDATES {
+                let k = t * UPDATES + i;
+                if i % 3 == 2 {
+                    set.remove(&(k - 1));
+                } else {
+                    set.insert(k);
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
+    assert_eq!(set.stats().snapshot().propagates, THREADS * UPDATES);
+    drop(set);
+    // Nothing is pinned and every worker has exited, so each flush empties
+    // what the last one's frees retired (a freed node retires its version).
+    let mut s = ebr::stats();
+    for _ in 0..16 {
+        if s.retired == s.freed {
+            break;
+        }
+        ebr::flush();
+        s = ebr::stats();
+    }
+    assert!(s.retired > (THREADS * UPDATES) as usize);
+    assert_eq!(
+        s.retired, s.freed,
+        "the limbo is empty, so the counters must agree: {s:?}"
+    );
+}
