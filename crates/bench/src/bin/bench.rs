@@ -4,31 +4,29 @@
 //! ancestors (they also hold the seed-cost and single-root rows, whose
 //! code paths are gone).
 //!
-//! 1. **BAT mixes**: the three scenario mixes × thread counts
-//!    (throughput *and* p99 update latency).
-//! 2. **Contended writers**: disjoint per-thread key slices on the
+//! 1. **Contended writers**: disjoint per-thread key slices on the
 //!    versioned-edge fanout tree.
-//! 3. **Zipf / sorted-stream scenarios** (BAT).
-//! 4. **Fig. 9 latency-vs-throughput**: paced-worker sweep on BAT.
-//! 5. **Adapter sweep**: every adapter × every mix × every distribution —
+//! 2. **Adapter sweep**: every adapter × every mix × every distribution —
 //!    completing the loop asserts no scenario panics on any adapter (the
 //!    lineup includes both sharded forests).
-//! 6. **Shards × threads sweep**: the update-heavy mix on
+//! 3. **Shards × threads sweep**: the update-heavy mix on
 //!    [`bench::ShardedBatAdapter`] at 1/2/4/8 hash shards × every thread
 //!    count. Rows carry a `"shards"` field. Lagging points are
 //!    re-measured (best-of repair) because a shared 1-core host's noise
 //!    exceeds the expected per-shard deltas.
-//! 7. **Hot-drift scenario** (`KeyDist::HotDrift`): a zipf hot set whose
+//! 4. **Hot-drift scenario** (`KeyDist::HotDrift`): a zipf hot set whose
 //!    center sweeps the key space, one row per lineup adapter — the
 //!    scenario a static range partition cannot be pre-tuned for.
-//! 8. **Single-thread `find` microbench**: ns/op of `contains` on the
-//!    branchless fanout search and on BAT, the baseline row for a future
-//!    SIMD leaf-search PR.
-//! 9. **End-to-end serving sweep**: `serve::run_serve` on the sharded
+//! 5. **End-to-end serving sweep**: `serve::run_serve` on the sharded
 //!    fanout forest — pipelined clients behind bounded per-shard request
 //!    rings, an analytics worker on leased snapshots — at stepped
 //!    offered load, recording per-class end-to-end p50/p99/p999 plus the
 //!    headline "requests/sec at p99 < X µs" row.
+//!
+//! Bare BAT mixes, zipf / sorted streams, latency vs throughput and `find`
+//! cost belong to `benchmark/run.sh` (`bat-update`, `bat-analytics`, the
+//! `*.contains_ns` cards) and `repro` (`fig5b`, `fig8a`, `fig8b`, `fig9`,
+//! `fig10`).
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench -- \
@@ -37,9 +35,9 @@
 //! ```
 //! The JSON report goes to stdout, and to `--out` when given.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bench::{full_lineup, BatAdapter, FanoutAdapter, ShardedBatAdapter};
+use bench::{full_lineup, FanoutAdapter, ShardedBatAdapter};
 use shard::Partition;
 use workloads::{BenchSet, KeyDist, OpMix, QueryKind, RunConfig, RunResult};
 
@@ -51,7 +49,7 @@ const MIXES: [(&str, &str, [u32; 4]); 3] = [
     ("query-heavy", "5i-5d-60f-30rq", [5, 5, 60, 30]),
 ];
 
-/// Shard counts of the section-6 sweep (acceptance gate: aggregate
+/// Shard counts of the section-3 sweep (acceptance gate: aggregate
 /// update throughput non-decreasing in shard count at every thread
 /// level).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -116,7 +114,6 @@ fn config(opts: &Opts, mix: [u32; 4], threads: usize, trial: usize) -> RunConfig
 
 struct Row {
     mix: String,
-    mode: &'static str,
     threads: usize,
     /// Shard count of the adapter under test; 1 for unsharded rows.
     shards: usize,
@@ -130,11 +127,10 @@ struct Row {
 impl Row {
     fn json(&self) -> String {
         format!(
-            "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"shards\": {}, \
+            "    {{\"mix\": \"{}\", \"threads\": {}, \"shards\": {}, \
              \"mops\": {:.6}, \"upd_p50_ns\": {:.0}, \"upd_p99_ns\": {:.0}, \
              \"abort_rate\": {:.6}, \"retry_rate\": {:.6}}}",
             self.mix,
-            self.mode,
             self.threads,
             self.shards,
             self.mops,
@@ -145,10 +141,9 @@ impl Row {
         )
     }
 
-    fn from(mix: &str, mode: &'static str, threads: usize, mops: f64, r: &RunResult) -> Row {
+    fn from(mix: &str, threads: usize, mops: f64, r: &RunResult) -> Row {
         Row {
             mix: mix.to_string(),
-            mode,
             threads,
             shards: 1,
             mops,
@@ -168,7 +163,6 @@ impl Row {
 fn best_of(
     opts: &Opts,
     label: &str,
-    mode: &'static str,
     threads: usize,
     make_set: impl Fn() -> Box<dyn BenchSet>,
     make_cfg: impl Fn(usize) -> RunConfig,
@@ -180,7 +174,7 @@ fn best_of(
         let set = make_set();
         let r = workloads::run(set.as_ref(), &make_cfg(trial));
         eprintln!(
-            "  {label:>18} {mode:>9} TT={threads} trial {trial}: {:.3} Mops/s \
+            "  {label:>18} TT={threads} trial {trial}: {:.3} Mops/s \
              (upd p50 {:.0} ns, p99 {:.0} ns, abort rate {:.4})",
             r.mops(),
             r.update_p50_ns,
@@ -199,55 +193,16 @@ fn best_of(
     (best_mops, best)
 }
 
-/// Single-thread closed-loop `contains` ns/op over a prefilled set:
-/// the SIMD-leaf-search trajectory row. Keys follow a xorshift stream
-/// over the full key space, half of which is present.
-fn find_ns_per_op(set: &dyn BenchSet, max_key: u64) -> f64 {
-    for k in (0..max_key).step_by(2) {
-        set.insert(k);
-    }
-    let iters = 1u64 << 20;
-    let mut x = 0x00BE_9C42_0F1Eu64;
-    let mut hits = 0u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        hits += set.contains(std::hint::black_box(x % max_key)) as u64;
-    }
-    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    assert!(hits > 0, "degenerate microbench: no key ever found");
-    ns
-}
-
 fn main() {
     let opts = Opts::parse();
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- 1. BAT mixes. ---
-    eprintln!("== BAT mixes ==");
-    for mix in &MIXES {
-        for &tt in &opts.threads {
-            let (mops, r) = best_of(
-                &opts,
-                mix.0,
-                "optimized",
-                tt,
-                || Box::new(BatAdapter::plain()),
-                |trial| config(&opts, mix.2, tt, trial),
-            );
-            rows.push(Row::from(mix.1, "optimized", tt, mops, &r));
-        }
-    }
-
-    // --- 2. Contended writers: disjoint slices on versioned edges. ---
+    // --- 1. Contended writers: disjoint slices on versioned edges. ---
     eprintln!("== contended-writers (fanout, versioned edges) ==");
     for &tt in &opts.threads {
         let (mops, r) = best_of(
             &opts,
             "contended-writers",
-            "optimized",
             tt,
             || Box::new(FanoutAdapter::new()),
             |trial| {
@@ -256,80 +211,10 @@ fn main() {
                 cfg
             },
         );
-        rows.push(Row::from("contended-writers", "optimized", tt, mops, &r));
+        rows.push(Row::from("contended-writers", tt, mops, &r));
     }
 
-    // --- 3. Zipf and sorted-stream scenario points. ---
-    eprintln!("== key-distribution scenarios (BAT) ==");
-    for (name, dist, prefill) in [
-        ("zipf-0.95", KeyDist::Zipf(0.95), true),
-        ("sorted-stream", KeyDist::Sorted, false),
-    ] {
-        for &tt in &opts.threads {
-            let (mops, r) = best_of(
-                &opts,
-                name,
-                "optimized",
-                tt,
-                || Box::new(BatAdapter::plain()),
-                |trial| {
-                    let mut cfg = config(&opts, [25, 25, 40, 10], tt, trial);
-                    cfg.dist = dist;
-                    cfg.prefill = prefill;
-                    cfg
-                },
-            );
-            rows.push(Row::from(name, "optimized", tt, mops, &r));
-        }
-    }
-
-    // --- 4. Fig. 9: latency vs (offered) throughput, paced workers. ---
-    eprintln!("== Fig. 9 latency-vs-throughput sweep (BAT, mixed mix) ==");
-    let fig9_tt = *opts.threads.iter().max().unwrap().min(&4);
-    let (saturated, _) = best_of(
-        &opts,
-        "fig9-saturation",
-        "optimized",
-        fig9_tt,
-        || Box::new(BatAdapter::plain()),
-        |trial| config(&opts, [25, 25, 40, 10], fig9_tt, trial),
-    );
-    let mut fig9 = Vec::new();
-    for frac in [0.2, 0.4, 0.6, 0.8, 0.9, 1.0] {
-        let offered = saturated * frac;
-        let (_, r) = best_of(
-            &opts,
-            "fig9-point",
-            "optimized",
-            fig9_tt,
-            || Box::new(BatAdapter::plain()),
-            |trial| {
-                let mut cfg = config(&opts, [25, 25, 40, 10], fig9_tt, trial);
-                // frac == 1.0 runs unthrottled (closed-loop saturation).
-                cfg.offered_mops = if frac < 1.0 { offered } else { 0.0 };
-                cfg
-            },
-        );
-        eprintln!(
-            "fig9 offered {:.3} Mops/s: achieved {:.3}, upd p50 {:.0} ns, p99 {:.0} ns",
-            offered,
-            r.mops(),
-            r.update_p50_ns,
-            r.update_p99_ns
-        );
-        fig9.push(format!(
-            "    {{\"threads\": {fig9_tt}, \"offered_mops\": {offered:.6}, \
-             \"achieved_mops\": {:.6}, \"upd_p50_ns\": {:.0}, \"upd_p99_ns\": {:.0}, \
-             \"qry_p50_ns\": {:.0}, \"qry_p99_ns\": {:.0}}}",
-            r.mops(),
-            r.update_p50_ns,
-            r.update_p99_ns,
-            r.query_p50_ns,
-            r.query_p99_ns
-        ));
-    }
-
-    // --- 5. Adapter sweep: every adapter × mix × distribution. ---
+    // --- 2. Adapter sweep: every adapter × mix × distribution. ---
     // Completing this loop is itself the assertion that no scenario
     // panics on any adapter (the lineup includes the sharded BAT and
     // sharded fanout forests).
@@ -340,7 +225,6 @@ fn main() {
             ("uniform", KeyDist::Uniform),
             ("zipf-0.95", KeyDist::Zipf(0.95)),
             ("disjoint", KeyDist::Disjoint),
-            ("same-slice", KeyDist::SameSlice),
         ] {
             for set in full_lineup() {
                 let mut cfg = config(&opts, mix.2, opts.threads[0].max(2), 0);
@@ -366,7 +250,7 @@ fn main() {
         eprintln!("  {:>12}: all adapters x all dists ok", mix.0);
     }
 
-    // --- 6. Shards × threads sweep. ---
+    // --- 3. Shards × threads sweep. ---
     // Update-heavy uniform mix on the hash-sharded BAT forest. One-core
     // hosts cannot show parallel speedup, but smaller per-shard trees
     // (shallower searches, cheaper rebalances) keep the curve from
@@ -378,7 +262,6 @@ fn main() {
         best_of(
             opts,
             "shard-sweep",
-            "optimized",
             tt,
             move || Box::new(ShardedBatAdapter::new(s, Partition::Hash)),
             |trial| config(opts, [50, 50, 0, 0], tt, trial),
@@ -433,7 +316,6 @@ fn main() {
             let r = &shard_results[ti][si];
             rows.push(Row {
                 mix: "shard-sweep".into(),
-                mode: "optimized",
                 threads: tt,
                 shards: s,
                 mops: shard_mops[ti][si],
@@ -458,7 +340,7 @@ fn main() {
         ));
     }
 
-    // --- 7. Hot-drift scenario: one row per lineup adapter. ---
+    // --- 4. Hot-drift scenario: one row per lineup adapter. ---
     // The zipf hot set's center sweeps the whole key space every 100 ms,
     // so no static partition keeps the hot keys on one shard for long —
     // the scenario that distinguishes hash sharding (hot set spreads
@@ -482,7 +364,7 @@ fn main() {
             r.update_p99_ns
         );
         hot_drift.push(format!(
-            "    {{\"adapter\": \"{}\", \"mode\": \"scenario\", \"threads\": {hot_tt}, \
+            "    {{\"adapter\": \"{}\", \"threads\": {hot_tt}, \
              \"mops\": {:.6}, \"upd_p99_ns\": {:.0}}}",
             set.name(),
             r.mops(),
@@ -491,25 +373,7 @@ fn main() {
         ebr::flush();
     }
 
-    // --- 8. Single-thread find ns/op (SIMD-leaf-search baseline row). ---
-    eprintln!("== single-thread find microbench ==");
-    let mut find_rows = Vec::new();
-    for (name, set) in [
-        (
-            "Fanout",
-            Box::new(FanoutAdapter::new()) as Box<dyn BenchSet>,
-        ),
-        ("BAT", Box::new(BatAdapter::plain())),
-    ] {
-        let ns = find_ns_per_op(set.as_ref(), opts.max_key);
-        eprintln!("  {name:>8}: {ns:.1} ns/op (branchless scalar search)");
-        find_rows.push(format!(
-            "    {{\"adapter\": \"{name}\", \"threads\": 1, \"find_ns_per_op\": {ns:.2}}}"
-        ));
-        ebr::flush();
-    }
-
-    // --- 9. End-to-end serving sweep. ---
+    // --- 5. End-to-end serving sweep. ---
     // `serve::run_serve` on the sharded fanout forest: pipelined clients
     // behind bounded per-shard rings, analytics on leased snapshots.
     // First find the open-throttle completion rate, then step offered
@@ -605,22 +469,20 @@ fn main() {
     let json_rows: Vec<String> = rows.iter().map(Row::json).collect();
     let json = format!(
         "{{\n  \"workload\": {{\"dist\": \"uniform\", \"max_key\": {}, \"prefill\": true, \
-         \"duration_ms\": {}, \"trials\": {}, \"structure\": \"BAT\", \"rq_size\": 100, \
+         \"duration_ms\": {}, \"trials\": {}, \"rq_size\": 100, \
          \"host_cores\": {}}},\n  \
          \"caveats\": \"On a 1-core host the shards x threads sweep cannot show parallel \
 speedup: all shards timeshare one core, so the acceptance gate is non-decreasing aggregate \
 throughput in shard count (smaller per-shard trees) rather than linear scaling, and lagging \
 points are re-measured best-of against host noise (see shard-sweep rows' shards field). \
-Multicore shard scaling is the ROADMAP item. Hot-drift rows are scenario measurements; \
-find microbench rows are the scalar-search baseline for a future SIMD PR. \
+Multicore shard scaling is the ROADMAP item. Hot-drift rows are scenario measurements. \
 Serve rows measure end-to-end request latency (client scheduled \
 arrival to reaped response) through the serving layer, not bare structure ops; on a 1-core \
 host the clients, workers and analytics thread timeshare one CPU, so serve req/s is far \
 below bare-structure Mops and the headline is a latency-at-load point, not a peak.\",\n  \
          \"results\": [\n{}\n  ],\n  \
-         \"fig9\": [\n{}\n  ],\n  \"adapter_sweep\": [\n{}\n  ],\n  \
+         \"adapter_sweep\": [\n{}\n  ],\n  \
          \"shard_scaling\": [\n{}\n  ],\n  \"hot_drift\": [\n{}\n  ],\n  \
-         \"find_microbench\": [\n{}\n  ],\n  \
          \"serve\": [\n{}\n  ],\n  \
          \"serve_headline\": {{\"requests_per_sec\": {:.1}, \"p99_us\": {:.1}, \
          \"offered_rps\": {}, \"shards\": {}, \"clients\": {}}}\n}}\n",
@@ -631,11 +493,9 @@ below bare-structure Mops and the headline is a latency-at-load point, not a pea
             .map(|n| n.get())
             .unwrap_or(1),
         json_rows.join(",\n"),
-        fig9.join(",\n"),
         sweep.join(",\n"),
         shard_scaling.join(",\n"),
         hot_drift.join(",\n"),
-        find_rows.join(",\n"),
         serve_rows.join(",\n"),
         h_rps,
         h_p99,

@@ -406,7 +406,7 @@ fn stats(o: &Opts) {
                 _ => {
                     let s = FrAdapter::new();
                     workloads::run(&s, &cfg);
-                    s.inner().as_map().as_map().stats.snapshot()
+                    s.inner().as_map().stats.snapshot()
                 }
             };
             println!(

@@ -37,7 +37,7 @@ pub mod validate;
 pub use key::SentKey;
 pub use node::{ChildSnap, Node, NodePlugin};
 pub use set::{ChromaticMap, ChromaticSet, U64Set};
-pub use tree::{ChromaticTree, RebalanceKind, TreeStats, UpdateOutcome};
+pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats, UpdateOutcome};
 pub use validate::{Invalid, TreeShape};
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use llxscx::Llx;
 
 use crate::key::SentKey;
 use crate::node::{dispose_unpublished, retire_node, ChildSnap, Node, NodePlugin};
-use crate::tree::{ChromaticTree, NodeRef, RebalanceKind, W_NEAR};
+use crate::tree::{ChromaticTree, NodeRef, RebalanceKind, COMMITS, STEPS, W_NEAR};
 
 /// Convenience: LLX a node, returning `None` on interference/finalized.
 #[inline]
@@ -564,8 +564,8 @@ where
 
     /// Record a committed rebalancing step and retire the removed nodes.
     fn finish(&self, kind: RebalanceKind, removed: &[NodeRef<K, V, P>], guard: &Guard) -> bool {
-        self.stats.record(kind);
-        self.stats.record_commit();
+        self.stats.bump(COMMITS);
+        self.stats.bump(STEPS + kind as usize);
         for n in removed {
             unsafe { retire_node::<K, V, P>(guard, n.as_raw()) };
         }

@@ -6,24 +6,34 @@
 //! allocated nodes via one SCX (paper Fig. 2), finalizing the removed
 //! nodes. Rebalancing (in [`crate::rebalance`]) works the same way.
 
-use sched::atomic::{AtomicU64, Ordering};
+use sched::atomic::Ordering;
 use std::marker::PhantomData;
 
-use ebr::Guard;
+use ebr::{Guard, Striped};
 use llxscx::Llx;
 
 use crate::key::SentKey;
 use crate::node::{dispose_unpublished, retire_node, Node, NodePlugin};
 
-/// Relaxed operation counters, matching the paper's §7 work statistics.
+/// Operation counters, matching the paper's §7 work statistics: one
+/// [`Striped`] whose stripes hold [`COMMITS`], [`FAILURES`] and then one
+/// counter per [`RebalanceKind`] from [`STEPS`] on.
 #[derive(Default)]
-pub struct TreeStats {
+pub struct TreeStats(Striped<{ STEPS + 8 }>);
+
+pub(crate) const COMMITS: usize = 0;
+pub(crate) const FAILURES: usize = 1;
+pub(crate) const STEPS: usize = 2;
+
+/// A plain-data snapshot of [`TreeStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TreeSnapshot {
     /// Committed SCXs (insert + delete + rebalance steps).
-    pub scx_commits: AtomicU64,
+    pub scx_commits: u64,
     /// SCX attempts that aborted or whose LLX phase failed.
-    pub scx_failures: AtomicU64,
+    pub scx_failures: u64,
     /// Committed rebalancing steps, by kind (indexes of [`RebalanceKind`]).
-    pub rebalance_steps: [AtomicU64; 8],
+    pub rebalance_steps: [u64; 8],
 }
 
 /// Kinds of rebalancing step, named as in the paper / \[7\].
@@ -52,33 +62,27 @@ pub enum RebalanceKind {
 pub const W_NEAR: RebalanceKind = RebalanceKind::WFar;
 
 impl TreeStats {
-    pub(crate) fn record(&self, kind: RebalanceKind) {
-        // ordering: monotonic work counter; read only by the reporting
-        // sums below, which claim no cross-counter consistency.
-        self.rebalance_steps[kind as usize].fetch_add(1, Ordering::Relaxed);
+    /// Count one event in `slot` of the calling thread's stripe.
+    #[inline]
+    pub(crate) fn bump(&self, slot: usize) {
+        self.0.local().add(slot, 1);
     }
 
-    /// Count one committed SCX.
-    #[inline]
-    pub(crate) fn record_commit(&self) {
-        // ordering: as for `record` — reporting-only monotone counter.
-        self.scx_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one failed/aborted SCX or LLX.
-    #[inline]
-    pub(crate) fn record_failure(&self) {
-        // ordering: as for `record` — reporting-only monotone counter.
-        self.scx_failures.fetch_add(1, Ordering::Relaxed);
+    /// Copy out current values, summed over all thread stripes.
+    pub fn snapshot(&self) -> TreeSnapshot {
+        let sums = self.0.sum();
+        let mut rebalance_steps = [0; 8];
+        rebalance_steps.copy_from_slice(&sums[STEPS..]);
+        TreeSnapshot {
+            scx_commits: sums[COMMITS],
+            scx_failures: sums[FAILURES],
+            rebalance_steps,
+        }
     }
 
     /// Total committed rebalancing steps.
     pub fn total_rebalances(&self) -> u64 {
-        self.rebalance_steps
-            .iter()
-            // ordering: reporting-only read; see `record`.
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().rebalance_steps.iter().sum()
     }
 }
 
@@ -94,7 +98,7 @@ pub struct ChromaticTree<K, V, P: NodePlugin<K, V>> {
     /// tree FR-BST \[13\] augments. (Updates use the same patches either
     /// way; balancing is the only difference, per §3.1.)
     balanced: bool,
-    /// Work counters (relaxed; used by the §7 statistics experiments).
+    /// Work counters (used by the §7 statistics experiments).
     pub stats: TreeStats,
     _marker: PhantomData<(K, V, P)>,
 }
@@ -271,7 +275,7 @@ where
                 snapshot: psnap,
             } = p.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
             // Validate the search result is still current.
@@ -283,7 +287,7 @@ where
                 snapshot: _lsnap,
             } = l.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
 
@@ -314,7 +318,7 @@ where
                 )
             };
             if ok {
-                self.stats.record_commit();
+                self.stats.bump(COMMITS);
                 unsafe { retire_node::<K, V, P>(guard, l.as_raw()) };
                 let violation = (new_weight == 0 && p.weight() == 0) || new_weight >= 2;
                 if self.balanced && violation {
@@ -322,7 +326,7 @@ where
                 }
                 return UpdateOutcome { changed: true };
             }
-            self.stats.record_failure();
+            self.stats.bump(FAILURES);
             unsafe {
                 dispose_unpublished::<K, V, P>(internal);
                 dispose_unpublished::<K, V, P>(new_leaf as u64);
@@ -345,7 +349,7 @@ where
                 snapshot: gpsnap,
             } = gp.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
             if gp.child_for(k, gpsnap) != p.as_raw() {
@@ -356,7 +360,7 @@ where
                 snapshot: psnap,
             } = p.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
             if p.child_for(k, psnap) != l.as_raw() {
@@ -370,7 +374,7 @@ where
                 snapshot: ssnap,
             } = s.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
             let Llx::Ok {
@@ -378,7 +382,7 @@ where
                 snapshot: _,
             } = l.llx()
             else {
-                self.stats.record_failure();
+                self.stats.bump(FAILURES);
                 continue;
             };
 
@@ -405,7 +409,7 @@ where
                 )
             };
             if ok {
-                self.stats.record_commit();
+                self.stats.bump(COMMITS);
                 unsafe {
                     retire_node::<K, V, P>(guard, p.as_raw());
                     retire_node::<K, V, P>(guard, l.as_raw());
@@ -416,7 +420,7 @@ where
                 }
                 return UpdateOutcome { changed: true };
             }
-            self.stats.record_failure();
+            self.stats.bump(FAILURES);
             unsafe { dispose_unpublished::<K, V, P>(s_copy) };
         }
     }

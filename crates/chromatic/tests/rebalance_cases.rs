@@ -4,7 +4,7 @@
 use chromatic::{ChromaticSet, RebalanceKind};
 
 fn kind_count(set: &ChromaticSet<u64>, kind: RebalanceKind) -> u64 {
-    set.tree().stats.rebalance_steps[kind as usize].load(std::sync::atomic::Ordering::Relaxed)
+    set.tree().stats.snapshot().rebalance_steps[kind as usize]
 }
 
 /// Ascending insertions constantly create red-red violations on the right

@@ -137,7 +137,7 @@ where
                 unsafe { crate::version::retire_version::<K, V, A>(&guard, r.replaced) };
             }
         }
-        let _ = read_version(map.tree.entry(), &map.stats);
+        let _ = read_version(map.tree.entry(), &map.stats.local());
         drop(guard);
         map
     }

@@ -79,7 +79,7 @@ where
         // (Definition 1 leaves internal nodes nil; one recursive refresh
         // builds the empty version tree).
         let _guard = ebr::pin();
-        let _ = read_version(map.tree.entry(), &map.stats);
+        let _ = read_version(map.tree.entry(), &map.stats.local());
         map
     }
 
@@ -120,7 +120,7 @@ where
     /// version pointer (the query linearization point).
     pub fn snapshot(&self) -> Snapshot<K, V, A> {
         let guard = ebr::pin();
-        let root = read_version(self.tree.entry(), &self.stats);
+        let root = read_version(self.tree.entry(), &self.stats.local());
         Snapshot::new(root, guard)
     }
 
@@ -132,7 +132,7 @@ where
     /// with exactly this check.
     pub fn version_token(&self) -> u64 {
         let _guard = ebr::pin();
-        read_version(self.tree.entry(), &self.stats)
+        read_version(self.tree.entry(), &self.stats.local())
     }
 
     /// `Find(k)`: BST search on the version tree (paper Fig. 3).

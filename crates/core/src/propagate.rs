@@ -33,7 +33,7 @@ use ebr::Guard;
 
 use crate::augment::Augmentation;
 use crate::refresh::{refresh_top, BatNode};
-use crate::stats::{BatStats, StatsHandle};
+use crate::stats::{BatStats, Counter, StatsLocal};
 use crate::version::{PropStatus, Version};
 
 /// Which propagate variant a tree runs (paper §5).
@@ -141,7 +141,7 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 ///
 /// So the chain needs no pin but the caller's (§6 retires a `PropStatus`
 /// "even while still reachable" for this reason).
-fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>) -> WaitResult {
+fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsLocal<'_>) -> WaitResult {
     // `checked_add`: a timeout too large to represent as an instant (e.g.
     // Duration::MAX) degrades to "never time out", like the seed's
     // elapsed()-based check, instead of panicking.
@@ -176,7 +176,7 @@ fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>
                 std::thread::yield_now();
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
-                        h.incr_delegation_timeouts();
+                        Counter::DelegationTimeouts.bump(h);
                         return WaitResult::TimedOut;
                     }
                 }
@@ -187,7 +187,7 @@ fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsHandle<'_>
                 if let Some(b) = &mut yield_budget {
                     *b -= 1;
                     if *b == 0 {
-                        h.incr_delegation_timeouts();
+                        Counter::DelegationTimeouts.bump(h);
                         return WaitResult::TimedOut;
                     }
                 }
@@ -284,7 +284,7 @@ pub fn propagate<K, V, A>(
     A: Augmentation<K, V>,
 {
     let h = stats.local();
-    h.incr_propagates();
+    Counter::Propagates.bump(&h);
     // Take the thread-local scratch for the duration of the call (put back
     // at the end, retaining capacity).
     let mut scratch = SCRATCH.with(|s| s.take());
@@ -321,7 +321,7 @@ pub fn propagate<K, V, A>(
             scratch.stack.push(child_raw);
             next = child;
         }
-        h.add_nodes_visited(descended);
+        Counter::NodesVisited.add(&h, descended);
         // SAFETY: stack entries stay pinned by `guard` (see the descent
         // comment above).
         let top = unsafe {
@@ -355,7 +355,7 @@ pub fn propagate<K, V, A>(
                         if r2.blocker != 0 {
                             // Delegate: publish the link, then wait
                             // (Fig. 13 lines 16–24).
-                            h.incr_delegations();
+                            Counter::Delegations.bump(&h);
                             // SAFETY: `ps` is the PropStatus this call
                             // allocated above; it is retired only at the
                             // end of this function.
@@ -409,7 +409,7 @@ pub fn propagate<K, V, A>(
                         break;
                     }
                     if r.blocker != 0 {
-                        h.incr_delegations();
+                        Counter::Delegations.bump(&h);
                         // SAFETY: as in the Del arm — `ps` is ours and
                         // outlives this loop.
                         let status = unsafe { &*(ps as *const PropStatus) };

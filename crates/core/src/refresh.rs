@@ -15,7 +15,7 @@
 use chromatic::Node;
 
 use crate::augment::Augmentation;
-use crate::stats::{BatStats, StatsHandle};
+use crate::stats::{Counter, StatsLocal};
 use crate::version::{dispose_version, Version, VersionSlot};
 
 /// A node of the augmented tree: a chromatic node whose plugin slot is the
@@ -87,7 +87,7 @@ pub struct RefreshOutcome {
 }
 
 /// `ReadVersion` (Fig. 12): return `x.version`, first fixing it if nil.
-pub fn read_version<K, V, A>(x: &BatNode<K, V, A>, stats: &BatStats) -> u64
+pub fn read_version<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>) -> u64
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -98,7 +98,7 @@ where
         fence_version_ptr(v, x.as_raw());
         return v;
     }
-    refresh_nil(x, stats);
+    refresh_nil(x, h);
     let v = x.plugin.load();
     debug_assert_ne!(v, 0, "refresh_nil leaves a non-nil version");
     v
@@ -108,21 +108,21 @@ where
 /// node born with a nil pointer (a new internal node from a patch). The
 /// CAS only moves nil → non-nil; a failure means someone else already
 /// fixed it, so the loser's version is dropped unpublished.
-pub fn refresh_nil<K, V, A>(x: &BatNode<K, V, A>, stats: &BatStats)
+pub fn refresh_nil<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>)
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
     debug_assert!(!x.is_leaf(), "leaves always carry versions (Obs. 13)");
-    stats.incr_nil_fixes();
+    Counter::NilFixes.bump(h);
     let vl = loop {
         // Consistent (child, child.version) read: re-check the child
         // pointer after obtaining the version (Fig. 12 lines 19–22).
         let xl_raw = x.left_raw();
         fence_node_ptr(xl_raw, x.as_raw(), "left");
         let xl = unsafe { BatNode::<K, V, A>::from_raw(xl_raw) };
-        let vl = read_version(xl, stats);
+        let vl = read_version(xl, h);
         if x.left_raw() == xl_raw {
             break vl;
         }
@@ -131,13 +131,13 @@ where
         let xr_raw = x.right_raw();
         fence_node_ptr(xr_raw, x.as_raw(), "right");
         let xr = unsafe { BatNode::<K, V, A>::from_raw(xr_raw) };
-        let vr = read_version(xr, stats);
+        let vr = read_version(xr, h);
         if x.right_raw() == xr_raw {
             break vr;
         }
     };
     let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, 0) } as u64;
-    stats.incr_cas_attempts();
+    Counter::CasAttempts.bump(h);
     if x.plugin.cas(0, new).is_err() {
         // Another thread fixed the nil pointer first: our version was never
         // published, drop it immediately.
@@ -148,27 +148,18 @@ where
 /// Top-level `Refresh` (Fig. 12 lines 30–48): install a new version for
 /// `x` computed from its children's versions; `status` is the calling
 /// propagate's `PropStatus` (0 for the plain, non-delegating variant).
-///
-/// Takes a [`StatsHandle`] rather than `&BatStats`: this runs several
-/// times per update, and the handle amortizes the striped-counter
-/// thread-id resolution over the whole propagate.
-pub fn refresh_top<K, V, A>(
-    x: &BatNode<K, V, A>,
-    status: u64,
-    h: &StatsHandle<'_>,
-) -> RefreshOutcome
+pub fn refresh_top<K, V, A>(x: &BatNode<K, V, A>, status: u64, h: &StatsLocal<'_>) -> RefreshOutcome
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    let stats = h.stats();
-    let old = read_version(x, stats);
+    let old = read_version(x, h);
     let vl = loop {
         let xl_raw = x.left_raw();
         fence_node_ptr(xl_raw, x.as_raw(), "left");
         let xl = unsafe { BatNode::<K, V, A>::from_raw(xl_raw) };
-        let vl = read_version(xl, stats);
+        let vl = read_version(xl, h);
         if x.left_raw() == xl_raw {
             break vl;
         }
@@ -177,13 +168,13 @@ where
         let xr_raw = x.right_raw();
         fence_node_ptr(xr_raw, x.as_raw(), "right");
         let xr = unsafe { BatNode::<K, V, A>::from_raw(xr_raw) };
-        let vr = read_version(xr, stats);
+        let vr = read_version(xr, h);
         if x.right_raw() == xr_raw {
             break vr;
         }
     };
     let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, status) } as u64;
-    h.incr_cas_attempts();
+    Counter::CasAttempts.bump(h);
     match x.plugin.cas(old, new) {
         Ok(()) => RefreshOutcome {
             success: true,
@@ -194,7 +185,7 @@ where
         },
         Err(current) => {
             unsafe { dispose_version::<K, V, A>(new) };
-            h.incr_cas_failures();
+            Counter::CasFailures.bump(h);
             // The version that beat us carries its creator's PropStatus;
             // that is the operation a delegating propagate waits on.
             let blocker = unsafe { Version::<K, V, A>::from_raw(current) }.status;
@@ -213,12 +204,13 @@ where
 mod tests {
     use super::*;
     use crate::augment::SizeOnly;
+    use crate::stats::BatStats;
     use chromatic::{ChromaticTree, SentKey};
 
     type Tree = ChromaticTree<u64, u64, VersionSlot<u64, u64, SizeOnly>>;
 
     fn entry_version_size(tree: &Tree, stats: &BatStats) -> u64 {
-        let v = read_version(tree.entry(), stats);
+        let v = read_version(tree.entry(), &stats.local());
         unsafe { Version::<u64, u64, SizeOnly>::from_raw(v) }.size
     }
 
@@ -238,7 +230,7 @@ mod tests {
         let tree = Tree::new();
         let stats = BatStats::default();
         let guard = ebr::pin();
-        let _ = read_version(tree.entry(), &stats); // initialize
+        let _ = read_version(tree.entry(), &stats.local()); // initialize
         for k in [10u64, 20, 30] {
             assert!(tree.insert(k, k * 10, &guard).changed);
         }
@@ -265,10 +257,10 @@ mod tests {
         let tree = Tree::new();
         let stats = BatStats::default();
         let guard = ebr::pin();
-        let _ = read_version(tree.entry(), &stats);
+        let _ = read_version(tree.entry(), &stats.local());
         // Simulate a racing refresh by doing one with a fake status in
         // between: refresh A reads old, refresh B installs, A's CAS fails.
-        let old = read_version(tree.entry(), &stats);
+        let old = read_version(tree.entry(), &stats.local());
         let ps = crate::version::PropStatus::alloc() as u64;
         let rb = refresh_top(tree.entry(), ps, &stats.local());
         assert!(rb.success);

@@ -1,188 +1,79 @@
 //! Work counters matching the paper's §7 instrumentation ("Why Balancing
 //! Improves Throughput"): nodes traversed per propagate, nil versions
 //! filled per propagate, CASes attempted per propagate, plus delegation
-//! counts for the ablation experiments.
-//!
-//! The counters are **striped**: each registered thread owns one
-//! cache-padded block of counters, indexed by the stable EBR thread id
-//! (`ebr::thread_id()`), and [`BatStats::snapshot`] sums the stripes
-//! lazily. A counter bump therefore touches only a line this core already
-//! owns — the seed's single shared `AtomicU64`s made every node visited
-//! by a propagate a cross-core cacheline ping-pong under multi-threaded
-//! update load. And since a stripe has one writer, a bump is a plain load
-//! and store ([`bump`]), not a locked read-modify-write: a propagate bumps
-//! some 25 times, and a `lock xadd` is a full fence that would sit in the
-//! middle of the refresh chain's cache misses.
+//! counts for the ablation experiments. They live in one
+//! [`ebr::Striped`]: per-thread padded stripes, single-writer bumps, a
+//! lazy summing read.
 
-use sched::atomic::{AtomicU64, Ordering};
+use ebr::striped::Local;
+use ebr::Striped;
 
-use ebr::CachePadded;
+/// The counters of a [`BatStats`], by stripe index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Propagate invocations (== updates, successful or not).
+    Propagates,
+    /// Nodes stepped through during propagate descents (the paper's
+    /// "nodes seen by a Propagate"); added once per descent.
+    NodesVisited,
+    /// `RefreshNil` executions ("nil versions filled in").
+    NilFixes,
+    /// Version-pointer CAS attempts.
+    CasAttempts,
+    /// Version-pointer CAS failures.
+    CasFailures,
+    /// Delegations of a propagate's remaining work (§5).
+    Delegations,
+    /// Delegation-wait timeouts (the lock-free fallback of Fig. 13 lines
+    /// 19–21).
+    DelegationTimeouts,
+}
 
-/// One thread's counters, padded so adjacent stripes never share a line.
-#[derive(Default)]
-struct Stripe {
-    propagates: AtomicU64,
-    nodes_visited: AtomicU64,
-    nil_fixes: AtomicU64,
-    cas_attempts: AtomicU64,
-    cas_failures: AtomicU64,
-    delegations: AtomicU64,
-    delegation_timeouts: AtomicU64,
+/// How many counters a [`BatStats`] stripe holds.
+const COUNTERS: usize = Counter::DelegationTimeouts as usize + 1;
+
+/// The calling thread's stripe of a [`BatStats`] (see [`BatStats::local`]).
+pub(crate) type StatsLocal<'a> = Local<'a, COUNTERS>;
+
+impl Counter {
+    /// Count one event on the calling thread's stripe.
+    #[inline]
+    pub fn bump(self, h: &StatsLocal<'_>) {
+        self.add(h, 1);
+    }
+
+    /// Count `n` events at once.
+    #[inline]
+    pub fn add(self, h: &StatsLocal<'_>, n: u64) {
+        h.add(self as usize, n);
+    }
 }
 
 /// Counters for one augmented tree instance (striped per thread).
-pub struct BatStats {
-    stripes: Box<[CachePadded<Stripe>]>,
-}
-
-impl Default for BatStats {
-    fn default() -> Self {
-        let stripes = (0..ebr::MAX_THREADS)
-            .map(|_| CachePadded::new(Stripe::default()))
-            .collect();
-        BatStats { stripes }
-    }
-}
-
-/// Add `n` to a counter of the calling thread's own stripe.
-#[inline]
-fn bump(counter: &AtomicU64, n: u64) {
-    // ordering: single-writer monotone counter; readers only need eventual
-    // totals (`snapshot`). With one writer a load + store loses nothing. A
-    // stripe changes writer only when its EBR slot does, and that hand-off
-    // goes through the slot's SeqCst `registered` flag (released after the
-    // old thread's last bump, acquired before the new thread's first), so
-    // the new writer's load sees the old writer's last store.
-    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-}
-
-macro_rules! incr_methods {
-    ($($(#[$doc:meta])* $incr:ident, $add:ident => $field:ident;)*) => {
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $incr(&self) {
-                bump(&self.stripe().$field, 1);
-            }
-
-            /// Batched variant of the matching increment.
-            #[inline]
-            pub fn $add(&self, n: u64) {
-                bump(&self.stripe().$field, n);
-            }
-        )*
-    };
-}
-
-/// Relaxed read of one counter for summation.
-#[inline]
-fn read_counter(c: &AtomicU64) -> u64 {
-    // ordering: counters are monotonic and independent; a snapshot needs
-    // per-counter eventual totals, not a cross-counter consistent cut.
-    c.load(Ordering::Relaxed)
-}
+#[derive(Default)]
+pub struct BatStats(Striped<COUNTERS>);
 
 impl BatStats {
-    /// The calling thread's stripe.
+    /// The calling thread's stripe. `propagate` resolves it once per
+    /// update instead of once per counter bump.
     #[inline]
-    fn stripe(&self) -> &Stripe {
-        let id = ebr::thread_id();
-        debug_assert!(id < self.stripes.len());
-        &self.stripes[id]
-    }
-
-    incr_methods! {
-        /// Count one propagate invocation (== one update, successful or not).
-        incr_propagates, add_propagates => propagates;
-        /// Count nodes stepped through during a propagate descent (the
-        /// paper's "nodes seen by a Propagate"); prefer the batched form
-        /// once per descent.
-        incr_nodes_visited, add_nodes_visited => nodes_visited;
-        /// Count one `RefreshNil` execution ("nil versions filled in").
-        incr_nil_fixes, add_nil_fixes => nil_fixes;
-        /// Count one version-pointer CAS attempt.
-        incr_cas_attempts, add_cas_attempts => cas_attempts;
-        /// Count one version-pointer CAS failure.
-        incr_cas_failures, add_cas_failures => cas_failures;
-        /// Count one delegation of a propagate's remaining work (§5).
-        incr_delegations, add_delegations => delegations;
-        /// Count one delegation-wait timeout (the lock-free fallback of
-        /// Fig. 13 lines 19–21).
-        incr_delegation_timeouts, add_delegation_timeouts => delegation_timeouts;
-    }
-
-    /// Borrow the calling thread's stripe as a [`StatsHandle`], hoisting
-    /// the thread-id lookup out of a hot section: `propagate` resolves its
-    /// stripe once per update instead of once per counter bump.
-    #[inline]
-    pub fn local(&self) -> StatsHandle<'_> {
-        StatsHandle {
-            stats: self,
-            stripe: self.stripe(),
-            _not_send: std::marker::PhantomData,
-        }
+    pub fn local(&self) -> StatsLocal<'_> {
+        self.0.local()
     }
 
     /// Copy out current values, summed over all thread stripes.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        for stripe in self.stripes.iter() {
-            snap.propagates += read_counter(&stripe.propagates);
-            snap.nodes_visited += read_counter(&stripe.nodes_visited);
-            snap.nil_fixes += read_counter(&stripe.nil_fixes);
-            snap.cas_attempts += read_counter(&stripe.cas_attempts);
-            snap.cas_failures += read_counter(&stripe.cas_failures);
-            snap.delegations += read_counter(&stripe.delegations);
-            snap.delegation_timeouts += read_counter(&stripe.delegation_timeouts);
+        let [propagates, nodes_visited, nil_fixes, cas_attempts, cas_failures, delegations, delegation_timeouts] =
+            self.0.sum();
+        StatsSnapshot {
+            propagates,
+            nodes_visited,
+            nil_fixes,
+            cas_attempts,
+            cas_failures,
+            delegations,
+            delegation_timeouts,
         }
-        snap
-    }
-}
-
-/// A borrow of one thread's counter stripe (see [`BatStats::local`]).
-/// Bumps through a handle skip the per-call stripe resolution. `!Send` /
-/// `!Sync` (via the marker field): a handle crossing threads would
-/// silently attribute counters to the wrong stripe.
-pub struct StatsHandle<'a> {
-    stats: &'a BatStats,
-    stripe: &'a Stripe,
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-macro_rules! handle_incr_methods {
-    ($($incr:ident, $add:ident => $field:ident;)*) => {
-        $(
-            /// See the like-named method on [`BatStats`].
-            #[inline]
-            pub fn $incr(&self) {
-                bump(&self.stripe.$field, 1);
-            }
-
-            /// Batched variant of the matching increment.
-            #[inline]
-            pub fn $add(&self, n: u64) {
-                bump(&self.stripe.$field, n);
-            }
-        )*
-    };
-}
-
-impl<'a> StatsHandle<'a> {
-    /// The stats instance this handle belongs to (for the cold paths that
-    /// still take `&BatStats`, like recursive nil refreshes).
-    #[inline]
-    pub fn stats(&self) -> &'a BatStats {
-        self.stats
-    }
-
-    handle_incr_methods! {
-        incr_propagates, add_propagates => propagates;
-        incr_nodes_visited, add_nodes_visited => nodes_visited;
-        incr_nil_fixes, add_nil_fixes => nil_fixes;
-        incr_cas_attempts, add_cas_attempts => cas_attempts;
-        incr_cas_failures, add_cas_failures => cas_failures;
-        incr_delegations, add_delegations => delegations;
-        incr_delegation_timeouts, add_delegation_timeouts => delegation_timeouts;
     }
 }
 
@@ -235,9 +126,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = BatStats::default();
-        s.incr_propagates();
-        s.incr_propagates();
-        s.add_nodes_visited(10);
+        let h = s.local();
+        Counter::Propagates.bump(&h);
+        Counter::Propagates.bump(&h);
+        Counter::NodesVisited.add(&h, 10);
         let snap = s.snapshot();
         assert_eq!(snap.propagates, 2);
         assert_eq!(snap.nodes_visited, 10);
@@ -247,33 +139,42 @@ mod tests {
     #[test]
     fn delta_subtracts() {
         let s = BatStats::default();
-        s.add_cas_attempts(5);
+        Counter::CasAttempts.add(&s.local(), 5);
         let a = s.snapshot();
-        s.add_cas_attempts(7);
+        Counter::CasAttempts.add(&s.local(), 7);
         let b = s.snapshot();
         assert_eq!(b.delta(&a).cas_attempts, 7);
     }
 
+    /// Every counter lands in the snapshot field of its own name.
     #[test]
     fn snapshot_sums_across_threads() {
-        use std::sync::Arc;
-        let s = Arc::new(BatStats::default());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        s.incr_propagates();
-                    }
-                    s.add_nodes_visited(50);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.propagates, 4000);
-        assert_eq!(snap.nodes_visited, 200);
+        let s = BatStats::default();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let h = s.local();
+                    Counter::Propagates.add(&h, 1);
+                    Counter::NodesVisited.add(&h, 2);
+                    Counter::NilFixes.add(&h, 3);
+                    Counter::CasAttempts.add(&h, 4);
+                    Counter::CasFailures.add(&h, 5);
+                    Counter::Delegations.add(&h, 6);
+                    Counter::DelegationTimeouts.add(&h, 7);
+                });
+            }
+        });
+        assert_eq!(
+            s.snapshot(),
+            StatsSnapshot {
+                propagates: 4,
+                nodes_visited: 8,
+                nil_fixes: 12,
+                cas_attempts: 16,
+                cas_failures: 20,
+                delegations: 24,
+                delegation_timeouts: 28,
+            }
+        );
     }
 }

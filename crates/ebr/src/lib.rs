@@ -35,9 +35,11 @@ use std::sync::Mutex;
 mod pad;
 pub mod pool;
 mod prefetch;
+pub mod striped;
 
 pub use pad::CachePadded;
 pub use prefetch::prefetch;
+pub use striped::Striped;
 
 /// Maximum number of concurrently registered threads.
 ///
@@ -74,10 +76,10 @@ struct Slot {
     /// Objects the slot's owners have retired / freed, for tests and leak
     /// diagnostics. Per slot, so that a retire writes only lines its own
     /// thread owns (DEBRA's rule for every per-operation write): bumped by
-    /// the current owner alone ([`bump_owned`]), never reset, summed over
-    /// the slots by [`stats`].
-    retired: AtomicUsize,
-    freed: AtomicUsize,
+    /// the current owner alone ([`striped::bump`]), never reset, summed
+    /// over the slots by [`stats`].
+    retired: AtomicU64,
+    freed: AtomicU64,
 }
 
 struct Global {
@@ -98,8 +100,8 @@ impl Global {
             slots.push(CachePadded::new(Slot {
                 announce: AtomicU64::new(QUIESCENT),
                 registered: AtomicU64::new(0),
-                retired: AtomicUsize::new(0),
-                freed: AtomicUsize::new(0),
+                retired: AtomicU64::new(0),
+                freed: AtomicU64::new(0),
             }));
         }
         Global {
@@ -261,10 +263,10 @@ thread_local! {
 
 /// The stable id of the calling thread within the EBR thread table.
 ///
-/// Other crates (notably `llxscx` and the striped statistics in
-/// `cbat-core`) index their own per-thread tables with this id, so a
-/// single registration discipline covers the whole workspace. After the
-/// first call on a thread this is a single thread-local `Cell` read.
+/// `llxscx`'s descriptor table and every [`Striped`] counter index their
+/// per-thread tables with this id, so a single registration discipline
+/// covers the whole workspace. After the first call on a thread this is a
+/// single thread-local `Cell` read.
 #[inline]
 pub fn thread_id() -> usize {
     CACHED_ID.with(|c| {
@@ -407,18 +409,6 @@ pub unsafe fn retire_unpinned_with(ptr: *mut u8, free: unsafe fn(*mut u8)) {
     retire_impl(std::iter::once(Retired { ptr, free }));
 }
 
-/// Add `n` to a statistics counter that only the calling thread writes.
-#[inline]
-fn bump_owned(counter: &AtomicUsize, n: usize) {
-    // ordering: single-writer monotone statistic, read only by `stats()`.
-    // With one writer a load + store loses nothing and is not a locked
-    // RMW. A slot changes owner through `registered`: the old owner's
-    // SeqCst store of 0 follows its last bump, the new owner's SeqCst CAS
-    // reads that 0, so the new owner's first load here sees the old
-    // owner's last value.
-    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-}
-
 fn retire_impl(items: impl ExactSizeIterator<Item = Retired>) {
     let n = items.len();
     if n == 0 {
@@ -427,7 +417,7 @@ fn retire_impl(items: impl ExactSizeIterator<Item = Retired>) {
     let g = global();
     let epoch = g.epoch.load(Ordering::SeqCst);
     let should_collect = with_local(|local| {
-        bump_owned(&g.slots[local.id].retired, n);
+        striped::bump(&g.slots[local.id].retired, n as u64);
         {
             let mut bags = local.bags.borrow_mut();
             match bags.iter_mut().find(|b| b.epoch == epoch) {
@@ -520,7 +510,7 @@ pub fn collect() {
     }
 
     if freed > 0 {
-        with_local(|local| bump_owned(&g.slots[local.id].freed, freed));
+        with_local(|local| striped::bump(&g.slots[local.id].freed, freed as u64));
     }
 }
 
@@ -543,14 +533,9 @@ pub struct Stats {
 /// Snapshot the global reclamation counters.
 pub fn stats() -> Stats {
     let g = global();
-    let sum = |counter: fn(&Slot) -> &AtomicUsize| {
-        let mut total = 0;
-        for slot in g.used_slots() {
-            // ordering: reporting-only read of a monotone per-slot counter;
-            // the sum claims no consistent cut across slots.
-            total += counter(slot).load(Ordering::Relaxed);
-        }
-        total
+    let sum = |counter: fn(&Slot) -> &AtomicU64| {
+        let words = g.used_slots().iter();
+        words.map(|slot| striped::read(counter(slot))).sum::<u64>() as usize
     };
     // Frees first, because every free follows its retire: a caller taking
     // `retired - freed` while other threads run should err towards too

@@ -77,12 +77,11 @@
 //! asymptotics. Version-list GC is the writer-driven trim above rather
 //! than \[33\]'s background scheme.
 
-use sched::atomic::{AtomicU64, Ordering};
+use sched::atomic::AtomicU64;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ebr::CachePadded;
 use llxscx::{scx, Linked, Llx, MAX_V};
 use vedge::{PubEdge, SnapClock, VersionRecord};
 
@@ -186,9 +185,9 @@ impl BNode {
 // comparison *count* beats binary search: no data-dependent branches (each
 // `<=` compiles to a flag-setting compare plus an add on x86/aarch64), one
 // short loop the compiler unrolls, and the same shape a later `core::simd`
-// PR vectorizes directly (compare-mask + popcount). `BENCH_PR6.json`
-// (`find_microbench`) records the single-thread `find` ns/op baseline this
-// replaces binary search at.
+// PR vectorizes directly (compare-mask + popcount). The benchmark's
+// `fanout.contains_ns` card is the single-thread `find` ns/op it is
+// measured by.
 // ---------------------------------------------------------------------------
 
 /// Number of keys in sorted `xs` that are `<= k` — identical to
@@ -279,78 +278,40 @@ thread_local! {
 // Publication-outcome counters.
 // ---------------------------------------------------------------------------
 
-/// One thread's publication counters, cache-padded so stripes never share
-/// a line (same striping pattern as `cbat_core`'s `BatStats`).
+/// The counters of a [`PubStats`], by stripe index.
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    Attempts,
+    Commits,
+    Aborts,
+    Retries,
+}
+
+/// Per-set SCX publication counters (one [`ebr::Striped`]): `attempts`
+/// counts publish SCXes issued, `aborts` the SCXes a conflicting operation
+/// invalidated, `commits` the successes, and `retries` every update
+/// attempt restarted for any reason (failed LLX, stale head, or SCX
+/// abort). The abort rate is the direct measurement of the publication
+/// conflict window.
 #[derive(Default)]
-struct PubStripe {
-    attempts: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    retries: AtomicU64,
-}
-
-/// Per-set striped SCX publication counters: `attempts` counts publish
-/// SCXes issued, `aborts` the SCXes a conflicting operation invalidated,
-/// `commits` the successes, and `retries` every update attempt restarted
-/// for any reason (failed LLX, stale head, or SCX abort). The abort rate
-/// is the direct measurement of the publication conflict window.
-pub struct PubStats {
-    stripes: Box<[CachePadded<PubStripe>]>,
-}
-
-impl Default for PubStats {
-    fn default() -> Self {
-        PubStats {
-            stripes: (0..ebr::MAX_THREADS)
-                .map(|_| CachePadded::new(PubStripe::default()))
-                .collect(),
-        }
-    }
-}
+pub struct PubStats(ebr::Striped<{ Counter::Retries as usize + 1 }>);
 
 impl PubStats {
+    /// Count one event on the calling thread's stripe.
     #[inline]
-    fn stripe(&self) -> &PubStripe {
-        &self.stripes[ebr::thread_id()]
-    }
-
-    #[inline]
-    pub(crate) fn incr_attempt(&self) {
-        // ordering: monotonic stripe-local counter; only `snapshot` reads
-        // it, for reporting, with no cross-counter consistency claim.
-        self.stripe().attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn incr_commit(&self) {
-        // ordering: as for `incr_attempt`.
-        self.stripe().commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn incr_abort(&self) {
-        // ordering: as for `incr_attempt`.
-        self.stripe().aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn incr_retry(&self) {
-        // ordering: as for `incr_attempt`.
-        self.stripe().retries.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&self, counter: Counter) {
+        self.0.local().add(counter as usize, 1);
     }
 
     /// Sum the stripes into a plain-data snapshot.
     pub fn snapshot(&self) -> PubSnapshot {
-        let mut s = PubSnapshot::default();
-        for stripe in self.stripes.iter() {
-            // ordering: reporting-only sums; no cross-counter cut.
-            s.attempts += stripe.attempts.load(Ordering::Relaxed);
-            s.commits += stripe.commits.load(Ordering::Relaxed);
-            // ordering: as above.
-            s.aborts += stripe.aborts.load(Ordering::Relaxed);
-            s.retries += stripe.retries.load(Ordering::Relaxed);
+        let [attempts, commits, aborts, retries] = self.0.sum();
+        PubSnapshot {
+            attempts,
+            commits,
+            aborts,
+            retries,
         }
-        s
     }
 }
 
@@ -487,7 +448,7 @@ impl FanoutSet {
                     None => {
                         // The attempt lost a race: everything it allocated
                         // is unpublished — straight back to the pool.
-                        self.stats.incr_retry();
+                        self.stats.bump(Counter::Retries);
                         for &raw in scratch.fresh.iter() {
                             unsafe { free_node(raw as *mut u8) };
                         }
@@ -657,7 +618,7 @@ impl FanoutSet {
                 pr.attach_retired(raw, free_node);
             }
         }
-        self.stats.incr_attempt();
+        self.stats.bump(Counter::Attempts);
         let ok = unsafe {
             scx(
                 vset,
@@ -672,14 +633,14 @@ impl FanoutSet {
             // (NOT as a chain: its prev is the live head). The attached
             // retire cells are dropped without touching the nodes — the
             // "replaced" region is still the live one.
-            self.stats.incr_abort();
+            self.stats.bump(Counter::Aborts);
             unsafe {
                 VersionRecord::from_raw(pub_rec).abort_retired();
                 ebr::pool::dispose_pooled(pub_rec as *mut VersionRecord);
             }
             return None;
         }
-        self.stats.incr_commit();
+        self.stats.bump(Counter::Commits);
 
         // Committed: stamp before returning (so ops that finish before a
         // later snapshot starts are always visible to it), then trim the

@@ -27,17 +27,18 @@
 //! assert_eq!(s.rank(&5), 1);
 //! ```
 
-use cbat_core::{Augmentation, BatMap, DelegationPolicy, SizeOnly};
+use std::ops::Deref;
 
-/// The FR-BST map: unbalanced node tree + FR augmentation.
-pub struct FrMap<K, V, A = SizeOnly>
+use cbat_core::{Augmentation, BatMap, BatSet, DelegationPolicy, SizeOnly};
+
+/// The FR-BST map: unbalanced node tree + FR augmentation. Dereferences to
+/// the [`BatMap`] it is, so every query and update is the shared one
+/// (order statistics cost O(height), which is O(n) worst case here).
+pub struct FrMap<K, V, A = SizeOnly>(BatMap<K, V, A>)
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    inner: BatMap<K, V, A>,
-}
+    A: Augmentation<K, V>;
 
 impl<K, V, A> FrMap<K, V, A>
 where
@@ -47,77 +48,26 @@ where
 {
     /// FR-BST as evaluated in the paper: unbalanced, no delegation.
     pub fn new() -> Self {
-        FrMap {
-            inner: BatMap::new_unbalanced(),
-        }
+        FrMap(BatMap::new_unbalanced())
     }
 
     /// FR-BST with delegation (§5's remark that delegation also speeds up
     /// the original augmented unbalanced BST).
     pub fn with_delegation(policy: DelegationPolicy) -> Self {
-        FrMap {
-            inner: BatMap::new_unbalanced_with_policy(policy),
-        }
+        FrMap(BatMap::new_unbalanced_with_policy(policy))
     }
+}
 
-    /// Access the shared augmented-map API.
-    pub fn as_map(&self) -> &BatMap<K, V, A> {
-        &self.inner
-    }
+impl<K, V, A> Deref for FrMap<K, V, A>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    type Target = BatMap<K, V, A>;
 
-    /// Insert `k → v`; `true` iff `k` was absent.
-    pub fn insert(&self, k: K, v: V) -> bool {
-        self.inner.insert(k, v)
-    }
-
-    /// Remove `k`; `true` iff present.
-    pub fn remove(&self, k: &K) -> bool {
-        self.inner.remove(k)
-    }
-
-    /// Snapshot-based membership (version-tree `Find`).
-    pub fn contains(&self, k: &K) -> bool {
-        self.inner.contains(k)
-    }
-
-    /// Point lookup.
-    pub fn get(&self, k: &K) -> Option<V> {
-        self.inner.get(k)
-    }
-
-    /// Key count, O(1) from the root version.
-    pub fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Keys ≤ k — O(height), which is O(n) worst case here (unbalanced!).
-    pub fn rank(&self, k: &K) -> u64 {
-        self.inner.rank(k)
-    }
-
-    /// i-th smallest key.
-    pub fn select(&self, i: u64) -> Option<(K, V)> {
-        self.inner.select(i)
-    }
-
-    /// Keys in `[lo, hi]`.
-    pub fn range_count(&self, lo: &K, hi: &K) -> u64 {
-        self.inner.range_count(lo, hi)
-    }
-
-    /// Augmentation aggregate over `[lo, hi]`.
-    pub fn range_aggregate(&self, lo: &K, hi: &K) -> A::Value {
-        self.inner.range_aggregate(lo, hi)
-    }
-
-    /// Snapshot of the set.
-    pub fn snapshot(&self) -> cbat_core::Snapshot<K, V, A> {
-        self.inner.snapshot()
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
@@ -132,13 +82,10 @@ where
     }
 }
 
-/// The FR-BST set.
-pub struct FrSet<K>
+/// The FR-BST set; dereferences to the unbalanced [`BatSet`] it is.
+pub struct FrSet<K>(BatSet<K>)
 where
-    K: Ord + Clone + Send + Sync + 'static,
-{
-    map: FrMap<K, ()>,
-}
+    K: Ord + Clone + Send + Sync + 'static;
 
 impl<K> FrSet<K>
 where
@@ -146,52 +93,18 @@ where
 {
     /// Empty FR-BST set.
     pub fn new() -> Self {
-        FrSet { map: FrMap::new() }
+        FrSet(BatSet::new_unbalanced())
     }
+}
 
-    /// Insert `k`.
-    pub fn insert(&self, k: K) -> bool {
-        self.map.insert(k, ())
-    }
+impl<K> Deref for FrSet<K>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+{
+    type Target = BatSet<K>;
 
-    /// Remove `k`.
-    pub fn remove(&self, k: &K) -> bool {
-        self.map.remove(k)
-    }
-
-    /// Membership.
-    pub fn contains(&self, k: &K) -> bool {
-        self.map.contains(k)
-    }
-
-    /// Size, O(1).
-    pub fn len(&self) -> u64 {
-        self.map.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Keys ≤ k.
-    pub fn rank(&self, k: &K) -> u64 {
-        self.map.rank(k)
-    }
-
-    /// i-th smallest key.
-    pub fn select(&self, i: u64) -> Option<K> {
-        self.map.select(i).map(|(k, _)| k)
-    }
-
-    /// Keys in `[lo, hi]`.
-    pub fn range_count(&self, lo: &K, hi: &K) -> u64 {
-        self.map.range_count(lo, hi)
-    }
-
-    /// The underlying map.
-    pub fn as_map(&self) -> &FrMap<K, ()> {
-        &self.map
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
@@ -228,13 +141,12 @@ mod tests {
             s.insert(k);
         }
         assert_eq!(
-            s.as_map().as_map().node_tree().stats.total_rebalances(),
+            s.as_map().node_tree().stats.total_rebalances(),
             0,
             "FR-BST must never rotate"
         );
         // Sorted insertion into an unbalanced tree produces a long spine.
         let shape = s
-            .as_map()
             .as_map()
             .node_tree()
             .validate(false)

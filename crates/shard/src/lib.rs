@@ -37,7 +37,7 @@
 //!
 //! Shards share no mutable cache lines. The shard array itself is
 //! [`CachePadded`]; each inner set brings its own striped stats
-//! ([`cbat_core::BatStats`] pads per-thread stripes) and its own epoch
+//! ([`ebr::Striped`] pads per-thread stripes) and its own epoch
 //! reclamation state (the process-global EBR keeps per-thread limbo bags
 //! and cache-padded epoch slots, so one shard's retirement traffic never
 //! dirties a line another shard reads). The only intentionally shared

@@ -167,14 +167,6 @@ pub enum KeyDist {
     /// contended-writers scenario isolating *structural* publication
     /// contention (e.g. a shared root CAS) from key conflicts.
     Disjoint,
-    /// Every thread draws uniformly from ONE shared
-    /// [`SAME_SLICE_WIDTH`]-key slice in the middle of the key space — the
-    /// same-subtree adversarial scenario: all writers land under a handful
-    /// of sibling leaves of one parent, so publication schemes with
-    /// holder- (or whole-tree-) granular conflict windows abort each other
-    /// constantly while per-edge granularity only conflicts on same-leaf
-    /// collisions.
-    SameSlice,
     /// Zipfian offsets from a hot center that sweeps the key space once
     /// per `period_ms` — the moving-hot-set scenario for partitioned
     /// structures. The offsets are deliberately **not** scrambled: the
@@ -184,11 +176,6 @@ pub enum KeyDist {
     /// them pinning one shard forever).
     HotDrift { theta: f64, period_ms: u64 },
 }
-
-/// Width of the [`KeyDist::SameSlice`] hot slice (matches one leaf's key
-/// capacity in the fanout tree, so the slice spans only a few sibling
-/// leaves).
-pub const SAME_SLICE_WIDTH: u64 = 16;
 
 /// One experiment configuration.
 #[derive(Debug, Clone)]
@@ -210,11 +197,6 @@ pub struct RunConfig {
     pub prefill: bool,
     /// RNG seed (runs are reproducible per seed).
     pub seed: u64,
-    /// Offered load in million ops/s across all threads (Fig. 9's x-axis):
-    /// each worker paces itself to its `offered_mops / threads` share by
-    /// spinning between operations. `0.0` (the default) means unthrottled —
-    /// every worker issues back-to-back (closed-loop saturation).
-    pub offered_mops: f64,
 }
 
 impl RunConfig {
@@ -229,7 +211,6 @@ impl RunConfig {
             duration: Duration::from_millis(300),
             prefill: true,
             seed: 0xC0FFEE,
-            offered_mops: 0.0,
         }
     }
 }
@@ -485,21 +466,11 @@ fn worker(
     // Disjoint distribution: this thread's private slice of the key space.
     let disjoint_span = (cfg.max_key / cfg.threads.max(1) as u64).max(1);
     let disjoint_base = tid as u64 * disjoint_span;
-    // SameSlice distribution: the one shared hot slice, mid key space.
-    let slice_width = SAME_SLICE_WIDTH.min(cfg.max_key);
-    let slice_base = (cfg.max_key / 2).min(cfg.max_key - slice_width);
     // HotDrift distribution: the sweeping hot center, refreshed from the
     // wall clock every 64 ops (an Instant read per op would dominate the
     // cost of the op itself at these scales).
     let drift_start = Instant::now();
     let mut drift_center = 0u64;
-    // Offered-load pacing (Fig. 9): ns between ops for this worker.
-    let pace_ns = if cfg.offered_mops > 0.0 {
-        (cfg.threads as f64 / cfg.offered_mops * 1e3) as u64
-    } else {
-        0
-    };
-    let pace_start = Instant::now();
     let mut out = WorkerOut {
         total_ops: 0,
         ops: [0; 4],
@@ -538,7 +509,6 @@ fn worker(
                 k % cfg.max_key
             }
             KeyDist::Disjoint => disjoint_base + rng.below(disjoint_span),
-            KeyDist::SameSlice => slice_base + rng.below(slice_width),
             KeyDist::HotDrift { period_ms, .. } => {
                 if op_idx & 63 == 0 {
                     let period_ns = (period_ms.max(1) as u128) * 1_000_000;
@@ -548,19 +518,6 @@ fn worker(
                 (drift_center + zipf.expect("zipf built").sample(&mut rng)) % cfg.max_key
             }
         };
-
-        // Open-ish loop pacing: wait for this op's scheduled slot. The
-        // spin (not sleep) keeps the wait precise at sub-µs periods; stop
-        // is honored so a throttled run still ends on time.
-        if pace_ns > 0 {
-            let target = pace_ns.saturating_mul(op_idx);
-            while (pace_start.elapsed().as_nanos() as u64) < target {
-                if stop.load(Ordering::Relaxed) {
-                    return out;
-                }
-                std::hint::spin_loop();
-            }
-        }
 
         op_idx += 1;
         let sample = op_idx & ((1 << LAT_SHIFT) - 1) == 0;
@@ -811,49 +768,6 @@ mod tests {
                 "slice {t} untouched"
             );
         }
-    }
-
-    #[test]
-    fn same_slice_confines_all_threads_to_one_hot_slice() {
-        let s = OracleSet::new();
-        let mut cfg = RunConfig::new(4, 4096);
-        cfg.duration = Duration::from_millis(40);
-        cfg.mix = OpMix::percent(100, 0, 0, 0);
-        cfg.dist = KeyDist::SameSlice;
-        cfg.prefill = false;
-        let r = run(&s, &cfg);
-        assert!(r.ops[0] > 0);
-        let keys = s.0.lock().unwrap();
-        let base = 4096 / 2;
-        assert!(
-            keys.iter()
-                .all(|&k| (base..base + SAME_SLICE_WIDTH).contains(&k)),
-            "every key must land in the one shared {SAME_SLICE_WIDTH}-key slice"
-        );
-        assert!(keys.len() as u64 <= SAME_SLICE_WIDTH);
-    }
-
-    #[test]
-    fn offered_load_paces_the_run() {
-        let s = OracleSet::new();
-        let mut cfg = RunConfig::new(2, 1000);
-        cfg.duration = Duration::from_millis(100);
-        cfg.mix = OpMix::percent(50, 50, 0, 0);
-        cfg.prefill = false;
-        let unthrottled = run(&s, &cfg).total_ops;
-        cfg.offered_mops = 0.05; // 50k ops/s => ~5k ops in 100 ms
-        let throttled = run(&s, &cfg);
-        assert!(
-            throttled.total_ops < unthrottled / 3,
-            "throttled run ({}) must do far fewer ops than unthrottled ({unthrottled})",
-            throttled.total_ops
-        );
-        let expected = cfg.offered_mops * 1e6 * cfg.duration.as_secs_f64();
-        assert!(
-            (throttled.total_ops as f64) < expected * 2.0,
-            "throttled run must not overshoot the offered load"
-        );
-        assert!(throttled.total_ops > 0);
     }
 
     #[test]

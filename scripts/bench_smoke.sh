@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Short exploratory sweep of every `bench` section across workload mixes.
+# Short exploratory sweep of the five `bench` sections (contended writers,
+# adapter x mix x distribution, shards x threads, hot drift, serving).
 # Writes bench_smoke.json (git-ignored) to the repo root; a panic in any
 # section fails the run. Performance claims are judged on
 # benchmark/run.sh, not on this file.

@@ -12,10 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo run -q -p lint -- --json lint-report.json
 cargo build --release
 # Nothing above compiles the `sched-test` cfg, and it is not only additive:
-# it swaps the atomics for the scheduler shims and compiles the warm-up
-# descent's body out (`cbat_core::propagate::warm_up`). CI's exploration job
-# runs those corpora; this keeps the local gate from breaking their build.
-cargo check -p cbat-core -p ebr --features sched-test --all-targets
+# it swaps the atomics for the scheduler shims (under every `ebr::Striped`
+# counter too) and compiles the warm-up descent's body out
+# (`cbat_core::propagate::warm_up`). CI's exploration job runs those
+# corpora; this keeps the local gate from breaking their build.
+cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard --features sched-test --all-targets
 # The benchmark is a workspace of its own (benchmark/Cargo.toml), so no
 # other step compiles it: a change to the API of the crates it path-depends
 # on would break it unnoticed. Build it, and hold its catalog to what

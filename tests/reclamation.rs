@@ -165,13 +165,15 @@ fn tree_drop_is_clean() {
     ebr::flush();
 }
 
-/// The retire/free counters and the `BatStats` stripes are per-thread
-/// words their owner bumps with a plain load + store, and sequentially
-/// spawned threads reuse one EBR slot — and so one stripe and one pair of
-/// counters: every hand-off must carry the totals over exactly. Lost
-/// `propagates` bumps show in the count; a lost `retired` or `freed` bump
-/// shows once the process is quiescent and the limbo is empty, where the
-/// two totals must meet.
+/// The retire/free counters and the `BatStats` and `TreeStats` stripes
+/// are per-thread words their owner bumps with a plain load + store, and
+/// sequentially spawned threads reuse one EBR slot — and so one stripe of
+/// each and one pair of counters: every hand-off must carry the totals
+/// over exactly. Lost `propagates` bumps show in the count, lost
+/// `scx_commits` bumps against the updates that succeeded plus the
+/// rebalancing steps they caused; a lost `retired` or `freed` bump shows
+/// once the process is quiescent and the limbo is empty, where the two
+/// totals must meet.
 #[test]
 fn counters_stay_exact_across_slot_reuse() {
     let _serial = own_the_global_epoch();
@@ -179,22 +181,30 @@ fn counters_stay_exact_across_slot_reuse() {
     const THREADS: u64 = 64;
     const UPDATES: u64 = 100;
     let set = Arc::new(BatSet::<u64>::new());
+    let mut changed = 0u64;
     for t in 0..THREADS {
         let set = set.clone();
-        std::thread::spawn(move || {
+        changed += std::thread::spawn(move || {
+            let mut changed = 0;
             for i in 0..UPDATES {
                 let k = t * UPDATES + i;
-                if i % 3 == 2 {
-                    set.remove(&(k - 1));
+                changed += if i % 3 == 2 {
+                    set.remove(&(k - 1))
                 } else {
-                    set.insert(k);
-                }
+                    set.insert(k)
+                } as u64;
             }
+            changed
         })
         .join()
         .unwrap();
     }
     assert_eq!(set.stats().snapshot().propagates, THREADS * UPDATES);
+    let tree = set.as_map().node_tree().stats.snapshot();
+    assert_eq!(
+        tree.scx_commits,
+        changed + tree.rebalance_steps.iter().sum::<u64>()
+    );
     drop(set);
     // Nothing is pinned and every worker has exited, so each flush empties
     // what the last one's frees retired (a freed node retires its version).
