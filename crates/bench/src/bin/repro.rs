@@ -147,8 +147,8 @@ fn table1() {
         "structure,augmented,balanced,fanout,lock-free",
     );
     println!("BAT,yes,yes,2,yes");
-    println!("BAT-Del,yes,yes,2,yes (with timeout fallback)");
-    println!("BAT-EagerDel,yes,yes,2,yes (with timeout fallback)");
+    println!("BAT-Del,yes,yes,2,yes (delegation waits time out)");
+    println!("BAT-EagerDel,yes,yes,2,yes (delegation waits time out)");
     println!("FR-BST,yes,no,2,yes");
     println!("VcasBST,no,no,2,yes");
     println!("VerlibBTree*,no,yes,16,yes (LLX/SCX per edge)");

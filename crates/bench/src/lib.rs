@@ -23,8 +23,8 @@ use workloads::{BenchSet, Capabilities, ContentionCounters};
 
 /// Default delegation timeout used by the benchmark variants (keeps every
 /// variant non-blocking, per §5's timeout note).
-pub fn timeout() -> Option<std::time::Duration> {
-    Some(std::time::Duration::from_millis(2))
+pub fn timeout() -> std::time::Duration {
+    std::time::Duration::from_millis(2)
 }
 
 /// BAT under a chosen propagate variant.

@@ -9,6 +9,7 @@
 
 use sched::atomic::{AtomicU64, Ordering};
 
+use ebr::Guard;
 use llxscx::{Linked, Llx, RecordHeader};
 
 use crate::key::SentKey;
@@ -58,6 +59,32 @@ pub struct Node<K, V, P> {
     /// Augmentation slot (e.g. BAT's version pointer). Not part of the
     /// LLX/SCX record; mutated directly with CAS by the augmentation layer.
     pub plugin: P,
+}
+
+/// The check every followed link passes before it is dereferenced: null
+/// always, and in debug builds alignment too — which also rejects a word
+/// read out of a recycled block, since [`ebr::pool`]'s `0xDD…` poison is
+/// odd. Armed for ROADMAP's "Rare memory bug in the BAT hot path" (one
+/// SIGSEGV at `0x30`, a null node reached through a child link): the next
+/// occurrence dies here, with the link, its holder (0 when the value came
+/// through [`Node::from_raw`]), the epoch and the thread.
+#[inline]
+fn fence_node_ptr(raw: u64, parent: u64) {
+    if raw == 0 || (cfg!(debug_assertions) && !raw.is_multiple_of(8)) {
+        fence_failed(raw, parent);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn fence_failed(raw: u64, parent: u64) -> ! {
+    panic!(
+        "reclamation fence: link {raw:#x} of node {parent:#x} is \
+         null/poisoned/misaligned (ebr epoch {}, thread {}) — a leaf's \
+         link followed, or a node read after reclamation",
+        ebr::stats().epoch,
+        ebr::thread_id(),
+    );
 }
 
 /// Atomic snapshot of a node's mutable fields, as returned by [`Node::llx`].
@@ -163,14 +190,57 @@ impl<K, V, P> Node<K, V, P> {
         &self.right
     }
 
-    /// Dereference a raw child pointer.
+    /// Follow the left link. Panics on a leaf (null link).
+    ///
+    /// This, [`Node::right`] and [`Node::child_toward`] are the one way to
+    /// follow a tree link. The result borrows the guard, so it cannot
+    /// outlive the pin:
+    ///
+    /// ```compile_fail
+    /// use chromatic::{Node, SentKey};
+    /// let leaf = Node::<u64, (), ()>::new_leaf(SentKey::Key(1), 1, None) as u64;
+    /// let node = unsafe { &*Node::<u64, (), ()>::new_internal(SentKey::Key(1), 1, leaf, leaf) };
+    /// let guard = ebr::pin();
+    /// let child = node.left(&guard);
+    /// drop(guard); // error[E0505]: `guard` is still borrowed by `child`
+    /// child.key();
+    /// ```
+    #[inline]
+    pub fn left<'g>(&'g self, guard: &'g Guard) -> &'g Self {
+        Self::follow(self.left_raw(), self, guard)
+    }
+
+    /// Follow the right link; see [`Node::left`].
+    #[inline]
+    pub fn right<'g>(&'g self, guard: &'g Guard) -> &'g Self {
+        Self::follow(self.right_raw(), self, guard)
+    }
+
+    #[inline]
+    fn follow<'g>(raw: u64, parent: &'g Self, _guard: &'g Guard) -> &'g Self {
+        fence_node_ptr(raw, parent.as_raw());
+        // SAFETY: a link read from a node reached under this pin names a
+        // node retired, if at all, after the pin began. A node is retired
+        // only after the SCX that unlinks it, after every ancestor the same
+        // SCX removes, and a finalized node's links never change — so a
+        // child retired before the pin would make `parent` retired before
+        // it too, which it was not (induction from the entry, which is
+        // never retired). EBR keeps such a node allocated until `_guard`
+        // drops; the fence rules out null.
+        unsafe { &*(raw as *const Self) }
+    }
+
+    /// Dereference a raw link that did not come straight off a node: a
+    /// value from an LLX snapshot or a scratch stack. Fenced like a
+    /// followed link.
     ///
     /// # Safety
-    /// `raw` must be a non-null pointer obtained from this tree while the
-    /// current thread's epoch guard protects it.
+    /// `raw` must have been read, under `guard`'s pin, from a node of this
+    /// tree reached under the same pin.
     #[inline]
-    pub unsafe fn from_raw<'g>(raw: u64) -> &'g Self {
-        debug_assert_ne!(raw, 0);
+    pub unsafe fn from_raw(raw: u64, _guard: &Guard) -> &Self {
+        fence_node_ptr(raw, 0);
+        // SAFETY: the caller's contract is `follow`'s argument.
         unsafe { &*(raw as *const Self) }
     }
 
@@ -266,6 +336,17 @@ where
 }
 
 impl<K: Ord, V, P> Node<K, V, P> {
+    /// Follow the link a search for the sentinel-extended key takes
+    /// (leaf-oriented rule: left iff `key < self.key`); see [`Node::left`].
+    #[inline]
+    pub fn child_toward<'g>(&'g self, key: &SentKey<K>, guard: &'g Guard) -> &'g Self {
+        if key < &self.key {
+            self.left(guard)
+        } else {
+            self.right(guard)
+        }
+    }
+
     /// The child a search for the sentinel-extended key follows
     /// (leaf-oriented rule: left iff `key < self.key`).
     #[inline]
@@ -324,6 +405,30 @@ mod tests {
             dispose_unpublished::<u64, (), ()>(r as u64);
             dispose_unpublished::<u64, (), ()>(n.as_raw());
         }
+    }
+
+    /// An internal node whose left link was overwritten with `link`, as a
+    /// read after reclamation would find it (leaked: the tests panic).
+    fn internal_with_left_link(link: u64) -> &'static N {
+        let l = N::new_leaf(SentKey::Key(1), 1, Some(())) as u64;
+        let r = N::new_leaf(SentKey::Key(9), 1, Some(())) as u64;
+        let n = unsafe { &*N::new_internal(SentKey::Key(5), 1, l, r) };
+        unsafe { (*n.left_field()).store(link, Ordering::Release) };
+        n
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reclamation fence")]
+    fn poisoned_link_trips_the_fence() {
+        let poison = u64::from_ne_bytes([ebr::pool::POISON_BYTE; 8]);
+        internal_with_left_link(poison).child_toward(&SentKey::Key(3), &ebr::pin());
+    }
+
+    #[test]
+    #[should_panic(expected = "reclamation fence")]
+    fn null_link_trips_the_fence() {
+        internal_with_left_link(0).left(&ebr::pin());
     }
 
     #[test]

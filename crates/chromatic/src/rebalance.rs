@@ -67,7 +67,7 @@ where
             let mut ggp: Option<NodeRef<K, V, P>> = None;
             let mut gp: Option<NodeRef<K, V, P>> = None;
             let mut p = self.entry();
-            let mut l = unsafe { Node::from_raw(p.left_raw()) };
+            let mut l = p.left(guard);
             loop {
                 if Self::is_violation(p, l) {
                     self.try_fix(ggp, gp, p, l, key, guard);
@@ -76,7 +76,7 @@ where
                 if l.is_leaf() {
                     return;
                 }
-                let next = Self::step_toward(l, key);
+                let next = l.child_toward(key, guard);
                 ggp = gp;
                 gp = Some(p);
                 p = l;
@@ -219,7 +219,8 @@ where
         let p_left = gpsnap.0 == p.as_raw();
         let l_left = psnap.0 == l.as_raw();
         let uncle_raw = if p_left { gpsnap.1 } else { gpsnap.0 };
-        let uncle = unsafe { Node::<K, V, P>::from_raw(uncle_raw) };
+        // SAFETY: a link from `gp`'s LLX snapshot, taken under `guard`.
+        let uncle = unsafe { Node::<K, V, P>::from_raw(uncle_raw, guard) };
         debug_assert!(gp.weight() >= 1, "red-red under red gp caught earlier");
 
         if uncle.weight() == 0 {
@@ -357,7 +358,8 @@ where
         }
         let l_left = psnap.0 == l.as_raw();
         let s_raw = if l_left { psnap.1 } else { psnap.0 };
-        let s = unsafe { Node::<K, V, P>::from_raw(s_raw) };
+        // SAFETY: a link from `p`'s LLX snapshot, taken under `guard`.
+        let s = unsafe { Node::<K, V, P>::from_raw(s_raw, guard) };
         let Some((sinfo, ssnap)) = try_llx(s) else {
             return false;
         };
@@ -400,10 +402,12 @@ where
             } else {
                 (ssnap.1, ssnap.0)
             };
-            let near_red =
-                near_raw != 0 && unsafe { Node::<K, V, P>::from_raw(near_raw) }.weight() == 0;
-            let far_red =
-                far_raw != 0 && unsafe { Node::<K, V, P>::from_raw(far_raw) }.weight() == 0;
+            // SAFETY (both): a non-null link from `s`'s LLX snapshot, taken
+            // under `guard`.
+            let red = |raw: u64| {
+                raw != 0 && unsafe { Node::<K, V, P>::from_raw(raw, guard) }.weight() == 0
+            };
+            let (near_red, far_red) = (red(near_raw), red(far_raw));
 
             if s.weight() == 1 && s.is_leaf() {
                 // Impossible under the weighted-path invariant (the leaf
@@ -448,7 +452,8 @@ where
                 }
             } else if far_red {
                 // W-far: single rotation toward l; far nephew absorbs black.
-                let far = unsafe { Node::<K, V, P>::from_raw(far_raw) };
+                // SAFETY: as for `far_red` above, which found it non-null.
+                let far = unsafe { Node::<K, V, P>::from_raw(far_raw, guard) };
                 let Some((linfo, lsnap)) = try_llx(l) else {
                     return false;
                 };
@@ -492,7 +497,8 @@ where
                 }
             } else {
                 // W-near: double rotation; near nephew becomes the patch root.
-                let near = unsafe { Node::<K, V, P>::from_raw(near_raw) };
+                // SAFETY: as for `near_red` above, which found it non-null.
+                let near = unsafe { Node::<K, V, P>::from_raw(near_raw, guard) };
                 debug_assert!(!near.is_leaf(), "red leaves cannot exist");
                 let Some((linfo, lsnap)) = try_llx(l) else {
                     return false;

@@ -168,18 +168,26 @@ where
     /// and only once, on a freshly constructed empty tree. `new_root` must
     /// be the root of a well-formed leaf-oriented subtree whose rightmost
     /// leaf carries the ∞₁ sentinel key.
-    pub unsafe fn replace_real_root(&self, new_root: u64) {
-        let inf1 = unsafe { Node::<K, V, P>::from_raw(self.entry().left_raw()) };
+    pub unsafe fn replace_real_root(&self, new_root: u64, guard: &Guard) {
+        let inf1 = self.entry().left(guard);
         let old = inf1.left_raw();
-        unsafe { (*inf1.left_field()).store(new_root, Ordering::Release) };
-        unsafe { dispose_unpublished::<K, V, P>(old) };
+        // SAFETY: the tree is unshared (caller's contract), so the store
+        // races with nothing and `old`, the placeholder leaf `with_balance`
+        // allocated, is unreachable once it is overwritten.
+        unsafe {
+            (*inf1.left_field()).store(new_root, Ordering::Release);
+            dispose_unpublished::<K, V, P>(old);
+        }
     }
 
     /// The immutable entry (sentinel root) node. BAT's `Propagate` starts
     /// here; its version always reflects the whole set.
     #[inline]
     pub fn entry(&self) -> &Node<K, V, P> {
-        unsafe { Node::from_raw(self.entry) }
+        // SAFETY: allocated in `with_balance`, never unlinked, freed only by
+        // `Drop` — the entry lives exactly as long as `self`.
+        // guard: none needed, the tree owns the entry.
+        unsafe { &*(self.entry as *const Node<K, V, P>) }
     }
 
     /// True iff `n` is one of the two fixed sentinel *nodes* (the entry and
@@ -192,22 +200,6 @@ where
         raw == self.entry || raw == self.entry().left_raw()
     }
 
-    /// Route one step toward `key` (sentinel-extended) from `node`,
-    /// using a plain atomic read of the relevant child pointer.
-    #[inline]
-    pub(crate) fn step_toward<'g>(
-        node: NodeRef<'g, K, V, P>,
-        key: &SentKey<K>,
-    ) -> NodeRef<'g, K, V, P> {
-        debug_assert!(!node.is_leaf());
-        let raw = if key < node.key() {
-            node.left_raw()
-        } else {
-            node.right_raw()
-        };
-        unsafe { Node::from_raw(raw) }
-    }
-
     /// Search for `k`, returning `(grandparent, parent, leaf)`.
     /// The leaf is where `k` lives if present. The grandparent always
     /// exists because the sentinel structure is two levels deep.
@@ -215,31 +207,26 @@ where
     pub(crate) fn search<'g>(
         &'g self,
         k: &K,
-        _guard: &'g Guard,
+        guard: &'g Guard,
     ) -> (
         NodeRef<'g, K, V, P>,
         NodeRef<'g, K, V, P>,
         NodeRef<'g, K, V, P>,
     ) {
-        let skey = SentKeyRef(k);
-        let mut gp = self.entry();
-        let mut p = unsafe { Node::from_raw(gp.left_raw()) }; // inf1 node
-        let mut l = unsafe {
-            Node::from_raw(if skey.goes_left(p.key()) {
-                p.left_raw()
+        let toward = |n: NodeRef<'g, K, V, P>| {
+            if n.key().goes_left(k) {
+                n.left(guard)
             } else {
-                p.right_raw()
-            })
+                n.right(guard)
+            }
         };
+        let mut gp = self.entry();
+        let mut p = gp.left(guard); // inf1 node
+        let mut l = toward(p);
         while !l.is_leaf() {
             gp = p;
             p = l;
-            let raw = if skey.goes_left(l.key()) {
-                l.left_raw()
-            } else {
-                l.right_raw()
-            };
-            l = unsafe { Node::from_raw(raw) };
+            l = toward(l);
         }
         (gp, p, l)
     }
@@ -368,7 +355,8 @@ where
             }
             let l_is_left = psnap.0 == l.as_raw();
             let s_raw = if l_is_left { psnap.1 } else { psnap.0 };
-            let s = unsafe { Node::<K, V, P>::from_raw(s_raw) };
+            // SAFETY: a link from `p`'s LLX snapshot, taken under `guard`.
+            let s = unsafe { Node::<K, V, P>::from_raw(s_raw, guard) };
             let Llx::Ok {
                 info: sinfo,
                 snapshot: ssnap,
@@ -439,8 +427,11 @@ where
 
 impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
     fn drop(&mut self) {
-        // Free all reachable nodes. Exclusive access: &mut self.
+        // Free all reachable nodes.
         fn walk<K, V, P>(raw: u64, free: &mut dyn FnMut(u64)) {
+            // SAFETY: `drop` has `&mut self`, so nothing else reads or
+            // retires a node; every reachable node is live and visited once.
+            // guard: none needed, exclusive access.
             let node = unsafe { &*(raw as *const Node<K, V, P>) };
             if !node.is_leaf() {
                 walk::<K, V, P>(node.left_raw(), free);
@@ -452,16 +443,5 @@ impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
             // Plugin hooks may retire versions; run through the normal path.
             crate::node::free_node::<K, V, P>(raw as *mut u8);
         });
-    }
-}
-
-/// Borrowed-key comparison helper: routes a `&K` against `SentKey<K>`
-/// without cloning.
-struct SentKeyRef<'a, K>(&'a K);
-
-impl<'a, K: Ord> SentKeyRef<'a, K> {
-    #[inline]
-    fn goes_left(&self, key: &SentKey<K>) -> bool {
-        key.goes_left(self.0)
     }
 }

@@ -1,6 +1,9 @@
 //! Structural invariant checkers, used by tests and by downstream crates'
-//! property tests. These walk the tree non-atomically, so they must only be
-//! called while the tree is quiescent (no concurrent updates).
+//! property tests. Each pins once and walks the tree non-atomically: memory
+//! safe at any time, but the answer only means something while the tree is
+//! quiescent (no concurrent updates).
+
+use ebr::Guard;
 
 use crate::key::SentKey;
 use crate::node::{Node, NodePlugin};
@@ -43,16 +46,16 @@ where
     P: NodePlugin<K, V>,
 {
     /// The root of the real tree (left child of the ∞₁ sentinel node).
-    fn real_root(&self) -> &Node<K, V, P> {
-        let inf1 = unsafe { Node::<K, V, P>::from_raw(self.entry().left_raw()) };
-        unsafe { Node::<K, V, P>::from_raw(inf1.left_raw()) }
+    fn real_root<'g>(&'g self, guard: &'g Guard) -> &'g Node<K, V, P> {
+        self.entry().left(guard).left(guard)
     }
 
     /// Check every structural invariant; must be quiescent. `strict`
     /// additionally requires zero balance violations (run
     /// [`ChromaticTree::cleanup_everywhere`] first if updates just ran).
     pub fn validate(&self, strict: bool) -> Result<TreeShape, Invalid> {
-        let root = self.real_root();
+        let guard = &ebr::pin();
+        let root = self.real_root(guard);
         let mut leaves = 0usize;
         let mut internal = 0usize;
         let mut path_weight: Option<u64> = None;
@@ -74,6 +77,7 @@ where
             path_weight: &mut Option<u64>,
             max_depth: &mut usize,
             is_root: bool,
+            guard: &Guard,
         ) -> Result<(), Invalid>
         where
             K: Ord + Clone + Send + Sync + std::fmt::Debug,
@@ -128,10 +132,8 @@ where
                 return Ok(());
             }
             *internal += 1;
-            let left = unsafe { Node::<K, V, P>::from_raw(node.left_raw()) };
-            let right = unsafe { Node::<K, V, P>::from_raw(node.right_raw()) };
             dfs(
-                left,
+                node.left(guard),
                 lower,
                 Some(node.key()),
                 wsum + w,
@@ -144,9 +146,10 @@ where
                 path_weight,
                 max_depth,
                 false,
+                guard,
             )?;
             dfs(
-                right,
+                node.right(guard),
                 Some(node.key()),
                 upper,
                 wsum + w,
@@ -159,6 +162,7 @@ where
                 path_weight,
                 max_depth,
                 false,
+                guard,
             )
         }
 
@@ -176,6 +180,7 @@ where
             &mut path_weight,
             &mut max_depth,
             true,
+            guard,
         )?;
 
         // Real keys = leaves minus the one ∞₁-keyed rightmost leaf (present
@@ -204,7 +209,7 @@ where
     /// Collect all real keys in order (quiescent only).
     pub fn collect_keys(&self) -> Vec<K> {
         let mut out = Vec::new();
-        fn walk<K, V, P>(node: &Node<K, V, P>, out: &mut Vec<K>)
+        fn walk<K, V, P>(node: &Node<K, V, P>, out: &mut Vec<K>, guard: &Guard)
         where
             K: Ord + Clone + Send + Sync,
             V: Clone + Send + Sync,
@@ -216,10 +221,11 @@ where
                 }
                 return;
             }
-            walk(unsafe { Node::<K, V, P>::from_raw(node.left_raw()) }, out);
-            walk(unsafe { Node::<K, V, P>::from_raw(node.right_raw()) }, out);
+            walk(node.left(guard), out, guard);
+            walk(node.right(guard), out, guard);
         }
-        walk(self.real_root(), &mut out);
+        let guard = &ebr::pin();
+        walk(self.real_root(guard), &mut out, guard);
         out
     }
 
@@ -227,7 +233,7 @@ where
     /// helper for tests: concurrent executions may leave violations pending
     /// when an updater is preempted mid-cleanup; real executions fix them
     /// on the fly).
-    pub fn cleanup_everywhere(&self, guard: &ebr::Guard) {
+    pub fn cleanup_everywhere(&self, guard: &Guard) {
         loop {
             // Find a leaf under the first (DFS) violation and clean toward it.
             let mut target: Option<SentKey<K>> = None;
@@ -236,6 +242,7 @@ where
                     node: &Node<K, V, P>,
                     parent_w: u32,
                     is_root: bool,
+                    guard: &Guard,
                 ) -> Option<SentKey<K>>
                 where
                     K: Ord + Clone + Send + Sync,
@@ -248,20 +255,19 @@ where
                         // Leftmost leaf key under this node routes to it.
                         let mut cur = node;
                         while !cur.is_leaf() {
-                            cur = unsafe { Node::from_raw(cur.left_raw()) };
+                            cur = cur.left(guard);
                         }
                         return Some(cur.key().clone());
                     }
                     if node.is_leaf() {
                         return None;
                     }
-                    let l = unsafe { Node::<K, V, P>::from_raw(node.left_raw()) };
-                    let r = unsafe { Node::<K, V, P>::from_raw(node.right_raw()) };
-                    find(l, node.weight(), false).or_else(|| find(r, node.weight(), false))
+                    find(node.left(guard), node.weight(), false, guard)
+                        .or_else(|| find(node.right(guard), node.weight(), false, guard))
                 }
-                let root = self.real_root();
+                let root = self.real_root(guard);
                 if !root.is_leaf() || root.weight() >= 2 {
-                    target = find(root, 1, true);
+                    target = find(root, 1, true, guard);
                 }
             }
             match target {
@@ -292,23 +298,23 @@ mod negative_tests {
     ) {
         let tree = T::new();
         let root = make();
-        let inf1 = unsafe { N::from_raw(tree.entry().left_raw()) };
+        let guard = &ebr::pin();
+        let inf1 = tree.entry().left(guard);
         let placeholder = inf1.left_raw();
         unsafe { (*inf1.left_field()).store(root, sched::atomic::Ordering::Release) };
         check(tree.validate(true));
         // Restore the placeholder so Drop walks a sane structure, and free
         // the hand-built nodes manually.
-        fn free_rec(raw: u64) {
-            let n = unsafe { N::from_raw(raw) };
+        fn free_rec(n: &N, guard: &ebr::Guard) {
             if !n.is_leaf() {
-                free_rec(n.left_raw());
-                free_rec(n.right_raw());
+                free_rec(n.left(guard), guard);
+                free_rec(n.right(guard), guard);
             }
-            unsafe { dispose_unpublished::<u64, (), ()>(raw) };
+            unsafe { dispose_unpublished::<u64, (), ()>(n.as_raw()) };
         }
-        let built = inf1.left_raw();
+        let built = inf1.left(guard);
         unsafe { (*inf1.left_field()).store(placeholder, sched::atomic::Ordering::Release) };
-        free_rec(built);
+        free_rec(built, guard);
     }
 
     fn leaf(k: u64, w: u32) -> u64 {

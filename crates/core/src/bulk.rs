@@ -15,7 +15,7 @@ use chromatic::SentKey;
 use crate::augment::Augmentation;
 use crate::map::BatMap;
 use crate::propagate::DelegationPolicy;
-use crate::refresh::{read_version, BatNode};
+use crate::refresh::{refresh_top, BatNode};
 
 /// Below this many leaves, build sequentially rather than forking.
 const PAR_THRESHOLD: usize = 2048;
@@ -122,23 +122,24 @@ where
         }
         // Logical leaves: the n pairs plus the trailing ∞₁ sentinel.
         let root = build::<K, V, A>(&pairs, 0, pairs.len() + 1, 1, initial_forks());
-        unsafe { map.tree.replace_real_root(root) };
+        let guard = ebr::pin();
+        // SAFETY: `map` is fresh, empty and not yet shared; `build` returns
+        // a well-formed subtree whose rightmost leaf is the ∞₁ sentinel.
+        unsafe { map.tree.replace_real_root(root, &guard) };
         // The bulk-built internals have nil versions: the first refresh of
         // their ancestors materializes the whole version tree bottom-up in
         // O(n). The two sentinel internals, however, still carry the stale
         // empty versions from `with_options`, so refresh them bottom-up.
-        let guard = ebr::pin();
-        let inf1 =
-            unsafe { crate::refresh::BatNode::<K, V, A>::from_raw(map.tree.entry().left_raw()) };
-        for node in [inf1, map.tree.entry()] {
-            let r = crate::refresh::refresh_top(node, 0, &map.stats.local());
+        let h = map.stats.local();
+        for node in [map.tree.entry().left(&guard), map.tree.entry()] {
+            let r = refresh_top(node, 0, &h, &guard);
             debug_assert!(r.success, "unshared tree refresh cannot fail");
             if r.success {
+                // SAFETY: the refresh replaced it and nothing else has seen
+                // the tree, so no future snapshot reaches it.
                 unsafe { crate::version::retire_version::<K, V, A>(&guard, r.replaced) };
             }
         }
-        let _ = read_version(map.tree.entry(), &map.stats.local());
-        drop(guard);
         map
     }
 

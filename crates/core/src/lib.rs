@@ -78,10 +78,10 @@ mod tests {
         vec![
             DelegationPolicy::None,
             DelegationPolicy::Del {
-                timeout: Some(std::time::Duration::from_millis(2)),
+                timeout: std::time::Duration::from_millis(2),
             },
             DelegationPolicy::EagerDel {
-                timeout: Some(std::time::Duration::from_millis(2)),
+                timeout: std::time::Duration::from_millis(2),
             },
         ]
     }
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn delegation_stats_record_activity() {
         let m = Arc::new(BatMap::<u64, ()>::with_policy(DelegationPolicy::EagerDel {
-            timeout: Some(std::time::Duration::from_millis(1)),
+            timeout: std::time::Duration::from_millis(1),
         }));
         let handles: Vec<_> = (0..8)
             .map(|t| {

@@ -47,7 +47,7 @@ where
         Self::with_options(
             true,
             DelegationPolicy::EagerDel {
-                timeout: Some(std::time::Duration::from_millis(2)),
+                timeout: std::time::Duration::from_millis(2),
             },
         )
     }
@@ -78,8 +78,8 @@ where
         // Initialize the entry's version so queries never observe nil
         // (Definition 1 leaves internal nodes nil; one recursive refresh
         // builds the empty version tree).
-        let _guard = ebr::pin();
-        let _ = read_version(map.tree.entry(), &map.stats.local());
+        let guard = ebr::pin();
+        read_version(map.tree.entry(), &map.stats.local(), &guard);
         map
     }
 
@@ -120,7 +120,7 @@ where
     /// version pointer (the query linearization point).
     pub fn snapshot(&self) -> Snapshot<K, V, A> {
         let guard = ebr::pin();
-        let root = read_version(self.tree.entry(), &self.stats.local());
+        let root = read_version(self.tree.entry(), &self.stats.local(), &guard);
         Snapshot::new(root, guard)
     }
 
@@ -131,8 +131,8 @@ where
     /// `shard` crate's cross-shard cut validates its double-collect
     /// with exactly this check.
     pub fn version_token(&self) -> u64 {
-        let _guard = ebr::pin();
-        read_version(self.tree.entry(), &self.stats.local())
+        let guard = ebr::pin();
+        read_version(self.tree.entry(), &self.stats.local(), &guard)
     }
 
     /// `Find(k)`: BST search on the version tree (paper Fig. 3).

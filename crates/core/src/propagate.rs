@@ -43,17 +43,16 @@ pub enum DelegationPolicy {
     None,
     /// BAT-Del: delegate after a failed *double* refresh (Fig. 13).
     Del {
-        /// `None` = block until the delegatee finishes (paper default);
-        /// `Some(t)` = resume propagating ourselves after `t` (the
+        /// Resume propagating ourselves after waiting this long (the
         /// non-blocking fallback of Fig. 13 lines 19–21).
-        timeout: Option<Duration>,
+        timeout: Duration,
     },
     /// BAT-EagerDel: delegate after a *single* failed refresh, and require
     /// refreshes to observe stable child versions before moving up
     /// (Fig. 14).
     EagerDel {
         /// As for [`DelegationPolicy::Del`].
-        timeout: Option<Duration>,
+        timeout: Duration,
     },
 }
 
@@ -100,8 +99,8 @@ enum WaitResult {
 }
 
 /// Under the deterministic scheduler, wall-clock deadlines are replaced by
-/// a yield-count budget: any configured timeout means "give up after this
-/// many yields". Exploration bodies must be clock-free (a wall-clock read
+/// a yield-count budget: whatever the timeout, "give up after this many
+/// yields". Exploration bodies must be clock-free (a wall-clock read
 /// would make replay diverge from the recorded schedule), and a yield
 /// budget preserves the property the timeout exists for — the wait is
 /// bounded, so the lock-free fallback path stays reachable — while making
@@ -112,9 +111,9 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 /// `WaitForDelegatee` (Fig. 12 lines 1–7): spin on the chain head's `done`
 /// flag, hopping along `delegatee` pointers so a long chain costs one wait.
 ///
-/// The deadline is computed once up front (and only when a timeout is
-/// configured), keeping `Instant::now()` syscalls out of the spin loop;
-/// the clock is re-read only on the slow yield path, every 64 spins.
+/// The deadline is computed once up front, keeping `Instant::now()`
+/// syscalls out of the spin loop; the clock is re-read only on the slow
+/// yield path, every 64 spins.
 /// Under `sched-test` the deadline is a yield-count budget instead (see
 /// [`SCHED_WAIT_YIELD_BUDGET`]), keeping exploration bodies clock-free.
 ///
@@ -141,14 +140,13 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 ///
 /// So the chain needs no pin but the caller's (§6 retires a `PropStatus`
 /// "even while still reachable" for this reason).
-fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsLocal<'_>) -> WaitResult {
+fn wait_for_delegatee(start: u64, timeout: Duration, h: &StatsLocal<'_>) -> WaitResult {
     // `checked_add`: a timeout too large to represent as an instant (e.g.
-    // Duration::MAX) degrades to "never time out", like the seed's
-    // elapsed()-based check, instead of panicking.
+    // Duration::MAX) degrades to "never time out" instead of panicking.
     #[cfg(not(feature = "sched-test"))]
-    let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+    let deadline = Instant::now().checked_add(timeout);
     #[cfg(feature = "sched-test")]
-    let mut yield_budget = timeout.map(|_| SCHED_WAIT_YIELD_BUDGET);
+    let (_, mut yield_budget) = (timeout, SCHED_WAIT_YIELD_BUDGET);
     // SAFETY: `start` was retired, if at all, after the caller's pin began
     // (first bullet of "Pin ordering" above), and the caller stays pinned
     // for the whole wait.
@@ -172,30 +170,41 @@ fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsLocal<'_>)
         if spins & 0x3f == 0 {
             // Single-core friendliness: hand the CPU to the delegatee.
             #[cfg(not(feature = "sched-test"))]
-            {
+            let expired = {
                 std::thread::yield_now();
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        Counter::DelegationTimeouts.bump(h);
-                        return WaitResult::TimedOut;
-                    }
-                }
-            }
+                deadline.is_some_and(|dl| Instant::now() >= dl)
+            };
             #[cfg(feature = "sched-test")]
-            {
+            let expired = {
                 sched::yield_now();
-                if let Some(b) = &mut yield_budget {
-                    *b -= 1;
-                    if *b == 0 {
-                        Counter::DelegationTimeouts.bump(h);
-                        return WaitResult::TimedOut;
-                    }
-                }
+                yield_budget -= 1;
+                yield_budget == 0
+            };
+            if expired {
+                Counter::DelegationTimeouts.bump(h);
+                return WaitResult::TimedOut;
             }
         } else {
             std::hint::spin_loop();
         }
     }
+}
+
+/// Delegate to `blocker` (Fig. 13 lines 16–24): publish the link from the
+/// caller's status `ps`, wait, and on a timeout take the link back so the
+/// caller can resume its own propagate (the lock-free fallback).
+fn delegate(ps: u64, blocker: u64, timeout: Duration, h: &StatsLocal<'_>) -> WaitResult {
+    Counter::Delegations.bump(h);
+    // SAFETY: `ps` is the PropStatus the calling `propagate` allocated; it
+    // is retired only at the end of that call.
+    // guard: the caller's `propagate` holds its `&Guard` across this call.
+    let status = unsafe { &*(ps as *const PropStatus) };
+    status.delegatee.store(blocker, Ordering::Release);
+    let waited = wait_for_delegatee(blocker, timeout, h);
+    if let WaitResult::TimedOut = waited {
+        status.delegatee.store(0, Ordering::Release);
+    }
+    waited
 }
 
 /// Read-only prelude of an update: start, early and side by side, the cache
@@ -214,52 +223,39 @@ fn wait_for_delegatee(start: u64, timeout: Option<Duration>, h: &StatsLocal<'_>)
 /// it reads may be stale by the time `propagate` runs — `propagate` rereads
 /// everything. Under `sched-test` the body is compiled out: its loads would
 /// be yield points, and explored schedules must not depend on a hint.
-pub fn warm_up<K, V, A>(entry: &BatNode<K, V, A>, key: &SentKey<K>, _guard: &Guard)
+pub fn warm_up<K, V, A>(entry: &BatNode<K, V, A>, key: &SentKey<K>, guard: &Guard)
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
     #[cfg(feature = "sched-test")]
-    let _ = (entry, key);
+    let _ = (entry, key, guard);
     #[cfg(not(feature = "sched-test"))]
     {
-        use crate::refresh::{fence_node_ptr, fence_version_ptr};
-
         // Siblings remembered, and so the depth walked to: well above a
         // balanced tree's height at any size that fits in memory, and a
         // bound on what the pass can cost on a degenerate FR-BST path.
         const WARM_UP_DEPTH: usize = 64;
 
-        let mut siblings = [0u64; WARM_UP_DEPTH];
+        let mut siblings = [None; WARM_UP_DEPTH];
         let mut depth = 0;
         let mut node = entry;
-        while depth < WARM_UP_DEPTH {
+        while depth < WARM_UP_DEPTH && !node.is_leaf() {
             let (on, off) = if key < node.key() {
-                (node.left_raw(), node.right_raw())
+                (node.left(guard), node.right(guard))
             } else {
-                (node.right_raw(), node.left_raw())
+                (node.right(guard), node.left(guard))
             };
-            if on == 0 {
-                break; // `node` is the leaf
-            }
-            ebr::prefetch::<BatNode<K, V, A>, false>(off);
-            fence_node_ptr(on, node.as_raw(), "warm-up on-path");
-            fence_node_ptr(off, node.as_raw(), "warm-up off-path");
-            siblings[depth] = off;
+            ebr::prefetch::<BatNode<K, V, A>, false>(off.as_raw());
+            siblings[depth] = Some(off);
             depth += 1;
-            // SAFETY: `on` was read from a live internal node under
-            // `_guard`'s pin, so the child cannot be freed before the
-            // caller unpins (fenced non-null above in debug builds).
-            node = unsafe { BatNode::<K, V, A>::from_raw(on) };
+            node = on;
         }
         ebr::pool::prefetch_free::<Version<K, V, A>>(depth + 2);
-        for &sibling in &siblings[..depth] {
-            // SAFETY: as for `on` above — a child link read from a live
-            // node under `_guard`'s pin.
-            let sibling = unsafe { BatNode::<K, V, A>::from_raw(sibling) };
+        for sibling in siblings[..depth].iter().flatten() {
             let v = sibling.plugin.load();
-            fence_version_ptr(v, sibling.as_raw());
+            crate::refresh::fence_version_ptr(v, sibling.as_raw());
             if v != 0 {
                 ebr::prefetch::<Version<K, V, A>, false>(v);
             }
@@ -297,91 +293,58 @@ pub fn propagate<K, V, A>(
     'outer: loop {
         // Descend from the top of the stack until the next child on the
         // search path is already refreshed or is a leaf (Fig. 3 37–41).
-        // SAFETY: every raw on the stack came from `entry` or a child link
-        // read under `guard`'s pin; internal nodes are never freed while an
-        // epoch guard from before their unlinking is held.
+        // SAFETY: every raw on the stack is `entry` or a node reached from
+        // it under `guard`'s pin.
         let mut next = unsafe {
-            BatNode::<K, V, A>::from_raw(*scratch.stack.last().expect("stack never empties"))
+            BatNode::<K, V, A>::from_raw(*scratch.stack.last().expect("stack never empties"), guard)
         };
         let mut descended = 0u64;
         loop {
-            let child_raw = if key < next.key() {
-                next.left_raw()
-            } else {
-                next.right_raw()
-            };
-            crate::refresh::fence_node_ptr(child_raw, next.as_raw(), "descent");
-            // SAFETY: `child_raw` was just read from a live parent under
-            // our epoch pin (fence above re-checks non-null in debug).
-            let child = unsafe { BatNode::<K, V, A>::from_raw(child_raw) };
+            let child = next.child_toward(key, guard);
             descended += 1;
-            if scratch.refreshed.contains(&child_raw) || child.is_leaf() {
+            if scratch.refreshed.contains(&child.as_raw()) || child.is_leaf() {
                 break;
             }
-            scratch.stack.push(child_raw);
+            scratch.stack.push(child.as_raw());
             next = child;
         }
         Counter::NodesVisited.add(&h, descended);
-        // SAFETY: stack entries stay pinned by `guard` (see the descent
-        // comment above).
+        // SAFETY: as for `next` above.
         let top = unsafe {
-            BatNode::<K, V, A>::from_raw(scratch.stack.pop().expect("descent keeps one node"))
+            BatNode::<K, V, A>::from_raw(
+                scratch.stack.pop().expect("descent keeps one node"),
+                guard,
+            )
         };
 
         match policy {
-            DelegationPolicy::None => {
-                // Double refresh (Fig. 3 lines 43–45).
-                let r1 = refresh_top(top, 0, &h);
-                if r1.success {
-                    scratch.to_retire.push(r1.replaced);
-                } else {
-                    let r2 = refresh_top(top, 0, &h);
-                    if r2.success {
-                        scratch.to_retire.push(r2.replaced);
-                    }
-                    // Both failed: someone else's refresh covered us
-                    // (Fig. 3's guarantee); move on.
+            DelegationPolicy::None | DelegationPolicy::Del { .. } => {
+                // Double refresh (Fig. 3 lines 43–45; `ps` is 0 for plain
+                // BAT). When both fail, someone else's refresh covered us
+                // (Fig. 3's guarantee) and plain BAT moves on.
+                let mut r = refresh_top(top, ps, &h, guard);
+                if !r.success {
+                    r = refresh_top(top, ps, &h, guard);
                 }
-            }
-            DelegationPolicy::Del { timeout } => {
-                let r1 = refresh_top(top, ps, &h);
-                if r1.success {
-                    scratch.to_retire.push(r1.replaced);
-                } else {
-                    let r2 = refresh_top(top, ps, &h);
-                    if r2.success {
-                        scratch.to_retire.push(r2.replaced);
-                    } else if !top.is_finalized() {
-                        if r2.blocker != 0 {
-                            // Delegate: publish the link, then wait
-                            // (Fig. 13 lines 16–24).
-                            Counter::Delegations.bump(&h);
-                            // SAFETY: `ps` is the PropStatus this call
-                            // allocated above; it is retired only at the
-                            // end of this function.
-                            let status = unsafe { &*(ps as *const PropStatus) };
-                            status.delegatee.store(r2.blocker, Ordering::Release);
-                            match wait_for_delegatee(r2.blocker, timeout, &h) {
-                                WaitResult::Done => break 'outer,
-                                WaitResult::TimedOut => {
-                                    // Resume ourselves (lock-free fallback):
-                                    // retry this node.
-                                    status.delegatee.store(0, Ordering::Release);
-                                    scratch.stack.push(top.as_raw());
-                                    continue 'outer;
-                                }
+                if r.success {
+                    scratch.to_retire.push(r.replaced);
+                } else if let DelegationPolicy::Del { timeout } = policy {
+                    // BAT-Del delegates instead (Fig. 13 lines 16–24). On a
+                    // finalized node it falls through: the replacement
+                    // patch inherited our arrival points (Def. 7), and the
+                    // re-descent will refresh the replacement.
+                    if !top.is_finalized() {
+                        if r.blocker != 0 {
+                            if let WaitResult::Done = delegate(ps, r.blocker, timeout, &h) {
+                                break 'outer;
                             }
-                        } else {
-                            // No status on the winning version (can only
-                            // happen for the entry's initial version):
-                            // retry this node.
-                            scratch.stack.push(top.as_raw());
-                            continue 'outer;
                         }
+                        // Timed out, or no status on the winning version
+                        // (only the entry's initial version has none):
+                        // retry this node.
+                        scratch.stack.push(top.as_raw());
+                        continue 'outer;
                     }
-                    // Failed on a finalized node: the replacement patch
-                    // inherited our arrival points (Def. 7); re-descend
-                    // will refresh the replacement.
                 }
             }
             DelegationPolicy::EagerDel { timeout } => {
@@ -389,15 +352,12 @@ pub fn propagate<K, V, A>(
                 // observes stable child version pointers; delegate on any
                 // failure at a non-finalized node.
                 loop {
-                    let r = refresh_top(top, ps, &h);
+                    let r = refresh_top(top, ps, &h, guard);
                     if r.success {
                         scratch.to_retire.push(r.replaced);
                         // Stability check (line 24): the children's
                         // *current* versions must equal what we read.
-                        // SAFETY: children of a live pinned node, read
-                        // under the same guard as the descent.
-                        let l = unsafe { BatNode::<K, V, A>::from_raw(top.left_raw()) };
-                        let rn = unsafe { BatNode::<K, V, A>::from_raw(top.right_raw()) };
+                        let (l, rn) = (top.left(guard), top.right(guard));
                         if l.plugin.load() == r.vl && rn.plugin.load() == r.vr {
                             break;
                         }
@@ -409,20 +369,11 @@ pub fn propagate<K, V, A>(
                         break;
                     }
                     if r.blocker != 0 {
-                        Counter::Delegations.bump(&h);
-                        // SAFETY: as in the Del arm — `ps` is ours and
-                        // outlives this loop.
-                        let status = unsafe { &*(ps as *const PropStatus) };
-                        status.delegatee.store(r.blocker, Ordering::Release);
-                        match wait_for_delegatee(r.blocker, timeout, &h) {
-                            WaitResult::Done => break 'outer,
-                            WaitResult::TimedOut => {
-                                status.delegatee.store(0, Ordering::Release);
-                                continue; // retry refresh on this node
-                            }
+                        if let WaitResult::Done = delegate(ps, r.blocker, timeout, &h) {
+                            break 'outer;
                         }
                     }
-                    // blocker unavailable: plain retry
+                    // Timed out, or blocker unavailable: retry this node.
                 }
             }
         }

@@ -13,6 +13,7 @@
 //! recursively refresh nodes outside its own search path).
 
 use chromatic::Node;
+use ebr::Guard;
 
 use crate::augment::Augmentation;
 use crate::stats::{Counter, StatsLocal};
@@ -22,42 +23,14 @@ use crate::version::{dispose_version, Version, VersionSlot};
 /// version pointer.
 pub type BatNode<K, V, A> = Node<K, V, VersionSlot<K, V, A>>;
 
-/// The pointer pattern a fully [`ebr::pool`]-poisoned word reads as
-/// (debug builds fill recycled blocks with `0xDD`).
-#[cfg(debug_assertions)]
-const POISON_PTR: u64 = 0xDDDD_DDDD_DDDD_DDDD;
-
-/// Debug fence for the ROADMAP's rare memory bug in the BAT hot path (one
-/// SIGSEGV at address `0x30` symbolized to `read_version →
-/// VersionSlot::load`, i.e. a null `BatNode` reached through a child
-/// pointer): validate a child pointer *before* dereferencing it, so the
-/// hunt fails fast with context (pointer, parent, EBR epoch, thread id)
-/// instead of faulting on a null or recycled node. Alignment rejects
-/// `0xDD…`-poisoned words too — the poison pattern is odd.
-#[inline]
-pub fn fence_node_ptr(raw: u64, parent: u64, role: &'static str) {
-    #[cfg(debug_assertions)]
-    if raw == 0 || raw == POISON_PTR || !raw.is_multiple_of(8) {
-        panic!(
-            "BAT reclamation fence: {role} child pointer {raw:#x} of node \
-             {parent:#x} is null/poisoned/misaligned (ebr epoch {}, thread \
-             {}) — latent reclamation race, see ROADMAP \"Rare memory \
-             bug in the BAT hot path\"",
-            ebr::stats().epoch,
-            ebr::thread_id(),
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = (raw, parent, role);
-}
-
-/// Companion fence for the version pointer a [`VersionSlot`] returns: a
-/// recycled-and-poisoned slot would hand back `0xDD…`, which the next
-/// `Version::from_raw` would fault on far from the cause.
+/// Debug fence for the version pointer a [`VersionSlot`] returns, the
+/// companion of the one `chromatic::Node`'s link accessors run: a slot read
+/// out of a recycled node hands back [`ebr::pool`]'s `0xDD…` poison — odd,
+/// so the alignment test catches it — which the next `Version::from_raw`
+/// would fault on far from the cause.
 #[inline]
 pub(crate) fn fence_version_ptr(v: u64, node: u64) {
-    #[cfg(debug_assertions)]
-    if v == POISON_PTR || (v != 0 && !v.is_multiple_of(8)) {
+    if cfg!(debug_assertions) && !v.is_multiple_of(8) {
         panic!(
             "BAT reclamation fence: version pointer {v:#x} of node {node:#x} \
              is poisoned/misaligned (ebr epoch {}, thread {}) — node read \
@@ -66,8 +39,6 @@ pub(crate) fn fence_version_ptr(v: u64, node: u64) {
             ebr::thread_id(),
         );
     }
-    #[cfg(not(debug_assertions))]
-    let _ = (v, node);
 }
 
 /// Result of a top-level refresh (paper Fig. 12 `Refresh`).
@@ -87,7 +58,7 @@ pub struct RefreshOutcome {
 }
 
 /// `ReadVersion` (Fig. 12): return `x.version`, first fixing it if nil.
-pub fn read_version<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>) -> u64
+pub fn read_version<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>, guard: &Guard) -> u64
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -98,17 +69,44 @@ where
         fence_version_ptr(v, x.as_raw());
         return v;
     }
-    refresh_nil(x, h);
+    refresh_nil(x, h, guard);
     let v = x.plugin.load();
     debug_assert_ne!(v, 0, "refresh_nil leaves a non-nil version");
     v
+}
+
+/// The version of the child `link` (`Node::left` or `Node::right`) names,
+/// read consistently with the link: re-check the link after obtaining the
+/// version (Fig. 12 lines 19–22).
+fn child_version<'g, K, V, A>(
+    x: &'g BatNode<K, V, A>,
+    link: impl Fn(&'g BatNode<K, V, A>, &'g Guard) -> &'g BatNode<K, V, A>,
+    h: &StatsLocal<'_>,
+    guard: &'g Guard,
+) -> u64
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    loop {
+        let child = link(x, guard);
+        let v = read_version(child, h, guard);
+        if std::ptr::eq(link(x, guard), child) {
+            return v;
+        }
+    }
 }
 
 /// `RefreshNil` (Fig. 12): recursively compute and install a version for a
 /// node born with a nil pointer (a new internal node from a patch). The
 /// CAS only moves nil → non-nil; a failure means someone else already
 /// fixed it, so the loser's version is dropped unpublished.
-pub fn refresh_nil<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>)
+///
+/// Kept out of line: inlined into [`read_version`], the recursion's register
+/// saves land on its non-nil path too, which a propagate takes ~44 times.
+#[inline(never)]
+pub fn refresh_nil<K, V, A>(x: &BatNode<K, V, A>, h: &StatsLocal<'_>, guard: &Guard)
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -116,31 +114,14 @@ where
 {
     debug_assert!(!x.is_leaf(), "leaves always carry versions (Obs. 13)");
     Counter::NilFixes.bump(h);
-    let vl = loop {
-        // Consistent (child, child.version) read: re-check the child
-        // pointer after obtaining the version (Fig. 12 lines 19–22).
-        let xl_raw = x.left_raw();
-        fence_node_ptr(xl_raw, x.as_raw(), "left");
-        let xl = unsafe { BatNode::<K, V, A>::from_raw(xl_raw) };
-        let vl = read_version(xl, h);
-        if x.left_raw() == xl_raw {
-            break vl;
-        }
-    };
-    let vr = loop {
-        let xr_raw = x.right_raw();
-        fence_node_ptr(xr_raw, x.as_raw(), "right");
-        let xr = unsafe { BatNode::<K, V, A>::from_raw(xr_raw) };
-        let vr = read_version(xr, h);
-        if x.right_raw() == xr_raw {
-            break vr;
-        }
-    };
+    let vl = child_version(x, BatNode::left, h, guard);
+    let vr = child_version(x, BatNode::right, h, guard);
+    // SAFETY: `read_version` returned both under `guard`'s pin.
     let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, 0) } as u64;
     Counter::CasAttempts.bump(h);
     if x.plugin.cas(0, new).is_err() {
-        // Another thread fixed the nil pointer first: our version was never
-        // published, drop it immediately.
+        // SAFETY: another thread fixed the nil pointer first, so `new` was
+        // never published.
         unsafe { dispose_version::<K, V, A>(new) };
     }
 }
@@ -148,31 +129,21 @@ where
 /// Top-level `Refresh` (Fig. 12 lines 30–48): install a new version for
 /// `x` computed from its children's versions; `status` is the calling
 /// propagate's `PropStatus` (0 for the plain, non-delegating variant).
-pub fn refresh_top<K, V, A>(x: &BatNode<K, V, A>, status: u64, h: &StatsLocal<'_>) -> RefreshOutcome
+pub fn refresh_top<K, V, A>(
+    x: &BatNode<K, V, A>,
+    status: u64,
+    h: &StatsLocal<'_>,
+    guard: &Guard,
+) -> RefreshOutcome
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    let old = read_version(x, h);
-    let vl = loop {
-        let xl_raw = x.left_raw();
-        fence_node_ptr(xl_raw, x.as_raw(), "left");
-        let xl = unsafe { BatNode::<K, V, A>::from_raw(xl_raw) };
-        let vl = read_version(xl, h);
-        if x.left_raw() == xl_raw {
-            break vl;
-        }
-    };
-    let vr = loop {
-        let xr_raw = x.right_raw();
-        fence_node_ptr(xr_raw, x.as_raw(), "right");
-        let xr = unsafe { BatNode::<K, V, A>::from_raw(xr_raw) };
-        let vr = read_version(xr, h);
-        if x.right_raw() == xr_raw {
-            break vr;
-        }
-    };
+    let old = read_version(x, h, guard);
+    let vl = child_version(x, BatNode::left, h, guard);
+    let vr = child_version(x, BatNode::right, h, guard);
+    // SAFETY: `read_version` returned both under `guard`'s pin.
     let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, status) } as u64;
     Counter::CasAttempts.bump(h);
     match x.plugin.cas(old, new) {
@@ -184,10 +155,13 @@ where
             vr,
         },
         Err(current) => {
+            // SAFETY: the CAS failed, so `new` was never published.
             unsafe { dispose_version::<K, V, A>(new) };
             Counter::CasFailures.bump(h);
             // The version that beat us carries its creator's PropStatus;
             // that is the operation a delegating propagate waits on.
+            // SAFETY: `current` was `x`'s version during `guard`'s pin, so
+            // it is retired, if at all, after the pin began.
             let blocker = unsafe { Version::<K, V, A>::from_raw(current) }.status;
             RefreshOutcome {
                 success: false,
@@ -209,8 +183,8 @@ mod tests {
 
     type Tree = ChromaticTree<u64, u64, VersionSlot<u64, u64, SizeOnly>>;
 
-    fn entry_version_size(tree: &Tree, stats: &BatStats) -> u64 {
-        let v = read_version(tree.entry(), &stats.local());
+    fn entry_version_size(tree: &Tree, stats: &BatStats, guard: &Guard) -> u64 {
+        let v = read_version(tree.entry(), &stats.local(), guard);
         unsafe { Version::<u64, u64, SizeOnly>::from_raw(v) }.size
     }
 
@@ -221,7 +195,7 @@ mod tests {
         let guard = ebr::pin();
         // Fresh tree: entry's version is nil (rule 3); fixing it computes
         // size 0 (all leaves are sentinels).
-        assert_eq!(entry_version_size(&tree, &stats), 0);
+        assert_eq!(entry_version_size(&tree, &stats, &guard), 0);
         drop(guard);
     }
 
@@ -230,7 +204,7 @@ mod tests {
         let tree = Tree::new();
         let stats = BatStats::default();
         let guard = ebr::pin();
-        let _ = read_version(tree.entry(), &stats.local()); // initialize
+        let _ = read_version(tree.entry(), &stats.local(), &guard); // initialize
         for k in [10u64, 20, 30] {
             assert!(tree.insert(k, k * 10, &guard).changed);
         }
@@ -241,11 +215,11 @@ mod tests {
         // stale too, except where patches created fresh leaf versions.
         // A full propagate is exercised in propagate.rs tests; here we
         // check refresh_top's CAS mechanics only.
-        let r1 = refresh_top(tree.entry(), 0, &stats.local());
+        let r1 = refresh_top(tree.entry(), 0, &stats.local(), &guard);
         assert!(r1.success);
         assert_ne!(r1.replaced, 0);
         unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, r1.replaced) };
-        let r2 = refresh_top(tree.entry(), 0, &stats.local());
+        let r2 = refresh_top(tree.entry(), 0, &stats.local(), &guard);
         assert!(r2.success, "uncontended refresh succeeds");
         unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, r2.replaced) };
         drop(guard);
@@ -257,12 +231,12 @@ mod tests {
         let tree = Tree::new();
         let stats = BatStats::default();
         let guard = ebr::pin();
-        let _ = read_version(tree.entry(), &stats.local());
+        let _ = read_version(tree.entry(), &stats.local(), &guard);
         // Simulate a racing refresh by doing one with a fake status in
         // between: refresh A reads old, refresh B installs, A's CAS fails.
-        let old = read_version(tree.entry(), &stats.local());
+        let old = read_version(tree.entry(), &stats.local(), &guard);
         let ps = crate::version::PropStatus::alloc() as u64;
-        let rb = refresh_top(tree.entry(), ps, &stats.local());
+        let rb = refresh_top(tree.entry(), ps, &stats.local(), &guard);
         assert!(rb.success);
         unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, rb.replaced) };
         // Now a stale CAS from `old` must fail and report `ps`.

@@ -52,6 +52,10 @@ where
 
     #[inline]
     fn root(&self) -> &Version<K, V, A> {
+        // SAFETY: `root` was the entry's version while `_guard` was already
+        // pinned, so it is retired, if at all, after that pin began.
+        // guard: the `Snapshot` owns it (`_guard`), and `&self` bounds the
+        // reference.
         unsafe { Version::from_raw(self.root) }
     }
 

@@ -124,8 +124,9 @@ where
     /// # Safety
     /// `vl`/`vr` must point to versions protected by the current epoch.
     pub unsafe fn combine(key: &SentKey<K>, vl: u64, vr: u64, status: u64) -> *mut Self {
-        let l = unsafe { &*(vl as *const Self) };
-        let r = unsafe { &*(vr as *const Self) };
+        // SAFETY: the caller's contract, for both.
+        // guard: the caller's pin (`# Safety`); no reference escapes.
+        let (l, r) = unsafe { (&*(vl as *const Self), &*(vr as *const Self)) };
         ebr::pool::alloc_pooled(Version {
             key: key.clone(),
             size: l.size + r.size,
@@ -150,18 +151,28 @@ where
     #[inline]
     pub unsafe fn from_raw<'g>(raw: u64) -> &'g Self {
         debug_assert_ne!(raw, 0);
+        // SAFETY: the caller's contract.
+        // guard: the caller's pin (`# Safety`).
         unsafe { &*(raw as *const Self) }
     }
 
     /// Left child version (panics on leaves in debug).
     #[inline]
     pub fn left_version(&self) -> &Self {
+        // SAFETY: versions are immutable, and one is retired only once it
+        // is unreachable from the entry's current version (§6) — so all
+        // that a version reachable at some moment of a pin points to was
+        // un-retired at that moment, and the pin that protects `self`
+        // protects its children.
+        // guard: the one `&self` was obtained under.
         unsafe { Self::from_raw(self.left) }
     }
 
     /// Right child version.
     #[inline]
     pub fn right_version(&self) -> &Self {
+        // SAFETY: as for `left_version`.
+        // guard: the one `&self` was obtained under.
         unsafe { Self::from_raw(self.right) }
     }
 }
@@ -223,6 +234,9 @@ where
         // it is retired right before the node's memory goes away.
         let v = self.version.load(Ordering::Acquire);
         if v != 0 {
+            // SAFETY: the node is being freed, so its slot can no longer
+            // change and `v` is its final version: unreachable for new
+            // queries, retired exactly once, here.
             unsafe { ebr::pool::retire_pooled_unpinned(v as *mut Version<K, V, A>) };
         }
     }
@@ -240,6 +254,7 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
+    // SAFETY: the caller's contract; versions come from `alloc_pooled`.
     unsafe { ebr::pool::retire_pooled(guard, raw as *mut Version<K, V, A>) };
 }
 
@@ -254,6 +269,7 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
+    // SAFETY: the caller's contract; versions come from `alloc_pooled`.
     unsafe { ebr::pool::dispose_pooled(raw as *mut Version<K, V, A>) };
 }
 

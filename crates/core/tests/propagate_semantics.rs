@@ -8,10 +8,10 @@ fn policies() -> Vec<DelegationPolicy> {
     vec![
         DelegationPolicy::None,
         DelegationPolicy::Del {
-            timeout: Some(std::time::Duration::from_millis(1)),
+            timeout: std::time::Duration::from_millis(1),
         },
         DelegationPolicy::EagerDel {
-            timeout: Some(std::time::Duration::from_millis(1)),
+            timeout: std::time::Duration::from_millis(1),
         },
     ]
 }

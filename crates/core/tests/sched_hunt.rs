@@ -1,13 +1,13 @@
 //! sched-driven hunt for the ROADMAP's rare BAT reclamation race (one
 //! livelock + one SIGSEGV on a null `BatNode` in `read_version →
-//! VersionSlot::load`, `crates/core/src/refresh.rs`, seen twice in ~6
-//! sweeps recording `BENCH_PR4.json` and never in ~430 wall-clock reruns).
+//! VersionSlot::load`, `crates/core/src/refresh.rs`).
 //!
 //! Under the deterministic scheduler every shared-memory access of the
 //! insert/remove/contains/rank mix is a preemption point, reclamation
 //! poisoning (`ebr::pool`, debug builds) turns use-after-retire into loud
-//! recognizable failures, the `refresh.rs` fences turn the historical
-//! null/poisoned-child crash into a diagnostic panic, and the scheduler's
+//! recognizable failures, the fence in `chromatic::Node`'s link accessors
+//! turns the historical null/poisoned-child crash into a diagnostic panic
+//! (`refresh.rs` fences the version pointers), and the scheduler's
 //! step budget turns the historical livelock into a failed schedule with
 //! a replayable trace. A reproduction therefore surfaces as a *seeded,
 //! byte-replayable* failure instead of a once-in-430-runs SIGSEGV.
@@ -125,7 +125,7 @@ fn delegation_timeout_is_deterministic_yield_budget() {
     // diverge (the timeout would fire at host-dependent moments).
     fn body() {
         let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::Del {
-            timeout: Some(std::time::Duration::from_nanos(1)),
+            timeout: std::time::Duration::from_nanos(1),
         }));
         set.insert(1_000);
         let hs: Vec<_> = (0..2u64)

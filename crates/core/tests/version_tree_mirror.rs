@@ -11,7 +11,7 @@ type V = Version<u64, u64, SizeOnly>;
 
 /// Walk node- and version-trees together; check key equality and the
 /// size invariant `size = left.size + right.size`; return leaf count.
-fn check_mirror(node: &N, version: &V) -> u64 {
+fn check_mirror(node: &N, version: &V, guard: &ebr::Guard) -> u64 {
     assert_eq!(node.key(), &version.key, "node/version key mismatch");
     if node.is_leaf() {
         assert!(version.is_leaf(), "leaf node with internal version");
@@ -20,10 +20,8 @@ fn check_mirror(node: &N, version: &V) -> u64 {
         return version.size;
     }
     assert!(!version.is_leaf(), "internal node with leaf version");
-    let ln = unsafe { N::from_raw(node.left_raw()) };
-    let rn = unsafe { N::from_raw(node.right_raw()) };
-    let l = check_mirror(ln, version.left_version());
-    let r = check_mirror(rn, version.right_version());
+    let l = check_mirror(node.left(guard), version.left_version(), guard);
+    let r = check_mirror(node.right(guard), version.right_version(), guard);
     assert_eq!(
         version.size,
         l + r,
@@ -38,7 +36,7 @@ fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
     let vroot_raw = entry.plugin.load();
     assert_ne!(vroot_raw, 0, "entry version must be non-nil");
     let vroot = unsafe { V::from_raw(vroot_raw) };
-    let total = check_mirror(entry, vroot);
+    let total = check_mirror(entry, vroot, &guard);
     assert_eq!(total, map.len(), "root size equals reported len");
     drop(guard);
 }

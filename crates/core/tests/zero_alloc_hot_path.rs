@@ -1,9 +1,8 @@
-//! Counting-global-allocator proof of the PR 1–3 tentpoles: in steady
-//! state the *entire* update path — propagate (PR 1), the structural
-//! node-tree modification including rebalancing (PR 2), **and** the
-//! fanout tree's versioned-edge publication (PR 3: pooled nodes, pooled
-//! version records, writer-driven version-list trimming) — touches the
-//! global allocator **zero** times.
+//! Counting-global-allocator proof that in steady state the *entire*
+//! update path — propagate, the structural node-tree modification
+//! including rebalancing, **and** the fanout tree's versioned-edge
+//! publication (pooled nodes, pooled version records, writer-driven
+//! version-list trimming) — touches the global allocator **zero** times.
 //!
 //! After warm-up (thread-local scratch vectors at capacity, EBR bag
 //! vectors recycled, `Node`/`Version`/`PropStatus` free-list pools
@@ -74,7 +73,7 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
 fn propagate_window() {
     // BAT-Del exercises the PropStatus pool as well as the version pool.
     let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del {
-        timeout: Some(std::time::Duration::from_millis(2)),
+        timeout: std::time::Duration::from_millis(2),
     });
     for k in 0..512u64 {
         m.insert(k, k);
@@ -141,7 +140,7 @@ fn propagate_window() {
 /// violations it creates keep the BLK/RB/W fix-up cases firing).
 fn node_churn_window() {
     let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del {
-        timeout: Some(std::time::Duration::from_millis(2)),
+        timeout: std::time::Duration::from_millis(2),
     });
     for k in 0..1024u64 {
         m.insert(k, k);

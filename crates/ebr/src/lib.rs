@@ -554,6 +554,22 @@ pub fn is_pinned() -> bool {
     with_local(|l| l.pin_depth.get() > 0)
 }
 
+/// Test support: serialise the caller against every other holder in the
+/// process. The epoch, `stats()` and the pool counters are process-global,
+/// so while one test of a binary holds a pin (or a snapshot) the flushes of
+/// another free nothing, and its "was freed" or "came from the pool"
+/// assertion fails — on a two-core host in nearly every second run. A test
+/// that pins on purpose, or asserts on frees or pool counters beside one
+/// that does, holds this for its whole body (ROADMAP item 0). A stop-gap for
+/// the coupling, not a fix: the fix is a collector the test owns, the
+/// `ebr::Domain` direction, which deletes this function.
+#[doc(hidden)]
+pub fn own_the_global_epoch() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBAL_EPOCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // Nothing behind the lock can be left half-updated by a failed test.
+    GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,20 +577,6 @@ mod tests {
     use std::sync::Arc;
 
     static DROPS: AtomicUsize = AtomicUsize::new(0);
-
-    /// The same stop-gap as in the root `tests/reclamation.rs` (ROADMAP
-    /// item 0): the epoch is process-global, so while one test of this
-    /// binary holds a pin, the flushes of another free nothing and its
-    /// "was freed" assertion fails — on a two-core host in nearly every
-    /// second run. Every unit test of this crate that pins or asserts on
-    /// frees takes this lock for its whole body. The fix is a collector
-    /// the test owns (the `ebr::Domain` direction), not a wider lock.
-    static GLOBAL_EPOCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    pub(crate) fn own_the_global_epoch() -> std::sync::MutexGuard<'static, ()> {
-        // Nothing behind the lock can be left half-updated by a failed test.
-        GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     struct Tracked(#[allow(dead_code)] u64);
     impl Drop for Tracked {

@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn retired_objects_run_destructors_then_recycle() {
-        let _serial = crate::tests::own_the_global_epoch();
+        let _serial = crate::own_the_global_epoch();
         use std::sync::atomic::{AtomicUsize, Ordering};
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct D(#[allow(dead_code)] u64);

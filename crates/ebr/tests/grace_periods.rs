@@ -1,22 +1,11 @@
 //! EBR grace-period semantics under adversarial pin patterns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-/// Every test in this file takes this lock for its whole body. The epoch
-/// is process-global: `interleaved_pins_never_free_visible_objects` keeps
-/// reader pins live, and run in parallel — the default for tests of one
-/// binary — they hold the epoch back, so the two `flush()` calls of
-/// `objects_retired_under_my_pin_survive_my_pin` free nothing and its
-/// `freed == 1` fails. A stop-gap for that coupling, not a fix: see
-/// ROADMAP item 0 and the `ebr::Domain` direction.
-static GLOBAL_EPOCH: Mutex<()> = Mutex::new(());
-
-fn own_the_global_epoch() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock leaves nothing behind
-    // that the next one could see half-updated.
-    GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
-}
+// Every test here holds `ebr::own_the_global_epoch()` for its whole body:
+// `interleaved_pins_never_free_visible_objects` keeps reader pins live,
+// which would hold back the frees its siblings assert on.
 
 #[derive(Clone)]
 struct Counter(Arc<AtomicUsize>);
@@ -30,7 +19,7 @@ impl Drop for OnDrop {
 
 #[test]
 fn objects_retired_under_my_pin_survive_my_pin() {
-    let _epoch = own_the_global_epoch();
+    let _epoch = ebr::own_the_global_epoch();
     let freed = Counter(Arc::new(AtomicUsize::new(0)));
     let outer = ebr::pin();
     let p = Box::into_raw(Box::new(OnDrop(freed.clone())));
@@ -65,7 +54,7 @@ fn objects_retired_under_my_pin_survive_my_pin() {
 
 #[test]
 fn interleaved_pins_never_free_visible_objects() {
-    let _epoch = own_the_global_epoch();
+    let _epoch = ebr::own_the_global_epoch();
     // Writer publishes boxes; readers hold pins across reads; a freed
     // object would be caught by the canary value check.
     use std::sync::atomic::AtomicPtr;
@@ -114,7 +103,7 @@ fn interleaved_pins_never_free_visible_objects() {
 
 #[test]
 fn stats_are_monotone() {
-    let _epoch = own_the_global_epoch();
+    let _epoch = ebr::own_the_global_epoch();
     let s0 = ebr::stats();
     {
         let g = ebr::pin();

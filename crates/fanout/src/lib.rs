@@ -1109,7 +1109,7 @@ mod sched_tests {
     /// **every** schedule commits both with zero aborts and zero retries.
     #[test]
     fn sibling_publish_overlap_conflict_window_explored() {
-        let _epoch = super::tests::own_the_global_epoch();
+        let _epoch = ebr::own_the_global_epoch();
         let mut explored = 0usize;
         for (policy, schedules, seed) in [
             (Policy::RandomWalk, 750, 0x009E_D6E1),
@@ -1146,7 +1146,7 @@ mod sched_tests {
     /// be lost in any schedule.
     #[test]
     fn same_slot_overlap_conflicts_explored() {
-        let _epoch = super::tests::own_the_global_epoch();
+        let _epoch = ebr::own_the_global_epoch();
         let conflicts = Arc::new(StdAtomicU64::new(0));
         let cfg = ExploreConfig {
             schedules: 120,
@@ -1178,7 +1178,7 @@ mod sched_tests {
     /// descending by the memoized totals.
     #[test]
     fn snapshots_stay_consistent_across_explored_interleavings() {
-        let _epoch = super::tests::own_the_global_epoch();
+        let _epoch = ebr::own_the_global_epoch();
         let cfg = ExploreConfig {
             schedules: 150,
             seed: 0x0005_AAB5,
@@ -1231,20 +1231,11 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// The same stop-gap as in the root `tests/reclamation.rs` (ROADMAP
-    /// item 0), taken by every test of this module and of `sched_tests`
-    /// (one binary under `sched-test`) for its whole body: the epoch is
-    /// process-global, and `steady_state_updates_recycle_node_memory`
-    /// asserts on this thread's pool counters — while a sibling holds a
-    /// pin or a snapshot, the flushes that should stock the pool free
-    /// nothing. The fix is a collector the test owns (the `ebr::Domain`
-    /// direction).
-    static GLOBAL_EPOCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    pub(super) fn own_the_global_epoch() -> std::sync::MutexGuard<'static, ()> {
-        // Nothing behind the lock can be left half-updated by a failed test.
-        GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // Every test of this module and of `sched_tests` (one binary under
+    // `sched-test`) holds the process-wide epoch lock for its whole body:
+    // `steady_state_updates_recycle_node_memory` asserts on this thread's
+    // pool counters.
+    use ebr::own_the_global_epoch;
 
     #[test]
     fn insert_contains_remove() {

@@ -26,14 +26,15 @@
 //!    against `lint/safety-debt.tsv`: new debt fails, paid-down debt
 //!    requires re-recording the (smaller) counter — the ratchet only
 //!    turns one way.
-//! 4. **`guard-deref`** (warn): raw-pointer rehydration (`from_raw`,
-//!    `&*` casts) in protocol crates with no epoch-guard evidence in the
-//!    enclosing function — no `Guard` parameter, no `pin()`, no
-//!    `// guard:` annotation documenting the caller's pin obligation.
-//!    This is the heuristic aimed at the unreproduced BAT
-//!    heap-corruption bug: a pooled pointer dereferenced outside a pin
-//!    is exactly the shape that bug must have. Warn-tier: surfaced in
-//!    the report, never fails the build.
+//! 4. **`guard-deref`** (deny in [`GUARD_DENY_CRATES`], warn elsewhere):
+//!    raw-pointer rehydration (`from_raw`, `&*` casts) in protocol crates
+//!    with no epoch-guard evidence in the enclosing function — no `Guard`
+//!    parameter, no `pin()`, no `// guard:` annotation documenting the
+//!    caller's pin obligation. This is the heuristic aimed at the
+//!    unreproduced BAT heap-corruption bug: a pooled pointer dereferenced
+//!    outside a pin is exactly the shape that bug must have, so in the two
+//!    crates it must live in a new site fails the run; in the others it is
+//!    surfaced in the report.
 //!
 //! The committed control files live under `lint/` at the repo root:
 //! `allowlist.tsv` (rule, path suffix, justification), and the two
@@ -58,6 +59,11 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "vcas",
     "shard",
 ];
+
+/// Protocol crates where `guard-deref` is deny-tier: the two the
+/// ROADMAP's unexplained BAT memory bug must live in, at zero sites since
+/// `chromatic::Node`'s link accessors took the hand-written derefs away.
+pub const GUARD_DENY_CRATES: &[&str] = &["chromatic", "core"];
 
 /// Path (relative to the repo root) of the allowlist file.
 pub const ALLOWLIST_PATH: &str = "lint/allowlist.tsv";
@@ -589,7 +595,8 @@ pub struct Report {
     pub violations: Vec<Finding>,
     /// Findings suppressed by an allowlist entry (recorded for audit).
     pub allowed: Vec<(Finding, String)>,
-    /// Warn-tier findings (guard heuristic; never fail the run).
+    /// Warn-tier findings (the guard heuristic outside
+    /// [`GUARD_DENY_CRATES`]; never fail the run).
     pub warnings: Vec<Finding>,
     /// file → count of `Relaxed` sites in protocol non-test code.
     pub relaxed_inventory: BTreeMap<String, usize>,
@@ -619,7 +626,7 @@ fn check_file(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
         if ctx.is_protocol {
             rule_atomic_shim(ctx, allow, rep);
             rule_relaxed_ordering(ctx, allow, rep);
-            rule_guard_deref(ctx, rep);
+            rule_guard_deref(ctx, allow, rep);
         }
         rule_safety_comment(ctx, rep);
     }
@@ -721,11 +728,15 @@ fn rule_safety_comment(ctx: &FileCtx, rep: &mut Report) {
     }
 }
 
-/// Rule 4 (warn): raw-pointer rehydration with no epoch-guard evidence in
-/// the enclosing function.
-fn rule_guard_deref(ctx: &FileCtx, rep: &mut Report) {
-    let deref_here =
-        |code: &str| code.contains("from_raw") || code.contains("&*") || code.contains("&mut *");
+/// Rule 4: raw-pointer rehydration with no epoch-guard evidence in the
+/// enclosing function (a `fn from_raw` header defines one, it is not a
+/// site). Deny-tier in [`GUARD_DENY_CRATES`], warn-tier elsewhere.
+fn rule_guard_deref(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
+    let deref_here = |code: &str| {
+        (code.contains("from_raw") && !code.contains("fn from_raw"))
+            || code.contains("&*")
+            || code.contains("&mut *")
+    };
     for (i, line) in ctx.scan.lines.iter().enumerate() {
         if ctx.scan.in_test[i] || !deref_here(&line.code) {
             continue;
@@ -747,14 +758,20 @@ fn rule_guard_deref(ctx: &FileCtx, rep: &mut Report) {
                 || l.code.contains("pin(")
                 || comment_has_marker(&l.comment, "guard:")
         });
-        if !evidence {
+        if evidence {
+            continue;
+        }
+        let message = "raw-pointer rehydration with no guard-pin evidence in the \
+                       enclosing fn; if the caller pins, document it with `// guard:`"
+            .to_string();
+        if GUARD_DENY_CRATES.contains(&ctx.crate_name) {
+            emit("guard-deref", ctx, i, message, allow, rep);
+        } else {
             rep.warnings.push(Finding {
                 rule: "guard-deref",
                 file: ctx.rel.to_string(),
                 line: i + 1,
-                message: "raw-pointer rehydration with no guard-pin evidence in the \
-                          enclosing fn; if the caller pins, document it with `// guard:`"
-                    .to_string(),
+                message,
             });
         }
     }

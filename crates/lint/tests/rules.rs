@@ -113,8 +113,26 @@ fn guard_deref_warns_only_without_pin_evidence() {
     assert_eq!(warns.len(), 1, "{warns:?}");
     assert_eq!((warns[0].file.as_str(), warns[0].line), (FANOUT, 22));
     assert!(
-        !rep.violations.iter().any(|f| f.rule == "guard-deref"),
-        "guard heuristic is warn-tier and must never fail the run"
+        !rep.violations
+            .iter()
+            .any(|f| f.rule == "guard-deref" && f.file == FANOUT),
+        "outside `GUARD_DENY_CRATES` the guard heuristic is warn-tier"
+    );
+}
+
+#[test]
+fn guard_deref_is_deny_tier_in_the_crates_the_bat_bug_lives_in() {
+    let rep = fixture_report();
+    let denied: Vec<_> = rep
+        .violations
+        .iter()
+        .filter(|f| f.rule == "guard-deref")
+        .collect();
+    assert_eq!(denied.len(), 1, "{denied:?}");
+    assert_eq!(
+        (denied[0].file.as_str(), denied[0].line),
+        ("crates/core/src/lib.rs", 18),
+        "the `fn from_raw` header and the `// guard:`-annotated deref stay clean"
     );
 }
 

@@ -32,7 +32,7 @@
 use sched::atomic::AtomicU64;
 
 use llxscx::{Llx, RecordHeader};
-use vedge::{SnapRegistry, VersionRecord, VersionedEdge};
+use vedge::{SnapClock, VersionRecord, VersionedEdge};
 
 /// A tree node. Leaf-oriented: real keys at the leaves; `u64::MAX` and
 /// `u64::MAX - 1` serve as the two sentinel infinities (keys must be
@@ -80,15 +80,14 @@ impl Node {
 /// The VcasBST-style set.
 pub struct VcasSet {
     entry: u64,
-    clock: AtomicU64,
-    snaps: SnapRegistry,
+    sync: SnapClock,
 }
 
 unsafe impl Send for VcasSet {}
 unsafe impl Sync for VcasSet {}
 
 /// A constant-time snapshot: a timestamp plus an epoch guard pinning the
-/// version lists. Registered in the set's [`SnapRegistry`] so trimming
+/// version lists. Registered with the set's [`SnapClock`] so trimming
 /// never cuts a version this snapshot can reach.
 pub struct VcasSnapshot<'t> {
     set: &'t VcasSet,
@@ -98,7 +97,7 @@ pub struct VcasSnapshot<'t> {
 
 impl Drop for VcasSnapshot<'_> {
     fn drop(&mut self) {
-        self.set.snaps.deregister();
+        self.set.sync.deregister();
     }
 }
 
@@ -112,15 +111,14 @@ impl VcasSet {
         let entry = Node::internal(INF2, inf1, inf2_leaf);
         VcasSet {
             entry,
-            clock: AtomicU64::new(1),
-            snaps: SnapRegistry::new(),
+            sync: SnapClock::new(),
         }
     }
 
     /// Current child of an edge (head version), stamping lazily.
     #[inline]
     fn read_child(&self, edge: &VersionedEdge) -> (u64, u64) {
-        edge.read(&self.clock)
+        edge.read(self.sync.clock())
     }
 
     fn search(&self, k: u64) -> (&Node, &Node, &Node) {
@@ -211,9 +209,9 @@ impl VcasSet {
                 )
             };
             if ok {
-                unsafe { VersionRecord::from_raw(new_head) }.stamp(&self.clock);
+                unsafe { VersionRecord::from_raw(new_head) }.stamp(self.sync.clock());
                 unsafe { Self::retire_node(&guard, l as *const Node as u64) };
-                vedge::trim(&guard, new_head, self.snaps.min_active(), &self.clock);
+                vedge::trim(&guard, new_head, self.sync.min_active(), self.sync.clock());
                 return true;
             }
             unsafe {
@@ -310,13 +308,13 @@ impl VcasSet {
                 )
             };
             if ok {
-                unsafe { VersionRecord::from_raw(new_head) }.stamp(&self.clock);
+                unsafe { VersionRecord::from_raw(new_head) }.stamp(self.sync.clock());
                 unsafe {
                     Self::retire_node(&guard, p as *const Node as u64);
                     Self::retire_node(&guard, l as *const Node as u64);
                     Self::retire_node(&guard, s_raw);
                 }
-                vedge::trim(&guard, new_head, self.snaps.min_active(), &self.clock);
+                vedge::trim(&guard, new_head, self.sync.min_active(), self.sync.clock());
                 return true;
             }
             unsafe {
@@ -351,7 +349,7 @@ impl VcasSet {
     /// the snapshot can read.
     pub fn snapshot(&self) -> VcasSnapshot<'_> {
         let guard = ebr::pin();
-        let ts = self.snaps.register(&self.clock);
+        let ts = self.sync.register();
         VcasSnapshot {
             set: self,
             ts,
@@ -423,7 +421,7 @@ impl Drop for VcasSet {
 
 impl<'t> VcasSnapshot<'t> {
     fn read_child_at(&self, edge: &VersionedEdge) -> u64 {
-        edge.read_at(&self.set.clock, self.ts)
+        edge.read_at(self.set.sync.clock(), self.ts)
     }
 
     fn root_at(&self) -> u64 {
@@ -501,19 +499,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// The same stop-gap as in the root `tests/reclamation.rs` (ROADMAP
-    /// item 0), taken by every test of this module for its whole body: the
-    /// epoch is process-global, and `version_records_come_from_the_pool`
-    /// asserts on this thread's pool counters — while a sibling holds a
-    /// pin or a snapshot, the flushes that should stock the pool free
-    /// nothing. The fix is a collector the test owns (the `ebr::Domain`
-    /// direction).
-    static GLOBAL_EPOCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn own_the_global_epoch() -> std::sync::MutexGuard<'static, ()> {
-        // Nothing behind the lock can be left half-updated by a failed test.
-        GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // Every test of this module holds the process-wide epoch lock for its
+    // whole body: `version_records_come_from_the_pool` asserts on this
+    // thread's pool counters.
+    use ebr::own_the_global_epoch;
 
     #[test]
     fn insert_contains_remove() {

@@ -26,10 +26,10 @@
 //!   record header, so publication conflicts resolve at *edge* rather
 //!   than holder-node granularity (`fanout` publishes through these,
 //!   `vcas` keeps plain edges under its node headers).
-//! * [`SnapRegistry`] — per-thread announcement slots for live snapshot
-//!   timestamps. Writers ask [`SnapRegistry::min_active`] for the oldest
-//!   timestamp any live snapshot can read at; with no snapshots live this
-//!   is a single shared-counter load.
+//! * [`SnapClock`] — the stamping clock plus per-thread announcement slots
+//!   for live snapshot timestamps. Writers ask [`SnapClock::min_active`]
+//!   for the oldest timestamp any live snapshot can read at; with no
+//!   snapshots live this is a single shared-counter load.
 //! * [`trim`] — version-list garbage collection (\[33\] §4.3, which the
 //!   seed's `vcas` skipped): after installing a new head, the writer cuts
 //!   every record no reader can reach and retires it through EBR, so
@@ -465,10 +465,10 @@ struct SnapSlot {
     depth: AtomicU64,
 }
 
-/// Per-structure registry of live snapshot timestamps, indexed by
+/// [`SnapClock`]'s registry of live snapshot timestamps, indexed by
 /// [`ebr::thread_id`]. Snapshot guards are `!Send`, so a slot is only ever
 /// written by its owning thread; writers just read.
-pub struct SnapRegistry {
+struct SnapRegistry {
     slots: Vec<CachePadded<SnapSlot>>,
     /// Count of live snapshots across all threads: lets the no-snapshot
     /// fast path of [`SnapRegistry::min_active`] skip the slot scan.
@@ -480,7 +480,7 @@ pub struct SnapRegistry {
 }
 
 impl SnapRegistry {
-    pub fn new() -> Self {
+    fn new() -> Self {
         SnapRegistry {
             slots: (0..ebr::MAX_THREADS)
                 .map(|_| {
@@ -502,7 +502,7 @@ impl SnapRegistry {
     /// miss a snapshot and still see a timestamp below it.
     ///
     /// Must be paired with [`SnapRegistry::deregister`] on the same thread.
-    pub fn register(&self, clock: &AtomicU64) -> u64 {
+    fn register(&self, clock: &AtomicU64) -> u64 {
         let tid = ebr::thread_id();
         let slot = &self.slots[tid];
         self.high.fetch_max(tid as u64 + 1, Ordering::SeqCst);
@@ -519,7 +519,7 @@ impl SnapRegistry {
     }
 
     /// Retire the calling thread's most recent registration.
-    pub fn deregister(&self) {
+    fn deregister(&self) {
         let slot = &self.slots[ebr::thread_id()];
         // ordering: same-thread read; see `register`.
         let depth = slot.depth.load(Ordering::Relaxed);
@@ -536,7 +536,7 @@ impl SnapRegistry {
     /// snapshots live, the scan covers only slots that ever registered
     /// (`high` is published before `active`, so a scan triggered by a
     /// registration cannot miss its slot).
-    pub fn min_active(&self) -> u64 {
+    fn min_active(&self) -> u64 {
         if self.active.load(Ordering::SeqCst) == 0 {
             return u64::MAX;
         }
@@ -549,13 +549,7 @@ impl SnapRegistry {
     }
 }
 
-impl Default for SnapRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A snapshot clock bundled with its [`SnapRegistry`]: the unit of
+/// A snapshot clock bundled with its registry of live snapshots: the unit of
 /// snapshot *consistency*. Structures that share one `SnapClock` (via
 /// `Arc`) stamp their version records from the same monotone counter, so
 /// a single registration yields one timestamp that is a consistent cut
@@ -584,12 +578,6 @@ impl SnapClock {
         &self.clock
     }
 
-    /// The registry of live snapshot timestamps.
-    #[inline]
-    pub fn registry(&self) -> &SnapRegistry {
-        &self.registry
-    }
-
     /// Announce a snapshot and return its timestamp (pre-advance clock
     /// value). Pair with [`SnapClock::deregister`] on the same thread.
     /// Every structure sharing this clock can be read at the returned
@@ -605,8 +593,8 @@ impl SnapClock {
         self.registry.deregister()
     }
 
-    /// A timestamp no live snapshot reads below (see
-    /// [`SnapRegistry::min_active`]).
+    /// A timestamp no live snapshot reads below (conservative); `u64::MAX`
+    /// when none is live, at the cost of one counter load.
     #[inline]
     pub fn min_active(&self) -> u64 {
         self.registry.min_active()
@@ -864,7 +852,7 @@ mod tests {
 /// Deterministic-scheduler corpus for the **register-vs-trim window**
 /// (ISSUE 9 satellite, the PR 7 forensics follow-up): the poison-verified
 /// use-after-retire from the fanout hunt pointed at the gap inside
-/// [`SnapRegistry::register`] — `active` is incremented *before* the
+/// [`SnapClock::register`] — `active` is incremented *before* the
 /// slot's timestamp is published, so a concurrent [`trim`] can observe
 /// `active > 0` with the registering thread's slot still at `u64::MAX`
 /// (or, with no other snapshot live, a `min_active` of `u64::MAX`) and

@@ -13,10 +13,10 @@ fn all_policies() -> Vec<DelegationPolicy> {
     vec![
         DelegationPolicy::None,
         DelegationPolicy::Del {
-            timeout: Some(std::time::Duration::from_millis(2)),
+            timeout: std::time::Duration::from_millis(2),
         },
         DelegationPolicy::EagerDel {
-            timeout: Some(std::time::Duration::from_millis(2)),
+            timeout: std::time::Duration::from_millis(2),
         },
     ]
 }
@@ -224,7 +224,7 @@ fn delegation_timeout_survives_stalls() {
     // A tiny key space maximizes refresh conflicts (everyone shares the
     // top of the tree), and short timeouts force the fallback path.
     let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel {
-        timeout: Some(std::time::Duration::from_micros(50)),
+        timeout: std::time::Duration::from_micros(50),
     }));
     let handles: Vec<_> = (0..8u64)
         .map(|t| {

@@ -109,7 +109,7 @@ fn bat_matches_btreemap() {
 fn bat_del_matches_btreemap() {
     for case in 0..32u64 {
         let map = BatMap::<u64, u64, SumAug>::with_policy(DelegationPolicy::Del {
-            timeout: Some(std::time::Duration::from_millis(1)),
+            timeout: std::time::Duration::from_millis(1),
         });
         check(&map, &random_ops(0xBA7_0002 ^ case, 200));
     }

@@ -3,31 +3,18 @@
 //! unbounded growth under sustained churn, and no reclamation while
 //! snapshots can still reach the memory.
 
-use std::sync::{Mutex, MutexGuard};
-
 use cbat::{BatMap, BatSet, DelegationPolicy};
 
-/// Every test in this file takes this lock for its whole body. The epoch
-/// and `ebr::stats()` are process-global: a test here either stalls the
-/// epoch on purpose (a held snapshot, a tree torn down between collects)
-/// or asserts on `ebr::stats()` deltas, so run in parallel — the default
-/// for tests of one binary — one test's pin shows up as another's "leak".
-/// This is a stop-gap for that coupling, not a fix: see ROADMAP item 0 and
-/// the `ebr::Domain` direction.
-static GLOBAL_EPOCH: Mutex<()> = Mutex::new(());
-
-fn own_the_global_epoch() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock leaves nothing behind
-    // that the next one could see half-updated.
-    GLOBAL_EPOCH.lock().unwrap_or_else(|e| e.into_inner())
-}
+// Every test here holds `ebr::own_the_global_epoch()` for its whole body:
+// each either stalls the epoch on purpose (a held snapshot, a tree torn
+// down between collects) or asserts on `ebr::stats()` deltas.
 
 /// Sustained update churn must not leak: the gap between retired and
 /// freed objects stays bounded (by the epoch lag and per-thread bags),
 /// rather than growing with the operation count.
 #[test]
 fn churn_does_not_leak() {
-    let _serial = own_the_global_epoch();
+    let _serial = ebr::own_the_global_epoch();
     let map = BatMap::<u64, u64>::new();
     // Warm up and measure the baseline gap.
     for k in 0..500u64 {
@@ -75,7 +62,7 @@ fn churn_does_not_leak() {
 /// snapshot must stay readable and exactly consistent.
 #[test]
 fn snapshot_blocks_reclamation_of_its_versions() {
-    let _serial = own_the_global_epoch();
+    let _serial = ebr::own_the_global_epoch();
     let set = BatSet::<u64>::new();
     for k in 0..2_000u64 {
         set.insert(k);
@@ -108,11 +95,11 @@ fn snapshot_blocks_reclamation_of_its_versions() {
 /// delegation-heavy runs must not leak them either.
 #[test]
 fn delegation_objects_reclaimed() {
-    let _serial = own_the_global_epoch();
+    let _serial = ebr::own_the_global_epoch();
     use std::sync::Arc;
     let s0 = ebr::stats();
     let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel {
-        timeout: Some(std::time::Duration::from_micros(100)),
+        timeout: std::time::Duration::from_micros(100),
     }));
     let handles: Vec<_> = (0..6u64)
         .map(|t| {
@@ -150,7 +137,7 @@ fn delegation_objects_reclaimed() {
 /// Dropping a whole tree frees it without touching EBR correctness.
 #[test]
 fn tree_drop_is_clean() {
-    let _serial = own_the_global_epoch();
+    let _serial = ebr::own_the_global_epoch();
     for _ in 0..50 {
         let map = BatMap::<u64, u64>::new();
         for k in 0..200u64 {
@@ -176,7 +163,7 @@ fn tree_drop_is_clean() {
 /// totals must meet.
 #[test]
 fn counters_stay_exact_across_slot_reuse() {
-    let _serial = own_the_global_epoch();
+    let _serial = ebr::own_the_global_epoch();
     use std::sync::Arc;
     const THREADS: u64 = 64;
     const UPDATES: u64 = 100;
