@@ -6,7 +6,11 @@
 //! Soisalon-Soininen \[26\]) are relaxed red-black trees that decouple
 //! rebalancing from updates, which makes them amenable to lock-free
 //! implementation: every update and every rebalancing step replaces one
-//! small *patch* of nodes by a freshly allocated patch using one SCX.
+//! small *patch* of nodes by a freshly allocated patch using one SCX —
+//! \[7\]'s *tree update template* on the LLX/SCX primitives of \[6\]. The
+//! template is written once, as [`ChromaticTree`]'s crate-private
+//! `replace_patch` (`tree.rs`): the one SCX in the crate, and the one place
+//! that decides which nodes a commit retires and an abort disposes of.
 //!
 //! The tree is parameterized by a [`node::NodePlugin`] so the augmentation
 //! layer (crate `cbat-core`) can hang a version pointer off every node and
@@ -37,7 +41,7 @@ pub mod validate;
 pub use key::SentKey;
 pub use node::{ChildSnap, Node, NodePlugin};
 pub use set::{ChromaticMap, ChromaticSet, U64Set};
-pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats, UpdateOutcome};
+pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats};
 pub use validate::{Invalid, TreeShape};
 
 #[cfg(test)]

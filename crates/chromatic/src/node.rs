@@ -180,13 +180,13 @@ impl<K, V, P> Node<K, V, P> {
 
     /// The raw left-child field, for SCX targeting.
     #[inline]
-    pub fn left_field(&self) -> *const AtomicU64 {
+    pub(crate) fn left_field(&self) -> *const AtomicU64 {
         &self.left
     }
 
     /// The raw right-child field, for SCX targeting.
     #[inline]
-    pub fn right_field(&self) -> *const AtomicU64 {
+    pub(crate) fn right_field(&self) -> *const AtomicU64 {
         &self.right
     }
 
@@ -263,7 +263,7 @@ impl<K, V, P> Node<K, V, P> {
 
     /// Build a [`Linked`] entry for SCX from an LLX result.
     #[inline]
-    pub fn linked(&self, info: llxscx::InfoTag) -> Linked {
+    pub(crate) fn linked(&self, info: llxscx::InfoTag) -> Linked {
         Linked {
             header: &self.header,
             info,
@@ -277,28 +277,6 @@ impl<K, V, P> Node<K, V, P> {
     }
 }
 
-impl<K: Ord, V, P> Node<K, V, P> {
-    /// The child a search for `k` follows, given an LLX snapshot.
-    #[inline]
-    pub fn child_for(&self, k: &K, snap: ChildSnap) -> u64 {
-        if self.key.goes_left(k) {
-            snap.0
-        } else {
-            snap.1
-        }
-    }
-
-    /// The child-pointer field a search for `k` follows.
-    #[inline]
-    pub fn field_for(&self, k: &K) -> *const AtomicU64 {
-        if self.key.goes_left(k) {
-            &self.left
-        } else {
-            &self.right
-        }
-    }
-}
-
 /// Reclamation entry point: runs the plugin hook, drops the node in place
 /// and returns its memory to the reclaiming thread's free-list pool.
 ///
@@ -306,20 +284,27 @@ impl<K: Ord, V, P> Node<K, V, P> {
 /// `ptr` must be a `Node` allocated by [`Node::new_leaf`] /
 /// [`Node::new_internal`] that is unreachable (or never was published),
 /// freed exactly once.
-pub unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
+pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
     let node = ptr as *mut Node<K, V, P>;
-    unsafe { (*node).plugin.on_reclaim() };
-    unsafe { ebr::pool::dispose_pooled(node) };
+    // SAFETY: the caller's contract — `node` is a live pool allocation that
+    // nothing else can reach, so the hook may read it and the pool may drop
+    // and recycle it, once.
+    unsafe {
+        (*node).plugin.on_reclaim();
+        ebr::pool::dispose_pooled(node);
+    }
 }
 
 /// Retire a node through EBR with the plugin-aware destructor.
 ///
 /// # Safety
 /// As for [`ebr::Guard::retire`].
-pub unsafe fn retire_node<K, V, P>(guard: &ebr::Guard, raw: u64)
+pub(crate) unsafe fn retire_node<K, V, P>(guard: &ebr::Guard, raw: u64)
 where
     P: NodePlugin<K, V>,
 {
+    // SAFETY: the caller's contract is `retire_with`'s, and `free_node`'s
+    // holds once the grace period has made the unlinked node unreachable.
     unsafe { guard.retire_with(raw as *mut u8, free_node::<K, V, P>) };
 }
 
@@ -328,10 +313,11 @@ where
 /// # Safety
 /// `raw` must point to a node created by this thread that no other thread
 /// has ever seen.
-pub unsafe fn dispose_unpublished<K, V, P>(raw: u64)
+pub(crate) unsafe fn dispose_unpublished<K, V, P>(raw: u64)
 where
     P: NodePlugin<K, V>,
 {
+    // SAFETY: never published (the caller's contract), hence unreachable.
     unsafe { free_node::<K, V, P>(raw as *mut u8) };
 }
 
@@ -344,28 +330,6 @@ impl<K: Ord, V, P> Node<K, V, P> {
             self.left(guard)
         } else {
             self.right(guard)
-        }
-    }
-
-    /// The child a search for the sentinel-extended key follows
-    /// (leaf-oriented rule: left iff `key < self.key`).
-    #[inline]
-    pub fn child_for_sent(&self, key: &SentKey<K>, snap: ChildSnap) -> u64 {
-        if key < &self.key {
-            snap.0
-        } else {
-            snap.1
-        }
-    }
-
-    /// The child-pointer field a search for the sentinel-extended key
-    /// follows.
-    #[inline]
-    pub fn field_for_sent(&self, key: &SentKey<K>) -> *const AtomicU64 {
-        if key < &self.key {
-            &self.left
-        } else {
-            &self.right
         }
     }
 }
@@ -396,10 +360,10 @@ mod tests {
         let n = N::new_internal(SentKey::Key(5), 1, l as u64, r as u64);
         let n = unsafe { &*n };
         assert!(!n.is_leaf());
-        let (_, snap) = n.llx().unwrap();
-        assert_eq!(n.child_for(&3, snap), l as u64);
-        assert_eq!(n.child_for(&5, snap), r as u64); // ties go right
-        assert_eq!(n.child_for(&7, snap), r as u64);
+        let toward = |k| n.child_toward(&SentKey::Key(k), &_g).as_raw();
+        assert_eq!(toward(3), l as u64);
+        assert_eq!(toward(5), r as u64); // ties go right
+        assert_eq!(toward(7), r as u64);
         unsafe {
             dispose_unpublished::<u64, (), ()>(l as u64);
             dispose_unpublished::<u64, (), ()>(r as u64);

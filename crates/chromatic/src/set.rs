@@ -29,13 +29,13 @@ where
     /// Insert `k → v`. Returns `true` if `k` was absent.
     pub fn insert(&self, k: K, v: V) -> bool {
         let guard = ebr::pin();
-        self.tree.insert(k, v, &guard).changed
+        self.tree.insert(k, v, &guard)
     }
 
     /// Remove `k`. Returns `true` if it was present.
     pub fn remove(&self, k: &K) -> bool {
         let guard = ebr::pin();
-        self.tree.delete(k, &guard).changed
+        self.tree.delete(k, &guard)
     }
 
     /// Membership test.

@@ -1,19 +1,22 @@
 //! The lock-free chromatic tree: search, insert, delete.
 //!
 //! Leaf-oriented BST per Brown–Ellen–Ruppert (PPoPP 2014) \[7\]: the set's
-//! keys live in the leaves; internal nodes only route searches. Every
-//! update replaces a small *patch* of nodes with a patch of freshly
-//! allocated nodes via one SCX (paper Fig. 2), finalizing the removed
-//! nodes. Rebalancing (in [`crate::rebalance`]) works the same way.
+//! keys live in the leaves; internal nodes only route searches. The tree
+//! changes in one way only, \[7\]'s *tree update template*: LLX a short
+//! sequence of nodes, build a patch of freshly allocated nodes, and issue
+//! one SCX that swings one child link to the patch and finalizes the nodes
+//! it replaces (paper Fig. 2). `ChromaticTree::replace_patch` is that
+//! template; `insert`, `delete` and every rebalancing step (in
+//! [`crate::rebalance`]) commit through it and nowhere else.
 
 use sched::atomic::Ordering;
 use std::marker::PhantomData;
 
 use ebr::{Guard, Striped};
-use llxscx::Llx;
+use llxscx::{InfoTag, Llx};
 
 use crate::key::SentKey;
-use crate::node::{dispose_unpublished, retire_node, Node, NodePlugin};
+use crate::node::{dispose_unpublished, retire_node, ChildSnap, Node, NodePlugin};
 
 /// Operation counters, matching the paper's §7 work statistics: one
 /// [`Striped`] whose stripes hold [`COMMITS`], [`FAILURES`] and then one
@@ -30,7 +33,8 @@ pub(crate) const STEPS: usize = 2;
 pub struct TreeSnapshot {
     /// Committed SCXs (insert + delete + rebalance steps).
     pub scx_commits: u64,
-    /// SCX attempts that aborted or whose LLX phase failed.
+    /// SCX attempts that aborted or whose LLX phase failed, in updates and
+    /// rebalancing steps alike.
     pub scx_failures: u64,
     /// Committed rebalancing steps, by kind (indexes of [`RebalanceKind`]).
     pub rebalance_steps: [u64; 8],
@@ -53,12 +57,12 @@ pub enum RebalanceKind {
     Push = 5,
     /// Overweight, far nephew red: single rotation.
     WFar = 6,
-    /// Overweight at the real root: reset weight to 1. (Shares a counter
-    /// slot with the near-nephew double rotation; see `WNear`.)
+    /// Overweight at the real root: reset weight to 1.
     RootNormalize = 7,
 }
 
-/// Overweight, near nephew red: double rotation (counted with `WFar`).
+/// Overweight, near nephew red: double rotation. Not a kind of its own: it
+/// is counted in [`RebalanceKind::WFar`]'s slot.
 pub const W_NEAR: RebalanceKind = RebalanceKind::WFar;
 
 impl TreeStats {
@@ -103,17 +107,33 @@ pub struct ChromaticTree<K, V, P: NodePlugin<K, V>> {
     _marker: PhantomData<(K, V, P)>,
 }
 
+// SAFETY: `entry` is a raw link only so that nodes can be shared;
+// the nodes behind it hold `K`, `V` and `P` (`Send + Sync`, the last by
+// `NodePlugin`'s bound), are read through atomics under an EBR pin, and
+// change only through LLX/SCX.
 unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>> Send for ChromaticTree<K, V, P> {}
+// SAFETY: as for `Send` above.
 unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>> Sync for ChromaticTree<K, V, P> {}
 
-/// Outcome of an insert or delete on the node tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// Whether the set changed (`CTInsert` / `CTDelete` return value).
-    pub changed: bool,
-}
-
 pub(crate) type NodeRef<'g, K, V, P> = &'g Node<K, V, P>;
+
+/// A load-linked node: the node and the tag its LLX returned.
+pub(crate) type Loaded<'g, K, V, P> = (NodeRef<'g, K, V, P>, InfoTag);
+
+/// The longest `V` any patch load-links: W-far / W-near's parent, patch
+/// root, both its children and one nephew.
+const MAX_LINKED: usize = 5;
+
+/// `(a, b)` if `a` belongs on the left, `(b, a)` otherwise: how a mirrored
+/// case puts its on-path and off-path parts in left-to-right order.
+#[inline]
+pub(crate) fn in_order<T>(a_left: bool, a: T, b: T) -> (T, T) {
+    if a_left {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
 
 impl<K, V, P> ChromaticTree<K, V, P>
 where
@@ -248,33 +268,114 @@ where
         }
     }
 
+    /// LLX `n`. `None` — counted in [`TreeSnapshot::scx_failures`] — if an
+    /// SCX is in flight on `n` or it is finalized; the caller re-searches.
+    #[inline]
+    pub(crate) fn llx<'g>(
+        &self,
+        n: NodeRef<'g, K, V, P>,
+    ) -> Option<(Loaded<'g, K, V, P>, ChildSnap)> {
+        match n.llx() {
+            Llx::Ok { info, snapshot } => Some(((n, info), snapshot)),
+            _ => {
+                self.stats.bump(FAILURES);
+                None
+            }
+        }
+    }
+
+    /// LLX `parent` and check that the link a search followed out of it —
+    /// its left one iff `left` — still names `child`. `None` if the LLX
+    /// failed or the link has moved on; the caller re-searches.
+    #[inline]
+    pub(crate) fn llx_link<'g>(
+        &self,
+        parent: NodeRef<'g, K, V, P>,
+        left: bool,
+        child: NodeRef<'g, K, V, P>,
+    ) -> Option<(Loaded<'g, K, V, P>, ChildSnap)> {
+        let (loaded, snap) = self.llx(parent)?;
+        let (link, _) = in_order(left, snap.0, snap.1);
+        (link == child.as_raw()).then_some((loaded, snap))
+    }
+
+    /// The tree update template of \[7\] (paper Fig. 2), the one way this
+    /// tree changes: one SCX swings a link of `v[0]` from `v[1]` to
+    /// `fresh[0]` and finalizes `v[1..]`.
+    ///
+    /// `v` is the attempt's load-linked sequence in freeze order: the
+    /// parent whose link is swung (its left one iff `left`, as
+    /// [`ChromaticTree::llx_link`] validated it), then every node the
+    /// patch replaces, patch root first, children left to right. `fresh`
+    /// is every node this attempt allocated, patch root first. Everything
+    /// else follows from the two: the finalize mask is all of `v` but
+    /// `v[0]`, a commit retires exactly `v[1..]`, an abort disposes of
+    /// exactly `fresh`. Returns whether the SCX committed.
+    pub(crate) fn replace_patch(
+        &self,
+        left: bool,
+        v: &[Loaded<'_, K, V, P>],
+        fresh: &[u64],
+        guard: &Guard,
+    ) -> bool {
+        debug_assert!((2..=MAX_LINKED).contains(&v.len()) && !fresh.is_empty());
+        let (parent, parent_info) = v[0];
+        let mut linked = [parent.linked(parent_info); MAX_LINKED];
+        for (slot, &(n, info)) in linked[1..].iter_mut().zip(&v[1..]) {
+            *slot = n.linked(info);
+        }
+        let field = if left {
+            parent.left_field()
+        } else {
+            parent.right_field()
+        };
+        // SAFETY: every node of `v` was reached and load-linked under
+        // `guard`'s pin, so it is live and its tag is this attempt's LLX
+        // result; `field` is a link of `v[0]` and `v[1]` the value
+        // `llx_link` found in it; `fresh[0]` is a new allocation, so the
+        // value never recurs; `v` is in traversal order.
+        let committed = unsafe {
+            llxscx::scx(
+                &linked[..v.len()],
+                (1 << v.len()) - 2,
+                field,
+                v[1].0.as_raw(),
+                fresh[0],
+            )
+        };
+        if committed {
+            self.stats.bump(COMMITS);
+            for &(n, _) in &v[1..] {
+                // SAFETY: the committed SCX unlinked `n` and finalized it,
+                // so no later SCX can link or retire it again, and it was
+                // retired by nobody before: this is its one retirement.
+                unsafe { retire_node::<K, V, P>(guard, n.as_raw()) };
+            }
+        } else {
+            self.stats.bump(FAILURES);
+            for &n in fresh {
+                // SAFETY: this attempt allocated `n` and the aborted SCX
+                // stored it nowhere, so no other thread has seen it.
+                unsafe { dispose_unpublished::<K, V, P>(n) };
+            }
+        }
+        committed
+    }
+
     /// `CTInsert(k)` (paper §3.1 / Fig. 2 left): add a leaf with `k`,
-    /// then fix any balance violation. Returns `changed = false` if `k`
-    /// was already present.
-    pub fn insert(&self, k: K, v: V, guard: &Guard) -> UpdateOutcome {
+    /// then fix any balance violation. Returns `false` if `k` was already
+    /// present.
+    pub fn insert(&self, k: K, v: V, guard: &Guard) -> bool {
         loop {
             let (_gp, p, l) = self.search(&k, guard);
             if l.key().as_key() == Some(&k) {
-                return UpdateOutcome { changed: false };
+                return false;
             }
-            let Llx::Ok {
-                info: pinfo,
-                snapshot: psnap,
-            } = p.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let l_left = p.key().goes_left(&k);
+            let Some((p_ll, _)) = self.llx_link(p, l_left, l) else {
                 continue;
             };
-            // Validate the search result is still current.
-            if p.child_for(&k, psnap) != l.as_raw() {
-                continue;
-            }
-            let Llx::Ok {
-                info: linfo,
-                snapshot: _lsnap,
-            } = l.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let Some((l_ll, _)) = self.llx(l) else {
                 continue;
             };
 
@@ -295,82 +396,42 @@ where
             };
             let internal = Node::<K, V, P>::new_internal(ikey, new_weight, lc, rc) as u64;
 
-            let ok = unsafe {
-                llxscx::scx(
-                    &[p.linked(pinfo), l.linked(linfo)],
-                    0b10, // finalize l
-                    p.field_for(&k),
-                    l.as_raw(),
-                    internal,
-                )
-            };
-            if ok {
-                self.stats.bump(COMMITS);
-                unsafe { retire_node::<K, V, P>(guard, l.as_raw()) };
+            let fresh = [internal, new_leaf as u64, leaf_copy as u64];
+            if self.replace_patch(l_left, &[p_ll, l_ll], &fresh, guard) {
                 let violation = (new_weight == 0 && p.weight() == 0) || new_weight >= 2;
                 if self.balanced && violation {
                     self.cleanup(&SentKey::Key(k), guard);
                 }
-                return UpdateOutcome { changed: true };
-            }
-            self.stats.bump(FAILURES);
-            unsafe {
-                dispose_unpublished::<K, V, P>(internal);
-                dispose_unpublished::<K, V, P>(new_leaf as u64);
-                dispose_unpublished::<K, V, P>(leaf_copy as u64);
+                return true;
             }
         }
     }
 
     /// `CTDelete(k)` (paper §3.1 / Fig. 2 right): remove the leaf with `k`
     /// and its parent, replacing them with a copy of the sibling carrying
-    /// the combined weight; then fix any overweight violation.
-    pub fn delete(&self, k: &K, guard: &Guard) -> UpdateOutcome {
+    /// the combined weight; then fix any overweight violation. Returns
+    /// `false` if `k` was absent.
+    pub fn delete(&self, k: &K, guard: &Guard) -> bool {
         loop {
             let (gp, p, l) = self.search(k, guard);
             if l.key().as_key() != Some(k) {
-                return UpdateOutcome { changed: false };
+                return false;
             }
-            let Llx::Ok {
-                info: gpinfo,
-                snapshot: gpsnap,
-            } = gp.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let p_left = gp.key().goes_left(k);
+            let Some((gp_ll, _)) = self.llx_link(gp, p_left, p) else {
                 continue;
             };
-            if gp.child_for(k, gpsnap) != p.as_raw() {
-                continue;
-            }
-            let Llx::Ok {
-                info: pinfo,
-                snapshot: psnap,
-            } = p.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let l_left = p.key().goes_left(k);
+            let Some((p_ll, psnap)) = self.llx_link(p, l_left, l) else {
                 continue;
             };
-            if p.child_for(k, psnap) != l.as_raw() {
-                continue;
-            }
-            let l_is_left = psnap.0 == l.as_raw();
-            let s_raw = if l_is_left { psnap.1 } else { psnap.0 };
+            let (_, s_raw) = in_order(l_left, psnap.0, psnap.1);
             // SAFETY: a link from `p`'s LLX snapshot, taken under `guard`.
             let s = unsafe { Node::<K, V, P>::from_raw(s_raw, guard) };
-            let Llx::Ok {
-                info: sinfo,
-                snapshot: ssnap,
-            } = s.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let Some((s_ll, ssnap)) = self.llx(s) else {
                 continue;
             };
-            let Llx::Ok {
-                info: linfo,
-                snapshot: _,
-            } = l.llx()
-            else {
-                self.stats.bump(FAILURES);
+            let Some((l_ll, _)) = self.llx(l) else {
                 continue;
             };
 
@@ -381,35 +442,13 @@ where
             };
             let s_copy = s.copy_with_weight(new_weight, ssnap) as u64;
 
-            // V ordered patch-root-first, then children left-to-right.
-            let (va, vb) = if l_is_left {
-                (l.linked(linfo), s.linked(sinfo))
-            } else {
-                (s.linked(sinfo), l.linked(linfo))
-            };
-            let ok = unsafe {
-                llxscx::scx(
-                    &[gp.linked(gpinfo), p.linked(pinfo), va, vb],
-                    0b1110, // finalize p and both children
-                    gp.field_for(k),
-                    p.as_raw(),
-                    s_copy,
-                )
-            };
-            if ok {
-                self.stats.bump(COMMITS);
-                unsafe {
-                    retire_node::<K, V, P>(guard, p.as_raw());
-                    retire_node::<K, V, P>(guard, l.as_raw());
-                    retire_node::<K, V, P>(guard, s.as_raw());
-                }
+            let (a_ll, b_ll) = in_order(l_left, l_ll, s_ll);
+            if self.replace_patch(p_left, &[gp_ll, p_ll, a_ll, b_ll], &[s_copy], guard) {
                 if self.balanced && new_weight >= 2 && !self.is_sentinel_node(gp) {
                     self.cleanup(&SentKey::Key(k.clone()), guard);
                 }
-                return UpdateOutcome { changed: true };
+                return true;
             }
-            self.stats.bump(FAILURES);
-            unsafe { dispose_unpublished::<K, V, P>(s_copy) };
         }
     }
 }
@@ -439,9 +478,71 @@ impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
             }
             free(raw);
         }
+        // SAFETY: `walk` hands over each reachable node once, after its
+        // children, and with `&mut self` nothing else can reach it. (Plugin
+        // hooks may retire versions, so this is the normal free path.)
         walk::<K, V, P>(self.entry, &mut |raw| unsafe {
-            // Plugin hooks may retire versions; run through the normal path.
             crate::node::free_node::<K, V, P>(raw as *mut u8);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    static RECLAIMS: AtomicUsize = AtomicUsize::new(0);
+
+    struct Counting;
+
+    impl NodePlugin<u64, ()> for Counting {
+        fn new_leaf(_: &SentKey<u64>, _: Option<&()>) -> Self {
+            Counting
+        }
+        fn new_internal(_: &SentKey<u64>) -> Self {
+            Counting
+        }
+        fn on_reclaim(&self) {
+            RECLAIMS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The abort arm of the template: stale tags make the SCX fail, and the
+    /// failure disposes of the attempt's fresh nodes and of nothing else.
+    #[test]
+    fn stale_tags_abort_and_dispose_of_exactly_the_fresh_nodes() {
+        type N = Node<u64, (), Counting>;
+        // Unbalanced, so the shape is known: entry → ∞₁ → a{20}: (10, 20).
+        let tree = ChromaticTree::<u64, (), Counting>::new_unbalanced();
+        // The pin also keeps what the inserts retire out of `RECLAIMS`.
+        let guard = ebr::pin();
+        assert!(tree.insert(20, (), &guard));
+        assert!(tree.insert(10, (), &guard));
+
+        let (_, p, l) = tree.search(&10, &guard);
+        let l_left = p.key().goes_left(&10);
+        let (p_ll, _) = tree.llx_link(p, l_left, l).expect("quiescent");
+        let (l_ll, _) = tree.llx(l).expect("quiescent");
+        // Interfere under the same parent: 25 replaces `p`'s other child,
+        // which changes `p` (so its tag is stale) and leaves `l` alone.
+        assert!(tree.insert(25, (), &guard));
+        assert!(!p.is_finalized() && !l.is_finalized());
+
+        let a = N::new_leaf(SentKey::Key(5), 1, Some(())) as u64;
+        let b = N::new_leaf(SentKey::Key(10), 1, Some(())) as u64;
+        let top = N::new_internal(SentKey::Key(10), 1, a, b) as u64;
+        let reclaims = RECLAIMS.load(Ordering::SeqCst);
+        let before = tree.stats.snapshot();
+        assert!(!tree.replace_patch(l_left, &[p_ll, l_ll], &[top, a, b], &guard));
+        assert_eq!(RECLAIMS.load(Ordering::SeqCst), reclaims + 3);
+        let after = tree.stats.snapshot();
+        assert_eq!(after.scx_failures, before.scx_failures + 1);
+        assert_eq!(after.scx_commits, before.scx_commits);
+        assert!(
+            !p.is_finalized() && !l.is_finalized(),
+            "no node of V is finalized"
+        );
+        assert_eq!(p.left(&guard).as_raw(), l.as_raw(), "the link did not move");
     }
 }

@@ -99,7 +99,7 @@ where
         let guard = ebr::pin();
         let key = SentKey::Key(k.clone());
         warm_up(self.tree.entry(), &key, &guard);
-        let changed = self.tree.insert(k, v, &guard).changed;
+        let changed = self.tree.insert(k, v, &guard);
         propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }
@@ -111,7 +111,7 @@ where
         let guard = ebr::pin();
         let key = SentKey::Key(k.clone());
         warm_up(self.tree.entry(), &key, &guard);
-        let changed = self.tree.delete(k, &guard).changed;
+        let changed = self.tree.delete(k, &guard);
         propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }

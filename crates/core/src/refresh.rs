@@ -206,7 +206,7 @@ mod tests {
         let guard = ebr::pin();
         let _ = read_version(tree.entry(), &stats.local(), &guard); // initialize
         for k in [10u64, 20, 30] {
-            assert!(tree.insert(k, k * 10, &guard).changed);
+            assert!(tree.insert(k, k * 10, &guard));
         }
         // Without propagation, the root's version is stale (size 0) —
         // that's expected: information flows only via refreshes.

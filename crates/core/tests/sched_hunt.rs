@@ -86,6 +86,7 @@ fn hunt_body(opseed: u64) {
 
 #[test]
 fn bat_reclamation_hunt_under_explored_schedules() {
+    let _serial = ebr::own_the_global_epoch();
     let budget: usize = std::env::var("CBAT_SCHED_HUNT_SCHEDULES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -119,6 +120,7 @@ fn bat_reclamation_hunt_under_explored_schedules() {
 
 #[test]
 fn delegation_timeout_is_deterministic_yield_budget() {
+    let _serial = ebr::own_the_global_epoch();
     // With the wall-clock deadline modeled as a yield budget
     // (`SCHED_WAIT_YIELD_BUDGET`), a schedule is a pure function of its seed. Any
     // Instant::now() left on a scheduled path would make these traces

@@ -91,9 +91,9 @@ struct RetireCell {
     /// The superseded node, opaque to this crate.
     node: u64,
     /// How to free `node` once its grace period has passed.
-    // SAFETY: the pointer type is unsafe-to-call by construction; every
-    // call site (retire_covered / free_covered_now) documents why the
-    // node is dead when it fires.
+    // SAFETY: the pointer type is unsafe-to-call by construction; the two
+    // callers that fire it (retire_covered / free_covered_now) document
+    // why the node is dead when they do.
     free_fn: unsafe fn(*mut u8),
     /// Next cell in the list (0 = end). Plain: the list is built while the
     /// owning record is private and taken whole by one thread.
@@ -130,6 +130,29 @@ impl VersionRecord {
         self.retire.store(cell, Ordering::SeqCst);
     }
 
+    /// Take this record's retire list (swap the head to 0, so the hand-off
+    /// is exactly-once however often the record is visited), pass each
+    /// `(node, free_fn)` to `act`, and dispose of the cells.
+    // SAFETY: the pointer type only; a caller whose `act` fires it says why
+    // the node is dead by then.
+    fn take_retired(&self, mut act: impl FnMut(u64, unsafe fn(*mut u8))) {
+        let mut cell = self.retire.swap(0, Ordering::SeqCst);
+        while cell != 0 {
+            // SAFETY: the list was written while the record was private
+            // and the swap transferred it whole to this thread, so each
+            // cell is a live `alloc_pooled` allocation nobody else reads:
+            // read it, then dispose of it exactly once.
+            let (node, free_fn, next) = unsafe {
+                let c = &*(cell as *const RetireCell);
+                (c.node, c.free_fn, c.next)
+            };
+            act(node, free_fn);
+            // SAFETY: as above — exclusively ours, not referenced again.
+            unsafe { ebr::pool::dispose_pooled(cell as *mut RetireCell) };
+            cell = next;
+        }
+    }
+
     /// Drop this record's retire list **without touching the nodes** — the
     /// publish never committed, so the "superseded" nodes are still live.
     ///
@@ -137,41 +160,18 @@ impl VersionRecord {
     /// The record must be unpublished and exclusively owned by the caller
     /// (the SCX-abort path, right before `dispose_pooled`ing the record).
     pub unsafe fn abort_retired(&self) {
-        let mut cell = self.retire.swap(0, Ordering::SeqCst);
-        while cell != 0 {
-            // SAFETY: the record (and hence its private cell list) is
-            // exclusively ours per the fn contract; each cell came from
-            // `alloc_pooled` and is disposed exactly once here.
-            let next = unsafe { (*(cell as *const RetireCell)).next };
-            // SAFETY: as above — private, pool-allocated, disposed once.
-            unsafe { ebr::pool::dispose_pooled(cell as *mut RetireCell) };
-            cell = next;
-        }
+        self.take_retired(|_, _| {});
     }
 
     /// Take this record's retire list and hand every superseded node to
     /// EBR. Called by [`trim`] at the instant the record's `prev` chain is
     /// detached: the old region the nodes live in just became unreachable,
     /// and the grace period covers any reader still walking it.
-    ///
-    /// The swap makes the hand-off exactly-once even if the record is
-    /// visited again (e.g. as a claimed suffix of a later trim).
     fn retire_covered(&self, guard: &Guard) {
-        let mut cell = self.retire.swap(0, Ordering::SeqCst);
-        while cell != 0 {
-            // SAFETY: the swap above transferred the whole list to us;
-            // cells are live pool allocations until disposed below.
-            let c = unsafe { &*(cell as *const RetireCell) };
-            let (node, free_fn, next) = (c.node, c.free_fn, c.next);
-            // SAFETY: `node` was attached by the publisher that superseded
-            // it and is now unreachable from the chain (prev detached);
-            // retiring defers `free_fn` past every current pin.
-            unsafe { guard.retire_with(node as *mut u8, free_fn) };
-            // SAFETY: the cell is exclusively ours (swap) and no longer
-            // referenced; dispose it back to the pool.
-            unsafe { ebr::pool::dispose_pooled(cell as *mut RetireCell) };
-            cell = next;
-        }
+        // SAFETY: `node` was attached by the publisher that superseded it
+        // and is now unreachable from the chain (prev detached); retiring
+        // defers `free_fn` past every current pin.
+        self.take_retired(|node, free_fn| unsafe { guard.retire_with(node as *mut u8, free_fn) });
     }
 
     /// Take this record's retire list and free every superseded node *now*
@@ -182,18 +182,9 @@ impl VersionRecord {
     /// unreachable and its grace period — if it ever needed one — has
     /// already passed.
     unsafe fn free_covered_now(&self) {
-        let mut cell = self.retire.swap(0, Ordering::SeqCst);
-        while cell != 0 {
-            // SAFETY: swap transferred the list; cells live until disposed.
-            let c = unsafe { &*(cell as *const RetireCell) };
-            let (node, free_fn, next) = (c.node, c.free_fn, c.next);
-            // SAFETY: the chain owning this list is unreachable (fn
-            // contract), so the superseded node has no readers left.
-            unsafe { free_fn(node as *mut u8) };
-            // SAFETY: exclusively ours; disposed exactly once.
-            unsafe { ebr::pool::dispose_pooled(cell as *mut RetireCell) };
-            cell = next;
-        }
+        // SAFETY: the chain owning this list is unreachable (fn contract),
+        // so the superseded node has no readers left.
+        self.take_retired(|node, free_fn| unsafe { free_fn(node as *mut u8) });
     }
 
     /// # Safety

@@ -24,3 +24,7 @@ cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard --features sched
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 "${CARGO_TARGET_DIR:-benchmark/target}/release/cbat-benchmark" --manifest | cmp - BENCHMARK.json
 cargo test -q
+# Release builds drop the `debug_assert!`s on the fix-up arms and the
+# alignment half of the link fence (`chromatic::Node::follow`), so the tree
+# and BAT suites run once more the way the benchmark compiles them.
+cargo test -q --release -p chromatic -p cbat-core
