@@ -1,7 +1,8 @@
 //! End-to-end serving demo: a small fanout forest behind bounded
 //! request rings, driven by pipelined clients at a stepped offered
 //! load. Prints per-class completion/rejection counts, tail
-//! latencies, and the lease-renewal count.
+//! latencies, the lease-renewal count, and how often the analytics
+//! worker found a whole lease period idle and parked.
 //!
 //! Run with `cargo run --release -p serve --example serve`.
 
@@ -23,8 +24,8 @@ fn main() {
     let set = build_forest(shards, 1 << 14, 1 << 16);
     println!("forest: {} shards, {} keys", shards, set.len());
     println!(
-        "{:>10} {:>9} {:>7} {:>9} {:>9} {:>9} {:>6}",
-        "offered", "done/s", "rej", "p50us", "p99us", "p999us", "lease"
+        "{:>10} {:>9} {:>7} {:>9} {:>9} {:>9} {:>6} {:>6}",
+        "offered", "done/s", "rej", "p50us", "p99us", "p999us", "lease", "parks"
     );
     for offered in [10_000u64, 50_000, 0] {
         let cfg = ServeConfig {
@@ -48,7 +49,7 @@ fn main() {
             .collect();
         all.sort_unstable();
         println!(
-            "{:>10} {:>9.0} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>6}",
+            "{:>10} {:>9.0} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>6} {:>6}",
             if offered == 0 {
                 "open".to_string()
             } else {
@@ -60,6 +61,7 @@ fn main() {
             pct(&all, 0.99) as f64 / 1e3,
             pct(&all, 0.999) as f64 / 1e3,
             rep.lease_renewals,
+            rep.parks,
         );
         for class in [Class::Point, Class::Stat, Class::Range] {
             let c = &rep.classes[class as usize];

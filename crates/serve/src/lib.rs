@@ -20,17 +20,30 @@
 //!   *renews* (deregister + re-register) when the lease expires. A
 //!   reader that never voluntarily unregisters therefore still only
 //!   pins one lease period of version history — the version lists
-//!   under it stay bounded no matter how long it runs.
+//!   under it stay bounded no matter how long it runs. A lease period
+//!   in which nothing was served is not renewed: the worker gives the
+//!   cut and the lease back and parks until a request arrives.
 //! * **Pipelined clients**: each client keeps a window of outstanding
 //!   request cells in flight, reaping completions out of order, so a
 //!   single client thread measures the server under concurrency
 //!   rather than lock-step request/response.
 //!
+//! How each thread waits (there is no option for any of it):
+//!
+//! * client — window full, next arrival not yet due, stragglers at the
+//!   end: `relax`;
+//! * point worker — ring empty: `relax`;
+//! * analytics worker — rings empty: `relax` for one lease period,
+//!   then release the cut and the lease and `park` until a client
+//!   admits a `Stat`/`Range` request or the run stops.
+//!
 //! This crate is harness-tier (like `bench` and `workloads`): it uses
 //! `std` atomics and `std::time` directly and is not part of the
 //! sched-instrumented protocol core.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use shard::{Partition, ShardMember, ShardedSet};
@@ -115,6 +128,18 @@ impl Ring {
                 pos = self.tail.load(Ordering::Relaxed);
             }
         }
+    }
+
+    /// True when no push has claimed a slot that a pop has not yet
+    /// claimed back. `tail` moves before the pushed value is published,
+    /// so a `false` may come early — [`Ring::try_pop`] can still return
+    /// `None` for a moment afterwards — but never late: once
+    /// [`Ring::try_push`] has returned, every `is_empty` ordered after it
+    /// reads `false` until the value is popped. The loads are `Relaxed`;
+    /// a caller that sleeps on the answer supplies that order itself
+    /// (see `Shared::wake_analytics`).
+    pub fn is_empty(&self) -> bool {
+        self.head.load(Ordering::Relaxed) == self.tail.load(Ordering::Relaxed)
     }
 
     /// Dequeue, or `None` if the ring is empty.
@@ -407,8 +432,13 @@ pub struct ServeReport {
     pub secs: f64,
     /// Indexed by `Class as usize`.
     pub classes: [ClassStats; NUM_CLASSES],
-    /// Lease renewals performed by the analytics worker.
+    /// Times the analytics worker's pinned timestamp moved: renewals of
+    /// a lease that served something, plus leases taken afresh after a
+    /// park.
     pub lease_renewals: u64,
+    /// Times the analytics worker gave its cut and lease back and parked
+    /// because a whole lease period passed with nothing to serve.
+    pub parks: u64,
 }
 
 impl ServeReport {
@@ -442,7 +472,60 @@ struct Shared<'a, S: ShardMember> {
     /// this hits zero (a client's last push happens-before its
     /// decrement, so one final drain after seeing zero is complete).
     submitters: AtomicUsize,
-    lease_renewals: AtomicU64,
+    /// The analytics worker's handle, set by `run_serve` before any
+    /// client starts, and whether the worker is parked (or about to
+    /// be) and wants an `unpark` after the next analytics push.
+    analytics: OnceLock<Thread>,
+    analytics_parked: AtomicBool,
+}
+
+impl<S: ShardMember> Shared<'_, S> {
+    /// The waker's half of the park handshake, called after the store
+    /// the worker must not sleep through (an analytics `try_push`, or
+    /// `stop`). Dekker pairing: the waker stores, fences, loads
+    /// `analytics_parked`; the worker stores `analytics_parked`, fences,
+    /// loads the rings and `stop` (`park_analytics`). One of the two
+    /// fences comes first in the `SeqCst` order, so either the worker
+    /// sees the store and stays up, or the waker sees the flag and
+    /// unparks. An `unpark` that lands before the `park` leaves a token
+    /// that makes that `park` return at once.
+    fn wake_analytics(&self) {
+        fence(Ordering::SeqCst);
+        if self.analytics_parked.load(Ordering::Relaxed) {
+            self.analytics
+                .get()
+                .expect("run_serve sets the handle before any waker starts")
+                .unpark();
+        }
+    }
+
+    /// The worker's half: called holding no cut, no lease and no pin.
+    /// Publishes "parked", then sleeps until there is an analytics
+    /// request to pop or the run is stopping; every wake-up — request,
+    /// `stop`, spurious, stale token — re-checks before returning.
+    /// Returns whether it slept at all.
+    fn park_analytics(&self) -> bool {
+        self.analytics_parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let mut slept = false;
+        while self.stat_ring.is_empty()
+            && self.range_ring.is_empty()
+            && !self.stop.load(Ordering::Acquire)
+        {
+            std::thread::park();
+            slept = true;
+        }
+        self.analytics_parked.store(false, Ordering::Relaxed);
+        slept
+    }
+}
+
+/// Wait a little for another thread to make progress. It yields as
+/// well as spins because on a small host the thread being waited for
+/// may need this very core.
+fn relax() {
+    std::hint::spin_loop();
+    std::thread::yield_now();
 }
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -469,19 +552,25 @@ fn point_worker<S: ShardMember>(sh: &Shared<'_, S>, idx: usize) {
             }
             return;
         }
-        std::hint::spin_loop();
-        std::thread::yield_now();
+        relax();
     }
 }
 
-fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration, quantum: usize) {
+/// Returns `(lease_renewals, parks)` for the [`ServeReport`].
+fn analytics_worker<S: ShardMember>(
+    sh: &Shared<'_, S>,
+    lease_period: Duration,
+    quantum: usize,
+) -> (u64, u64) {
     let mut lease = SnapshotLease::take(sh.set, lease_period);
+    let (mut moved, mut parks) = (0u64, 0u64);
     'run: loop {
         // One cut per lease period amortizes the collect loop — and, on
         // fanout shards, the cut's subtree-count fill, which the period's
         // first queries pay — across every analytics request served
         // under it.
         let snap = sh.set.snapshot_at(lease.ts());
+        let mut served_under_lease = false;
         loop {
             let mut served = 0usize;
             for ring in [&sh.stat_ring, &sh.range_ring] {
@@ -497,6 +586,7 @@ fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration, 
                     }
                 }
             }
+            served_under_lease |= served > 0;
             if served == 0 {
                 if sh.stop.load(Ordering::Acquire) && sh.submitters.load(Ordering::Acquire) == 0 {
                     for ring in [&sh.stat_ring, &sh.range_ring] {
@@ -507,18 +597,28 @@ fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration, 
                     }
                     break 'run;
                 }
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                relax();
             }
             if lease.expired() {
-                break; // drop `snap`, then renew
+                break;
             }
         }
+        // The cut reads at the lease's timestamp, so it goes first.
         drop(snap);
-        lease.renew();
+        if served_under_lease {
+            lease.renew();
+        } else {
+            // A whole period with nothing served: renewing would pin an
+            // epoch and a timestamp for nobody. Give both back, sleep
+            // until there is work, and start again from a fresh lease.
+            drop(lease);
+            parks += sh.park_analytics() as u64;
+            lease = SnapshotLease::take(sh.set, lease_period);
+        }
+        moved += 1;
     }
-    sh.lease_renewals.store(lease.renewals(), Ordering::Relaxed);
     drop(lease);
+    (moved, parks)
 }
 
 struct ClientOut {
@@ -562,10 +662,8 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
             }
         }
         let Some(i) = free else {
-            // Window full: give the workers the core (matters on
-            // small hosts where everyone shares one CPU).
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            // Window full: give the workers the core.
+            relax();
             continue;
         };
 
@@ -573,8 +671,7 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
         if !period.is_zero() {
             let now = Instant::now();
             if now < next_arrival {
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                relax();
                 continue;
             }
         }
@@ -628,6 +725,9 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
             Ok(()) => {
                 stats[class as usize].submitted += 1;
                 in_flight[i] = Some((class, arrival));
+                if class != Class::Point {
+                    sh.wake_analytics();
+                }
             }
             Err(RingFull) => {
                 // Admission refused: record and move on. The cell was
@@ -643,8 +743,7 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
     for (i, slot) in in_flight.iter_mut().enumerate() {
         if let Some((class, at)) = slot {
             while cells[i].state.load(Ordering::Acquire) != ST_DONE {
-                std::hint::spin_loop();
-                std::thread::yield_now();
+                relax();
             }
             let st = &mut stats[*class as usize];
             st.completed += 1;
@@ -668,18 +767,22 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
         range_ring: Ring::new(cfg.analytics_queue_cap),
         stop: AtomicBool::new(false),
         submitters: AtomicUsize::new(cfg.clients),
-        lease_renewals: AtomicU64::new(0),
+        analytics: OnceLock::new(),
+        analytics_parked: AtomicBool::new(false),
     };
     let start = Instant::now();
-    let outs: Vec<ClientOut> = std::thread::scope(|scope| {
+    let (outs, (lease_renewals, parks)) = std::thread::scope(|scope| {
         for i in 0..set.num_shards() {
             let sh = &sh;
             scope.spawn(move || point_worker(sh, i));
         }
-        {
+        let analytics = {
             let sh = &sh;
-            scope.spawn(move || analytics_worker(sh, cfg.lease, cfg.quantum));
-        }
+            scope.spawn(move || analytics_worker(sh, cfg.lease, cfg.quantum))
+        };
+        sh.analytics
+            .set(analytics.thread().clone())
+            .expect("set once, here");
         let clients: Vec<_> = (0..cfg.clients)
             .map(|id| {
                 let sh = &sh;
@@ -688,12 +791,16 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
             .collect();
         std::thread::sleep(cfg.duration);
         sh.stop.store(true, Ordering::Release);
-        clients.into_iter().map(|h| h.join().unwrap()).collect()
+        sh.wake_analytics();
+        let outs: Vec<ClientOut> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+        (outs, analytics.join().unwrap())
     });
     let secs = start.elapsed().as_secs_f64();
 
     let mut report = ServeReport {
         secs,
+        lease_renewals,
+        parks,
         ..Default::default()
     };
     for out in outs {
@@ -704,7 +811,6 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
             acc.samples.extend(st.samples);
         }
     }
-    report.lease_renewals = sh.lease_renewals.load(Ordering::Relaxed);
     report
 }
 
@@ -971,6 +1077,85 @@ mod tests {
         let point = &rep.classes[Class::Point as usize];
         assert!(!point.samples.is_empty());
         assert!(point.samples.iter().all(|&ns| ns > 0));
+        ebr::flush();
+    }
+
+    /// `run_serve` on a thread of its own, so that a lost wake-up — a
+    /// client waiting for ever on a request the parked worker never
+    /// hears of — fails the calling test instead of hanging it.
+    fn serve_or_time_out(
+        set: &std::sync::Arc<ShardedSet<fanout::FanoutSet>>,
+        cfg: ServeConfig,
+    ) -> ServeReport {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let set = std::sync::Arc::clone(set);
+        std::thread::spawn(move || {
+            // The receiver is gone only if this run already timed out.
+            let _ = tx.send(run_serve(&set, &cfg));
+        });
+        rx.recv_timeout(cfg.duration + Duration::from_secs(2))
+            .expect("run_serve did not return: an analytics wake-up was lost")
+    }
+
+    #[test]
+    fn parked_worker_loses_no_wake_up() {
+        // One client pacing 2 000 req/s, two requests in five of them
+        // analytics: `Stat`/`Range` arrivals come 0.5 ms (40 %), 1 ms
+        // (24 %), ... 3 ms (3 %) apart, either side of the 1 ms lease, so
+        // the worker keeps deciding to park just as a request is pushed.
+        let set = std::sync::Arc::new(build_forest(1, 1024, 1 << 12));
+        let (mut analytics, mut parks, mut run) = (0u64, 0u64, 0u64);
+        while analytics < 2_000 {
+            let cfg = ServeConfig {
+                clients: 1,
+                window: 8,
+                duration: Duration::from_millis(100),
+                offered_rps: 2_000,
+                mix: ClassMix {
+                    stat_pm: 300,
+                    range_pm: 100,
+                },
+                max_key: 1 << 12,
+                lease: Duration::from_millis(1),
+                range_span: 64,
+                seed: 0xD0_5E ^ run,
+                ..ServeConfig::default()
+            };
+            let rep = serve_or_time_out(&set, cfg);
+            for class in [Class::Stat, Class::Range] {
+                let c = &rep.classes[class as usize];
+                assert_eq!(c.submitted, c.completed, "{class:?} lost requests");
+                analytics += c.completed;
+            }
+            parks += rep.parks;
+            run += 1;
+            assert!(
+                run < 200,
+                "only {analytics} analytics requests in {run} runs"
+            );
+        }
+        assert!(parks > 0, "the worker never parked");
+        ebr::flush();
+    }
+
+    #[test]
+    fn stop_reaches_a_parked_worker() {
+        let set = std::sync::Arc::new(build_forest(1, 1024, 1 << 12));
+        let cfg = ServeConfig {
+            clients: 1,
+            duration: Duration::from_millis(100),
+            mix: ClassMix {
+                stat_pm: 0,
+                range_pm: 0,
+            },
+            max_key: 1 << 12,
+            lease: Duration::from_millis(5),
+            ..ServeConfig::default()
+        };
+        // Returning at all is the property: without the wake-up after
+        // `stop` the worker sleeps for ever and `run_serve` never joins it.
+        let rep = serve_or_time_out(&set, cfg);
+        assert_eq!(rep.parks, 1, "a point-only run idles the worker once");
         ebr::flush();
     }
 }

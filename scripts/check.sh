@@ -28,3 +28,6 @@ cargo test -q
 # alignment half of the link fence (`chromatic::Node::follow`), so the tree
 # and BAT suites run once more the way the benchmark compiles them.
 cargo test -q --release -p chromatic -p cbat-core
+# The analytics worker's park / wake-up handshake is a race on timing, and
+# the benchmark compiles `serve` in release.
+cargo test -q --release -p serve
