@@ -1,8 +1,9 @@
 //! Counting-global-allocator proof that in steady state the *entire*
 //! update path — propagate, the structural node-tree modification
-//! including rebalancing, **and** the fanout tree's versioned-edge
-//! publication (pooled nodes, pooled version records, writer-driven
-//! version-list trimming) — touches the global allocator **zero** times.
+//! including rebalancing, **and** the versioned-edge publication of the
+//! fanout tree and the VcasBST comparator (pooled nodes, pooled version
+//! records, writer-driven version-list trimming) — touches the global
+//! allocator **zero** times.
 //!
 //! After warm-up (thread-local scratch vectors at capacity, EBR bag
 //! vectors recycled, `Node`/`Version`/`PropStatus` free-list pools
@@ -67,6 +68,7 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
     // The edge-granular freeze words live inside the pooled nodes, never
     // on the heap.
     fanout_versioned_edge_window();
+    vcas_window();
     cold_thread_allocates();
 }
 
@@ -259,6 +261,56 @@ fn fanout_versioned_edge_window() {
     assert!(s.contains(0));
     assert!(!s.contains(1));
     assert!(s.contains(2000));
+    assert!(s.debug_max_version_chain() <= 2);
+}
+
+/// Steady-state churn on the VcasBST comparator: an insert allocates three
+/// pooled nodes and three pooled version records, a remove a sibling copy
+/// and its records, and each retires what it replaced — so with the pools
+/// warm the comparator pays the global allocator nothing either, as the
+/// trees it is measured against do.
+fn vcas_window() {
+    let s = vcas::VcasSet::new();
+    for k in 0..1024u64 {
+        s.insert(k * 7919 % 1024);
+    }
+
+    let churn = || {
+        for k in 0..256u64 {
+            assert!(s.remove(k));
+            assert!(s.insert(k));
+        }
+    };
+
+    // Warm-up: the exact loop we will measure, until the node and
+    // version-record pool classes are stocked.
+    for _ in 0..10 {
+        churn();
+    }
+    ebr::flush();
+
+    let (h0, m0, _) = ebr::pool::local_stats();
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    churn();
+    COUNTING.store(false, Ordering::SeqCst);
+    let (h1, m1, _) = ebr::pool::local_stats();
+
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        0,
+        "steady-state vcas updates must not touch the global allocator"
+    );
+    assert!(
+        h1 > h0,
+        "vcas window must be served by pool hits (hits {h0} -> {h1})"
+    );
+    assert_eq!(
+        m1 - m0,
+        0,
+        "no vcas pool miss may fall through to malloc in the window"
+    );
+    assert_eq!(s.len_slow(), 1024);
     assert!(s.debug_max_version_chain() <= 2);
 }
 

@@ -346,6 +346,7 @@ impl Guard {
         // Box-allocated `T` passed below, unreachable by then.
         unsafe fn free_box<T>(p: *mut u8) {
             // SAFETY: see above — exactly one call per retired pointer.
+            // guard: none needed, the grace period has passed.
             drop(unsafe { Box::from_raw(p as *mut T) });
         }
         // SAFETY: forwarded contract — see this function's `# Safety`.
@@ -391,6 +392,7 @@ pub unsafe fn retire_unpinned<T: Send>(ptr: *mut T) {
     // retired pointer, after the grace period.
     unsafe fn free_box<T>(p: *mut u8) {
         // SAFETY: see above.
+        // guard: none needed, the grace period has passed.
         drop(unsafe { Box::from_raw(p as *mut T) });
     }
     retire_impl(std::iter::once(Retired {

@@ -77,6 +77,7 @@ unsafe fn poison_block(p: *mut u8, size: usize) {
 fn check_poison(p: *mut u8, size: usize) {
     // SAFETY: `p` came off this thread's free list, so it is a live
     // allocation of exactly `size` bytes that only the pool may touch.
+    // guard: none needed, a free-listed block is this thread's own.
     let bytes = unsafe { std::slice::from_raw_parts(p, size) };
     if let Some(off) = bytes.iter().position(|&b| b != POISON_BYTE) {
         panic!(

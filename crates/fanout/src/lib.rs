@@ -70,6 +70,15 @@
 //! for, a structure whose *updates* maintain counts (the BAT) is the
 //! right choice.
 //!
+//! **How a link is followed:** the current version of an edge becomes a
+//! reference only in `BNode::child`, which borrows the caller's pin (the
+//! descents of `try_update` and `contains`); a version at a snapshot's
+//! timestamp only in `FanoutSnapshot::child_at`, which borrows the snapshot
+//! (its pin and the registration that bounds [`vedge::trim`]).
+//! **How a patch commits:** `FanoutSet::try_update` is the one commit
+//! site — the crate's one SCX, one retire-list attachment and one dispose
+//! loop, whatever the split cascade's height.
+//!
 //! Substitution notes: verlib's lock-based versioned nodes are replaced
 //! by the workspace's LLX/SCX coordination at edge granularity (one
 //! frozen edge per non-split publish). Deletions do not rebalance (no
@@ -82,6 +91,7 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use ebr::Guard;
 use llxscx::{scx, Linked, Llx, MAX_V};
 use vedge::{PubEdge, SnapClock, VersionRecord};
 
@@ -152,9 +162,38 @@ impl BNode {
         ebr::pool::alloc_pooled(BNode { body }) as u64
     }
 
+    /// Dereference a raw node value that did not come straight off an edge
+    /// read: one popped off the path scratch, or a snapshot's root.
+    ///
+    /// # Safety
+    /// `raw` must be the child of a version record reached, under `guard`'s
+    /// pin, from the set's root edge (at the current heads, or at a
+    /// timestamp a live registration covers).
     #[inline]
-    unsafe fn from_raw<'g>(raw: u64) -> &'g BNode {
+    unsafe fn from_raw(raw: u64, _guard: &Guard) -> &BNode {
+        // SAFETY: a node goes to EBR only when `vedge::trim` detaches the
+        // record covering it (the retire order of `try_update`), which a
+        // current head never is and a registration at or below the read
+        // timestamp forbids; so a node named by a record reached under the
+        // pin is retired, if at all, after the pin began, and EBR keeps it
+        // allocated until `_guard` drops.
         unsafe { &*(raw as *const BNode) }
+    }
+
+    /// Follow the current version of `edge`, stamping it: the one place a
+    /// current-edge read becomes a reference. Returns the child and the
+    /// version head it was read from.
+    #[inline]
+    fn child<'g>(edge: &PubEdge, clock: &AtomicU64, guard: &'g Guard) -> (&'g BNode, u64) {
+        let (child, head) = edge.read(clock);
+        // SAFETY: `edge` is the root edge or a slot of a node reached under
+        // `guard`'s pin, and `child` was just read from its head record.
+        (unsafe { BNode::from_raw(child, guard) }, head)
+    }
+
+    #[inline]
+    fn as_raw(&self) -> u64 {
+        self as *const BNode as u64
     }
 
     /// The occupied key prefix (leaves only).
@@ -221,13 +260,17 @@ fn sorted_contains(xs: &[u64], k: u64) -> bool {
 /// `p` must come from [`BNode::alloc`] and be unreachable (post-grace for
 /// published nodes, or never published).
 unsafe fn free_node(p: *mut u8) {
-    let node = unsafe { &*(p as *const BNode) };
-    if let Body::Internal { len, edges, .. } = &node.body {
-        for e in &edges[..*len as usize] {
-            unsafe { vedge::dispose_chain(e.head()) };
+    // SAFETY: the caller's contract — the node is live and exclusively
+    // ours, so its chains are unreachable too and the pool may recycle it.
+    // guard: none needed, nothing else can reach the node.
+    unsafe {
+        if let Body::Internal { len, edges, .. } = &(*(p as *const BNode)).body {
+            for e in &edges[..*len as usize] {
+                vedge::dispose_chain(e.head());
+            }
         }
+        ebr::pool::dispose_pooled(p as *mut BNode);
     }
-    unsafe { ebr::pool::dispose_pooled(p as *mut BNode) };
 }
 
 /// One step of the recorded search path: the edge we descended through.
@@ -358,9 +401,6 @@ pub struct FanoutSet {
     stats: PubStats,
 }
 
-unsafe impl Send for FanoutSet {}
-unsafe impl Sync for FanoutSet {}
-
 /// An O(1) snapshot: a timestamp plus an epoch guard pinning the version
 /// chains; traversals read every edge as of that timestamp.
 pub struct FanoutSnapshot<'t> {
@@ -435,7 +475,6 @@ impl FanoutSet {
     fn update(&self, k: u64, insert: bool) -> bool {
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let scratch = &mut *scratch;
             loop {
                 let guard = ebr::pin();
                 scratch.path.clear();
@@ -443,13 +482,15 @@ impl FanoutSet {
                 scratch.replaced.clear();
                 scratch.links.clear();
                 scratch.level_starts.clear();
-                match self.try_update(k, insert, &guard, scratch) {
+                match self.try_update(k, insert, &guard, &mut scratch) {
                     Some(added) => return added,
                     None => {
                         // The attempt lost a race: everything it allocated
                         // is unpublished — straight back to the pool.
                         self.stats.bump(Counter::Retries);
                         for &raw in scratch.fresh.iter() {
+                            // SAFETY: this attempt allocated `raw` and
+                            // published it nowhere.
                             unsafe { free_node(raw as *mut u8) };
                         }
                     }
@@ -458,13 +499,14 @@ impl FanoutSet {
         })
     }
 
-    /// One update attempt. Returns `None` to retry (after the caller
-    /// disposes `fresh`); `Some(changed)` on completion.
+    /// One update attempt, and the crate's one commit site. Returns `None`
+    /// to retry (after the caller disposes `fresh`); `Some(changed)` on
+    /// completion.
     fn try_update(
         &self,
         k: u64,
         insert: bool,
-        guard: &ebr::Guard,
+        guard: &Guard,
         scratch: &mut Scratch,
     ) -> Option<bool> {
         let Scratch {
@@ -487,19 +529,18 @@ impl FanoutSet {
         let mut slot = 0usize;
         let mut edge = &self.root;
         let leaf = loop {
-            let (child, head) = edge.read(self.sync.clock());
+            let (node, head) = BNode::child(edge, self.sync.clock(), guard);
             path.push(PathEntry {
                 holder,
                 slot,
                 head,
-                child,
+                child: node.as_raw(),
             });
-            let node = unsafe { BNode::from_raw(child) };
             match &node.body {
                 Body::Leaf { .. } => break node,
                 Body::Internal { len, seps, edges } => {
                     let idx = count_le(&seps[..*len as usize - 1], k);
-                    holder = child;
+                    holder = node.as_raw();
                     slot = idx;
                     edge = &edges[idx];
                 }
@@ -535,7 +576,9 @@ impl FanoutSet {
                     }
                     level -= 1;
                     let parent_raw = path[level].child;
-                    let parent = unsafe { BNode::from_raw(parent_raw) };
+                    // SAFETY: phase 1 read `parent_raw` off a current head
+                    // under `guard`'s pin.
+                    let parent = unsafe { BNode::from_raw(parent_raw, guard) };
                     let slot = path[level + 1].slot;
                     level_starts.push(links.len());
                     let mut heads = [0u64; NODE_CAP];
@@ -573,7 +616,8 @@ impl FanoutSet {
         let pub_edge = if pub_entry.holder == 0 {
             &self.root
         } else {
-            &unsafe { BNode::from_raw(pub_entry.holder) }.fan().1[pub_entry.slot]
+            // SAFETY: as for `parent` in phase 3.
+            &unsafe { BNode::from_raw(pub_entry.holder, guard) }.fan().1[pub_entry.slot]
         };
         let Llx::Ok {
             info: pub_info,
@@ -619,6 +663,12 @@ impl FanoutSet {
             }
         }
         self.stats.bump(Counter::Attempts);
+        // SAFETY: every header of `vset` is the freeze word of the root
+        // edge or of a slot of a node reached under `guard`'s pin, tagged
+        // by this attempt's LLX; the field is `pub_edge`'s cell and
+        // `pub_entry.head` the value that LLX found in it (checked above);
+        // `pub_rec` is a new allocation, so the value never recurs; `vset`
+        // is in traversal order.
         let ok = unsafe {
             scx(
                 vset,
@@ -634,6 +684,8 @@ impl FanoutSet {
             // retire cells are dropped without touching the nodes — the
             // "replaced" region is still the live one.
             self.stats.bump(Counter::Aborts);
+            // SAFETY: the aborted SCX stored `pub_rec` nowhere, so it is
+            // still exclusively ours.
             unsafe {
                 VersionRecord::from_raw(pub_rec).abort_retired();
                 ebr::pool::dispose_pooled(pub_rec as *mut VersionRecord);
@@ -647,6 +699,8 @@ impl FanoutSet {
         // edge's version list down to what live snapshots can still reach
         // — which also retires the replaced region once its covering
         // record is detached.
+        // SAFETY: `pub_rec` was just published under `guard`'s pin; a
+        // racing trim can only retire it through EBR.
         unsafe { VersionRecord::from_raw(pub_rec) }.stamp(self.sync.clock());
         vedge::trim(guard, pub_rec, self.sync.min_active(), self.sync.clock());
         Some(true)
@@ -709,6 +763,10 @@ impl FanoutSet {
         let mut ch = [0u64; NODE_CAP + 1];
         let mut sp = [0u64; NODE_CAP];
         for i in 0..len {
+            // SAFETY: `heads` are the LLX snapshots of `parent`'s edges; a
+            // record leaves its chain only through `vedge::trim`, which
+            // retires it through EBR.
+            // guard: the caller's (`try_update`'s pin).
             ch[i] = unsafe { VersionRecord::from_raw(heads[i]) }.child();
         }
         sp[..seps.len()].copy_from_slice(seps);
@@ -775,15 +833,14 @@ impl FanoutSet {
     /// them (see the Phase-1 comment in `try_update`: an observed record
     /// must be timestamped before a later snapshot can be taken).
     pub fn contains(&self, k: u64) -> bool {
-        let _g = ebr::pin();
-        let mut raw = self.root.read(self.sync.clock()).0;
+        let guard = ebr::pin();
+        let mut edge = &self.root;
         loop {
-            let node = unsafe { BNode::from_raw(raw) };
+            let node = BNode::child(edge, self.sync.clock(), &guard).0;
             match &node.body {
                 Body::Leaf { .. } => return sorted_contains(node.keys(), k),
                 Body::Internal { len, seps, edges } => {
-                    let idx = count_le(&seps[..*len as usize - 1], k);
-                    raw = edges[idx].read(self.sync.clock()).0;
+                    edge = &edges[count_le(&seps[..*len as usize - 1], k)];
                 }
             }
         }
@@ -798,31 +855,18 @@ impl FanoutSet {
     /// for the trimming tests; single-writer callers only).
     #[doc(hidden)]
     pub fn debug_max_version_chain(&self) -> usize {
-        let _g = ebr::pin();
-        fn chain_len(head: u64) -> usize {
-            let mut n = 0;
-            let mut raw = head;
-            while raw != 0 {
-                n += 1;
-                raw = unsafe { VersionRecord::from_raw(raw) }.prev();
-            }
-            n
-        }
-        fn rec(raw: u64, max: &mut usize) {
-            let node = unsafe { BNode::from_raw(raw) };
-            if let Body::Internal { len, edges, .. } = &node.body {
-                for e in &edges[..*len as usize] {
-                    *max = (*max).max(chain_len(e.head()));
-                    rec(unsafe { VersionRecord::from_raw(e.head()) }.child(), max);
-                }
+        fn rec(edge: &PubEdge, clock: &AtomicU64, guard: &Guard) -> usize {
+            let here = vedge::chain_len(edge.head(), guard);
+            match &BNode::child(edge, clock, guard).0.body {
+                Body::Leaf { .. } => here,
+                Body::Internal { len, edges, .. } => edges[..*len as usize]
+                    .iter()
+                    .map(|e| rec(e, clock, guard))
+                    .fold(here, usize::max),
             }
         }
-        let mut max = chain_len(self.root.head());
-        rec(
-            unsafe { VersionRecord::from_raw(self.root.head()) }.child(),
-            &mut max,
-        );
-        max
+        let guard = ebr::pin();
+        rec(&self.root, self.sync.clock(), &guard)
     }
 }
 
@@ -838,59 +882,72 @@ impl Drop for FanoutSet {
         // the retire lists of the records that superseded them, so
         // `dispose_chain` frees them with the chain (or they are pending
         // in EBR, whose callbacks own them).
-        unsafe fn walk(raw: u64) {
-            let node = unsafe { BNode::from_raw(raw) };
-            if let Body::Internal { len, edges, .. } = &node.body {
-                for e in &edges[..*len as usize] {
-                    let head = e.head();
-                    unsafe { walk(VersionRecord::from_raw(head).child()) };
-                    unsafe { vedge::dispose_chain(head) };
+        fn walk(edge: &PubEdge) {
+            let head = edge.head();
+            // SAFETY: `drop` has `&mut self`, so nothing else reads or
+            // retires a node; every current node is live, visited once and
+            // freed (chains included, by `free_node`) after its children.
+            // guard: none needed, exclusive access.
+            unsafe {
+                let raw = VersionRecord::from_raw(head).child();
+                if let Body::Internal { len, edges, .. } = &(*(raw as *const BNode)).body {
+                    edges[..*len as usize].iter().for_each(walk);
                 }
+                free_node(raw as *mut u8);
             }
-            unsafe { ebr::pool::dispose_pooled(raw as *mut BNode) };
         }
-        let head = self.root.head();
-        unsafe {
-            walk(VersionRecord::from_raw(head).child());
-            vedge::dispose_chain(head);
-        }
+        walk(&self.root);
+        // SAFETY: as in `walk`; the root edge's own chain goes last.
+        unsafe { vedge::dispose_chain(self.root.head()) };
     }
 }
 
 impl FanoutSnapshot<'_> {
+    /// The root as of this snapshot's timestamp.
+    #[inline]
+    fn root(&self) -> &BNode {
+        // SAFETY: `snapshot` / `snapshot_at` read `root` off the set's root
+        // edge at `ts` under `_guard`'s pin, with a registration at or
+        // below `ts` live.
+        // guard: `self._guard` pins for the snapshot's whole lifetime.
+        unsafe { BNode::from_raw(self.root, &self._guard) }
+    }
+
+    /// The child `edge` led to at this snapshot's timestamp: the one place
+    /// a read at `ts` becomes a reference. It borrows the snapshot, whose
+    /// `_guard` pins and whose registration bounds [`vedge::trim`].
+    #[inline]
+    fn child_at(&self, edge: &PubEdge) -> &BNode {
+        let raw = edge.read_at(self.set.sync.clock(), self.ts);
+        // SAFETY: `edge` is a slot of a node reached from `root` by reads
+        // at `ts`, and `raw` the child of the record `read_at` resolved to
+        // (see `counts` for why that record is still there).
+        // guard: `self._guard` pins for the snapshot's whole lifetime.
+        unsafe { BNode::from_raw(raw, &self._guard) }
+    }
+
     /// Membership within the snapshot, O(log_F n) plus chain hops.
     pub fn contains(&self, k: u64) -> bool {
-        let mut raw = self.root;
+        let mut node = self.root();
         loop {
-            let node = unsafe { BNode::from_raw(raw) };
             match &node.body {
                 Body::Leaf { .. } => return sorted_contains(node.keys(), k),
                 Body::Internal { len, seps, edges } => {
                     let idx = count_le(&seps[..*len as usize - 1], k);
-                    raw = self.child_at(&edges[idx]);
+                    node = self.child_at(&edges[idx]);
                 }
             }
         }
     }
 
-    /// The child `edge` led to at this snapshot's timestamp.
-    #[inline]
-    fn child_at(&self, edge: &PubEdge) -> u64 {
-        edge.read_at(self.set.sync.clock(), self.ts)
-    }
-
-    /// Keys under `raw` as of this snapshot: a leaf's `len`, an internal
+    /// Keys under `node` as of this snapshot: a leaf's `len`, an internal
     /// node's memoized sum over its children (computed on first use).
-    fn total(&self, raw: u64) -> u64 {
-        // SAFETY: `raw` was reached from `self.root` by reads at `self.ts`
-        // under this snapshot's pin, so it is a live node (see `counts`).
-        // guard: `self._guard` pins for the snapshot's whole lifetime.
-        let node = unsafe { BNode::from_raw(raw) };
+    fn total(&self, node: &BNode) -> u64 {
         match &node.body {
             Body::Leaf { len, .. } => *len as u64,
             Body::Internal { .. } => {
                 let counts = self.counts.get_or_init(RefCell::default);
-                if let Some(&n) = counts.borrow().get(&raw) {
+                if let Some(&n) = counts.borrow().get(&node.as_raw()) {
                     return n;
                 }
                 let n = node
@@ -899,7 +956,7 @@ impl FanoutSnapshot<'_> {
                     .iter()
                     .map(|e| self.total(self.child_at(e)))
                     .sum();
-                counts.borrow_mut().insert(raw, n);
+                counts.borrow_mut().insert(node.as_raw(), n);
                 n
             }
         }
@@ -907,7 +964,7 @@ impl FanoutSnapshot<'_> {
 
     /// Number of keys in the snapshot. Cold Θ(n) once, then O(1).
     pub fn len(&self) -> u64 {
-        self.total(self.root)
+        self.total(self.root())
     }
 
     /// Whether the snapshot holds no keys.
@@ -925,21 +982,18 @@ impl FanoutSnapshot<'_> {
         }
         // A bound at the end of the key domain constrains nothing.
         self.count_rec(
-            self.root,
+            self.root(),
             (lo > 0).then_some(lo),
             (hi < u64::MAX).then_some(hi),
         )
     }
 
-    /// Keys under `raw` within the bounds; `None` means every key under
-    /// `raw` is already known to be on the right side of that bound.
-    fn count_rec(&self, raw: u64, lo: Option<u64>, hi: Option<u64>) -> u64 {
+    /// Keys under `node` within the bounds; `None` means every key under
+    /// `node` is already known to be on the right side of that bound.
+    fn count_rec(&self, node: &BNode, lo: Option<u64>, hi: Option<u64>) -> u64 {
         if lo.is_none() && hi.is_none() {
-            return self.total(raw);
+            return self.total(node);
         }
-        // SAFETY: as in `total`.
-        // guard: `self._guard` pins for the snapshot's whole lifetime.
-        let node = unsafe { BNode::from_raw(raw) };
         match &node.body {
             Body::Leaf { .. } => {
                 let keys = node.keys();
@@ -969,15 +1023,12 @@ impl FanoutSnapshot<'_> {
     /// The `i`-th smallest key (0-indexed), descending by child totals.
     /// Cold Θ(#keys ≤ answer) as a scan; warm O(fanout × height).
     pub fn select(&self, mut i: u64) -> Option<u64> {
-        let mut raw = self.root;
+        let mut node = self.root();
         loop {
-            // SAFETY: as in `total`.
-            // guard: `self._guard` pins for the snapshot's whole lifetime.
-            let node = unsafe { BNode::from_raw(raw) };
             match &node.body {
                 Body::Leaf { .. } => return node.keys().get(i as usize).copied(),
                 Body::Internal { .. } => {
-                    raw = node.fan().1.iter().find_map(|e| {
+                    node = node.fan().1.iter().find_map(|e| {
                         let child = self.child_at(e);
                         let n = self.total(child);
                         if i < n {
@@ -995,13 +1046,12 @@ impl FanoutSnapshot<'_> {
     pub fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
         let mut out = Vec::new();
         if lo <= hi {
-            self.collect_rec(self.root, lo, hi, &mut out);
+            self.collect_rec(self.root(), lo, hi, &mut out);
         }
         out
     }
 
-    fn collect_rec(&self, raw: u64, lo: u64, hi: u64, out: &mut Vec<u64>) {
-        let node = unsafe { BNode::from_raw(raw) };
+    fn collect_rec(&self, node: &BNode, lo: u64, hi: u64, out: &mut Vec<u64>) {
         match &node.body {
             Body::Leaf { .. } => {
                 for &k in node.keys().iter().filter(|k| **k >= lo && **k <= hi) {
@@ -1050,15 +1100,15 @@ mod sched_tests {
         for k in (0..64u64).step_by(2) {
             s.insert(k);
         }
-        let _g = ebr::pin();
+        let g = ebr::pin();
         let parent_raw = s.root.read(s.sync.clock()).0;
-        let parent = unsafe { BNode::from_raw(parent_raw) };
+        let parent = unsafe { BNode::from_raw(parent_raw, &g) };
         let (_, edges) = parent.fan();
         assert!(edges.len() >= 2, "setup must split the root");
         let leaf_keys = |slot: usize| {
             let head = edges[slot].head();
             let leaf_raw = unsafe { VersionRecord::from_raw(head) }.child();
-            unsafe { BNode::from_raw(leaf_raw) }.keys()
+            unsafe { BNode::from_raw(leaf_raw, &g) }.keys()
         };
         // Sequential insertion leaves the rightmost leaf full; race only
         // into leaves with room for both keys (no split possible).
@@ -1337,7 +1387,7 @@ mod tests {
             }
             let g = ebr::pin();
             let parent_raw = s.root.read(s.sync.clock()).0;
-            let parent = unsafe { BNode::from_raw(parent_raw) };
+            let parent = unsafe { BNode::from_raw(parent_raw, &g) };
             let (_, edges) = parent.fan();
             assert!(edges.len() >= 2, "need sibling slots under one parent");
             let (slot_a, slot_b) = (0usize, edges.len() - 1);
@@ -1349,7 +1399,7 @@ mod tests {
             let absent_key_in = |slot: usize, idx: usize| {
                 let head = edges[slot].head();
                 let leaf_raw = unsafe { VersionRecord::from_raw(head) }.child();
-                unsafe { BNode::from_raw(leaf_raw) }.keys()[idx] + 1
+                unsafe { BNode::from_raw(leaf_raw, &g) }.keys()[idx] + 1
             };
 
             // --- Publisher B: run phases 1-4 up to (not including) SCX
@@ -1368,7 +1418,7 @@ mod tests {
                 info,
             };
             let old_leaf = unsafe { VersionRecord::from_raw(head_b) }.child();
-            let mut keys: Vec<u64> = unsafe { BNode::from_raw(old_leaf) }.keys().to_vec();
+            let mut keys: Vec<u64> = unsafe { BNode::from_raw(old_leaf, &g) }.keys().to_vec();
             keys.push(k_b);
             keys.sort_unstable();
             let new_leaf = BNode::leaf(&keys);

@@ -20,25 +20,22 @@
 //!    explaining why relaxed is sound, and the per-file site counts must
 //!    match the committed inventory (`lint/relaxed-inventory.tsv`), so a
 //!    new relaxed site cannot slip in without a reviewed diff.
-//! 3. **`safety-comment`** (ratchet): every `unsafe` occurrence should be
-//!    preceded by a `// SAFETY:` comment (a `# Safety` doc section counts
-//!    for `unsafe fn`). Unannotated sites are *debt*, counted per crate
-//!    against `lint/safety-debt.tsv`: new debt fails, paid-down debt
-//!    requires re-recording the (smaller) counter — the ratchet only
-//!    turns one way.
-//! 4. **`guard-deref`** (deny in [`GUARD_DENY_CRATES`], warn elsewhere):
-//!    raw-pointer rehydration (`from_raw`, `&*` casts) in protocol crates
-//!    with no epoch-guard evidence in the enclosing function — no `Guard`
-//!    parameter, no `pin()`, no `// guard:` annotation documenting the
-//!    caller's pin obligation. This is the heuristic aimed at the
-//!    unreproduced BAT heap-corruption bug: a pooled pointer dereferenced
-//!    outside a pin is exactly the shape that bug must have, so in the two
-//!    crates it must live in a new site fails the run; in the others it is
-//!    surfaced in the report.
+//! 3. **`safety-comment`** (deny, workspace-wide): every `unsafe`
+//!    occurrence in non-test code must be preceded by a `// SAFETY:`
+//!    comment (a `# Safety` doc section counts for `unsafe fn`). The
+//!    per-crate count of annotated sites is reported as a progress metric.
+//! 4. **`guard-deref`** (deny): raw-pointer rehydration (`from_raw`, `&*`
+//!    casts) in protocol crates with no epoch-guard evidence in the
+//!    enclosing function — no `Guard` parameter, no `pin()`, no `// guard:`
+//!    annotation documenting the caller's pin obligation (or why none is
+//!    needed). A pooled pointer dereferenced outside a pin is the shape a
+//!    use-after-recycle must have, so every tree follows links through a
+//!    guard-scoped accessor and a hand-written deref has to say who pins.
 //!
 //! The committed control files live under `lint/` at the repo root:
-//! `allowlist.tsv` (rule, path suffix, justification), and the two
-//! ratchet files above, both regenerated by `cargo run -p lint -- --bless`.
+//! `allowlist.tsv` (rule, path suffix, justification) and the one ratchet
+//! file, `relaxed-inventory.tsv`, regenerated by
+//! `cargo run -p lint -- --bless`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -60,17 +57,10 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "shard",
 ];
 
-/// Protocol crates where `guard-deref` is deny-tier: the two the
-/// ROADMAP's unexplained BAT memory bug must live in, at zero sites since
-/// `chromatic::Node`'s link accessors took the hand-written derefs away.
-pub const GUARD_DENY_CRATES: &[&str] = &["chromatic", "core"];
-
 /// Path (relative to the repo root) of the allowlist file.
 pub const ALLOWLIST_PATH: &str = "lint/allowlist.tsv";
 /// Path of the committed per-file `Relaxed` site inventory.
 pub const RELAXED_INVENTORY_PATH: &str = "lint/relaxed-inventory.tsv";
-/// Path of the committed per-crate unannotated-`unsafe` debt counters.
-pub const SAFETY_DEBT_PATH: &str = "lint/safety-debt.tsv";
 
 // ---------------------------------------------------------------------------
 // Source scanning: strip comments/strings, keep both channels per line.
@@ -591,17 +581,12 @@ pub struct Finding {
 
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Deny-tier findings (fail the run).
+    /// Findings (every rule is deny-tier: any one fails the run).
     pub violations: Vec<Finding>,
     /// Findings suppressed by an allowlist entry (recorded for audit).
     pub allowed: Vec<(Finding, String)>,
-    /// Warn-tier findings (the guard heuristic outside
-    /// [`GUARD_DENY_CRATES`]; never fail the run).
-    pub warnings: Vec<Finding>,
     /// file → count of `Relaxed` sites in protocol non-test code.
     pub relaxed_inventory: BTreeMap<String, usize>,
-    /// crate → count of `unsafe` sites with no SAFETY annotation.
-    pub safety_debt: BTreeMap<String, usize>,
     /// crate → count of annotated `unsafe` sites (progress metric).
     pub safety_annotated: BTreeMap<String, usize>,
     /// Files scanned.
@@ -628,7 +613,7 @@ fn check_file(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
             rule_relaxed_ordering(ctx, allow, rep);
             rule_guard_deref(ctx, allow, rep);
         }
-        rule_safety_comment(ctx, rep);
+        rule_safety_comment(ctx, allow, rep);
     }
 }
 
@@ -636,7 +621,7 @@ fn emit(
     rule: &'static str,
     ctx: &FileCtx,
     line: usize,
-    message: String,
+    message: &str,
     allow: &Allowlist,
     rep: &mut Report,
 ) {
@@ -644,7 +629,7 @@ fn emit(
         rule,
         file: ctx.rel.to_string(),
         line: line + 1,
-        message,
+        message: message.to_string(),
     };
     match allow.lookup(rule, ctx.rel) {
         Some(e) => rep.allowed.push((f, e.justification.clone())),
@@ -665,8 +650,7 @@ fn rule_atomic_shim(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
                 ctx,
                 i,
                 "direct std atomic in a protocol crate: import from `sched::atomic` \
-                 so the deterministic scheduler sees this step"
-                    .to_string(),
+                 so the deterministic scheduler sees this step",
                 allow,
                 rep,
             );
@@ -693,8 +677,7 @@ fn rule_relaxed_ordering(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
                 ctx,
                 i,
                 "`Relaxed` atomic access without an `// ordering:` annotation \
-                 explaining why relaxed is sound here"
-                    .to_string(),
+                 explaining why relaxed is sound here",
                 allow,
                 rep,
             );
@@ -707,9 +690,9 @@ fn rule_relaxed_ordering(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
     }
 }
 
-/// Rule 3: `unsafe` sites split into annotated (a `SAFETY:` comment or a
-/// `# Safety` doc section covers them) and debt, counted per crate.
-fn rule_safety_comment(ctx: &FileCtx, rep: &mut Report) {
+/// Rule 3: every `unsafe` site needs a `SAFETY:` comment or a `# Safety`
+/// doc section covering it; the annotated ones are counted per crate.
+fn rule_safety_comment(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
     for (i, line) in ctx.scan.lines.iter().enumerate() {
         if ctx.scan.in_test[i] {
             continue;
@@ -718,19 +701,27 @@ fn rule_safety_comment(ctx: &FileCtx, rep: &mut Report) {
         if sites == 0 {
             continue;
         }
-        let annotated = has_marker(ctx.scan, i, &["SAFETY:", "# Safety"]);
-        let bucket = if annotated {
-            &mut rep.safety_annotated
+        if has_marker(ctx.scan, i, &["SAFETY:", "# Safety"]) {
+            *rep.safety_annotated
+                .entry(ctx.crate_name.to_string())
+                .or_insert(0) += sites;
         } else {
-            &mut rep.safety_debt
-        };
-        *bucket.entry(ctx.crate_name.to_string()).or_insert(0) += sites;
+            emit(
+                "safety-comment",
+                ctx,
+                i,
+                "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc \
+                 section) saying why it is sound",
+                allow,
+                rep,
+            );
+        }
     }
 }
 
 /// Rule 4: raw-pointer rehydration with no epoch-guard evidence in the
 /// enclosing function (a `fn from_raw` header defines one, it is not a
-/// site). Deny-tier in [`GUARD_DENY_CRATES`], warn-tier elsewhere.
+/// site).
 fn rule_guard_deref(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
     let deref_here = |code: &str| {
         (code.contains("from_raw") && !code.contains("fn from_raw"))
@@ -761,19 +752,15 @@ fn rule_guard_deref(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
         if evidence {
             continue;
         }
-        let message = "raw-pointer rehydration with no guard-pin evidence in the \
-                       enclosing fn; if the caller pins, document it with `// guard:`"
-            .to_string();
-        if GUARD_DENY_CRATES.contains(&ctx.crate_name) {
-            emit("guard-deref", ctx, i, message, allow, rep);
-        } else {
-            rep.warnings.push(Finding {
-                rule: "guard-deref",
-                file: ctx.rel.to_string(),
-                line: i + 1,
-                message,
-            });
-        }
+        emit(
+            "guard-deref",
+            ctx,
+            i,
+            "raw-pointer rehydration with no guard-pin evidence in the \
+             enclosing fn; if the caller pins, document it with `// guard:`",
+            allow,
+            rep,
+        );
     }
 }
 
@@ -870,7 +857,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Ratchet files: render, parse, diff.
+// The ratchet file: render, parse, diff.
 // ---------------------------------------------------------------------------
 
 pub fn render_counts(header: &str, map: &BTreeMap<String, usize>) -> String {
@@ -901,7 +888,7 @@ pub fn parse_counts(text: &str) -> BTreeMap<String, usize> {
 }
 
 /// Compare actual counts against a committed ratchet file. Any drift is a
-/// violation: increases are new debt/sites, decreases must be re-recorded
+/// violation: increases are new sites, decreases must be re-recorded
 /// (`--bless`) so the committed counter ratchets down in the same PR.
 pub fn diff_ratchet(
     what: &'static str,
@@ -996,8 +983,6 @@ pub fn to_json(rep: &Report, ratchet_findings: &[Finding]) -> String {
     findings_json(&mut s, &rep.violations);
     s.push_str(",\"ratchet\":");
     findings_json(&mut s, ratchet_findings);
-    s.push_str(",\"warnings\":");
-    findings_json(&mut s, &rep.warnings);
     s.push_str(",\"allowed\":[");
     for (i, (f, just)) in rep.allowed.iter().enumerate() {
         if i > 0 {
@@ -1014,8 +999,6 @@ pub fn to_json(rep: &Report, ratchet_findings: &[Finding]) -> String {
     }
     s.push_str("],\"relaxed_inventory\":");
     counts_json(&mut s, &rep.relaxed_inventory);
-    s.push_str(",\"safety_debt\":");
-    counts_json(&mut s, &rep.safety_debt);
     s.push_str(",\"safety_annotated\":");
     counts_json(&mut s, &rep.safety_annotated);
     let _ = write!(s, ",\"files_scanned\":{}}}", rep.files_scanned);

@@ -5,8 +5,8 @@
 //! - `--root PATH`   workspace root (default: nearest ancestor with `lint/`,
 //!   falling back to the manifest's grandparent — works from any cwd)
 //! - `--json PATH`   also write the machine-readable violation inventory
-//! - `--bless`       rewrite `lint/relaxed-inventory.tsv` and
-//!   `lint/safety-debt.tsv` from the current scan instead of diffing
+//! - `--bless`       rewrite `lint/relaxed-inventory.tsv` from the current
+//!   scan instead of diffing
 //! - `--quiet`       suppress the per-finding listing (summary only)
 //!
 //! Exit codes: 0 clean, 1 violations or ratchet drift, 2 config error.
@@ -17,7 +17,6 @@ use std::process::ExitCode;
 
 use lint::{
     diff_ratchet, parse_counts, render_counts, run, to_json, Finding, RELAXED_INVENTORY_PATH,
-    SAFETY_DEBT_PATH,
 };
 
 fn find_root() -> PathBuf {
@@ -76,45 +75,27 @@ fn main() -> ExitCode {
             "Relaxed atomic sites per file (protocol crates, non-test code)",
             &rep.relaxed_inventory,
         );
-        let debt = render_counts(
-            "Unannotated `unsafe` sites per crate (the counter only ratchets down)",
-            &rep.safety_debt,
-        );
-        if let Err(e) = fs::write(root.join(RELAXED_INVENTORY_PATH), inv)
-            .and_then(|()| fs::write(root.join(SAFETY_DEBT_PATH), debt))
-        {
-            eprintln!("lint: writing ratchet files: {e}");
+        if let Err(e) = fs::write(root.join(RELAXED_INVENTORY_PATH), inv) {
+            eprintln!("lint: writing {RELAXED_INVENTORY_PATH}: {e}");
             return ExitCode::from(2);
         }
-        eprintln!("lint: blessed {RELAXED_INVENTORY_PATH} and {SAFETY_DEBT_PATH}");
+        eprintln!("lint: blessed {RELAXED_INVENTORY_PATH}");
     } else {
-        for (what, path) in [
-            ("relaxed-inventory", RELAXED_INVENTORY_PATH),
-            ("safety-debt", SAFETY_DEBT_PATH),
-        ] {
-            let committed = match fs::read_to_string(root.join(path)) {
-                Ok(t) => parse_counts(&t),
-                Err(e) => {
-                    eprintln!("lint: cannot read {path}: {e} (run with --bless to create it)");
-                    return ExitCode::from(2);
-                }
-            };
-            let actual = if what == "relaxed-inventory" {
-                &rep.relaxed_inventory
-            } else {
-                &rep.safety_debt
-            };
-            ratchet_findings.extend(diff_ratchet(
-                if what == "relaxed-inventory" {
-                    "relaxed-inventory"
-                } else {
-                    "safety-debt"
-                },
-                path,
-                actual,
-                &committed,
-            ));
-        }
+        let committed = match fs::read_to_string(root.join(RELAXED_INVENTORY_PATH)) {
+            Ok(t) => parse_counts(&t),
+            Err(e) => {
+                eprintln!(
+                    "lint: cannot read {RELAXED_INVENTORY_PATH}: {e} (run with --bless to create it)"
+                );
+                return ExitCode::from(2);
+            }
+        };
+        ratchet_findings = diff_ratchet(
+            "relaxed-inventory",
+            RELAXED_INVENTORY_PATH,
+            &rep.relaxed_inventory,
+            &committed,
+        );
     }
 
     if let Some(p) = &json_path {
@@ -127,23 +108,19 @@ fn main() -> ExitCode {
     if !quiet {
         print_findings("error:", &rep.violations);
         print_findings("error:", &ratchet_findings);
-        print_findings("warning:", &rep.warnings);
     }
 
     let annotated: usize = rep.safety_annotated.values().sum();
-    let debt: usize = rep.safety_debt.values().sum();
     let relaxed: usize = rep.relaxed_inventory.values().sum();
     eprintln!(
-        "lint: {} files scanned; {} violations, {} ratchet diffs, {} warnings, \
-         {} allowlisted; {} Relaxed sites inventoried; SAFETY coverage {}/{}",
+        "lint: {} files scanned; {} violations, {} ratchet diffs, {} allowlisted; \
+         {} Relaxed sites inventoried; {} annotated `unsafe` sites",
         rep.files_scanned,
         rep.violations.len(),
         ratchet_findings.len(),
-        rep.warnings.len(),
         rep.allowed.len(),
         relaxed,
         annotated,
-        annotated + debt,
     );
 
     if rep.violations.is_empty() && ratchet_findings.is_empty() {

@@ -1,4 +1,4 @@
-//! Seeded fixture for the deny tier of `guard-deref` (`GUARD_DENY_CRATES`).
+//! Seeded fixture for `guard-deref` around a `from_raw` accessor.
 //! Scanned by `tests/rules.rs`; never compiled.
 
 pub struct Node;

@@ -19,7 +19,7 @@ impl Counter {
 }
 
 pub fn rehydrate(raw: *const Counter) -> &'static Counter {
-    unsafe { &*raw } // seed: safety-comment debt + guard-deref warn
+    unsafe { &*raw } // seed: safety-comment + guard-deref
 }
 
 pub fn rehydrate_pinned<'g>(raw: *const Counter, _guard: &'g Guard) -> &'g Counter {

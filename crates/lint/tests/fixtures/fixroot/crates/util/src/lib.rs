@@ -1,6 +1,6 @@
 //! Non-protocol crate: the shim and ordering rules do not apply here,
 //! but the SAFETY rule is workspace-wide, so the bare `unsafe` below
-//! still counts as debt.
+//! is still a violation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

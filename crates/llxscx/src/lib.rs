@@ -395,6 +395,7 @@ fn help(tid: usize, seq: u64) {
     // SAFETY: validated — the operation fields belong to (tid, seq), so
     // the first `num_v` entries of both copies were written by the loop
     // above, and `MaybeUninit<T>` is layout-identical to `T`.
+    // guard: none needed, `recs` and `exps` are this call's own copies.
     let recs: &[*const RecordHeader] =
         unsafe { std::slice::from_raw_parts(recs.as_ptr().cast(), num_v) };
     // SAFETY: as for `recs` directly above.
@@ -406,6 +407,7 @@ fn help(tid: usize, seq: u64) {
     'freeze: for i in 0..num_v {
         // SAFETY: the records of a validated operation are kept live by
         // the owner's epoch pin for the whole help (scx's contract).
+        // guard: the owner's pin, as the SAFETY line says.
         let header = unsafe { &*recs[i] };
         if header
             .info
@@ -470,6 +472,7 @@ fn help(tid: usize, seq: u64) {
     for (i, rec) in recs.iter().enumerate() {
         if fmask & (1 << i) != 0 {
             // SAFETY: live record of a validated op, as in the freeze loop.
+            // guard: the owner's pin, as in the freeze loop.
             unsafe { &**rec }.marked.store(true, Ordering::Release);
         }
     }
@@ -478,6 +481,7 @@ fn help(tid: usize, seq: u64) {
     // never recur); helpers' failures are harmless.
     // SAFETY: `fld` points into a record of the validated op (scx's
     // contract), live under the owner's pin.
+    // guard: the owner's pin, as in the freeze loop.
     unsafe { &*fld }
         .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
         .ok();

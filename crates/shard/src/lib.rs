@@ -360,7 +360,7 @@ impl<S: ShardMember> ShardedSet<S> {
 
     /// Iterate the shards (stats aggregation, tests).
     pub fn shards(&self) -> impl Iterator<Item = &S> {
-        self.shards.iter().map(|s| &**s)
+        self.shards.iter().map(|s| -> &S { s })
     }
 
     /// Insert; `true` iff newly added. One shard, no coordination.

@@ -90,4 +90,9 @@ fn range_collect_sorted_and_bounded() {
     let got = snap.range_collect(100, 200);
     let want: Vec<u64> = (50..=100).map(|k| k * 2).collect();
     assert_eq!(got, want);
+    assert_eq!(
+        snap.range_collect(200, 100),
+        [],
+        "an inverted range is empty"
+    );
 }

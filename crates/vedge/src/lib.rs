@@ -142,6 +142,7 @@ impl VersionRecord {
             // and the swap transferred it whole to this thread, so each
             // cell is a live `alloc_pooled` allocation nobody else reads:
             // read it, then dispose of it exactly once.
+            // guard: none needed, the swap made the list this thread's own.
             let (node, free_fn, next) = unsafe {
                 let c = &*(cell as *const RetireCell);
                 (c.node, c.free_fn, c.next)
@@ -193,6 +194,7 @@ impl VersionRecord {
     #[inline]
     pub unsafe fn from_raw<'g>(raw: u64) -> &'g VersionRecord {
         // SAFETY: caller guarantees `raw` is a live pool allocation.
+        // guard: the caller's pin or ownership (this fn's contract).
         unsafe { &*(raw as *const VersionRecord) }
     }
 
@@ -368,6 +370,7 @@ pub unsafe fn dispose_chain(head: u64) {
     while raw != 0 {
         // SAFETY: the chain is unreachable and owned by us (fn contract),
         // so each record is live until we dispose it right below.
+        // guard: none needed, nothing else can reach the chain.
         let rec = unsafe { VersionRecord::from_raw(raw) };
         let next = rec.prev();
         // SAFETY: chain unreachable per the fn contract — pending
@@ -378,6 +381,21 @@ pub unsafe fn dispose_chain(head: u64) {
         unsafe { ebr::pool::dispose_pooled(raw as *mut VersionRecord) };
         raw = next;
     }
+}
+
+/// Number of records on the chain hanging off `head` (diagnostic for the
+/// trimming tests of `fanout` and `vcas`; single-writer callers only).
+#[doc(hidden)]
+pub fn chain_len(head: u64, _guard: &Guard) -> usize {
+    let mut n = 0;
+    let mut raw = head;
+    while raw != 0 {
+        n += 1;
+        // SAFETY: records on the walk from a reachable head are live under
+        // `_guard`'s pin (a trim retires them through EBR).
+        raw = unsafe { VersionRecord::from_raw(raw) }.prev();
+    }
+    n
 }
 
 /// Trim the version chain hanging off `head`: starting from `head`, find

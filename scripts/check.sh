@@ -7,7 +7,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Concurrency discipline: sched::atomic shim rule, `// ordering:` on
-# every Relaxed site, SAFETY coverage ratchets, guard-deref heuristic.
+# every Relaxed site (and its inventory ratchet), `// SAFETY:` on every
+# `unsafe`, guard evidence on every raw-pointer rehydration.
 # Writes the machine-readable violation inventory for the CI artifact.
 cargo run -q -p lint -- --json lint-report.json
 cargo build --release
@@ -16,7 +17,7 @@ cargo build --release
 # counter too) and compiles the warm-up descent's body out
 # (`cbat_core::propagate::warm_up`). CI's exploration job runs those
 # corpora; this keeps the local gate from breaking their build.
-cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard --features sched-test --all-targets
+cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard -p vcas -p vedge -p llxscx --features sched-test --all-targets
 # The benchmark is a workspace of its own (benchmark/Cargo.toml), so no
 # other step compiles it: a change to the API of the crates it path-depends
 # on would break it unnoticed. Build it, and hold its catalog to what
