@@ -22,6 +22,8 @@
 //!   --threads a,b,c   thread counts for sweeps (default 1,2,4,8)
 //!   --scale N         divide the paper's key ranges by N (default 10,
 //!                     i.e. MK 10M -> 1M, fitting laptop-class machines)
+//!
+//! every number is a positive integer
 //! ```
 //!
 //! Output is CSV on stdout: `experiment,structure,x,mops[,extra…]`, one
@@ -29,10 +31,9 @@
 
 use std::time::Duration;
 
-use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter, FrAdapter, VcasAdapter};
-use workloads::{BenchSet, KeyDist, OpMix, QueryKind, RunConfig};
+use bench::{full_lineup, lineup, variants, BatAdapter, FrAdapter, MkSet};
+use workloads::{KeyDist, OpMix, QueryKind, RunConfig};
 
-#[derive(Clone)]
 struct Opts {
     duration: Duration,
     trials: usize,
@@ -51,37 +52,79 @@ impl Default for Opts {
     }
 }
 
-fn parse_args() -> (Vec<String>, Opts) {
+/// One row of the dispatch table: the name on the command line and what
+/// it runs.
+type Experiment = (&'static str, fn(&Opts));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("table1", |_| table1()),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig6a", |o| fig6(o, 'a')),
+    ("fig6b", |o| fig6(o, 'b')),
+    ("fig7a", |o| fig7(o, 'a')),
+    ("fig7b", |o| fig7(o, 'b')),
+    ("fig8a", |o| fig8(o, 'a')),
+    ("fig8b", |o| fig8(o, 'b')),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("stats", stats),
+    ("ablation-delegation", ablation_delegation),
+    ("ablation-augment", ablation_augment),
+];
+
+/// The usage text: the module doc above, between its code fences.
+fn usage() -> String {
+    include_str!("repro.rs")
+        .lines()
+        .skip_while(|l| !l.starts_with("//! ```text"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("//! ```"))
+        .map(|l| l.strip_prefix("//! ").unwrap_or(""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A flag's value; zero is refused because every option counts something
+/// (zero trials average to NaN, zero threads measure nothing).
+fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: &str) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => Err(format!("{flag}: `{v}` is not a positive integer")),
+    }
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Vec<Experiment>, Opts), String> {
     let mut opts = Opts::default();
     let mut exps = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--duration-ms" => {
-                let v = args.next().expect("--duration-ms N");
-                opts.duration = Duration::from_millis(v.parse().expect("ms"));
-            }
-            "--trials" => {
-                opts.trials = args.next().expect("--trials N").parse().expect("n");
-            }
+            "--duration-ms" => opts.duration = Duration::from_millis(positive(&a, &value()?)?),
+            "--trials" => opts.trials = positive(&a, &value()?)?,
             "--threads" => {
-                opts.threads = args
-                    .next()
-                    .expect("--threads a,b,c")
+                opts.threads = value()?
                     .split(',')
-                    .map(|s| s.parse().expect("thread count"))
-                    .collect();
+                    .map(|t| positive(&a, t))
+                    .collect::<Result<_, _>>()?;
             }
-            "--scale" => {
-                opts.scale = args.next().expect("--scale N").parse().expect("n");
-            }
-            other => exps.push(other.to_string()),
+            "--scale" => opts.scale = positive(&a, &value()?)?,
+            "all" => exps.extend(EXPERIMENTS),
+            name => exps.push(
+                *EXPERIMENTS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .ok_or_else(|| format!("unknown experiment: {name}"))?,
+            ),
         }
     }
     if exps.is_empty() {
-        exps.push("all".into());
+        exps.extend(EXPERIMENTS);
     }
-    (exps, opts)
+    Ok((exps, opts))
 }
 
 /// Paper key ranges, scaled: MK "10M" and "100K".
@@ -96,24 +139,12 @@ fn rq_large(o: &Opts) -> u64 {
     (50_000 / o.scale).max(500)
 }
 
-type MkSet = fn() -> Box<dyn BenchSet>;
-
-fn variants() -> Vec<(&'static str, MkSet)> {
-    vec![
-        ("BAT", || Box::new(BatAdapter::plain())),
-        ("BAT-Del", || Box::new(BatAdapter::del())),
-        ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
-        ("FR-BST", || Box::new(FrAdapter::new())),
-    ]
-}
-
-fn lineup() -> Vec<(&'static str, MkSet)> {
-    vec![
-        ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
-        ("FR-BST", || Box::new(FrAdapter::new())),
-        ("VcasBST", || Box::new(VcasAdapter::new())),
-        ("VerlibBTree*", || Box::new(FanoutAdapter::new())),
-    ]
+/// One adapter's factory, by the name its rows carry.
+fn adapter(name: &str) -> (&'static str, MkSet) {
+    *full_lineup()
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("an adapter of this name exists")
 }
 
 /// Run `trials` fresh instances and average throughput + latencies.
@@ -164,7 +195,7 @@ fn fig5a(o: &Opts) {
         ),
         "experiment,structure,threads,mops",
     );
-    for (name, mk) in variants() {
+    for &(name, mk) in variants() {
         for &t in &o.threads {
             let mut cfg = RunConfig::new(t, mk_large(o));
             cfg.duration = o.duration;
@@ -184,7 +215,7 @@ fn fig5b(o: &Opts) {
         ),
         "experiment,structure,threads,mops",
     );
-    for (name, mk) in variants() {
+    for &(name, mk) in variants() {
         for &t in &o.threads {
             let mut cfg = RunConfig::new(t, mk_large(o));
             // The unbalanced tree degenerates to a spine under sorted
@@ -209,6 +240,7 @@ fn fig5c(o: &Opts) {
         ),
         "experiment,query,threads,mops",
     );
+    let mk = adapter("BAT-EagerDel").1;
     for (qname, query) in [
         ("Rank", QueryKind::Rank),
         ("RangeQuery", QueryKind::RangeCount { size: rq }),
@@ -219,7 +251,7 @@ fn fig5c(o: &Opts) {
             cfg.duration = o.duration;
             cfg.mix = OpMix::percent(5, 5, 0, 90);
             cfg.query = query;
-            let (mops, _, _) = measure(|| Box::new(BatAdapter::eager()), &cfg, o.trials);
+            let (mops, _, _) = measure(mk, &cfg, o.trials);
             println!("fig5c,{qname},{t},{mops:.4}");
         }
     }
@@ -248,7 +280,7 @@ fn fig6(o: &Opts, which: char) {
         "experiment,structure,rq_size,mops",
     );
     let t = *o.threads.last().unwrap();
-    for (name, mk) in lineup() {
+    for &(name, mk) in lineup() {
         for rq in rq_sizes(mk_key) {
             let mut cfg = RunConfig::new(t, mk_key);
             cfg.duration = o.duration;
@@ -281,7 +313,7 @@ fn fig7(o: &Opts, which: char) {
         let rest = 100_000 - x;
         let i = rest / 2;
         let d = rest - i;
-        for (name, mk) in lineup() {
+        for &(name, mk) in lineup() {
             let mut cfg = RunConfig::new(t, mk_key);
             cfg.duration = o.duration;
             cfg.mix = OpMix::pcm(i, d, 0, x);
@@ -309,7 +341,7 @@ fn fig8(o: &Opts, which: char) {
         ),
         "experiment,structure,threads,mops",
     );
-    for (name, mk) in lineup() {
+    for &(name, mk) in lineup() {
         for &t in &o.threads {
             let mut cfg = RunConfig::new(t, mk_large(o));
             cfg.duration = o.duration;
@@ -331,7 +363,7 @@ fn fig9(o: &Opts) {
         ),
         "experiment,structure,rq_size,update_ns,query_ns",
     );
-    for (name, mk) in lineup() {
+    for &(name, mk) in lineup() {
         for rq in rq_sizes(mk_key) {
             let mut cfg = RunConfig::new(t, mk_key);
             cfg.duration = o.duration;
@@ -355,9 +387,7 @@ fn fig10(o: &Opts) {
         .iter()
         .map(|s| (s / o.scale).max(10_000))
         .collect();
-    let mut line = lineup();
-    line.insert(0, ("BAT", || Box::new(BatAdapter::plain())));
-    for (name, mk) in line {
+    for &(name, mk) in std::iter::once(&adapter("BAT")).chain(lineup()) {
         for &mk_key in &sizes {
             let mut cfg = RunConfig::new(t, mk_key);
             cfg.duration = o.duration;
@@ -468,14 +498,7 @@ fn ablation_augment(o: &Opts) {
         &format!("augmentation overhead, TT {t}, MK {mk_key}, update-only uniform"),
         "experiment,structure,mops",
     );
-    let sets: Vec<(&str, MkSet)> = vec![
-        ("Chromatic (unaugmented)", || {
-            Box::new(ChromaticAdapter::new())
-        }),
-        ("BAT", || Box::new(BatAdapter::plain())),
-        ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
-    ];
-    for (name, mk) in sets {
+    for (name, mk) in ["Chromatic (unaugmented)", "BAT", "BAT-EagerDel"].map(adapter) {
         let mut cfg = RunConfig::new(t, mk_key);
         cfg.duration = o.duration;
         cfg.mix = OpMix::percent(50, 50, 0, 0);
@@ -485,49 +508,63 @@ fn ablation_augment(o: &Opts) {
 }
 
 fn main() {
-    let (exps, opts) = parse_args();
+    let (exps, opts) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n\n{}", usage());
+        std::process::exit(2);
+    });
     eprintln!(
         "repro: duration {:?}, trials {}, threads {:?}, scale 1/{} of paper key ranges",
         opts.duration, opts.trials, opts.threads, opts.scale
     );
-    for exp in &exps {
-        match exp.as_str() {
-            "table1" => table1(),
-            "fig5a" => fig5a(&opts),
-            "fig5b" => fig5b(&opts),
-            "fig5c" => fig5c(&opts),
-            "fig6a" => fig6(&opts, 'a'),
-            "fig6b" => fig6(&opts, 'b'),
-            "fig7a" => fig7(&opts, 'a'),
-            "fig7b" => fig7(&opts, 'b'),
-            "fig8a" => fig8(&opts, 'a'),
-            "fig8b" => fig8(&opts, 'b'),
-            "fig9" => fig9(&opts),
-            "fig10" => fig10(&opts),
-            "stats" => stats(&opts),
-            "ablation-delegation" => ablation_delegation(&opts),
-            "ablation-augment" => ablation_augment(&opts),
-            "all" => {
-                table1();
-                fig5a(&opts);
-                fig5b(&opts);
-                fig5c(&opts);
-                fig6(&opts, 'a');
-                fig6(&opts, 'b');
-                fig7(&opts, 'a');
-                fig7(&opts, 'b');
-                fig8(&opts, 'a');
-                fig8(&opts, 'b');
-                fig9(&opts);
-                fig10(&opts);
-                stats(&opts);
-                ablation_delegation(&opts);
-                ablation_augment(&opts);
-            }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+    for (_, run) in exps {
+        run(&opts);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(Vec<&'static str>, Opts), String> {
+        let (exps, opts) = parse_args(line.split(' ').map(String::from))?;
+        Ok((exps.iter().map(|e| e.0).collect(), opts))
+    }
+
+    #[test]
+    fn parse_args_takes_a_full_line_and_refuses_zero_counts() {
+        let (exps, o) =
+            parse("fig9 --duration-ms 50 --trials 1 table1 --threads 1,2 --scale 100").unwrap();
+        assert_eq!(exps, ["fig9", "table1"]);
+        assert_eq!(o.duration, Duration::from_millis(50));
+        assert_eq!((o.trials, o.threads, o.scale), (1, vec![1, 2], 100));
+        // `--threads ` is the empty value; the last two are a missing value
+        // and an unknown name.
+        for bad in [
+            "--trials 0",
+            "--threads ",
+            "--threads 0",
+            "--scale 0",
+            "--trials",
+            "fig11",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn every_documented_experiment_resolves() {
+        let usage = usage();
+        let listed: Vec<&str> = usage
+            .lines()
+            .skip_while(|l| *l != "experiments:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .flat_map(|l| l.trim_start().split("  ").next().unwrap().split(' '))
+            .collect();
+        assert_eq!(listed.len(), EXPERIMENTS.len() + 1, "{listed:?}");
+        for name in listed {
+            parse(name).unwrap_or_else(|e| panic!("{e}"));
+        }
+        assert_eq!(parse("all").unwrap().0, EXPERIMENTS.map(|e| e.0));
     }
 }

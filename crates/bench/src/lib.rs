@@ -1,7 +1,9 @@
-//! # bench — adapters and experiment definitions
+//! # bench — the `BenchSet` adapters and the `repro` binary
 //!
 //! Adapters implement [`workloads::BenchSet`] for every structure in the
-//! comparison (paper Table 1), so one harness drives them all:
+//! comparison (paper Table 1), so one harness drives them all. Their
+//! users are `repro` (`src/bin/repro.rs`: the paper's tables and figures
+//! as CSV), this crate's tests and the root linearizability suite.
 //!
 //! | adapter | paper line | augmented | balanced |
 //! |---|---|---|---|
@@ -19,7 +21,7 @@ use fanout::FanoutSet;
 use frbst::FrSet;
 use shard::{Partition, ShardMember, ShardedSet};
 use vcas::VcasSet;
-use workloads::{BenchSet, Capabilities, ContentionCounters};
+use workloads::{BenchSet, Capabilities};
 
 /// Default delegation timeout used by the benchmark variants (keeps every
 /// variant non-blocking, per §5's timeout note).
@@ -88,19 +90,6 @@ impl BenchSet for BatAdapter {
     }
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn contention(&self) -> Option<ContentionCounters> {
-        // BAT's publication contention lives in its version-pointer CAS
-        // traffic; the cache-padded per-thread `BatStats` stripes already
-        // count attempts and failures.
-        let s = self.set.stats().snapshot();
-        Some(ContentionCounters {
-            attempts: s.cas_attempts,
-            aborts: s.cas_failures,
-            // BAT refreshes re-run after a failed version CAS: each
-            // failure is one retried refresh.
-            retries: s.cas_failures,
-        })
     }
 }
 
@@ -268,14 +257,6 @@ impl BenchSet for FanoutAdapter {
     fn name(&self) -> &'static str {
         "VerlibBTree*"
     }
-    fn contention(&self) -> Option<ContentionCounters> {
-        let s = self.set.pub_stats();
-        Some(ContentionCounters {
-            attempts: s.attempts,
-            aborts: s.aborts,
-            retries: s.retries,
-        })
-    }
 }
 
 /// The sharded front-end over any forest member (`crates/shard`): point
@@ -297,25 +278,6 @@ impl<S: ShardMember> ShardedAdapter<S> {
             name,
         }
     }
-
-    /// The wrapped forest (for stats and direct snapshot access).
-    pub fn inner(&self) -> &ShardedSet<S> {
-        &self.set
-    }
-}
-
-/// `BenchSet::name` wants a `&'static str`; the sweep only uses these
-/// shard counts, and any other count gets the bare name.
-macro_rules! shard_name {
-    ($shards:expr, $base:literal) => {
-        match $shards {
-            1 => concat!($base, "/1"),
-            2 => concat!($base, "/2"),
-            4 => concat!($base, "/4"),
-            8 => concat!($base, "/8"),
-            _ => $base,
-        }
-    };
 }
 
 /// The BAT forest front-end.
@@ -323,7 +285,7 @@ pub type ShardedBatAdapter = ShardedAdapter<BatSet<u64, SizeOnly>>;
 
 impl ShardedBatAdapter {
     pub fn new(shards: usize, partition: Partition) -> Self {
-        Self::with_name(shards, partition, shard_name!(shards, "ShardedBAT"))
+        Self::with_name(shards, partition, "ShardedBAT")
     }
 }
 
@@ -332,7 +294,7 @@ pub type ShardedFanoutAdapter = ShardedAdapter<FanoutSet>;
 
 impl ShardedFanoutAdapter {
     pub fn new(shards: usize, partition: Partition) -> Self {
-        Self::with_name(shards, partition, shard_name!(shards, "ShardedFanout"))
+        Self::with_name(shards, partition, "ShardedFanout")
     }
 }
 
@@ -368,14 +330,6 @@ impl<S: ShardMember> BenchSet for ShardedAdapter<S> {
     }
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn contention(&self) -> Option<ContentionCounters> {
-        let (attempts, aborts, retries) = self.set.contention();
-        Some(ContentionCounters {
-            attempts,
-            aborts,
-            retries,
-        })
     }
 }
 
@@ -435,27 +389,43 @@ impl BenchSet for ChromaticAdapter {
     }
 }
 
-/// The full comparison lineup used by Figs. 6–10.
-pub fn lineup() -> Vec<Box<dyn BenchSet>> {
-    vec![
-        Box::new(BatAdapter::eager()),
-        Box::new(FrAdapter::new()),
-        Box::new(VcasAdapter::new()),
-        Box::new(FanoutAdapter::new()),
-    ]
+/// Builds one fresh adapter.
+pub type MkSet = fn() -> Box<dyn BenchSet>;
+
+/// Every adapter in the workspace under the name its `name()` returns, in
+/// the order that makes the two paper lineups contiguous runs.
+static ADAPTERS: [(&str, MkSet); 9] = [
+    ("BAT", || Box::new(BatAdapter::plain())),
+    ("BAT-Del", || Box::new(BatAdapter::del())),
+    ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
+    ("FR-BST", || Box::new(FrAdapter::new())),
+    ("VcasBST", || Box::new(VcasAdapter::new())),
+    ("VerlibBTree*", || Box::new(FanoutAdapter::new())),
+    ("Chromatic (unaugmented)", || {
+        Box::new(ChromaticAdapter::new())
+    }),
+    ("ShardedBAT", || {
+        Box::new(ShardedBatAdapter::new(4, Partition::Hash))
+    }),
+    ("ShardedFanout", || {
+        Box::new(ShardedFanoutAdapter::new(4, Partition::Hash))
+    }),
+];
+
+/// The propagate variants against FR-BST (Fig. 5a/5b).
+pub fn variants() -> &'static [(&'static str, MkSet)] {
+    &ADAPTERS[..4]
 }
 
-/// Every adapter in the workspace, including the point-only ablation —
-/// the lineup the `bench` adapter sweep runs to prove no mix panics on any
-/// adapter.
-pub fn full_lineup() -> Vec<Box<dyn BenchSet>> {
-    let mut all = lineup();
-    all.push(Box::new(BatAdapter::plain()));
-    all.push(Box::new(BatAdapter::del()));
-    all.push(Box::new(ChromaticAdapter::new()));
-    all.push(Box::new(ShardedBatAdapter::new(4, Partition::Hash)));
-    all.push(Box::new(ShardedFanoutAdapter::new(4, Partition::Hash)));
-    all
+/// The full comparison lineup used by Figs. 6–10.
+pub fn lineup() -> &'static [(&'static str, MkSet)] {
+    &ADAPTERS[2..6]
+}
+
+/// Every adapter in the workspace, including the point-only ablation and
+/// both sharded forests.
+pub fn full_lineup() -> &'static [(&'static str, MkSet)] {
+    &ADAPTERS
 }
 
 #[cfg(test)]
@@ -496,9 +466,9 @@ mod tests {
         cfg.duration = std::time::Duration::from_millis(40);
         cfg.mix = workloads::OpMix::percent(25, 25, 25, 25);
         cfg.query = workloads::QueryKind::RangeCount { size: 100 };
-        for set in lineup() {
-            let r = workloads::run(set.as_ref(), &cfg);
-            assert!(r.total_ops > 0, "{} did no work", set.name());
+        for (name, mk) in lineup() {
+            let r = workloads::run(mk().as_ref(), &cfg);
+            assert!(r.total_ops > 0, "{name} did no work");
         }
         ebr::flush();
     }
@@ -515,25 +485,34 @@ mod tests {
 
     #[test]
     fn query_mixes_run_on_every_adapter_without_panicking() {
+        use workloads::{KeyDist, QueryKind};
         // Regression test: a query-bearing mix used to abort the whole run
         // with `unimplemented!` on the chromatic ablation adapter. The
         // capability report makes the harness degrade queries to finds.
-        for query in [
-            workloads::QueryKind::RangeCount { size: 64 },
-            workloads::QueryKind::Rank,
-            workloads::QueryKind::Select,
+        // The skewed and sorted streams are the key distributions `repro`
+        // draws besides uniform (sorted runs unprefilled, as Fig. 5b does).
+        for (query, dist) in [
+            (QueryKind::RangeCount { size: 64 }, KeyDist::Uniform),
+            (QueryKind::Rank, KeyDist::Uniform),
+            (QueryKind::Select, KeyDist::Uniform),
+            (QueryKind::Rank, KeyDist::Zipf(0.95)),
+            (QueryKind::Select, KeyDist::Sorted),
         ] {
             let mut cfg = workloads::RunConfig::new(2, 2_000);
             cfg.duration = std::time::Duration::from_millis(20);
             cfg.mix = workloads::OpMix::percent(10, 10, 40, 40);
             cfg.query = query;
-            for set in full_lineup() {
+            cfg.dist = dist;
+            cfg.prefill = dist != KeyDist::Sorted;
+            for (name, mk) in full_lineup() {
+                let set = mk();
+                assert_eq!(set.name(), *name);
                 let r = workloads::run(set.as_ref(), &cfg);
-                assert!(r.total_ops > 0, "{} did no work", set.name());
+                assert!(r.total_ops > 0, "{name} did no work under {dist:?}");
                 if set.capabilities().supports(query) {
-                    assert!(r.ops[3] > 0, "{} ran no queries", set.name());
+                    assert!(r.ops[3] > 0, "{name} ran no queries under {dist:?}");
                 } else {
-                    assert_eq!(r.ops[3], 0, "{} must re-sample queries", set.name());
+                    assert_eq!(r.ops[3], 0, "{name} must re-sample queries");
                 }
             }
             ebr::flush();

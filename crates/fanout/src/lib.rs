@@ -21,8 +21,8 @@
 //! An immutable COW B-tree under a *single* atomic root pointer copies the
 //! whole root-to-leaf path per update and publishes with one root
 //! `compare_exchange`, so all writers — however disjoint their keys —
-//! contend on one word (`BENCH_PR10.json` `fanout_contended_gain` records
-//! what that cost: versioned edges won by +28…+39 % at two or more
+//! contend on one word (what that cost, measured before the single-root
+//! scheme was deleted: versioned edges won by +28…+39 % at two or more
 //! threads). Here every internal node's child slots are independently
 //! CAS-able **versioned edges** (the mechanism of Wei et al., PPoPP 2021
 //! \[33\], that verlib generalizes), each carrying its *own* LLX/SCX

@@ -16,7 +16,8 @@
 //!   checker.
 //!
 //! See `examples/` for runnable end-to-end programs and `crates/bench`
-//! for the harness regenerating every figure of the paper.
+//! for the structure adapters and `repro`, which regenerates every table
+//! and figure of the paper.
 
 pub use cbat_core as core;
 pub use cbat_core::{
