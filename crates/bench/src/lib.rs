@@ -19,7 +19,7 @@ use cbat_core::{BatSet, DelegationPolicy, SizeOnly};
 use chromatic::ChromaticSet;
 use fanout::FanoutSet;
 use frbst::FrSet;
-use shard::{Partition, ShardMember, ShardedSet};
+use shard::{ShardMember, ShardedSet};
 use vcas::VcasSet;
 use workloads::{BenchSet, Capabilities};
 
@@ -271,9 +271,9 @@ pub struct ShardedAdapter<S: ShardMember> {
 }
 
 impl<S: ShardMember> ShardedAdapter<S> {
-    fn with_name(shards: usize, partition: Partition, name: &'static str) -> Self {
+    fn with_name(shards: usize, name: &'static str) -> Self {
         ShardedAdapter {
-            set: ShardedSet::new(shards, partition),
+            set: ShardedSet::new(shards),
             approx_size: AtomicI64::new(0),
             name,
         }
@@ -284,8 +284,8 @@ impl<S: ShardMember> ShardedAdapter<S> {
 pub type ShardedBatAdapter = ShardedAdapter<BatSet<u64, SizeOnly>>;
 
 impl ShardedBatAdapter {
-    pub fn new(shards: usize, partition: Partition) -> Self {
-        Self::with_name(shards, partition, "ShardedBAT")
+    pub fn new(shards: usize) -> Self {
+        Self::with_name(shards, "ShardedBAT")
     }
 }
 
@@ -293,8 +293,8 @@ impl ShardedBatAdapter {
 pub type ShardedFanoutAdapter = ShardedAdapter<FanoutSet>;
 
 impl ShardedFanoutAdapter {
-    pub fn new(shards: usize, partition: Partition) -> Self {
-        Self::with_name(shards, partition, "ShardedFanout")
+    pub fn new(shards: usize) -> Self {
+        Self::with_name(shards, "ShardedFanout")
     }
 }
 
@@ -404,12 +404,8 @@ static ADAPTERS: [(&str, MkSet); 9] = [
     ("Chromatic (unaugmented)", || {
         Box::new(ChromaticAdapter::new())
     }),
-    ("ShardedBAT", || {
-        Box::new(ShardedBatAdapter::new(4, Partition::Hash))
-    }),
-    ("ShardedFanout", || {
-        Box::new(ShardedFanoutAdapter::new(4, Partition::Hash))
-    }),
+    ("ShardedBAT", || Box::new(ShardedBatAdapter::new(4))),
+    ("ShardedFanout", || Box::new(ShardedFanoutAdapter::new(4))),
 ];
 
 /// The propagate variants against FR-BST (Fig. 5a/5b).
@@ -452,11 +448,9 @@ mod tests {
         exercise(&FrAdapter::new());
         exercise(&VcasAdapter::new());
         exercise(&FanoutAdapter::new());
-        for p in [Partition::Hash, Partition::Range { max_key: 128 }] {
-            for shards in [1, 4] {
-                exercise(&ShardedBatAdapter::new(shards, p));
-                exercise(&ShardedFanoutAdapter::new(shards, p));
-            }
+        for shards in [1, 4] {
+            exercise(&ShardedBatAdapter::new(shards));
+            exercise(&ShardedFanoutAdapter::new(shards));
         }
     }
 

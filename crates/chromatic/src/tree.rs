@@ -9,7 +9,6 @@
 //! template; `insert`, `delete` and every rebalancing step (in
 //! [`crate::rebalance`]) commit through it and nowhere else.
 
-use sched::atomic::Ordering;
 use std::marker::PhantomData;
 
 use ebr::{Guard, Striped};
@@ -178,26 +177,6 @@ where
     #[inline]
     pub fn is_balanced(&self) -> bool {
         self.balanced
-    }
-
-    /// Install a pre-built real tree under the sentinels, replacing the
-    /// empty placeholder leaf. Used by bulk construction.
-    ///
-    /// # Safety
-    /// May only be called before the tree is shared with other threads,
-    /// and only once, on a freshly constructed empty tree. `new_root` must
-    /// be the root of a well-formed leaf-oriented subtree whose rightmost
-    /// leaf carries the ∞₁ sentinel key.
-    pub unsafe fn replace_real_root(&self, new_root: u64, guard: &Guard) {
-        let inf1 = self.entry().left(guard);
-        let old = inf1.left_raw();
-        // SAFETY: the tree is unshared (caller's contract), so the store
-        // races with nothing and `old`, the placeholder leaf `with_balance`
-        // allocated, is unreachable once it is overwritten.
-        unsafe {
-            (*inf1.left_field()).store(new_root, Ordering::Release);
-            dispose_unpublished::<K, V, P>(old);
-        }
     }
 
     /// The immutable entry (sentinel root) node. BAT's `Propagate` starts
@@ -490,7 +469,7 @@ impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     static RECLAIMS: AtomicUsize = AtomicUsize::new(0);
 

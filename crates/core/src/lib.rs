@@ -50,7 +50,6 @@
 //! ```
 
 pub mod augment;
-pub mod bulk;
 pub mod interval;
 pub mod map;
 pub mod propagate;

@@ -68,8 +68,7 @@ where
         Self::with_options(false, policy)
     }
 
-    /// Full-control constructor.
-    pub fn with_options(balanced: bool, policy: DelegationPolicy) -> Self {
+    fn with_options(balanced: bool, policy: DelegationPolicy) -> Self {
         let map = BatMap {
             tree: ChromaticTree::with_balance(balanced),
             policy,

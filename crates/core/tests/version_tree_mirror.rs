@@ -101,10 +101,3 @@ fn mirror_after_concurrent_stress() {
     assert_mirrors(&m);
     ebr::flush();
 }
-
-#[test]
-fn mirror_after_bulk_build() {
-    let pairs: Vec<(u64, u64)> = (0..1_357).map(|k| (k * 2, k)).collect();
-    let m = BatMap::<u64, u64, SizeOnly>::bulk_build(pairs);
-    assert_mirrors(&m);
-}

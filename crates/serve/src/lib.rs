@@ -46,7 +46,7 @@ use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use shard::{Partition, ShardMember, ShardedSet};
+use shard::{ShardMember, ShardedSet};
 
 // ---------------------------------------------------------------------------
 // Bounded MPMC ring
@@ -261,7 +261,7 @@ fn exec_snap<S: ShardMember>(snap: &shard::ShardedSnapshot<'_, S>, cell: &ReqCel
 /// The holder registers once ([`SnapshotLease::take`]) and serves
 /// reads from cuts at [`SnapshotLease::ts`] (via
 /// [`ShardedSet::snapshot_at`]). When the lease period elapses,
-/// [`SnapshotLease::renew_if_expired`] deregisters and re-registers,
+/// [`SnapshotLease::renew`] deregisters and re-registers,
 /// moving the pinned timestamp forward so trimming can reclaim the
 /// history behind it. Even a reader that *never* gives up its lease
 /// only ever pins one lease period of versions.
@@ -277,7 +277,6 @@ pub struct SnapshotLease<'a, S: ShardMember> {
     ts: u64,
     taken: Instant,
     period: Duration,
-    renewals: u64,
     /// Registrations live in per-thread registry slots.
     _not_send: std::marker::PhantomData<*mut ()>,
 }
@@ -291,7 +290,6 @@ impl<'a, S: ShardMember> SnapshotLease<'a, S> {
             ts,
             taken: Instant::now(),
             period,
-            renewals: 0,
             _not_send: std::marker::PhantomData,
         }
     }
@@ -306,11 +304,6 @@ impl<'a, S: ShardMember> SnapshotLease<'a, S> {
         self.taken.elapsed() >= self.period
     }
 
-    /// How many times this lease has been renewed.
-    pub fn renewals(&self) -> u64 {
-        self.renewals
-    }
-
     /// Deregister and re-register, advancing the pinned timestamp.
     /// Any snapshot taken at the old [`SnapshotLease::ts`] must be
     /// dropped first — the borrow checker can't see that coupling, so
@@ -319,17 +312,6 @@ impl<'a, S: ShardMember> SnapshotLease<'a, S> {
         self.set.snap_clock().deregister();
         self.ts = self.set.snap_clock().register();
         self.taken = Instant::now();
-        self.renewals += 1;
-    }
-
-    /// [`SnapshotLease::renew`] iff expired; returns whether it did.
-    pub fn renew_if_expired(&mut self) -> bool {
-        if self.expired() {
-            self.renew();
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -377,9 +359,6 @@ pub struct ServeConfig {
     pub max_key: u64,
     /// Snapshot lease period for the analytics worker.
     pub lease: Duration,
-    /// Analytics fairness quantum: requests served from one class's
-    /// ring before yielding to the other.
-    pub quantum: usize,
     /// Width of range_count queries.
     pub range_span: u64,
     /// RNG seed.
@@ -401,7 +380,6 @@ impl Default for ServeConfig {
             },
             max_key: 1 << 16,
             lease: Duration::from_millis(10),
-            quantum: 8,
             range_span: 1 << 10,
             seed: 0x5E1F_5E1F,
         }
@@ -556,12 +534,12 @@ fn point_worker<S: ShardMember>(sh: &Shared<'_, S>, idx: usize) {
     }
 }
 
+/// Analytics requests the worker serves from one class's ring before it
+/// turns to the other.
+const QUANTUM: usize = 8;
+
 /// Returns `(lease_renewals, parks)` for the [`ServeReport`].
-fn analytics_worker<S: ShardMember>(
-    sh: &Shared<'_, S>,
-    lease_period: Duration,
-    quantum: usize,
-) -> (u64, u64) {
+fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration) -> (u64, u64) {
     let mut lease = SnapshotLease::take(sh.set, lease_period);
     let (mut moved, mut parks) = (0u64, 0u64);
     'run: loop {
@@ -574,7 +552,7 @@ fn analytics_worker<S: ShardMember>(
         loop {
             let mut served = 0usize;
             for ring in [&sh.stat_ring, &sh.range_ring] {
-                for _ in 0..quantum.max(1) {
+                for _ in 0..QUANTUM {
                     match ring.try_pop() {
                         // SAFETY: see point_worker — cells outlive
                         // their in-flight window.
@@ -693,7 +671,7 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
             } else {
                 (Class::Stat, OP_SELECT, key % (cfg.max_key / 2).max(1), 0)
             }
-        } else if pm < (cfg.mix.stat_pm + cfg.mix.range_pm) as u64 {
+        } else if pm < cfg.mix.stat_pm as u64 + cfg.mix.range_pm as u64 {
             (
                 Class::Range,
                 OP_RANGE_COUNT,
@@ -756,8 +734,18 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
 
 /// Run the serving loop: per-shard point workers + one analytics
 /// worker + `cfg.clients` pipelined clients, for `cfg.duration`.
+///
+/// Panics, on the calling thread, if `clients`, `window` or `max_key` is
+/// 0 or if `mix` asks for more than 1000 ‰.
 pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> ServeReport {
+    // A client that panics never leaves `submitters`, and the workers wait
+    // for it for ever: refuse here what would make one panic.
     assert!(cfg.clients >= 1 && cfg.window >= 1);
+    assert!(cfg.max_key >= 1, "keys are drawn from [0, max_key)");
+    assert!(
+        cfg.mix.stat_pm as u64 + cfg.mix.range_pm as u64 <= 1000,
+        "the class mix is per mille"
+    );
     let sh = Shared {
         set,
         point_rings: (0..set.num_shards())
@@ -778,7 +766,7 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
         }
         let analytics = {
             let sh = &sh;
-            scope.spawn(move || analytics_worker(sh, cfg.lease, cfg.quantum))
+            scope.spawn(move || analytics_worker(sh, cfg.lease))
         };
         sh.analytics
             .set(analytics.thread().clone())
@@ -817,7 +805,7 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
 /// A ready-to-serve forest: `shards` fanout shards pre-loaded with
 /// `prefill` keys evenly spread over `[0, max_key)`.
 pub fn build_forest(shards: usize, prefill: u64, max_key: u64) -> ShardedSet<fanout::FanoutSet> {
-    let set = ShardedSet::<fanout::FanoutSet>::new(shards, Partition::Hash);
+    let set = ShardedSet::<fanout::FanoutSet>::new(shards);
     let step = (max_key / prefill.max(1)).max(1);
     let mut k = 0;
     while k < max_key {
@@ -830,6 +818,8 @@ pub fn build_forest(shards: usize, prefill: u64, max_key: u64) -> ShardedSet<fan
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::Arc;
 
     #[test]
     fn ring_admission_and_backpressure() {
@@ -896,7 +886,6 @@ mod tests {
                 "round {round}: renewal failed to unpin history (chain {chain})"
             );
         }
-        assert_eq!(lease.renewals(), 20);
         drop(lease);
 
         // Control: the same churn under one never-renewed registration
@@ -1016,7 +1005,6 @@ mod tests {
             },
             max_key: 1 << 14,
             lease: Duration::from_millis(5),
-            quantum: 4,
             range_span: 1 << 9,
             seed: 42,
         };
@@ -1051,7 +1039,6 @@ mod tests {
             },
             max_key: 1 << 10,
             lease: Duration::from_millis(5),
-            quantum: 2,
             range_span: 64,
             seed: 7,
         };
@@ -1080,21 +1067,62 @@ mod tests {
         ebr::flush();
     }
 
-    /// `run_serve` on a thread of its own, so that a lost wake-up — a
-    /// client waiting for ever on a request the parked worker never
-    /// hears of — fails the calling test instead of hanging it.
-    fn serve_or_time_out(
-        set: &std::sync::Arc<ShardedSet<fanout::FanoutSet>>,
+    /// `run_serve` on a thread of its own, so that a run that never
+    /// returns fails the calling test instead of hanging it: `Timeout`
+    /// when it hangs, `Disconnected` when it panicked (the sender is
+    /// dropped unsent).
+    fn serve_watched(
+        set: &Arc<ShardedSet<fanout::FanoutSet>>,
         cfg: ServeConfig,
-    ) -> ServeReport {
+    ) -> Result<ServeReport, RecvTimeoutError> {
         let (tx, rx) = std::sync::mpsc::channel();
-        let set = std::sync::Arc::clone(set);
+        let set = Arc::clone(set);
         std::thread::spawn(move || {
             // The receiver is gone only if this run already timed out.
             let _ = tx.send(run_serve(&set, &cfg));
         });
         rx.recv_timeout(cfg.duration + Duration::from_secs(2))
-            .expect("run_serve did not return: an analytics wake-up was lost")
+    }
+
+    /// [`serve_watched`] for a run that must return: a lost wake-up — a
+    /// client waiting for ever on a request the parked worker never
+    /// hears of — fails the test.
+    fn serve_or_time_out(
+        set: &Arc<ShardedSet<fanout::FanoutSet>>,
+        cfg: ServeConfig,
+    ) -> ServeReport {
+        serve_watched(set, cfg).expect("run_serve did not return: an analytics wake-up was lost")
+    }
+
+    /// A config a client would panic on (`r % 0`, a mix past 1000 ‰ —
+    /// or past `u32::MAX` when summed in `u32`) is refused on the calling
+    /// thread. Before the checks, a panicking client never left
+    /// `submitters` and `run_serve` waited for it for ever.
+    #[test]
+    fn bad_config_panics_on_the_caller_instead_of_hanging() {
+        let set = Arc::new(build_forest(1, 64, 1 << 10));
+        let mix = |stat_pm, range_pm| ClassMix { stat_pm, range_pm };
+        for cfg in [
+            ServeConfig {
+                max_key: 0,
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                mix: mix(900, 101),
+                ..ServeConfig::default()
+            },
+            ServeConfig {
+                mix: mix(u32::MAX, 2),
+                ..ServeConfig::default()
+            },
+        ] {
+            match serve_watched(&set, cfg) {
+                Err(RecvTimeoutError::Disconnected) => {}
+                Err(RecvTimeoutError::Timeout) => panic!("run_serve hung on {cfg:?}"),
+                Ok(_) => panic!("run_serve accepted {cfg:?}"),
+            }
+        }
+        ebr::flush();
     }
 
     #[test]
@@ -1103,7 +1131,7 @@ mod tests {
         // analytics: `Stat`/`Range` arrivals come 0.5 ms (40 %), 1 ms
         // (24 %), ... 3 ms (3 %) apart, either side of the 1 ms lease, so
         // the worker keeps deciding to park just as a request is pushed.
-        let set = std::sync::Arc::new(build_forest(1, 1024, 1 << 12));
+        let set = Arc::new(build_forest(1, 1024, 1 << 12));
         let (mut analytics, mut parks, mut run) = (0u64, 0u64, 0u64);
         while analytics < 2_000 {
             let cfg = ServeConfig {
@@ -1140,7 +1168,7 @@ mod tests {
 
     #[test]
     fn stop_reaches_a_parked_worker() {
-        let set = std::sync::Arc::new(build_forest(1, 1024, 1 << 12));
+        let set = Arc::new(build_forest(1, 1024, 1 << 12));
         let cfg = ServeConfig {
             clients: 1,
             duration: Duration::from_millis(100),

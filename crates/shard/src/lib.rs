@@ -1,25 +1,25 @@
-//! # shard — a partitioned forest front-end with cross-shard order
+//! # shard — a hash-partitioned forest front-end with cross-shard order
 //! statistics and consistent snapshots
 //!
 //! One BAT root (and the propagate traffic converging on it) is the
 //! scalability ceiling every bench trajectory so far has hit: aggregate
 //! throughput *falls* as threads rise because all writers ultimately
 //! serialize on one version pointer. [`ShardedSet`] removes that ceiling
-//! by partitioning the key space over N independent inner sets, while
-//! keeping the whole-set semantics the single tree offered:
+//! by hashing the key space over N independent inner sets, while keeping
+//! the whole-set semantics the single tree offered:
 //!
 //! * **Point operations** route to one shard ([`Partition::shard_of`])
 //!   and proceed with zero cross-shard coordination.
-//! * **Order statistics decompose over shards.** `rank(k)` is the sum of
-//!   full-shard sizes wholly below `k` plus one in-shard rank; `select(i)`
-//!   walks the shard size prefix sums and descends exactly one shard;
-//!   `range_count`/`range_collect` fan out only to the shards the
-//!   partition maps the interval onto (all of them under hashing, a
-//!   contiguous run under range partitioning). What each per-shard answer
-//!   costs is the member's business ([`MemberSnap`]): O(log n) on a BAT
-//!   shard, whose updates maintain sizes; on a fanout shard a scan the
-//!   first time a cut is asked, O(fanout × height) from the cut's own
-//!   subtree-count index after that.
+//! * **Order statistics decompose over shards.** `rank(k)`,
+//!   `range_count` and `range_collect` ask every shard and sum (or merge)
+//!   the answers; `select(i)` asks the member of a one-shard cut once and
+//!   bisects the key domain with cross-shard ranks otherwise. There is no
+//!   ordered (range) partition: its shard-size prefix sums would repeat,
+//!   one level up, the size field a BAT member already keeps. What each
+//!   per-shard answer costs is the member's business ([`MemberSnap`]):
+//!   O(log n) on a BAT shard, whose updates maintain sizes; on a fanout
+//!   shard a scan the first time a cut is asked, O(fanout × height) from
+//!   the cut's own subtree-count index after that.
 //! * **Consistent cuts come from a shared clock.** All shards of one
 //!   forest stamp their version records from a single [`vedge::SnapClock`]
 //!   (Wei et al.'s timestamp trick \[33\], widened from one tree to a
@@ -51,60 +51,19 @@ use ebr::CachePadded;
 use fanout::{FanoutSet, FanoutSnapshot};
 use vedge::SnapClock;
 
-/// How keys map to shards. Runtime-selectable per [`ShardedSet`].
+/// How keys map to shards: Fibonacci-hash the key, then multiply-shift
+/// onto `[0, n)`. Spreads any key distribution (including adversarially
+/// hot contiguous ranges) evenly, at the cost of fanning range queries out
+/// to every shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    /// Fibonacci-hash the key, then multiply-shift onto `[0, n)`. Spreads
-    /// any key distribution (including adversarially hot contiguous
-    /// ranges) evenly, at the cost of fanning range queries out to every
-    /// shard.
-    Hash,
-    /// Split `[0, max_key)` into `n` contiguous spans of
-    /// `ceil(max_key / n)` keys; keys at or above `max_key` fall into the
-    /// last shard. Range queries touch only the shards their interval
-    /// overlaps, and cross-shard rank/select exploit whole-shard O(1)
-    /// sizes — but a drifting hot range sweeps load shard to shard.
-    Range { max_key: u64 },
-}
+pub struct Partition;
 
 impl Partition {
     /// The shard (of `n`) that owns key `k`.
     #[inline]
     pub fn shard_of(&self, k: u64, n: usize) -> usize {
-        match *self {
-            Partition::Hash => {
-                let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (((h as u128) * (n as u128)) >> 64) as usize
-            }
-            Partition::Range { max_key } => {
-                let span = max_key.div_ceil(n as u64).max(1);
-                ((k / span) as usize).min(n - 1)
-            }
-        }
-    }
-
-    /// The shards that may hold keys in `[lo, hi]`.
-    #[inline]
-    pub fn shards_overlapping(
-        &self,
-        lo: u64,
-        hi: u64,
-        n: usize,
-    ) -> std::ops::RangeInclusive<usize> {
-        match *self {
-            Partition::Hash => 0..=n - 1,
-            Partition::Range { .. } => self.shard_of(lo, n)..=self.shard_of(hi, n),
-        }
-    }
-
-    /// Whether shard order equals key order over `n` shards (contiguous
-    /// spans, or a single shard under any policy). When true, per-shard
-    /// results concatenate in shard order already sorted, whole shards
-    /// below a key contribute their size to its rank, and `select`
-    /// descends one shard.
-    #[inline]
-    fn is_ordered(&self, n: usize) -> bool {
-        n == 1 || matches!(self, Partition::Range { .. })
+        let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (((h as u128) * (n as u128)) >> 64) as usize
     }
 }
 
@@ -314,7 +273,6 @@ impl MemberSnap for FanoutSnapshot<'_> {
 /// decompositions and the cut protocol.
 pub struct ShardedSet<S: ShardMember> {
     shards: Vec<CachePadded<S>>,
-    partition: Partition,
     sync: Arc<SnapClock>,
 }
 
@@ -324,15 +282,14 @@ pub type ShardedBatSet = ShardedSet<BatSet<u64, SizeOnly>>;
 pub type ShardedFanoutSet = ShardedSet<FanoutSet>;
 
 impl<S: ShardMember> ShardedSet<S> {
-    /// A forest of `n` shards under the given partition policy.
-    pub fn new(n: usize, partition: Partition) -> Self {
+    /// A forest of `n` hash-partitioned shards.
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1, "a forest needs at least one shard");
         let sync = Arc::new(SnapClock::new());
         ShardedSet {
             shards: (0..n)
                 .map(|_| CachePadded::new(S::new_in_forest(&sync)))
                 .collect(),
-            partition,
             sync,
         }
     }
@@ -342,9 +299,9 @@ impl<S: ShardMember> ShardedSet<S> {
         self.shards.len()
     }
 
-    /// The partition policy.
+    /// The key-to-shard map.
     pub fn partition(&self) -> Partition {
-        self.partition
+        Partition
     }
 
     /// The forest's shared snapshot clock.
@@ -355,7 +312,7 @@ impl<S: ShardMember> ShardedSet<S> {
     /// The shard that owns `k`.
     #[inline]
     fn shard_for(&self, k: u64) -> &S {
-        &self.shards[self.partition.shard_of(k, self.shards.len())]
+        &self.shards[Partition.shard_of(k, self.shards.len())]
     }
 
     /// Iterate the shards (stats aggregation, tests).
@@ -378,8 +335,9 @@ impl<S: ShardMember> ShardedSet<S> {
         self.shard_for(k).contains(k)
     }
 
-    /// Sum of shard sizes. Each addend is an atomic read of that shard's
-    /// current size, but the sum is *not* one instant's value — use
+    /// Sum of shard sizes, each [`ShardMember::len`]: an atomic read of a
+    /// BAT shard's current size, a Θ(keys) cold count of a fanout shard.
+    /// The sum is *not* one instant's value — use
     /// [`ShardedSet::snapshot`] for a consistent `len`.
     pub fn len(&self) -> u64 {
         self.shards().map(|s| s.len()).sum()
@@ -499,12 +457,6 @@ impl<S: ShardMember> Drop for ShardedSnapshot<'_, S> {
 }
 
 impl<S: ShardMember> ShardedSnapshot<'_, S> {
-    /// Whether this cut's shard order is key order.
-    #[inline]
-    fn ordered(&self) -> bool {
-        self.set.partition.is_ordered(self.snaps.len())
-    }
-
     /// Total keys in the cut.
     pub fn len(&self) -> u64 {
         self.snaps.iter().map(|s| s.len()).sum()
@@ -517,86 +469,59 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
 
     /// Membership within the cut (single-shard lookup).
     pub fn contains(&self, k: u64) -> bool {
-        let n = self.snaps.len();
-        self.snaps[self.set.partition.shard_of(k, n)].contains(k)
+        self.snaps[Partition.shard_of(k, self.snaps.len())].contains(k)
     }
 
-    /// Keys ≤ `k`. Under range partitioning this is the paper-shaped
-    /// decomposition: whole shards below `k`'s shard contribute their
-    /// sizes and exactly one shard answers an in-shard rank; under
-    /// hashing every shard holds keys on both sides of `k`, so each
-    /// contributes an in-shard rank.
+    /// Keys ≤ `k`: every hashed shard holds keys on both sides of `k`, so
+    /// each contributes an in-shard rank.
     pub fn rank(&self, k: u64) -> u64 {
-        if self.ordered() {
-            let s = self.set.partition.shard_of(k, self.snaps.len());
-            self.snaps[..s].iter().map(|x| x.len()).sum::<u64>() + self.snaps[s].rank(k)
-        } else {
-            self.snaps.iter().map(|x| x.rank(k)).sum()
-        }
+        self.snaps.iter().map(|x| x.rank(k)).sum()
     }
 
-    /// The `i`-th smallest key (0-indexed). When shard order is key order
-    /// this walks the shard size prefix sums and descends one shard;
-    /// hashed multi-shard cuts binary-search the key domain for the
+    /// The `i`-th smallest key (0-indexed). A one-shard cut asks its
+    /// member once; more shards binary-search the key domain for the
     /// smallest `k` with `rank(k) ≥ i + 1` (≤ 64 cross-shard ranks, all on
     /// this one cut — rank jumps exactly at present keys, so the infimum
     /// is the answer).
     pub fn select(&self, i: u64) -> Option<u64> {
-        if self.ordered() {
-            let mut i = i;
-            for snap in &self.snaps {
-                let n = snap.len();
-                if i < n {
-                    return snap.select(i);
-                }
-                i -= n;
-            }
-            None
-        } else {
-            if i >= self.len() {
-                return None;
-            }
-            let (mut lo, mut hi) = (0u64, u64::MAX);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if self.rank(mid) > i {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            Some(lo)
+        if let [only] = &self.snaps[..] {
+            return only.select(i);
         }
+        if i >= self.len() {
+            return None;
+        }
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.rank(mid) > i {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
     }
 
-    /// Keys in `[lo, hi]`, fanning out only to the shards the partition
-    /// maps the interval onto.
+    /// Keys in `[lo, hi]`, summed over every shard.
     pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
         if lo > hi {
             return 0;
         }
-        let n = self.snaps.len();
-        self.set
-            .partition
-            .shards_overlapping(lo, hi, n)
-            .map(|s| self.snaps[s].range_count(lo, hi))
-            .sum()
+        self.snaps.iter().map(|s| s.range_count(lo, hi)).sum()
     }
 
-    /// Sorted keys in `[lo, hi]`. Ordered partitions concatenate shard
-    /// results already in key order; hashed results are merged by sort.
+    /// Sorted keys in `[lo, hi]`: shard results concatenated, then merged
+    /// by sort when there is more than one shard.
     pub fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
         if lo > hi {
             return Vec::new();
         }
-        let n = self.snaps.len();
         let mut out: Vec<u64> = self
-            .set
-            .partition
-            .shards_overlapping(lo, hi, n)
-            .flat_map(|s| self.snaps[s].range_collect(lo, hi))
+            .snaps
+            .iter()
+            .flat_map(|s| s.range_collect(lo, hi))
             .collect();
-        if !self.ordered() {
+        if self.snaps.len() > 1 {
             out.sort_unstable();
         }
         out

@@ -3,9 +3,11 @@
 //! program order races a reader's forest snapshot, and the cut must be
 //! all-or-nothing *per the shared clock* — if the later write is inside
 //! the cut, the earlier one must be too, and the cut's size/rank/range
-//! views must agree with each other. Explored for both member kinds: the
-//! fanout forest (where one shared-clock timestamp is the cut) and the
-//! BAT forest (where double-collect validation supplies it).
+//! views must agree with each other. The two shards are hashed, and the
+//! keys are picked so that each write lands on a different one. Explored
+//! for both member kinds: the fanout forest (where one shared-clock
+//! timestamp is the cut) and the BAT forest (where double-collect
+//! validation supplies it).
 
 use std::sync::Arc;
 
@@ -22,26 +24,41 @@ fn budget() -> usize {
         .unwrap_or(60)
 }
 
-/// One cut race: shard 0 holds `1`, shard 1 holds `17` as the base; the
-/// writer inserts `ka = 3` (shard 0) and then `kb = 19` (shard 1); the
-/// reader takes one forest snapshot somewhere inside that window.
+/// The smallest keys from `from` up that the forest's hash puts on shard
+/// 0 and on shard 1 of two.
+fn one_key_per_shard(from: u64) -> [u64; 2] {
+    let first_on = |s| (from..).find(|&k| Partition.shard_of(k, 2) == s).unwrap();
+    [first_on(0), first_on(1)]
+}
+
+/// One cut race over two hashed shards: each holds one base key; the
+/// writer inserts `ka` (shard 0) and then `kb` (shard 1); the reader takes
+/// one forest snapshot somewhere inside that window.
 fn cut_race_body<S: ShardMember>() {
-    let set = Arc::new(ShardedSet::<S>::new(2, Partition::Range { max_key: 32 }));
-    set.insert(1);
-    set.insert(17);
+    let bases = one_key_per_shard(1);
+    let [ka, kb] = one_key_per_shard(bases[0].max(bases[1]) + 1);
+    let set = Arc::new(ShardedSet::<S>::new(2));
+    for k in bases {
+        set.insert(k);
+    }
+    // One key per shard, or the race below is a one-shard race.
+    assert!(
+        set.shards().all(|s| s.len() == 1),
+        "base keys share a shard"
+    );
     let writer = {
         let set = Arc::clone(&set);
         sched::spawn(move || {
-            set.insert(3); // ka, shard 0: committed (and stamped) first
-            set.insert(19); // kb, shard 1: committed strictly after ka
+            set.insert(ka); // shard 0: committed (and stamped) first
+            set.insert(kb); // shard 1: committed strictly after ka
         })
     };
     let reader = {
         let set = Arc::clone(&set);
         sched::spawn(move || {
             let snap = set.snapshot();
-            let a = snap.contains(3);
-            let b = snap.contains(19);
+            let a = snap.contains(ka);
+            let b = snap.contains(kb);
             // The cut respects the writer's program order: clock stamps
             // are monotone (fanout) / the validated vector was
             // simultaneously current (BAT), so seeing the later kb
@@ -59,10 +76,17 @@ fn cut_race_body<S: ShardMember>() {
     };
     writer.join();
     reader.join();
-    // Post-race: both writes landed; the forest agrees with itself.
+    // Post-race: both writes landed, one on each shard; the forest agrees
+    // with itself.
+    assert!(
+        set.shards().all(|s| s.len() == 2),
+        "ka and kb share a shard"
+    );
     let snap = set.snapshot();
     assert_eq!(snap.len(), 4);
-    assert_eq!(snap.range_collect(0, u64::MAX), vec![1, 3, 17, 19]);
+    let mut all = vec![bases[0], bases[1], ka, kb];
+    all.sort_unstable();
+    assert_eq!(snap.range_collect(0, u64::MAX), all);
 }
 
 fn explore_cut<S: ShardMember>(what: &str, seed_base: u64) {

@@ -1,21 +1,20 @@
-//! Deterministic oracle tests for the sharded front-end: every policy ×
-//! member combination must agree with single-structure semantics, both
+//! Deterministic oracle tests for the sharded front-end: every shard
+//! count × member combination must agree with single-structure semantics, both
 //! sequentially and with the final state of a concurrent run (ISSUE 6's
 //! "cross-shard rank/select/range_query agree with a single-tree oracle
 //! under concurrent updates" acceptance criterion).
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cbat_core::BatSet;
+use fanout::{FanoutSet, FanoutSnapshot};
+use vedge::SnapClock;
 
-use super::{Partition, ShardMember, ShardedSet};
+use super::{MemberSnap, Partition, ShardMember, ShardedSet};
 
 const MAX_KEY: u64 = 4096;
-
-fn policies() -> [Partition; 2] {
-    [Partition::Hash, Partition::Range { max_key: MAX_KEY }]
-}
 
 /// Simple deterministic xorshift stream.
 fn xs(x: &mut u64) -> u64 {
@@ -27,8 +26,8 @@ fn xs(x: &mut u64) -> u64 {
 
 /// Drive `set` and a `BTreeSet` oracle through the same op stream and
 /// compare every return value and every order statistic along the way.
-fn sequential_oracle<S: ShardMember>(shards: usize, partition: Partition) {
-    let set = ShardedSet::<S>::new(shards, partition);
+fn sequential_oracle<S: ShardMember>(shards: usize) {
+    let set = ShardedSet::<S>::new(shards);
     let mut oracle = BTreeSet::new();
     let mut x = 0x0BA7_0006_u64;
     for step in 0..2_000u64 {
@@ -77,40 +76,31 @@ fn sequential_oracle<S: ShardMember>(shards: usize, partition: Partition) {
 
 #[test]
 fn bat_forest_matches_oracle_sequentially() {
-    for p in policies() {
-        for shards in [1, 3, 4] {
-            sequential_oracle::<BatSet<u64>>(shards, p);
-        }
+    for shards in [1, 3, 4] {
+        sequential_oracle::<BatSet<u64>>(shards);
     }
 }
 
 #[test]
 fn fanout_forest_matches_oracle_sequentially() {
-    for p in policies() {
-        for shards in [1, 4] {
-            sequential_oracle::<fanout::FanoutSet>(shards, p);
-        }
+    for shards in [1, 4] {
+        sequential_oracle::<fanout::FanoutSet>(shards);
     }
 }
 
-/// `select` takes one of three routes through a cut: a one-shard forest
-/// under any policy asks its member, range shards walk the size prefix
-/// sums and ask one member, hashed shards bisect the key domain. Each is
-/// checked at *every* index `0..=len` on a cut that is held
-/// while the live forest is churned, so the answers come from the
-/// members' subtree-count indexes, cold and then warm.
+/// `select` takes one of two routes through a cut: a one-shard forest
+/// asks its member, more shards bisect the key domain. Each is checked at
+/// *every* index `0..=len` on a cut that is held while the live forest is
+/// churned, so the answers come from the members' subtree-count indexes,
+/// cold and then warm.
 #[test]
 fn fanout_forest_select_matches_oracle_at_every_index() {
-    for (shards, partition) in [
-        (1, Partition::Hash),
-        (4, Partition::Hash),
-        (4, Partition::Range { max_key: MAX_KEY }),
-    ] {
-        let set = ShardedSet::<fanout::FanoutSet>::new(shards, partition);
+    for shards in [1, 3, 4] {
+        let set = ShardedSet::<fanout::FanoutSet>::new(shards);
         let mut oracle = BTreeSet::new();
         let mut x = 0x5E1E_C700_u64 + shards as u64;
-        // Keys past a range partition's `max_key` land in its last shard;
-        // `u64::MAX` is the far end of a hashed cut's bisection.
+        // Keys past the churned range; `u64::MAX` is the far end of a
+        // multi-shard cut's bisection.
         for k in [MAX_KEY + 7, u64::MAX] {
             assert_eq!(set.insert(k), oracle.insert(k));
         }
@@ -130,12 +120,12 @@ fn fanout_forest_select_matches_oracle_at_every_index() {
         for _ in 0..1_000 {
             set.insert(xs(&mut x) % MAX_KEY);
         }
-        assert_eq!(snap.len(), frozen.len() as u64, "{partition:?} x{shards}");
+        assert_eq!(snap.len(), frozen.len() as u64, "x{shards}");
         for i in 0..=frozen.len() {
             assert_eq!(
                 snap.select(i as u64),
                 frozen.get(i).copied(),
-                "{partition:?} x{shards}: select({i}) of {}",
+                "x{shards}: select({i}) of {}",
                 frozen.len()
             );
         }
@@ -148,10 +138,10 @@ fn fanout_forest_select_matches_oracle_at_every_index() {
 /// streams (so the final membership is interleaving-independent), then
 /// the forest's order statistics are compared point by point against a
 /// *single-tree* BAT oracle replaying the same streams.
-fn concurrent_vs_single_tree<S: ShardMember>(partition: Partition) {
+fn concurrent_vs_single_tree<S: ShardMember>() {
     const THREADS: u64 = 4;
     const OPS: u64 = 3_000;
-    let set = Arc::new(ShardedSet::<S>::new(4, partition));
+    let set = Arc::new(ShardedSet::<S>::new(4));
     let span = MAX_KEY / THREADS;
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -219,23 +209,19 @@ fn concurrent_vs_single_tree<S: ShardMember>(partition: Partition) {
 
 #[test]
 fn bat_forest_agrees_with_single_tree_under_concurrent_updates() {
-    for p in policies() {
-        concurrent_vs_single_tree::<BatSet<u64>>(p);
-    }
+    concurrent_vs_single_tree::<BatSet<u64>>();
 }
 
 #[test]
 fn fanout_forest_agrees_with_single_tree_under_concurrent_updates() {
-    for p in policies() {
-        concurrent_vs_single_tree::<fanout::FanoutSet>(p);
-    }
+    concurrent_vs_single_tree::<fanout::FanoutSet>();
 }
 
 /// Mid-flight cut consistency: while writers churn, every snapshot must
 /// be internally coherent — its size, rank, select and range views all
 /// describe the same instant.
-fn cuts_are_coherent_mid_flight<S: ShardMember>(partition: Partition) {
-    let set = Arc::new(ShardedSet::<S>::new(4, partition));
+fn cuts_are_coherent_mid_flight<S: ShardMember>() {
+    let set = Arc::new(ShardedSet::<S>::new(4));
     for k in (0..MAX_KEY).step_by(4) {
         set.insert(k);
     }
@@ -277,59 +263,32 @@ fn cuts_are_coherent_mid_flight<S: ShardMember>(partition: Partition) {
 
 #[test]
 fn bat_forest_cuts_are_coherent_mid_flight() {
-    for p in policies() {
-        cuts_are_coherent_mid_flight::<BatSet<u64>>(p);
-    }
+    cuts_are_coherent_mid_flight::<BatSet<u64>>();
 }
 
 #[test]
 fn fanout_forest_cuts_are_coherent_mid_flight() {
-    for p in policies() {
-        cuts_are_coherent_mid_flight::<fanout::FanoutSet>(p);
-    }
+    cuts_are_coherent_mid_flight::<fanout::FanoutSet>();
 }
 
 #[test]
 fn partition_maps_cover_all_shards_and_respect_bounds() {
     for n in [1usize, 2, 3, 8] {
-        for p in policies() {
-            let mut hit = vec![false; n];
-            for k in 0..MAX_KEY {
-                let s = p.shard_of(k, n);
-                assert!(s < n, "{p:?} mapped {k} out of range");
-                hit[s] = true;
-            }
-            assert!(hit.iter().all(|&h| h), "{p:?} left a shard empty over {n}");
-            // Keys beyond the declared range still map somewhere valid.
-            assert!(p.shard_of(u64::MAX, n) < n);
-        }
-        // Range partitioning is monotone: key order implies shard order.
-        let p = Partition::Range { max_key: MAX_KEY };
-        let mut prev = 0;
+        let mut hit = vec![false; n];
         for k in 0..MAX_KEY {
-            let s = p.shard_of(k, n);
-            assert!(s >= prev, "range partition not monotone at {k}");
-            prev = s;
+            let s = Partition.shard_of(k, n);
+            assert!(s < n, "mapped {k} out of range");
+            hit[s] = true;
         }
+        assert!(hit.iter().all(|&h| h), "left a shard empty over {n}");
+        // Keys beyond any key range still map somewhere valid.
+        assert!(Partition.shard_of(u64::MAX, n) < n);
     }
 }
 
 #[test]
-fn range_partition_fans_out_to_overlapping_shards_only() {
-    let p = Partition::Range { max_key: MAX_KEY };
-    let n = 8;
-    let span = MAX_KEY / n as u64;
-    // An interval inside one span touches one shard.
-    assert_eq!(p.shards_overlapping(10, span - 1, n), 0..=0);
-    // An interval across one boundary touches two.
-    assert_eq!(p.shards_overlapping(span - 1, span, n), 0..=1);
-    // Hash must always fan out to all shards.
-    assert_eq!(Partition::Hash.shards_overlapping(10, 11, n), 0..=n - 1);
-}
-
-#[test]
 fn forest_contention_counters_aggregate_over_shards() {
-    let set = ShardedSet::<BatSet<u64>>::new(4, Partition::Hash);
+    let set = ShardedSet::<BatSet<u64>>::new(4);
     for k in 0..512 {
         set.insert(k);
     }
@@ -337,4 +296,117 @@ fn forest_contention_counters_aggregate_over_shards() {
     assert!(attempts > 0, "updates must surface publication attempts");
     assert_eq!(set.len(), 512);
     ebr::flush();
+}
+
+/// A fanout member that counts the `select` and `rank` calls its
+/// snapshots answer.
+struct Counting {
+    set: FanoutSet,
+    selects: AtomicU64,
+    ranks: AtomicU64,
+}
+
+struct CountingSnap<'a> {
+    snap: FanoutSnapshot<'a>,
+    member: &'a Counting,
+}
+
+impl ShardMember for Counting {
+    type Snap<'a> = CountingSnap<'a>;
+    const TIMESTAMP_EXACT: bool = true;
+
+    fn new_in_forest(sync: &Arc<SnapClock>) -> Self {
+        Counting {
+            set: <FanoutSet as ShardMember>::new_in_forest(sync),
+            selects: AtomicU64::new(0),
+            ranks: AtomicU64::new(0),
+        }
+    }
+    fn insert(&self, k: u64) -> bool {
+        self.set.insert(k)
+    }
+    fn remove(&self, k: u64) -> bool {
+        self.set.remove(k)
+    }
+    fn contains(&self, k: u64) -> bool {
+        self.set.contains(k)
+    }
+    fn len(&self) -> u64 {
+        self.set.len_slow()
+    }
+    fn snapshot_at(&self, ts: u64) -> CountingSnap<'_> {
+        CountingSnap {
+            snap: self.set.snapshot_at(ts),
+            member: self,
+        }
+    }
+    fn version_token(&self) -> u64 {
+        0
+    }
+    fn contention(&self) -> (u64, u64, u64) {
+        <FanoutSet as ShardMember>::contention(&self.set)
+    }
+}
+
+impl MemberSnap for CountingSnap<'_> {
+    fn contains(&self, k: u64) -> bool {
+        self.snap.contains(k)
+    }
+    fn len(&self) -> u64 {
+        self.snap.len()
+    }
+    fn rank(&self, k: u64) -> u64 {
+        self.member.ranks.fetch_add(1, Ordering::Relaxed);
+        self.snap.rank(k)
+    }
+    fn range_count(&self, lo: u64, hi: u64) -> u64 {
+        self.snap.range_count(lo, hi)
+    }
+    fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
+        self.snap.range_collect(lo, hi)
+    }
+    fn select(&self, i: u64) -> Option<u64> {
+        self.member.selects.fetch_add(1, Ordering::Relaxed);
+        self.snap.select(i)
+    }
+    fn token(&self) -> u64 {
+        0
+    }
+}
+
+/// The route a served stat request takes: a one-shard cut answers
+/// `select(i)` with exactly one member `select` and no `rank`, instead of
+/// the up to 64 cross-shard ranks a multi-shard cut's bisection pays —
+/// which never calls a member `select` at all.
+#[test]
+fn one_shard_select_asks_its_member_once() {
+    for shards in [1, 4] {
+        let set = ShardedSet::<Counting>::new(shards);
+        for k in (0..MAX_KEY).step_by(3) {
+            set.insert(k);
+        }
+        let snap = set.snapshot();
+        let n = snap.len();
+        let calls = || {
+            set.shards().fold((0, 0), |(s, r), m| {
+                (
+                    s + m.selects.load(Ordering::Relaxed),
+                    r + m.ranks.load(Ordering::Relaxed),
+                )
+            })
+        };
+        for i in [0, 1, n / 2, n - 1, n] {
+            let (s0, r0) = calls();
+            assert_eq!(snap.select(i), (i < n).then_some(3 * i), "x{shards}");
+            let (s1, r1) = calls();
+            if shards == 1 {
+                assert_eq!((s1 - s0, r1 - r0), (1, 0), "select({i}) x1");
+            } else {
+                assert_eq!(s1 - s0, 0, "select({i}) x{shards} asked a member");
+                assert_eq!(r1 > r0, i < n, "select({i}) x{shards} ranks");
+            }
+        }
+        drop(snap);
+        ebr::flush();
+    }
 }

@@ -11,7 +11,6 @@
 //! against sequential boolean-set semantics.
 
 use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter, ShardedBatAdapter, ShardedFanoutAdapter};
-use shard::Partition;
 use workloads::linearize::assert_point_ops_linearizable;
 use workloads::BenchSet;
 
@@ -45,16 +44,13 @@ fn point_ops_linearizable_sharded_bat() {
     // An 8-key hot space over 4 hash shards: several keys share a shard,
     // so the history exercises both in-shard contention and cross-shard
     // routing.
-    check(
-        &ShardedBatAdapter::new(4, Partition::Hash),
-        "sharded BAT forest (hash)",
-    );
+    check(&ShardedBatAdapter::new(4), "sharded BAT forest (hash)");
 }
 
 #[test]
 fn point_ops_linearizable_sharded_fanout() {
     check(
-        &ShardedFanoutAdapter::new(4, Partition::Range { max_key: 8 }),
-        "sharded fanout forest (range)",
+        &ShardedFanoutAdapter::new(4),
+        "sharded fanout forest (hash)",
     );
 }

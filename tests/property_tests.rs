@@ -124,30 +124,6 @@ fn frbst_matches_btreemap() {
 }
 
 #[test]
-fn bulk_build_equals_incremental() {
-    for case in 0..24u64 {
-        let mut rng = Xorshift::new(0xBA7_0004 ^ case);
-        let n = rng.below(400);
-        let keys: BTreeSet<u64> = (0..n).map(|_| rng.below(1 << 16)).collect();
-        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 3)).collect();
-        let bulk = BatMap::<u64, u64>::bulk_build(pairs.clone());
-        let inc = BatMap::<u64, u64>::new();
-        for (k, v) in &pairs {
-            inc.insert(*k, *v);
-        }
-        assert_eq!(bulk.len(), inc.len());
-        assert_eq!(bulk.snapshot().keys(), inc.snapshot().keys());
-        for (k, _) in pairs.iter().take(32) {
-            assert_eq!(bulk.rank(k), inc.rank(k));
-            assert_eq!(bulk.get(k), inc.get(k));
-        }
-        bulk.node_tree()
-            .validate(true)
-            .expect("bulk chromatic invariants");
-    }
-}
-
-#[test]
 fn vcas_matches_btreeset() {
     for case in 0..32u64 {
         let set = cbat::vcas::VcasSet::new();
