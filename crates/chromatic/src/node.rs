@@ -298,7 +298,7 @@ pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
 /// Retire a node through EBR with the plugin-aware destructor.
 ///
 /// # Safety
-/// As for [`ebr::Guard::retire`].
+/// As for [`ebr::Guard::retire_with`].
 pub(crate) unsafe fn retire_node<K, V, P>(guard: &ebr::Guard, raw: u64)
 where
     P: NodePlugin<K, V>,

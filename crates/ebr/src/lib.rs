@@ -2,8 +2,10 @@
 //!
 //! This is a from-scratch, DEBRA-flavored implementation of the scheme the
 //! paper's §6 builds on (Fraser's EBR \[14\] as optimized by Brown's DEBRA
-//! \[8\]). The workspace's lock-free trees retire three kinds of objects
-//! through it: tree `Node`s, `Version` objects, and `PropStatus` objects.
+//! \[8\]). Every object the workspace's lock-free trees reclaim — tree
+//! nodes, `Version`s, `PropStatus`es, `vedge`'s version records and their
+//! retire cells — lives in [`pool`]: it is retired with a free function
+//! that runs its destructor and hands its block back to a free list.
 //!
 //! Design:
 //!
@@ -13,13 +15,14 @@
 //!   indexed by it).
 //! * [`pin`] announces the global epoch and returns an RAII [`Guard`];
 //!   shared objects may only be dereferenced while a guard is live.
-//! * [`Guard::retire`] adds an object to the current thread's limbo bag for
-//!   the current epoch. Bags whose epoch is ≥ 2 behind the global epoch are
-//!   freed; the global epoch advances only when every pinned thread has
-//!   announced the current epoch.
+//! * [`Guard::retire_with`] adds an object and its free function to the
+//!   current thread's limbo bag for the current epoch. Bags whose epoch is
+//!   ≥ 2 behind the global epoch are freed; the global epoch advances only
+//!   when every pinned thread has announced the current epoch.
 //! * **Retire-from-reclaim** is supported: a deferred destructor may itself
-//!   call [`Guard::retire`] / [`retire_unpinned`]. The paper needs this —
-//!   freeing a Node retires the final `Version` it points to (§6).
+//!   retire, through the unpinned path ([`pool::retire_pooled_unpinned`]
+//!   over [`retire_unpinned_with`]). The paper needs this — freeing a Node
+//!   retires the final `Version` it points to (§6).
 //! * When a thread exits, its un-freed bags migrate to a global orphan list
 //!   that other threads drain, so no garbage is leaked by short-lived
 //!   threads (tests spawn thousands).
@@ -63,7 +66,7 @@ struct Retired {
     free: unsafe fn(*mut u8),
 }
 
-// Safety: `Retired` values are only constructed through `retire`, whose
+// Safety: `Retired` values are only constructed by the retire functions, whose
 // contract requires the object to be sendable to (and freeable from) any
 // thread.
 unsafe impl Send for Retired {}
@@ -332,33 +335,14 @@ impl Drop for Guard {
 }
 
 impl Guard {
-    /// Defer destruction of `ptr` (a `Box`-allocated `T`) until no thread
-    /// pinned at retire time can still reach it.
+    /// Defer `free(ptr)` until no thread pinned at retire time can still
+    /// reach `ptr`; `free` is called exactly once, with `ptr`.
     ///
     /// # Safety
-    /// * `ptr` must have been created by `Box::into_raw` and not retired or
-    ///   freed before.
+    /// * `ptr` must not have been retired or freed before.
     /// * `ptr` must be unreachable for threads that pin after this call
     ///   (i.e. already unlinked from the shared structure).
-    /// * `T` must be safe to drop from any thread.
-    pub unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        // SAFETY: `free_box` runs after the grace period; `p` is the
-        // Box-allocated `T` passed below, unreachable by then.
-        unsafe fn free_box<T>(p: *mut u8) {
-            // SAFETY: see above — exactly one call per retired pointer.
-            // guard: none needed, the grace period has passed.
-            drop(unsafe { Box::from_raw(p as *mut T) });
-        }
-        // SAFETY: forwarded contract — see this function's `# Safety`.
-        unsafe { self.retire_with(ptr as *mut u8, free_box::<T>) };
-    }
-
-    /// Defer an arbitrary reclamation function. See [`Guard::retire`] for
-    /// the safety contract; `free` is called exactly once with `ptr`.
-    ///
-    /// # Safety
-    /// As for [`Guard::retire`]; additionally `free(ptr)` must be sound on
-    /// any thread.
+    /// * `free(ptr)` must be sound on any thread.
     pub unsafe fn retire_with(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
         retire_impl(std::iter::once(Retired { ptr, free }));
     }
@@ -378,35 +362,16 @@ impl Guard {
     }
 }
 
-/// Retire without holding a guard (used from reclamation callbacks, where
-/// the freeing thread may not be pinned). The object must already have been
-/// unreachable for a full epoch-protocol cycle — true for the paper's
+/// [`Guard::retire_with`] without holding a guard (used from reclamation
+/// callbacks, where the freeing thread may not be pinned; the pool's entry
+/// point is [`pool::retire_pooled_unpinned`]). The object must already have
+/// been unreachable for a full epoch-protocol cycle — true for the paper's
 /// "retire the final version when freeing the node" rule, since the node
 /// itself just completed that cycle... conservatively we still run the
 /// full two-epoch delay from the *current* epoch.
 ///
 /// # Safety
-/// As for [`Guard::retire`].
-pub unsafe fn retire_unpinned<T: Send>(ptr: *mut T) {
-    // SAFETY: `free_box` as in `Guard::retire` — one deferred call per
-    // retired pointer, after the grace period.
-    unsafe fn free_box<T>(p: *mut u8) {
-        // SAFETY: see above.
-        // guard: none needed, the grace period has passed.
-        drop(unsafe { Box::from_raw(p as *mut T) });
-    }
-    retire_impl(std::iter::once(Retired {
-        ptr: ptr as *mut u8,
-        free: free_box::<T>,
-    }));
-}
-
-/// [`retire_unpinned`] with a caller-supplied reclamation function (the
-/// unpinned counterpart of [`Guard::retire_with`]; used by [`pool`]).
-///
-/// # Safety
-/// As for [`retire_unpinned`]; additionally `free(ptr)` must be sound on
-/// any thread.
+/// As for [`Guard::retire_with`].
 pub unsafe fn retire_unpinned_with(ptr: *mut u8, free: unsafe fn(*mut u8)) {
     retire_impl(std::iter::once(Retired { ptr, free }));
 }
@@ -575,6 +540,7 @@ pub fn own_the_global_epoch() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pool::{alloc_pooled, retire_pooled, retire_pooled_unpinned};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -607,8 +573,8 @@ mod tests {
         {
             let guard = pin();
             for i in 0..100 {
-                let p = Box::into_raw(Box::new(Tracked(i)));
-                unsafe { guard.retire(p) };
+                let p = alloc_pooled(Tracked(i));
+                unsafe { retire_pooled(&guard, p) };
             }
         }
         flush();
@@ -635,8 +601,8 @@ mod tests {
         let f2 = flag.clone();
         std::thread::spawn(move || {
             let g = pin();
-            let p = Box::into_raw(Box::new(Flag(f2)));
-            unsafe { g.retire(p) };
+            let p = alloc_pooled(Flag(f2));
+            unsafe { retire_pooled(&g, p) };
             drop(g);
             // Epoch can advance at most once past our pinned main thread's
             // announced epoch, never twice, so the flag must stay unset.
@@ -708,15 +674,15 @@ mod tests {
         impl Drop for Outer {
             fn drop(&mut self) {
                 // Nested retire while the collector is running.
-                unsafe { retire_unpinned(self.0) };
+                unsafe { retire_pooled_unpinned(self.0) };
             }
         }
         let before = DROPS.load(Ordering::SeqCst);
         {
             let guard = pin();
-            let inner = Box::into_raw(Box::new(Tracked(7)));
-            let outer = Box::into_raw(Box::new(Outer(inner)));
-            unsafe { guard.retire(outer) };
+            let inner = alloc_pooled(Tracked(7));
+            let outer = alloc_pooled(Outer(inner));
+            unsafe { retire_pooled(&guard, outer) };
         }
         for _ in 0..6 {
             flush();
@@ -750,8 +716,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..2_000u64 {
                         let g = pin();
-                        let p = Box::into_raw(Box::new(Tracked(t * 1_000_000 + i)));
-                        unsafe { g.retire(p) };
+                        let p = alloc_pooled(Tracked(t * 1_000_000 + i));
+                        unsafe { retire_pooled(&g, p) };
                     }
                     flush();
                 })

@@ -300,7 +300,7 @@ unsafe fn drop_and_release<T>(p: *mut u8) {
 /// free list.
 ///
 /// # Safety
-/// As for [`Guard::retire`], and `ptr` must come from [`alloc_pooled`].
+/// As for [`Guard::retire_with`], and `ptr` must come from [`alloc_pooled`].
 pub unsafe fn retire_pooled<T: Send>(guard: &Guard, ptr: *mut T) {
     // SAFETY: caller upholds the retire contract; `drop_and_release` runs
     // after the grace period, when no pinned thread can still hold `ptr`.
@@ -319,10 +319,10 @@ pub unsafe fn retire_pooled_batch<T: Send>(guard: &Guard, ptrs: &[u64]) {
 }
 
 /// [`retire_pooled`] without a guard — for reclamation callbacks, mirroring
-/// [`crate::retire_unpinned`].
+/// [`crate::retire_unpinned_with`].
 ///
 /// # Safety
-/// As for [`crate::retire_unpinned`], and `ptr` must come from
+/// As for [`crate::retire_unpinned_with`], and `ptr` must come from
 /// [`alloc_pooled`].
 pub unsafe fn retire_pooled_unpinned<T: Send>(ptr: *mut T) {
     // SAFETY: caller upholds the unpinned-retire contract (same shape as

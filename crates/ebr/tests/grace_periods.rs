@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use ebr::pool::{alloc_pooled, retire_pooled};
+
 // Every test here holds `ebr::own_the_global_epoch()` for its whole body:
 // `interleaved_pins_never_free_visible_objects` keeps reader pins live,
 // which would hold back the frees its siblings assert on.
@@ -22,16 +24,16 @@ fn objects_retired_under_my_pin_survive_my_pin() {
     let _epoch = ebr::own_the_global_epoch();
     let freed = Counter(Arc::new(AtomicUsize::new(0)));
     let outer = ebr::pin();
-    let p = Box::into_raw(Box::new(OnDrop(freed.clone())));
-    unsafe { outer.retire(p) };
+    let p = alloc_pooled(OnDrop(freed.clone()));
+    unsafe { retire_pooled(&outer, p) };
     // Other threads churn epochs as hard as they can.
     let handles: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(|| {
                 for _ in 0..200 {
                     let g = ebr::pin();
-                    let junk = Box::into_raw(Box::new(0u64));
-                    unsafe { g.retire(junk) };
+                    let junk = alloc_pooled(0u64);
+                    unsafe { retire_pooled(&g, junk) };
                     drop(g);
                     ebr::collect();
                 }
@@ -55,11 +57,11 @@ fn objects_retired_under_my_pin_survive_my_pin() {
 #[test]
 fn interleaved_pins_never_free_visible_objects() {
     let _epoch = ebr::own_the_global_epoch();
-    // Writer publishes boxes; readers hold pins across reads; a freed
-    // object would be caught by the canary value check.
+    // Writer publishes pooled values; readers hold pins across reads; a
+    // freed object would be caught by the canary value check.
     use std::sync::atomic::AtomicPtr;
     const CANARY: u64 = 0xFEEDFACE;
-    let slot: Arc<AtomicPtr<u64>> = Arc::new(AtomicPtr::new(Box::into_raw(Box::new(CANARY))));
+    let slot: Arc<AtomicPtr<u64>> = Arc::new(AtomicPtr::new(alloc_pooled(CANARY)));
     let stop = Arc::new(AtomicUsize::new(0));
     let writer = {
         let slot = slot.clone();
@@ -67,9 +69,9 @@ fn interleaved_pins_never_free_visible_objects() {
         std::thread::spawn(move || {
             for _ in 0..5_000 {
                 let g = ebr::pin();
-                let new = Box::into_raw(Box::new(CANARY));
+                let new = alloc_pooled(CANARY);
                 let old = slot.swap(new, Ordering::AcqRel);
-                unsafe { g.retire(old) };
+                unsafe { retire_pooled(&g, old) };
             }
             stop.store(1, Ordering::SeqCst);
         })
@@ -93,10 +95,10 @@ fn interleaved_pins_never_free_visible_objects() {
     for r in readers {
         r.join().unwrap();
     }
-    // Final cleanup of the last box.
+    // Final cleanup of the last value.
     let last = slot.load(Ordering::Acquire);
     let g = ebr::pin();
-    unsafe { g.retire(last) };
+    unsafe { retire_pooled(&g, last) };
     drop(g);
     ebr::flush();
 }
@@ -108,8 +110,8 @@ fn stats_are_monotone() {
     {
         let g = ebr::pin();
         for _ in 0..100 {
-            let p = Box::into_raw(Box::new(1u8));
-            unsafe { g.retire(p) };
+            let p = alloc_pooled(1u8);
+            unsafe { retire_pooled(&g, p) };
         }
     }
     ebr::flush();

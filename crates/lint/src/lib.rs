@@ -13,17 +13,13 @@
 //!    atomic step the schedule explorer cannot preempt, i.e. a hole in
 //!    every interleaving proof the repo ships. Test-only code (files
 //!    under `tests/`/`examples/`/`benches/`, `#[cfg(test)]` modules, and
-//!    modules *declared* under `#[cfg(test)]`) is exempt; anything else
-//!    needs an allowlist entry with a written justification.
+//!    modules *declared* under `#[cfg(test)]`) is exempt.
 //! 2. **`relaxed-ordering`** (deny): every `Relaxed` atomic site in
 //!    protocol-crate non-test code must carry an `// ordering:` comment
-//!    explaining why relaxed is sound, and the per-file site counts must
-//!    match the committed inventory (`lint/relaxed-inventory.tsv`), so a
-//!    new relaxed site cannot slip in without a reviewed diff.
+//!    explaining why relaxed is sound.
 //! 3. **`safety-comment`** (deny, workspace-wide): every `unsafe`
 //!    occurrence in non-test code must be preceded by a `// SAFETY:`
-//!    comment (a `# Safety` doc section counts for `unsafe fn`). The
-//!    per-crate count of annotated sites is reported as a progress metric.
+//!    comment (a `# Safety` doc section counts for `unsafe fn`).
 //! 4. **`guard-deref`** (deny): raw-pointer rehydration (`from_raw`, `&*`
 //!    casts) in protocol crates with no epoch-guard evidence in the
 //!    enclosing function — no `Guard` parameter, no `pin()`, no `// guard:`
@@ -32,13 +28,11 @@
 //!    use-after-recycle must have, so every tree follows links through a
 //!    guard-scoped accessor and a hand-written deref has to say who pins.
 //!
-//! The committed control files live under `lint/` at the repo root:
-//! `allowlist.tsv` (rule, path suffix, justification) and the one ratchet
-//! file, `relaxed-inventory.tsv`, regenerated by
-//! `cargo run -p lint -- --bless`.
+//! There is no control file and no way to suppress a finding: a site the
+//! rules cover passes only with its reason written beside it, so every
+//! new site puts a reasoned line into the diff that adds it.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -56,11 +50,6 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "vcas",
     "shard",
 ];
-
-/// Path (relative to the repo root) of the allowlist file.
-pub const ALLOWLIST_PATH: &str = "lint/allowlist.tsv";
-/// Path of the committed per-file `Relaxed` site inventory.
-pub const RELAXED_INVENTORY_PATH: &str = "lint/relaxed-inventory.tsv";
 
 // ---------------------------------------------------------------------------
 // Source scanning: strip comments/strings, keep both channels per line.
@@ -283,22 +272,17 @@ fn word_at(hay: &str, pos: usize, word: &str) -> bool {
     before_ok && after_ok
 }
 
-/// Count word-boundary occurrences of `word` in `hay`.
-fn count_word(hay: &str, word: &str) -> usize {
-    let mut count = 0;
+/// True if `word` occurs in `hay` at an identifier boundary.
+fn contains_word(hay: &str, word: &str) -> bool {
     let mut from = 0;
     while let Some(off) = hay[from..].find(word) {
         let pos = from + off;
         if word_at(hay, pos, word) {
-            count += 1;
+            return true;
         }
         from = pos + word.len();
     }
-    count
-}
-
-fn contains_word(hay: &str, word: &str) -> bool {
-    count_word(hay, word) > 0
+    false
 }
 
 /// Scan one file: split channels, then mark `#[cfg(…test…)]`-gated module
@@ -504,70 +488,6 @@ fn comment_has_marker(comment: &str, marker: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Allowlist.
-// ---------------------------------------------------------------------------
-
-/// One allowlist entry: suppress `rule` findings in files whose
-/// repo-relative path ends with `path_suffix`. The justification is
-/// mandatory and must be substantive (≥ 20 chars) — an allowlist entry is
-/// a written argument, not an escape hatch.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    pub rule: String,
-    pub path_suffix: String,
-    pub justification: String,
-}
-
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    pub entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    pub fn parse(text: &str) -> Result<Allowlist, String> {
-        let mut entries = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let (rule, path, just) = (
-                parts.next().unwrap_or("").trim(),
-                parts.next().unwrap_or("").trim(),
-                parts.next().unwrap_or("").trim(),
-            );
-            if rule.is_empty() || path.is_empty() {
-                return Err(format!(
-                    "allowlist line {}: expected `rule<TAB>path<TAB>justification`",
-                    n + 1
-                ));
-            }
-            if just.len() < 20 {
-                return Err(format!(
-                    "allowlist line {}: entry for `{path}` needs a written \
-                     justification (≥ 20 chars), found {:?}",
-                    n + 1,
-                    just
-                ));
-            }
-            entries.push(AllowEntry {
-                rule: rule.to_string(),
-                path_suffix: path.to_string(),
-                justification: just.to_string(),
-            });
-        }
-        Ok(Allowlist { entries })
-    }
-
-    pub fn lookup(&self, rule: &str, rel_path: &str) -> Option<&AllowEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.rule == rule && rel_path.ends_with(e.path_suffix.as_str()))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Report.
 // ---------------------------------------------------------------------------
 
@@ -583,12 +503,6 @@ pub struct Finding {
 pub struct Report {
     /// Findings (every rule is deny-tier: any one fails the run).
     pub violations: Vec<Finding>,
-    /// Findings suppressed by an allowlist entry (recorded for audit).
-    pub allowed: Vec<(Finding, String)>,
-    /// file → count of `Relaxed` sites in protocol non-test code.
-    pub relaxed_inventory: BTreeMap<String, usize>,
-    /// crate → count of annotated `unsafe` sites (progress metric).
-    pub safety_annotated: BTreeMap<String, usize>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -599,47 +513,35 @@ pub struct Report {
 
 struct FileCtx<'a> {
     rel: &'a str,
-    crate_name: &'a str,
     is_protocol: bool,
     is_test_tier: bool,
     scan: &'a FileScan,
 }
 
-fn check_file(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
+fn check_file(ctx: &FileCtx, rep: &mut Report) {
     rep.files_scanned += 1;
     if !ctx.is_test_tier {
         if ctx.is_protocol {
-            rule_atomic_shim(ctx, allow, rep);
-            rule_relaxed_ordering(ctx, allow, rep);
-            rule_guard_deref(ctx, allow, rep);
+            rule_atomic_shim(ctx, rep);
+            rule_relaxed_ordering(ctx, rep);
+            rule_guard_deref(ctx, rep);
         }
-        rule_safety_comment(ctx, allow, rep);
+        rule_safety_comment(ctx, rep);
     }
 }
 
-fn emit(
-    rule: &'static str,
-    ctx: &FileCtx,
-    line: usize,
-    message: &str,
-    allow: &Allowlist,
-    rep: &mut Report,
-) {
-    let f = Finding {
+fn emit(rule: &'static str, ctx: &FileCtx, line: usize, message: &str, rep: &mut Report) {
+    rep.violations.push(Finding {
         rule,
         file: ctx.rel.to_string(),
         line: line + 1,
         message: message.to_string(),
-    };
-    match allow.lookup(rule, ctx.rel) {
-        Some(e) => rep.allowed.push((f, e.justification.clone())),
-        None => rep.violations.push(f),
-    }
+    });
 }
 
 /// Rule 1: no direct `std::sync::atomic` / `core::sync::atomic` in
 /// protocol-crate non-test code.
-fn rule_atomic_shim(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
+fn rule_atomic_shim(ctx: &FileCtx, rep: &mut Report) {
     for (i, line) in ctx.scan.lines.iter().enumerate() {
         if ctx.scan.in_test[i] {
             continue;
@@ -651,26 +553,18 @@ fn rule_atomic_shim(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
                 i,
                 "direct std atomic in a protocol crate: import from `sched::atomic` \
                  so the deterministic scheduler sees this step",
-                allow,
                 rep,
             );
         }
     }
 }
 
-/// Rule 2: every `Relaxed` site needs an `// ordering:` annotation, and
-/// the per-file counts feed the committed inventory.
-fn rule_relaxed_ordering(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
-    let mut count = 0usize;
+/// Rule 2: every `Relaxed` site needs an `// ordering:` annotation.
+fn rule_relaxed_ordering(ctx: &FileCtx, rep: &mut Report) {
     for (i, line) in ctx.scan.lines.iter().enumerate() {
-        if ctx.scan.in_test[i] {
+        if ctx.scan.in_test[i] || !contains_word(&line.code, "Relaxed") {
             continue;
         }
-        let sites = count_word(&line.code, "Relaxed");
-        if sites == 0 {
-            continue;
-        }
-        count += sites;
         if !has_marker(ctx.scan, i, &["ordering:"]) {
             emit(
                 "relaxed-ordering",
@@ -678,41 +572,26 @@ fn rule_relaxed_ordering(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
                 i,
                 "`Relaxed` atomic access without an `// ordering:` annotation \
                  explaining why relaxed is sound here",
-                allow,
                 rep,
             );
         }
     }
-    if count > 0 {
-        *rep.relaxed_inventory
-            .entry(ctx.rel.to_string())
-            .or_insert(0) += count;
-    }
 }
 
 /// Rule 3: every `unsafe` site needs a `SAFETY:` comment or a `# Safety`
-/// doc section covering it; the annotated ones are counted per crate.
-fn rule_safety_comment(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
+/// doc section covering it.
+fn rule_safety_comment(ctx: &FileCtx, rep: &mut Report) {
     for (i, line) in ctx.scan.lines.iter().enumerate() {
-        if ctx.scan.in_test[i] {
+        if ctx.scan.in_test[i] || !contains_word(&line.code, "unsafe") {
             continue;
         }
-        let sites = count_word(&line.code, "unsafe");
-        if sites == 0 {
-            continue;
-        }
-        if has_marker(ctx.scan, i, &["SAFETY:", "# Safety"]) {
-            *rep.safety_annotated
-                .entry(ctx.crate_name.to_string())
-                .or_insert(0) += sites;
-        } else {
+        if !has_marker(ctx.scan, i, &["SAFETY:", "# Safety"]) {
             emit(
                 "safety-comment",
                 ctx,
                 i,
                 "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc \
                  section) saying why it is sound",
-                allow,
                 rep,
             );
         }
@@ -722,7 +601,7 @@ fn rule_safety_comment(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
 /// Rule 4: raw-pointer rehydration with no epoch-guard evidence in the
 /// enclosing function (a `fn from_raw` header defines one, it is not a
 /// site).
-fn rule_guard_deref(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
+fn rule_guard_deref(ctx: &FileCtx, rep: &mut Report) {
     let deref_here = |code: &str| {
         (code.contains("from_raw") && !code.contains("fn from_raw"))
             || code.contains("&*")
@@ -758,7 +637,6 @@ fn rule_guard_deref(ctx: &FileCtx, allow: &Allowlist, rep: &mut Report) {
             i,
             "raw-pointer rehydration with no guard-pin evidence in the \
              enclosing fn; if the caller pins, document it with `// guard:`",
-            allow,
             rep,
         );
     }
@@ -800,14 +678,11 @@ fn rel_path(root: &Path, p: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn crate_of(rel: &str) -> String {
+/// True for a file under `crates/<name>/` with `<name>` in
+/// [`PROTOCOL_CRATES`].
+fn path_is_protocol(rel: &str) -> bool {
     let mut parts = rel.split('/');
-    if parts.next() == Some("crates") {
-        parts.next().unwrap_or("?").to_string()
-    } else {
-        // Root umbrella crate (src/, tests/, examples/ at the repo root).
-        "cbat".to_string()
-    }
+    parts.next() == Some("crates") && parts.next().is_some_and(|c| PROTOCOL_CRATES.contains(&c))
 }
 
 fn path_is_test_tier(rel: &str) -> bool {
@@ -815,12 +690,10 @@ fn path_is_test_tier(rel: &str) -> bool {
         .any(|c| c == "tests" || c == "examples" || c == "benches" || c == "fixtures")
 }
 
-/// Run every rule over the workspace rooted at `root`.
+/// Run every rule over the workspace rooted at `root`. A root holding no
+/// protocol-crate source is an error, not a clean run: it is not a
+/// checkout of this workspace, and linting it would prove nothing.
 pub fn run(root: &Path) -> Result<Report, String> {
-    let allow = match fs::read_to_string(root.join(ALLOWLIST_PATH)) {
-        Ok(text) => Allowlist::parse(&text)?,
-        Err(_) => Allowlist::default(),
-    };
     let files = collect_rs_files(root);
 
     // Pass 1: scan everything, collecting out-of-line test module files.
@@ -840,168 +713,23 @@ pub fn run(root: &Path) -> Result<Report, String> {
         scans.push((p, rel, scan));
     }
 
+    if !scans.iter().any(|(_, rel, _)| path_is_protocol(rel)) {
+        return Err(format!(
+            "no protocol-crate source under {}: not a checkout of this workspace",
+            root.display()
+        ));
+    }
+
     // Pass 2: evaluate rules.
     let mut rep = Report::default();
     for (p, rel, scan) in &scans {
-        let crate_name = crate_of(rel);
         let ctx = FileCtx {
             rel,
-            crate_name: &crate_name,
-            is_protocol: PROTOCOL_CRATES.contains(&crate_name.as_str()),
+            is_protocol: path_is_protocol(rel),
             is_test_tier: path_is_test_tier(rel) || test_files.contains(p),
             scan,
         };
-        check_file(&ctx, &allow, &mut rep);
+        check_file(&ctx, &mut rep);
     }
     Ok(rep)
-}
-
-// ---------------------------------------------------------------------------
-// The ratchet file: render, parse, diff.
-// ---------------------------------------------------------------------------
-
-pub fn render_counts(header: &str, map: &BTreeMap<String, usize>) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "# {header}");
-    let _ = writeln!(s, "# Regenerate with: cargo run -p lint -- --bless");
-    for (k, v) in map {
-        let _ = writeln!(s, "{k}\t{v}");
-    }
-    s
-}
-
-pub fn parse_counts(text: &str) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(2, '\t');
-        if let (Some(k), Some(v)) = (parts.next(), parts.next()) {
-            if let Ok(v) = v.trim().parse() {
-                map.insert(k.to_string(), v);
-            }
-        }
-    }
-    map
-}
-
-/// Compare actual counts against a committed ratchet file. Any drift is a
-/// violation: increases are new sites, decreases must be re-recorded
-/// (`--bless`) so the committed counter ratchets down in the same PR.
-pub fn diff_ratchet(
-    what: &'static str,
-    path: &str,
-    actual: &BTreeMap<String, usize>,
-    committed: &BTreeMap<String, usize>,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let keys: BTreeSet<&String> = actual.keys().chain(committed.keys()).collect();
-    for k in keys {
-        let a = actual.get(k).copied().unwrap_or(0);
-        let c = committed.get(k).copied().unwrap_or(0);
-        if a > c {
-            out.push(Finding {
-                rule: what,
-                file: k.clone(),
-                line: 0,
-                message: format!(
-                    "{what}: {k} has {a} sites but {path} records {c} — new sites \
-                     must be annotated or justified, not accumulated"
-                ),
-            });
-        } else if a < c {
-            out.push(Finding {
-                rule: what,
-                file: k.clone(),
-                line: 0,
-                message: format!(
-                    "{what}: {k} improved to {a} sites but {path} still records {c} — \
-                     ratchet down by re-running `cargo run -p lint -- --bless`"
-                ),
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// JSON output (hand-rolled; the crate is dependency-free).
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn findings_json(out: &mut String, items: &[Finding]) {
-    out.push('[');
-    for (i, f) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            f.rule,
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message)
-        );
-    }
-    out.push(']');
-}
-
-fn counts_json(out: &mut String, map: &BTreeMap<String, usize>) {
-    out.push('{');
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(k), v);
-    }
-    out.push('}');
-}
-
-/// The machine-readable violation inventory uploaded as a CI artifact.
-pub fn to_json(rep: &Report, ratchet_findings: &[Finding]) -> String {
-    let mut s = String::new();
-    s.push_str("{\"violations\":");
-    findings_json(&mut s, &rep.violations);
-    s.push_str(",\"ratchet\":");
-    findings_json(&mut s, ratchet_findings);
-    s.push_str(",\"allowed\":[");
-    for (i, (f, just)) in rep.allowed.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"justification\":\"{}\"}}",
-            f.rule,
-            json_escape(&f.file),
-            f.line,
-            json_escape(just)
-        );
-    }
-    s.push_str("],\"relaxed_inventory\":");
-    counts_json(&mut s, &rep.relaxed_inventory);
-    s.push_str(",\"safety_annotated\":");
-    counts_json(&mut s, &rep.safety_annotated);
-    let _ = write!(s, ",\"files_scanned\":{}}}", rep.files_scanned);
-    s.push('\n');
-    s
 }

@@ -1,6 +1,6 @@
-//! Allowlist fixture: the bad import below is suppressed by
-//! `fixroot/lint/allowlist.tsv` with a written justification.
+//! A second seeded std atomic import: nothing can suppress a finding, so
+//! this one is a violation like the one in `fanout`.
 
-use std::sync::atomic::AtomicBool; // suppressed by allowlist
+use std::sync::atomic::AtomicBool;
 
 pub static FLAG: AtomicBool = AtomicBool::new(false);

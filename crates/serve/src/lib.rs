@@ -336,8 +336,9 @@ pub struct ClassMix {
 }
 
 /// Serving-run parameters. All sizes are deliberately small-host
-/// friendly; the bench steps `offered_rps` to find the saturation
-/// knee.
+/// friendly; the `serve` example steps `offered_rps` from paced to
+/// open, and the benchmark's served workloads run one paced rate, then
+/// open.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Client threads, each pipelining `window` outstanding requests.

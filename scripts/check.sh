@@ -7,10 +7,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Concurrency discipline: sched::atomic shim rule, `// ordering:` on
-# every Relaxed site (and its inventory ratchet), `// SAFETY:` on every
-# `unsafe`, guard evidence on every raw-pointer rehydration.
-# Writes the machine-readable violation inventory for the CI artifact.
-cargo run -q -p lint -- --json lint-report.json
+# every Relaxed site, `// SAFETY:` on every `unsafe`, guard evidence on
+# every raw-pointer rehydration.
+cargo run -q -p lint
 cargo build --release
 # Nothing above compiles the `sched-test` cfg, and it is not only additive:
 # it swaps the atomics for the scheduler shims (under every `ebr::Striped`
