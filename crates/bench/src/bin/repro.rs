@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use bench::{full_lineup, lineup, variants, BatAdapter, FrAdapter, MkSet};
+use bench::{full_lineup, lineup, variants, BatAdapter, ChromaticAdapter, FrAdapter, MkSet};
 use workloads::{KeyDist, OpMix, QueryKind, RunConfig};
 
 struct Opts {
@@ -139,10 +139,17 @@ fn rq_large(o: &Opts) -> u64 {
     (50_000 / o.scale).max(500)
 }
 
+/// The update-only ablation: `ablation-augment` runs it on a 50-50-0-0 mix;
+/// it answers no query, so `full_lineup()` leaves it out.
+const ABLATION: (&str, MkSet) = ("Chromatic (unaugmented)", || {
+    Box::new(ChromaticAdapter::new())
+});
+
 /// One adapter's factory, by the name its rows carry.
 fn adapter(name: &str) -> (&'static str, MkSet) {
     *full_lineup()
         .iter()
+        .chain([&ABLATION])
         .find(|(n, _)| *n == name)
         .expect("an adapter of this name exists")
 }

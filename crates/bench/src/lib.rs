@@ -11,7 +11,8 @@
 //! | [`FrAdapter`] | FR-BST | yes | no |
 //! | [`VcasAdapter`] | VcasBST | no | no |
 //! | [`FanoutAdapter`] | VerlibBTree | no | yes |
-//! | [`ChromaticAdapter`] | (ablation: unaugmented chromatic) | no | yes |
+//! | [`ShardedBatAdapter`] / [`ShardedFanoutAdapter`] | (forests of BAT / VerlibBTree* shards) | yes / no | yes |
+//! | [`ChromaticAdapter`] | (ablation: unaugmented chromatic; update-only, not in [`full_lineup`]) | no | yes |
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -21,7 +22,7 @@ use fanout::FanoutSet;
 use frbst::FrSet;
 use shard::{ShardMember, ShardedSet};
 use vcas::VcasSet;
-use workloads::{BenchSet, Capabilities};
+use workloads::BenchSet;
 
 /// Default delegation timeout used by the benchmark variants (keeps every
 /// variant non-blocking, per §5's timeout note).
@@ -335,12 +336,10 @@ impl<S: ShardMember> BenchSet for ShardedAdapter<S> {
 
 /// Unaugmented chromatic tree — the augmentation-overhead ablation (A2).
 /// Only point operations are meaningful; ordered queries are not supported
-/// (that inability is BAT's raison d'être). The adapter advertises
-/// [`Capabilities::POINT_ONLY`], so `workloads::run` re-samples the query
-/// share of any mix as finds instead of reaching the panicking stubs —
-/// every scenario mix is runnable against the ablation. Calling a query
-/// method directly still panics: silently returning a wrong count would
-/// corrupt an experiment, a loud abort cannot.
+/// (that inability is BAT's raison d'être), so the ablation runs an
+/// update-only mix and a query panics: silently returning a wrong count
+/// would corrupt an experiment, a loud abort cannot. It is not in
+/// [`full_lineup`]; `repro`'s `ablation-augment` builds it by name.
 pub struct ChromaticAdapter {
     set: ChromaticSet<u64>,
 }
@@ -384,26 +383,20 @@ impl BenchSet for ChromaticAdapter {
     fn name(&self) -> &'static str {
         "Chromatic (unaugmented)"
     }
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::POINT_ONLY
-    }
 }
 
 /// Builds one fresh adapter.
 pub type MkSet = fn() -> Box<dyn BenchSet>;
 
-/// Every adapter in the workspace under the name its `name()` returns, in
-/// the order that makes the two paper lineups contiguous runs.
-static ADAPTERS: [(&str, MkSet); 9] = [
+/// Every adapter that answers every query, under the name its `name()`
+/// returns, in the order that makes the two paper lineups contiguous runs.
+static ADAPTERS: [(&str, MkSet); 8] = [
     ("BAT", || Box::new(BatAdapter::plain())),
     ("BAT-Del", || Box::new(BatAdapter::del())),
     ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
     ("FR-BST", || Box::new(FrAdapter::new())),
     ("VcasBST", || Box::new(VcasAdapter::new())),
     ("VerlibBTree*", || Box::new(FanoutAdapter::new())),
-    ("Chromatic (unaugmented)", || {
-        Box::new(ChromaticAdapter::new())
-    }),
     ("ShardedBAT", || Box::new(ShardedBatAdapter::new(4))),
     ("ShardedFanout", || Box::new(ShardedFanoutAdapter::new(4))),
 ];
@@ -418,8 +411,8 @@ pub fn lineup() -> &'static [(&'static str, MkSet)] {
     &ADAPTERS[2..6]
 }
 
-/// Every adapter in the workspace, including the point-only ablation and
-/// both sharded forests.
+/// Every adapter that answers every query: the paper lineups and both
+/// sharded forests (not the update-only [`ChromaticAdapter`]).
 pub fn full_lineup() -> &'static [(&'static str, MkSet)] {
     &ADAPTERS
 }
@@ -480,9 +473,7 @@ mod tests {
     #[test]
     fn query_mixes_run_on_every_adapter_without_panicking() {
         use workloads::{KeyDist, QueryKind};
-        // Regression test: a query-bearing mix used to abort the whole run
-        // with `unimplemented!` on the chromatic ablation adapter. The
-        // capability report makes the harness degrade queries to finds.
+        // Every adapter `full_lineup()` lists runs the query share of a mix.
         // The skewed and sorted streams are the key distributions `repro`
         // draws besides uniform (sorted runs unprefilled, as Fig. 5b does).
         for (query, dist) in [
@@ -503,11 +494,7 @@ mod tests {
                 assert_eq!(set.name(), *name);
                 let r = workloads::run(set.as_ref(), &cfg);
                 assert!(r.total_ops > 0, "{name} did no work under {dist:?}");
-                if set.capabilities().supports(query) {
-                    assert!(r.ops[3] > 0, "{name} ran no queries under {dist:?}");
-                } else {
-                    assert_eq!(r.ops[3], 0, "{name} must re-sample queries");
-                }
+                assert!(r.ops[3] > 0, "{name} ran no queries under {dist:?}");
             }
             ebr::flush();
         }

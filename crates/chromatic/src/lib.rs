@@ -40,7 +40,7 @@ pub mod validate;
 
 pub use key::SentKey;
 pub use node::{ChildSnap, Node, NodePlugin};
-pub use set::{ChromaticMap, ChromaticSet, U64Set};
+pub use set::ChromaticSet;
 pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats};
 pub use validate::{Invalid, TreeShape};
 

@@ -153,11 +153,6 @@ where
         Self::with_balance(true)
     }
 
-    /// Create an empty *unbalanced* tree (the \[11\] BST, FR-BST's substrate).
-    pub fn new_unbalanced() -> Self {
-        Self::with_balance(false)
-    }
-
     /// Create an empty tree, choosing whether rebalancing runs.
     pub fn with_balance(balanced: bool) -> Self {
         let real_slot = Node::<K, V, P>::new_leaf(SentKey::Inf1, 1, None) as u64;
@@ -235,16 +230,6 @@ where
     pub fn contains(&self, k: &K, guard: &Guard) -> bool {
         let (_, _, l) = self.search(k, guard);
         l.key().as_key() == Some(k)
-    }
-
-    /// Look up the value stored with `k` in the node tree.
-    pub fn get(&self, k: &K, guard: &Guard) -> Option<V> {
-        let (_, _, l) = self.search(k, guard);
-        if l.key().as_key() == Some(k) {
-            l.value().cloned()
-        } else {
-            None
-        }
     }
 
     /// LLX `n`. `None` — counted in [`TreeSnapshot::scx_failures`] — if an
@@ -493,7 +478,7 @@ mod tests {
     fn stale_tags_abort_and_dispose_of_exactly_the_fresh_nodes() {
         type N = Node<u64, (), Counting>;
         // Unbalanced, so the shape is known: entry → ∞₁ → a{20}: (10, 20).
-        let tree = ChromaticTree::<u64, (), Counting>::new_unbalanced();
+        let tree = ChromaticTree::<u64, (), Counting>::with_balance(false);
         // The pin also keeps what the inserts retire out of `RECLAIMS`.
         let guard = ebr::pin();
         assert!(tree.insert(20, (), &guard));

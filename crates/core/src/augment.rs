@@ -97,45 +97,6 @@ where
     }
 }
 
-/// Sum + count of values ≥ a fixed threshold, as a tuple augmentation:
-/// demonstrates composing several statistics in one pass.
-pub struct StatsAug;
-
-/// `(sum, count_nonzero, max)` — an ad-hoc multi-statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LeafStats {
-    pub sum: u64,
-    pub nonzero: u64,
-    pub max: u64,
-}
-
-impl<K> Augmentation<K, u64> for StatsAug
-where
-    K: Send + Sync + 'static,
-{
-    type Value = LeafStats;
-    #[inline]
-    fn leaf(_: &K, value: &u64) -> LeafStats {
-        LeafStats {
-            sum: *value,
-            nonzero: (*value != 0) as u64,
-            max: *value,
-        }
-    }
-    #[inline]
-    fn sentinel() -> LeafStats {
-        LeafStats::default()
-    }
-    #[inline]
-    fn combine(l: &LeafStats, r: &LeafStats) -> LeafStats {
-        LeafStats {
-            sum: l.sum + r.sum,
-            nonzero: l.nonzero + r.nonzero,
-            max: l.max.max(r.max),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,16 +140,6 @@ mod tests {
         let all = mm(&mm(&a, &b), &c);
         assert_eq!(all, Some((1, 9)));
     }
-
-    #[test]
-    fn stats_aug_composes() {
-        let a = <StatsAug as Augmentation<u64, u64>>::leaf(&0, &0);
-        let b = <StatsAug as Augmentation<u64, u64>>::leaf(&0, &5);
-        let s = <StatsAug as Augmentation<u64, u64>>::combine(&a, &b);
-        assert_eq!(s.sum, 5);
-        assert_eq!(s.nonzero, 1);
-        assert_eq!(s.max, 5);
-    }
 }
 
 /// Compose two augmentations into one: the version carries both values
@@ -220,29 +171,6 @@ where
     #[inline]
     fn combine(l: &Self::Value, r: &Self::Value) -> Self::Value {
         (A::combine(&l.0, &r.0), B::combine(&l.1, &r.1))
-    }
-}
-
-/// Sum of *keys* (not values): e.g. total outstanding order ids, or any
-/// setting where the key itself is the quantity.
-pub struct KeySumAug;
-
-impl<V> Augmentation<u64, V> for KeySumAug
-where
-    V: Send + Sync + 'static,
-{
-    type Value = u64;
-    #[inline]
-    fn leaf(key: &u64, _: &V) -> u64 {
-        *key
-    }
-    #[inline]
-    fn sentinel() -> u64 {
-        0
-    }
-    #[inline]
-    fn combine(l: &u64, r: &u64) -> u64 {
-        l + r
     }
 }
 
@@ -280,17 +208,6 @@ mod combinator_tests {
         let (sum2, mm2) = m.aggregate();
         assert_eq!(sum2, 14);
         assert_eq!(mm2, Some((2, 7)));
-    }
-
-    #[test]
-    fn key_sum_aug() {
-        use crate::map::BatMap;
-        let m = BatMap::<u64, (), KeySumAug>::new();
-        for k in [10u64, 20, 30] {
-            m.insert(k, ());
-        }
-        assert_eq!(m.aggregate(), 60);
-        assert_eq!(m.range_aggregate(&15, &35), 50);
     }
 
     #[test]

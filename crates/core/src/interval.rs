@@ -15,7 +15,6 @@
 
 use crate::augment::Augmentation;
 use crate::map::BatMap;
-use crate::snapshot::Snapshot;
 use crate::version::Version;
 
 /// Key: (interval start, disambiguating id).
@@ -83,21 +82,6 @@ impl IntervalMap {
         stab_rec(snap.root_version(), p, &mut out);
         out
     }
-
-    /// Count of intervals containing `p` (no materialization).
-    pub fn stab_count(&self, p: u64) -> usize {
-        self.stab(p).len()
-    }
-
-    /// The snapshot, for compound read operations.
-    pub fn snapshot(&self) -> Snapshot<IvKey, u64, MaxEndAug> {
-        self.inner.snapshot()
-    }
-
-    /// Access the underlying augmented map.
-    pub fn as_map(&self) -> &BatMap<IvKey, u64, MaxEndAug> {
-        &self.inner
-    }
 }
 
 impl Default for IntervalMap {
@@ -153,11 +137,11 @@ mod tests {
         hits.sort_unstable();
         assert_eq!(hits, vec![(1, 5, 0), (3, 9, 1)]);
 
-        assert_eq!(m.stab_count(7), 2); // [3,9] and [7,8]
-        assert_eq!(m.stab_count(6), 1); // [3,9]
-        assert_eq!(m.stab_count(13), 0);
-        assert_eq!(m.stab_count(0), 0);
-        assert_eq!(m.stab_count(10), 1);
+        assert_eq!(m.stab(7).len(), 2); // [3,9] and [7,8]
+        assert_eq!(m.stab(6).len(), 1); // [3,9]
+        assert_eq!(m.stab(13).len(), 0);
+        assert_eq!(m.stab(0).len(), 0);
+        assert_eq!(m.stab(10).len(), 1);
     }
 
     #[test]
@@ -166,9 +150,9 @@ mod tests {
         assert!(m.insert(2, 4, 0));
         assert!(m.insert(2, 4, 1));
         assert!(!m.insert(2, 4, 1), "same (start, id) rejected");
-        assert_eq!(m.stab_count(3), 2);
+        assert_eq!(m.stab(3).len(), 2);
         assert!(m.remove(2, 0));
-        assert_eq!(m.stab_count(3), 1);
+        assert_eq!(m.stab(3).len(), 1);
     }
 
     #[test]

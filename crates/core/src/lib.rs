@@ -59,9 +59,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod version;
 
-pub use augment::{
-    Augmentation, KeySumAug, MinMax, MinMaxAug, PairAug, SizeOnly, StatsAug, SumAug,
-};
+pub use augment::{Augmentation, MinMax, MinMaxAug, PairAug, SizeOnly, SumAug};
 pub use interval::IntervalMap;
 pub use map::{BatMap, BatSet};
 pub use propagate::DelegationPolicy;

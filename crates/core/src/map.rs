@@ -21,7 +21,9 @@ use crate::version::VersionSlot;
 /// The same type also embodies **FR-BST** (the unbalanced augmented
 /// baseline \[13\]): constructed with [`BatMap::new_unbalanced`], the node
 /// tree skips all rebalancing and degenerates to the lock-free BST of
-/// Ellen et al. \[11\] — which is exactly the structure FR augment.
+/// Ellen et al. \[11\] — which is exactly the structure FR augment. FR-BST
+/// propagates without delegation, the one configuration the paper
+/// evaluates (Fig. 5); delegation is a policy of the balanced tree only.
 pub struct BatMap<K, V, A = SizeOnly>
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -62,12 +64,6 @@ where
         Self::with_options(false, DelegationPolicy::None)
     }
 
-    /// FR-BST with delegation (§5 notes delegation "can also be applied to
-    /// speed up the original augmented BST").
-    pub fn new_unbalanced_with_policy(policy: DelegationPolicy) -> Self {
-        Self::with_options(false, policy)
-    }
-
     fn with_options(balanced: bool, policy: DelegationPolicy) -> Self {
         let map = BatMap {
             tree: ChromaticTree::with_balance(balanced),
@@ -85,11 +81,6 @@ where
     /// This map's propagate variant.
     pub fn policy(&self) -> DelegationPolicy {
         self.policy
-    }
-
-    /// Whether the node tree rebalances (BAT) or not (FR-BST).
-    pub fn is_balanced(&self) -> bool {
-        self.tree.is_balanced()
     }
 
     /// Insert `k → v`. Returns `true` iff `k` was absent. Linearizes at
@@ -303,92 +294,5 @@ where
 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-// --- Convenience order-statistic wrappers (each takes one snapshot) -----
-
-impl<K, V, A> BatMap<K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    /// Largest key ≤ `k`.
-    pub fn floor(&self, k: &K) -> Option<(K, V)> {
-        self.snapshot().floor(k)
-    }
-
-    /// Smallest key ≥ `k`.
-    pub fn ceiling(&self, k: &K) -> Option<(K, V)> {
-        self.snapshot().ceiling(k)
-    }
-
-    /// Largest key < `k`.
-    pub fn predecessor(&self, k: &K) -> Option<(K, V)> {
-        self.snapshot().predecessor(k)
-    }
-
-    /// Smallest key > `k`.
-    pub fn successor(&self, k: &K) -> Option<(K, V)> {
-        self.snapshot().successor(k)
-    }
-
-    /// Smallest entry.
-    pub fn first(&self) -> Option<(K, V)> {
-        self.snapshot().first()
-    }
-
-    /// Largest entry.
-    pub fn last(&self) -> Option<(K, V)> {
-        self.snapshot().last()
-    }
-
-    /// Median entry (lower median).
-    pub fn median(&self) -> Option<(K, V)> {
-        self.snapshot().median()
-    }
-
-    /// Entry at quantile `q ∈ [0,1]` of the sorted order.
-    pub fn quantile(&self, q: f64) -> Option<(K, V)> {
-        self.snapshot().quantile(q)
-    }
-
-    /// Replace the value at `k` (delete + insert; each step linearizable,
-    /// the pair is not atomic). Returns `true` if `k` was present before.
-    pub fn replace(&self, k: K, v: V) -> bool {
-        let was = self.remove(&k);
-        self.insert(k, v);
-        was
-    }
-}
-
-#[cfg(test)]
-mod wrapper_tests {
-    use super::*;
-
-    #[test]
-    fn map_level_order_statistics() {
-        let m = BatMap::<u64, u64>::new();
-        for k in [2u64, 4, 6, 8] {
-            m.insert(k, k);
-        }
-        assert_eq!(m.floor(&5).map(|p| p.0), Some(4));
-        assert_eq!(m.ceiling(&5).map(|p| p.0), Some(6));
-        assert_eq!(m.predecessor(&4).map(|p| p.0), Some(2));
-        assert_eq!(m.successor(&4).map(|p| p.0), Some(6));
-        assert_eq!(m.first().map(|p| p.0), Some(2));
-        assert_eq!(m.last().map(|p| p.0), Some(8));
-        assert_eq!(m.median().map(|p| p.0), Some(4));
-    }
-
-    #[test]
-    fn replace_updates_value() {
-        let m = BatMap::<u64, u64>::new();
-        assert!(!m.replace(7, 70));
-        assert_eq!(m.get(&7), Some(70));
-        assert!(m.replace(7, 71));
-        assert_eq!(m.get(&7), Some(71));
-        assert_eq!(m.len(), 1);
     }
 }

@@ -81,10 +81,11 @@ where
     }
 
     /// Quantile: the key at fraction `q` (clamped to `[0,1]`) through the
-    /// sorted order — percentile queries in O(log n).
+    /// sorted order — percentile queries in O(log n). `None` when the
+    /// snapshot is empty or `q` is NaN.
     pub fn quantile(&self, q: f64) -> Option<(K, V)> {
         let n = self.len();
-        if n == 0 {
+        if n == 0 || q.is_nan() {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
@@ -157,6 +158,7 @@ mod tests {
         assert!((50..=51).contains(&p50));
         let p99 = s.quantile(0.99).map(|p| p.0).unwrap();
         assert!((98..=100).contains(&p99));
+        assert_eq!(s.quantile(f64::NAN), None);
     }
 
     #[test]

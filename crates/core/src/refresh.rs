@@ -218,10 +218,14 @@ mod tests {
         let r1 = refresh_top(tree.entry(), 0, &stats.local(), &guard);
         assert!(r1.success);
         assert_ne!(r1.replaced, 0);
-        unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, r1.replaced) };
+        unsafe {
+            ebr::pool::retire_pooled(&guard, r1.replaced as *mut Version<u64, u64, SizeOnly>)
+        };
         let r2 = refresh_top(tree.entry(), 0, &stats.local(), &guard);
         assert!(r2.success, "uncontended refresh succeeds");
-        unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, r2.replaced) };
+        unsafe {
+            ebr::pool::retire_pooled(&guard, r2.replaced as *mut Version<u64, u64, SizeOnly>)
+        };
         drop(guard);
         ebr::flush();
     }
@@ -238,7 +242,9 @@ mod tests {
         let ps = crate::version::PropStatus::alloc() as u64;
         let rb = refresh_top(tree.entry(), ps, &stats.local(), &guard);
         assert!(rb.success);
-        unsafe { crate::version::retire_version::<u64, u64, SizeOnly>(&guard, rb.replaced) };
+        unsafe {
+            ebr::pool::retire_pooled(&guard, rb.replaced as *mut Version<u64, u64, SizeOnly>)
+        };
         // Now a stale CAS from `old` must fail and report `ps`.
         let new =
             unsafe { Version::<u64, u64, SizeOnly>::combine(tree.entry().key(), rb.vl, rb.vr, 0) }
@@ -251,7 +257,7 @@ mod tests {
                 unsafe { dispose_version::<u64, u64, SizeOnly>(new) };
             }
         }
-        unsafe { crate::version::PropStatus::dispose(ps as *mut crate::version::PropStatus) };
+        unsafe { ebr::pool::dispose_pooled(ps as *mut crate::version::PropStatus) };
         drop(guard);
         let _ = SentKey::Key(0u64); // silence unused import on some cfgs
     }

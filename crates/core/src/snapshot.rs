@@ -316,93 +316,10 @@ where
     }
 }
 
-/// Lazy in-order iterator over the snapshot's entries within `[lo, hi]`.
-///
-/// Unlike [`Snapshot::range_collect`], nothing is materialized up front:
-/// the iterator keeps a descent stack and prunes subtrees outside the
-/// bounds, so `take(k)` over a huge range costs O(log n + k).
-pub struct SnapRangeIter<'s, K, V, A: Augmentation<K, V>> {
-    stack: Vec<&'s Version<K, V, A>>,
-    lo: K,
-    hi: K,
-}
-
-impl<K, V, A> Snapshot<K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    /// Iterate entries with keys in `[lo, hi]`, in order, lazily.
-    pub fn range_iter(&self, lo: K, hi: K) -> SnapRangeIter<'_, K, V, A> {
-        let stack = if lo <= hi {
-            vec![self.root()]
-        } else {
-            Vec::new()
-        };
-        SnapRangeIter { stack, lo, hi }
-    }
-}
-
-impl<'s, K, V, A> Iterator for SnapRangeIter<'s, K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        while let Some(v) = self.stack.pop() {
-            if v.is_leaf() {
-                if let (Some(k), Some(val)) = (v.key.as_key(), v.value.as_ref()) {
-                    if *k >= self.lo && *k <= self.hi {
-                        return Some((k.clone(), val.clone()));
-                    }
-                }
-                continue;
-            }
-            // Right pushed first so left pops first; prune via key bounds.
-            if cmp_key(&self.hi, &v.key) != Ord_::Less {
-                self.stack.push(v.right_version());
-            }
-            if cmp_key(&self.lo, &v.key) == Ord_::Less {
-                self.stack.push(v.left_version());
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
-mod range_iter_tests {
+mod iter_tests {
     use crate::augment::SizeOnly;
     use crate::map::BatMap;
-
-    #[test]
-    fn lazy_range_iter_matches_collect() {
-        let m = BatMap::<u64, u64, SizeOnly>::new();
-        for k in (0..300u64).filter(|k| k % 2 == 0) {
-            m.insert(k, k + 1);
-        }
-        let snap = m.snapshot();
-        for (lo, hi) in [(0u64, 299u64), (10, 20), (21, 21), (250, 100)] {
-            let lazy: Vec<_> = snap.range_iter(lo, hi).collect();
-            let eager = snap.range_collect(&lo, &hi);
-            assert_eq!(lazy, eager, "[{lo},{hi}]");
-        }
-    }
-
-    #[test]
-    fn take_k_is_cheap_and_ordered() {
-        let m = BatMap::<u64, u64, SizeOnly>::new();
-        for k in 0..1_000u64 {
-            m.insert(k, k);
-        }
-        let snap = m.snapshot();
-        let first10: Vec<u64> = snap.range_iter(100, 900).map(|(k, _)| k).take(10).collect();
-        assert_eq!(first10, (100..110).collect::<Vec<_>>());
-    }
 
     #[test]
     fn full_iter_equals_keys() {

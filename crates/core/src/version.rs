@@ -49,14 +49,6 @@ impl PropStatus {
     pub unsafe fn retire(guard: &ebr::Guard, ptr: *mut PropStatus) {
         unsafe { ebr::pool::retire_pooled(guard, ptr) };
     }
-
-    /// Immediately free a status that was never shared.
-    ///
-    /// # Safety
-    /// As for [`ebr::pool::dispose_pooled`].
-    pub unsafe fn dispose(ptr: *mut PropStatus) {
-        unsafe { ebr::pool::dispose_pooled(ptr) };
-    }
 }
 
 impl Default for PropStatus {
@@ -240,22 +232,6 @@ where
             unsafe { ebr::pool::retire_pooled_unpinned(v as *mut Version<K, V, A>) };
         }
     }
-}
-
-/// Retire a replaced version (top-level refresh old value, §6). Its memory
-/// returns to the EBR free-list pool after the grace period.
-///
-/// # Safety
-/// `raw` must be a version unreachable from every node's version pointer
-/// and from the root version of any snapshot a *future* operation can take.
-pub unsafe fn retire_version<K, V, A>(guard: &ebr::Guard, raw: u64)
-where
-    K: Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    // SAFETY: the caller's contract; versions come from `alloc_pooled`.
-    unsafe { ebr::pool::retire_pooled(guard, raw as *mut Version<K, V, A>) };
 }
 
 /// Drop a version that was never published (failed refresh CAS), returning

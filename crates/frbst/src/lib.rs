@@ -9,11 +9,10 @@
 //! and all weights pinned to 1 *is* the \[11\] BST — inserts and deletes use
 //! the identical patch-replacing SCXs (paper Fig. 2), and the balancing
 //! steps are simply never taken (§3.1 describes the chromatic tree as
-//! exactly this BST plus decoupled rebalancing). So FR-BST here is
-//! `cbat_core::BatMap` constructed in unbalanced mode, re-exported under
-//! its own name with baseline-appropriate defaults (no delegation, as in
-//! the paper's FR-BST configuration; delegating variants are available
-//! because §5 notes the optimization also applies to FR-BST).
+//! exactly this BST plus decoupled rebalancing). So FR-BST here is one
+//! constructor, [`FrSet::new`]: a `cbat_core::BatSet` built by
+//! `BatSet::new_unbalanced`, which propagates without delegation — the
+//! configuration the paper evaluates (Fig. 5's FR-BST rows).
 //!
 //! ## Example
 //!
@@ -29,58 +28,7 @@
 
 use std::ops::Deref;
 
-use cbat_core::{Augmentation, BatMap, BatSet, DelegationPolicy, SizeOnly};
-
-/// The FR-BST map: unbalanced node tree + FR augmentation. Dereferences to
-/// the [`BatMap`] it is, so every query and update is the shared one
-/// (order statistics cost O(height), which is O(n) worst case here).
-pub struct FrMap<K, V, A = SizeOnly>(BatMap<K, V, A>)
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>;
-
-impl<K, V, A> FrMap<K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    /// FR-BST as evaluated in the paper: unbalanced, no delegation.
-    pub fn new() -> Self {
-        FrMap(BatMap::new_unbalanced())
-    }
-
-    /// FR-BST with delegation (§5's remark that delegation also speeds up
-    /// the original augmented unbalanced BST).
-    pub fn with_delegation(policy: DelegationPolicy) -> Self {
-        FrMap(BatMap::new_unbalanced_with_policy(policy))
-    }
-}
-
-impl<K, V, A> Deref for FrMap<K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    type Target = BatMap<K, V, A>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<K, V, A> Default for FrMap<K, V, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
+use cbat_core::BatSet;
 
 /// The FR-BST set; dereferences to the unbalanced [`BatSet`] it is.
 pub struct FrSet<K>(BatSet<K>)
@@ -205,12 +153,12 @@ mod tests {
 
     #[test]
     fn range_queries_on_snapshot() {
-        let m = FrMap::<u64, u64>::new();
-        for k in 0..100 {
-            m.insert(k, k);
+        let s = FrSet::new();
+        for k in 0..100u64 {
+            s.insert(k);
         }
-        assert_eq!(m.range_count(&10, &19), 10);
-        let snap = m.snapshot();
+        assert_eq!(s.range_count(&10, &19), 10);
+        let snap = s.snapshot();
         assert_eq!(snap.range_collect(&5, &7).len(), 3);
     }
 }

@@ -276,11 +276,6 @@ pub struct ShardedSet<S: ShardMember> {
     sync: Arc<SnapClock>,
 }
 
-/// The BAT forest (the front-end the benchmarks call `ShardedBAT`).
-pub type ShardedBatSet = ShardedSet<BatSet<u64, SizeOnly>>;
-/// The per-edge fanout forest (`ShardedFanout` in the benchmarks).
-pub type ShardedFanoutSet = ShardedSet<FanoutSet>;
-
 impl<S: ShardMember> ShardedSet<S> {
     /// A forest of `n` hash-partitioned shards.
     pub fn new(n: usize) -> Self {

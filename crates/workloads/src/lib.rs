@@ -19,45 +19,9 @@ use std::time::{Duration, Instant};
 
 pub use rng::{scramble, Xorshift, Zipf};
 
-/// Which ordered-query kinds an adapter can execute. Point operations
-/// (insert/remove/contains) are universal; ablation adapters (e.g. the
-/// unaugmented chromatic tree, whose inability to answer ordered queries
-/// is the point of the ablation) report `false` here so [`run`] re-samples
-/// the op instead of aborting the whole run on an `unimplemented!` panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Capabilities {
-    pub range_count: bool,
-    pub rank: bool,
-    pub select: bool,
-}
-
-impl Capabilities {
-    /// Every query kind supported (the default for real structures).
-    pub const ALL: Capabilities = Capabilities {
-        range_count: true,
-        rank: true,
-        select: true,
-    };
-
-    /// Point operations only (update-only ablation adapters).
-    pub const POINT_ONLY: Capabilities = Capabilities {
-        range_count: false,
-        rank: false,
-        select: false,
-    };
-
-    /// Whether the given query kind can be issued against the adapter.
-    pub fn supports(&self, q: QueryKind) -> bool {
-        match q {
-            QueryKind::RangeCount { .. } => self.range_count,
-            QueryKind::Rank => self.rank,
-            QueryKind::Select => self.select,
-        }
-    }
-}
-
 /// The uniform set/query interface every benchmarked structure adapts to.
-/// Keys are `u64` (as in SetBench).
+/// Keys are `u64` (as in SetBench). An update-only ablation adapter panics
+/// in the three query methods, so it runs only mixes with no query share.
 pub trait BenchSet: Send + Sync {
     /// Insert; `true` iff newly added.
     fn insert(&self, k: u64) -> bool;
@@ -76,12 +40,6 @@ pub trait BenchSet: Send + Sync {
     fn size_hint(&self) -> u64;
     /// Display name for result rows.
     fn name(&self) -> &'static str;
-    /// Which query kinds this adapter supports. [`run`] re-samples the
-    /// query share of the mix as finds when the configured query kind is
-    /// unsupported, so no scenario mix can panic an ablation adapter.
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::ALL
-    }
 }
 
 /// Which read-dominated query the `query` share of the mix issues.
@@ -342,10 +300,6 @@ fn worker(
     zipf: Option<&Zipf>,
 ) -> WorkerOut {
     let mut rng = Xorshift::new(cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
-    // Resolved once per run: if the adapter cannot execute the configured
-    // query kind, the query share of the mix degrades to finds (counted as
-    // finds) instead of panicking the worker.
-    let query_supported = set.capabilities().supports(cfg.query);
     let mut out = WorkerOut {
         total_ops: 0,
         ops: [0; 4],
@@ -365,10 +319,8 @@ fn worker(
             1
         } else if roll < cfg.mix.insert + cfg.mix.delete + cfg.mix.find {
             2
-        } else if query_supported {
-            3
         } else {
-            2 // re-sample unsupported query ops as finds
+            3
         };
         // Choose a key.
         let key = match cfg.dist {
@@ -476,58 +428,6 @@ mod tests {
             fn name(&self) -> &'static str {
                 "oracle"
             }
-        }
-    }
-
-    /// An update-only ablation stand-in: queries panic if ever invoked.
-    struct PointOnlySet(OracleSet);
-
-    impl BenchSet for PointOnlySet {
-        fn insert(&self, k: u64) -> bool {
-            self.0.insert(k)
-        }
-        fn remove(&self, k: u64) -> bool {
-            self.0.remove(k)
-        }
-        fn contains(&self, k: u64) -> bool {
-            self.0.contains(k)
-        }
-        fn range_count(&self, _: u64, _: u64) -> u64 {
-            unimplemented!("point-only adapter")
-        }
-        fn rank(&self, _: u64) -> u64 {
-            unimplemented!("point-only adapter")
-        }
-        fn select(&self, _: u64) -> Option<u64> {
-            unimplemented!("point-only adapter")
-        }
-        fn size_hint(&self) -> u64 {
-            self.0.size_hint()
-        }
-        fn name(&self) -> &'static str {
-            "point-only"
-        }
-        fn capabilities(&self) -> Capabilities {
-            Capabilities::POINT_ONLY
-        }
-    }
-
-    #[test]
-    fn unsupported_queries_resample_as_finds() {
-        let s = PointOnlySet(OracleSet::new());
-        for query in [
-            QueryKind::RangeCount { size: 50 },
-            QueryKind::Rank,
-            QueryKind::Select,
-        ] {
-            let mut cfg = RunConfig::new(2, 1000);
-            cfg.duration = Duration::from_millis(30);
-            cfg.mix = OpMix::percent(10, 10, 10, 70);
-            cfg.query = query;
-            let r = run(&s, &cfg); // must not panic
-            assert!(r.total_ops > 0);
-            assert_eq!(r.ops[3], 0, "no query op may reach a point-only set");
-            assert!(r.ops[2] > 0, "query share must degrade to finds");
         }
     }
 

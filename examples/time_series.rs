@@ -13,8 +13,8 @@
 use cbat::{BatMap, MinMaxAug, SumAug};
 
 fn main() {
-    // One tree per aggregate (a production system would define a single
-    // composite Augmentation; see cbat_core::StatsAug for a template).
+    // One tree per aggregate (a production system would keep both in one
+    // tree with the composite `cbat::PairAug<SumAug, MinMaxAug>`).
     let energy: BatMap<u64, u64, SumAug> = BatMap::new();
     let readings: BatMap<u64, u64, MinMaxAug> = BatMap::new();
 

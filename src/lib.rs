@@ -3,8 +3,11 @@
 //! Umbrella crate re-exporting the whole workspace:
 //!
 //! * [`core`](cbat_core) — **BAT**: the lock-free balanced augmented tree,
-//!   its delegation variants, snapshots and order-statistic queries;
-//! * [`frbst`] — the unbalanced augmented baseline (Fatourou–Ruppert);
+//!   its delegation variants, snapshots and order-statistic queries (on
+//!   [`Snapshot`]), and the shipped augmentations [`SumAug`],
+//!   [`MinMaxAug`], [`PairAug`] and the interval tree's max-end;
+//! * [`frbst`] — the unbalanced augmented baseline (Fatourou–Ruppert):
+//!   one set type, [`FrSet`], run without delegation as the paper does;
 //! * [`chromatic`] — the lock-free chromatic tree substrate;
 //! * [`llxscx`] — LLX/SCX primitives from CAS;
 //! * [`ebr`] — epoch-based memory reclamation;
@@ -21,14 +24,14 @@
 
 pub use cbat_core as core;
 pub use cbat_core::{
-    Augmentation, BatMap, BatSet, DelegationPolicy, IntervalMap, KeySumAug, MinMaxAug, PairAug,
-    SizeOnly, Snapshot, SumAug,
+    Augmentation, BatMap, BatSet, DelegationPolicy, IntervalMap, MinMaxAug, PairAug, SizeOnly,
+    Snapshot, SumAug,
 };
 pub use chromatic;
 pub use ebr;
 pub use fanout;
 pub use frbst;
-pub use frbst::{FrMap, FrSet};
+pub use frbst::FrSet;
 pub use llxscx;
 pub use sched;
 pub use vcas;

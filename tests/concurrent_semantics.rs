@@ -22,52 +22,50 @@ fn all_policies() -> Vec<DelegationPolicy> {
 }
 
 /// Disjoint key ranges per thread: final state must equal the union of
-/// per-thread expectations, for every variant, balanced and unbalanced.
+/// per-thread expectations, for every balanced variant and for FR-BST.
 #[test]
 fn final_state_matches_per_thread_oracles() {
-    for balanced in [true, false] {
-        for policy in all_policies() {
-            let map = Arc::new(if balanced {
-                BatMap::<u64, u64>::with_policy(policy)
-            } else {
-                BatMap::<u64, u64>::new_unbalanced_with_policy(policy)
-            });
-            const THREADS: u64 = 6;
-            const RANGE: u64 = 700;
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let map = map.clone();
-                    std::thread::spawn(move || {
-                        let base = t * RANGE;
-                        let mut rng = Xorshift::new(t + 1);
-                        let mut mine = BTreeSet::new();
-                        for _ in 0..3_000 {
-                            let k = base + rng.below(RANGE);
-                            if rng.next_u64() & 1 == 0 {
-                                assert_eq!(map.insert(k, k * 2), mine.insert(k));
-                            } else {
-                                assert_eq!(map.remove(&k), mine.remove(&k));
-                            }
+    let configs = all_policies()
+        .into_iter()
+        .map(|p| (p.name(), BatMap::<u64, u64>::with_policy(p)))
+        .chain([("FR-BST", BatMap::<u64, u64>::new_unbalanced())]);
+    for (config, map) in configs {
+        let map = Arc::new(map);
+        const THREADS: u64 = 6;
+        const RANGE: u64 = 700;
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let map = map.clone();
+                std::thread::spawn(move || {
+                    let base = t * RANGE;
+                    let mut rng = Xorshift::new(t + 1);
+                    let mut mine = BTreeSet::new();
+                    for _ in 0..3_000 {
+                        let k = base + rng.below(RANGE);
+                        if rng.next_u64() & 1 == 0 {
+                            assert_eq!(map.insert(k, k * 2), mine.insert(k), "{config}");
+                        } else {
+                            assert_eq!(map.remove(&k), mine.remove(&k), "{config}");
                         }
-                        mine
-                    })
+                    }
+                    mine
                 })
-                .collect();
-            let mut expect = BTreeSet::new();
-            for h in handles {
-                expect.extend(h.join().unwrap());
-            }
-            let snap = map.snapshot();
-            let got: Vec<u64> = snap.keys();
-            let want: Vec<u64> = expect.iter().copied().collect();
-            assert_eq!(got, want, "balanced={balanced}");
-            assert_eq!(snap.len(), want.len() as u64);
-            // Values survived too.
-            for &k in expect.iter().take(50) {
-                assert_eq!(map.get(&k), Some(k * 2));
-            }
-            ebr::flush();
+            })
+            .collect();
+        let mut expect = BTreeSet::new();
+        for h in handles {
+            expect.extend(h.join().unwrap());
         }
+        let snap = map.snapshot();
+        let got: Vec<u64> = snap.keys();
+        let want: Vec<u64> = expect.iter().copied().collect();
+        assert_eq!(got, want, "{config}");
+        assert_eq!(snap.len(), want.len() as u64, "{config}");
+        // Values survived too.
+        for &k in expect.iter().take(50) {
+            assert_eq!(map.get(&k), Some(k * 2), "{config}");
+        }
+        ebr::flush();
     }
 }
 
