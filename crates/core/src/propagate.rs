@@ -211,9 +211,9 @@ fn delegate(ps: u64, blocker: u64, timeout: Duration, h: &StatsLocal<'_>) -> Wai
 /// misses the coming [`propagate`]`(entry, key)` would take one by one.
 ///
 /// Walks `entry → leaf` by `key`. At each step it prefetches the *off-path*
-/// child — every line the node overlaps, since a pooled 64-byte node is
-/// 16-aligned and usually straddles two — and remembers it; these misses
-/// overlap the walk's own pointer chase. Then it has `ebr::pool`
+/// child — every line the node overlaps, one for a pooled node of at most
+/// 64 bytes, since pool blocks are line-aligned — and remembers it; these
+/// misses overlap the walk's own pointer chase. Then it has `ebr::pool`
 /// write-prefetch the free blocks the path's new versions (and the update's
 /// two leaf versions) will be built in, and in a second pass, the sibling
 /// nodes having arrived, reads each one's version pointer and prefetches

@@ -256,14 +256,23 @@ mod tests {
 
     type Ver = Version<u64, u64, SizeOnly>;
 
-    /// Pooled objects are 16-aligned `malloc` blocks, so one of at most 64
-    /// bytes overlaps at most two cache lines: what `warm_up` fetches per
-    /// object, and what a query pays per version it reads.
+    /// `ebr::pool` carves blocks of at most 64 bytes at a power-of-two
+    /// stride from line-aligned pieces, so each of these objects occupies
+    /// one cache line: what `warm_up` fetches per object, and what a query
+    /// pays per version it reads.
     #[test]
     fn hot_objects_fit_in_64_bytes() {
-        use std::mem::size_of;
+        use std::mem::{size_of, MaybeUninit};
+        fn pooled_addr<T>() -> u64 {
+            let p = ebr::pool::alloc_pooled(MaybeUninit::<T>::uninit());
+            unsafe { ebr::pool::dispose_pooled(p) };
+            p as u64
+        }
+        type Node = crate::refresh::BatNode<u64, (), SizeOnly>;
         assert!(size_of::<Version<u64, (), SizeOnly>>() <= 64);
-        assert!(size_of::<crate::refresh::BatNode<u64, (), SizeOnly>>() <= 64);
+        assert!(size_of::<Node>() <= 64);
+        assert_eq!(pooled_addr::<Version<u64, (), SizeOnly>>() % 64, 0);
+        assert_eq!(pooled_addr::<Node>() % 64, 0);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! rebalancing steps, version refreshes, delegation statuses — performs
 //! no heap allocation at all. The final window is the control: the same
 //! churn on a freshly spawned thread, whose pools and scratch start empty,
-//! does allocate.
+//! does allocate — but its pool misses carve blocks from the pool's arena,
+//! so no more 2 MiB chunks reach the allocator than those blocks need.
 //!
 //! This file deliberately holds a single `#[test]`: the libtest harness
 //! runs tests of one binary on multiple threads, and any concurrent test
@@ -30,26 +31,35 @@ struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Counted requests of at least one of the pool arena's 2 MiB chunks.
+static CHUNKS: AtomicU64 = AtomicU64::new(0);
+
+/// The `ebr::pool` arena's chunk, and the piece a pool miss carves at most.
+const CHUNK: u64 = 2 << 20;
+const PIECE: u64 = 64 << 10;
+
+fn count(l: Layout) {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if l.size() as u64 >= CHUNK {
+            CHUNKS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(l);
         unsafe { System.alloc(l) }
     }
 
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(l);
         unsafe { System.alloc_zeroed(l) }
     }
 
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(l);
         unsafe { System.realloc(p, l, new_size) }
     }
 
@@ -316,7 +326,10 @@ fn vcas_window() {
 
 /// Control: the same churn loop on a freshly spawned thread — whose
 /// thread-local pools and scratch start empty — hits the global allocator
-/// again, proving the counter actually observes the update path.
+/// again, proving the counter actually observes the update path. Its pool
+/// misses refill from the depot or carve a piece from the arena, never
+/// more than one 64 KiB piece a miss, so the 2 MiB chunks the allocator
+/// sees are at most what those pieces need.
 fn cold_thread_allocates() {
     let m = BatMap::<u64, u64>::new();
     for k in 0..256u64 {
@@ -327,6 +340,7 @@ fn cold_thread_allocates() {
             .spawn(|| {
                 let (_, m0, _) = ebr::pool::local_stats();
                 ALLOCS.store(0, Ordering::SeqCst);
+                CHUNKS.store(0, Ordering::SeqCst);
                 COUNTING.store(true, Ordering::SeqCst);
                 for k in 0..128u64 {
                     m.remove(&k);
@@ -340,7 +354,12 @@ fn cold_thread_allocates() {
     });
     assert!(misses > 0, "a cold thread's pools must miss");
     assert!(
-        ALLOCS.load(Ordering::SeqCst) >= misses,
-        "every pool miss must reach the counted global allocator"
+        ALLOCS.load(Ordering::SeqCst) > 0,
+        "a cold thread's scratch and free lists must reach the counted allocator"
+    );
+    assert!(
+        CHUNKS.load(Ordering::SeqCst) <= (misses * PIECE).div_ceil(CHUNK),
+        "{} chunk requests for {misses} pool misses: more than the carved pieces need",
+        CHUNKS.load(Ordering::SeqCst)
     );
 }

@@ -2,9 +2,10 @@
 
 /// Ask the cache for every 64-byte line the `T` at `addr` overlaps — to
 /// read, or with `WRITE` to own (the object is about to be initialised or
-/// CASed). Pooled objects are `malloc` blocks, 16-byte aligned, so
-/// anything over 48 bytes usually straddles two lines; fetching only the
-/// first leaves the second miss where it was.
+/// CASed). A pooled object of at most 64 bytes is one line, since pool
+/// blocks are line-aligned; a larger object, or one from elsewhere, may
+/// span more, and fetching only the first leaves the other misses where
+/// they were.
 ///
 /// `addr` need not be valid: a prefetch neither faults nor counts as an
 /// access, which is what lets callers issue it for objects they have not

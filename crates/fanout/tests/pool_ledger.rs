@@ -11,9 +11,9 @@
 
 use fanout::FanoutSet;
 
-/// Insert/remove churn over `0..2_000` (at most 2 000 live keys, so no
-/// layout class reaches the pool's per-class cap and every returned block
-/// is counted): ~1 000 keys settle in, which with 16-key leaves under
+/// Insert/remove churn over `0..2_000` (at most 2 000 live keys; a block
+/// returned to a full free list spills to the pool's depot and is counted
+/// all the same): ~1 000 keys settle in, which with 16-key leaves under
 /// 16-way internals splits leaves all along and the root twice. A snapshot
 /// held over the middle of the run keeps superseded leaves and records on
 /// their chains until the updates after its drop trim them.

@@ -11,9 +11,9 @@
 
 use vcas::VcasSet;
 
-/// Insert/remove churn over `0..1_000` (at most 1 000 live keys, so no
-/// layout class reaches the pool's per-class cap and every returned block
-/// is counted). Random keys make the removed leaf's sibling a leaf about
+/// Insert/remove churn over `0..1_000` (at most 1 000 live keys; a block
+/// returned to a full free list spills to the pool's depot and is counted
+/// all the same). Random keys make the removed leaf's sibling a leaf about
 /// as often as an internal node, so both shapes of `remove` run. A
 /// snapshot held over the middle of the run keeps superseded records on
 /// their chains until the updates after its drop trim them.

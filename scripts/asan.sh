@@ -3,10 +3,14 @@
 # unreproduced BAT heap corruption (ROADMAP forensics: SIGSEGV at offset
 # 0x30 in `read_version` → `VersionSlot::load`, and a `malloc_consolidate`
 # abort on an unaligned fastbin chunk — classic allocator-metadata
-# corruption). ASan instruments exactly what EBR pool poisoning cannot
-# see: every raw allocation gets redzones and a reuse quarantine, so a
-# use-after-retire or overflow reports at the faulting access instead of
-# crashing minutes later inside glibc.
+# corruption). Every heap allocation outside `ebr::pool` (scratch and
+# limbo vectors, the pool's own 2 MiB chunks) gets redzones and a reuse
+# quarantine, so an overflow of one reports at the faulting access instead
+# of crashing minutes later inside glibc. Pooled objects do not: the pool
+# carves them from its chunks itself, so ASan sees no redzone between two
+# blocks and no quarantine when one is recycled. What guards them is the
+# pool's debug poison check (a write through a retired pointer panics at
+# the block's next allocation), which these debug-build tests run.
 #
 # `-Zsanitizer=address` is unstable, so this needs a nightly toolchain;
 # the script skips (exit 0) when one is not installed, so it can sit in
