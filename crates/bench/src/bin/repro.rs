@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use bench::{full_lineup, lineup, variants, BatAdapter, ChromaticAdapter, FrAdapter, MkSet};
+use bench::{lineup, variants, BatAdapter, ChromaticAdapter, MkSet, ADAPTERS};
 use workloads::{KeyDist, OpMix, QueryKind, RunConfig};
 
 struct Opts {
@@ -140,14 +140,14 @@ fn rq_large(o: &Opts) -> u64 {
 }
 
 /// The update-only ablation: `ablation-augment` runs it on a 50-50-0-0 mix;
-/// it answers no query, so `full_lineup()` leaves it out.
+/// it answers no query, so `ADAPTERS` leaves it out.
 const ABLATION: (&str, MkSet) = ("Chromatic (unaugmented)", || {
     Box::new(ChromaticAdapter::new())
 });
 
 /// One adapter's factory, by the name its rows carry.
 fn adapter(name: &str) -> (&'static str, MkSet) {
-    *full_lineup()
+    *ADAPTERS
         .iter()
         .chain([&ABLATION])
         .find(|(n, _)| *n == name)
@@ -421,33 +421,21 @@ fn stats(o: &Opts) {
             KeyDist::Uniform => "uniform",
             _ => "zipf0.99",
         };
-        // BAT plain, BAT-EagerDel: through the BatAdapter so we can read
-        // the internal counters; FR-BST through FrAdapter.
-        for variant in ["BAT", "BAT-EagerDel", "FR-BST"] {
+        for (name, mk) in [
+            ("BAT", BatAdapter::plain as fn() -> BatAdapter),
+            ("BAT-EagerDel", BatAdapter::eager),
+            ("FR-BST", BatAdapter::fr),
+        ] {
             let mut cfg = RunConfig::new(t, mk_key);
             cfg.duration = o.duration;
             cfg.mix = OpMix::percent(25, 25, 25, 25);
             cfg.query = QueryKind::RangeCount { size: rq };
             cfg.dist = dist;
-            let snap = match variant {
-                "BAT" => {
-                    let s = BatAdapter::plain();
-                    workloads::run(&s, &cfg);
-                    s.inner().as_map().stats.snapshot()
-                }
-                "BAT-EagerDel" => {
-                    let s = BatAdapter::eager();
-                    workloads::run(&s, &cfg);
-                    s.inner().as_map().stats.snapshot()
-                }
-                _ => {
-                    let s = FrAdapter::new();
-                    workloads::run(&s, &cfg);
-                    s.inner().as_map().stats.snapshot()
-                }
-            };
+            let s = mk();
+            workloads::run(&s, &cfg);
+            let snap = s.inner().stats().snapshot();
             println!(
-                "stats,{variant},{dist_name},{:.2},{:.4},{:.2}",
+                "stats,{name},{dist_name},{:.2},{:.4},{:.2}",
                 snap.avg_nodes_per_propagate(),
                 snap.avg_nil_fixes_per_propagate(),
                 snap.avg_cas_per_propagate(),

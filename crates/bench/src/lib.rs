@@ -1,63 +1,61 @@
 //! # bench — the `BenchSet` adapters and the `repro` binary
 //!
 //! Adapters implement [`workloads::BenchSet`] for every structure in the
-//! comparison (paper Table 1), so one harness drives them all. Their
-//! users are `repro` (`src/bin/repro.rs`: the paper's tables and figures
-//! as CSV), this crate's tests and the root linearizability suite.
+//! comparison (paper Table 1), so one harness drives them all. Each one
+//! passes every call straight through to one structure a figure runs and
+//! keeps no state of its own. Their users are `repro` (`src/bin/repro.rs`:
+//! the paper's tables and figures as CSV), this crate's tests and the root
+//! linearizability suite.
 //!
 //! | adapter | paper line | augmented | balanced |
 //! |---|---|---|---|
-//! | [`BatAdapter`] (None/Del/EagerDel) | BAT / BAT-Del / BAT-EagerDel | yes | yes |
-//! | [`FrAdapter`] | FR-BST | yes | no |
+//! | [`BatAdapter`] (`plain`/`del`/`eager`) | BAT / BAT-Del / BAT-EagerDel | yes | yes |
+//! | [`BatAdapter::fr`] | FR-BST | yes | no |
 //! | [`VcasAdapter`] | VcasBST | no | no |
 //! | [`FanoutAdapter`] | VerlibBTree | no | yes |
-//! | [`ShardedBatAdapter`] / [`ShardedFanoutAdapter`] | (forests of BAT / VerlibBTree* shards) | yes / no | yes |
-//! | [`ChromaticAdapter`] | (ablation: unaugmented chromatic; update-only, not in [`full_lineup`]) | no | yes |
-
-use std::sync::atomic::{AtomicI64, Ordering};
+//! | [`ChromaticAdapter`] | (ablation: unaugmented chromatic; update-only, not in [`ADAPTERS`]) | no | yes |
 
 use cbat_core::{BatSet, DelegationPolicy, SizeOnly};
 use chromatic::ChromaticSet;
 use fanout::FanoutSet;
-use frbst::FrSet;
-use shard::{ShardMember, ShardedSet};
 use vcas::VcasSet;
 use workloads::BenchSet;
 
-/// Default delegation timeout used by the benchmark variants (keeps every
-/// variant non-blocking, per §5's timeout note).
-pub fn timeout() -> std::time::Duration {
-    std::time::Duration::from_millis(2)
-}
-
-/// BAT under a chosen propagate variant.
+/// BAT under a chosen propagate variant, or FR-BST (the same tree without
+/// rebalancing, propagating without delegation).
 pub struct BatAdapter {
     set: BatSet<u64, SizeOnly>,
     name: &'static str,
 }
 
 impl BatAdapter {
+    fn balanced(policy: DelegationPolicy) -> Self {
+        BatAdapter {
+            set: BatSet::with_policy(policy),
+            name: policy.name(),
+        }
+    }
+
     /// Plain BAT (double refresh, no delegation).
     pub fn plain() -> Self {
-        BatAdapter {
-            set: BatSet::with_policy(DelegationPolicy::None),
-            name: "BAT",
-        }
+        Self::balanced(DelegationPolicy::None)
     }
 
     /// BAT-Del (delegate after a failed double refresh).
     pub fn del() -> Self {
-        BatAdapter {
-            set: BatSet::with_policy(DelegationPolicy::Del { timeout: timeout() }),
-            name: "BAT-Del",
-        }
+        Self::balanced(DelegationPolicy::Del)
     }
 
     /// BAT-EagerDel (delegate after a single failed refresh).
     pub fn eager() -> Self {
+        Self::balanced(DelegationPolicy::EagerDel)
+    }
+
+    /// FR-BST, the unbalanced augmented baseline.
+    pub fn fr() -> Self {
         BatAdapter {
-            set: BatSet::with_policy(DelegationPolicy::EagerDel { timeout: timeout() }),
-            name: "BAT-EagerDel",
+            set: BatSet::new_unbalanced(),
+            name: "FR-BST",
         }
     }
 
@@ -86,74 +84,20 @@ impl BenchSet for BatAdapter {
     fn select(&self, i: u64) -> Option<u64> {
         self.set.select(i)
     }
-    fn size_hint(&self) -> u64 {
-        self.set.len()
-    }
     fn name(&self) -> &'static str {
         self.name
-    }
-}
-
-/// FR-BST (unbalanced augmented baseline).
-pub struct FrAdapter {
-    set: FrSet<u64>,
-}
-
-impl FrAdapter {
-    pub fn new() -> Self {
-        FrAdapter { set: FrSet::new() }
-    }
-
-    /// The wrapped set (for stats).
-    pub fn inner(&self) -> &FrSet<u64> {
-        &self.set
-    }
-}
-
-impl Default for FrAdapter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BenchSet for FrAdapter {
-    fn insert(&self, k: u64) -> bool {
-        self.set.insert(k)
-    }
-    fn remove(&self, k: u64) -> bool {
-        self.set.remove(&k)
-    }
-    fn contains(&self, k: u64) -> bool {
-        self.set.contains(&k)
-    }
-    fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.set.range_count(&lo, &hi)
-    }
-    fn rank(&self, k: u64) -> u64 {
-        self.set.rank(&k)
-    }
-    fn select(&self, i: u64) -> Option<u64> {
-        self.set.select(i)
-    }
-    fn size_hint(&self) -> u64 {
-        self.set.len()
-    }
-    fn name(&self) -> &'static str {
-        "FR-BST"
     }
 }
 
 /// VcasBST-style baseline (unaugmented, O(range) snapshot queries).
 pub struct VcasAdapter {
     set: VcasSet,
-    approx_size: AtomicI64,
 }
 
 impl VcasAdapter {
     pub fn new() -> Self {
         VcasAdapter {
             set: VcasSet::new(),
-            approx_size: AtomicI64::new(0),
         }
     }
 }
@@ -166,18 +110,10 @@ impl Default for VcasAdapter {
 
 impl BenchSet for VcasAdapter {
     fn insert(&self, k: u64) -> bool {
-        let ok = self.set.insert(k);
-        if ok {
-            self.approx_size.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+        self.set.insert(k)
     }
     fn remove(&self, k: u64) -> bool {
-        let ok = self.set.remove(k);
-        if ok {
-            self.approx_size.fetch_sub(1, Ordering::Relaxed);
-        }
-        ok
+        self.set.remove(k)
     }
     fn contains(&self, k: u64) -> bool {
         self.set.contains(k)
@@ -195,9 +131,6 @@ impl BenchSet for VcasAdapter {
             .into_iter()
             .nth(i as usize)
     }
-    fn size_hint(&self) -> u64 {
-        self.approx_size.load(Ordering::Relaxed).max(0) as u64
-    }
     fn name(&self) -> &'static str {
         "VcasBST"
     }
@@ -206,14 +139,12 @@ impl BenchSet for VcasAdapter {
 /// Higher-fanout snapshot baseline (VerlibBTree stand-in).
 pub struct FanoutAdapter {
     set: FanoutSet,
-    approx_size: AtomicI64,
 }
 
 impl FanoutAdapter {
     pub fn new() -> Self {
         FanoutAdapter {
             set: FanoutSet::new(),
-            approx_size: AtomicI64::new(0),
         }
     }
 }
@@ -226,18 +157,10 @@ impl Default for FanoutAdapter {
 
 impl BenchSet for FanoutAdapter {
     fn insert(&self, k: u64) -> bool {
-        let ok = self.set.insert(k);
-        if ok {
-            self.approx_size.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+        self.set.insert(k)
     }
     fn remove(&self, k: u64) -> bool {
-        let ok = self.set.remove(k);
-        if ok {
-            self.approx_size.fetch_sub(1, Ordering::Relaxed);
-        }
-        ok
+        self.set.remove(k)
     }
     fn contains(&self, k: u64) -> bool {
         self.set.contains(k)
@@ -252,85 +175,8 @@ impl BenchSet for FanoutAdapter {
         let snap = self.set.snapshot();
         snap.range_collect(0, u64::MAX).into_iter().nth(i as usize)
     }
-    fn size_hint(&self) -> u64 {
-        self.approx_size.load(Ordering::Relaxed).max(0) as u64
-    }
     fn name(&self) -> &'static str {
         "VerlibBTree*"
-    }
-}
-
-/// The sharded front-end over any forest member (`crates/shard`): point
-/// ops route to one shard, order statistics decompose across the forest,
-/// and every query runs on one shared-clock consistent cut. The adapter
-/// keeps its own approximate size counter so `select` arguments never
-/// pay a cross-shard size sum per op.
-pub struct ShardedAdapter<S: ShardMember> {
-    set: ShardedSet<S>,
-    approx_size: AtomicI64,
-    name: &'static str,
-}
-
-impl<S: ShardMember> ShardedAdapter<S> {
-    fn with_name(shards: usize, name: &'static str) -> Self {
-        ShardedAdapter {
-            set: ShardedSet::new(shards),
-            approx_size: AtomicI64::new(0),
-            name,
-        }
-    }
-}
-
-/// The BAT forest front-end.
-pub type ShardedBatAdapter = ShardedAdapter<BatSet<u64, SizeOnly>>;
-
-impl ShardedBatAdapter {
-    pub fn new(shards: usize) -> Self {
-        Self::with_name(shards, "ShardedBAT")
-    }
-}
-
-/// The fanout forest front-end.
-pub type ShardedFanoutAdapter = ShardedAdapter<FanoutSet>;
-
-impl ShardedFanoutAdapter {
-    pub fn new(shards: usize) -> Self {
-        Self::with_name(shards, "ShardedFanout")
-    }
-}
-
-impl<S: ShardMember> BenchSet for ShardedAdapter<S> {
-    fn insert(&self, k: u64) -> bool {
-        let ok = self.set.insert(k);
-        if ok {
-            self.approx_size.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-    fn remove(&self, k: u64) -> bool {
-        let ok = self.set.remove(k);
-        if ok {
-            self.approx_size.fetch_sub(1, Ordering::Relaxed);
-        }
-        ok
-    }
-    fn contains(&self, k: u64) -> bool {
-        self.set.contains(k)
-    }
-    fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.set.range_count(lo, hi)
-    }
-    fn rank(&self, k: u64) -> u64 {
-        self.set.rank(k)
-    }
-    fn select(&self, i: u64) -> Option<u64> {
-        self.set.select(i)
-    }
-    fn size_hint(&self) -> u64 {
-        self.approx_size.load(Ordering::Relaxed).max(0) as u64
-    }
-    fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -339,7 +185,7 @@ impl<S: ShardMember> BenchSet for ShardedAdapter<S> {
 /// (that inability is BAT's raison d'être), so the ablation runs an
 /// update-only mix and a query panics: silently returning a wrong count
 /// would corrupt an experiment, a loud abort cannot. It is not in
-/// [`full_lineup`]; `repro`'s `ablation-augment` builds it by name.
+/// [`ADAPTERS`]; `repro`'s `ablation-augment` builds it by name.
 pub struct ChromaticAdapter {
     set: ChromaticSet<u64>,
 }
@@ -377,9 +223,6 @@ impl BenchSet for ChromaticAdapter {
     fn select(&self, _i: u64) -> Option<u64> {
         unimplemented!("unaugmented chromatic tree: update-only ablation")
     }
-    fn size_hint(&self) -> u64 {
-        0
-    }
     fn name(&self) -> &'static str {
         "Chromatic (unaugmented)"
     }
@@ -388,17 +231,16 @@ impl BenchSet for ChromaticAdapter {
 /// Builds one fresh adapter.
 pub type MkSet = fn() -> Box<dyn BenchSet>;
 
-/// Every adapter that answers every query, under the name its `name()`
-/// returns, in the order that makes the two paper lineups contiguous runs.
-static ADAPTERS: [(&str, MkSet); 8] = [
+/// Every adapter that answers every query (not the update-only
+/// [`ChromaticAdapter`]), under the name its `name()` returns, in the
+/// order that makes the two paper lineups contiguous runs.
+pub static ADAPTERS: [(&str, MkSet); 6] = [
     ("BAT", || Box::new(BatAdapter::plain())),
     ("BAT-Del", || Box::new(BatAdapter::del())),
     ("BAT-EagerDel", || Box::new(BatAdapter::eager())),
-    ("FR-BST", || Box::new(FrAdapter::new())),
+    ("FR-BST", || Box::new(BatAdapter::fr())),
     ("VcasBST", || Box::new(VcasAdapter::new())),
     ("VerlibBTree*", || Box::new(FanoutAdapter::new())),
-    ("ShardedBAT", || Box::new(ShardedBatAdapter::new(4))),
-    ("ShardedFanout", || Box::new(ShardedFanoutAdapter::new(4))),
 ];
 
 /// The propagate variants against FR-BST (Fig. 5a/5b).
@@ -408,13 +250,7 @@ pub fn variants() -> &'static [(&'static str, MkSet)] {
 
 /// The full comparison lineup used by Figs. 6–10.
 pub fn lineup() -> &'static [(&'static str, MkSet)] {
-    &ADAPTERS[2..6]
-}
-
-/// Every adapter that answers every query: the paper lineups and both
-/// sharded forests (not the update-only [`ChromaticAdapter`]).
-pub fn full_lineup() -> &'static [(&'static str, MkSet)] {
-    &ADAPTERS
+    &ADAPTERS[2..]
 }
 
 #[cfg(test)]
@@ -429,21 +265,15 @@ mod tests {
         assert!(!set.contains(15));
         assert_eq!(set.range_count(0, 100), 2);
         assert_eq!(set.rank(10), 1);
+        assert_eq!(set.select(1), Some(20));
         assert!(set.remove(10));
         assert_eq!(set.range_count(0, 100), 1);
     }
 
     #[test]
     fn all_adapters_agree_on_semantics() {
-        exercise(&BatAdapter::plain());
-        exercise(&BatAdapter::del());
-        exercise(&BatAdapter::eager());
-        exercise(&FrAdapter::new());
-        exercise(&VcasAdapter::new());
-        exercise(&FanoutAdapter::new());
-        for shards in [1, 4] {
-            exercise(&ShardedBatAdapter::new(shards));
-            exercise(&ShardedFanoutAdapter::new(shards));
+        for (_, mk) in &ADAPTERS {
+            exercise(mk().as_ref());
         }
     }
 
@@ -473,7 +303,7 @@ mod tests {
     #[test]
     fn query_mixes_run_on_every_adapter_without_panicking() {
         use workloads::{KeyDist, QueryKind};
-        // Every adapter `full_lineup()` lists runs the query share of a mix.
+        // Every adapter `ADAPTERS` lists runs the query share of a mix.
         // The skewed and sorted streams are the key distributions `repro`
         // draws besides uniform (sorted runs unprefilled, as Fig. 5b does).
         for (query, dist) in [
@@ -489,7 +319,7 @@ mod tests {
             cfg.query = query;
             cfg.dist = dist;
             cfg.prefill = dist != KeyDist::Sorted;
-            for (name, mk) in full_lineup() {
+            for (name, mk) in &ADAPTERS {
                 let set = mk();
                 assert_eq!(set.name(), *name);
                 let r = workloads::run(set.as_ref(), &cfg);

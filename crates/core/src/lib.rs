@@ -74,12 +74,8 @@ mod tests {
     fn policies() -> Vec<DelegationPolicy> {
         vec![
             DelegationPolicy::None,
-            DelegationPolicy::Del {
-                timeout: std::time::Duration::from_millis(2),
-            },
-            DelegationPolicy::EagerDel {
-                timeout: std::time::Duration::from_millis(2),
-            },
+            DelegationPolicy::Del,
+            DelegationPolicy::EagerDel,
         ]
     }
 
@@ -328,9 +324,7 @@ mod tests {
 
     #[test]
     fn delegation_stats_record_activity() {
-        let m = Arc::new(BatMap::<u64, ()>::with_policy(DelegationPolicy::EagerDel {
-            timeout: std::time::Duration::from_millis(1),
-        }));
+        let m = Arc::new(BatMap::<u64, ()>::with_policy(DelegationPolicy::EagerDel));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let m = m.clone();

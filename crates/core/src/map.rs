@@ -43,15 +43,11 @@ where
     A: Augmentation<K, V>,
 {
     /// Balanced BAT with the paper's best-performing variant
-    /// (BAT-EagerDel) and a small delegation timeout, making the
-    /// implementation non-blocking end to end.
+    /// (BAT-EagerDel), whose delegation waits time out after
+    /// [`DELEGATION_TIMEOUT`](crate::propagate::DELEGATION_TIMEOUT), making
+    /// the implementation non-blocking end to end.
     pub fn new() -> Self {
-        Self::with_options(
-            true,
-            DelegationPolicy::EagerDel {
-                timeout: std::time::Duration::from_millis(2),
-            },
-        )
+        Self::with_options(true, DelegationPolicy::EagerDel)
     }
 
     /// Balanced BAT with an explicit delegation policy.
@@ -76,11 +72,6 @@ where
         let guard = ebr::pin();
         read_version(map.tree.entry(), &map.stats.local(), &guard);
         map
-    }
-
-    /// This map's propagate variant.
-    pub fn policy(&self) -> DelegationPolicy {
-        self.policy
     }
 
     /// Insert `k → v`. Returns `true` iff `k` was absent. Linearizes at

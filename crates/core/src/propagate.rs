@@ -36,24 +36,23 @@ use crate::refresh::{refresh_top, BatNode};
 use crate::stats::{BatStats, Counter, StatsLocal};
 use crate::version::{PropStatus, Version};
 
+/// How long a delegating propagate waits on its delegatee before it
+/// resumes propagating itself (the non-blocking fallback of Fig. 13 lines
+/// 19–21). Both delegating policies use it.
+pub const DELEGATION_TIMEOUT: Duration = Duration::from_millis(2);
+
 /// Which propagate variant a tree runs (paper §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelegationPolicy {
     /// Plain BAT: double refresh, never wait (Fig. 3).
     None,
-    /// BAT-Del: delegate after a failed *double* refresh (Fig. 13).
-    Del {
-        /// Resume propagating ourselves after waiting this long (the
-        /// non-blocking fallback of Fig. 13 lines 19–21).
-        timeout: Duration,
-    },
+    /// BAT-Del: delegate after a failed *double* refresh (Fig. 13), waiting
+    /// at most [`DELEGATION_TIMEOUT`].
+    Del,
     /// BAT-EagerDel: delegate after a *single* failed refresh, and require
     /// refreshes to observe stable child versions before moving up
-    /// (Fig. 14).
-    EagerDel {
-        /// As for [`DelegationPolicy::Del`].
-        timeout: Duration,
-    },
+    /// (Fig. 14). Waits as [`DelegationPolicy::Del`] does.
+    EagerDel,
 }
 
 impl DelegationPolicy {
@@ -61,8 +60,8 @@ impl DelegationPolicy {
     pub fn name(&self) -> &'static str {
         match self {
             DelegationPolicy::None => "BAT",
-            DelegationPolicy::Del { .. } => "BAT-Del",
-            DelegationPolicy::EagerDel { .. } => "BAT-EagerDel",
+            DelegationPolicy::Del => "BAT-Del",
+            DelegationPolicy::EagerDel => "BAT-EagerDel",
         }
     }
 }
@@ -98,13 +97,13 @@ enum WaitResult {
     TimedOut,
 }
 
-/// Under the deterministic scheduler, wall-clock deadlines are replaced by
-/// a yield-count budget: whatever the timeout, "give up after this many
-/// yields". Exploration bodies must be clock-free (a wall-clock read
-/// would make replay diverge from the recorded schedule), and a yield
-/// budget preserves the property the timeout exists for — the wait is
-/// bounded, so the lock-free fallback path stays reachable — while making
-/// the *moment* it fires a deterministic function of the schedule.
+/// Under the deterministic scheduler, the wall-clock deadline is replaced
+/// by a yield-count budget: instead of [`DELEGATION_TIMEOUT`], "give up
+/// after this many yields". Exploration bodies must be clock-free (a
+/// wall-clock read would make replay diverge from the recorded schedule),
+/// and a yield budget preserves the property the timeout exists for — the
+/// wait is bounded, so the lock-free fallback path stays reachable — while
+/// making the *moment* it fires a deterministic function of the schedule.
 #[cfg(feature = "sched-test")]
 const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 
@@ -140,13 +139,11 @@ const SCHED_WAIT_YIELD_BUDGET: u32 = 64;
 ///
 /// So the chain needs no pin but the caller's (§6 retires a `PropStatus`
 /// "even while still reachable" for this reason).
-fn wait_for_delegatee(start: u64, timeout: Duration, h: &StatsLocal<'_>) -> WaitResult {
-    // `checked_add`: a timeout too large to represent as an instant (e.g.
-    // Duration::MAX) degrades to "never time out" instead of panicking.
+fn wait_for_delegatee(start: u64, h: &StatsLocal<'_>) -> WaitResult {
     #[cfg(not(feature = "sched-test"))]
-    let deadline = Instant::now().checked_add(timeout);
+    let deadline = Instant::now() + DELEGATION_TIMEOUT;
     #[cfg(feature = "sched-test")]
-    let (_, mut yield_budget) = (timeout, SCHED_WAIT_YIELD_BUDGET);
+    let mut yield_budget = SCHED_WAIT_YIELD_BUDGET;
     // SAFETY: `start` was retired, if at all, after the caller's pin began
     // (first bullet of "Pin ordering" above), and the caller stays pinned
     // for the whole wait.
@@ -172,7 +169,7 @@ fn wait_for_delegatee(start: u64, timeout: Duration, h: &StatsLocal<'_>) -> Wait
             #[cfg(not(feature = "sched-test"))]
             let expired = {
                 std::thread::yield_now();
-                deadline.is_some_and(|dl| Instant::now() >= dl)
+                Instant::now() >= deadline
             };
             #[cfg(feature = "sched-test")]
             let expired = {
@@ -193,14 +190,14 @@ fn wait_for_delegatee(start: u64, timeout: Duration, h: &StatsLocal<'_>) -> Wait
 /// Delegate to `blocker` (Fig. 13 lines 16–24): publish the link from the
 /// caller's status `ps`, wait, and on a timeout take the link back so the
 /// caller can resume its own propagate (the lock-free fallback).
-fn delegate(ps: u64, blocker: u64, timeout: Duration, h: &StatsLocal<'_>) -> WaitResult {
+fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
     Counter::Delegations.bump(h);
     // SAFETY: `ps` is the PropStatus the calling `propagate` allocated; it
     // is retired only at the end of that call.
     // guard: the caller's `propagate` holds its `&Guard` across this call.
     let status = unsafe { &*(ps as *const PropStatus) };
     status.delegatee.store(blocker, Ordering::Release);
-    let waited = wait_for_delegatee(blocker, timeout, h);
+    let waited = wait_for_delegatee(blocker, h);
     if let WaitResult::TimedOut = waited {
         status.delegatee.store(0, Ordering::Release);
     }
@@ -318,7 +315,7 @@ pub fn propagate<K, V, A>(
         };
 
         match policy {
-            DelegationPolicy::None | DelegationPolicy::Del { .. } => {
+            DelegationPolicy::None | DelegationPolicy::Del => {
                 // Double refresh (Fig. 3 lines 43–45; `ps` is 0 for plain
                 // BAT). When both fail, someone else's refresh covered us
                 // (Fig. 3's guarantee) and plain BAT moves on.
@@ -328,14 +325,14 @@ pub fn propagate<K, V, A>(
                 }
                 if r.success {
                     scratch.to_retire.push(r.replaced);
-                } else if let DelegationPolicy::Del { timeout } = policy {
+                } else if policy == DelegationPolicy::Del {
                     // BAT-Del delegates instead (Fig. 13 lines 16–24). On a
                     // finalized node it falls through: the replacement
                     // patch inherited our arrival points (Def. 7), and the
                     // re-descent will refresh the replacement.
                     if !top.is_finalized() {
                         if r.blocker != 0 {
-                            if let WaitResult::Done = delegate(ps, r.blocker, timeout, &h) {
+                            if let WaitResult::Done = delegate(ps, r.blocker, &h) {
                                 break 'outer;
                             }
                         }
@@ -347,7 +344,7 @@ pub fn propagate<K, V, A>(
                     }
                 }
             }
-            DelegationPolicy::EagerDel { timeout } => {
+            DelegationPolicy::EagerDel => {
                 // Fig. 14 lines 13–24: keep refreshing until a success
                 // observes stable child version pointers; delegate on any
                 // failure at a non-finalized node.
@@ -369,7 +366,7 @@ pub fn propagate<K, V, A>(
                         break;
                     }
                     if r.blocker != 0 {
-                        if let WaitResult::Done = delegate(ps, r.blocker, timeout, &h) {
+                        if let WaitResult::Done = delegate(ps, r.blocker, &h) {
                             break 'outer;
                         }
                     }

@@ -7,12 +7,8 @@ use cbat_core::{BatMap, DelegationPolicy};
 fn policies() -> Vec<DelegationPolicy> {
     vec![
         DelegationPolicy::None,
-        DelegationPolicy::Del {
-            timeout: std::time::Duration::from_millis(1),
-        },
-        DelegationPolicy::EagerDel {
-            timeout: std::time::Duration::from_millis(1),
-        },
+        DelegationPolicy::Del,
+        DelegationPolicy::EagerDel,
     ]
 }
 

@@ -126,9 +126,7 @@ fn delegation_timeout_is_deterministic_yield_budget() {
     // Instant::now() left on a scheduled path would make these traces
     // diverge (the timeout would fire at host-dependent moments).
     fn body() {
-        let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::Del {
-            timeout: std::time::Duration::from_nanos(1),
-        }));
+        let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::Del));
         set.insert(1_000);
         let hs: Vec<_> = (0..2u64)
             .map(|t| {

@@ -84,9 +84,7 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
 
 fn propagate_window() {
     // BAT-Del exercises the PropStatus pool as well as the version pool.
-    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del {
-        timeout: std::time::Duration::from_millis(2),
-    });
+    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del);
     for k in 0..512u64 {
         m.insert(k, k);
     }
@@ -106,7 +104,7 @@ fn propagate_window() {
     let key = SentKey::Key(300u64);
     for _ in 0..2000 {
         let guard = ebr::pin();
-        propagate(entry, &key, m.policy(), &m.stats, &guard);
+        propagate(entry, &key, DelegationPolicy::Del, &m.stats, &guard);
     }
     ebr::flush();
 
@@ -119,7 +117,7 @@ fn propagate_window() {
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..1000 {
         let guard = ebr::pin();
-        propagate(entry, &key, m.policy(), &m.stats, &guard);
+        propagate(entry, &key, DelegationPolicy::Del, &m.stats, &guard);
     }
     COUNTING.store(false, Ordering::SeqCst);
     let (h1, m1, _) = ebr::pool::local_stats();
@@ -151,9 +149,7 @@ fn propagate_window() {
 /// stationary while every op commits a structural SCX (and the weight
 /// violations it creates keep the BLK/RB/W fix-up cases firing).
 fn node_churn_window() {
-    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del {
-        timeout: std::time::Duration::from_millis(2),
-    });
+    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del);
     for k in 0..1024u64 {
         m.insert(k, k);
     }

@@ -10,10 +10,11 @@
 //!
 //! * **Point operations** route to one shard ([`Partition::shard_of`])
 //!   and proceed with zero cross-shard coordination.
-//! * **Order statistics decompose over shards.** `rank(k)`,
-//!   `range_count` and `range_collect` ask every shard and sum (or merge)
-//!   the answers; `select(i)` asks the member of a one-shard cut once and
-//!   bisects the key domain with cross-shard ranks otherwise. There is no
+//! * **Order statistics decompose over shards.** `rank(k)` and
+//!   `range_count` ask every shard and sum the answers; `select(i)` asks
+//!   the member of a one-shard cut once and bisects the key domain with
+//!   cross-shard ranks otherwise. All of them are asked of a cut
+//!   ([`ShardedSet::snapshot`] / [`ShardedSet::snapshot_at`]). There is no
 //!   ordered (range) partition: its shard-size prefix sums would repeat,
 //!   one level up, the size field a BAT member already keeps. What each
 //!   per-shard answer costs is the member's business ([`MemberSnap`]):
@@ -96,10 +97,6 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
     /// is a fresh snapshot's cold count, with no held snapshot to amortize
     /// it over.
     fn len(&self) -> u64;
-    /// Whether the member holds no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 
     /// Snapshot as of the forest cut `ts` the caller registered on the
     /// shared clock ([`Self::TIMESTAMP_EXACT`] members), or of "now"
@@ -127,12 +124,8 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
 pub trait MemberSnap {
     fn contains(&self, k: u64) -> bool;
     fn len(&self) -> u64;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
     fn rank(&self, k: u64) -> u64;
     fn range_count(&self, lo: u64, hi: u64) -> u64;
-    fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64>;
     fn select(&self, i: u64) -> Option<u64>;
     /// The snapshot's version token (see [`ShardMember::version_token`]).
     fn token(&self) -> u64;
@@ -190,12 +183,6 @@ impl MemberSnap for Snapshot<u64, (), SizeOnly> {
     }
     fn range_count(&self, lo: u64, hi: u64) -> u64 {
         Snapshot::range_count(self, &lo, &hi)
-    }
-    fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
-        Snapshot::range_collect(self, &lo, &hi)
-            .into_iter()
-            .map(|(k, ())| k)
-            .collect()
     }
     fn select(&self, i: u64) -> Option<u64> {
         Snapshot::select(self, i).map(|(k, ())| k)
@@ -256,9 +243,6 @@ impl MemberSnap for FanoutSnapshot<'_> {
     }
     fn range_count(&self, lo: u64, hi: u64) -> u64 {
         FanoutSnapshot::range_count(self, lo, hi)
-    }
-    fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
-        FanoutSnapshot::range_collect(self, lo, hi)
     }
     fn select(&self, i: u64) -> Option<u64> {
         FanoutSnapshot::select(self, i)
@@ -338,11 +322,6 @@ impl<S: ShardMember> ShardedSet<S> {
         self.shards().map(|s| s.len()).sum()
     }
 
-    /// True if every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards().all(|s| s.is_empty())
-    }
-
     /// Forest-wide publication-contention counters
     /// `(attempts, aborts, retries)` summed over shards.
     pub fn contention(&self) -> (u64, u64, u64) {
@@ -408,26 +387,6 @@ impl<S: ShardMember> ShardedSet<S> {
             }
         }
     }
-
-    /// Keys ≤ `k`, from one consistent cut.
-    pub fn rank(&self, k: u64) -> u64 {
-        self.snapshot().rank(k)
-    }
-
-    /// The `i`-th smallest key (0-indexed), from one consistent cut.
-    pub fn select(&self, i: u64) -> Option<u64> {
-        self.snapshot().select(i)
-    }
-
-    /// Keys in `[lo, hi]`, from one consistent cut.
-    pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.snapshot().range_count(lo, hi)
-    }
-
-    /// Materialize the sorted keys in `[lo, hi]` from one consistent cut.
-    pub fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.snapshot().range_collect(lo, hi)
-    }
 }
 
 /// A consistent cut of the whole forest: one member snapshot per shard,
@@ -455,11 +414,6 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
     /// Total keys in the cut.
     pub fn len(&self) -> u64 {
         self.snaps.iter().map(|s| s.len()).sum()
-    }
-
-    /// True if the cut holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.iter().all(|s| s.len() == 0)
     }
 
     /// Membership within the cut (single-shard lookup).
@@ -503,23 +457,6 @@ impl<S: ShardMember> ShardedSnapshot<'_, S> {
             return 0;
         }
         self.snaps.iter().map(|s| s.range_count(lo, hi)).sum()
-    }
-
-    /// Sorted keys in `[lo, hi]`: shard results concatenated, then merged
-    /// by sort when there is more than one shard.
-    pub fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let mut out: Vec<u64> = self
-            .snaps
-            .iter()
-            .flat_map(|s| s.range_collect(lo, hi))
-            .collect();
-        if self.snaps.len() > 1 {
-            out.sort_unstable();
-        }
-        out
     }
 }
 

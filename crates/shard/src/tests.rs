@@ -64,10 +64,15 @@ fn sequential_oracle<S: ShardMember>(shards: usize) {
                 oracle.range(lo..=hi).count() as u64,
                 "range_count({lo}, {hi})"
             );
+            // The keys of [lo, hi], read back from the cut by position.
+            let below = snap.rank(lo) - snap.contains(lo) as u64;
+            let by_select: Vec<u64> = (below..below + snap.range_count(lo, hi))
+                .map(|i| snap.select(i).expect("index below len"))
+                .collect();
             assert_eq!(
-                snap.range_collect(lo, hi),
+                by_select,
                 oracle.range(lo..=hi).copied().collect::<Vec<_>>(),
-                "range_collect({lo}, {hi})"
+                "select over [{lo}, {hi}]"
             );
         }
     }
@@ -194,15 +199,9 @@ fn concurrent_vs_single_tree<S: ShardMember>() {
         assert_eq!(snap.select(i), oracle.select(i), "select({i})");
     }
     assert_eq!(snap.select(n), None);
-    assert_eq!(
-        snap.range_collect(0, u64::MAX),
-        oracle
-            .snapshot()
-            .range_collect(&0, &u64::MAX)
-            .into_iter()
-            .map(|(k, ())| k)
-            .collect::<Vec<_>>()
-    );
+    for k in 0..MAX_KEY {
+        assert_eq!(snap.contains(k), oracle.contains(&k), "contains({k})");
+    }
     drop(snap);
     ebr::flush();
 }
@@ -247,12 +246,15 @@ fn cuts_are_coherent_mid_flight<S: ShardMember>() {
             let n = snap.len();
             assert_eq!(snap.rank(u64::MAX), n, "rank(MAX) != len");
             assert_eq!(snap.range_count(0, u64::MAX), n, "range_count != len");
-            let all = snap.range_collect(0, u64::MAX);
-            assert_eq!(all.len() as u64, n, "collect length != len");
-            assert!(all.windows(2).all(|w| w[0] < w[1]), "collect unsorted");
-            if n > 0 {
-                assert_eq!(snap.select(0), all.first().copied());
-                assert_eq!(snap.select(n - 1), all.last().copied());
+            // Sampled positions, always with the last: each selected key
+            // is in the cut, at its rank.
+            for i in (0..n)
+                .step_by((n as usize / 32).max(1))
+                .chain(n.checked_sub(1))
+            {
+                let k = snap.select(i).expect("index below len");
+                assert!(snap.contains(k), "select({i}) = {k} not in the cut");
+                assert_eq!(snap.rank(k), i + 1, "rank(select({i}))");
             }
             assert_eq!(snap.select(n), None);
         }
@@ -286,16 +288,27 @@ fn partition_maps_cover_all_shards_and_respect_bounds() {
     }
 }
 
-#[test]
-fn forest_contention_counters_aggregate_over_shards() {
-    let set = ShardedSet::<BatSet<u64>>::new(4);
+/// 512 fresh inserts over four shards: each publishes at least once on its
+/// shard, and the forest's sum sees every one.
+fn contention_sums_over_shards<S: ShardMember>() {
+    let set = ShardedSet::<S>::new(4);
     for k in 0..512 {
-        set.insert(k);
+        assert!(set.insert(k));
     }
-    let (attempts, ..) = set.contention();
-    assert!(attempts > 0, "updates must surface publication attempts");
+    let (attempts, aborts, _) = set.contention();
+    assert!(
+        attempts >= 512,
+        "{attempts} publication attempts for 512 inserts"
+    );
+    assert!(aborts <= attempts, "{aborts} aborts of {attempts} attempts");
     assert_eq!(set.len(), 512);
     ebr::flush();
+}
+
+#[test]
+fn forest_contention_counters_aggregate_over_shards() {
+    contention_sums_over_shards::<BatSet<u64>>();
+    contention_sums_over_shards::<FanoutSet>();
 }
 
 /// A fanout member that counts the `select` and `rank` calls its
@@ -361,9 +374,6 @@ impl MemberSnap for CountingSnap<'_> {
     }
     fn range_count(&self, lo: u64, hi: u64) -> u64 {
         self.snap.range_count(lo, hi)
-    }
-    fn range_collect(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.snap.range_collect(lo, hi)
     }
     fn select(&self, i: u64) -> Option<u64> {
         self.member.selects.fetch_add(1, Ordering::Relaxed);

@@ -36,8 +36,6 @@ pub trait BenchSet: Send + Sync {
     /// i-th smallest key, if any. Structures without O(log n) select may
     /// implement it by scan.
     fn select(&self, i: u64) -> Option<u64>;
-    /// Cheap (possibly approximate) current size, for select arguments.
-    fn size_hint(&self) -> u64;
     /// Display name for result rows.
     fn name(&self) -> &'static str;
 }
@@ -49,7 +47,8 @@ pub enum QueryKind {
     RangeCount { size: u64 },
     /// Rank query at a random key.
     Rank,
-    /// Select at a random index.
+    /// Select at a random index below `max_key / 2`: the size prefill
+    /// leaves, which a balanced update mix keeps.
     Select,
 }
 
@@ -364,8 +363,7 @@ fn worker(
                     set.rank(key);
                 }
                 QueryKind::Select => {
-                    let n = set.size_hint().max(1);
-                    set.select(rng.below(n));
+                    set.select(rng.below((cfg.max_key / 2).max(1)));
                 }
             },
         }
@@ -401,6 +399,10 @@ mod tests {
             pub fn new() -> Self {
                 OracleSet(Mutex::new(BTreeSet::new()))
             }
+
+            pub fn len(&self) -> u64 {
+                self.0.lock().unwrap().len() as u64
+            }
         }
 
         impl BenchSet for OracleSet {
@@ -422,9 +424,6 @@ mod tests {
             fn select(&self, i: u64) -> Option<u64> {
                 self.0.lock().unwrap().iter().nth(i as usize).copied()
             }
-            fn size_hint(&self) -> u64 {
-                self.0.lock().unwrap().len() as u64
-            }
             fn name(&self) -> &'static str {
                 "oracle"
             }
@@ -442,7 +441,7 @@ mod tests {
     fn prefill_reaches_about_half() {
         let s = OracleSet::new();
         prefill(&s, 10_000, 1);
-        let n = s.size_hint();
+        let n = s.len();
         assert!(
             (4_000..6_000).contains(&n),
             "prefill size {n} not near half of 10_000"
@@ -491,7 +490,7 @@ mod tests {
         assert!(r.ops[0] > 0);
         // All inserted keys are distinct counter values => set size == inserts
         // that succeeded == total inserts (single thread, no wraparound).
-        assert_eq!(s.size_hint(), r.ops[0]);
+        assert_eq!(s.len(), r.ops[0]);
     }
 
     #[test]
@@ -504,6 +503,6 @@ mod tests {
         cfg.prefill = false;
         let r = run(&s, &cfg);
         // Heavy skew => many duplicate keys => set far smaller than op count.
-        assert!(s.size_hint() * 2 < r.ops[0], "zipf should repeat keys");
+        assert!(s.len() * 2 < r.ops[0], "zipf should repeat keys");
     }
 }

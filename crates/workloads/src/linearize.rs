@@ -279,9 +279,6 @@ mod tests {
             fn select(&self, i: u64) -> Option<u64> {
                 self.0.lock().unwrap().iter().nth(i as usize).copied()
             }
-            fn size_hint(&self) -> u64 {
-                self.0.lock().unwrap().len() as u64
-            }
             fn name(&self) -> &'static str {
                 "oracle"
             }

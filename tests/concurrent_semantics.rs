@@ -12,12 +12,8 @@ use cbat::{BatMap, BatSet, DelegationPolicy, SumAug};
 fn all_policies() -> Vec<DelegationPolicy> {
     vec![
         DelegationPolicy::None,
-        DelegationPolicy::Del {
-            timeout: std::time::Duration::from_millis(2),
-        },
-        DelegationPolicy::EagerDel {
-            timeout: std::time::Duration::from_millis(2),
-        },
+        DelegationPolicy::Del,
+        DelegationPolicy::EagerDel,
     ]
 }
 
@@ -220,10 +216,9 @@ fn frbst_and_bat_converge_identically() {
 #[test]
 fn delegation_timeout_survives_stalls() {
     // A tiny key space maximizes refresh conflicts (everyone shares the
-    // top of the tree), and short timeouts force the fallback path.
-    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel {
-        timeout: std::time::Duration::from_micros(50),
-    }));
+    // top of the tree), and stalls longer than the 2 ms
+    // `DELEGATION_TIMEOUT` force the fallback path.
+    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel));
     let handles: Vec<_> = (0..8u64)
         .map(|t| {
             let set = set.clone();
@@ -239,7 +234,7 @@ fn delegation_timeout_survives_stalls() {
                     if rng.below(97) == 0 {
                         // Simulated stall while (possibly) being someone's
                         // delegatee.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        std::thread::sleep(std::time::Duration::from_millis(3));
                     }
                 }
             })

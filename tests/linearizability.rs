@@ -3,14 +3,20 @@
 //! The checker and history recorder live in `workloads::linearize` (they
 //! were extracted from this file so any `BenchSet` adapter can run under
 //! them); this suite drives the real structures through the bench
-//! adapters: BAT under two delegation policies, the fanout tree, the
-//! unaugmented chromatic tree and the two sharded forests.
+//! adapters: BAT under two delegation policies, the fanout tree and the
+//! unaugmented chromatic tree.
 //!
 //! Histories are recorded on a hot 8-key space by 6 threads, so nearly
 //! every operation contends; each per-key sub-history is then checked
 //! against sequential boolean-set semantics.
+//!
+//! A sharded forest has no row of its own: its point op on `k` is the
+//! member's op on the shard `Partition::shard_of(k)` picks, a pure
+//! function of `k`, so each of its per-key histories is a history of one
+//! BAT or fanout member, which the rows below check. `shard`'s
+//! `sequential_oracle` checks the routing.
 
-use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter, ShardedBatAdapter, ShardedFanoutAdapter};
+use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter};
 use workloads::linearize::assert_point_ops_linearizable;
 use workloads::BenchSet;
 
@@ -37,20 +43,4 @@ fn point_ops_linearizable_fanout_per_edge() {
 #[test]
 fn point_ops_linearizable_chromatic() {
     check(&ChromaticAdapter::new(), "chromatic (unaugmented)");
-}
-
-#[test]
-fn point_ops_linearizable_sharded_bat() {
-    // An 8-key hot space over 4 hash shards: several keys share a shard,
-    // so the history exercises both in-shard contention and cross-shard
-    // routing.
-    check(&ShardedBatAdapter::new(4), "sharded BAT forest (hash)");
-}
-
-#[test]
-fn point_ops_linearizable_sharded_fanout() {
-    check(
-        &ShardedFanoutAdapter::new(4),
-        "sharded fanout forest (hash)",
-    );
 }

@@ -108,9 +108,7 @@ fn bat_matches_btreemap() {
 #[test]
 fn bat_del_matches_btreemap() {
     for case in 0..32u64 {
-        let map = BatMap::<u64, u64, SumAug>::with_policy(DelegationPolicy::Del {
-            timeout: std::time::Duration::from_millis(1),
-        });
+        let map = BatMap::<u64, u64, SumAug>::with_policy(DelegationPolicy::Del);
         check(&map, &random_ops(0xBA7_0002 ^ case, 200));
     }
 }

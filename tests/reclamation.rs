@@ -98,9 +98,7 @@ fn delegation_objects_reclaimed() {
     let _serial = ebr::own_the_global_epoch();
     use std::sync::Arc;
     let s0 = ebr::stats();
-    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel {
-        timeout: std::time::Duration::from_micros(100),
-    }));
+    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::EagerDel));
     let handles: Vec<_> = (0..6u64)
         .map(|t| {
             let set = set.clone();

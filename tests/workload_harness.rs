@@ -26,9 +26,6 @@ impl workloads::BenchSet for Bat {
     fn select(&self, i: u64) -> Option<u64> {
         self.0.select(i)
     }
-    fn size_hint(&self) -> u64 {
-        self.0.len()
-    }
     fn name(&self) -> &'static str {
         "BAT"
     }
@@ -131,9 +128,6 @@ fn sorted_distribution_drives_spine_growth() {
         }
         fn select(&self, i: u64) -> Option<u64> {
             self.0.select(i)
-        }
-        fn size_hint(&self) -> u64 {
-            self.0.len()
         }
         fn name(&self) -> &'static str {
             "FR-BST"
