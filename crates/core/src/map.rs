@@ -2,18 +2,44 @@
 //!
 //! `Insert`/`Delete` run the chromatic-tree update (with Definition 1's
 //! version initialization applied to every allocated node via the plugin),
-//! then call `Propagate` — even when the update did not change the set
-//! (paper Fig. 3 lines 13–24 and the discussion of unsuccessful updates).
-//! Queries take a [`Snapshot`] and run sequential algorithms on it.
+//! then call `Propagate`, which carries the update to the root: an
+//! effective update linearizes when it *arrives* there (§4.1). Queries
+//! take a [`Snapshot`] and run sequential algorithms on it; `Find`
+//! linearizes at its one read of the root's version.
+//!
+//! ## No-op updates
+//!
+//! Fig. 3 (lines 13–24) propagates after *every* update, even one that
+//! changed nothing — an insert of a present key, a remove of an absent one
+//! — because such a no-op may have observed, in the node tree, an
+//! effective update that has not yet arrived at the root, and must not
+//! return before that update is linearized. Here a no-op first reads the
+//! root's version under its own guard and runs `Find`'s descent on it:
+//!
+//! * **The root agrees** (the key present for an insert, absent for a
+//!   remove): the no-op returns without propagating, and linearizes at that
+//!   root read, exactly as `Find` would. That read lies inside the call, and
+//!   the state it shows gives the answer the call returns. Nothing else
+//!   waits on the skipped propagate: the no-op changed no node, and every
+//!   effective update carries itself to the root.
+//! * **The root disagrees**: an effective update is in the node tree but not
+//!   yet at the root — the case Fig. 3's propagate exists for — and the
+//!   no-op propagates as the paper's does.
+//!
+//! The node tree is searched first and the root second, so an effective
+//! update never pays the version descent. The root check runs on lines
+//! [`warm_up`] has already prefetched. [`BatStats`] counts the two branches
+//! apart (`propagates` and `root_answers`).
 
 use chromatic::{ChromaticTree, SentKey};
+use ebr::Guard;
 
 use crate::augment::{Augmentation, SizeOnly};
 use crate::propagate::{propagate, warm_up, DelegationPolicy};
 use crate::refresh::read_version;
-use crate::snapshot::Snapshot;
-use crate::stats::BatStats;
-use crate::version::VersionSlot;
+use crate::snapshot::{find_leaf, Snapshot};
+use crate::stats::{BatStats, Counter};
+use crate::version::{Version, VersionSlot};
 
 /// A lock-free balanced augmented ordered map (the paper's BAT), generic
 /// over keys, values and the augmentation function.
@@ -74,27 +100,55 @@ where
         map
     }
 
-    /// Insert `k → v`. Returns `true` iff `k` was absent. Linearizes at
-    /// the operation's arrival point at the root (§4.1).
+    /// Insert `k → v`. Returns `true` iff `k` was absent (a present key
+    /// keeps its value). An insert that adds `k` linearizes at its arrival
+    /// point at the root (§4.1). One that finds `k` present and reads a root
+    /// version that shows `k` linearizes at that read, as `Find` does;
+    /// otherwise it propagates first, as every update does in Fig. 3 (see
+    /// the module doc).
     pub fn insert(&self, k: K, v: V) -> bool {
         let guard = ebr::pin();
         let key = SentKey::Key(k.clone());
         warm_up(self.tree.entry(), &key, &guard);
         let changed = self.tree.insert(k, v, &guard);
-        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        if changed || !self.root_agrees(&key, true, &guard) {
+            propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        }
         changed
     }
 
-    /// Remove `k`. Returns `true` iff it was present. Note that even a
-    /// failed delete must propagate (a concurrent delete of the same key
-    /// may not have reached the root yet — §4's pseudocode discussion).
+    /// Remove `k`. Returns `true` iff it was present. Linearizes as
+    /// [`BatMap::insert`] does: a remove that finds `k` absent returns at
+    /// once only if the root's version already lacks `k`; otherwise a
+    /// concurrent remove of `k` may not have reached the root yet, and it
+    /// propagates first (§4's pseudocode discussion).
     pub fn remove(&self, k: &K) -> bool {
         let guard = ebr::pin();
         let key = SentKey::Key(k.clone());
         warm_up(self.tree.entry(), &key, &guard);
         let changed = self.tree.delete(k, &guard);
-        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        if changed || !self.root_agrees(&key, false, &guard) {
+            propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        }
         changed
+    }
+
+    /// The root check of a no-op update: does the root's current version
+    /// hold `key` iff `present`? If so, counts a root answer — the no-op's
+    /// linearization point is this read (see the module doc).
+    fn root_agrees(&self, key: &SentKey<K>, present: bool, guard: &Guard) -> bool {
+        let k = key.as_key().expect("updates name real keys");
+        let h = self.stats.local();
+        let root = read_version(self.tree.entry(), &h, guard);
+        // SAFETY: `root` was the entry's version during `guard`'s pin, so it
+        // is retired, if at all, after the pin began.
+        // guard: `guard`, held by the calling update until it returns.
+        let root = unsafe { Version::<K, V, A>::from_raw(root) };
+        let agrees = find_leaf(root, k).is_some() == present;
+        if agrees {
+            Counter::RootAnswers.bump(&h);
+        }
+        agrees
     }
 
     /// Take an atomic snapshot of the whole set: one read of the root's

@@ -5,13 +5,15 @@
 //!
 //! ## Hot-path scratch
 //!
-//! `propagate` runs once per update, so its working state — the set of
-//! already-refreshed nodes, the descent stack, and the list of replaced
+//! `propagate` runs once per update that changes the set, so its working
+//! state — the set of already-refreshed nodes, the descent stack, and the list of replaced
 //! versions to retire — is kept in a reusable thread-local
 //! [`PropScratch`] arena instead of being heap-allocated per call. The
-//! `refreshed` set is a root-to-leaf path (O(log n) entries), so a plain
-//! vector with linear membership checks beats hashing *and* allocates
-//! nothing after warm-up.
+//! `refreshed` set is a root-to-leaf path, so a plain vector beats hashing
+//! *and* allocates nothing after warm-up. Its membership check scans
+//! newest-first: the node a re-descent stops at is almost always the one
+//! refreshed last, so a check costs O(1) compares rather than the path's
+//! length — which matters on FR-BST, whose sorted-key paths are Θ(n) long.
 //!
 //! ## Overlapping the misses
 //!
@@ -70,8 +72,8 @@ impl DelegationPolicy {
 /// their capacity between calls; `clear` is O(len).
 #[derive(Default)]
 struct PropScratch {
-    /// Raw pointers of nodes already refreshed by this propagate. A
-    /// root-to-leaf path, so membership is a short linear scan.
+    /// Raw pointers of nodes already refreshed by this propagate, bottom-up.
+    /// A root-to-leaf path; membership scans it from the newest end.
     refreshed: Vec<u64>,
     /// Descent stack of raw node pointers (bottom = entry).
     stack: Vec<u64>,
@@ -210,11 +212,14 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
 /// Walks `entry → leaf` by `key`. At each step it prefetches the *off-path*
 /// child — every line the node overlaps, one for a pooled node of at most
 /// 64 bytes, since pool blocks are line-aligned — and remembers it; these
-/// misses overlap the walk's own pointer chase. Then it has `ebr::pool`
-/// write-prefetch the free blocks the path's new versions (and the update's
-/// two leaf versions) will be built in, and in a second pass, the sibling
-/// nodes having arrived, reads each one's version pointer and prefetches
-/// that version. The refresh chain then runs on warm lines.
+/// misses overlap the walk's own pointer chase. It also prefetches each
+/// on-path node's own version, whose pointer sits in the line the walk just
+/// loaded: those versions are what a no-op update's root check descends
+/// (see [`crate::map`]). Then it has `ebr::pool` write-prefetch the free
+/// blocks the path's new versions (and the update's two leaf versions) will
+/// be built in, and in a second pass, the sibling nodes having arrived,
+/// reads each one's version pointer and prefetches that version. The
+/// refresh chain, or the root check, then runs on warm lines.
 ///
 /// A pure hint: it CASes nothing, touches no [`BatStats`] counter, and what
 /// it reads may be stale by the time `propagate` runs — `propagate` rereads
@@ -235,6 +240,13 @@ where
         // bound on what the pass can cost on a degenerate FR-BST path.
         const WARM_UP_DEPTH: usize = 64;
 
+        let prefetch_version = |node: &BatNode<K, V, A>| {
+            let v = node.plugin.load();
+            crate::refresh::fence_version_ptr(v, node.as_raw());
+            if v != 0 {
+                ebr::prefetch::<Version<K, V, A>, false>(v);
+            }
+        };
         let mut siblings = [None; WARM_UP_DEPTH];
         let mut depth = 0;
         let mut node = entry;
@@ -245,17 +257,15 @@ where
                 (node.right(guard), node.left(guard))
             };
             ebr::prefetch::<BatNode<K, V, A>, false>(off.as_raw());
+            prefetch_version(node);
             siblings[depth] = Some(off);
             depth += 1;
             node = on;
         }
+        prefetch_version(node);
         ebr::pool::prefetch_free::<Version<K, V, A>>(depth + 2);
         for sibling in siblings[..depth].iter().flatten() {
-            let v = sibling.plugin.load();
-            crate::refresh::fence_version_ptr(v, sibling.as_raw());
-            if v != 0 {
-                ebr::prefetch::<Version<K, V, A>, false>(v);
-            }
+            prefetch_version(sibling);
         }
     }
 }
@@ -299,7 +309,7 @@ pub fn propagate<K, V, A>(
         loop {
             let child = next.child_toward(key, guard);
             descended += 1;
-            if scratch.refreshed.contains(&child.as_raw()) || child.is_leaf() {
+            if scratch.refreshed.iter().rev().any(|&r| r == child.as_raw()) || child.is_leaf() {
                 break;
             }
             scratch.stack.push(child.as_raw());

@@ -35,6 +35,31 @@ fn cmp_key<K: Ord>(k: &K, vkey: &SentKey<K>) -> Ord_ {
     }
 }
 
+/// `Find`'s descent (paper Fig. 3 lines 25–31) on the version tree below
+/// `root`: the leaf version holding `k`, if any. Shared by
+/// [`Snapshot::contains`] / [`Snapshot::get`] and the root check of a
+/// no-op update ([`crate::map::BatMap::insert`]), which reads the root
+/// under the update's own guard.
+pub(crate) fn find_leaf<'v, K, V, A>(
+    root: &'v Version<K, V, A>,
+    k: &K,
+) -> Option<&'v Version<K, V, A>>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    let mut v = root;
+    while !v.is_leaf() {
+        v = if cmp_key(k, &v.key) == Ord_::Less {
+            v.left_version()
+        } else {
+            v.right_version()
+        };
+    }
+    (v.key.as_key() == Some(k)).then_some(v)
+}
+
 impl<K, V, A> Snapshot<K, V, A>
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -101,29 +126,12 @@ where
     /// `Find` (paper Fig. 3 lines 25–31): standard BST search on the
     /// version tree.
     pub fn contains(&self, k: &K) -> bool {
-        self.find_leaf(k).is_some()
+        find_leaf(self.root(), k).is_some()
     }
 
     /// Point lookup returning the stored value.
     pub fn get(&self, k: &K) -> Option<V> {
-        let leaf = self.find_leaf(k)?;
-        leaf.value.clone()
-    }
-
-    fn find_leaf(&self, k: &K) -> Option<&Version<K, V, A>> {
-        let mut v = self.root();
-        while !v.is_leaf() {
-            v = if cmp_key(k, &v.key) == Ord_::Less {
-                v.left_version()
-            } else {
-                v.right_version()
-            };
-        }
-        if v.key.as_key() == Some(k) {
-            Some(v)
-        } else {
-            None
-        }
+        find_leaf(self.root(), k)?.value.clone()
     }
 
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.

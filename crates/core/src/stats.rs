@@ -1,7 +1,8 @@
 //! Work counters matching the paper's §7 instrumentation ("Why Balancing
 //! Improves Throughput"): nodes traversed per propagate, nil versions
 //! filled per propagate, CASes attempted per propagate, plus delegation
-//! counts for the ablation experiments. They live in one
+//! counts for the ablation experiments and the no-op updates the root
+//! answered without a propagate. They live in one
 //! [`ebr::Striped`]: per-thread padded stripes, single-writer bumps, a
 //! lazy summing read.
 
@@ -11,8 +12,14 @@ use ebr::Striped;
 /// The counters of a [`BatStats`], by stripe index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Propagate invocations (== updates, successful or not).
+    /// Propagate invocations: every effective update, and every no-op
+    /// update (a present key inserted, an absent one removed) whose answer
+    /// the root's version did not yet give. `Propagates + RootAnswers` is
+    /// exactly the number of updates.
     Propagates,
+    /// No-op updates answered by one read of the root's version, with no
+    /// propagate (see [`crate::map`]).
+    RootAnswers,
     /// Nodes stepped through during propagate descents (the paper's
     /// "nodes seen by a Propagate"); added once per descent.
     NodesVisited,
@@ -63,10 +70,11 @@ impl BatStats {
 
     /// Copy out current values, summed over all thread stripes.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let [propagates, nodes_visited, nil_fixes, cas_attempts, cas_failures, delegations, delegation_timeouts] =
+        let [propagates, root_answers, nodes_visited, nil_fixes, cas_attempts, cas_failures, delegations, delegation_timeouts] =
             self.0.sum();
         StatsSnapshot {
             propagates,
+            root_answers,
             nodes_visited,
             nil_fixes,
             cas_attempts,
@@ -81,6 +89,7 @@ impl BatStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     pub propagates: u64,
+    pub root_answers: u64,
     pub nodes_visited: u64,
     pub nil_fixes: u64,
     pub cas_attempts: u64,
@@ -94,6 +103,7 @@ impl StatsSnapshot {
     pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             propagates: self.propagates - earlier.propagates,
+            root_answers: self.root_answers - earlier.root_answers,
             nodes_visited: self.nodes_visited - earlier.nodes_visited,
             nil_fixes: self.nil_fixes - earlier.nil_fixes,
             cas_attempts: self.cas_attempts - earlier.cas_attempts,
@@ -155,12 +165,13 @@ mod tests {
                 scope.spawn(|| {
                     let h = s.local();
                     Counter::Propagates.add(&h, 1);
-                    Counter::NodesVisited.add(&h, 2);
-                    Counter::NilFixes.add(&h, 3);
-                    Counter::CasAttempts.add(&h, 4);
-                    Counter::CasFailures.add(&h, 5);
-                    Counter::Delegations.add(&h, 6);
-                    Counter::DelegationTimeouts.add(&h, 7);
+                    Counter::RootAnswers.add(&h, 2);
+                    Counter::NodesVisited.add(&h, 3);
+                    Counter::NilFixes.add(&h, 4);
+                    Counter::CasAttempts.add(&h, 5);
+                    Counter::CasFailures.add(&h, 6);
+                    Counter::Delegations.add(&h, 7);
+                    Counter::DelegationTimeouts.add(&h, 8);
                 });
             }
         });
@@ -168,12 +179,13 @@ mod tests {
             s.snapshot(),
             StatsSnapshot {
                 propagates: 4,
-                nodes_visited: 8,
-                nil_fixes: 12,
-                cas_attempts: 16,
-                cas_failures: 20,
-                delegations: 24,
-                delegation_timeouts: 28,
+                root_answers: 8,
+                nodes_visited: 12,
+                nil_fixes: 16,
+                cas_attempts: 20,
+                cas_failures: 24,
+                delegations: 28,
+                delegation_timeouts: 32,
             }
         );
     }

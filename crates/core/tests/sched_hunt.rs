@@ -18,6 +18,12 @@
 //! The hunt is only replayable if scheduled code is clock-free, so this
 //! file also holds the check that `wait_for_delegatee`'s timeout is a
 //! yield budget under `sched-test`, never a wall-clock read.
+//!
+//! It also holds the explored corpus for a no-op update's root check
+//! (`BatMap::insert`'s module doc): two updates of one key race, and the
+//! one that changes nothing must, at its return, see the root agree — it
+//! returns early only when its own root read already shows its answer, and
+//! otherwise propagates the other update there first.
 #![cfg(feature = "sched-test")]
 
 use std::sync::Arc;
@@ -117,6 +123,74 @@ fn bat_reclamation_hunt_under_explored_schedules() {
          scale with CBAT_SCHED_HUNT_SCHEDULES"
     );
 }
+
+/// Two vthreads run the same update of `KEY` on a small tree: both insert
+/// it (absent at the start) or both remove it (present at the start). One
+/// of them changes the set; when either returns — the no-op above all,
+/// which may have found the other's effect in the node tree before it
+/// arrived at the root — the root must show `KEY`'s final state.
+fn same_key_race(policy: DelegationPolicy, inserts: bool) {
+    const KEY: u64 = 3;
+    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    for k in [0, 2, 4, 6] {
+        set.insert(k);
+    }
+    if !inserts {
+        set.insert(KEY);
+    }
+    let len_after = if inserts { 5 } else { 4 };
+    let hs: Vec<_> = (0..2)
+        .map(|_| {
+            let set = set.clone();
+            sched::spawn(move || {
+                let changed = if inserts {
+                    set.insert(KEY)
+                } else {
+                    set.remove(&KEY)
+                };
+                assert_eq!(set.contains(&KEY), inserts, "changed: {changed}");
+                assert_eq!(set.len(), len_after, "changed: {changed}");
+                changed
+            })
+        })
+        .collect();
+    let changed: usize = hs.into_iter().map(|h| h.join() as usize).sum();
+    assert_eq!(changed, 1, "exactly one of the two updates changes the set");
+}
+
+#[test]
+fn no_op_update_sees_root_agree_under_explored_schedules() {
+    let _serial = ebr::own_the_global_epoch();
+    let mut explored = 0usize;
+    for (i, (inserts, policy, sched_policy)) in [
+        (true, DelegationPolicy::None, Policy::RandomWalk),
+        (true, DelegationPolicy::EagerDel, Policy::Pct { depth: 2 }),
+        (false, DelegationPolicy::None, Policy::RandomWalk),
+        (false, DelegationPolicy::EagerDel, Policy::Pct { depth: 2 }),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cfg = ExploreConfig {
+            schedules: NO_OP_SCHEDULES,
+            seed: 0x0A0B_0001 + i as u64,
+            max_steps: 1_000_000,
+            policy: sched_policy,
+            stop_on_failure: true,
+        };
+        let report = explore(&cfg, move || same_key_race(policy, inserts));
+        report.assert_clean(if inserts {
+            "two inserts of one key"
+        } else {
+            "two removes of one key"
+        });
+        explored += report.schedules;
+    }
+    eprintln!("no-op root check: {explored} schedules clean");
+}
+
+/// Schedules per cell of the no-op corpus (four cells).
+const NO_OP_SCHEDULES: usize = 100;
 
 #[test]
 fn delegation_timeout_is_deterministic_yield_budget() {

@@ -126,10 +126,12 @@ fn delegation_objects_reclaimed() {
         outstanding < 20_000,
         "delegation run leaked {outstanding} objects"
     );
-    // Every propagate allocated a PropStatus: 6 threads x 4000 ops, all
-    // must have been retired through the normal path (no crash = pass,
-    // plus the bound above).
-    assert_eq!(set.as_map().stats.snapshot().propagates, 6 * 4_000);
+    // Every propagate allocated a PropStatus, and all must have been
+    // retired through the normal path (no crash = pass, plus the bound
+    // above); each of the 6 threads x 4000 ops either propagated or was a
+    // no-op the root answered.
+    let core = set.as_map().stats.snapshot();
+    assert_eq!(core.propagates + core.root_answers, 6 * 4_000);
 }
 
 /// Dropping a whole tree frees it without touching EBR correctness.
@@ -154,7 +156,8 @@ fn tree_drop_is_clean() {
 /// are per-thread words their owner bumps with a plain load + store, and
 /// sequentially spawned threads reuse one EBR slot — and so one stripe of
 /// each and one pair of counters: every hand-off must carry the totals
-/// over exactly. Lost `propagates` bumps show in the count, lost
+/// over exactly. Lost `propagates` or `root_answers` bumps show in their
+/// sum against the updates, lost
 /// `scx_commits` bumps against the updates that succeeded plus the
 /// rebalancing steps they caused; a lost `retired` or `freed` bump shows
 /// once the process is quiescent and the limbo is empty, where the two
@@ -184,7 +187,8 @@ fn counters_stay_exact_across_slot_reuse() {
         .join()
         .unwrap();
     }
-    assert_eq!(set.stats().snapshot().propagates, THREADS * UPDATES);
+    let core = set.stats().snapshot();
+    assert_eq!(core.propagates + core.root_answers, THREADS * UPDATES);
     let tree = set.as_map().node_tree().stats.snapshot();
     assert_eq!(
         tree.scx_commits,
