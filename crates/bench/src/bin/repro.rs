@@ -407,6 +407,12 @@ fn fig10(o: &Opts) {
     }
 }
 
+/// The share of updates a root check answered without a propagate. The
+/// per-propagate columns beside it cover only the other, effective updates.
+fn root_answer_share(s: &cbat_core::StatsSnapshot) -> f64 {
+    s.root_answers as f64 / (s.propagates + s.root_answers).max(1) as f64
+}
+
 fn stats(o: &Opts) {
     let mk_key = mk_small(o);
     let rq = rq_large(o);
@@ -414,7 +420,7 @@ fn stats(o: &Opts) {
     header(
         "stats",
         &format!("§7 work counters, TT {t}, MK {mk_key}, RQ {rq}, 25-25-25-25"),
-        "experiment,structure,dist,nodes_per_prop,nil_fixes_per_prop,cas_per_prop",
+        "experiment,structure,dist,nodes_per_prop,nil_fixes_per_prop,cas_per_prop,root_answer_share",
     );
     for dist in [KeyDist::Uniform, KeyDist::Zipf(0.99)] {
         let dist_name = match dist {
@@ -435,10 +441,11 @@ fn stats(o: &Opts) {
             workloads::run(&s, &cfg);
             let snap = s.inner().stats().snapshot();
             println!(
-                "stats,{name},{dist_name},{:.2},{:.4},{:.2}",
+                "stats,{name},{dist_name},{:.2},{:.4},{:.2},{:.4}",
                 snap.avg_nodes_per_propagate(),
                 snap.avg_nil_fixes_per_propagate(),
                 snap.avg_cas_per_propagate(),
+                root_answer_share(&snap),
             );
             ebr::flush();
         }
@@ -451,7 +458,7 @@ fn ablation_delegation(o: &Opts) {
     header(
         "ablation-delegation",
         &format!("delegation ablation, TT {t}, MK {mk_key}, update-only uniform"),
-        "experiment,structure,mops,cas_per_prop,delegations,timeouts",
+        "experiment,structure,mops,cas_per_prop,delegations,timeouts,root_answer_share",
     );
     for (name, mk_fn) in [
         ("BAT", BatAdapter::plain as fn() -> BatAdapter),
@@ -470,17 +477,19 @@ fn ablation_delegation(o: &Opts) {
             mops += r.mops();
             let s2 = s.inner().as_map().stats.snapshot();
             snap.propagates += s2.propagates;
+            snap.root_answers += s2.root_answers;
             snap.cas_attempts += s2.cas_attempts;
             snap.delegations += s2.delegations;
             snap.delegation_timeouts += s2.delegation_timeouts;
             ebr::flush();
         }
         println!(
-            "ablation-delegation,{name},{:.4},{:.2},{},{}",
+            "ablation-delegation,{name},{:.4},{:.2},{},{},{:.4}",
             mops / o.trials as f64,
             snap.cas_attempts as f64 / snap.propagates.max(1) as f64,
             snap.delegations,
             snap.delegation_timeouts,
+            root_answer_share(&snap),
         );
     }
 }

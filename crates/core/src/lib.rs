@@ -17,7 +17,8 @@
 //!
 //! * [`BatMap::rank`] — number of keys ≤ k, one descent;
 //! * [`BatMap::select`] — i-th smallest key, one descent;
-//! * [`BatMap::range_count`] / [`BatMap::range_aggregate`] — two descents;
+//! * [`BatMap::range_count`] / [`BatMap::range_aggregate`] — one walk down
+//!   both boundary paths, stepped in turn below where they part;
 //! * [`BatMap::len`] / [`BatMap::aggregate`] — O(1);
 //! * [`BatMap::snapshot`] — an atomic snapshot of the whole set for free.
 //!

@@ -58,7 +58,8 @@ where
     }
 
     /// The `i`-th smallest key within `[lo, hi]` (0-indexed): an
-    /// order-statistic *range* query, two descents + one select.
+    /// order-statistic *range* query: one `rank_exclusive` descent, one
+    /// range walk (`range_count`'s two boundary paths) and one select.
     pub fn select_in_range(&self, lo: &K, hi: &K, i: u64) -> Option<(K, V)> {
         if lo > hi {
             return None;

@@ -6,6 +6,15 @@
 //! paper's query set — `Find`, rank, select, range count — plus generic
 //! range aggregation and ordered iteration.
 //!
+//! At 2^19 keys each step of a descent is a dependent cache miss, so the
+//! descents keep two in flight instead of one: every internal version's two
+//! children are prefetched before the descent branches, and a range query
+//! walks its two boundary paths in one loop, one step of each in turn (see
+//! [`Snapshot::range_count`]). This is sequential code over one snapshot:
+//! the linearization point stays the root read, every version it
+//! dereferences is reachable from that root under the snapshot's guard,
+//! and a prefetch is a hint that never faults.
+//!
 //! A [`Snapshot`] owns an epoch guard: the versions it references are
 //! protected from reclamation for as long as it lives (this is precisely
 //! the "long-running query" behaviour of EBR the paper describes in §6).
@@ -35,6 +44,95 @@ fn cmp_key<K: Ord>(k: &K, vkey: &SentKey<K>) -> Ord_ {
     }
 }
 
+/// Ask the cache for both child versions of the internal version `v`
+/// before the descent decides which one it follows. The turn then waits on
+/// a line already in flight, and `select`'s read of the left child's size
+/// overlaps the fetch of the right child. A prefetch never faults and
+/// reads nothing the program sees; see [`ebr::prefetch`].
+#[inline(always)]
+fn prefetch_children<K, V, A: Augmentation<K, V>>(v: &Version<K, V, A>) {
+    ebr::prefetch::<Version<K, V, A>, false>(v.left);
+    ebr::prefetch::<Version<K, V, A>, false>(v.right);
+}
+
+/// The pieces of `[lo, hi]` (`lo <= hi`) on the version tree below `root`,
+/// found by one walk over the two boundary paths. The walk descends once
+/// while `lo` and `hi` route the same way: `lo` goes left iff
+/// `lo <= v.key` and `hi` goes left iff `hi < v.key` — the leaf-oriented
+/// rule of [`Snapshot::rank_exclusive`] and [`Snapshot::rank`]. Nothing
+/// beside that shared path lies in the range. Below the version where the
+/// two part, it steps the `lo` path (left child) and the `hi` path (right
+/// child) alternately in one loop, so the two chains' cache misses
+/// overlap instead of queueing. The `lo` path hands `lo_piece` the right
+/// subtree wherever it turns left, the `hi` path hands `hi_piece` the
+/// left subtree wherever it turns right, and each path hands over its leaf
+/// if that leaf's key is in `[lo, hi]`. A leaf the two paths share goes
+/// to `lo_piece`.
+///
+/// Every piece lies wholly inside the range and they partition it: the
+/// `lo` side arrives right to left, the `hi` side left to right, and every
+/// `lo` piece precedes every `hi` piece in key order.
+fn walk_range<K, V, A, R>(
+    root: &Version<K, V, A>,
+    lo: &K,
+    hi: &K,
+    (mut acc_lo, mut acc_hi): (R, R),
+    lo_piece: impl Fn(&Version<K, V, A>, R) -> R,
+    hi_piece: impl Fn(R, &Version<K, V, A>) -> R,
+) -> (R, R)
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    let lo_left = |v: &Version<K, V, A>| cmp_key(lo, &v.key) != Ord_::Greater;
+    let hi_left = |v: &Version<K, V, A>| cmp_key(hi, &v.key) == Ord_::Less;
+    let in_range = |v: &Version<K, V, A>| v.key.as_key().is_some_and(|k| lo <= k && k <= hi);
+    let mut v = root;
+    loop {
+        if v.is_leaf() {
+            if in_range(v) {
+                acc_lo = lo_piece(v, acc_lo);
+            }
+            return (acc_lo, acc_hi);
+        }
+        prefetch_children(v);
+        match (lo_left(v), hi_left(v)) {
+            (true, true) => v = v.left_version(),
+            (false, false) => v = v.right_version(),
+            _ => break,
+        }
+    }
+    let (mut a, mut b) = (v.left_version(), v.right_version());
+    while !(a.is_leaf() && b.is_leaf()) {
+        if !a.is_leaf() {
+            prefetch_children(a);
+            if lo_left(a) {
+                acc_lo = lo_piece(a.right_version(), acc_lo);
+                a = a.left_version();
+            } else {
+                a = a.right_version();
+            }
+        }
+        if !b.is_leaf() {
+            prefetch_children(b);
+            if hi_left(b) {
+                b = b.left_version();
+            } else {
+                acc_hi = hi_piece(acc_hi, b.left_version());
+                b = b.right_version();
+            }
+        }
+    }
+    if in_range(a) {
+        acc_lo = lo_piece(a, acc_lo);
+    }
+    if in_range(b) {
+        acc_hi = hi_piece(acc_hi, b);
+    }
+    (acc_lo, acc_hi)
+}
+
 /// `Find`'s descent (paper Fig. 3 lines 25–31) on the version tree below
 /// `root`: the leaf version holding `k`, if any. Shared by
 /// [`Snapshot::contains`] / [`Snapshot::get`] and the root check of a
@@ -51,6 +149,7 @@ where
 {
     let mut v = root;
     while !v.is_leaf() {
+        prefetch_children(v);
         v = if cmp_key(k, &v.key) == Ord_::Less {
             v.left_version()
         } else {
@@ -140,6 +239,7 @@ where
         let mut count = 0u64;
         let mut v = self.root();
         while !v.is_leaf() {
+            prefetch_children(v);
             if cmp_key(k, &v.key) == Ord_::Less {
                 v = v.left_version();
             } else {
@@ -160,6 +260,7 @@ where
         let mut count = 0u64;
         let mut v = self.root();
         while !v.is_leaf() {
+            prefetch_children(v);
             // Left subtree keys are < v.key; all are < k iff v.key ≤ k.
             if cmp_key(k, &v.key) != Ord_::Greater {
                 v = v.left_version();
@@ -184,6 +285,7 @@ where
             return None;
         }
         while !v.is_leaf() {
+            prefetch_children(v);
             let lsz = v.left_version().size;
             if i < lsz {
                 v = v.left_version();
@@ -196,59 +298,46 @@ where
         Some((v.key.as_key()?.clone(), v.value.clone()?))
     }
 
-    /// Count of keys in `[lo, hi]` — two descents (the paper's range
-    /// query shape: "traverse two paths").
+    /// Count of keys in `[lo, hi]`, O(height): the sizes of the subtrees
+    /// hanging off the two boundary paths (the paper's range query shape,
+    /// "traverse two paths"), walked together. The walk descends once to
+    /// the version where `lo` and `hi` part, then steps the two paths
+    /// alternately, so their cache misses overlap.
     pub fn range_count(&self, lo: &K, hi: &K) -> u64 {
         if lo > hi {
             return 0;
         }
-        self.rank(hi) - self.rank_exclusive(lo)
+        let (l, h) = walk_range(
+            self.root(),
+            lo,
+            hi,
+            (0, 0),
+            |v, acc| acc + v.size,
+            |acc, v| acc + v.size,
+        );
+        l + h
     }
 
-    /// Aggregate the augmentation over keys in `[lo, hi]`, combining
-    /// O(height) precomputed subtree values.
+    /// Aggregate the augmentation over keys in `[lo, hi]`, combining the
+    /// O(height) precomputed values of the subtrees off the two boundary
+    /// paths, which [`Snapshot::range_count`]'s walk finds. `combine` is
+    /// only associative, so the fold keeps key order: the `lo` path's
+    /// pieces arrive right to left and are prepended, the `hi` path's
+    /// arrive left to right and are appended, and the `lo` side goes
+    /// first.
     pub fn range_aggregate(&self, lo: &K, hi: &K) -> A::Value {
         if lo > hi {
             return A::sentinel();
         }
-        fn agg<K, V, A>(v: &Version<K, V, A>, lo: Option<&K>, hi: Option<&K>) -> A::Value
-        where
-            K: Ord + Clone + Send + Sync + 'static,
-            V: Clone + Send + Sync + 'static,
-            A: Augmentation<K, V>,
-        {
-            if lo.is_none() && hi.is_none() {
-                // Whole subtree inside the range: use its stored value.
-                return v.aug.clone();
-            }
-            if v.is_leaf() {
-                if let Some(k) = v.key.as_key() {
-                    let lo_ok = lo.is_none_or(|l| k >= l);
-                    let hi_ok = hi.is_none_or(|h| k <= h);
-                    if lo_ok && hi_ok {
-                        return v.aug.clone();
-                    }
-                }
-                return A::sentinel();
-            }
-            // Left subtree: keys < v.key; right: keys ≥ v.key.
-            let mut out = A::sentinel();
-            let left_nonempty = lo.is_none_or(|l| cmp_key(l, &v.key) == Ord_::Less);
-            if left_nonempty {
-                // hi is unconstrained for the left side if hi ≥ all left
-                // keys, i.e. hi ≥ v.key.
-                let hi2 = hi.filter(|h| cmp_key(*h, &v.key) == Ord_::Less);
-                out = A::combine(&out, &agg(v.left_version(), lo, hi2));
-            }
-            let right_nonempty = hi.is_none_or(|h| cmp_key(h, &v.key) != Ord_::Less);
-            if right_nonempty {
-                // lo is unconstrained for the right side if lo ≤ v.key.
-                let lo2 = lo.filter(|l| cmp_key(*l, &v.key) == Ord_::Greater);
-                out = A::combine(&out, &agg(v.right_version(), lo2, hi));
-            }
-            out
-        }
-        agg(self.root(), Some(lo), Some(hi))
+        let (l, h) = walk_range(
+            self.root(),
+            lo,
+            hi,
+            (A::sentinel(), A::sentinel()),
+            |v, acc| A::combine(&v.aug, &acc),
+            |acc, v| A::combine(&acc, &v.aug),
+        );
+        A::combine(&l, &h)
     }
 
     /// Collect the keys (and values) in `[lo, hi]`, in order. O(height +

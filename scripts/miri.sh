@@ -31,7 +31,9 @@
 # `ebr::prefetch` compiles to nothing under Miri, so the `ebr` pass walks
 # `pool::prefetch_free` and the `augmentation_laws` pass walks the warm-up
 # descent of every insert/remove (`cbat_core::propagate::warm_up`) as
-# ordinary, checked loads. `ebr::pool`'s huge-page advice (`madvise`) is
+# ordinary, checked loads. The `range_walk` pass walks the version tree's
+# queries — the two-path range walk and the single-path descents — which
+# step through raw version pointers (`Version::left_version`). `ebr::pool`'s huge-page advice (`madvise`) is
 # compiled out too; the arena's chunks, the carve and the depot run as
 # they do natively.
 #
@@ -69,7 +71,7 @@ timeout 1800 cargo +nightly miri test -p llxscx -- \
     --skip concurrent_counter_chain \
     --skip concurrent_freeze_conflicts_resolve
 
-echo "== miri: cbat-core augmentation laws (single-threaded target) =="
-timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws
+echo "== miri: cbat-core augmentation laws + range walk (single-threaded targets) =="
+timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk
 
 echo "miri: clean"
