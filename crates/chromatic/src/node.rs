@@ -17,7 +17,11 @@ use crate::key::SentKey;
 /// Per-node augmentation state plus the hooks the paper's Definition 1
 /// ("Version Initialization Rules") requires at node-allocation time.
 ///
-/// The unaugmented tree uses `()`; BAT uses a version-pointer slot.
+/// The unaugmented tree uses `()`; BAT uses a version-pointer slot, which
+/// only internal nodes fill: under rules 1–2 a BAT leaf is born as its own
+/// version — its immutable key and value are all a version of it would
+/// hold — and [`NodePlugin::LEAVES_OUTLIVE_UNLINK`] gives it the lifetime
+/// a version needs.
 pub trait NodePlugin<K, V>: Sized + Send + Sync {
     /// Plugin state for a newly created leaf with the given key
     /// (Definition 1, rules 1–2: real leaf vs sentinel leaf).
@@ -32,6 +36,15 @@ pub trait NodePlugin<K, V>: Sized + Send + Sync {
     /// and for patch nodes whose SCX failed). For BAT this retires the
     /// node's final version (§6).
     fn on_reclaim(&self);
+
+    /// Whether a published leaf waits one more grace period, after the one
+    /// that follows its unlinking, before its memory is reclaimed. A plugin
+    /// sets it when readers can reach a leaf through a structure of its own
+    /// that still names the leaf after the node tree has dropped it — BAT's
+    /// version tree, in which a leaf is its own version, until the removing
+    /// update's propagate arrives at the root. A leaf that was never
+    /// published is reclaimed at once either way.
+    const LEAVES_OUTLIVE_UNLINK: bool = false;
 }
 
 impl<K, V> NodePlugin<K, V> for () {
@@ -277,18 +290,42 @@ impl<K, V, P> Node<K, V, P> {
     }
 }
 
-/// Reclamation entry point: runs the plugin hook, drops the node in place
-/// and returns its memory to the reclaiming thread's free-list pool.
+/// Reclamation entry point for a published node, once nothing reachable
+/// from the node tree names it: reclaims it — or, for a leaf whose plugin
+/// sets [`NodePlugin::LEAVES_OUTLIVE_UNLINK`], retires it again, so that it
+/// is reclaimed one grace period later.
+///
+/// # Safety
+/// `ptr` must be a published `Node` allocated by [`Node::new_leaf`] /
+/// [`Node::new_internal`] that no thread pinning from now on can reach
+/// through the node tree, freed exactly once.
+pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
+    // SAFETY: the caller's contract: `ptr` is a live node whose links no
+    // longer change. (A plugin that does not opt in never reads it here.)
+    // guard: none needed, the node is unreachable through the tree.
+    if P::LEAVES_OUTLIVE_UNLINK && unsafe { &*(ptr as *const Node<K, V, P>) }.is_leaf() {
+        // SAFETY: the caller's contract, and the plugin's: whatever else
+        // names the leaf stops doing so for threads that pin after this
+        // call, so one more grace period covers every reader.
+        unsafe { ebr::retire_unpinned_with(ptr, reclaim_node::<K, V, P>) };
+    } else {
+        // SAFETY: the caller's contract.
+        unsafe { reclaim_node::<K, V, P>(ptr) };
+    }
+}
+
+/// Runs the plugin hook, drops the node in place and returns its memory to
+/// the reclaiming thread's free-list pool.
 ///
 /// # Safety
 /// `ptr` must be a `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_internal`] that is unreachable (or never was published),
-/// freed exactly once.
-pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
+/// [`Node::new_internal`] that no thread can reach, reclaimed exactly once.
+unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
     let node = ptr as *mut Node<K, V, P>;
     // SAFETY: the caller's contract — `node` is a live pool allocation that
     // nothing else can reach, so the hook may read it and the pool may drop
     // and recycle it, once.
+    // guard: none needed, the node is unreachable.
     unsafe {
         (*node).plugin.on_reclaim();
         ebr::pool::dispose_pooled(node);
@@ -318,7 +355,7 @@ where
     P: NodePlugin<K, V>,
 {
     // SAFETY: never published (the caller's contract), hence unreachable.
-    unsafe { free_node::<K, V, P>(raw as *mut u8) };
+    unsafe { reclaim_node::<K, V, P>(raw as *mut u8) };
 }
 
 impl<K: Ord, V, P> Node<K, V, P> {

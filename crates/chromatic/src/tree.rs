@@ -443,8 +443,10 @@ impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
             free(raw);
         }
         // SAFETY: `walk` hands over each reachable node once, after its
-        // children, and with `&mut self` nothing else can reach it. (Plugin
-        // hooks may retire versions, so this is the normal free path.)
+        // children, and with `&mut self` nothing else can reach it through
+        // the tree. (This is the normal free path, not an immediate dispose:
+        // plugin hooks may retire versions, and a leaf that outlives its
+        // unlinking waits a grace period for snapshots still reading it.)
         walk::<K, V, P>(self.entry, &mut |raw| unsafe {
             crate::node::free_node::<K, V, P>(raw as *mut u8);
         });

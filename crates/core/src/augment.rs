@@ -8,16 +8,21 @@
 //!
 //! Every version always carries the subtree **size** (the paper's running
 //! example, needed by order-statistic queries) *plus* a user augmentation
-//! value of type [`Augmentation::Value`].
+//! value of type [`Augmentation::Value`]. A leaf is born as its own version
+//! (Definition 1, rules 1–2) and stores neither: its size is 1 (0 for a
+//! sentinel) and its value is [`Augmentation::leaf`] of its immutable key
+//! and value ([`Augmentation::sentinel`] for a sentinel), computed whenever
+//! a refresh or a query reads it — so `leaf` should be cheap.
 
 /// A user-supplied augmentation: what each leaf contributes and how two
 /// children's values combine. `combine` must be associative with respect
 /// to in-order concatenation of leaves; `sentinel()` must be its identity.
 pub trait Augmentation<K, V>: Send + Sync + 'static {
-    /// The supplementary-field type stored in every version.
+    /// The supplementary-field type stored in every internal version.
     type Value: Clone + Send + Sync;
 
-    /// Value contributed by a real leaf (Definition 1, rule 1).
+    /// Value contributed by a real leaf (Definition 1, rule 1), computed
+    /// from the leaf node each time a refresh or query reads it.
     fn leaf(key: &K, value: &V) -> Self::Value;
 
     /// Value of a sentinel leaf (Definition 1, rule 2) — the identity.

@@ -15,7 +15,7 @@
 
 use crate::augment::Augmentation;
 use crate::map::BatMap;
-use crate::version::Version;
+use crate::version::VersionRef;
 
 /// Key: (interval start, disambiguating id).
 pub type IvKey = (u64, u64);
@@ -91,25 +91,25 @@ impl Default for IntervalMap {
 }
 
 /// The sequential stabbing descent, with max-end pruning, over versions.
-fn stab_rec(v: &Version<IvKey, u64, MaxEndAug>, p: u64, out: &mut Vec<(u64, u64, u64)>) {
+fn stab_rec(v: VersionRef<'_, IvKey, u64, MaxEndAug>, p: u64, out: &mut Vec<(u64, u64, u64)>) {
     // Prune: nothing below ends at/after p.
-    if v.aug < p {
+    if *v.aug() < p {
         return;
     }
-    if v.is_leaf() {
-        if let (Some((start, id)), Some(end)) = (v.key.as_key(), v.value.as_ref()) {
+    let VersionRef::Internal(n) = v else {
+        if let (Some((start, id)), Some(end)) = (v.key().as_key(), v.value()) {
             if *start <= p && p <= *end {
                 out.push((*start, *end, *id));
             }
         }
         return;
-    }
+    };
     // Left subtree may always contain a stabbing interval (starts < key).
-    stab_rec(v.left_version(), p, out);
+    stab_rec(n.left(), p, out);
     // Right subtree only if some interval there starts ≤ p: right keys
-    // are ≥ v.key, so if v.key.0 > p nothing right can start ≤ p…
-    // except v.key is (start, id); compare starts.
-    let go_right = match &v.key {
+    // are ≥ n.key, so if n.key.0 > p nothing right can start ≤ p…
+    // except n.key is (start, id); compare starts.
+    let go_right = match &n.key {
         chromatic::SentKey::Key((s, _)) => *s <= p,
         // Sentinel-keyed internals can still have real left-side content
         // hanging right of them only for sentinel leaves; descend — the
@@ -117,7 +117,7 @@ fn stab_rec(v: &Version<IvKey, u64, MaxEndAug>, p: u64, out: &mut Vec<(u64, u64,
         _ => true,
     };
     if go_right {
-        stab_rec(v.right_version(), p, out);
+        stab_rec(n.right(), p, out);
     }
 }
 

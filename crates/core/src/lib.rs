@@ -25,11 +25,14 @@
 //! ## How it works (paper §4)
 //!
 //! Updates run on a lock-free chromatic tree (crate `chromatic`, after
-//! \[7\]). Every node carries a pointer to an immutable [`version::Version`]
-//! holding its supplementary fields; newly created internal nodes start
-//! with *nil* versions (Definition 1), which exempts fresh rotation
-//! patches from consistency obligations until their values are
-//! recomputed on demand. After each update, `Propagate` carries the
+//! \[7\]). Every internal node carries a pointer to an immutable
+//! [`version::Version`] holding its supplementary fields; newly created
+//! internal nodes start with *nil* versions (Definition 1, rule 3), which
+//! exempts fresh rotation patches from consistency obligations until their
+//! values are recomputed on demand. A leaf is born as its own version
+//! (rules 1–2): its key and value never change, so it is all a version of
+//! it would hold, and an internal version points to a leaf child as the
+//! leaf node itself ([`version::VersionRef`]). After each update, `Propagate` carries the
 //! change to the root with cooperative double-refreshes; an update
 //! linearizes when it *arrives at the root*. Queries linearize when they
 //! read the root's version — obtaining a frozen snapshot on which purely

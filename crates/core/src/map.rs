@@ -1,7 +1,8 @@
 //! The public BAT API: [`BatMap`] and [`BatSet`].
 //!
 //! `Insert`/`Delete` run the chromatic-tree update (with Definition 1's
-//! version initialization applied to every allocated node via the plugin),
+//! version initialization applied to every allocated node via the plugin:
+//! a new internal node starts nil, a new leaf is born as its own version),
 //! then call `Propagate`, which carries the update to the root: an
 //! effective update linearizes when it *arrives* there (§4.1). Queries
 //! take a [`Snapshot`] and run sequential algorithms on it; `Find`

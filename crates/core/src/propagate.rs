@@ -34,7 +34,7 @@ use chromatic::SentKey;
 use ebr::Guard;
 
 use crate::augment::Augmentation;
-use crate::refresh::{refresh_top, BatNode};
+use crate::refresh::{current_version, refresh_top, BatNode};
 use crate::stats::{BatStats, Counter, StatsLocal};
 use crate::version::{PropStatus, Version};
 
@@ -206,6 +206,15 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
     waited
 }
 
+/// The nil fills a propagate is expected to make beyond its path's
+/// refreshes, rounded up: `core.nil_fixes_per_propagate` reads ≈ 1.7 on the
+/// benchmark's `bat-update` — an insert's new parent is born nil, and so is
+/// each internal node a rebalancing step rebuilds. Each fill builds one
+/// `Version`, as each refresh does; [`warm_up`] sizes its pool prefetch by
+/// the two.
+#[cfg(not(feature = "sched-test"))]
+const EXPECTED_NIL_FILLS: usize = 2;
+
 /// Read-only prelude of an update: start, early and side by side, the cache
 /// misses the coming [`propagate`]`(entry, key)` would take one by one.
 ///
@@ -213,13 +222,17 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
 /// child — every line the node overlaps, one for a pooled node of at most
 /// 64 bytes, since pool blocks are line-aligned — and remembers it; these
 /// misses overlap the walk's own pointer chase. It also prefetches each
-/// on-path node's own version, whose pointer sits in the line the walk just
-/// loaded: those versions are what a no-op update's root check descends
-/// (see [`crate::map`]). Then it has `ebr::pool` write-prefetch the free
-/// blocks the path's new versions (and the update's two leaf versions) will
-/// be built in, and in a second pass, the sibling nodes having arrived,
-/// reads each one's version pointer and prefetches that version. The
-/// refresh chain, or the root check, then runs on warm lines.
+/// on-path internal node's own version, whose pointer sits in the line the
+/// walk just loaded: those versions are what a no-op update's root check
+/// descends (see [`crate::map`]). Then it has `ebr::pool` write-prefetch the free
+/// blocks the update's new versions will be built in — one per node on the
+/// path, plus the nil fills it is expected to make (`EXPECTED_NIL_FILLS`;
+/// a leaf is its own version, so the update builds none for its leaves) —
+/// and in a second pass, the sibling nodes having arrived, reads each
+/// internal one's version pointer and prefetches that version (a leaf
+/// sibling's line, which already holds all a refresh reads of it, is in
+/// flight from the first pass). The refresh chain, or the root check, then
+/// runs on warm lines.
 ///
 /// A pure hint: it CASes nothing, touches no [`BatStats`] counter, and what
 /// it reads may be stale by the time `propagate` runs — `propagate` rereads
@@ -262,8 +275,9 @@ where
             depth += 1;
             node = on;
         }
-        prefetch_version(node);
-        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + 2);
+        // `node` is the leaf, which has no version (or the depth cut, past
+        // which the walk prefetches nothing).
+        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + EXPECTED_NIL_FILLS);
         for sibling in siblings[..depth].iter().flatten() {
             prefetch_version(sibling);
         }
@@ -365,7 +379,7 @@ pub fn propagate<K, V, A>(
                         // Stability check (line 24): the children's
                         // *current* versions must equal what we read.
                         let (l, rn) = (top.left(guard), top.right(guard));
-                        if l.plugin.load() == r.vl && rn.plugin.load() == r.vr {
+                        if current_version(l) == r.vl && current_version(rn) == r.vr {
                             break;
                         }
                         continue;

@@ -17,7 +17,7 @@ use ebr::Guard;
 
 use crate::augment::Augmentation;
 use crate::stats::{Counter, StatsLocal};
-use crate::version::{dispose_version, Version, VersionSlot};
+use crate::version::{dispose_version, Version, VersionRef, VersionSlot};
 
 /// A node of the augmented tree: a chromatic node whose plugin slot is the
 /// version pointer.
@@ -51,8 +51,9 @@ pub struct RefreshOutcome {
     /// On failure: the `PropStatus` of the propagate whose refresh beat us
     /// (0 if unavailable) — the delegation target.
     pub blocker: u64,
-    /// The left/right child versions read by this refresh (for
-    /// BAT-EagerDel's stability check, Fig. 14 line 24).
+    /// What stood for the left/right child in this refresh — a version, or
+    /// a leaf node (for BAT-EagerDel's stability check, Fig. 14 line 24,
+    /// which compares them with the children's current versions).
     pub vl: u64,
     pub vr: u64,
 }
@@ -75,15 +76,16 @@ where
     v
 }
 
-/// The version of the child `link` (`Node::left` or `Node::right`) names,
-/// read consistently with the link: re-check the link after obtaining the
-/// version (Fig. 12 lines 19–22).
+/// What stands for the child `link` (`Node::left` or `Node::right`) names
+/// in the version tree: the leaf itself for a leaf child (a leaf is its own
+/// version), else the child's version, read consistently with the link —
+/// re-check the link after obtaining the version (Fig. 12 lines 19–22).
 fn child_version<'g, K, V, A>(
     x: &'g BatNode<K, V, A>,
     link: impl Fn(&'g BatNode<K, V, A>, &'g Guard) -> &'g BatNode<K, V, A>,
     h: &StatsLocal<'_>,
     guard: &'g Guard,
-) -> u64
+) -> VersionRef<'g, K, V, A>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -91,10 +93,29 @@ where
 {
     loop {
         let child = link(x, guard);
+        if child.is_leaf() {
+            return VersionRef::Leaf(child);
+        }
         let v = read_version(child, h, guard);
         if std::ptr::eq(link(x, guard), child) {
-            return v;
+            // SAFETY: `read_version` returned it under `guard`'s pin.
+            return VersionRef::Internal(unsafe { Version::from_raw(v) });
         }
+    }
+}
+
+/// The version `node` stands for right now: the node itself if it is a
+/// leaf, else its slot (0 = nil). What BAT-EagerDel's stability check
+/// compares with a refresh's [`RefreshOutcome::vl`] / `vr`.
+#[inline]
+pub(crate) fn current_version<K, V, A>(node: &BatNode<K, V, A>) -> u64
+where
+    A: Augmentation<K, V>,
+{
+    if node.is_leaf() {
+        node.as_raw()
+    } else {
+        node.plugin.load()
     }
 }
 
@@ -112,12 +133,14 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    debug_assert!(!x.is_leaf(), "leaves always carry versions (Obs. 13)");
+    debug_assert!(
+        !x.is_leaf(),
+        "a leaf is born as its own version and is never nil (Obs. 13)"
+    );
     Counter::NilFixes.bump(h);
     let vl = child_version(x, BatNode::left, h, guard);
     let vr = child_version(x, BatNode::right, h, guard);
-    // SAFETY: `read_version` returned both under `guard`'s pin.
-    let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, 0) } as u64;
+    let new = Version::<K, V, A>::combine(x.key(), vl, vr, 0) as u64;
     Counter::CasAttempts.bump(h);
     if x.plugin.cas(0, new).is_err() {
         // SAFETY: another thread fixed the nil pointer first, so `new` was
@@ -141,10 +164,12 @@ where
     A: Augmentation<K, V>,
 {
     let old = read_version(x, h, guard);
-    let vl = child_version(x, BatNode::left, h, guard);
-    let vr = child_version(x, BatNode::right, h, guard);
-    // SAFETY: `read_version` returned both under `guard`'s pin.
-    let new = unsafe { Version::<K, V, A>::combine(x.key(), vl, vr, status) } as u64;
+    let (l, r) = (
+        child_version(x, BatNode::left, h, guard),
+        child_version(x, BatNode::right, h, guard),
+    );
+    let new = Version::<K, V, A>::combine(x.key(), l, r, status) as u64;
+    let (vl, vr) = (l.as_raw(), r.as_raw());
     Counter::CasAttempts.bump(h);
     match x.plugin.cas(old, new) {
         Ok(()) => RefreshOutcome {
@@ -212,7 +237,8 @@ mod tests {
         // that's expected: information flows only via refreshes.
         // Refresh bottom-up manually by refreshing the entry: a refresh of
         // the entry reads its children's *current* versions, which are
-        // stale too, except where patches created fresh leaf versions.
+        // stale too, except where patches created fresh leaves (each its
+        // own version).
         // A full propagate is exercised in propagate.rs tests; here we
         // check refresh_top's CAS mechanics only.
         let r1 = refresh_top(tree.entry(), 0, &stats.local(), &guard);
@@ -246,9 +272,13 @@ mod tests {
             ebr::pool::retire_pooled(&guard, rb.replaced as *mut Version<u64, u64, SizeOnly>)
         };
         // Now a stale CAS from `old` must fail and report `ps`.
-        let new =
-            unsafe { Version::<u64, u64, SizeOnly>::combine(tree.entry().key(), rb.vl, rb.vr, 0) }
-                as u64;
+        let h = stats.local();
+        let (l, r) = (
+            child_version(tree.entry(), BatNode::left, &h, &guard),
+            child_version(tree.entry(), BatNode::right, &h, &guard),
+        );
+        assert_eq!((l.as_raw(), r.as_raw()), (rb.vl, rb.vr));
+        let new = Version::<u64, u64, SizeOnly>::combine(tree.entry().key(), l, r, 0) as u64;
         match tree.entry().plugin.cas(old, new) {
             Ok(()) => panic!("stale CAS must fail"),
             Err(cur) => {

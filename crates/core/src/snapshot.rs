@@ -8,7 +8,8 @@
 //!
 //! At 2^19 keys each step of a descent is a dependent cache miss, so the
 //! descents keep two in flight instead of one: every internal version's two
-//! children are prefetched before the descent branches, and a range query
+//! children — versions, or leaf nodes, each its own version — are
+//! prefetched before the descent branches, and a range query
 //! walks its two boundary paths in one loop, one step of each in turn (see
 //! [`Snapshot::range_count`]). This is sequential code over one snapshot:
 //! the linearization point stays the root read, every version it
@@ -24,7 +25,7 @@ use std::cmp::Ordering as Ord_;
 use chromatic::SentKey;
 
 use crate::augment::Augmentation;
-use crate::version::Version;
+use crate::version::{Version, VersionRef};
 
 /// An immutable snapshot of the set, as of the moment it was taken (its
 /// linearization point is the read of the root's version pointer).
@@ -44,17 +45,6 @@ fn cmp_key<K: Ord>(k: &K, vkey: &SentKey<K>) -> Ord_ {
     }
 }
 
-/// Ask the cache for both child versions of the internal version `v`
-/// before the descent decides which one it follows. The turn then waits on
-/// a line already in flight, and `select`'s read of the left child's size
-/// overlaps the fetch of the right child. A prefetch never faults and
-/// reads nothing the program sees; see [`ebr::prefetch`].
-#[inline(always)]
-fn prefetch_children<K, V, A: Augmentation<K, V>>(v: &Version<K, V, A>) {
-    ebr::prefetch::<Version<K, V, A>, false>(v.left);
-    ebr::prefetch::<Version<K, V, A>, false>(v.right);
-}
-
 /// The pieces of `[lo, hi]` (`lo <= hi`) on the version tree below `root`,
 /// found by one walk over the two boundary paths. The walk descends once
 /// while `lo` and `hi` route the same way: `lo` goes left iff
@@ -72,13 +62,13 @@ fn prefetch_children<K, V, A: Augmentation<K, V>>(v: &Version<K, V, A>) {
 /// Every piece lies wholly inside the range and they partition it: the
 /// `lo` side arrives right to left, the `hi` side left to right, and every
 /// `lo` piece precedes every `hi` piece in key order.
-fn walk_range<K, V, A, R>(
-    root: &Version<K, V, A>,
+fn walk_range<'v, K, V, A, R>(
+    root: &'v Version<K, V, A>,
     lo: &K,
     hi: &K,
     (mut acc_lo, mut acc_hi): (R, R),
-    lo_piece: impl Fn(&Version<K, V, A>, R) -> R,
-    hi_piece: impl Fn(R, &Version<K, V, A>) -> R,
+    lo_piece: impl Fn(VersionRef<'v, K, V, A>, R) -> R,
+    hi_piece: impl Fn(R, VersionRef<'v, K, V, A>) -> R,
 ) -> (R, R)
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -87,40 +77,41 @@ where
 {
     let lo_left = |v: &Version<K, V, A>| cmp_key(lo, &v.key) != Ord_::Greater;
     let hi_left = |v: &Version<K, V, A>| cmp_key(hi, &v.key) == Ord_::Less;
-    let in_range = |v: &Version<K, V, A>| v.key.as_key().is_some_and(|k| lo <= k && k <= hi);
-    let mut v = root;
-    loop {
-        if v.is_leaf() {
+    let in_range =
+        |v: VersionRef<'v, K, V, A>| v.key().as_key().is_some_and(|k| lo <= k && k <= hi);
+    let mut v = VersionRef::Internal(root);
+    let split = loop {
+        let VersionRef::Internal(n) = v else {
             if in_range(v) {
                 acc_lo = lo_piece(v, acc_lo);
             }
             return (acc_lo, acc_hi);
+        };
+        n.prefetch_children();
+        match (lo_left(n), hi_left(n)) {
+            (true, true) => v = n.left(),
+            (false, false) => v = n.right(),
+            _ => break n,
         }
-        prefetch_children(v);
-        match (lo_left(v), hi_left(v)) {
-            (true, true) => v = v.left_version(),
-            (false, false) => v = v.right_version(),
-            _ => break,
-        }
-    }
-    let (mut a, mut b) = (v.left_version(), v.right_version());
+    };
+    let (mut a, mut b) = (split.left(), split.right());
     while !(a.is_leaf() && b.is_leaf()) {
-        if !a.is_leaf() {
-            prefetch_children(a);
-            if lo_left(a) {
-                acc_lo = lo_piece(a.right_version(), acc_lo);
-                a = a.left_version();
+        if let VersionRef::Internal(n) = a {
+            n.prefetch_children();
+            if lo_left(n) {
+                acc_lo = lo_piece(n.right(), acc_lo);
+                a = n.left();
             } else {
-                a = a.right_version();
+                a = n.right();
             }
         }
-        if !b.is_leaf() {
-            prefetch_children(b);
-            if hi_left(b) {
-                b = b.left_version();
+        if let VersionRef::Internal(n) = b {
+            n.prefetch_children();
+            if hi_left(n) {
+                b = n.left();
             } else {
-                acc_hi = hi_piece(acc_hi, b.left_version());
-                b = b.right_version();
+                acc_hi = hi_piece(acc_hi, n.left());
+                b = n.right();
             }
         }
     }
@@ -134,29 +125,29 @@ where
 }
 
 /// `Find`'s descent (paper Fig. 3 lines 25–31) on the version tree below
-/// `root`: the leaf version holding `k`, if any. Shared by
-/// [`Snapshot::contains`] / [`Snapshot::get`] and the root check of a
-/// no-op update ([`crate::map::BatMap::insert`]), which reads the root
-/// under the update's own guard.
+/// `root`: the leaf holding `k`, if any. Shared by [`Snapshot::contains`] /
+/// [`Snapshot::get`] and the root check of a no-op update
+/// ([`crate::map::BatMap::insert`]), which reads the root under the
+/// update's own guard.
 pub(crate) fn find_leaf<'v, K, V, A>(
     root: &'v Version<K, V, A>,
     k: &K,
-) -> Option<&'v Version<K, V, A>>
+) -> Option<VersionRef<'v, K, V, A>>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    let mut v = root;
-    while !v.is_leaf() {
-        prefetch_children(v);
-        v = if cmp_key(k, &v.key) == Ord_::Less {
-            v.left_version()
+    let mut v = VersionRef::Internal(root);
+    while let VersionRef::Internal(n) = v {
+        n.prefetch_children();
+        v = if cmp_key(k, &n.key) == Ord_::Less {
+            n.left()
         } else {
-            v.right_version()
+            n.right()
         };
     }
-    (v.key.as_key() == Some(k)).then_some(v)
+    (v.key().as_key() == Some(k)).then_some(v)
 }
 
 impl<K, V, A> Snapshot<K, V, A>
@@ -183,12 +174,12 @@ where
         unsafe { Version::from_raw(self.root) }
     }
 
-    /// The snapshot's root version, for custom sequential descents over
-    /// the frozen version tree (e.g. the interval stabbing query in
+    /// The snapshot's root, for custom sequential descents over the frozen
+    /// version tree (e.g. the interval stabbing query in
     /// [`crate::interval`]). The reference is valid for the snapshot's
     /// lifetime; the version tree below it is immutable.
-    pub fn root_version(&self) -> &Version<K, V, A> {
-        self.root()
+    pub fn root_version(&self) -> VersionRef<'_, K, V, A> {
+        VersionRef::Internal(self.root())
     }
 
     /// The snapshot's root version pointer as an opaque token. Two
@@ -230,26 +221,26 @@ where
 
     /// Point lookup returning the stored value.
     pub fn get(&self, k: &K) -> Option<V> {
-        find_leaf(self.root(), k)?.value.clone()
+        find_leaf(self.root(), k)?.value().cloned()
     }
 
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.
     /// One root-to-leaf descent, O(height).
     pub fn rank(&self, k: &K) -> u64 {
         let mut count = 0u64;
-        let mut v = self.root();
-        while !v.is_leaf() {
-            prefetch_children(v);
-            if cmp_key(k, &v.key) == Ord_::Less {
-                v = v.left_version();
+        let mut v = self.root_version();
+        while let VersionRef::Internal(n) = v {
+            n.prefetch_children();
+            if cmp_key(k, &n.key) == Ord_::Less {
+                v = n.left();
             } else {
-                count += v.left_version().size;
-                v = v.right_version();
+                count += n.left().size();
+                v = n.right();
             }
         }
-        if let Some(lk) = v.key.as_key() {
+        if let Some(lk) = v.key().as_key() {
             if lk <= k {
-                count += v.size; // 1 for a real leaf
+                count += v.size(); // 1 for a real leaf
             }
         }
         count
@@ -258,20 +249,20 @@ where
     /// The number of keys strictly less than `k`.
     pub fn rank_exclusive(&self, k: &K) -> u64 {
         let mut count = 0u64;
-        let mut v = self.root();
-        while !v.is_leaf() {
-            prefetch_children(v);
-            // Left subtree keys are < v.key; all are < k iff v.key ≤ k.
-            if cmp_key(k, &v.key) != Ord_::Greater {
-                v = v.left_version();
+        let mut v = self.root_version();
+        while let VersionRef::Internal(n) = v {
+            n.prefetch_children();
+            // Left subtree keys are < n.key; all are < k iff n.key ≤ k.
+            if cmp_key(k, &n.key) != Ord_::Greater {
+                v = n.left();
             } else {
-                count += v.left_version().size;
-                v = v.right_version();
+                count += n.left().size();
+                v = n.right();
             }
         }
-        if let Some(lk) = v.key.as_key() {
+        if let Some(lk) = v.key().as_key() {
             if lk < k {
-                count += v.size;
+                count += v.size();
             }
         }
         count
@@ -280,22 +271,23 @@ where
     /// Select query: the `i`-th smallest key (0-indexed) and its value.
     /// One descent guided by size fields, O(height).
     pub fn select(&self, mut i: u64) -> Option<(K, V)> {
-        let mut v = self.root();
-        if i >= v.size {
+        let mut v = self.root_version();
+        if i >= v.size() {
             return None;
         }
-        while !v.is_leaf() {
-            prefetch_children(v);
-            let lsz = v.left_version().size;
+        while let VersionRef::Internal(n) = v {
+            n.prefetch_children();
+            let left = n.left();
+            let lsz = left.size();
             if i < lsz {
-                v = v.left_version();
+                v = left;
             } else {
                 i -= lsz;
-                v = v.right_version();
+                v = n.right();
             }
         }
-        debug_assert_eq!(v.size, 1);
-        Some((v.key.as_key()?.clone(), v.value.clone()?))
+        debug_assert_eq!(v.size(), 1);
+        Some((v.key().as_key()?.clone(), v.value()?.clone()))
     }
 
     /// Count of keys in `[lo, hi]`, O(height): the sizes of the subtrees
@@ -312,8 +304,8 @@ where
             lo,
             hi,
             (0, 0),
-            |v, acc| acc + v.size,
-            |acc, v| acc + v.size,
+            |v, acc| acc + v.size(),
+            |acc, v| acc + v.size(),
         );
         l + h
     }
@@ -334,8 +326,8 @@ where
             lo,
             hi,
             (A::sentinel(), A::sentinel()),
-            |v, acc| A::combine(&v.aug, &acc),
-            |acc, v| A::combine(&acc, &v.aug),
+            |v, acc| A::combine(&v.aug(), &acc),
+            |acc, v| A::combine(&acc, &v.aug()),
         );
         A::combine(&l, &h)
     }
@@ -344,29 +336,29 @@ where
     /// output) — the materializing variant of a range query.
     pub fn range_collect(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        fn walk<K, V, A>(v: &Version<K, V, A>, lo: &K, hi: &K, out: &mut Vec<(K, V)>)
+        fn walk<K, V, A>(v: VersionRef<'_, K, V, A>, lo: &K, hi: &K, out: &mut Vec<(K, V)>)
         where
             K: Ord + Clone + Send + Sync + 'static,
             V: Clone + Send + Sync + 'static,
             A: Augmentation<K, V>,
         {
-            if v.is_leaf() {
-                if let (Some(k), Some(val)) = (v.key.as_key(), v.value.as_ref()) {
+            let VersionRef::Internal(n) = v else {
+                if let (Some(k), Some(val)) = (v.key().as_key(), v.value()) {
                     if k >= lo && k <= hi {
                         out.push((k.clone(), val.clone()));
                     }
                 }
                 return;
+            };
+            if cmp_key(lo, &n.key) == Ord_::Less {
+                walk(n.left(), lo, hi, out);
             }
-            if cmp_key(lo, &v.key) == Ord_::Less {
-                walk(v.left_version(), lo, hi, out);
-            }
-            if cmp_key(hi, &v.key) != Ord_::Less {
-                walk(v.right_version(), lo, hi, out);
+            if cmp_key(hi, &n.key) != Ord_::Less {
+                walk(n.right(), lo, hi, out);
             }
         }
         if lo <= hi {
-            walk(self.root(), lo, hi, &mut out);
+            walk(self.root_version(), lo, hi, &mut out);
         }
         out
     }
@@ -374,7 +366,7 @@ where
     /// In-order iterator over all `(key, value)` pairs in the snapshot.
     pub fn iter(&self) -> SnapIter<'_, K, V, A> {
         SnapIter {
-            stack: vec![self.root()],
+            stack: vec![self.root_version()],
         }
     }
 
@@ -386,7 +378,7 @@ where
 
 /// In-order traversal over a snapshot's real leaves.
 pub struct SnapIter<'s, K, V, A: Augmentation<K, V>> {
-    stack: Vec<&'s Version<K, V, A>>,
+    stack: Vec<VersionRef<'s, K, V, A>>,
 }
 
 impl<'s, K, V, A> Iterator for SnapIter<'s, K, V, A>
@@ -399,15 +391,15 @@ where
 
     fn next(&mut self) -> Option<(K, V)> {
         while let Some(v) = self.stack.pop() {
-            if v.is_leaf() {
-                if let (Some(k), Some(val)) = (v.key.as_key(), v.value.as_ref()) {
+            let VersionRef::Internal(n) = v else {
+                if let (Some(k), Some(val)) = (v.key().as_key(), v.value()) {
                     return Some((k.clone(), val.clone()));
                 }
                 continue; // sentinel leaf
-            }
+            };
             // Right first so the left is popped (visited) first.
-            self.stack.push(v.right_version());
-            self.stack.push(v.left_version());
+            self.stack.push(n.right());
+            self.stack.push(n.left());
         }
         None
     }

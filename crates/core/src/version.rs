@@ -1,22 +1,30 @@
 //! Version objects, the version-pointer node plugin, and `PropStatus`.
 //!
-//! Each node points to a [`Version`] storing its supplementary fields
-//! (paper Fig. 3: key, size, child-version pointers — extended here with
-//! the generic augmentation value and, for leaves, the user value). The
-//! versions of a snapshot form an immutable BST (the *version tree*)
-//! mirroring the node tree (Fig. 4a). Queries read the root's version and
-//! run sequential algorithms on the frozen version tree.
+//! Each internal node points to a [`Version`] storing its supplementary
+//! fields (paper Fig. 3: key, size, child-version pointers — extended here
+//! with the generic augmentation value). A leaf is born as its own version
+//! (Definition 1, rules 1–2): its key and value are immutable, its size is
+//! 1 (0 for a sentinel) and its augmentation value is `A::leaf(key, value)`
+//! (`A::sentinel()`), so an internal version points to a leaf child as the
+//! leaf node itself, and [`VersionRef`] reads either kind. The versions of
+//! a snapshot and the leaves they name form an immutable BST (the *version
+//! tree*) mirroring the node tree (Fig. 4a). Queries read the root's
+//! version and run sequential algorithms on the frozen version tree.
 //!
 //! [`PropStatus`] is the delegation handshake object of §5 / Fig. 11: each
 //! `Propagate` owns one; every version records the `PropStatus` of the
 //! propagate whose refresh created it, so a failed refresher can find the
 //! operation that beat it and delegate.
 
+use std::borrow::Cow;
+use std::marker::PhantomData;
+
 use sched::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use chromatic::{NodePlugin, SentKey};
 
 use crate::augment::Augmentation;
+use crate::refresh::BatNode;
 
 /// Delegation status of one `Propagate` call (paper Fig. 11).
 pub struct PropStatus {
@@ -57,10 +65,20 @@ impl Default for PropStatus {
     }
 }
 
-/// One immutable version of a node's supplementary fields.
+/// Bit of [`Version`]'s `leaf_children` set when `left` names a leaf node.
+const LEFT_LEAF: u8 = 1;
+/// Bit of [`Version`]'s `leaf_children` set when `right` names a leaf node.
+const RIGHT_LEAF: u8 = 2;
+
+/// One immutable version of an internal node's supplementary fields.
 ///
-/// `left`/`right` point to child versions (null for leaf versions), so a
-/// version is the root of an entire immutable snapshot of its subtree.
+/// `left`/`right` point to what stands for each child in the version tree:
+/// a child version, or — for a leaf child — the leaf node itself, since a
+/// leaf is born as its own version (Definition 1, rules 1–2: a leaf's key
+/// and value never change, and its size and augmentation value follow from
+/// them). Two bits of padding say which; the pointers stay untagged, so the
+/// debug fences' alignment test still tells poison from a pointer. A
+/// version is thus the root of an entire immutable snapshot of its subtree.
 pub struct Version<K, V, A: Augmentation<K, V>> {
     /// Key of the node this version was created for.
     pub key: SentKey<K>,
@@ -68,14 +86,15 @@ pub struct Version<K, V, A: Augmentation<K, V>> {
     pub size: u64,
     /// The generic augmentation value.
     pub aug: A::Value,
-    /// Leaf payload (real leaves only), so snapshots can answer `get`.
-    pub value: Option<V>,
-    /// Child versions (null for leaves).
-    pub left: u64, // *const Version
-    pub right: u64, // *const Version
+    /// The children: `*const Version`, or `*const BatNode` for a leaf.
+    left: u64,
+    right: u64,
     /// The PropStatus of the propagate that installed this version (null
     /// for versions made by recursive nil-refreshes or plain propagates).
     pub status: u64, // *const PropStatus
+    /// [`LEFT_LEAF`] | [`RIGHT_LEAF`]: which children are leaf nodes.
+    leaf_children: u8,
+    _value: PhantomData<V>,
 }
 
 impl<K, V, A> Version<K, V, A>
@@ -84,58 +103,28 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    /// Version for a real leaf (Definition 1, rule 1): size 1.
-    pub fn for_leaf(key: &K, value: &V) -> *mut Self {
-        ebr::pool::alloc_pooled(Version {
-            key: SentKey::Key(key.clone()),
-            size: 1,
-            aug: A::leaf(key, value),
-            value: Some(value.clone()),
-            left: 0,
-            right: 0,
-            status: 0,
-        })
-    }
-
-    /// Version for a sentinel leaf (Definition 1, rule 2): size 0.
-    pub fn for_sentinel(key: &SentKey<K>) -> *mut Self {
+    /// Version for an internal node, combining what stands for its two
+    /// children (refresh, Fig. 3 line 67 / Fig. 12 line 44).
+    pub fn combine(
+        key: &SentKey<K>,
+        l: VersionRef<'_, K, V, A>,
+        r: VersionRef<'_, K, V, A>,
+        status: u64,
+    ) -> *mut Self {
         ebr::pool::alloc_pooled(Version {
             key: key.clone(),
-            size: 0,
-            aug: A::sentinel(),
-            value: None,
-            left: 0,
-            right: 0,
-            status: 0,
-        })
-    }
-
-    /// Version for an internal node, combining two child versions
-    /// (refresh, Fig. 3 line 67 / Fig. 12 line 44).
-    ///
-    /// # Safety
-    /// `vl`/`vr` must point to versions protected by the current epoch.
-    pub unsafe fn combine(key: &SentKey<K>, vl: u64, vr: u64, status: u64) -> *mut Self {
-        // SAFETY: the caller's contract, for both.
-        // guard: the caller's pin (`# Safety`); no reference escapes.
-        let (l, r) = unsafe { (&*(vl as *const Self), &*(vr as *const Self)) };
-        ebr::pool::alloc_pooled(Version {
-            key: key.clone(),
-            size: l.size + r.size,
-            aug: A::combine(&l.aug, &r.aug),
-            value: None,
-            left: vl,
-            right: vr,
+            size: l.size() + r.size(),
+            aug: A::combine(&l.aug(), &r.aug()),
+            left: l.as_raw(),
+            right: r.as_raw(),
             status,
+            leaf_children: (l.is_leaf() as u8 * LEFT_LEAF) | (r.is_leaf() as u8 * RIGHT_LEAF),
+            _value: PhantomData,
         })
     }
+}
 
-    /// True for leaf versions.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.left == 0
-    }
-
+impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     /// Dereference a raw version pointer.
     ///
     /// # Safety
@@ -148,32 +137,172 @@ where
         unsafe { &*(raw as *const Self) }
     }
 
-    /// Left child version (panics on leaves in debug).
+    /// What stands for the left child.
     #[inline]
-    pub fn left_version(&self) -> &Self {
+    pub fn left(&self) -> VersionRef<'_, K, V, A> {
         // SAFETY: versions are immutable, and one is retired only once it
         // is unreachable from the entry's current version (§6) — so all
         // that a version reachable at some moment of a pin points to was
         // un-retired at that moment, and the pin that protects `self`
-        // protects its children.
+        // protects its children. A leaf child is no exception: it is
+        // reclaimed a grace period after nothing reachable names it
+        // (`NodePlugin::LEAVES_OUTLIVE_UNLINK`), as a version is.
         // guard: the one `&self` was obtained under.
-        unsafe { Self::from_raw(self.left) }
+        unsafe { VersionRef::from_raw(self.left, self.leaf_children & LEFT_LEAF != 0) }
     }
 
-    /// Right child version.
+    /// What stands for the right child.
     #[inline]
-    pub fn right_version(&self) -> &Self {
-        // SAFETY: as for `left_version`.
+    pub fn right(&self) -> VersionRef<'_, K, V, A> {
+        // SAFETY: as for `left`.
         // guard: the one `&self` was obtained under.
-        unsafe { Self::from_raw(self.right) }
+        unsafe { VersionRef::from_raw(self.right, self.leaf_children & RIGHT_LEAF != 0) }
+    }
+
+    /// Ask the cache for both children before a descent decides which one
+    /// it follows: the turn then waits on a line already in flight, and
+    /// `select`'s read of the left child's size overlaps the fetch of the
+    /// right one. A prefetch never faults and reads nothing the program
+    /// sees; see [`ebr::prefetch`].
+    #[inline(always)]
+    pub(crate) fn prefetch_children(&self) {
+        let prefetch = |raw, bit| {
+            if self.leaf_children & bit != 0 {
+                ebr::prefetch::<BatNode<K, V, A>, false>(raw);
+            } else {
+                ebr::prefetch::<Self, false>(raw);
+            }
+        };
+        prefetch(self.left, LEFT_LEAF);
+        prefetch(self.right, RIGHT_LEAF);
+    }
+}
+
+/// A vertex of the version tree as a reader meets it: an internal
+/// [`Version`], or a leaf node, which is its own version (Definition 1,
+/// rules 1–2). Queries step through these, so a walk keeps the shape it
+/// had over a tree of versions alone.
+pub enum VersionRef<'g, K, V, A: Augmentation<K, V>> {
+    /// A leaf: size 1 and `A::leaf(key, value)` for a real key, size 0 and
+    /// `A::sentinel()` for a sentinel.
+    Leaf(&'g BatNode<K, V, A>),
+    /// An internal node's version.
+    Internal(&'g Version<K, V, A>),
+}
+
+impl<K, V, A: Augmentation<K, V>> Clone for VersionRef<'_, K, V, A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, V, A: Augmentation<K, V>> Copy for VersionRef<'_, K, V, A> {}
+
+impl<'g, K, V, A: Augmentation<K, V>> VersionRef<'g, K, V, A> {
+    /// Dereference a child pointer of a version.
+    ///
+    /// # Safety
+    /// `raw` non-null and epoch-protected; `leaf` says whether it names a
+    /// leaf node or a version.
+    #[inline]
+    pub(crate) unsafe fn from_raw(raw: u64, leaf: bool) -> Self {
+        if !leaf {
+            // SAFETY: the caller's contract.
+            // guard: the caller's pin (`# Safety`).
+            return VersionRef::Internal(unsafe { Version::from_raw(raw) });
+        }
+        // SAFETY: the caller's contract.
+        // guard: the caller's pin (`# Safety`).
+        let node = unsafe { &*(raw as *const BatNode<K, V, A>) };
+        fence_leaf(node);
+        VersionRef::Leaf(node)
+    }
+
+    /// The leaf's key and value when it holds a real key.
+    #[inline]
+    fn leaf_entry(node: &'g BatNode<K, V, A>) -> Option<(&'g K, &'g V)> {
+        node.key().as_key().zip(node.value())
+    }
+
+    /// True for a leaf.
+    #[inline]
+    pub fn is_leaf(&self) -> bool {
+        matches!(self, VersionRef::Leaf(_))
+    }
+
+    /// The key of the node this stands for.
+    #[inline]
+    pub fn key(&self) -> &'g SentKey<K> {
+        match *self {
+            VersionRef::Leaf(node) => node.key(),
+            VersionRef::Internal(v) => &v.key,
+        }
+    }
+
+    /// Number of real keys below (the paper's `size` field).
+    #[inline]
+    pub fn size(&self) -> u64 {
+        match *self {
+            VersionRef::Leaf(node) => Self::leaf_entry(node).is_some() as u64,
+            VersionRef::Internal(v) => v.size,
+        }
+    }
+
+    /// The augmentation value: stored by a version, computed for a leaf.
+    #[inline]
+    pub fn aug(&self) -> Cow<'g, A::Value> {
+        match *self {
+            VersionRef::Leaf(node) => Cow::Owned(
+                Self::leaf_entry(node).map_or_else(A::sentinel, |(k, val)| A::leaf(k, val)),
+            ),
+            VersionRef::Internal(v) => Cow::Borrowed(&v.aug),
+        }
+    }
+
+    /// The payload of a real leaf, so snapshots can answer `get`.
+    #[inline]
+    pub fn value(&self) -> Option<&'g V> {
+        match *self {
+            VersionRef::Leaf(node) => Self::leaf_entry(node).map(|(_, val)| val),
+            VersionRef::Internal(_) => None,
+        }
+    }
+
+    /// The address this stands at: a leaf node's, or a version's.
+    #[inline]
+    pub fn as_raw(&self) -> u64 {
+        match *self {
+            VersionRef::Leaf(node) => node.as_raw(),
+            VersionRef::Internal(v) => v as *const Version<K, V, A> as u64,
+        }
+    }
+}
+
+/// Debug fence for a leaf reached through a version, the companion of
+/// [`crate::refresh::fence_version_ptr`]: a leaf reclaimed while a snapshot
+/// could still reach it reads [`ebr::pool`]'s `0xDD…` poison, or a reused
+/// block, as a node with a left link.
+#[inline]
+fn fence_leaf<K, V, A: Augmentation<K, V>>(node: &BatNode<K, V, A>) {
+    if cfg!(debug_assertions) && !node.is_leaf() {
+        panic!(
+            "BAT reclamation fence: leaf {:#x} named by a version is not a \
+             leaf (ebr epoch {}, thread {}) — leaf reclaimed while a \
+             snapshot could reach it?",
+            node.as_raw(),
+            ebr::stats().epoch,
+            ebr::thread_id(),
+        );
     }
 }
 
 /// The per-node plugin BAT hangs off every chromatic-tree node: one atomic
 /// version pointer, kept *outside* the LLX/SCX record (§4) and mutated
-/// directly with CAS.
+/// directly with CAS. Only internal nodes fill it: a leaf is its own
+/// version.
 pub struct VersionSlot<K, V, A: Augmentation<K, V>> {
-    /// `*const Version`, or 0 = nil ("supplementary fields missing").
+    /// `*const Version`, or 0 = nil ("supplementary fields missing"; for
+    /// a leaf, always).
     version: AtomicU64,
     _marker: std::marker::PhantomData<(K, V, A)>,
 }
@@ -192,6 +321,13 @@ impl<K, V, A: Augmentation<K, V>> VersionSlot<K, V, A> {
             .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
             .map(|_| ())
     }
+
+    fn nil() -> Self {
+        VersionSlot {
+            version: AtomicU64::new(0),
+            _marker: std::marker::PhantomData,
+        }
+    }
 }
 
 impl<K, V, A> NodePlugin<K, V> for VersionSlot<K, V, A>
@@ -200,24 +336,15 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    fn new_leaf(key: &SentKey<K>, value: Option<&V>) -> Self {
-        // Definition 1, rules 1–2: leaves are born with a version.
-        let v = match (key.as_key(), value) {
-            (Some(k), Some(val)) => Version::<K, V, A>::for_leaf(k, val),
-            _ => Version::<K, V, A>::for_sentinel(key),
-        };
-        VersionSlot {
-            version: AtomicU64::new(v as u64),
-            _marker: std::marker::PhantomData,
-        }
+    fn new_leaf(_key: &SentKey<K>, _value: Option<&V>) -> Self {
+        // Definition 1, rules 1–2: a leaf is born as its own version (see
+        // `VersionRef::Leaf`), so its slot stays empty.
+        Self::nil()
     }
 
     fn new_internal(_key: &SentKey<K>) -> Self {
         // Definition 1, rule 3: internal nodes are born with nil versions.
-        VersionSlot {
-            version: AtomicU64::new(0),
-            _marker: std::marker::PhantomData,
-        }
+        Self::nil()
     }
 
     fn on_reclaim(&self) {
@@ -232,6 +359,10 @@ where
             unsafe { ebr::pool::retire_pooled_unpinned(v as *mut Version<K, V, A>) };
         }
     }
+
+    // §6 gives a node's final version one grace period more than the node;
+    // a leaf, being its own version, takes that period itself.
+    const LEAVES_OUTLIVE_UNLINK: bool = true;
 }
 
 /// Drop a version that was never published (failed refresh CAS), returning
@@ -252,9 +383,23 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::augment::SizeOnly;
+    use crate::augment::{MinMaxAug, PairAug, SizeOnly, SumAug};
 
     type Ver = Version<u64, u64, SizeOnly>;
+    type Leaf = BatNode<u64, u64, SizeOnly>;
+
+    fn leaf<A: Augmentation<u64, u64>>(
+        key: SentKey<u64>,
+        value: Option<u64>,
+    ) -> &'static BatNode<u64, u64, A> {
+        // SAFETY: fresh from the pool; each test disposes of it.
+        unsafe { &*BatNode::new_leaf(key, 1, value) }
+    }
+
+    fn dispose<T>(x: &T) {
+        // SAFETY: never published; not used afterwards.
+        unsafe { ebr::pool::dispose_pooled(x as *const T as *mut T) };
+    }
 
     /// `ebr::pool` carves blocks of at most 64 bytes at a power-of-two
     /// stride from line-aligned pieces, so each of these objects occupies
@@ -270,44 +415,93 @@ mod tests {
         }
         type Node = crate::refresh::BatNode<u64, (), SizeOnly>;
         assert!(size_of::<Version<u64, (), SizeOnly>>() <= 64);
+        assert!(size_of::<Version<u64, u64, SumAug>>() <= 64);
         assert!(size_of::<Node>() <= 64);
         assert_eq!(pooled_addr::<Version<u64, (), SizeOnly>>() % 64, 0);
+        assert_eq!(pooled_addr::<Version<u64, u64, SumAug>>() % 64, 0);
         assert_eq!(pooled_addr::<Node>() % 64, 0);
+        // The sizes README's table lists (stride: the next power of two up
+        // to 64 bytes, the next multiple of 64 above).
+        assert_eq!(size_of::<Version<u64, (), SizeOnly>>(), 56);
+        assert_eq!(size_of::<Version<u64, u64, SumAug>>(), 64);
+        assert_eq!(size_of::<Version<u64, u64, MinMaxAug>>(), 80);
+        assert_eq!(
+            size_of::<Version<u64, u64, PairAug<SumAug, MinMaxAug>>>(),
+            88
+        );
     }
 
     #[test]
     fn leaf_versions_have_size_one() {
-        let v = Ver::for_leaf(&7, &70);
-        let v = unsafe { &*v };
-        assert_eq!(v.size, 1);
-        assert_eq!(v.key, SentKey::Key(7));
-        assert_eq!(v.value, Some(70));
+        let node = leaf::<SizeOnly>(SentKey::Key(7), Some(70));
+        let v = VersionRef::Leaf(node);
+        assert_eq!(v.size(), 1);
+        assert_eq!(v.key(), &SentKey::Key(7));
+        assert_eq!(v.value(), Some(&70));
         assert!(v.is_leaf());
-        unsafe { dispose_version::<u64, u64, SizeOnly>(v as *const _ as u64) };
+        assert_eq!(v.as_raw(), node.as_raw(), "a leaf is its own version");
+        assert_eq!(node.plugin.load(), 0, "a leaf's slot stays empty");
+        let sum = VersionRef::<u64, u64, SumAug>::Leaf(leaf(SentKey::Key(7), Some(70)));
+        assert_eq!(*sum.aug(), 70, "A::leaf(key, value)");
+        dispose(node);
+        if let VersionRef::Leaf(n) = sum {
+            dispose(n);
+        }
     }
 
     #[test]
     fn sentinel_versions_have_size_zero() {
-        let v = Ver::for_sentinel(&SentKey::Inf1);
-        let v = unsafe { &*v };
-        assert_eq!(v.size, 0);
+        let node = leaf::<SizeOnly>(SentKey::Inf1, None);
+        let v = VersionRef::Leaf(node);
+        assert_eq!(v.size(), 0);
+        assert_eq!(v.value(), None);
         assert!(v.is_leaf());
-        unsafe { dispose_version::<u64, u64, SizeOnly>(v as *const _ as u64) };
+        let sum = VersionRef::<u64, u64, SumAug>::Leaf(leaf(SentKey::Inf2, None));
+        assert_eq!(*sum.aug(), 0, "A::sentinel()");
+        dispose(node);
+        if let VersionRef::Leaf(n) = sum {
+            dispose(n);
+        }
     }
 
     #[test]
     fn combine_sums_sizes() {
-        let a = Ver::for_leaf(&1, &10) as u64;
-        let b = Ver::for_leaf(&2, &20) as u64;
-        let c = unsafe { Ver::combine(&SentKey::Key(2), a, b, 0) };
+        let (a, b) = (
+            leaf(SentKey::Key(1), Some(10)),
+            leaf(SentKey::Key(2), Some(20)),
+        );
+        let inner = Ver::combine(
+            &SentKey::Key(2),
+            VersionRef::Leaf(a),
+            VersionRef::Leaf(b),
+            0,
+        );
+        let inner = unsafe { &*inner };
+        let c = Ver::combine(
+            &SentKey::Key(3),
+            VersionRef::Internal(inner),
+            VersionRef::Leaf(leaf(SentKey::Inf1, None)),
+            0,
+        );
         let c = unsafe { &*c };
         assert_eq!(c.size, 2);
-        assert!(!c.is_leaf());
-        assert_eq!(c.left_version().key, SentKey::Key(1));
+        let VersionRef::Internal(l) = c.left() else {
+            panic!("an internal child reads back as a version");
+        };
+        assert!(std::ptr::eq(l, inner));
+        assert!(std::ptr::eq(l.left().as_raw() as *const Leaf, a));
+        assert!(l.right().is_leaf() && c.right().is_leaf());
+        assert_eq!(l.left().key(), &SentKey::Key(1));
+        assert_eq!(c.right().size(), 0);
+        let VersionRef::Leaf(sentinel) = c.right() else {
+            panic!("a leaf child reads back as a leaf");
+        };
+        for x in [a, b, sentinel] {
+            dispose(x);
+        }
         unsafe {
             dispose_version::<u64, u64, SizeOnly>(c as *const _ as u64);
-            dispose_version::<u64, u64, SizeOnly>(a);
-            dispose_version::<u64, u64, SizeOnly>(b);
+            dispose_version::<u64, u64, SizeOnly>(inner as *const _ as u64);
         }
     }
 
@@ -317,10 +511,22 @@ mod tests {
             &SentKey::Key(5),
         );
         assert_eq!(slot.load(), 0, "internal slots start nil (rule 3)");
-        let v = Ver::for_leaf(&5, &50) as u64;
+        let (a, b) = (
+            leaf(SentKey::Key(5), Some(50)),
+            leaf(SentKey::Key(6), Some(60)),
+        );
+        let pair = |l, r| {
+            Ver::combine(
+                &SentKey::Key(6),
+                VersionRef::Leaf(l),
+                VersionRef::Leaf(r),
+                0,
+            )
+        };
+        let v = pair(a, b) as u64;
         assert!(slot.cas(0, v).is_ok());
         assert_eq!(slot.load(), v);
-        let w = Ver::for_leaf(&6, &60) as u64;
+        let w = pair(b, a) as u64;
         assert_eq!(slot.cas(0, w), Err(v), "stale CAS reports current");
         assert!(slot.cas(v, w).is_ok());
         unsafe {
@@ -330,5 +536,7 @@ mod tests {
         slot.on_reclaim();
         ebr::flush();
         ebr::flush();
+        dispose(a);
+        dispose(b);
     }
 }

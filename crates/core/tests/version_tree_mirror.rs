@@ -1,33 +1,48 @@
 //! The version tree mirrors the node tree (paper Fig. 4a): after
 //! quiescence, walking both in lockstep must show identical keys and
-//! correct size fields at every level (Invariant 24 / Corollary 25).
+//! correct size fields at every level (Invariant 24 / Corollary 25). Every
+//! leaf the version tree reaches *is* the node tree's leaf (a leaf is born
+//! as its own version, Definition 1 rules 1–2), so the only `Version`
+//! objects are the internal nodes' — one each.
 
-use cbat_core::version::{Version, VersionSlot};
+use cbat_core::version::{Version, VersionRef, VersionSlot};
 use cbat_core::{BatMap, SizeOnly};
 use chromatic::Node;
 
 type N = Node<u64, u64, VersionSlot<u64, u64, SizeOnly>>;
-type V = Version<u64, u64, SizeOnly>;
+type R<'g> = VersionRef<'g, u64, u64, SizeOnly>;
 
-/// Walk node- and version-trees together; check key equality and the
-/// size invariant `size = left.size + right.size`; return leaf count.
-fn check_mirror(node: &N, version: &V, guard: &ebr::Guard) -> u64 {
-    assert_eq!(node.key(), &version.key, "node/version key mismatch");
+/// Internal nodes of the node tree below `node`, the sentinels' included.
+fn internal_nodes(node: &N, guard: &ebr::Guard) -> u64 {
     if node.is_leaf() {
-        assert!(version.is_leaf(), "leaf node with internal version");
-        let expect = if node.key().as_key().is_some() { 1 } else { 0 };
-        assert_eq!(version.size, expect, "leaf size rule (Definition 1)");
-        return version.size;
+        return 0;
     }
-    assert!(!version.is_leaf(), "internal node with leaf version");
-    let l = check_mirror(node.left(guard), version.left_version(), guard);
-    let r = check_mirror(node.right(guard), version.right_version(), guard);
-    assert_eq!(
-        version.size,
-        l + r,
-        "Invariant 24: size = left.size + right.size"
-    );
-    version.size
+    1 + internal_nodes(node.left(guard), guard) + internal_nodes(node.right(guard), guard)
+}
+
+/// Walk node- and version-trees together; check key equality, leaf
+/// identity and the size invariant `size = left.size + right.size`; count
+/// the `Version` objects reached into `versions`; return the leaf count.
+fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64) -> u64 {
+    assert_eq!(node.key(), version.key(), "node/version key mismatch");
+    let v = match version {
+        VersionRef::Leaf(leaf) => {
+            assert!(
+                std::ptr::eq(leaf, node),
+                "the version tree reaches the node tree's own leaf"
+            );
+            let expect = if node.key().as_key().is_some() { 1 } else { 0 };
+            assert_eq!(version.size(), expect, "leaf size rule (Definition 1)");
+            return expect;
+        }
+        VersionRef::Internal(v) => v,
+    };
+    assert!(!node.is_leaf(), "leaf node with internal version");
+    *versions += 1;
+    let l = check_mirror(node.left(guard), v.left(), guard, versions);
+    let r = check_mirror(node.right(guard), v.right(), guard, versions);
+    assert_eq!(v.size, l + r, "Invariant 24: size = left.size + right.size");
+    v.size
 }
 
 fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
@@ -35,9 +50,15 @@ fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
     let entry = map.node_tree().entry();
     let vroot_raw = entry.plugin.load();
     assert_ne!(vroot_raw, 0, "entry version must be non-nil");
-    let vroot = unsafe { V::from_raw(vroot_raw) };
-    let total = check_mirror(entry, vroot, &guard);
+    let vroot = unsafe { Version::from_raw(vroot_raw) };
+    let mut versions = 0;
+    let total = check_mirror(entry, VersionRef::Internal(vroot), &guard, &mut versions);
     assert_eq!(total, map.len(), "root size equals reported len");
+    assert_eq!(
+        versions,
+        internal_nodes(entry, &guard),
+        "one Version per internal node, none for leaves"
+    );
     drop(guard);
 }
 

@@ -19,9 +19,10 @@
 #     test thread's) are walked by the `pool` unit tests, which stay in.
 #   * llxscx `concurrent_*` — the counter-chain and freeze-conflict
 #     races; covered far better by the sched-test exploration corpus.
-#   * cbat-core `propagate_semantics` / `sched_hunt` / `zero_alloc` test
-#     targets — thread-spawning or feature-gated; excluded by only
-#     naming the single-threaded targets below.
+#   * cbat-core `propagate_semantics` / `sched_hunt` / `zero_alloc` /
+#     `leaf_outlives_unlink` test targets — thread-spawning or
+#     feature-gated; excluded by only naming the single-threaded targets
+#     below.
 #
 # Flags: `-Zmiri-permissive-provenance` because the EBR pool and version
 # slots round-trip pointers through u64 words (int-to-ptr casts are the
@@ -33,7 +34,8 @@
 # descent of every insert/remove (`cbat_core::propagate::warm_up`) as
 # ordinary, checked loads. The `range_walk` pass walks the version tree's
 # queries — the two-path range walk and the single-path descents — which
-# step through raw version pointers (`Version::left_version`). `ebr::pool`'s huge-page advice (`madvise`) is
+# step through raw version pointers (`Version::left` / `right`, which
+# read a leaf child as the leaf node itself). `ebr::pool`'s huge-page advice (`madvise`) is
 # compiled out too; the arena's chunks, the carve and the depot run as
 # they do natively.
 #
