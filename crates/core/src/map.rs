@@ -14,29 +14,36 @@
 //! changed nothing — an insert of a present key, a remove of an absent one
 //! — because such a no-op may have observed, in the node tree, an
 //! effective update that has not yet arrived at the root, and must not
-//! return before that update is linearized. Here a no-op first reads the
-//! root's version under its own guard and runs `Find`'s descent on it:
+//! return before that update is linearized. Here every update first reads
+//! the root's version under its own guard and runs `Find`'s descent on it,
+//! before it touches the node tree:
 //!
-//! * **The root agrees** (the key present for an insert, absent for a
-//!   remove): the no-op returns without propagating, and linearizes at that
-//!   root read, exactly as `Find` would. That read lies inside the call, and
-//!   the state it shows gives the answer the call returns. Nothing else
-//!   waits on the skipped propagate: the no-op changed no node, and every
-//!   effective update carries itself to the root.
-//! * **The root disagrees**: an effective update is in the node tree but not
-//!   yet at the root — the case Fig. 3's propagate exists for — and the
-//!   no-op propagates as the paper's does.
+//! * **The root answers** (the key present for an insert, absent for a
+//!   remove): the update returns `false` without touching the node tree or
+//!   propagating, and linearizes at that root read, exactly as `Find`
+//!   would. That read lies inside the call, and the state it shows gives
+//!   the answer the call returns. Nothing else waits on the skipped
+//!   propagate: the update changed no node, and every effective update
+//!   carries itself to the root.
+//! * **Otherwise** the update runs on the node tree and then propagates,
+//!   whatever the node tree said. If it changed nothing there, an effective
+//!   update is in the node tree but not yet at the root — the case Fig. 3's
+//!   propagate exists for — and the propagate carries it there, as the
+//!   paper's no-op does.
 //!
-//! The node tree is searched first and the root second, so an effective
-//! update never pays the version descent. The root check runs on lines
-//! [`warm_up`] has already prefetched. [`BatStats`] counts the two branches
-//! apart (`propagates` and `root_answers`).
+//! That one walk also warms what the rest of the update reads. Each
+//! version names the node it was built for (a prefetch hint, see
+//! [`Version`]), so the descent prefetches the node path the chromatic
+//! search is about to chase, and, when the root does not answer, the
+//! off-path siblings a refresh reads and the pool blocks the propagate's
+//! new versions take. [`BatStats`] counts the two branches apart
+//! (`propagates` and `root_answers`).
 
 use chromatic::{ChromaticTree, SentKey};
 use ebr::Guard;
 
 use crate::augment::{Augmentation, SizeOnly};
-use crate::propagate::{propagate, warm_up, DelegationPolicy};
+use crate::propagate::{propagate, DelegationPolicy, EXPECTED_NIL_FILLS};
 use crate::refresh::read_version;
 use crate::snapshot::{find_leaf, Snapshot};
 use crate::stats::{BatStats, Counter};
@@ -102,54 +109,77 @@ where
     }
 
     /// Insert `k → v`. Returns `true` iff `k` was absent (a present key
-    /// keeps its value). An insert that adds `k` linearizes at its arrival
-    /// point at the root (§4.1). One that finds `k` present and reads a root
-    /// version that shows `k` linearizes at that read, as `Find` does;
-    /// otherwise it propagates first, as every update does in Fig. 3 (see
-    /// the module doc).
+    /// keeps its value). An insert whose root check finds `k` already in the
+    /// root's version returns `false` and linearizes at that read, as `Find`
+    /// does. Every other insert runs on the node tree and then propagates,
+    /// as every update does in Fig. 3: one that adds `k` linearizes at its
+    /// arrival point at the root (§4.1), and one that finds `k` present
+    /// first carries the insert that put it there to the root (see the
+    /// module doc).
     pub fn insert(&self, k: K, v: V) -> bool {
         let guard = ebr::pin();
-        let key = SentKey::Key(k.clone());
-        warm_up(self.tree.entry(), &key, &guard);
-        let changed = self.tree.insert(k, v, &guard);
-        if changed || !self.root_agrees(&key, true, &guard) {
-            propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        if self.root_answers(&k, true, &guard) {
+            return false;
         }
+        let key = SentKey::Key(k.clone());
+        let changed = self.tree.insert(k, v, &guard);
+        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }
 
     /// Remove `k`. Returns `true` iff it was present. Linearizes as
-    /// [`BatMap::insert`] does: a remove that finds `k` absent returns at
-    /// once only if the root's version already lacks `k`; otherwise a
-    /// concurrent remove of `k` may not have reached the root yet, and it
-    /// propagates first (§4's pseudocode discussion).
+    /// [`BatMap::insert`] does: a remove whose root check finds `k` absent
+    /// returns at once; otherwise it removes `k` from the node tree and
+    /// propagates, even if `k` was gone already — a concurrent remove of
+    /// `k` may not have reached the root yet (§4's pseudocode discussion).
     pub fn remove(&self, k: &K) -> bool {
         let guard = ebr::pin();
-        let key = SentKey::Key(k.clone());
-        warm_up(self.tree.entry(), &key, &guard);
-        let changed = self.tree.delete(k, &guard);
-        if changed || !self.root_agrees(&key, false, &guard) {
-            propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
+        if self.root_answers(k, false, &guard) {
+            return false;
         }
+        let key = SentKey::Key(k.clone());
+        let changed = self.tree.delete(k, &guard);
+        propagate(self.tree.entry(), &key, self.policy, &self.stats, &guard);
         changed
     }
 
-    /// The root check of a no-op update: does the root's current version
-    /// hold `key` iff `present`? If so, counts a root answer — the no-op's
-    /// linearization point is this read (see the module doc).
-    fn root_agrees(&self, key: &SentKey<K>, present: bool, guard: &Guard) -> bool {
-        let k = key.as_key().expect("updates name real keys");
+    /// An update's root check, its one walk before the node tree: does the
+    /// root's current version hold `k` iff `present`? If so, counts a root
+    /// answer — the no-op's linearization point is this read (see the
+    /// module doc). The descent prefetches each on-path version's node; if
+    /// the root does not answer, it then prefetches the off-path siblings'
+    /// nodes and the free blocks the coming propagate writes its versions
+    /// into (one per path node, plus [`EXPECTED_NIL_FILLS`]).
+    fn root_answers(&self, k: &K, present: bool, guard: &Guard) -> bool {
+        // Siblings remembered, and so the path length the pool prefetch
+        // counts to: well above a balanced tree's height at any size that
+        // fits in memory; a degenerate FR-BST path's deeper steps warm none.
+        const PATH_HINTS: usize = 64;
         let h = self.stats.local();
         let root = read_version(self.tree.entry(), &h, guard);
         // SAFETY: `root` was the entry's version during `guard`'s pin, so it
         // is retired, if at all, after the pin began.
         // guard: `guard`, held by the calling update until it returns.
         let root = unsafe { Version::<K, V, A>::from_raw(root) };
-        let agrees = find_leaf(root, k).is_some() == present;
-        if agrees {
+        let mut siblings = [None; PATH_HINTS];
+        let mut depth = 0;
+        let found = find_leaf(root, k, |on, off| {
+            on.prefetch_node();
+            if let Some(slot) = siblings.get_mut(depth) {
+                *slot = off;
+            }
+            depth += 1;
+        });
+        if found.is_some() == present {
             Counter::RootAnswers.bump(&h);
+            return true;
         }
-        agrees
+        let depth = depth.min(PATH_HINTS);
+        for sibling in siblings[..depth].iter().flatten() {
+            sibling.prefetch_node();
+        }
+        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + EXPECTED_NIL_FILLS);
+        false
     }
 
     /// Take an atomic snapshot of the whole set: one read of the root's

@@ -21,8 +21,9 @@
 //! its off-path child, then that child's version, then writes a pool block
 //! — three cache misses at 2^19 keys, each dependent on the last, and the
 //! refresh CAS fences before the next level starts. Every one of those
-//! addresses is known before the first refresh, so [`warm_up`] walks the
-//! path once up front and prefetches them all; see there.
+//! addresses is known before the first refresh: the update's root check
+//! (`BatMap::insert`) descends the root's version tree, whose versions name
+//! their nodes, and prefetches them all on the way; see [`crate::map`].
 
 use sched::atomic::Ordering;
 use std::cell::RefCell;
@@ -210,79 +211,9 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
 /// refreshes, rounded up: `core.nil_fixes_per_propagate` reads ≈ 1.7 on the
 /// benchmark's `bat-update` — an insert's new parent is born nil, and so is
 /// each internal node a rebalancing step rebuilds. Each fill builds one
-/// `Version`, as each refresh does; [`warm_up`] sizes its pool prefetch by
-/// the two.
-#[cfg(not(feature = "sched-test"))]
-const EXPECTED_NIL_FILLS: usize = 2;
-
-/// Read-only prelude of an update: start, early and side by side, the cache
-/// misses the coming [`propagate`]`(entry, key)` would take one by one.
-///
-/// Walks `entry → leaf` by `key`. At each step it prefetches the *off-path*
-/// child — every line the node overlaps, one for a pooled node of at most
-/// 64 bytes, since pool blocks are line-aligned — and remembers it; these
-/// misses overlap the walk's own pointer chase. It also prefetches each
-/// on-path internal node's own version, whose pointer sits in the line the
-/// walk just loaded: those versions are what a no-op update's root check
-/// descends (see [`crate::map`]). Then it has `ebr::pool` write-prefetch the free
-/// blocks the update's new versions will be built in — one per node on the
-/// path, plus the nil fills it is expected to make (`EXPECTED_NIL_FILLS`;
-/// a leaf is its own version, so the update builds none for its leaves) —
-/// and in a second pass, the sibling nodes having arrived, reads each
-/// internal one's version pointer and prefetches that version (a leaf
-/// sibling's line, which already holds all a refresh reads of it, is in
-/// flight from the first pass). The refresh chain, or the root check, then
-/// runs on warm lines.
-///
-/// A pure hint: it CASes nothing, touches no [`BatStats`] counter, and what
-/// it reads may be stale by the time `propagate` runs — `propagate` rereads
-/// everything. Under `sched-test` the body is compiled out: its loads would
-/// be yield points, and explored schedules must not depend on a hint.
-pub fn warm_up<K, V, A>(entry: &BatNode<K, V, A>, key: &SentKey<K>, guard: &Guard)
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    A: Augmentation<K, V>,
-{
-    #[cfg(feature = "sched-test")]
-    let _ = (entry, key, guard);
-    #[cfg(not(feature = "sched-test"))]
-    {
-        // Siblings remembered, and so the depth walked to: well above a
-        // balanced tree's height at any size that fits in memory, and a
-        // bound on what the pass can cost on a degenerate FR-BST path.
-        const WARM_UP_DEPTH: usize = 64;
-
-        let prefetch_version = |node: &BatNode<K, V, A>| {
-            let v = node.plugin.load();
-            crate::refresh::fence_version_ptr(v, node.as_raw());
-            if v != 0 {
-                ebr::prefetch::<Version<K, V, A>, false>(v);
-            }
-        };
-        let mut siblings = [None; WARM_UP_DEPTH];
-        let mut depth = 0;
-        let mut node = entry;
-        while depth < WARM_UP_DEPTH && !node.is_leaf() {
-            let (on, off) = if key < node.key() {
-                (node.left(guard), node.right(guard))
-            } else {
-                (node.right(guard), node.left(guard))
-            };
-            ebr::prefetch::<BatNode<K, V, A>, false>(off.as_raw());
-            prefetch_version(node);
-            siblings[depth] = Some(off);
-            depth += 1;
-            node = on;
-        }
-        // `node` is the leaf, which has no version (or the depth cut, past
-        // which the walk prefetches nothing).
-        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + EXPECTED_NIL_FILLS);
-        for sibling in siblings[..depth].iter().flatten() {
-            prefetch_version(sibling);
-        }
-    }
-}
+/// `Version`, as each refresh does; an update's root check
+/// (`BatMap::insert`) sizes its pool prefetch by the two.
+pub(crate) const EXPECTED_NIL_FILLS: usize = 2;
 
 /// Run `Propagate(key)` on the tree rooted at `entry` under `policy`.
 ///

@@ -140,7 +140,7 @@ where
     Counter::NilFixes.bump(h);
     let vl = child_version(x, BatNode::left, h, guard);
     let vr = child_version(x, BatNode::right, h, guard);
-    let new = Version::<K, V, A>::combine(x.key(), vl, vr, 0) as u64;
+    let new = Version::<K, V, A>::combine(x.key(), x.as_raw(), vl, vr, 0) as u64;
     Counter::CasAttempts.bump(h);
     if x.plugin.cas(0, new).is_err() {
         // SAFETY: another thread fixed the nil pointer first, so `new` was
@@ -168,7 +168,7 @@ where
         child_version(x, BatNode::left, h, guard),
         child_version(x, BatNode::right, h, guard),
     );
-    let new = Version::<K, V, A>::combine(x.key(), l, r, status) as u64;
+    let new = Version::<K, V, A>::combine(x.key(), x.as_raw(), l, r, status) as u64;
     let (vl, vr) = (l.as_raw(), r.as_raw());
     Counter::CasAttempts.bump(h);
     match x.plugin.cas(old, new) {
@@ -278,7 +278,13 @@ mod tests {
             child_version(tree.entry(), BatNode::right, &h, &guard),
         );
         assert_eq!((l.as_raw(), r.as_raw()), (rb.vl, rb.vr));
-        let new = Version::<u64, u64, SizeOnly>::combine(tree.entry().key(), l, r, 0) as u64;
+        let new = Version::<u64, u64, SizeOnly>::combine(
+            tree.entry().key(),
+            tree.entry().as_raw(),
+            l,
+            r,
+            0,
+        ) as u64;
         match tree.entry().plugin.cas(old, new) {
             Ok(()) => panic!("stale CAS must fail"),
             Err(cur) => {

@@ -126,12 +126,14 @@ where
 
 /// `Find`'s descent (paper Fig. 3 lines 25–31) on the version tree below
 /// `root`: the leaf holding `k`, if any. Shared by [`Snapshot::contains`] /
-/// [`Snapshot::get`] and the root check of a no-op update
+/// [`Snapshot::get`] and an update's root check
 /// ([`crate::map::BatMap::insert`]), which reads the root under the
-/// update's own guard.
+/// update's own guard. `step` sees each internal version on the path, with
+/// its off-path child if that child is a version too.
 pub(crate) fn find_leaf<'v, K, V, A>(
     root: &'v Version<K, V, A>,
     k: &K,
+    mut step: impl FnMut(&'v Version<K, V, A>, Option<&'v Version<K, V, A>>),
 ) -> Option<VersionRef<'v, K, V, A>>
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -141,11 +143,10 @@ where
     let mut v = VersionRef::Internal(root);
     while let VersionRef::Internal(n) = v {
         n.prefetch_children();
-        v = if cmp_key(k, &n.key) == Ord_::Less {
-            n.left()
-        } else {
-            n.right()
-        };
+        let left = cmp_key(k, &n.key) == Ord_::Less;
+        // Off the path lies the right child when the walk turns left.
+        step(n, n.internal_child(left));
+        v = if left { n.left() } else { n.right() };
     }
     (v.key().as_key() == Some(k)).then_some(v)
 }
@@ -216,12 +217,12 @@ where
     /// `Find` (paper Fig. 3 lines 25–31): standard BST search on the
     /// version tree.
     pub fn contains(&self, k: &K) -> bool {
-        find_leaf(self.root(), k).is_some()
+        find_leaf(self.root(), k, |_, _| {}).is_some()
     }
 
     /// Point lookup returning the stored value.
     pub fn get(&self, k: &K) -> Option<V> {
-        find_leaf(self.root(), k)?.value().cloned()
+        find_leaf(self.root(), k, |_, _| {})?.value().cloned()
     }
 
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.

@@ -65,10 +65,10 @@ impl Default for PropStatus {
     }
 }
 
-/// Bit of [`Version`]'s `leaf_children` set when `left` names a leaf node.
-const LEFT_LEAF: u8 = 1;
-/// Bit of [`Version`]'s `leaf_children` set when `right` names a leaf node.
-const RIGHT_LEAF: u8 = 2;
+/// Bit of [`Version`]'s `node` word set when `left` names a leaf node.
+const LEFT_LEAF: u64 = 1;
+/// Bit of [`Version`]'s `node` word set when `right` names a leaf node.
+const RIGHT_LEAF: u64 = 2;
 
 /// One immutable version of an internal node's supplementary fields.
 ///
@@ -76,9 +76,16 @@ const RIGHT_LEAF: u8 = 2;
 /// a child version, or — for a leaf child — the leaf node itself, since a
 /// leaf is born as its own version (Definition 1, rules 1–2: a leaf's key
 /// and value never change, and its size and augmentation value follow from
-/// them). Two bits of padding say which; the pointers stay untagged, so the
-/// debug fences' alignment test still tells poison from a pointer. A
-/// version is thus the root of an entire immutable snapshot of its subtree.
+/// them). Two bits say which, in the low bits of the `node` word; the child
+/// pointers stay untagged, so the debug fences' alignment test still tells
+/// poison from a pointer. A version is thus the root of an entire immutable
+/// snapshot of its subtree.
+///
+/// The rest of `node` is the address of the node the version was built for
+/// (nodes are 8-byte aligned): a prefetch hint, never dereferenced — the
+/// node may be unlinked and reused since, at the cost of one wasted
+/// [`ebr::prefetch`], which never faults. An update's root check warms the
+/// node path with it (see [`crate::map`]).
 pub struct Version<K, V, A: Augmentation<K, V>> {
     /// Key of the node this version was created for.
     pub key: SentKey<K>,
@@ -92,8 +99,9 @@ pub struct Version<K, V, A: Augmentation<K, V>> {
     /// The PropStatus of the propagate that installed this version (null
     /// for versions made by recursive nil-refreshes or plain propagates).
     pub status: u64, // *const PropStatus
-    /// [`LEFT_LEAF`] | [`RIGHT_LEAF`]: which children are leaf nodes.
-    leaf_children: u8,
+    /// `*const BatNode` of the node this version was built for, a hint
+    /// only, | [`LEFT_LEAF`] | [`RIGHT_LEAF`]: which children are leaf nodes.
+    node: u64,
     _value: PhantomData<V>,
 }
 
@@ -103,14 +111,16 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    /// Version for an internal node, combining what stands for its two
-    /// children (refresh, Fig. 3 line 67 / Fig. 12 line 44).
+    /// Version for the internal node `node` with key `key`, combining what
+    /// stands for its two children (refresh, Fig. 3 line 67 / Fig. 12 l. 44).
     pub fn combine(
         key: &SentKey<K>,
+        node: u64,
         l: VersionRef<'_, K, V, A>,
         r: VersionRef<'_, K, V, A>,
         status: u64,
     ) -> *mut Self {
+        debug_assert_eq!(node & (LEFT_LEAF | RIGHT_LEAF), 0, "nodes are aligned");
         ebr::pool::alloc_pooled(Version {
             key: key.clone(),
             size: l.size() + r.size(),
@@ -118,7 +128,7 @@ where
             left: l.as_raw(),
             right: r.as_raw(),
             status,
-            leaf_children: (l.is_leaf() as u8 * LEFT_LEAF) | (r.is_leaf() as u8 * RIGHT_LEAF),
+            node: node | (l.is_leaf() as u64 * LEFT_LEAF) | (r.is_leaf() as u64 * RIGHT_LEAF),
             _value: PhantomData,
         })
     }
@@ -148,7 +158,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
         // reclaimed a grace period after nothing reachable names it
         // (`NodePlugin::LEAVES_OUTLIVE_UNLINK`), as a version is.
         // guard: the one `&self` was obtained under.
-        unsafe { VersionRef::from_raw(self.left, self.leaf_children & LEFT_LEAF != 0) }
+        unsafe { VersionRef::from_raw(self.left, self.node & LEFT_LEAF != 0) }
     }
 
     /// What stands for the right child.
@@ -156,7 +166,31 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     pub fn right(&self) -> VersionRef<'_, K, V, A> {
         // SAFETY: as for `left`.
         // guard: the one `&self` was obtained under.
-        unsafe { VersionRef::from_raw(self.right, self.leaf_children & RIGHT_LEAF != 0) }
+        unsafe { VersionRef::from_raw(self.right, self.node & RIGHT_LEAF != 0) }
+    }
+
+    /// The child on the `right` (else left) side when it is a version;
+    /// `None` for a leaf child, which this does not read.
+    #[inline]
+    pub(crate) fn internal_child(&self, right: bool) -> Option<&Self> {
+        let raw = if right { self.right } else { self.left };
+        let bit = if right { RIGHT_LEAF } else { LEFT_LEAF };
+        // SAFETY: as for `left`.
+        // guard: the one `&self` was obtained under.
+        (self.node & bit == 0).then(|| unsafe { Self::from_raw(raw) })
+    }
+
+    /// The node this version was built for: a hint, never to be
+    /// dereferenced (see the type's doc).
+    #[inline]
+    pub fn node_hint(&self) -> *const BatNode<K, V, A> {
+        (self.node & !(LEFT_LEAF | RIGHT_LEAF)) as *const BatNode<K, V, A>
+    }
+
+    /// Ask the cache for the node this version was built for.
+    #[inline(always)]
+    pub(crate) fn prefetch_node(&self) {
+        ebr::prefetch::<BatNode<K, V, A>, false>(self.node_hint() as u64);
     }
 
     /// Ask the cache for both children before a descent decides which one
@@ -167,7 +201,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     #[inline(always)]
     pub(crate) fn prefetch_children(&self) {
         let prefetch = |raw, bit| {
-            if self.leaf_children & bit != 0 {
+            if self.node & bit != 0 {
                 ebr::prefetch::<BatNode<K, V, A>, false>(raw);
             } else {
                 ebr::prefetch::<Self, false>(raw);
@@ -403,7 +437,7 @@ mod tests {
 
     /// `ebr::pool` carves blocks of at most 64 bytes at a power-of-two
     /// stride from line-aligned pieces, so each of these objects occupies
-    /// one cache line: what `warm_up` fetches per object, and what a query
+    /// one cache line: what an update's root check fetches per object, and what a query
     /// pays per version it reads.
     #[test]
     fn hot_objects_fit_in_64_bytes() {
@@ -470,8 +504,11 @@ mod tests {
             leaf(SentKey::Key(1), Some(10)),
             leaf(SentKey::Key(2), Some(20)),
         );
+        // Stand-in node addresses: a hint is never dereferenced.
+        let (inner_node, c_node) = (0x1000, 0x2000);
         let inner = Ver::combine(
             &SentKey::Key(2),
+            inner_node,
             VersionRef::Leaf(a),
             VersionRef::Leaf(b),
             0,
@@ -479,12 +516,16 @@ mod tests {
         let inner = unsafe { &*inner };
         let c = Ver::combine(
             &SentKey::Key(3),
+            c_node,
             VersionRef::Internal(inner),
             VersionRef::Leaf(leaf(SentKey::Inf1, None)),
             0,
         );
         let c = unsafe { &*c };
         assert_eq!(c.size, 2);
+        // The leaf bits share the hint's word and do not show in it.
+        assert_eq!(inner.node_hint() as u64, inner_node);
+        assert_eq!(c.node_hint() as u64, c_node);
         let VersionRef::Internal(l) = c.left() else {
             panic!("an internal child reads back as a version");
         };
@@ -518,6 +559,7 @@ mod tests {
         let pair = |l, r| {
             Ver::combine(
                 &SentKey::Key(6),
+                0,
                 VersionRef::Leaf(l),
                 VersionRef::Leaf(r),
                 0,

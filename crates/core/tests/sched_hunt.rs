@@ -19,11 +19,13 @@
 //! file also holds the check that `wait_for_delegatee`'s timeout is a
 //! yield budget under `sched-test`, never a wall-clock read.
 //!
-//! It also holds the explored corpus for a no-op update's root check
-//! (`BatMap::insert`'s module doc): two updates of one key race, and the
-//! one that changes nothing must, at its return, see the root agree — it
-//! returns early only when its own root read already shows its answer, and
-//! otherwise propagates the other update there first.
+//! It also holds the explored corpus for an update's root check, which
+//! runs before the node tree is touched (`BatMap::insert`'s module doc):
+//! two updates of one key race, and the one that changes nothing must, at
+//! its return, see the root agree — it returns early only when its own
+//! root read already shows its answer, and otherwise propagates the other
+//! update there first. An insert raced against a remove of the same key
+//! must leave the set as the order of their answers says.
 #![cfg(feature = "sched-test")]
 
 use std::sync::Arc;
@@ -158,6 +160,50 @@ fn same_key_race(policy: DelegationPolicy, inserts: bool) {
     assert_eq!(changed, 1, "exactly one of the two updates changes the set");
 }
 
+/// Two vthreads race an insert and a remove of `KEY`, which starts present
+/// or absent. At quiescence the set must be what the order the two return
+/// values imply leaves: if both changed the set, the later one undid the
+/// earlier, and the one that can change it from the start state always
+/// does.
+fn insert_remove_race(policy: DelegationPolicy, present: bool) {
+    const KEY: u64 = 3;
+    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    for k in [0, 2, 4, 6] {
+        set.insert(k);
+    }
+    if present {
+        set.insert(KEY);
+    }
+    let spawn = |inserts: bool| {
+        let set = set.clone();
+        sched::spawn(move || {
+            if inserts {
+                set.insert(KEY)
+            } else {
+                set.remove(&KEY)
+            }
+        })
+    };
+    let (ins, rem) = (spawn(true), spawn(false));
+    let (inserted, removed) = (ins.join(), rem.join());
+    assert!(
+        if present { removed } else { inserted },
+        "the update that changes the start state must change it \
+         (inserted: {inserted}, removed: {removed})"
+    );
+    let end = match (inserted, removed) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => present,
+    };
+    assert_eq!(
+        set.contains(&KEY),
+        end,
+        "inserted: {inserted}, removed: {removed}"
+    );
+    assert_eq!(set.len(), 4 + end as u64);
+}
+
 #[test]
 fn no_op_update_sees_root_agree_under_explored_schedules() {
     let _serial = ebr::own_the_global_epoch();
@@ -186,10 +232,32 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
         });
         explored += report.schedules;
     }
+    for (i, (present, policy, sched_policy)) in [
+        (false, DelegationPolicy::None, Policy::RandomWalk),
+        (true, DelegationPolicy::EagerDel, Policy::Pct { depth: 2 }),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cfg = ExploreConfig {
+            schedules: NO_OP_SCHEDULES,
+            seed: 0x0A0B_0101 + i as u64,
+            max_steps: 1_000_000,
+            policy: sched_policy,
+            stop_on_failure: true,
+        };
+        let report = explore(&cfg, move || insert_remove_race(policy, present));
+        report.assert_clean(if present {
+            "an insert and a remove of a present key"
+        } else {
+            "an insert and a remove of an absent key"
+        });
+        explored += report.schedules;
+    }
     eprintln!("no-op root check: {explored} schedules clean");
 }
 
-/// Schedules per cell of the no-op corpus (four cells).
+/// Schedules per cell of the no-op corpus (six cells).
 const NO_OP_SCHEDULES: usize = 100;
 
 #[test]

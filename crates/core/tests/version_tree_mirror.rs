@@ -3,7 +3,8 @@
 //! correct size fields at every level (Invariant 24 / Corollary 25). Every
 //! leaf the version tree reaches *is* the node tree's leaf (a leaf is born
 //! as its own version, Definition 1 rules 1–2), so the only `Version`
-//! objects are the internal nodes' — one each.
+//! objects are the internal nodes' — one each, and each names its own node
+//! in its prefetch hint.
 
 use cbat_core::version::{Version, VersionRef, VersionSlot};
 use cbat_core::{BatMap, SizeOnly};
@@ -38,9 +39,19 @@ fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64
         VersionRef::Internal(v) => v,
     };
     assert!(!node.is_leaf(), "leaf node with internal version");
+    assert!(
+        std::ptr::eq(v.node_hint(), node),
+        "a version's node hint names the node it was built for"
+    );
+    let (nl, nr) = (node.left(guard), node.right(guard));
+    assert_eq!(
+        (v.left().is_leaf(), v.right().is_leaf()),
+        (nl.is_leaf(), nr.is_leaf()),
+        "the leaf bits folded into the hint's word mark exactly the leaf children"
+    );
     *versions += 1;
-    let l = check_mirror(node.left(guard), v.left(), guard, versions);
-    let r = check_mirror(node.right(guard), v.right(), guard, versions);
+    let l = check_mirror(nl, v.left(), guard, versions);
+    let r = check_mirror(nr, v.right(), guard, versions);
     assert_eq!(v.size, l + r, "Invariant 24: size = left.size + right.size");
     v.size
 }

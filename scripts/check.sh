@@ -13,9 +13,9 @@ cargo run -q -p lint
 cargo build --release
 # Nothing above compiles the `sched-test` cfg, and it is not only additive:
 # it swaps the atomics for the scheduler shims (under every `ebr::Striped`
-# counter too) and compiles the warm-up descent's body out
-# (`cbat_core::propagate::warm_up`). CI's exploration job runs those
-# corpora; this keeps the local gate from breaking their build.
+# counter too) and the delegation wait's clock for a yield budget
+# (`cbat_core::propagate::wait_for_delegatee`). CI's exploration job runs
+# those corpora; this keeps the local gate from breaking their build.
 cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard -p vcas -p vedge -p llxscx --features sched-test --all-targets
 # The benchmark is a workspace of its own (benchmark/Cargo.toml), so no
 # other step compiles it: a change to the API of the crates it path-depends

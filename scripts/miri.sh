@@ -30,9 +30,11 @@
 # for the tests that read wall-clock time.
 #
 # `ebr::prefetch` compiles to nothing under Miri, so the `ebr` pass walks
-# `pool::prefetch_free` and the `augmentation_laws` pass walks the warm-up
-# descent of every insert/remove (`cbat_core::propagate::warm_up`) as
-# ordinary, checked loads. The `range_walk` pass walks the version tree's
+# `pool::prefetch_free`, and the `augmentation_laws` and
+# `root_answer_is_read_only` passes walk every insert/remove's root check
+# (`BatMap::root_answers`: the version-tree descent that reads each
+# version's node hint, a pointer it never dereferences) as ordinary,
+# checked loads. The `range_walk` pass walks the version tree's
 # queries — the two-path range walk and the single-path descents — which
 # step through raw version pointers (`Version::left` / `right`, which
 # read a leaf child as the leaf node itself). `ebr::pool`'s huge-page advice (`madvise`) is
@@ -73,7 +75,8 @@ timeout 1800 cargo +nightly miri test -p llxscx -- \
     --skip concurrent_counter_chain \
     --skip concurrent_freeze_conflicts_resolve
 
-echo "== miri: cbat-core augmentation laws + range walk (single-threaded targets) =="
-timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk
+echo "== miri: cbat-core augmentation laws + range walk + root answers (single-threaded targets) =="
+timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk \
+    --test root_answer_is_read_only
 
 echo "miri: clean"
