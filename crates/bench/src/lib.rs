@@ -22,9 +22,10 @@ use vcas::VcasSet;
 use workloads::BenchSet;
 
 /// BAT under a chosen propagate variant, or FR-BST (the same tree without
-/// rebalancing, propagating without delegation).
+/// rebalancing, propagating without delegation). Both hold one key per
+/// leaf, as the paper's figures do.
 pub struct BatAdapter {
-    set: BatSet<u64, SizeOnly>,
+    set: BatSet<u64, SizeOnly, 1>,
     name: &'static str,
 }
 
@@ -60,7 +61,7 @@ impl BatAdapter {
     }
 
     /// The wrapped set (for stats).
-    pub fn inner(&self) -> &BatSet<u64, SizeOnly> {
+    pub fn inner(&self) -> &BatSet<u64, SizeOnly, 1> {
         &self.set
     }
 }

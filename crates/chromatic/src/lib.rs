@@ -39,7 +39,7 @@ pub mod tree;
 pub mod validate;
 
 pub use key::SentKey;
-pub use node::{ChildSnap, Node, NodePlugin};
+pub use node::{ChildSnap, FatLeaf, Node, NodePlugin};
 pub use set::ChromaticSet;
 pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats};
 pub use validate::{Invalid, TreeShape};

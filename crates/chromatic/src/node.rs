@@ -1,11 +1,18 @@
 //! Tree nodes and the augmentation plugin interface.
 //!
 //! A [`Node`] is an LLX/SCX *record*: its mutable fields are the two child
-//! pointers; key, weight and value are immutable after construction. The
+//! pointers; key, weight, value and a leaf's entries are immutable after
+//! construction. A leaf holds up to `B` sorted keys (the tree's capacity,
+//! a const generic of [`crate::ChromaticTree`]): a leaf of one key is a
+//! plain `Node` whose `key` / `value` are that entry, and a leaf of two or
+//! more is a [`FatLeaf`], a `Node` followed by its entries in the same pool
+//! block. The entry count says which, so a reader needs no `B`. The
 //! `plugin` slot carries whatever per-node state an augmentation layer
 //! needs — for BAT it is the `version` pointer, which the paper explicitly
 //! keeps *outside* the LLX/SCX record so augmentation does not interfere
 //! with chromatic tree operations (§4).
+
+use std::mem::MaybeUninit;
 
 use sched::atomic::{AtomicU64, Ordering};
 
@@ -23,9 +30,10 @@ use crate::key::SentKey;
 /// hold — and [`NodePlugin::LEAVES_OUTLIVE_UNLINK`] gives it the lifetime
 /// a version needs.
 pub trait NodePlugin<K, V>: Sized + Send + Sync {
-    /// Plugin state for a newly created leaf with the given key
-    /// (Definition 1, rules 1–2: real leaf vs sentinel leaf).
-    fn new_leaf(key: &SentKey<K>, value: Option<&V>) -> Self;
+    /// Plugin state for a newly created leaf with the given (smallest) key
+    /// holding `len` keys (Definition 1, rules 1–2: a real leaf, or a
+    /// sentinel leaf with `len` 0).
+    fn new_leaf(key: &SentKey<K>, len: usize) -> Self;
 
     /// Plugin state for a newly created internal node
     /// (Definition 1, rule 3: version starts `nil`).
@@ -49,7 +57,7 @@ pub trait NodePlugin<K, V>: Sized + Send + Sync {
 
 impl<K, V> NodePlugin<K, V> for () {
     #[inline]
-    fn new_leaf(_: &SentKey<K>, _: Option<&V>) -> Self {}
+    fn new_leaf(_: &SentKey<K>, _: usize) -> Self {}
     #[inline]
     fn new_internal(_: &SentKey<K>) -> Self {}
     #[inline]
@@ -58,9 +66,10 @@ impl<K, V> NodePlugin<K, V> for () {
 
 /// A chromatic tree node.
 ///
-/// Leaves have null child pointers and carry the (optional) user value;
-/// internal nodes route searches only. `weight` encodes color: 0 = red,
-/// 1 = black, ≥ 2 = overweight.
+/// Leaves have null child pointers and carry their entries; internal nodes
+/// route searches only. `weight` encodes color: 0 = red, 1 = black, ≥ 2 =
+/// overweight. A leaf's `key` is its smallest key (a sentinel leaf's is
+/// `∞₁` / `∞₂`).
 pub struct Node<K, V, P> {
     /// LLX/SCX coordination word + finalized flag.
     pub header: RecordHeader,
@@ -68,6 +77,12 @@ pub struct Node<K, V, P> {
     right: AtomicU64,
     key: SentKey<K>,
     weight: u32,
+    /// A leaf's entry count: 0 for a sentinel leaf (and every internal
+    /// node), 1 for a leaf whose entry is `key` / `value`, ≥ 2 for a
+    /// [`FatLeaf`]. Two bytes of what was padding: the node is no larger
+    /// for it (a `BatSet<u64>` node is still 64 bytes).
+    len: u16,
+    /// A one-entry leaf's value; `None` for every other node.
     value: Option<V>,
     /// Augmentation slot (e.g. BAT's version pointer). Not part of the
     /// LLX/SCX record; mutated directly with CAS by the augmentation layer.
@@ -103,22 +118,97 @@ fn fence_failed(raw: u64, parent: u64) -> ! {
 /// Atomic snapshot of a node's mutable fields, as returned by [`Node::llx`].
 pub type ChildSnap = (u64, u64);
 
+/// A leaf of two or more keys: the node, with its smallest key as `key` and
+/// no `value`, followed in the same pool block by its entries in key order.
+/// `B` is the tree's leaf capacity and sets the block's size, so the
+/// leaf has a pool class of its own (`B = 8` and `u64` keys: two lines).
+/// Every reclaim goes through [`reclaim_node`], which picks the class by
+/// the entry count; freeing a fat leaf as a `Node` would strand its
+/// entries and return its block to the wrong class.
+#[repr(C)]
+pub struct FatLeaf<K, V, P, const B: usize> {
+    node: Node<K, V, P>,
+    entries: [MaybeUninit<(K, V)>; B],
+}
+
+impl<K, V, P, const B: usize> Drop for FatLeaf<K, V, P, B> {
+    fn drop(&mut self) {
+        for e in &mut self.entries[..self.node.len as usize] {
+            // SAFETY: the first `len` entries were written at construction
+            // and are dropped once, here.
+            unsafe { e.assume_init_drop() };
+        }
+    }
+}
+
+/// Where a [`FatLeaf`]'s entries start, past its node: the same for every
+/// `B`, since `#[repr(C)]` places a field by the ones before it alone.
+#[inline(always)]
+fn entries_offset<K, V, P>() -> usize {
+    std::mem::offset_of!(FatLeaf<K, V, P, 1>, entries)
+}
+
 impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
-    /// Allocate a leaf node (weight defaults to 1 for fresh leaves; deletes
-    /// pass explicit weights when copying). Memory comes from the EBR
-    /// free-list pool, so steady-state update patches recycle the nodes
+    /// Allocate a leaf of at most one entry: `key` with `Some(value)`, or a
+    /// sentinel key with `None` (weight defaults to 1 for fresh leaves;
+    /// deletes pass explicit weights when copying). Memory comes from the
+    /// EBR free-list pool, so steady-state update patches recycle the nodes
     /// they retire instead of round-tripping the global allocator.
     pub fn new_leaf(key: SentKey<K>, weight: u32, value: Option<V>) -> *mut Self {
-        let plugin = P::new_leaf(&key, value.as_ref());
+        debug_assert_eq!(
+            key.is_sentinel(),
+            value.is_none(),
+            "a real leaf has a value"
+        );
+        let len = value.is_some() as u16;
+        let plugin = P::new_leaf(&key, len as usize);
         ebr::pool::alloc_pooled(Node {
             header: RecordHeader::new(),
             left: AtomicU64::new(0),
             right: AtomicU64::new(0),
             key,
             weight,
+            len,
             value,
             plugin,
         })
+    }
+
+    /// Allocate a leaf of `len` (1 to `B`) entries, the `i`-th being
+    /// `entry(i)`, in strictly increasing key order: a plain node for one
+    /// entry, a [`FatLeaf`] of capacity `B` for more.
+    pub fn new_leaf_of<const B: usize>(
+        len: usize,
+        weight: u32,
+        mut entry: impl FnMut(usize) -> (K, V),
+    ) -> *mut Self {
+        debug_assert!((1..=B).contains(&len), "a real leaf holds 1 to B keys");
+        if len == 1 {
+            let (k, v) = entry(0);
+            return Self::new_leaf(SentKey::Key(k), weight, Some(v));
+        }
+        let mut entries = [const { MaybeUninit::uninit() }; B];
+        for (i, slot) in entries[..len].iter_mut().enumerate() {
+            slot.write(entry(i));
+        }
+        // SAFETY: `len >= 2`, so entry 0 was written above.
+        let key = SentKey::Key(unsafe { entries[0].assume_init_ref() }.0.clone());
+        let plugin = P::new_leaf(&key, len);
+        let leaf = ebr::pool::alloc_pooled(FatLeaf {
+            node: Node {
+                header: RecordHeader::new(),
+                left: AtomicU64::new(0),
+                right: AtomicU64::new(0),
+                key,
+                weight,
+                len: len as u16,
+                value: None,
+                plugin,
+            },
+            entries,
+        });
+        // `#[repr(C)]` puts the node at the block's start.
+        leaf as *mut Self
     }
 
     /// Allocate an internal node with the given children (pool-backed,
@@ -132,19 +222,30 @@ impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
             right: AtomicU64::new(right),
             key,
             weight,
+            len: 0,
             value: None,
             plugin,
         })
     }
 
     /// Copy this node with a new weight; children taken from an LLX
-    /// snapshot (internal) or cloned value (leaf).
-    pub fn copy_with_weight(&self, weight: u32, snap: ChildSnap) -> *mut Self {
-        if self.is_leaf() {
+    /// snapshot (internal) or entries cloned (leaf, into a leaf of
+    /// capacity `B`).
+    pub fn copy_with_weight<const B: usize>(&self, weight: u32, snap: ChildSnap) -> *mut Self {
+        if !self.is_leaf() {
+            Self::new_internal(self.key.clone(), weight, snap.0, snap.1)
+        } else if self.len <= 1 {
             Self::new_leaf(self.key.clone(), weight, self.value.clone())
         } else {
-            Self::new_internal(self.key.clone(), weight, snap.0, snap.1)
+            Self::new_leaf_of::<B>(self.len(), weight, |i| self.cloned_entry(i))
         }
+    }
+
+    /// The leaf's `i`-th entry, cloned.
+    #[inline]
+    pub fn cloned_entry(&self, i: usize) -> (K, V) {
+        let (k, v) = self.entry(i);
+        (k.clone(), v.clone())
     }
 }
 
@@ -161,10 +262,39 @@ impl<K, V, P> Node<K, V, P> {
         self.weight
     }
 
-    /// The user value (leaves only).
+    /// How many keys this leaf holds: 0 for a sentinel leaf (and for an
+    /// internal node).
     #[inline]
-    pub fn value(&self) -> Option<&V> {
-        self.value.as_ref()
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for a leaf that holds no key: a sentinel leaf (or an internal
+    /// node).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The leaf's `i`-th entry in key order, `i < self.len()`.
+    #[inline]
+    pub fn entry(&self, i: usize) -> (&K, &V) {
+        assert!(i < self.len(), "leaf entry {i} of {}", self.len);
+        if self.len == 1 {
+            let (SentKey::Key(k), Some(v)) = (&self.key, &self.value) else {
+                unreachable!("a one-entry leaf is its key and value");
+            };
+            return (k, v);
+        }
+        let first = (self.as_raw() as usize + entries_offset::<K, V, P>()) as *const (K, V);
+        // SAFETY: a node of two or more entries was allocated as a
+        // `FatLeaf` (`new_leaf_of`), whose first `len` entries follow at
+        // `entries_offset` and never change while the node is live; the
+        // address comes from the block's exposed provenance (`as_raw`),
+        // not from `&self`, which spans the node alone.
+        // guard: the node is borrowed, so the caller's pin keeps it live.
+        let (k, v) = unsafe { &*first.add(i) };
+        (k, v)
     }
 
     /// True if this node is a leaf (no children).
@@ -297,9 +427,9 @@ impl<K, V, P> Node<K, V, P> {
 ///
 /// # Safety
 /// `ptr` must be a published `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_internal`] that no thread pinning from now on can reach
-/// through the node tree, freed exactly once.
-pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
+/// [`Node::new_leaf_of::<B>`] / [`Node::new_internal`] that no thread
+/// pinning from now on can reach through the node tree, freed exactly once.
+pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
     // SAFETY: the caller's contract: `ptr` is a live node whose links no
     // longer change. (A plugin that does not opt in never reads it here.)
     // guard: none needed, the node is unreachable through the tree.
@@ -307,28 +437,36 @@ pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
         // SAFETY: the caller's contract, and the plugin's: whatever else
         // names the leaf stops doing so for threads that pin after this
         // call, so one more grace period covers every reader.
-        unsafe { ebr::retire_unpinned_with(ptr, reclaim_node::<K, V, P>) };
+        unsafe { ebr::retire_unpinned_with(ptr, reclaim_node::<K, V, P, B>) };
     } else {
         // SAFETY: the caller's contract.
-        unsafe { reclaim_node::<K, V, P>(ptr) };
+        unsafe { reclaim_node::<K, V, P, B>(ptr) };
     }
 }
 
 /// Runs the plugin hook, drops the node in place and returns its memory to
-/// the reclaiming thread's free-list pool.
+/// the reclaiming thread's free-list pool — a [`FatLeaf`]'s to its own
+/// class, with its entries.
 ///
 /// # Safety
 /// `ptr` must be a `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_internal`] that no thread can reach, reclaimed exactly once.
-unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
+/// [`Node::new_leaf_of::<B>`] / [`Node::new_internal`] that no thread can
+/// reach, reclaimed exactly once.
+unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
     let node = ptr as *mut Node<K, V, P>;
     // SAFETY: the caller's contract — `node` is a live pool allocation that
     // nothing else can reach, so the hook may read it and the pool may drop
-    // and recycle it, once.
+    // and recycle it, once, as the type it was allocated as: a node of two
+    // or more entries is a `FatLeaf` of this tree's `B`.
     // guard: none needed, the node is unreachable.
     unsafe {
         (*node).plugin.on_reclaim();
-        ebr::pool::dispose_pooled(node);
+        if (*node).len >= 2 {
+            debug_assert!((*node).len() <= B, "a leaf over its tree's capacity");
+            ebr::pool::dispose_pooled(ptr as *mut FatLeaf<K, V, P, B>);
+        } else {
+            ebr::pool::dispose_pooled(node);
+        }
     }
 }
 
@@ -336,13 +474,13 @@ unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>>(ptr: *mut u8) {
 ///
 /// # Safety
 /// As for [`ebr::Guard::retire_with`].
-pub(crate) unsafe fn retire_node<K, V, P>(guard: &ebr::Guard, raw: u64)
+pub(crate) unsafe fn retire_node<K, V, P, const B: usize>(guard: &ebr::Guard, raw: u64)
 where
     P: NodePlugin<K, V>,
 {
     // SAFETY: the caller's contract is `retire_with`'s, and `free_node`'s
     // holds once the grace period has made the unlinked node unreachable.
-    unsafe { guard.retire_with(raw as *mut u8, free_node::<K, V, P>) };
+    unsafe { guard.retire_with(raw as *mut u8, free_node::<K, V, P, B>) };
 }
 
 /// Immediately dispose of a node that was never published (failed SCX).
@@ -350,15 +488,33 @@ where
 /// # Safety
 /// `raw` must point to a node created by this thread that no other thread
 /// has ever seen.
-pub(crate) unsafe fn dispose_unpublished<K, V, P>(raw: u64)
+pub(crate) unsafe fn dispose_unpublished<K, V, P, const B: usize>(raw: u64)
 where
     P: NodePlugin<K, V>,
 {
     // SAFETY: never published (the caller's contract), hence unreachable.
-    unsafe { reclaim_node::<K, V, P>(raw as *mut u8) };
+    unsafe { reclaim_node::<K, V, P, B>(raw as *mut u8) };
 }
 
 impl<K: Ord, V, P> Node<K, V, P> {
+    /// Binary search of the leaf's keys for `k`, as
+    /// [`slice::binary_search`]: `Ok(i)` if entry `i` holds it, else
+    /// `Err(i)` with `i` the number of keys below `k`. A sentinel leaf
+    /// holds none.
+    #[inline]
+    pub fn search_leaf(&self, k: &K) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.entry(mid).0.cmp(k) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
+    }
+
     /// Follow the link a search for the sentinel-extended key takes
     /// (leaf-oriented rule: left iff `key < self.key`); see [`Node::left`].
     #[inline]
@@ -386,7 +542,44 @@ mod tests {
         assert_eq!(leaf.key(), &SentKey::Key(5));
         assert_eq!(leaf.weight(), 1);
         assert!(!leaf.is_finalized());
-        unsafe { dispose_unpublished::<u64, (), ()>(leaf.as_raw()) };
+        unsafe { dispose_unpublished::<u64, (), (), 1>(leaf.as_raw()) };
+    }
+
+    /// A leaf of several keys is a `FatLeaf`: its entries read back in
+    /// order, a search finds each and places the absent ones, a copy is a
+    /// fat leaf again, and reclaiming drops every entry (`String`s, so a
+    /// leak or a double drop shows under Miri and ASan).
+    #[test]
+    fn fat_leaf_roundtrip() {
+        type S = Node<u64, String, ()>;
+        let _g = ebr::pin();
+        let keys = [3u64, 5, 9];
+        let leaf = S::new_leaf_of::<8>(3, 2, |i| (keys[i], format!("v{}", keys[i])));
+        let leaf = unsafe { &*leaf };
+        assert!(leaf.is_leaf() && !leaf.is_sentinel());
+        assert_eq!((leaf.len(), leaf.weight()), (3, 2));
+        assert_eq!(leaf.key(), &SentKey::Key(3), "a leaf's key is its smallest");
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(leaf.entry(i), (k, &format!("v{k}")));
+            assert_eq!(leaf.search_leaf(k), Ok(i));
+        }
+        assert_eq!(leaf.search_leaf(&0), Err(0));
+        assert_eq!(leaf.search_leaf(&4), Err(1));
+        assert_eq!(leaf.search_leaf(&10), Err(3));
+        let copy = unsafe { &*leaf.copy_with_weight::<8>(1, (0, 0)) };
+        assert_eq!((copy.len(), copy.weight()), (3, 1));
+        assert_eq!(copy.entry(2), (&9, &"v9".to_string()));
+        let single = unsafe { &*S::new_leaf_of::<8>(1, 1, |_| (7, "v7".to_string())) };
+        assert_eq!(
+            (single.len(), single.entry(0)),
+            (1, (&7, &"v7".to_string()))
+        );
+        let sentinel = unsafe { &*S::new_leaf(SentKey::Inf1, 1, None) };
+        assert!(sentinel.is_empty());
+        assert_eq!(sentinel.search_leaf(&7), Err(0));
+        for n in [leaf, copy, single, sentinel] {
+            unsafe { dispose_unpublished::<u64, String, (), 8>(n.as_raw()) };
+        }
     }
 
     #[test]
@@ -402,9 +595,9 @@ mod tests {
         assert_eq!(toward(5), r as u64); // ties go right
         assert_eq!(toward(7), r as u64);
         unsafe {
-            dispose_unpublished::<u64, (), ()>(l as u64);
-            dispose_unpublished::<u64, (), ()>(r as u64);
-            dispose_unpublished::<u64, (), ()>(n.as_raw());
+            dispose_unpublished::<u64, (), (), 1>(l as u64);
+            dispose_unpublished::<u64, (), (), 1>(r as u64);
+            dispose_unpublished::<u64, (), (), 1>(n.as_raw());
         }
     }
 
@@ -438,7 +631,7 @@ mod tests {
         static RECLAIMS: AtomicUsize = AtomicUsize::new(0);
         struct Counting;
         impl NodePlugin<u64, ()> for Counting {
-            fn new_leaf(_: &SentKey<u64>, _: Option<&()>) -> Self {
+            fn new_leaf(_: &SentKey<u64>, _: usize) -> Self {
                 Counting
             }
             fn new_internal(_: &SentKey<u64>) -> Self {
@@ -450,7 +643,7 @@ mod tests {
         }
         let before = RECLAIMS.load(Ordering::SeqCst);
         let leaf = Node::<u64, (), Counting>::new_leaf(SentKey::Key(1), 1, Some(()));
-        unsafe { dispose_unpublished::<u64, (), Counting>(leaf as u64) };
+        unsafe { dispose_unpublished::<u64, (), Counting, 1>(leaf as u64) };
         assert_eq!(RECLAIMS.load(Ordering::SeqCst), before + 1);
     }
 }

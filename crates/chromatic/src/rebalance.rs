@@ -35,7 +35,7 @@ where
     Node::<K, V, P>::new_internal(key, w, left, right) as u64
 }
 
-impl<K, V, P> ChromaticTree<K, V, P>
+impl<K, V, P, const B: usize> ChromaticTree<K, V, P, B>
 where
     K: Ord + Clone + Send + Sync,
     V: Clone + Send + Sync,
@@ -132,7 +132,7 @@ where
         let l_left = key < p.key();
         let (p_ll, _) = self.llx_link(p, l_left, l)?;
         let (l_ll, lsnap) = self.llx(l)?;
-        let l_new = l.copy_with_weight(1, lsnap) as u64;
+        let l_new = l.copy_with_weight::<B>(1, lsnap) as u64;
         self.step(
             RebalanceKind::RootNormalize,
             l_left,
@@ -153,7 +153,7 @@ where
         let p_left = key < gp.key();
         let (gp_ll, _) = self.llx_link(gp, p_left, p)?;
         let (p_ll, psnap) = self.llx(p)?;
-        let p_new = p.copy_with_weight(1, psnap) as u64;
+        let p_new = p.copy_with_weight::<B>(1, psnap) as u64;
         self.step(
             RebalanceKind::RootBlacken,
             p_left,
@@ -187,8 +187,8 @@ where
         if uncle.weight() == 0 {
             // BLK: recolor p and uncle to weight 1, decrement gp.
             let (u_ll, usnap) = self.llx(uncle)?;
-            let p_new = p.copy_with_weight(1, psnap) as u64;
-            let u_new = uncle.copy_with_weight(1, usnap) as u64;
+            let p_new = p.copy_with_weight::<B>(1, psnap) as u64;
+            let u_new = uncle.copy_with_weight::<B>(1, usnap) as u64;
             let gp_new =
                 oriented::<K, V, P>(gp.key().clone(), gp.weight() - 1, p_new, u_new, p_left);
             let (a_ll, b_ll) = in_order(p_left, p_ll, u_ll);
@@ -287,8 +287,8 @@ where
         let (a_ll, b_ll) = in_order(l_left, l_ll, s_ll);
         if s.weight() >= 2 || (!near_red && !far_red) {
             // PUSH: move one weight unit from both children to p.
-            let l_new = l.copy_with_weight(l.weight() - 1, lsnap) as u64;
-            let s_new = s.copy_with_weight(s.weight() - 1, ssnap) as u64;
+            let l_new = l.copy_with_weight::<B>(l.weight() - 1, lsnap) as u64;
+            let s_new = s.copy_with_weight::<B>(s.weight() - 1, ssnap) as u64;
             let p_new = oriented::<K, V, P>(p.key().clone(), p.weight() + 1, l_new, s_new, l_left);
             self.step(
                 RebalanceKind::Push,
@@ -302,8 +302,8 @@ where
             // SAFETY: as for `far_red` above, which found it non-null.
             let far = unsafe { Node::<K, V, P>::from_raw(far_raw, guard) };
             let (far_ll, fsnap) = self.llx(far)?;
-            let l_new = l.copy_with_weight(l.weight() - 1, lsnap) as u64;
-            let far_new = far.copy_with_weight(1, fsnap) as u64;
+            let l_new = l.copy_with_weight::<B>(l.weight() - 1, lsnap) as u64;
+            let far_new = far.copy_with_weight::<B>(1, fsnap) as u64;
             let p_new = oriented::<K, V, P>(p.key().clone(), 1, l_new, near_raw, l_left);
             let top = oriented::<K, V, P>(s.key().clone(), p.weight(), p_new, far_new, l_left);
             self.step(
@@ -319,7 +319,7 @@ where
             let near = unsafe { Node::<K, V, P>::from_raw(near_raw, guard) };
             debug_assert!(!near.is_leaf(), "red leaves cannot exist");
             let (near_ll, nsnap) = self.llx(near)?;
-            let l_new = l.copy_with_weight(l.weight() - 1, lsnap) as u64;
+            let l_new = l.copy_with_weight::<B>(l.weight() - 1, lsnap) as u64;
             // Canonical (l left, s right, near = s.left):
             //   top n'{w_p}: left p'{1}: (l', n.left),
             //                right s'{1}: (n.right, s.right=far).

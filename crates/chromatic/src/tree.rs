@@ -8,6 +8,25 @@
 //! it replaces (paper Fig. 2). `ChromaticTree::replace_patch` is that
 //! template; `insert`, `delete` and every rebalancing step (in
 //! [`crate::rebalance`]) commit through it and nowhere else.
+//!
+//! ## Leaves of up to `B` keys
+//!
+//! A leaf holds up to `B` sorted keys (`B` a const generic; `B = 1` is
+//! \[7\]'s tree exactly, byte for byte). An update takes one of two patch
+//! shapes, both runs of the same template:
+//!
+//! * **One-node patch**: an insert into a real leaf with room, or a delete
+//!   from a leaf of two or more keys, replaces the leaf by a copy with the
+//!   key added or dropped, at the leaf's weight: `v = [p, l]`,
+//!   `fresh = [l']`. No internal node is born and no weight moves, so it
+//!   creates no violation and runs no cleanup.
+//! * **Today's shapes otherwise.** An insert into a full leaf splits its
+//!   `B + 1` keys in half under a new internal node keyed by the right
+//!   half's first key, at \[7\]'s weight rule; an insert into a sentinel
+//!   leaf (which never holds a real key) adds a one-key leaf beside it the
+//!   same way; a delete of a leaf's last key removes the leaf and its
+//!   parent. Leaves never merge: a key set never has more leaves than it
+//!   has with `B = 1`, so the height bound is no worse.
 
 use std::marker::PhantomData;
 
@@ -93,7 +112,7 @@ impl TreeStats {
 ///
 /// `P` is the augmentation plugin (use `()` for the plain tree; BAT plugs a
 /// version-pointer slot in).
-pub struct ChromaticTree<K, V, P: NodePlugin<K, V>> {
+pub struct ChromaticTree<K, V, P: NodePlugin<K, V>, const B: usize = 1> {
     entry: u64, // *mut Node — the immutable sentinel root (key ∞₂)
     /// Whether rebalancing runs. With `false`, all nodes get weight 1 and
     /// `cleanup` is skipped: the tree degenerates to the *unbalanced*
@@ -110,9 +129,15 @@ pub struct ChromaticTree<K, V, P: NodePlugin<K, V>> {
 // the nodes behind it hold `K`, `V` and `P` (`Send + Sync`, the last by
 // `NodePlugin`'s bound), are read through atomics under an EBR pin, and
 // change only through LLX/SCX.
-unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>> Send for ChromaticTree<K, V, P> {}
+unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>, const B: usize> Send
+    for ChromaticTree<K, V, P, B>
+{
+}
 // SAFETY: as for `Send` above.
-unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>> Sync for ChromaticTree<K, V, P> {}
+unsafe impl<K: Send + Sync, V: Send + Sync, P: NodePlugin<K, V>, const B: usize> Sync
+    for ChromaticTree<K, V, P, B>
+{
+}
 
 pub(crate) type NodeRef<'g, K, V, P> = &'g Node<K, V, P>;
 
@@ -134,7 +159,7 @@ pub(crate) fn in_order<T>(a_left: bool, a: T, b: T) -> (T, T) {
     }
 }
 
-impl<K, V, P> ChromaticTree<K, V, P>
+impl<K, V, P, const B: usize> ChromaticTree<K, V, P, B>
 where
     K: Ord + Clone + Send + Sync,
     V: Clone + Send + Sync,
@@ -155,6 +180,12 @@ where
 
     /// Create an empty tree, choosing whether rebalancing runs.
     pub fn with_balance(balanced: bool) -> Self {
+        const {
+            assert!(
+                B >= 1 && B <= u16::MAX as usize,
+                "a leaf holds 1 to 65 535 keys"
+            )
+        };
         let real_slot = Node::<K, V, P>::new_leaf(SentKey::Inf1, 1, None) as u64;
         let inf1_right = Node::<K, V, P>::new_leaf(SentKey::Inf1, 1, None) as u64;
         let inf1 = Node::<K, V, P>::new_internal(SentKey::Inf1, 1, real_slot, inf1_right) as u64;
@@ -229,7 +260,7 @@ where
     /// tree's `Find`; BAT's `Find` instead searches the version tree).
     pub fn contains(&self, k: &K, guard: &Guard) -> bool {
         let (_, _, l) = self.search(k, guard);
-        l.key().as_key() == Some(k)
+        l.search_leaf(k).is_ok()
     }
 
     /// LLX `n`. `None` — counted in [`TreeSnapshot::scx_failures`] — if an
@@ -313,28 +344,29 @@ where
                 // SAFETY: the committed SCX unlinked `n` and finalized it,
                 // so no later SCX can link or retire it again, and it was
                 // retired by nobody before: this is its one retirement.
-                unsafe { retire_node::<K, V, P>(guard, n.as_raw()) };
+                unsafe { retire_node::<K, V, P, B>(guard, n.as_raw()) };
             }
         } else {
             self.stats.bump(FAILURES);
             for &n in fresh {
                 // SAFETY: this attempt allocated `n` and the aborted SCX
                 // stored it nowhere, so no other thread has seen it.
-                unsafe { dispose_unpublished::<K, V, P>(n) };
+                unsafe { dispose_unpublished::<K, V, P, B>(n) };
             }
         }
         committed
     }
 
-    /// `CTInsert(k)` (paper §3.1 / Fig. 2 left): add a leaf with `k`,
-    /// then fix any balance violation. Returns `false` if `k` was already
-    /// present.
+    /// `CTInsert(k)` (paper §3.1 / Fig. 2 left): add `k` to its leaf —
+    /// a one-node patch while the leaf has room, else a split under a new
+    /// internal node — then fix any balance violation. Returns `false` if
+    /// `k` was already present.
     pub fn insert(&self, k: K, v: V, guard: &Guard) -> bool {
         loop {
             let (_gp, p, l) = self.search(&k, guard);
-            if l.key().as_key() == Some(&k) {
+            let Err(pos) = l.search_leaf(&k) else {
                 return false;
-            }
+            };
             let l_left = p.key().goes_left(&k);
             let Some((p_ll, _)) = self.llx_link(p, l_left, l) else {
                 continue;
@@ -342,6 +374,22 @@ where
             let Some((l_ll, _)) = self.llx(l) else {
                 continue;
             };
+            // `l`'s entries with `(k, v)` at `pos`.
+            let len = l.len() + 1;
+            let merged = |i: usize| match i.cmp(&pos) {
+                std::cmp::Ordering::Less => l.cloned_entry(i),
+                std::cmp::Ordering::Equal => (k.clone(), v.clone()),
+                std::cmp::Ordering::Greater => l.cloned_entry(i - 1),
+            };
+
+            if !l.is_sentinel() && len <= B {
+                // One-node patch: the leaf with `k` added, at its weight.
+                let l_new = Node::<K, V, P>::new_leaf_of::<B>(len, l.weight(), merged) as u64;
+                if self.replace_patch(l_left, &[p_ll, l_ll], &[l_new], guard) {
+                    return true;
+                }
+                continue;
+            }
 
             // Build the replacement patch: internal node with two leaves.
             debug_assert!(l.weight() >= 1, "leaf weight invariant");
@@ -350,17 +398,26 @@ where
             } else {
                 l.weight() - 1
             };
-            let new_leaf = Node::<K, V, P>::new_leaf(SentKey::Key(k.clone()), 1, Some(v.clone()));
-            let leaf_copy = Node::<K, V, P>::new_leaf(l.key().clone(), 1, l.value().cloned());
-            let kk = SentKey::Key(k.clone());
-            let (lc, rc, ikey) = if kk < *l.key() {
+            let (lc, rc, ikey) = if l.is_sentinel() {
+                // A sentinel leaf keeps its key and gains a one-key sibling.
+                let new_leaf =
+                    Node::<K, V, P>::new_leaf(SentKey::Key(k.clone()), 1, Some(v.clone()));
+                let leaf_copy = Node::<K, V, P>::new_leaf(l.key().clone(), 1, None);
                 (new_leaf as u64, leaf_copy as u64, l.key().clone())
             } else {
-                (leaf_copy as u64, new_leaf as u64, kk.clone())
+                // Split the `B + 1` keys in half; the right half's first
+                // key routes.
+                let half = len / 2;
+                let left = Node::<K, V, P>::new_leaf_of::<B>(half, 1, merged);
+                let right = Node::<K, V, P>::new_leaf_of::<B>(len - half, 1, |i| merged(half + i));
+                // SAFETY: `right` is this attempt's fresh allocation.
+                // guard: none needed, nothing else can reach it yet.
+                let ikey = unsafe { &*right }.key().clone();
+                (left as u64, right as u64, ikey)
             };
             let internal = Node::<K, V, P>::new_internal(ikey, new_weight, lc, rc) as u64;
 
-            let fresh = [internal, new_leaf as u64, leaf_copy as u64];
+            let fresh = [internal, lc, rc];
             if self.replace_patch(l_left, &[p_ll, l_ll], &fresh, guard) {
                 let violation = (new_weight == 0 && p.weight() == 0) || new_weight >= 2;
                 if self.balanced && violation {
@@ -371,15 +428,32 @@ where
         }
     }
 
-    /// `CTDelete(k)` (paper §3.1 / Fig. 2 right): remove the leaf with `k`
+    /// `CTDelete(k)` (paper §3.1 / Fig. 2 right): drop `k` from a leaf of
+    /// two or more keys with a one-node patch; or remove `k`'s one-key leaf
     /// and its parent, replacing them with a copy of the sibling carrying
-    /// the combined weight; then fix any overweight violation. Returns
+    /// the combined weight, then fix any overweight violation. Returns
     /// `false` if `k` was absent.
     pub fn delete(&self, k: &K, guard: &Guard) -> bool {
         loop {
             let (gp, p, l) = self.search(k, guard);
-            if l.key().as_key() != Some(k) {
+            let Ok(pos) = l.search_leaf(k) else {
                 return false;
+            };
+            if l.len() >= 2 {
+                // One-node patch: the leaf without `k`, at its weight.
+                let l_left = p.key().goes_left(k);
+                let Some((p_ll, _)) = self.llx_link(p, l_left, l) else {
+                    continue;
+                };
+                let Some((l_ll, _)) = self.llx(l) else {
+                    continue;
+                };
+                let kept = |i: usize| l.cloned_entry(i + (i >= pos) as usize);
+                let l_new = Node::<K, V, P>::new_leaf_of::<B>(l.len() - 1, l.weight(), kept);
+                if self.replace_patch(l_left, &[p_ll, l_ll], &[l_new as u64], guard) {
+                    return true;
+                }
+                continue;
             }
             let p_left = gp.key().goes_left(k);
             let Some((gp_ll, _)) = self.llx_link(gp, p_left, p) else {
@@ -404,7 +478,7 @@ where
             } else {
                 p.weight() + s.weight()
             };
-            let s_copy = s.copy_with_weight(new_weight, ssnap) as u64;
+            let s_copy = s.copy_with_weight::<B>(new_weight, ssnap) as u64;
 
             let (a_ll, b_ll) = in_order(l_left, l_ll, s_ll);
             if self.replace_patch(p_left, &[gp_ll, p_ll, a_ll, b_ll], &[s_copy], guard) {
@@ -417,7 +491,7 @@ where
     }
 }
 
-impl<K, V, P> Default for ChromaticTree<K, V, P>
+impl<K, V, P, const B: usize> Default for ChromaticTree<K, V, P, B>
 where
     K: Ord + Clone + Send + Sync,
     V: Clone + Send + Sync,
@@ -428,7 +502,7 @@ where
     }
 }
 
-impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
+impl<K, V, P: NodePlugin<K, V>, const B: usize> Drop for ChromaticTree<K, V, P, B> {
     fn drop(&mut self) {
         // Free all reachable nodes.
         fn walk<K, V, P>(raw: u64, free: &mut dyn FnMut(u64)) {
@@ -448,7 +522,7 @@ impl<K, V, P: NodePlugin<K, V>> Drop for ChromaticTree<K, V, P> {
         // plugin hooks may retire versions, and a leaf that outlives its
         // unlinking waits a grace period for snapshots still reading it.)
         walk::<K, V, P>(self.entry, &mut |raw| unsafe {
-            crate::node::free_node::<K, V, P>(raw as *mut u8);
+            crate::node::free_node::<K, V, P, B>(raw as *mut u8);
         });
     }
 }
@@ -463,7 +537,7 @@ mod tests {
     struct Counting;
 
     impl NodePlugin<u64, ()> for Counting {
-        fn new_leaf(_: &SentKey<u64>, _: Option<&()>) -> Self {
+        fn new_leaf(_: &SentKey<u64>, _: usize) -> Self {
             Counting
         }
         fn new_internal(_: &SentKey<u64>) -> Self {

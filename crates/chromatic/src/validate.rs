@@ -9,11 +9,90 @@ use crate::key::SentKey;
 use crate::node::{Node, NodePlugin};
 use crate::tree::ChromaticTree;
 
+/// A leaf's invariants: a sentinel leaf holds no key, a real leaf 1 to `B`
+/// in strictly increasing order, the first of them its key, and all of
+/// them in `[lower, upper)`, the range its ancestors route to it. Out of
+/// line, so that `validate`'s recursion keeps a small frame on a
+/// degenerate (unbalanced) spine.
+#[inline(never)]
+fn check_leaf<K, V, P, const B: usize>(
+    node: &Node<K, V, P>,
+    lower: Option<&SentKey<K>>,
+    upper: Option<&SentKey<K>>,
+) -> Result<(), Invalid>
+where
+    K: Ord + Clone + std::fmt::Debug,
+{
+    // The leaf's key (its first) against its ancestors' bounds.
+    if let Some(lo) = lower {
+        if node.key() < lo {
+            return Err(Invalid::BstOrder(format!(
+                "leaf {:?} below lower bound {:?}",
+                node.key(),
+                lo
+            )));
+        }
+    }
+    if let Some(hi) = upper {
+        if node.key() >= hi {
+            return Err(Invalid::BstOrder(format!(
+                "leaf {:?} at/above upper bound {:?}",
+                node.key(),
+                hi
+            )));
+        }
+    }
+    let len = node.len();
+    if node.is_sentinel() {
+        return match len {
+            0 => Ok(()),
+            _ => Err(Invalid::LeafLen(format!("sentinel leaf holds {len} keys"))),
+        };
+    }
+    if !(1..=B).contains(&len) {
+        return Err(Invalid::LeafLen(format!(
+            "leaf {:?} holds {len} keys, not 1 to {B}",
+            node.key()
+        )));
+    }
+    if node.key().as_key() != Some(node.entry(0).0) {
+        return Err(Invalid::LeafLen(format!(
+            "leaf key {:?} is not its first entry {:?}",
+            node.key(),
+            node.entry(0).0
+        )));
+    }
+    for i in 1..len {
+        if node.entry(i - 1).0 >= node.entry(i).0 {
+            return Err(Invalid::BstOrder(format!(
+                "leaf keys {:?} and {:?} out of order",
+                node.entry(i - 1).0,
+                node.entry(i).0
+            )));
+        }
+    }
+    // The last key below the upper bound (its first is checked above).
+    if let (Some(hi), Some(last)) = (upper, len.checked_sub(1)) {
+        if &SentKey::Key(node.entry(last).0.clone()) >= hi {
+            return Err(Invalid::BstOrder(format!(
+                "leaf key {:?} at/above upper bound {:?}",
+                node.entry(last).0,
+                hi
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A violation report from [`ChromaticTree::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Invalid {
-    /// A leaf key fell outside the range implied by its ancestors.
+    /// A leaf key fell outside the range implied by its ancestors, or a
+    /// leaf's keys are out of order.
     BstOrder(String),
+    /// A real leaf holds no key or more than the tree's `B`, a sentinel
+    /// leaf holds one, or a leaf's key is not its smallest entry's.
+    LeafLen(String),
     /// Two real-tree root-to-leaf paths have different weight sums.
     WeightedPath { first: u64, other: u64 },
     /// An internal node has weight 0 and a weight-0 child.
@@ -31,6 +110,8 @@ pub enum Invalid {
 pub struct TreeShape {
     /// Number of real (non-sentinel) keys.
     pub keys: usize,
+    /// Number of leaves of the real tree, sentinel leaves included.
+    pub leaves: usize,
     /// Height of the real tree (edges from real root to deepest leaf).
     pub height: usize,
     /// Total weight along the leftmost real path.
@@ -39,7 +120,7 @@ pub struct TreeShape {
     pub internal: usize,
 }
 
-impl<K, V, P> ChromaticTree<K, V, P>
+impl<K, V, P, const B: usize> ChromaticTree<K, V, P, B>
 where
     K: Ord + Clone + Send + Sync + std::fmt::Debug,
     V: Clone + Send + Sync,
@@ -63,7 +144,7 @@ where
 
         // DFS with (node, lower, upper, weight_sum, depth, parent_weight).
         #[allow(clippy::too_many_arguments)]
-        fn dfs<K, V, P>(
+        fn dfs<K, V, P, const B: usize>(
             node: &Node<K, V, P>,
             lower: Option<&SentKey<K>>,
             upper: Option<&SentKey<K>>,
@@ -110,29 +191,11 @@ where
                     }
                     _ => {}
                 }
-                // BST range check on the leaf key.
-                if let Some(lo) = lower {
-                    if node.key() < lo {
-                        return Err(Invalid::BstOrder(format!(
-                            "leaf {:?} below lower bound {:?}",
-                            node.key(),
-                            lo
-                        )));
-                    }
-                }
-                if let Some(hi) = upper {
-                    if node.key() >= hi {
-                        return Err(Invalid::BstOrder(format!(
-                            "leaf {:?} at/above upper bound {:?}",
-                            node.key(),
-                            hi
-                        )));
-                    }
-                }
+                check_leaf::<K, V, P, B>(node, lower, upper)?;
                 return Ok(());
             }
             *internal += 1;
-            dfs(
+            dfs::<K, V, P, B>(
                 node.left(guard),
                 lower,
                 Some(node.key()),
@@ -148,7 +211,7 @@ where
                 false,
                 guard,
             )?;
-            dfs(
+            dfs::<K, V, P, B>(
                 node.right(guard),
                 Some(node.key()),
                 upper,
@@ -166,7 +229,7 @@ where
             )
         }
 
-        dfs(
+        dfs::<K, V, P, B>(
             root,
             None,
             None,
@@ -200,6 +263,7 @@ where
 
         Ok(TreeShape {
             keys,
+            leaves,
             height: max_depth,
             weighted_height: path_weight.unwrap_or(0),
             internal,
@@ -216,9 +280,7 @@ where
             P: NodePlugin<K, V>,
         {
             if node.is_leaf() {
-                if let Some(k) = node.key().as_key() {
-                    out.push(k.clone());
-                }
+                out.extend((0..node.len()).map(|i| node.entry(i).0.clone()));
                 return;
             }
             walk(node.left(guard), out, guard);
@@ -288,7 +350,6 @@ mod negative_tests {
     use crate::tree::ChromaticTree;
     use crate::validate::Invalid;
 
-    type T = ChromaticTree<u64, (), ()>;
     type N = Node<u64, (), ()>;
 
     /// Swap in a hand-built real tree, run validate, restore, and clean up.
@@ -296,7 +357,16 @@ mod negative_tests {
         make: impl FnOnce() -> u64,
         check: impl FnOnce(Result<crate::validate::TreeShape, Invalid>),
     ) {
-        let tree = T::new();
+        with_fat_root::<1, 1>(make, check)
+    }
+
+    /// [`with_root`] for a tree of leaf capacity `B` whose hand-built leaves
+    /// were allocated at capacity `A`.
+    fn with_fat_root<const B: usize, const A: usize>(
+        make: impl FnOnce() -> u64,
+        check: impl FnOnce(Result<crate::validate::TreeShape, Invalid>),
+    ) {
+        let tree = ChromaticTree::<u64, (), (), B>::new();
         let root = make();
         let guard = &ebr::pin();
         let inf1 = tree.entry().left(guard);
@@ -305,16 +375,54 @@ mod negative_tests {
         check(tree.validate(true));
         // Restore the placeholder so Drop walks a sane structure, and free
         // the hand-built nodes manually.
-        fn free_rec(n: &N, guard: &ebr::Guard) {
+        fn free_rec<const A: usize>(n: &N, guard: &ebr::Guard) {
             if !n.is_leaf() {
-                free_rec(n.left(guard), guard);
-                free_rec(n.right(guard), guard);
+                free_rec::<A>(n.left(guard), guard);
+                free_rec::<A>(n.right(guard), guard);
             }
-            unsafe { dispose_unpublished::<u64, (), ()>(n.as_raw()) };
+            unsafe { dispose_unpublished::<u64, (), (), A>(n.as_raw()) };
         }
         let built = inf1.left(guard);
         unsafe { (*inf1.left_field()).store(placeholder, sched::atomic::Ordering::Release) };
-        free_rec(built, guard);
+        free_rec::<A>(built, guard);
+    }
+
+    /// A leaf of `keys`, in the given order, at capacity 8.
+    fn fat(keys: &[u64]) -> u64 {
+        N::new_leaf_of::<8>(keys.len(), 1, |i| (keys[i], ())) as u64
+    }
+
+    #[test]
+    fn accepts_valid_fat_leaves() {
+        with_fat_root::<8, 8>(
+            || internal(5, 1, fat(&[1, 2, 4]), fat(&[5, 7])),
+            |r| assert_eq!(r.expect("valid").keys, 5),
+        );
+    }
+
+    #[test]
+    fn catches_keys_out_of_order_within_a_leaf() {
+        with_fat_root::<8, 8>(
+            || internal(5, 1, fat(&[1, 3, 2]), fat(&[5, 7])),
+            |r| assert!(matches!(r, Err(Invalid::BstOrder(_))), "{r:?}"),
+        );
+    }
+
+    #[test]
+    fn catches_a_leaf_key_across_its_bound() {
+        // 6 belongs right of the routing key 5.
+        with_fat_root::<8, 8>(
+            || internal(5, 1, fat(&[1, 2, 6]), fat(&[7, 8])),
+            |r| assert!(matches!(r, Err(Invalid::BstOrder(_))), "{r:?}"),
+        );
+    }
+
+    #[test]
+    fn catches_a_leaf_over_capacity() {
+        with_fat_root::<4, 8>(
+            || internal(9, 1, fat(&[1, 2, 3, 4, 5]), fat(&[9, 10])),
+            |r| assert!(matches!(r, Err(Invalid::LeafLen(_))), "{r:?}"),
+        );
     }
 
     fn leaf(k: u64, w: u32) -> u64 {

@@ -7,45 +7,86 @@
 //! short; a double dispose or a node both disposed of and retired overdraws
 //! it. One test, so the file is its own process and nothing else allocates
 //! `Ledger` nodes.
+//!
+//! The same phases run with one key per leaf and with leaves of up to
+//! [`FAT`] keys. A fat leaf (two or more keys) is counted apart, and every
+//! value is a `Tracked`, which counts its live copies: a fat leaf reclaimed
+//! as a plain node would skip its entries' destructors (and return its
+//! block to the wrong pool class), and the live count would stay above 0.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chromatic::{ChromaticTree, NodePlugin, SentKey};
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static RECLAIMED: AtomicU64 = AtomicU64::new(0);
+static FAT_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static FAT_RECLAIMED: AtomicU64 = AtomicU64::new(0);
+/// `Tracked` values alive: created or cloned, and not yet dropped.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
-struct Ledger;
+/// The leaf capacity of the fat-leaf phases.
+const FAT: usize = 8;
 
-impl NodePlugin<u64, ()> for Ledger {
-    fn new_leaf(_: &SentKey<u64>, _: Option<&()>) -> Self {
+/// A value that counts its live copies.
+struct Tracked;
+
+impl Tracked {
+    fn new() -> Self {
+        LIVE.fetch_add(1, Ordering::SeqCst);
+        Tracked
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Tracked::new()
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Whether the node is a fat leaf.
+struct Ledger {
+    fat: bool,
+}
+
+impl NodePlugin<u64, Tracked> for Ledger {
+    fn new_leaf(_: &SentKey<u64>, len: usize) -> Self {
         ALLOCATED.fetch_add(1, Ordering::SeqCst);
-        Ledger
+        let fat = len >= 2;
+        FAT_ALLOCATED.fetch_add(fat as u64, Ordering::SeqCst);
+        Ledger { fat }
     }
     fn new_internal(_: &SentKey<u64>) -> Self {
         ALLOCATED.fetch_add(1, Ordering::SeqCst);
-        Ledger
+        Ledger { fat: false }
     }
     fn on_reclaim(&self) {
         RECLAIMED.fetch_add(1, Ordering::SeqCst);
+        FAT_RECLAIMED.fetch_add(self.fat as u64, Ordering::SeqCst);
     }
 }
 
-type Tree = ChromaticTree<u64, (), Ledger>;
+type Tree<const B: usize> = ChromaticTree<u64, Tracked, Ledger, B>;
 
-fn insert(tree: &Tree, k: u64) -> bool {
-    tree.insert(k, (), &ebr::pin())
+fn insert<const B: usize>(tree: &Tree<B>, k: u64) -> bool {
+    tree.insert(k, Tracked::new(), &ebr::pin())
 }
 
-fn delete(tree: &Tree, k: u64) -> bool {
+fn delete<const B: usize>(tree: &Tree<B>, k: u64) -> bool {
     tree.delete(&k, &ebr::pin())
 }
 
 /// `rebalance_cases.rs`'s insertion patterns, on one tree: together they
-/// fire every [`chromatic::RebalanceKind`]. Returns the number of successful
-/// inserts and deletes.
-fn fire_every_rebalance_kind(tree: &Tree) -> (u64, u64) {
+/// fire every [`chromatic::RebalanceKind`] (with one key per leaf). Returns
+/// the number of successful inserts and deletes.
+fn fire_every_rebalance_kind<const B: usize>(tree: &Tree<B>) -> (u64, u64) {
     let (mut inserts, mut deletes) = (0, 0);
     let mut insert = |k| inserts += insert(tree, k) as u64;
     let mut delete = |k| deletes += delete(tree, k) as u64;
@@ -83,7 +124,7 @@ fn fire_every_rebalance_kind(tree: &Tree) -> (u64, u64) {
     }
     let steps = tree.stats.snapshot().rebalance_steps;
     assert!(
-        steps.iter().all(|&n| n > 0),
+        B > 1 || steps.iter().all(|&n| n > 0),
         "a rebalancing kind never fired: {steps:?}"
     );
     (inserts, deletes)
@@ -95,7 +136,7 @@ const PATCH_SIZE: [u64; 8] = [3, 2, 3, 1, 2, 3, 4, 1];
 
 /// Nodes allocated so far by attempts whose SCX then aborted: everything
 /// allocated beyond the patches of the committed updates and steps.
-fn allocated_by_aborted_attempts(tree: &Tree, inserts: u64, deletes: u64) -> u64 {
+fn allocated_by_aborted_attempts(tree: &Tree<1>, inserts: u64, deletes: u64) -> u64 {
     let steps = tree.stats.snapshot().rebalance_steps;
     let committed = 5 // the sentinels
         + 3 * inserts
@@ -104,56 +145,60 @@ fn allocated_by_aborted_attempts(tree: &Tree, inserts: u64, deletes: u64) -> u64
     ALLOCATED.load(Ordering::SeqCst) - committed
 }
 
+/// Two threads on the same four keys for one round, seeded by `round`.
+/// Returns the number of successful inserts and deletes.
+fn contend<const B: usize>(tree: &Arc<Tree<B>>, round: u64) -> (u64, u64) {
+    let go = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (tree, go) = (tree.clone(), go.clone());
+            std::thread::spawn(move || {
+                while !go.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                let mut x = (round * 2 + t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let (mut inserts, mut deletes) = (0, 0);
+                for _ in 0..5_000 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = (1 << 40) + x % 4;
+                    if x & (1 << 20) == 0 {
+                        inserts += insert(&tree, k) as u64;
+                    } else {
+                        deletes += delete(&tree, k) as u64;
+                    }
+                }
+                (inserts, deletes)
+            })
+        })
+        .collect();
+    go.store(true, Ordering::Release);
+    workers.into_iter().fold((0, 0), |(i, d), w| {
+        let (wi, wd) = w.join().unwrap();
+        (i + wi, d + wd)
+    })
+}
+
 /// Two threads on the same four keys until some SCX has aborted after its
 /// patch was built (a failed LLX allocates nothing, so it would not do).
-/// Returns the number of successful inserts and deletes.
-fn contend_until_an_scx_aborts(tree: &Arc<Tree>, mut inserts: u64, mut deletes: u64) -> (u64, u64) {
+fn contend_until_an_scx_aborts(tree: &Arc<Tree<1>>, mut inserts: u64, mut deletes: u64) {
     assert_eq!(allocated_by_aborted_attempts(tree, inserts, deletes), 0);
     for round in 0..400u64 {
-        let go = Arc::new(AtomicBool::new(false));
-        let workers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let (tree, go) = (tree.clone(), go.clone());
-                std::thread::spawn(move || {
-                    while !go.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    let mut x = (round * 2 + t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let (mut inserts, mut deletes) = (0, 0);
-                    for _ in 0..5_000 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let k = (1 << 40) + x % 4;
-                        if x & (1 << 20) == 0 {
-                            inserts += insert(&tree, k) as u64;
-                        } else {
-                            deletes += delete(&tree, k) as u64;
-                        }
-                    }
-                    (inserts, deletes)
-                })
-            })
-            .collect();
-        go.store(true, Ordering::Release);
-        for w in workers {
-            let (i, d) = w.join().unwrap();
-            inserts += i;
-            deletes += d;
-        }
+        let (i, d) = contend(tree, round);
+        inserts += i;
+        deletes += d;
         if allocated_by_aborted_attempts(tree, inserts, deletes) > 0 {
-            return (inserts, deletes);
+            return;
         }
     }
     panic!("no SCX aborted in 400 rounds of two threads on four keys");
 }
 
-#[test]
-fn every_allocated_node_is_reclaimed_exactly_once() {
-    let _serial = ebr::own_the_global_epoch();
-    let tree = Arc::new(Tree::new());
-    let (inserts, deletes) = fire_every_rebalance_kind(&tree);
-    contend_until_an_scx_aborts(&tree, inserts, deletes);
+/// Drop `tree` and flush until every node allocated so far is reclaimed,
+/// then check the ledger: every node, and every fat leaf, exactly once,
+/// and no value left alive.
+fn drop_and_balance<const B: usize>(tree: Arc<Tree<B>>) {
     let guard = ebr::pin();
     tree.cleanup_everywhere(&guard);
     drop(guard);
@@ -173,6 +218,48 @@ fn every_allocated_node_is_reclaimed_exactly_once() {
     assert_eq!(
         RECLAIMED.load(Ordering::SeqCst),
         allocated,
-        "allocations and reclamations must balance"
+        "allocations and reclamations must balance (B = {B})"
     );
+    assert_eq!(
+        FAT_RECLAIMED.load(Ordering::SeqCst),
+        FAT_ALLOCATED.load(Ordering::SeqCst),
+        "every fat leaf is reclaimed exactly once (B = {B})"
+    );
+    assert_eq!(
+        LIVE.load(Ordering::SeqCst),
+        0,
+        "every entry of every reclaimed leaf is dropped (B = {B})"
+    );
+}
+
+#[test]
+fn every_allocated_node_is_reclaimed_exactly_once() {
+    let _serial = ebr::own_the_global_epoch();
+    let tree = Arc::new(Tree::<1>::new());
+    let (inserts, deletes) = fire_every_rebalance_kind(&tree);
+    contend_until_an_scx_aborts(&tree, inserts, deletes);
+    drop_and_balance(tree);
+    assert_eq!(
+        FAT_ALLOCATED.load(Ordering::SeqCst),
+        0,
+        "B = 1 has no fat leaf"
+    );
+
+    // Fat leaves: the same phases, then contention on four keys of one
+    // leaf, where most updates are one-node patches of the same node.
+    let tree = Arc::new(Tree::<FAT>::new());
+    fire_every_rebalance_kind(&tree);
+    let failures = tree.stats.snapshot().scx_failures;
+    for round in 0..40u64 {
+        contend(&tree, round);
+    }
+    assert!(
+        tree.stats.snapshot().scx_failures > failures,
+        "updates of one leaf conflict"
+    );
+    assert!(
+        FAT_ALLOCATED.load(Ordering::SeqCst) > 10_000,
+        "fat leaves were made"
+    );
+    drop_and_balance(tree);
 }

@@ -97,9 +97,11 @@ fn stab_rec(v: VersionRef<'_, IvKey, u64, MaxEndAug>, p: u64, out: &mut Vec<(u64
         return;
     }
     let VersionRef::Internal(n) = v else {
-        if let (Some((start, id)), Some(end)) = (v.key().as_key(), v.value()) {
-            if *start <= p && p <= *end {
-                out.push((*start, *end, *id));
+        let leaf = v.leaf().expect("a version tree ends in leaves");
+        for i in 0..leaf.len() {
+            let (&(start, id), &end) = leaf.entry(i);
+            if start <= p && p <= end {
+                out.push((start, end, id));
             }
         }
         return;

@@ -68,7 +68,7 @@ pub mod version;
 
 pub use augment::{Augmentation, MinMax, MinMaxAug, PairAug, SizeOnly, SumAug};
 pub use interval::IntervalMap;
-pub use map::{BatMap, BatSet};
+pub use map::{BatMap, BatSet, LEAF_KEYS};
 pub use propagate::DelegationPolicy;
 pub use snapshot::Snapshot;
 pub use stats::{BatStats, StatsSnapshot};

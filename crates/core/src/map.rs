@@ -49,8 +49,14 @@ use crate::snapshot::{find_leaf, Snapshot};
 use crate::stats::{BatStats, Counter};
 use crate::version::{Version, VersionSlot};
 
+/// The leaf capacity [`BatMap`] and [`BatSet`] ship with: the most keys
+/// one leaf holds. With `u64` keys and no values a leaf of 8 fills two
+/// cache lines: its 64-byte node, then its 8 entries.
+pub const LEAF_KEYS: usize = 8;
+
 /// A lock-free balanced augmented ordered map (the paper's BAT), generic
-/// over keys, values and the augmentation function.
+/// over keys, values, the augmentation function and the leaf capacity `B`
+/// (the paper's one key per leaf is `B = 1`; see [`LEAF_KEYS`]).
 ///
 /// The same type also embodies **FR-BST** (the unbalanced augmented
 /// baseline \[13\]): constructed with [`BatMap::new_unbalanced`], the node
@@ -58,19 +64,19 @@ use crate::version::{Version, VersionSlot};
 /// Ellen et al. \[11\] — which is exactly the structure FR augment. FR-BST
 /// propagates without delegation, the one configuration the paper
 /// evaluates (Fig. 5); delegation is a policy of the balanced tree only.
-pub struct BatMap<K, V, A = SizeOnly>
+pub struct BatMap<K, V, A = SizeOnly, const B: usize = LEAF_KEYS>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    pub(crate) tree: ChromaticTree<K, V, VersionSlot<K, V, A>>,
+    pub(crate) tree: ChromaticTree<K, V, VersionSlot<K, V, A>, B>,
     policy: DelegationPolicy,
     /// Work counters (§7 statistics).
     pub stats: BatStats,
 }
 
-impl<K, V, A> BatMap<K, V, A>
+impl<K, V, A, const B: usize> BatMap<K, V, A, B>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -252,12 +258,12 @@ where
     }
 
     /// Access the underlying node tree (validation, statistics, tests).
-    pub fn node_tree(&self) -> &ChromaticTree<K, V, VersionSlot<K, V, A>> {
+    pub fn node_tree(&self) -> &ChromaticTree<K, V, VersionSlot<K, V, A>, B> {
         &self.tree
     }
 }
 
-impl<K, V, A> Default for BatMap<K, V, A>
+impl<K, V, A, const B: usize> Default for BatMap<K, V, A, B>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -269,15 +275,15 @@ where
 }
 
 /// A lock-free balanced augmented ordered **set** (values are `()`).
-pub struct BatSet<K, A = SizeOnly>
+pub struct BatSet<K, A = SizeOnly, const B: usize = LEAF_KEYS>
 where
     K: Ord + Clone + Send + Sync + 'static,
     A: Augmentation<K, ()>,
 {
-    map: BatMap<K, (), A>,
+    map: BatMap<K, (), A, B>,
 }
 
-impl<K, A> BatSet<K, A>
+impl<K, A, const B: usize> BatSet<K, A, B>
 where
     K: Ord + Clone + Send + Sync + 'static,
     A: Augmentation<K, ()>,
@@ -352,7 +358,7 @@ where
     }
 
     /// The underlying map.
-    pub fn as_map(&self) -> &BatMap<K, (), A> {
+    pub fn as_map(&self) -> &BatMap<K, (), A, B> {
         &self.map
     }
 
@@ -363,7 +369,7 @@ where
     }
 }
 
-impl<K, A> Default for BatSet<K, A>
+impl<K, A, const B: usize> Default for BatSet<K, A, B>
 where
     K: Ord + Clone + Send + Sync + 'static,
     A: Augmentation<K, ()>,

@@ -20,12 +20,15 @@
 //! protected from reclamation for as long as it lives (this is precisely
 //! the "long-running query" behaviour of EBR the paper describes in §6).
 
+use std::borrow::Cow;
 use std::cmp::Ordering as Ord_;
+use std::ops::Range;
 
 use chromatic::SentKey;
 
 use crate::augment::Augmentation;
-use crate::version::{Version, VersionRef};
+use crate::refresh::BatNode;
+use crate::version::{leaf_aug, Version, VersionRef};
 
 /// An immutable snapshot of the set, as of the moment it was taken (its
 /// linearization point is the read of the root's version pointer).
@@ -45,6 +48,54 @@ fn cmp_key<K: Ord>(k: &K, vkey: &SentKey<K>) -> Ord_ {
     }
 }
 
+/// The number of `leaf`'s keys below `k` (`inclusive`: at most `k`): where
+/// a rank descent finishes inside the leaf it ends at.
+#[inline]
+fn keys_below<K: Ord, V, A: Augmentation<K, V>>(
+    leaf: &BatNode<K, V, A>,
+    k: &K,
+    inclusive: bool,
+) -> usize {
+    match leaf.search_leaf(k) {
+        Ok(i) => i + inclusive as usize,
+        Err(i) => i,
+    }
+}
+
+/// One piece of a range query's answer: a whole subtree, or the run of a
+/// boundary leaf's entries that lies inside the range.
+enum Piece<'v, K, V, A: Augmentation<K, V>> {
+    Tree(VersionRef<'v, K, V, A>),
+    Run(&'v BatNode<K, V, A>, Range<usize>),
+}
+
+impl<'v, K, V, A> Piece<'v, K, V, A>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    A: Augmentation<K, V>,
+{
+    /// The run of `leaf`'s entries inside `[lo, hi]`, if any.
+    fn run(leaf: &'v BatNode<K, V, A>, lo: &K, hi: &K) -> Option<Self> {
+        let range = keys_below(leaf, lo, false)..keys_below(leaf, hi, true);
+        (!range.is_empty()).then_some(Piece::Run(leaf, range))
+    }
+
+    fn size(&self) -> u64 {
+        match self {
+            Piece::Tree(v) => v.size(),
+            Piece::Run(_, range) => range.len() as u64,
+        }
+    }
+
+    fn aug(&self) -> Cow<'v, A::Value> {
+        match self {
+            Piece::Tree(v) => v.aug(),
+            Piece::Run(leaf, range) => Cow::Owned(leaf_aug(leaf, range.clone())),
+        }
+    }
+}
+
 /// The pieces of `[lo, hi]` (`lo <= hi`) on the version tree below `root`,
 /// found by one walk over the two boundary paths. The walk descends once
 /// while `lo` and `hi` route the same way: `lo` goes left iff
@@ -55,9 +106,9 @@ fn cmp_key<K: Ord>(k: &K, vkey: &SentKey<K>) -> Ord_ {
 /// child) alternately in one loop, so the two chains' cache misses
 /// overlap instead of queueing. The `lo` path hands `lo_piece` the right
 /// subtree wherever it turns left, the `hi` path hands `hi_piece` the
-/// left subtree wherever it turns right, and each path hands over its leaf
-/// if that leaf's key is in `[lo, hi]`. A leaf the two paths share goes
-/// to `lo_piece`.
+/// left subtree wherever it turns right, and each path hands over the run
+/// of its leaf's keys that lies in `[lo, hi]`, if any. A leaf the two
+/// paths share goes to `lo_piece`.
 ///
 /// Every piece lies wholly inside the range and they partition it: the
 /// `lo` side arrives right to left, the `hi` side left to right, and every
@@ -67,8 +118,8 @@ fn walk_range<'v, K, V, A, R>(
     lo: &K,
     hi: &K,
     (mut acc_lo, mut acc_hi): (R, R),
-    lo_piece: impl Fn(VersionRef<'v, K, V, A>, R) -> R,
-    hi_piece: impl Fn(R, VersionRef<'v, K, V, A>) -> R,
+    lo_piece: impl Fn(Piece<'v, K, V, A>, R) -> R,
+    hi_piece: impl Fn(R, Piece<'v, K, V, A>) -> R,
 ) -> (R, R)
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -77,13 +128,12 @@ where
 {
     let lo_left = |v: &Version<K, V, A>| cmp_key(lo, &v.key) != Ord_::Greater;
     let hi_left = |v: &Version<K, V, A>| cmp_key(hi, &v.key) == Ord_::Less;
-    let in_range =
-        |v: VersionRef<'v, K, V, A>| v.key().as_key().is_some_and(|k| lo <= k && k <= hi);
+    let run = |v: VersionRef<'v, K, V, A>| Piece::run(v.leaf()?, lo, hi);
     let mut v = VersionRef::Internal(root);
     let split = loop {
         let VersionRef::Internal(n) = v else {
-            if in_range(v) {
-                acc_lo = lo_piece(v, acc_lo);
+            if let Some(piece) = run(v) {
+                acc_lo = lo_piece(piece, acc_lo);
             }
             return (acc_lo, acc_hi);
         };
@@ -99,7 +149,7 @@ where
         if let VersionRef::Internal(n) = a {
             n.prefetch_children();
             if lo_left(n) {
-                acc_lo = lo_piece(n.right(), acc_lo);
+                acc_lo = lo_piece(Piece::Tree(n.right()), acc_lo);
                 a = n.left();
             } else {
                 a = n.right();
@@ -110,22 +160,23 @@ where
             if hi_left(n) {
                 b = n.left();
             } else {
-                acc_hi = hi_piece(acc_hi, n.left());
+                acc_hi = hi_piece(acc_hi, Piece::Tree(n.left()));
                 b = n.right();
             }
         }
     }
-    if in_range(a) {
-        acc_lo = lo_piece(a, acc_lo);
+    if let Some(piece) = run(a) {
+        acc_lo = lo_piece(piece, acc_lo);
     }
-    if in_range(b) {
-        acc_hi = hi_piece(acc_hi, b);
+    if let Some(piece) = run(b) {
+        acc_hi = hi_piece(acc_hi, piece);
     }
     (acc_lo, acc_hi)
 }
 
 /// `Find`'s descent (paper Fig. 3 lines 25–31) on the version tree below
-/// `root`: the leaf holding `k`, if any. Shared by [`Snapshot::contains`] /
+/// `root`, finished by a search of the leaf it ends at: `k`'s value, if
+/// `k` is present. Shared by [`Snapshot::contains`] /
 /// [`Snapshot::get`] and an update's root check
 /// ([`crate::map::BatMap::insert`]), which reads the root under the
 /// update's own guard. `step` sees each internal version on the path, with
@@ -134,7 +185,7 @@ pub(crate) fn find_leaf<'v, K, V, A>(
     root: &'v Version<K, V, A>,
     k: &K,
     mut step: impl FnMut(&'v Version<K, V, A>, Option<&'v Version<K, V, A>>),
-) -> Option<VersionRef<'v, K, V, A>>
+) -> Option<&'v V>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
@@ -148,7 +199,8 @@ where
         step(n, n.internal_child(left));
         v = if left { n.left() } else { n.right() };
     }
-    (v.key().as_key() == Some(k)).then_some(v)
+    let leaf = v.leaf()?;
+    Some(leaf.entry(leaf.search_leaf(k).ok()?).1)
 }
 
 impl<K, V, A> Snapshot<K, V, A>
@@ -222,11 +274,11 @@ where
 
     /// Point lookup returning the stored value.
     pub fn get(&self, k: &K) -> Option<V> {
-        find_leaf(self.root(), k, |_, _| {})?.value().cloned()
+        find_leaf(self.root(), k, |_, _| {}).cloned()
     }
 
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.
-    /// One root-to-leaf descent, O(height).
+    /// One root-to-leaf descent, O(height), finished inside the leaf.
     pub fn rank(&self, k: &K) -> u64 {
         let mut count = 0u64;
         let mut v = self.root_version();
@@ -239,12 +291,7 @@ where
                 v = n.right();
             }
         }
-        if let Some(lk) = v.key().as_key() {
-            if lk <= k {
-                count += v.size(); // 1 for a real leaf
-            }
-        }
-        count
+        count + v.leaf().map_or(0, |leaf| keys_below(leaf, k, true)) as u64
     }
 
     /// The number of keys strictly less than `k`.
@@ -261,12 +308,7 @@ where
                 v = n.right();
             }
         }
-        if let Some(lk) = v.key().as_key() {
-            if lk < k {
-                count += v.size();
-            }
-        }
-        count
+        count + v.leaf().map_or(0, |leaf| keys_below(leaf, k, false)) as u64
     }
 
     /// Select query: the `i`-th smallest key (0-indexed) and its value.
@@ -287,8 +329,7 @@ where
                 v = n.right();
             }
         }
-        debug_assert_eq!(v.size(), 1);
-        Some((v.key().as_key()?.clone(), v.value()?.clone()))
+        Some(v.leaf()?.cloned_entry(i as usize))
     }
 
     /// Count of keys in `[lo, hi]`, O(height): the sizes of the subtrees
@@ -305,8 +346,8 @@ where
             lo,
             hi,
             (0, 0),
-            |v, acc| acc + v.size(),
-            |acc, v| acc + v.size(),
+            |p, acc| acc + p.size(),
+            |acc, p| acc + p.size(),
         );
         l + h
     }
@@ -327,8 +368,8 @@ where
             lo,
             hi,
             (A::sentinel(), A::sentinel()),
-            |v, acc| A::combine(&v.aug(), &acc),
-            |acc, v| A::combine(&acc, &v.aug()),
+            |p, acc| A::combine(&p.aug(), &acc),
+            |acc, p| A::combine(&acc, &p.aug()),
         );
         A::combine(&l, &h)
     }
@@ -344,10 +385,9 @@ where
             A: Augmentation<K, V>,
         {
             let VersionRef::Internal(n) = v else {
-                if let (Some(k), Some(val)) = (v.key().as_key(), v.value()) {
-                    if k >= lo && k <= hi {
-                        out.push((k.clone(), val.clone()));
-                    }
+                if let Some(Piece::Run(leaf, range)) = v.leaf().and_then(|l| Piece::run(l, lo, hi))
+                {
+                    out.extend(range.map(|i| leaf.cloned_entry(i)));
                 }
                 return;
             };
@@ -368,6 +408,7 @@ where
     pub fn iter(&self) -> SnapIter<'_, K, V, A> {
         SnapIter {
             stack: vec![self.root_version()],
+            leaf: None,
         }
     }
 
@@ -377,9 +418,11 @@ where
     }
 }
 
-/// In-order traversal over a snapshot's real leaves.
+/// In-order traversal over a snapshot's real leaves' entries.
 pub struct SnapIter<'s, K, V, A: Augmentation<K, V>> {
     stack: Vec<VersionRef<'s, K, V, A>>,
+    /// The leaf being walked and its next entry.
+    leaf: Option<(&'s BatNode<K, V, A>, usize)>,
 }
 
 impl<'s, K, V, A> Iterator for SnapIter<'s, K, V, A>
@@ -391,18 +434,22 @@ where
     type Item = (K, V);
 
     fn next(&mut self) -> Option<(K, V)> {
-        while let Some(v) = self.stack.pop() {
-            let VersionRef::Internal(n) = v else {
-                if let (Some(k), Some(val)) = (v.key().as_key(), v.value()) {
-                    return Some((k.clone(), val.clone()));
+        loop {
+            if let Some((leaf, i)) = &mut self.leaf {
+                if *i < leaf.len() {
+                    *i += 1;
+                    return Some(leaf.cloned_entry(*i - 1));
                 }
-                continue; // sentinel leaf
-            };
-            // Right first so the left is popped (visited) first.
-            self.stack.push(n.right());
-            self.stack.push(n.left());
+            }
+            match self.stack.pop()? {
+                VersionRef::Leaf(leaf) => self.leaf = Some((leaf, 0)),
+                VersionRef::Internal(n) => {
+                    // Right first so the left is popped (visited) first.
+                    self.stack.push(n.right());
+                    self.stack.push(n.left());
+                }
+            }
         }
-        None
     }
 }
 

@@ -3,10 +3,11 @@
 //! Each internal node points to a [`Version`] storing its supplementary
 //! fields (paper Fig. 3: key, size, child-version pointers — extended here
 //! with the generic augmentation value). A leaf is born as its own version
-//! (Definition 1, rules 1–2): its key and value are immutable, its size is
-//! 1 (0 for a sentinel) and its augmentation value is `A::leaf(key, value)`
-//! (`A::sentinel()`), so an internal version points to a leaf child as the
-//! leaf node itself, and [`VersionRef`] reads either kind. The versions of
+//! (Definition 1, rules 1–2): its entries are immutable, its size is the
+//! number of keys it holds (0 for a sentinel) and its augmentation value is
+//! the fold of `A::leaf` over its entries (`A::sentinel()` for none), so an
+//! internal version points to a leaf child as the leaf node itself, and
+//! [`VersionRef`] reads either kind. The versions of
 //! a snapshot and the leaves they name form an immutable BST (the *version
 //! tree*) mirroring the node tree (Fig. 4a). Queries read the root's
 //! version and run sequential algorithms on the frozen version tree.
@@ -69,6 +70,17 @@ impl Default for PropStatus {
 const LEFT_LEAF: u64 = 1;
 /// Bit of [`Version`]'s `node` word set when `right` names a leaf node.
 const RIGHT_LEAF: u64 = 2;
+/// Bit of [`Version`]'s `node` word set when `left` names a leaf of two or
+/// more keys (a `chromatic::FatLeaf`, which spans more than one line).
+const LEFT_FAT: u64 = 4;
+/// As [`LEFT_FAT`], for `right`.
+const RIGHT_FAT: u64 = 8;
+/// Every tag bit of the `node` word (pool blocks are line-aligned).
+const TAGS: u64 = LEFT_LEAF | RIGHT_LEAF | LEFT_FAT | RIGHT_FAT;
+
+/// Bytes a prefetch of a fat leaf covers: its first two lines, which are
+/// all of a `BatSet<u64>` leaf at the shipped capacity.
+type FatLeafLines = [u64; 16];
 
 /// One immutable version of an internal node's supplementary fields.
 ///
@@ -76,8 +88,9 @@ const RIGHT_LEAF: u64 = 2;
 /// a child version, or — for a leaf child — the leaf node itself, since a
 /// leaf is born as its own version (Definition 1, rules 1–2: a leaf's key
 /// and value never change, and its size and augmentation value follow from
-/// them). Two bits say which, in the low bits of the `node` word; the child
-/// pointers stay untagged, so the debug fences' alignment test still tells
+/// them). Two bits say which, in the low bits of the `node` word, and two
+/// more which leaf children hold two or more keys; the child pointers stay
+/// untagged, so the debug fences' alignment test still tells
 /// poison from a pointer. A version is thus the root of an entire immutable
 /// snapshot of its subtree.
 ///
@@ -100,7 +113,8 @@ pub struct Version<K, V, A: Augmentation<K, V>> {
     /// for versions made by recursive nil-refreshes or plain propagates).
     pub status: u64, // *const PropStatus
     /// `*const BatNode` of the node this version was built for, a hint
-    /// only, | [`LEFT_LEAF`] | [`RIGHT_LEAF`]: which children are leaf nodes.
+    /// only, | the [`TAGS`]: which children are leaf nodes, and which are
+    /// fat ones.
     node: u64,
     _value: PhantomData<V>,
 }
@@ -120,7 +134,12 @@ where
         r: VersionRef<'_, K, V, A>,
         status: u64,
     ) -> *mut Self {
-        debug_assert_eq!(node & (LEFT_LEAF | RIGHT_LEAF), 0, "nodes are aligned");
+        debug_assert_eq!(node & TAGS, 0, "nodes are aligned");
+        let tags = |v: &VersionRef<'_, K, V, A>, leaf, fat| match v {
+            VersionRef::Leaf(n) if n.len() >= 2 => leaf | fat,
+            VersionRef::Leaf(_) => leaf,
+            VersionRef::Internal(_) => 0,
+        };
         ebr::pool::alloc_pooled(Version {
             key: key.clone(),
             size: l.size() + r.size(),
@@ -128,7 +147,7 @@ where
             left: l.as_raw(),
             right: r.as_raw(),
             status,
-            node: node | (l.is_leaf() as u64 * LEFT_LEAF) | (r.is_leaf() as u64 * RIGHT_LEAF),
+            node: node | tags(&l, LEFT_LEAF, LEFT_FAT) | tags(&r, RIGHT_LEAF, RIGHT_FAT),
             _value: PhantomData,
         })
     }
@@ -184,7 +203,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     /// dereferenced (see the type's doc).
     #[inline]
     pub fn node_hint(&self) -> *const BatNode<K, V, A> {
-        (self.node & !(LEFT_LEAF | RIGHT_LEAF)) as *const BatNode<K, V, A>
+        (self.node & !TAGS) as *const BatNode<K, V, A>
     }
 
     /// Ask the cache for the node this version was built for.
@@ -196,29 +215,34 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     /// Ask the cache for both children before a descent decides which one
     /// it follows: the turn then waits on a line already in flight, and
     /// `select`'s read of the left child's size overlaps the fetch of the
-    /// right one. A prefetch never faults and reads nothing the program
-    /// sees; see [`ebr::prefetch`].
+    /// right one. A fat leaf's entries follow its node, so its prefetch
+    /// covers its first two lines. A prefetch never faults and reads
+    /// nothing the program sees; see [`ebr::prefetch`].
     #[inline(always)]
     pub(crate) fn prefetch_children(&self) {
-        let prefetch = |raw, bit| {
-            if self.node & bit != 0 {
+        let prefetch = |raw, leaf, fat| {
+            if self.node & fat != 0 {
+                ebr::prefetch::<FatLeafLines, false>(raw);
+            } else if self.node & leaf != 0 {
                 ebr::prefetch::<BatNode<K, V, A>, false>(raw);
             } else {
                 ebr::prefetch::<Self, false>(raw);
             }
         };
-        prefetch(self.left, LEFT_LEAF);
-        prefetch(self.right, RIGHT_LEAF);
+        prefetch(self.left, LEFT_LEAF, LEFT_FAT);
+        prefetch(self.right, RIGHT_LEAF, RIGHT_FAT);
     }
 }
 
 /// A vertex of the version tree as a reader meets it: an internal
 /// [`Version`], or a leaf node, which is its own version (Definition 1,
 /// rules 1–2). Queries step through these, so a walk keeps the shape it
-/// had over a tree of versions alone.
+/// had over a tree of versions alone, and finishes inside the leaf it
+/// ends at (`BatNode::entry`, `BatNode::search_leaf`).
 pub enum VersionRef<'g, K, V, A: Augmentation<K, V>> {
-    /// A leaf: size 1 and `A::leaf(key, value)` for a real key, size 0 and
-    /// `A::sentinel()` for a sentinel.
+    /// A leaf: its size is its key count and its value the fold of
+    /// `A::leaf` over its entries; size 0 and `A::sentinel()` for a
+    /// sentinel.
     Leaf(&'g BatNode<K, V, A>),
     /// An internal node's version.
     Internal(&'g Version<K, V, A>),
@@ -252,12 +276,6 @@ impl<'g, K, V, A: Augmentation<K, V>> VersionRef<'g, K, V, A> {
         VersionRef::Leaf(node)
     }
 
-    /// The leaf's key and value when it holds a real key.
-    #[inline]
-    fn leaf_entry(node: &'g BatNode<K, V, A>) -> Option<(&'g K, &'g V)> {
-        node.key().as_key().zip(node.value())
-    }
-
     /// True for a leaf.
     #[inline]
     pub fn is_leaf(&self) -> bool {
@@ -277,7 +295,7 @@ impl<'g, K, V, A: Augmentation<K, V>> VersionRef<'g, K, V, A> {
     #[inline]
     pub fn size(&self) -> u64 {
         match *self {
-            VersionRef::Leaf(node) => Self::leaf_entry(node).is_some() as u64,
+            VersionRef::Leaf(node) => node.len() as u64,
             VersionRef::Internal(v) => v.size,
         }
     }
@@ -286,18 +304,16 @@ impl<'g, K, V, A: Augmentation<K, V>> VersionRef<'g, K, V, A> {
     #[inline]
     pub fn aug(&self) -> Cow<'g, A::Value> {
         match *self {
-            VersionRef::Leaf(node) => Cow::Owned(
-                Self::leaf_entry(node).map_or_else(A::sentinel, |(k, val)| A::leaf(k, val)),
-            ),
+            VersionRef::Leaf(node) => Cow::Owned(leaf_aug(node, 0..node.len())),
             VersionRef::Internal(v) => Cow::Borrowed(&v.aug),
         }
     }
 
-    /// The payload of a real leaf, so snapshots can answer `get`.
+    /// The leaf node, for a walk that finishes inside it.
     #[inline]
-    pub fn value(&self) -> Option<&'g V> {
+    pub fn leaf(&self) -> Option<&'g BatNode<K, V, A>> {
         match *self {
-            VersionRef::Leaf(node) => Self::leaf_entry(node).map(|(_, val)| val),
+            VersionRef::Leaf(node) => Some(node),
             VersionRef::Internal(_) => None,
         }
     }
@@ -310,6 +326,23 @@ impl<'g, K, V, A: Augmentation<K, V>> VersionRef<'g, K, V, A> {
             VersionRef::Internal(v) => v as *const Version<K, V, A> as u64,
         }
     }
+}
+
+/// The augmentation value of a leaf's entries `range`: the fold of
+/// `A::leaf` over them in key order, `A::sentinel()` for none. At most
+/// `B − 1` combines; `SizeOnly`'s value is `()`, so its fold is free.
+#[inline]
+pub(crate) fn leaf_aug<K, V, A: Augmentation<K, V>>(
+    node: &BatNode<K, V, A>,
+    range: std::ops::Range<usize>,
+) -> A::Value {
+    range
+        .map(|i| {
+            let (k, v) = node.entry(i);
+            A::leaf(k, v)
+        })
+        .reduce(|acc, x| A::combine(&acc, &x))
+        .unwrap_or_else(A::sentinel)
 }
 
 /// Debug fence for a leaf reached through a version, the companion of
@@ -370,7 +403,7 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    fn new_leaf(_key: &SentKey<K>, _value: Option<&V>) -> Self {
+    fn new_leaf(_key: &SentKey<K>, _len: usize) -> Self {
         // Definition 1, rules 1–2: a leaf is born as its own version (see
         // `VersionRef::Leaf`), so its slot stays empty.
         Self::nil()
@@ -463,6 +496,13 @@ mod tests {
             size_of::<Version<u64, u64, PairAug<SumAug, MinMaxAug>>>(),
             88
         );
+        // A `BatSet<u64>` fat leaf at the shipped capacity: its 64-byte
+        // node, then 8 entries of 8 bytes, exactly two lines (stride 128).
+        type Fat =
+            chromatic::FatLeaf<u64, (), VersionSlot<u64, (), SizeOnly>, { crate::LEAF_KEYS }>;
+        assert_eq!(crate::LEAF_KEYS, 8);
+        assert_eq!(size_of::<Fat>(), 128);
+        assert_eq!(pooled_addr::<Fat>() % 64, 0);
     }
 
     #[test]
@@ -471,7 +511,7 @@ mod tests {
         let v = VersionRef::Leaf(node);
         assert_eq!(v.size(), 1);
         assert_eq!(v.key(), &SentKey::Key(7));
-        assert_eq!(v.value(), Some(&70));
+        assert_eq!(node.entry(0), (&7, &70));
         assert!(v.is_leaf());
         assert_eq!(v.as_raw(), node.as_raw(), "a leaf is its own version");
         assert_eq!(node.plugin.load(), 0, "a leaf's slot stays empty");
@@ -483,12 +523,37 @@ mod tests {
         }
     }
 
+    /// A fat leaf is its own version too: its size is its length and its
+    /// aggregate the in-order fold of its entries.
+    #[test]
+    fn fat_leaf_versions_fold_their_entries() {
+        type L = BatNode<u64, u64, SumAug>;
+        let node = unsafe { &*L::new_leaf_of::<8>(4, 1, |i| (i as u64 * 2, 10 + i as u64)) };
+        let v = VersionRef::Leaf(node);
+        assert_eq!(v.size(), 4);
+        assert_eq!(*v.aug(), 10 + 11 + 12 + 13);
+        assert_eq!(v.key(), &SentKey::Key(0));
+        assert_eq!(leaf_aug(node, 1..3), 11 + 12);
+        assert_eq!(leaf_aug(node, 2..2), 0, "an empty run is the sentinel");
+        let inner = Version::<u64, u64, SumAug>::combine(&SentKey::Key(9), 0x1000, v, v, 0);
+        let inner = unsafe { &*inner };
+        assert_eq!((inner.size, inner.aug), (8, 2 * 46));
+        assert!(inner.left().is_leaf() && inner.right().is_leaf());
+        unsafe { dispose_version::<u64, u64, SumAug>(inner as *const _ as u64) };
+        unsafe {
+            ebr::pool::dispose_pooled(
+                node as *const L
+                    as *mut chromatic::FatLeaf<u64, u64, VersionSlot<u64, u64, SumAug>, 8>,
+            )
+        };
+    }
+
     #[test]
     fn sentinel_versions_have_size_zero() {
         let node = leaf::<SizeOnly>(SentKey::Inf1, None);
         let v = VersionRef::Leaf(node);
         assert_eq!(v.size(), 0);
-        assert_eq!(v.value(), None);
+        assert!(node.is_empty());
         assert!(v.is_leaf());
         let sum = VersionRef::<u64, u64, SumAug>::Leaf(leaf(SentKey::Inf2, None));
         assert_eq!(*sum.aug(), 0, "A::sentinel()");

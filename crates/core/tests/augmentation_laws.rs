@@ -4,7 +4,7 @@
 //! and demonstrate (via a deliberately unlawful augmentation) that the
 //! laws are what make tree-shape changes invisible to aggregates.
 
-use cbat_core::{Augmentation, BatMap, MinMaxAug, PairAug, SizeOnly, SumAug};
+use cbat_core::{Augmentation, BatMap, MinMaxAug, PairAug, SizeOnly, SumAug, LEAF_KEYS};
 
 fn assoc_law<A: Augmentation<u64, u64>>(vals: &[(u64, u64)])
 where
@@ -42,8 +42,7 @@ fn all_shipped_augmentations_satisfy_laws() {
 
 /// Aggregates must be independent of insertion order (tree shape): the
 /// direct consequence of the laws that BAT's correctness rests on.
-#[test]
-fn aggregate_is_shape_independent() {
+fn aggregate_is_shape_independent_at<const B: usize>() {
     let orders: [&[u64]; 3] = [
         &[1, 2, 3, 4, 5, 6, 7, 8],
         &[8, 7, 6, 5, 4, 3, 2, 1],
@@ -51,7 +50,7 @@ fn aggregate_is_shape_independent() {
     ];
     let mut results = Vec::new();
     for order in orders {
-        let m = BatMap::<u64, u64, PairAug<SumAug, MinMaxAug>>::new();
+        let m = BatMap::<u64, u64, PairAug<SumAug, MinMaxAug>, B>::new();
         for &k in order {
             m.insert(k, k * 10);
         }
@@ -63,12 +62,17 @@ fn aggregate_is_shape_independent() {
     assert_eq!(results[0].1 .0, 200); // 20+30+40+50+60
 }
 
+#[test]
+fn aggregate_is_shape_independent() {
+    aggregate_is_shape_independent_at::<1>();
+    aggregate_is_shape_independent_at::<LEAF_KEYS>();
+}
+
 /// Size augmentation really counts leaves: cross-check against the
 /// chromatic validator's own leaf count at several sizes.
-#[test]
-fn size_equals_validator_leaf_count() {
+fn size_equals_validator_leaf_count_at<const B: usize>() {
     for n in [0u64, 1, 2, 17, 100, 999] {
-        let m = BatMap::<u64, (), SizeOnly>::new();
+        let m = BatMap::<u64, (), SizeOnly, B>::new();
         for k in 0..n {
             m.insert(k * 3, ());
         }
@@ -76,4 +80,10 @@ fn size_equals_validator_leaf_count() {
         assert_eq!(shape.keys as u64, m.len(), "n={n}");
         assert_eq!(m.len(), n);
     }
+}
+
+#[test]
+fn size_equals_validator_leaf_count() {
+    size_equals_validator_leaf_count_at::<1>();
+    size_equals_validator_leaf_count_at::<LEAF_KEYS>();
 }

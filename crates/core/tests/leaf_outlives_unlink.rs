@@ -19,7 +19,7 @@
 use std::sync::Barrier;
 
 use cbat_core::propagate::{propagate, DelegationPolicy};
-use cbat_core::BatMap;
+use cbat_core::{BatMap, SizeOnly, LEAF_KEYS};
 use chromatic::SentKey;
 
 const KEYS: u64 = 512;
@@ -29,10 +29,9 @@ fn removed() -> impl Iterator<Item = u64> {
     (0..KEYS).step_by(4)
 }
 
-#[test]
-fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked() {
+fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at<const B: usize>() {
     let _serial = ebr::own_the_global_epoch();
-    let map = BatMap::<u64, u64>::new();
+    let map = BatMap::<u64, u64, SizeOnly, B>::new();
     for k in 0..KEYS {
         assert!(map.insert(k, k * 10));
     }
@@ -104,4 +103,10 @@ fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked() {
     drop(snap);
     assert_eq!(map.len(), KEYS - removed().count() as u64);
     ebr::flush();
+}
+
+#[test]
+fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked() {
+    a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at::<1>();
+    a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at::<LEAF_KEYS>();
 }

@@ -2,7 +2,7 @@
 //! about every update reaches the root before the update returns, under
 //! all three variants, including after rotations rewrote the path.
 
-use cbat_core::{BatMap, DelegationPolicy};
+use cbat_core::{BatMap, DelegationPolicy, SizeOnly, LEAF_KEYS};
 
 fn policies() -> Vec<DelegationPolicy> {
     vec![
@@ -14,10 +14,9 @@ fn policies() -> Vec<DelegationPolicy> {
 
 /// After any single update returns, the root version reflects it — the
 /// linearization guarantee, checked op by op.
-#[test]
-fn every_update_visible_at_return() {
+fn every_update_visible_at_return_at<const B: usize>() {
     for policy in policies() {
-        let m = BatMap::<u64, ()>::with_policy(policy);
+        let m = BatMap::<u64, (), SizeOnly, B>::with_policy(policy);
         let mut expect = 0u64;
         for k in 0..512u64 {
             assert!(m.insert(k, ()));
@@ -34,13 +33,18 @@ fn every_update_visible_at_return() {
     }
 }
 
+#[test]
+fn every_update_visible_at_return() {
+    every_update_visible_at_return_at::<1>();
+    every_update_visible_at_return_at::<LEAF_KEYS>();
+}
+
 /// Rotation-heavy insertion orders (sorted runs) force Propagate to
 /// re-descend onto freshly rotated patches with nil versions; sizes must
 /// never go stale.
-#[test]
-fn rotations_do_not_lose_arrivals() {
+fn rotations_do_not_lose_arrivals_at<const B: usize>() {
     for policy in policies() {
-        let m = BatMap::<u64, ()>::with_policy(policy);
+        let m = BatMap::<u64, (), SizeOnly, B>::with_policy(policy);
         // Sorted + reverse-sorted runs = constant rebalancing.
         for k in 0..1_000u64 {
             m.insert(k, ());
@@ -59,16 +63,21 @@ fn rotations_do_not_lose_arrivals() {
     }
 }
 
+#[test]
+fn rotations_do_not_lose_arrivals() {
+    rotations_do_not_lose_arrivals_at::<1>();
+    rotations_do_not_lose_arrivals_at::<LEAF_KEYS>();
+}
+
 /// A failed update (duplicate insert / absent delete) must not return
 /// before any update it may have observed has arrived at the root — the
 /// paper's subtle requirement (§4's pseudocode discussion) — whether the
 /// root already answers it or it propagates.
-#[test]
-fn failed_updates_propagate_others_work() {
+fn failed_updates_propagate_others_work_at<const B: usize>() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     for policy in policies() {
-        let m = Arc::new(BatMap::<u64, ()>::with_policy(policy));
+        let m = Arc::new(BatMap::<u64, (), SizeOnly, B>::with_policy(policy));
         for k in 0..64u64 {
             m.insert(k, ());
         }
@@ -102,13 +111,18 @@ fn failed_updates_propagate_others_work() {
     }
 }
 
+#[test]
+fn failed_updates_propagate_others_work() {
+    failed_updates_propagate_others_work_at::<1>();
+    failed_updates_propagate_others_work_at::<LEAF_KEYS>();
+}
+
 /// Work-counter sanity: propagates visit O(height) nodes on a balanced
 /// tree and Θ(n)-ish on the unbalanced one under sorted keys — the §7
 /// statistic that explains fig5b.
-#[test]
-fn propagate_path_length_statistics() {
-    let bal = BatMap::<u64, ()>::new();
-    let unb = BatMap::<u64, ()>::new_unbalanced();
+fn propagate_path_length_statistics_at<const B: usize>() {
+    let bal = BatMap::<u64, (), SizeOnly, B>::new();
+    let unb = BatMap::<u64, (), SizeOnly, B>::new_unbalanced();
     const N: u64 = 4_000;
     for k in 0..N {
         bal.insert(k, ());
@@ -129,13 +143,18 @@ fn propagate_path_length_statistics() {
     );
 }
 
+#[test]
+fn propagate_path_length_statistics() {
+    propagate_path_length_statistics_at::<1>();
+    propagate_path_length_statistics_at::<LEAF_KEYS>();
+}
+
 /// Nil-version fills happen (rotations create them) but stay rare per
 /// update, as §7 reports (0.03–0.075 per propagate, where every update
 /// propagates). Here a no-op update the root answers skips its propagate,
 /// so the ratio is taken over updates: propagates plus root answers.
-#[test]
-fn nil_fills_are_rare() {
-    let m = BatMap::<u64, ()>::new();
+fn nil_fills_are_rare_at<const B: usize>() {
+    let m = BatMap::<u64, (), SizeOnly, B>::new();
     let mut x = 77u64;
     for _ in 0..20_000 {
         x ^= x << 13;
@@ -156,13 +175,18 @@ fn nil_fills_are_rare() {
     );
 }
 
+#[test]
+fn nil_fills_are_rare() {
+    nil_fills_are_rare_at::<1>();
+    nil_fills_are_rare_at::<LEAF_KEYS>();
+}
+
 /// A no-op update whose answer the root's version already gives — a
 /// duplicate insert, a remove of an absent key — returns without a
 /// propagate: it linearizes at its root read, as `Find` does.
-#[test]
-fn no_op_answered_by_root_skips_propagate() {
+fn no_op_answered_by_root_skips_propagate_at<const B: usize>() {
     for policy in policies() {
-        let m = BatMap::<u64, ()>::with_policy(policy);
+        let m = BatMap::<u64, (), SizeOnly, B>::with_policy(policy);
         for k in 0..64u64 {
             assert!(m.insert(2 * k, ()));
         }
@@ -179,15 +203,20 @@ fn no_op_answered_by_root_skips_propagate() {
     }
 }
 
+#[test]
+fn no_op_answered_by_root_skips_propagate() {
+    no_op_answered_by_root_skips_propagate_at::<1>();
+    no_op_answered_by_root_skips_propagate_at::<LEAF_KEYS>();
+}
+
 /// A no-op update whose answer the root does *not* give yet — the node
 /// tree already holds the effect of an update that has not arrived — must
 /// propagate before it returns (Fig. 3's reason for propagating failed
 /// updates). The bare node-tree op stands in for that update, stalled
 /// between its SCX and its propagate.
-#[test]
-fn no_op_behind_a_lagging_root_propagates() {
+fn no_op_behind_a_lagging_root_propagates_at<const B: usize>() {
     for policy in policies() {
-        let m = BatMap::<u64, ()>::with_policy(policy);
+        let m = BatMap::<u64, (), SizeOnly, B>::with_policy(policy);
         for k in 0..64u64 {
             assert!(m.insert(2 * k, ()));
         }
@@ -219,4 +248,10 @@ fn no_op_behind_a_lagging_root_propagates() {
         );
         assert_eq!(m.len(), 64, "{}", policy.name());
     }
+}
+
+#[test]
+fn no_op_behind_a_lagging_root_propagates() {
+    no_op_behind_a_lagging_root_propagates_at::<1>();
+    no_op_behind_a_lagging_root_propagates_at::<LEAF_KEYS>();
 }

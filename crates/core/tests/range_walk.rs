@@ -6,11 +6,14 @@
 //! folds the subtrees off the two boundary paths. `FirstLast` is
 //! associative but not commutative, so it catches a fold that gets the
 //! pieces' order wrong; `SumAug` and the count catch a piece that is
-//! missing or counted twice. Single-threaded, so `scripts/miri.sh` runs it.
+//! missing or counted twice. Every shape is built with one key per leaf and
+//! at the shipped leaf capacity, where the walk splits the boundary leaves:
+//! `fat_leaf_boundaries` puts both bounds inside one leaf, and each inside
+//! a different one. Single-threaded, so `scripts/miri.sh` runs it.
 
 use std::collections::BTreeMap;
 
-use cbat_core::{Augmentation, BatMap, PairAug, SumAug};
+use cbat_core::{Augmentation, BatMap, PairAug, SumAug, LEAF_KEYS};
 
 /// The first and last key of a subtree in key order; `None` when empty.
 struct FirstLast;
@@ -32,7 +35,7 @@ impl Augmentation<u64, u64> for FirstLast {
 }
 
 type Aug = PairAug<SumAug, FirstLast>;
-type Map = BatMap<u64, u64, Aug>;
+type Map<const B: usize> = BatMap<u64, u64, Aug, B>;
 
 /// Small enough that `SumAug` cannot overflow, even for keys near `u64::MAX`.
 fn value_of(k: u64) -> u64 {
@@ -40,14 +43,14 @@ fn value_of(k: u64) -> u64 {
 }
 
 /// A map and its oracle, built by the same inserts and removes.
-struct Shape {
+struct Shape<const B: usize> {
     name: &'static str,
-    map: Map,
+    map: Map<B>,
     oracle: BTreeMap<u64, u64>,
 }
 
-impl Shape {
-    fn build(name: &'static str, inserts: &[u64], removes: &[u64]) -> Shape {
+impl<const B: usize> Shape<B> {
+    fn build(name: &'static str, inserts: &[u64], removes: &[u64]) -> Self {
         let map = Map::new();
         let mut oracle = BTreeMap::new();
         for &k in inserts {
@@ -60,6 +63,25 @@ impl Shape {
             assert_eq!(map.remove(k), oracle.remove(k).is_some());
         }
         Shape { name, map, oracle }
+    }
+
+    /// The keys of every real leaf of the node tree, in key order.
+    fn leaves(&self) -> Vec<Vec<u64>> {
+        type N = chromatic::Node<u64, u64, cbat_core::version::VersionSlot<u64, u64, Aug>>;
+        fn walk(n: &N, out: &mut Vec<Vec<u64>>, guard: &ebr::Guard) {
+            if n.is_leaf() {
+                if !n.is_empty() {
+                    out.push((0..n.len()).map(|i| *n.entry(i).0).collect());
+                }
+                return;
+            }
+            walk(n.left(guard), out, guard);
+            walk(n.right(guard), out, guard);
+        }
+        let guard = ebr::pin();
+        let mut out = Vec::new();
+        walk(self.map.node_tree().entry(), &mut out, &guard);
+        out
     }
 
     /// Count, sum and the in-order `FirstLast` fold of `[lo, hi]`.
@@ -125,7 +147,7 @@ fn halve(sorted: &[u64]) -> Vec<u64> {
     sorted.iter().copied().step_by(2).collect()
 }
 
-fn shapes() -> Vec<Shape> {
+fn shapes<const B: usize>() -> Vec<Shape<B>> {
     let sorted = keys();
     let zig = zigzag(&sorted);
     let mut reversed = sorted.clone();
@@ -140,26 +162,69 @@ fn shapes() -> Vec<Shape> {
     ]
 }
 
-#[test]
-fn every_range_over_every_shape_matches_the_oracle() {
-    for shape in shapes() {
+/// Run `test` with one key per leaf and at the shipped leaf capacity.
+macro_rules! at_both_capacities {
+    ($test:ident) => {
+        $test::<1>();
+        $test::<LEAF_KEYS>();
+    };
+}
+
+fn every_range<const B: usize>() {
+    for shape in shapes::<B>() {
         shape.check_every_range();
     }
 }
 
 #[test]
-fn empty_map_has_empty_ranges() {
-    let empty = Shape::build("empty", &[], &[]);
+fn every_range_over_every_shape_matches_the_oracle() {
+    at_both_capacities!(every_range);
+}
+
+/// Bounds inside one fat leaf, and in two different ones: the walk must
+/// take a run of each boundary leaf and nothing else of it.
+#[test]
+fn fat_leaf_boundaries() {
+    let mut inside_one = 0;
+    let mut across = 0;
+    for shape in shapes::<LEAF_KEYS>() {
+        let leaves = shape.leaves();
+        for leaf in &leaves {
+            if let [first, .., last] = leaf[..] {
+                shape.check(first + 1, last - 1);
+                shape.check(first, last);
+                shape.check(first + 1, last);
+                inside_one += (leaf.len() >= 3) as u32;
+            }
+        }
+        for pair in leaves.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            if a.len() >= 2 && b.len() >= 2 {
+                shape.check(a[1], b[b.len() - 2]);
+                shape.check(a[a.len() - 1], b[0]);
+                across += 1;
+            }
+        }
+    }
+    assert!(inside_one > 0 && across > 0, "the shapes have fat leaves");
+}
+
+fn empty_ranges<const B: usize>() {
+    let empty = Shape::<B>::build("empty", &[], &[]);
     empty.check_every_range();
     empty.check(0, u64::MAX);
-    let emptied = Shape::build("emptied", &keys(), &keys());
+    let emptied = Shape::<B>::build("emptied", &keys(), &keys());
     emptied.check_every_range();
     emptied.check(0, u64::MAX);
 }
 
 #[test]
-fn reversed_bounds_are_empty() {
-    for shape in shapes() {
+fn empty_map_has_empty_ranges() {
+    at_both_capacities!(empty_ranges);
+}
+
+fn reversed_bounds<const B: usize>() {
+    for shape in shapes::<B>() {
         for (lo, hi) in [(1, 0), (40, 1), (20, 19), (u64::MAX, 0)] {
             let snap = shape.map.snapshot();
             assert_eq!(snap.range_count(&lo, &hi), 0, "{}", shape.name);
@@ -169,8 +234,12 @@ fn reversed_bounds_are_empty() {
 }
 
 #[test]
-fn single_key_ranges() {
-    let shape = Shape::build("sorted", &keys(), &[]);
+fn reversed_bounds_are_empty() {
+    at_both_capacities!(reversed_bounds);
+}
+
+fn single_keys<const B: usize>() {
+    let shape = Shape::<B>::build("sorted", &keys(), &[]);
     let snap = shape.map.snapshot();
     // Present: 4 (and 1, the minimum, and 38, the maximum).
     for k in [1, 4, 38] {
@@ -185,8 +254,12 @@ fn single_key_ranges() {
 }
 
 #[test]
-fn bounds_outside_the_keys() {
-    for shape in shapes() {
+fn single_key_ranges() {
+    at_both_capacities!(single_keys);
+}
+
+fn outside_bounds<const B: usize>() {
+    for shape in shapes::<B>() {
         let (&min, &max) = (
             shape.oracle.keys().next().unwrap(),
             shape.oracle.keys().next_back().unwrap(),
@@ -198,11 +271,15 @@ fn bounds_outside_the_keys() {
     }
 }
 
+#[test]
+fn bounds_outside_the_keys() {
+    at_both_capacities!(outside_bounds);
+}
+
 /// `u64::MAX` is the largest real key, and real keys sort below the
 /// `Inf1`/`Inf2` sentinels, so `hi = u64::MAX` routes left of them.
-#[test]
-fn top_of_the_key_space_against_the_sentinels() {
-    for shape in shapes() {
+fn top_of_the_key_space<const B: usize>() {
+    for shape in shapes::<B>() {
         for lo in 0..=40 {
             shape.check(lo, u64::MAX);
         }
@@ -210,11 +287,16 @@ fn top_of_the_key_space_against_the_sentinels() {
     }
     let top = [0, 1, u64::MAX - 2, u64::MAX - 1, u64::MAX];
     for (name, removes) in [("top", &[][..]), ("top-halved", &[1, u64::MAX - 1][..])] {
-        let shape = Shape::build(name, &top, removes);
+        let shape = Shape::<B>::build(name, &top, removes);
         for lo in top.iter().chain(&[2, u64::MAX - 3]) {
             for hi in top.iter().chain(&[2, u64::MAX - 3]) {
                 shape.check(*lo, *hi);
             }
         }
     }
+}
+
+#[test]
+fn top_of_the_key_space_against_the_sentinels() {
+    at_both_capacities!(top_of_the_key_space);
 }

@@ -7,13 +7,12 @@
 //! One `#[test]` in this file, so that `ebr::stats()` (process-global) and
 //! this thread's pool counters see no other test's work.
 
-use cbat_core::{BatMap, StatsSnapshot};
+use cbat_core::{BatMap, SizeOnly, StatsSnapshot, LEAF_KEYS};
 
-#[test]
-fn root_answer_moves_one_counter_and_retires_nothing() {
+fn root_answer_moves_one_counter_and_retires_nothing_at<const B: usize>() {
     // Empty, one key, and deep enough that every step has a real sibling.
     for n in [0u64, 1, 10_000] {
-        let map = BatMap::<u64, u64>::new();
+        let map = BatMap::<u64, u64, SizeOnly, B>::new();
         for k in 0..n {
             map.insert(2 * k + 1, k);
         }
@@ -47,4 +46,10 @@ fn root_answer_moves_one_counter_and_retires_nothing() {
             "a present key keeps its value"
         );
     }
+}
+
+#[test]
+fn root_answer_moves_one_counter_and_retires_nothing() {
+    root_answer_moves_one_counter_and_retires_nothing_at::<1>();
+    root_answer_moves_one_counter_and_retires_nothing_at::<LEAF_KEYS>();
 }

@@ -26,11 +26,18 @@
 //! root read already shows its answer, and otherwise propagates the other
 //! update there first. An insert raced against a remove of the same key
 //! must leave the set as the order of their answers says.
+//!
+//! Every cell runs with one key per leaf (the paper's tree) and at the
+//! shipped leaf capacity. Fat leaves add a conflict of their own: two
+//! updates of *different* keys of one leaf replace the same node, so one
+//! SCX fails and retries. `same_leaf_race` races an insert and a remove of
+//! two keys of one leaf, and `split_race` a splitting insert and a
+//! one-node delete in the same full leaf.
 #![cfg(feature = "sched-test")]
 
 use std::sync::Arc;
 
-use cbat_core::{BatSet, DelegationPolicy};
+use cbat_core::{BatSet, DelegationPolicy, SizeOnly, LEAF_KEYS};
 use sched::{explore, run_random, ExploreConfig, Policy};
 
 /// Key space of the hunt mix: small enough that every operation contends
@@ -43,8 +50,10 @@ const KEY_SPACE: u64 = 24;
 /// `read_version` walk — the historical crash site — concurrently with
 /// structural updates and version retirement. Ends with a version-tree
 /// self-consistency oracle.
-fn hunt_body(opseed: u64) {
-    let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::None));
+fn hunt_body<const B: usize>(opseed: u64) {
+    let set = Arc::new(BatSet::<u64, SizeOnly, B>::with_policy(
+        DelegationPolicy::None,
+    ));
     for k in (0..KEY_SPACE).step_by(3) {
         set.insert(k);
     }
@@ -116,8 +125,11 @@ fn bat_reclamation_hunt_under_explored_schedules() {
             policy,
             stop_on_failure: true,
         };
-        let report = explore(&cfg, move || hunt_body(opseed));
-        report.assert_clean("BAT reclamation hunt");
+        let report = explore(&cfg, move || hunt_body::<1>(opseed));
+        report.assert_clean("BAT reclamation hunt, one key per leaf");
+        explored += report.schedules;
+        let report = explore(&cfg, move || hunt_body::<LEAF_KEYS>(opseed));
+        report.assert_clean("BAT reclamation hunt, fat leaves");
         explored += report.schedules;
     }
     eprintln!(
@@ -131,9 +143,9 @@ fn bat_reclamation_hunt_under_explored_schedules() {
 /// of them changes the set; when either returns — the no-op above all,
 /// which may have found the other's effect in the node tree before it
 /// arrived at the root — the root must show `KEY`'s final state.
-fn same_key_race(policy: DelegationPolicy, inserts: bool) {
+fn same_key_race<const B: usize>(policy: DelegationPolicy, inserts: bool) {
     const KEY: u64 = 3;
-    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    let set = Arc::new(BatSet::<u64, SizeOnly, B>::with_policy(policy));
     for k in [0, 2, 4, 6] {
         set.insert(k);
     }
@@ -165,9 +177,9 @@ fn same_key_race(policy: DelegationPolicy, inserts: bool) {
 /// values imply leaves: if both changed the set, the later one undid the
 /// earlier, and the one that can change it from the start state always
 /// does.
-fn insert_remove_race(policy: DelegationPolicy, present: bool) {
+fn insert_remove_race<const B: usize>(policy: DelegationPolicy, present: bool) {
     const KEY: u64 = 3;
-    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    let set = Arc::new(BatSet::<u64, SizeOnly, B>::with_policy(policy));
     for k in [0, 2, 4, 6] {
         set.insert(k);
     }
@@ -204,6 +216,85 @@ fn insert_remove_race(policy: DelegationPolicy, present: bool) {
     assert_eq!(set.len(), 4 + end as u64);
 }
 
+/// Two vthreads race an insert of 3 and a remove of 5 on a set whose keys
+/// (0, 2, 4, 6 and 5) share one leaf at the shipped capacity: each update
+/// changes the set, both replace the same leaf, and the one whose SCX
+/// loses retries on the other's leaf. Neither update may undo the other.
+fn same_leaf_race(policy: DelegationPolicy) {
+    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    for k in [0, 2, 4, 5, 6] {
+        set.insert(k);
+    }
+    let spawn = |inserts: bool| {
+        let set = set.clone();
+        sched::spawn(move || {
+            let changed = if inserts {
+                set.insert(3)
+            } else {
+                set.remove(&5)
+            };
+            assert!(
+                if inserts {
+                    set.contains(&3)
+                } else {
+                    !set.contains(&5)
+                },
+                "an update's effect is visible at its return"
+            );
+            changed
+        })
+    };
+    let (ins, rem) = (spawn(true), spawn(false));
+    assert!(ins.join() && rem.join(), "both updates change the set");
+    assert_eq!(set.snapshot().keys(), vec![0, 2, 3, 4, 6]);
+    assert_eq!(set.len(), 5);
+}
+
+/// A full leaf of the shipped capacity (keys 0, 2, …): an insert of 7
+/// splits it under a new internal node while a remove of 4 replaces it by
+/// a one-node patch. Whichever SCX commits second works on the first's
+/// result, so both keys end as their updates left them.
+fn split_race(policy: DelegationPolicy) {
+    let set = Arc::new(BatSet::<u64>::with_policy(policy));
+    let full: Vec<u64> = (0..LEAF_KEYS as u64).map(|i| 2 * i).collect();
+    for &k in &full {
+        set.insert(k);
+    }
+    assert_eq!(
+        set.as_map()
+            .node_tree()
+            .validate(true)
+            .expect("valid")
+            .leaves,
+        2,
+        "the keys fill one leaf, beside the sentinel leaf"
+    );
+    let spawn = |inserts: bool| {
+        let set = set.clone();
+        sched::spawn(move || {
+            if inserts {
+                let changed = set.insert(7);
+                assert!(set.contains(&7), "the insert is visible at its return");
+                changed
+            } else {
+                let changed = set.remove(&4);
+                assert!(!set.contains(&4), "the remove is visible at its return");
+                changed
+            }
+        })
+    };
+    let (ins, rem) = (spawn(true), spawn(false));
+    assert!(ins.join() && rem.join(), "both updates change the set");
+    let mut want: Vec<u64> = full.into_iter().filter(|&k| k != 4).collect();
+    want.push(7);
+    want.sort_unstable();
+    assert_eq!(set.snapshot().keys(), want);
+    set.as_map()
+        .node_tree()
+        .validate(false)
+        .expect("valid after the race");
+}
+
 #[test]
 fn no_op_update_sees_root_agree_under_explored_schedules() {
     let _serial = ebr::own_the_global_epoch();
@@ -224,12 +315,16 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
             policy: sched_policy,
             stop_on_failure: true,
         };
-        let report = explore(&cfg, move || same_key_race(policy, inserts));
-        report.assert_clean(if inserts {
+        let what = if inserts {
             "two inserts of one key"
         } else {
             "two removes of one key"
-        });
+        };
+        let report = explore(&cfg, move || same_key_race::<1>(policy, inserts));
+        report.assert_clean(what);
+        explored += report.schedules;
+        let report = explore(&cfg, move || same_key_race::<LEAF_KEYS>(policy, inserts));
+        report.assert_clean(&format!("{what}, fat leaves"));
         explored += report.schedules;
     }
     for (i, (present, policy, sched_policy)) in [
@@ -246,18 +341,54 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
             policy: sched_policy,
             stop_on_failure: true,
         };
-        let report = explore(&cfg, move || insert_remove_race(policy, present));
-        report.assert_clean(if present {
+        let what = if present {
             "an insert and a remove of a present key"
         } else {
             "an insert and a remove of an absent key"
+        };
+        let report = explore(&cfg, move || insert_remove_race::<1>(policy, present));
+        report.assert_clean(what);
+        explored += report.schedules;
+        let report = explore(&cfg, move || {
+            insert_remove_race::<LEAF_KEYS>(policy, present)
         });
+        report.assert_clean(&format!("{what}, fat leaves"));
         explored += report.schedules;
     }
     eprintln!("no-op root check: {explored} schedules clean");
 }
 
-/// Schedules per cell of the no-op corpus (six cells).
+/// The conflicts fat leaves add: two keys of one leaf, and a split racing
+/// a one-node delete in the same leaf.
+#[test]
+fn same_leaf_updates_under_explored_schedules() {
+    let _serial = ebr::own_the_global_epoch();
+    let mut explored = 0usize;
+    for (i, (policy, sched_policy)) in [
+        (DelegationPolicy::None, Policy::RandomWalk),
+        (DelegationPolicy::EagerDel, Policy::Pct { depth: 2 }),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cfg = ExploreConfig {
+            schedules: NO_OP_SCHEDULES,
+            seed: 0x0A0B_0201 + i as u64,
+            max_steps: 1_000_000,
+            policy: sched_policy,
+            stop_on_failure: true,
+        };
+        let report = explore(&cfg, move || same_leaf_race(policy));
+        report.assert_clean("an insert and a remove of two keys of one leaf");
+        explored += report.schedules;
+        let report = explore(&cfg, move || split_race(policy));
+        report.assert_clean("a splitting insert and a one-node delete in one leaf");
+        explored += report.schedules;
+    }
+    eprintln!("same-leaf updates: {explored} schedules clean");
+}
+
+/// Schedules per cell of the no-op and same-leaf corpora.
 const NO_OP_SCHEDULES: usize = 100;
 
 #[test]
@@ -267,8 +398,10 @@ fn delegation_timeout_is_deterministic_yield_budget() {
     // (`SCHED_WAIT_YIELD_BUDGET`), a schedule is a pure function of its seed. Any
     // Instant::now() left on a scheduled path would make these traces
     // diverge (the timeout would fire at host-dependent moments).
-    fn body() {
-        let set = Arc::new(BatSet::<u64>::with_policy(DelegationPolicy::Del));
+    fn body<const B: usize>() {
+        let set = Arc::new(BatSet::<u64, SizeOnly, B>::with_policy(
+            DelegationPolicy::Del,
+        ));
         set.insert(1_000);
         let hs: Vec<_> = (0..2u64)
             .map(|t| {
@@ -293,14 +426,18 @@ fn delegation_timeout_is_deterministic_yield_budget() {
         let snap = set.snapshot();
         assert_eq!(snap.len(), snap.keys().len() as u64);
     }
-    let a = run_random(0xD37E_2217, 3_000_000, body);
-    assert!(a.failure.is_none(), "run 1 failed: {:?}", a.failure);
-    let b = run_random(0xD37E_2217, 3_000_000, body);
-    assert!(b.failure.is_none(), "run 2 failed: {:?}", b.failure);
-    assert_eq!(
-        a.trace.render(),
-        b.trace.render(),
-        "schedule must be a pure function of the seed (wall clock leaked?)"
-    );
-    assert_eq!(a.steps, b.steps);
+    fn twice(body: fn()) {
+        let a = run_random(0xD37E_2217, 3_000_000, body);
+        assert!(a.failure.is_none(), "run 1 failed: {:?}", a.failure);
+        let b = run_random(0xD37E_2217, 3_000_000, body);
+        assert!(b.failure.is_none(), "run 2 failed: {:?}", b.failure);
+        assert_eq!(
+            a.trace.render(),
+            b.trace.render(),
+            "schedule must be a pure function of the seed (wall clock leaked?)"
+        );
+        assert_eq!(a.steps, b.steps);
+    }
+    twice(body::<1>);
+    twice(body::<LEAF_KEYS>);
 }

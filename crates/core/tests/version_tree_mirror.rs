@@ -4,14 +4,17 @@
 //! leaf the version tree reaches *is* the node tree's leaf (a leaf is born
 //! as its own version, Definition 1 rules 1–2), so the only `Version`
 //! objects are the internal nodes' — one each, and each names its own node
-//! in its prefetch hint.
+//! in its prefetch hint. A leaf's size is its key count and its aggregate
+//! the fold of its entries (here a sum). Every test runs with one key per
+//! leaf and at the shipped leaf capacity.
 
 use cbat_core::version::{Version, VersionRef, VersionSlot};
-use cbat_core::{BatMap, SizeOnly};
+use cbat_core::{BatMap, SumAug, LEAF_KEYS};
 use chromatic::Node;
 
-type N = Node<u64, u64, VersionSlot<u64, u64, SizeOnly>>;
-type R<'g> = VersionRef<'g, u64, u64, SizeOnly>;
+type N = Node<u64, u64, VersionSlot<u64, u64, SumAug>>;
+type R<'g> = VersionRef<'g, u64, u64, SumAug>;
+type Map<const B: usize> = BatMap<u64, u64, SumAug, B>;
 
 /// Internal nodes of the node tree below `node`, the sentinels' included.
 fn internal_nodes(node: &N, guard: &ebr::Guard) -> u64 {
@@ -22,8 +25,9 @@ fn internal_nodes(node: &N, guard: &ebr::Guard) -> u64 {
 }
 
 /// Walk node- and version-trees together; check key equality, leaf
-/// identity and the size invariant `size = left.size + right.size`; count
-/// the `Version` objects reached into `versions`; return the leaf count.
+/// identity and the size invariant `size = left.size + right.size` (and
+/// the same for the sum); count the `Version` objects reached into
+/// `versions`; return the key count.
 fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64) -> u64 {
     assert_eq!(node.key(), version.key(), "node/version key mismatch");
     let v = match version {
@@ -32,9 +36,11 @@ fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64
                 std::ptr::eq(leaf, node),
                 "the version tree reaches the node tree's own leaf"
             );
-            let expect = if node.key().as_key().is_some() { 1 } else { 0 };
-            assert_eq!(version.size(), expect, "leaf size rule (Definition 1)");
-            return expect;
+            let len = node.len() as u64;
+            assert_eq!(version.size(), len, "a leaf's size is its length");
+            let sum = (0..node.len()).map(|i| *node.entry(i).1).sum::<u64>();
+            assert_eq!(*version.aug(), sum, "a leaf's aggregate is the fold");
+            return len;
         }
         VersionRef::Internal(v) => v,
     };
@@ -53,10 +59,15 @@ fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64
     let l = check_mirror(nl, v.left(), guard, versions);
     let r = check_mirror(nr, v.right(), guard, versions);
     assert_eq!(v.size, l + r, "Invariant 24: size = left.size + right.size");
+    assert_eq!(
+        v.aug,
+        *v.left().aug() + *v.right().aug(),
+        "aggregate combines"
+    );
     v.size
 }
 
-fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
+fn assert_mirrors<const B: usize>(map: &Map<B>) {
     let guard = ebr::pin();
     let entry = map.node_tree().entry();
     let vroot_raw = entry.plugin.load();
@@ -66,6 +77,10 @@ fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
     let total = check_mirror(entry, VersionRef::Internal(vroot), &guard, &mut versions);
     assert_eq!(total, map.len(), "root size equals reported len");
     assert_eq!(
+        map.node_tree().validate(false).expect("valid").keys as u64,
+        total
+    );
+    assert_eq!(
         versions,
         internal_nodes(entry, &guard),
         "one Version per internal node, none for leaves"
@@ -73,9 +88,8 @@ fn assert_mirrors(map: &BatMap<u64, u64, SizeOnly>) {
     drop(guard);
 }
 
-#[test]
-fn mirror_after_sequential_ops() {
-    let m = BatMap::<u64, u64, SizeOnly>::new();
+fn sequential_ops<const B: usize>() {
+    let m = Map::<B>::new();
     assert_mirrors(&m);
     for k in 0..500u64 {
         m.insert(k, k);
@@ -88,8 +102,13 @@ fn mirror_after_sequential_ops() {
 }
 
 #[test]
-fn mirror_after_rotation_heavy_ops() {
-    let m = BatMap::<u64, u64, SizeOnly>::new();
+fn mirror_after_sequential_ops() {
+    sequential_ops::<1>();
+    sequential_ops::<LEAF_KEYS>();
+}
+
+fn rotation_heavy_ops<const B: usize>() {
+    let m = Map::<B>::new();
     // Sorted runs maximize rotations and nil-version patches.
     for k in 0..2_000u64 {
         m.insert(k, k);
@@ -101,9 +120,38 @@ fn mirror_after_rotation_heavy_ops() {
 }
 
 #[test]
-fn mirror_after_concurrent_stress() {
+fn mirror_after_rotation_heavy_ops() {
+    rotation_heavy_ops::<1>();
+    rotation_heavy_ops::<LEAF_KEYS>();
+}
+
+/// One-node patches only: inserts that fill leaves without splitting and
+/// deletes that leave every leaf a key.
+#[test]
+fn mirror_after_one_node_patches() {
+    let m = Map::<LEAF_KEYS>::new();
+    for k in 0..LEAF_KEYS as u64 / 2 {
+        m.insert(k * 2, k);
+    }
+    let before = m.node_tree().stats.snapshot();
+    for k in 0..LEAF_KEYS as u64 / 2 {
+        m.insert(k * 2 + 1, k);
+        assert_mirrors(&m);
+    }
+    m.remove(&0);
+    assert_mirrors(&m);
+    let after = m.node_tree().stats.snapshot();
+    assert_eq!(
+        after.scx_commits - before.scx_commits,
+        LEAF_KEYS as u64 / 2 + 1,
+        "one SCX per update"
+    );
+    assert_eq!(after.rebalance_steps, before.rebalance_steps);
+}
+
+fn concurrent_stress<const B: usize>() {
     use std::sync::Arc;
-    let m = Arc::new(BatMap::<u64, u64, SizeOnly>::new());
+    let m = Arc::new(Map::<B>::new());
     let handles: Vec<_> = (0..6u64)
         .map(|t| {
             let m = m.clone();
@@ -132,4 +180,10 @@ fn mirror_after_concurrent_stress() {
     // root-reachable version tree is consistent.
     assert_mirrors(&m);
     ebr::flush();
+}
+
+#[test]
+fn mirror_after_concurrent_stress() {
+    concurrent_stress::<1>();
+    concurrent_stress::<LEAF_KEYS>();
 }

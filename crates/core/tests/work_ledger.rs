@@ -7,7 +7,9 @@
 //! ([`cbat_core::StatsSnapshot`]), the objects `ebr` retired and freed, this
 //! thread's `ebr::pool` hits / misses / recycles, and this thread's calls
 //! into the global allocator. Wall-clock noise cannot move any of these, so
-//! "the same work" is a diff of this file, not a benchmark pair.
+//! "the same work" is a diff of this file, not a benchmark pair. The rows
+//! cover `BatSet` with one key per leaf (`bat_b1`, the paper's tree) and
+//! at the shipped leaf capacity, and FR-BST.
 //!
 //! A change that moves a row on purpose re-blesses the file and says why:
 //!
@@ -23,7 +25,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use cbat_core::{BatSet, DelegationPolicy, SizeOnly};
+use cbat_core::{BatSet, DelegationPolicy, SizeOnly, LEAF_KEYS};
 
 struct CountingAlloc;
 
@@ -95,7 +97,7 @@ trait Updates {
     fn stats(&self) -> cbat_core::StatsSnapshot;
 }
 
-impl Updates for BatSet<u64, SizeOnly> {
+impl<const B: usize> Updates for BatSet<u64, SizeOnly, B> {
     fn insert(&self, k: u64) -> bool {
         BatSet::insert(self, k)
     }
@@ -240,7 +242,7 @@ fn work_matches_the_committed_ledger() {
     let _serial = ebr::own_the_global_epoch();
     let mut rows = BTreeMap::new();
 
-    let set = BatSet::<u64, SizeOnly>::with_policy(DelegationPolicy::EagerDel);
+    let set = BatSet::<u64, SizeOnly, 1>::with_policy(DelegationPolicy::EagerDel);
     let row = measure(&set, rebalance_mix);
     let steps = set.as_map().node_tree().stats.snapshot().rebalance_steps;
     assert!(
@@ -249,11 +251,18 @@ fn work_matches_the_committed_ledger() {
     );
     rows.insert("bat_b1.rebalance".to_string(), row);
 
-    let set = BatSet::<u64, SizeOnly>::with_policy(DelegationPolicy::EagerDel);
+    let set = BatSet::<u64, SizeOnly, 1>::with_policy(DelegationPolicy::EagerDel);
     rows.insert("bat_b1.uniform".to_string(), measure(&set, uniform));
 
-    let set = BatSet::<u64, SizeOnly>::new_unbalanced();
+    let set = BatSet::<u64, SizeOnly, 1>::new_unbalanced();
     rows.insert("frbst.uniform".to_string(), measure(&set, uniform));
+
+    // The shipped leaf capacity: the same sequences, far fewer splits.
+    let shipped = format!("bat_b{LEAF_KEYS}");
+    let set = BatSet::<u64>::with_policy(DelegationPolicy::EagerDel);
+    rows.insert(format!("{shipped}.rebalance"), measure(&set, rebalance_mix));
+    let set = BatSet::<u64>::with_policy(DelegationPolicy::EagerDel);
+    rows.insert(format!("{shipped}.uniform"), measure(&set, uniform));
 
     let got = render(&rows);
     if std::env::var_os("CBAT_BLESS_LEDGER").is_some() {

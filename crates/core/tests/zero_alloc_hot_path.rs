@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cbat_core::propagate::propagate;
-use cbat_core::{BatMap, DelegationPolicy};
+use cbat_core::{BatMap, DelegationPolicy, SizeOnly, LEAF_KEYS};
 use chromatic::SentKey;
 
 struct CountingAlloc;
@@ -73,8 +73,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_hot_paths_perform_zero_heap_allocations() {
-    propagate_window();
-    node_churn_window();
+    propagate_window::<1>();
+    propagate_window::<LEAF_KEYS>();
+    // One key per leaf: alternate keys. Fat leaves: alternate runs of 16
+    // keys, so whole leaves empty and refill and the splits rebalance.
+    node_churn_window::<1>(1);
+    node_churn_window::<LEAF_KEYS>(16);
     // The edge-granular freeze words live inside the pooled nodes, never
     // on the heap.
     fanout_versioned_edge_window();
@@ -82,9 +86,9 @@ fn steady_state_hot_paths_perform_zero_heap_allocations() {
     cold_thread_allocates();
 }
 
-fn propagate_window() {
+fn propagate_window<const B: usize>() {
     // BAT-Del exercises the PropStatus pool as well as the version pool.
-    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del);
+    let m = BatMap::<u64, u64, SizeOnly, B>::with_policy(DelegationPolicy::Del);
     for k in 0..512u64 {
         m.insert(k, k);
     }
@@ -147,16 +151,17 @@ fn propagate_window() {
 /// served entirely by the pools. The churn pattern removes and re-inserts
 /// alternating halves of a fixed key range, so the tree's size is
 /// stationary while every op commits a structural SCX (and the weight
-/// violations it creates keep the BLK/RB/W fix-up cases firing).
-fn node_churn_window() {
-    let m = BatMap::<u64, u64>::with_policy(DelegationPolicy::Del);
+/// violations it creates keep the BLK/RB/W fix-up cases firing). The
+/// halves alternate in runs of `run` keys.
+fn node_churn_window<const B: usize>(run: u64) {
+    let m = BatMap::<u64, u64, SizeOnly, B>::with_policy(DelegationPolicy::Del);
     for k in 0..1024u64 {
         m.insert(k, k);
     }
 
     let churn = |round: u64| {
         for k in 0..500u64 {
-            if (k + round).is_multiple_of(2) {
+            if (k / run + round).is_multiple_of(2) {
                 m.remove(&k);
             } else {
                 m.insert(k, k);
@@ -201,9 +206,9 @@ fn node_churn_window() {
     );
 
     // Sanity: the set's contents match the churn parity we ended on
-    // (round 11 removed odd keys below 500 and re-inserted even ones).
+    // (round 11 removed odd runs below 500 and re-inserted even ones).
     assert!(m.contains(&0));
-    assert!(!m.contains(&1));
+    assert!(!m.contains(&run));
     assert!(m.contains(&1000));
 }
 

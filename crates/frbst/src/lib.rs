@@ -12,7 +12,9 @@
 //! exactly this BST plus decoupled rebalancing). So FR-BST here is one
 //! constructor, [`FrSet::new`]: a `cbat_core::BatSet` built by
 //! `BatSet::new_unbalanced`, which propagates without delegation — the
-//! configuration the paper evaluates (Fig. 5's FR-BST rows).
+//! configuration the paper evaluates (Fig. 5's FR-BST rows). It keeps one
+//! key per leaf (`B = 1`), as \[11\]'s BST does, while `BatSet`'s default
+//! leaves hold up to `cbat_core::LEAF_KEYS`.
 //!
 //! ## Example
 //!
@@ -28,10 +30,11 @@
 
 use std::ops::Deref;
 
-use cbat_core::BatSet;
+use cbat_core::{BatSet, SizeOnly};
 
-/// The FR-BST set; dereferences to the unbalanced [`BatSet`] it is.
-pub struct FrSet<K>(BatSet<K>)
+/// The FR-BST set; dereferences to the unbalanced one-key-leaf [`BatSet`]
+/// it is.
+pub struct FrSet<K>(BatSet<K, SizeOnly, 1>)
 where
     K: Ord + Clone + Send + Sync + 'static;
 
@@ -49,7 +52,7 @@ impl<K> Deref for FrSet<K>
 where
     K: Ord + Clone + Send + Sync + 'static,
 {
-    type Target = BatSet<K>;
+    type Target = BatSet<K, SizeOnly, 1>;
 
     fn deref(&self) -> &Self::Target {
         &self.0

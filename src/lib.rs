@@ -25,7 +25,7 @@
 pub use cbat_core as core;
 pub use cbat_core::{
     Augmentation, BatMap, BatSet, DelegationPolicy, IntervalMap, MinMaxAug, PairAug, SizeOnly,
-    Snapshot, SumAug,
+    Snapshot, SumAug, LEAF_KEYS,
 };
 pub use chromatic;
 pub use ebr;

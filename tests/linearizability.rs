@@ -4,7 +4,9 @@
 //! were extracted from this file so any `BenchSet` adapter can run under
 //! them); this suite drives the real structures through the bench
 //! adapters: BAT under two delegation policies, the fanout tree and the
-//! unaugmented chromatic tree.
+//! unaugmented chromatic tree. The adapters' BAT holds one key per leaf, as
+//! the paper's does; `FatLeaves` runs the same histories on the shipped
+//! `BatSet`, where all 8 hot keys share a leaf or two.
 //!
 //! Histories are recorded on a hot 8-key space by 6 threads, so nearly
 //! every operation contends; each per-key sub-history is then checked
@@ -17,8 +19,36 @@
 //! `sequential_oracle` checks the routing.
 
 use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter};
+use cbat::{BatSet, DelegationPolicy};
 use workloads::linearize::assert_point_ops_linearizable;
 use workloads::BenchSet;
+
+/// The shipped `BatSet` (leaves of up to `LEAF_KEYS` keys).
+struct FatLeaves(BatSet<u64>);
+
+impl BenchSet for FatLeaves {
+    fn insert(&self, k: u64) -> bool {
+        self.0.insert(k)
+    }
+    fn remove(&self, k: u64) -> bool {
+        self.0.remove(&k)
+    }
+    fn contains(&self, k: u64) -> bool {
+        self.0.contains(&k)
+    }
+    fn range_count(&self, lo: u64, hi: u64) -> u64 {
+        self.0.range_count(&lo, &hi)
+    }
+    fn rank(&self, k: u64) -> u64 {
+        self.0.rank(&k)
+    }
+    fn select(&self, i: u64) -> Option<u64> {
+        self.0.select(i)
+    }
+    fn name(&self) -> &'static str {
+        "BAT, fat leaves"
+    }
+}
 
 fn check(set: &dyn BenchSet, what: &str) {
     assert_point_ops_linearizable(set, 6, 8, 40, 0x0BA7_05E7, what);
@@ -33,6 +63,22 @@ fn point_ops_linearizable_bat() {
 #[test]
 fn point_ops_linearizable_eager_del() {
     check(&BatAdapter::eager(), "BAT-EagerDel");
+}
+
+#[test]
+fn point_ops_linearizable_bat_fat_leaves() {
+    check(
+        &FatLeaves(BatSet::with_policy(DelegationPolicy::None)),
+        "BAT, fat leaves (no delegation)",
+    );
+}
+
+#[test]
+fn point_ops_linearizable_eager_del_fat_leaves() {
+    check(
+        &FatLeaves(BatSet::with_policy(DelegationPolicy::EagerDel)),
+        "BAT-EagerDel, fat leaves",
+    );
 }
 
 #[test]

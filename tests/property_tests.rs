@@ -5,12 +5,13 @@
 //! Driven by the deterministic xorshift generator from `workloads::rng`
 //! (not the external `proptest` crate, which this environment does not
 //! vendor): every case derives from a fixed seed, so the suite runs
-//! unconditionally and failures reproduce exactly.
+//! unconditionally and failures reproduce exactly. Every BAT case runs with
+//! one key per leaf and at the shipped leaf capacity.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cbat::workloads::Xorshift;
-use cbat::{BatMap, BatSet, DelegationPolicy, SumAug};
+use cbat::{BatMap, BatSet, DelegationPolicy, SizeOnly, SumAug, LEAF_KEYS};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -47,7 +48,7 @@ fn oracle_rank(oracle: &BTreeMap<u64, u64>, k: u64) -> u64 {
     oracle.range(..=k).count() as u64
 }
 
-fn check(map: &BatMap<u64, u64, SumAug>, ops: &[Op]) {
+fn check<const B: usize>(map: &BatMap<u64, u64, SumAug, B>, ops: &[Op]) {
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     for op in ops {
         match *op {
@@ -94,10 +95,9 @@ fn check(map: &BatMap<u64, u64, SumAug>, ops: &[Op]) {
     assert_eq!(got, want);
 }
 
-#[test]
-fn bat_matches_btreemap() {
+fn bat_matches_btreemap_at<const B: usize>() {
     for case in 0..48u64 {
-        let map = BatMap::<u64, u64, SumAug>::new();
+        let map = BatMap::<u64, u64, SumAug, B>::new();
         check(&map, &random_ops(0xBA7_0001 ^ case, 300));
         map.node_tree()
             .validate(true)
@@ -106,19 +106,35 @@ fn bat_matches_btreemap() {
 }
 
 #[test]
-fn bat_del_matches_btreemap() {
+fn bat_matches_btreemap() {
+    bat_matches_btreemap_at::<1>();
+    bat_matches_btreemap_at::<LEAF_KEYS>();
+}
+
+fn bat_del_matches_btreemap_at<const B: usize>() {
     for case in 0..32u64 {
-        let map = BatMap::<u64, u64, SumAug>::with_policy(DelegationPolicy::Del);
+        let map = BatMap::<u64, u64, SumAug, B>::with_policy(DelegationPolicy::Del);
         check(&map, &random_ops(0xBA7_0002 ^ case, 200));
     }
 }
 
 #[test]
-fn frbst_matches_btreemap() {
+fn bat_del_matches_btreemap() {
+    bat_del_matches_btreemap_at::<1>();
+    bat_del_matches_btreemap_at::<LEAF_KEYS>();
+}
+
+fn frbst_matches_btreemap_at<const B: usize>() {
     for case in 0..32u64 {
-        let map = BatMap::<u64, u64, SumAug>::new_unbalanced();
+        let map = BatMap::<u64, u64, SumAug, B>::new_unbalanced();
         check(&map, &random_ops(0xBA7_0003 ^ case, 200));
     }
+}
+
+#[test]
+fn frbst_matches_btreemap() {
+    frbst_matches_btreemap_at::<1>();
+    frbst_matches_btreemap_at::<LEAF_KEYS>();
 }
 
 #[test]
@@ -209,14 +225,13 @@ fn chromatic_invariants_hold_for_any_sequence() {
     }
 }
 
-#[test]
-fn rank_select_duality() {
+fn rank_select_duality_at<const B: usize>() {
     for case in 0..24u64 {
         let mut rng = Xorshift::new(0xBA7_0008 ^ case);
         let keys: BTreeSet<u64> = (0..1 + rng.below(200))
             .map(|_| rng.below(1 << 16))
             .collect();
-        let set = BatSet::<u64>::new();
+        let set = BatSet::<u64, SizeOnly, B>::new();
         for &k in &keys {
             set.insert(k);
         }
@@ -232,13 +247,18 @@ fn rank_select_duality() {
 }
 
 #[test]
-fn snapshot_frozen_under_any_later_ops() {
+fn rank_select_duality() {
+    rank_select_duality_at::<1>();
+    rank_select_duality_at::<LEAF_KEYS>();
+}
+
+fn snapshot_frozen_under_any_later_ops_at<const B: usize>() {
     for case in 0..24u64 {
         let mut rng = Xorshift::new(0xBA7_0009 ^ case);
         let initial: BTreeSet<u64> = (0..1 + rng.below(100))
             .map(|_| rng.below(1 << 16))
             .collect();
-        let set = BatSet::<u64>::new();
+        let set = BatSet::<u64, SizeOnly, B>::new();
         for &k in &initial {
             set.insert(k);
         }
@@ -254,4 +274,10 @@ fn snapshot_frozen_under_any_later_ops() {
         let want: Vec<u64> = initial.iter().copied().collect();
         assert_eq!(snap.keys(), want);
     }
+}
+
+#[test]
+fn snapshot_frozen_under_any_later_ops() {
+    snapshot_frozen_under_any_later_ops_at::<1>();
+    snapshot_frozen_under_any_later_ops_at::<LEAF_KEYS>();
 }
