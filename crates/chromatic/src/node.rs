@@ -121,7 +121,8 @@ pub type ChildSnap = (u64, u64);
 /// A leaf of two or more keys: the node, with its smallest key as `key` and
 /// no `value`, followed in the same pool block by its entries in key order.
 /// `B` is the tree's leaf capacity and sets the block's size, so the
-/// leaf has a pool class of its own (`B = 8` and `u64` keys: two lines).
+/// leaf has a pool class of its own (`B = 16`, `u64` keys and no values:
+/// three lines).
 /// Every reclaim goes through [`reclaim_node`], which picks the class by
 /// the entry count; freeing a fat leaf as a `Node` would strand its
 /// entries and return its block to the wrong class.

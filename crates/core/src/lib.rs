@@ -30,10 +30,12 @@
 //! internal nodes start with *nil* versions (Definition 1, rule 3), which
 //! exempts fresh rotation patches from consistency obligations until their
 //! values are recomputed on demand. A leaf is born as its own version
-//! (rules 1–2): its key and value never change, so it is all a version of
-//! it would hold, and an internal version points to a leaf child as the
-//! leaf node itself ([`version::VersionRef`]). After each update, `Propagate` carries the
-//! change to the root with cooperative double-refreshes; an update
+//! (rules 1–2): its entries never change, so it is all a version of it
+//! would hold, and an internal version points to a leaf child as the leaf
+//! node itself ([`version::VersionRef`]). A leaf holds up to `B` sorted
+//! keys ([`LEAF_KEYS`] by default; `B = 1` is the paper's tree). After
+//! each update, `Propagate` carries the change to the root with
+//! cooperative double-refreshes; an update
 //! linearizes when it *arrives at the root*. Queries linearize when they
 //! read the root's version — obtaining a frozen snapshot on which purely
 //! sequential query code runs. A no-op update (an insert of a present

@@ -8,6 +8,17 @@
 //! take a [`Snapshot`] and run sequential algorithms on it; `Find`
 //! linearizes at its one read of the root's version.
 //!
+//! ## Leaf capacity
+//!
+//! Both types take the node tree's leaf capacity `B` as a const generic
+//! and default to [`LEAF_KEYS`]. A leaf of up to `B` sorted keys is still
+//! its own version — its size is its length, its aggregate the fold of
+//! `A::leaf` over its entries — so most effective updates replace one
+//! leaf and then refresh a path some levels shorter than with one key per
+//! leaf (`chromatic::ChromaticTree`'s module doc has the patch shapes).
+//! `B = 1` is the paper's tree exactly: FR-BST (`new_unbalanced` in the
+//! `frbst` crate) and the paper's figures use it.
+//!
 //! ## No-op updates
 //!
 //! Fig. 3 (lines 13–24) propagates after *every* update, even one that
@@ -50,9 +61,11 @@ use crate::stats::{BatStats, Counter};
 use crate::version::{Version, VersionSlot};
 
 /// The leaf capacity [`BatMap`] and [`BatSet`] ship with: the most keys
-/// one leaf holds. With `u64` keys and no values a leaf of 8 fills two
-/// cache lines: its 64-byte node, then its 8 entries.
-pub const LEAF_KEYS: usize = 8;
+/// one leaf holds. With `u64` keys and no values a leaf of 16 fills three
+/// cache lines: its 64-byte node, then its 16 entries. Chosen over 4 and 8
+/// by the benchmark's `bat-update` and `bat-analytics` (README, "Fat
+/// leaves").
+pub const LEAF_KEYS: usize = 16;
 
 /// A lock-free balanced augmented ordered map (the paper's BAT), generic
 /// over keys, values, the augmentation function and the leaf capacity `B`

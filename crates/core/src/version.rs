@@ -78,9 +78,11 @@ const RIGHT_FAT: u64 = 8;
 /// Every tag bit of the `node` word (pool blocks are line-aligned).
 const TAGS: u64 = LEFT_LEAF | RIGHT_LEAF | LEFT_FAT | RIGHT_FAT;
 
-/// Bytes a prefetch of a fat leaf covers: its first two lines, which are
-/// all of a `BatSet<u64>` leaf at the shipped capacity.
-type FatLeafLines = [u64; 16];
+/// What a prefetch of a fat leaf covers: a full leaf at the shipped
+/// capacity, [`crate::LEAF_KEYS`] (three lines for `BatSet<u64>`). A
+/// version does not know its tree's `B`; at another capacity the span is
+/// still only a hint.
+type FatLeafLines<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { crate::LEAF_KEYS }>;
 
 /// One immutable version of an internal node's supplementary fields.
 ///
@@ -216,13 +218,13 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     /// it follows: the turn then waits on a line already in flight, and
     /// `select`'s read of the left child's size overlaps the fetch of the
     /// right one. A fat leaf's entries follow its node, so its prefetch
-    /// covers its first two lines. A prefetch never faults and reads
+    /// covers every line of a full leaf. A prefetch never faults and reads
     /// nothing the program sees; see [`ebr::prefetch`].
     #[inline(always)]
     pub(crate) fn prefetch_children(&self) {
         let prefetch = |raw, leaf, fat| {
             if self.node & fat != 0 {
-                ebr::prefetch::<FatLeafLines, false>(raw);
+                ebr::prefetch::<FatLeafLines<K, V, A>, false>(raw);
             } else if self.node & leaf != 0 {
                 ebr::prefetch::<BatNode<K, V, A>, false>(raw);
             } else {
@@ -497,11 +499,11 @@ mod tests {
             88
         );
         // A `BatSet<u64>` fat leaf at the shipped capacity: its 64-byte
-        // node, then 8 entries of 8 bytes, exactly two lines (stride 128).
-        type Fat =
-            chromatic::FatLeaf<u64, (), VersionSlot<u64, (), SizeOnly>, { crate::LEAF_KEYS }>;
-        assert_eq!(crate::LEAF_KEYS, 8);
-        assert_eq!(size_of::<Fat>(), 128);
+        // node, then 16 entries of 8 bytes, exactly three lines (stride
+        // 192).
+        type Fat = FatLeafLines<u64, (), SizeOnly>;
+        assert_eq!(crate::LEAF_KEYS, 16);
+        assert_eq!(size_of::<Fat>(), 192);
         assert_eq!(pooled_addr::<Fat>() % 64, 0);
     }
 

@@ -30,7 +30,6 @@ fn removed() -> impl Iterator<Item = u64> {
 }
 
 fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at<const B: usize>() {
-    let _serial = ebr::own_the_global_epoch();
     let map = BatMap::<u64, u64, SizeOnly, B>::new();
     for k in 0..KEYS {
         assert!(map.insert(k, k * 10));
@@ -107,6 +106,7 @@ fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at<const B: usize>() {
 
 #[test]
 fn a_snapshot_keeps_reading_the_leaves_a_remove_unlinked() {
+    let _serial = ebr::own_the_global_epoch();
     a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at::<1>();
     a_snapshot_keeps_reading_the_leaves_a_remove_unlinked_at::<LEAF_KEYS>();
 }

@@ -75,10 +75,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_hot_paths_perform_zero_heap_allocations() {
     propagate_window::<1>();
     propagate_window::<LEAF_KEYS>();
-    // One key per leaf: alternate keys. Fat leaves: alternate runs of 16
-    // keys, so whole leaves empty and refill and the splits rebalance.
+    // One key per leaf: alternate keys. Fat leaves: alternate runs of two
+    // leaves' worth, so whole leaves empty and refill and the splits
+    // rebalance.
     node_churn_window::<1>(1);
-    node_churn_window::<LEAF_KEYS>(16);
+    node_churn_window::<LEAF_KEYS>(2 * LEAF_KEYS as u64);
     // The edge-granular freeze words live inside the pooled nodes, never
     // on the heap.
     fanout_versioned_edge_window();

@@ -20,9 +20,11 @@
 #   * llxscx `concurrent_*` — the counter-chain and freeze-conflict
 #     races; covered far better by the sched-test exploration corpus.
 #   * cbat-core `propagate_semantics` / `sched_hunt` / `zero_alloc` /
-#     `leaf_outlives_unlink` test targets — thread-spawning or
-#     feature-gated; excluded by only naming the single-threaded targets
-#     below.
+#     `leaf_outlives_unlink` / `work_ledger` test targets — thread-spawning,
+#     feature-gated or (the ledger's 10^5 updates) hours under the
+#     interpreter; excluded by only naming the single-threaded targets
+#     below. Of `version_tree_mirror` only the thread-free
+#     `mirror_after_one_node_patches` runs.
 #
 # Flags: `-Zmiri-permissive-provenance` because the EBR pool and version
 # slots round-trip pointers through u64 words (int-to-ptr casts are the
@@ -78,5 +80,17 @@ timeout 1800 cargo +nightly miri test -p llxscx -- \
 echo "== miri: cbat-core augmentation laws + range walk + root answers (single-threaded targets) =="
 timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk \
     --test root_answer_is_read_only
+
+# A fat leaf's entries are read past its `Node` through the block's exposed
+# address (`Node::entry`), and reclaimed as the `FatLeaf` they were allocated
+# as: the unit tests that build, read, copy and dispose of fat leaves, and
+# the single-threaded mirror test whose updates are all one-node patches.
+echo "== miri: fat leaves (chromatic + cbat-core, single-threaded) =="
+timeout 1800 cargo +nightly miri test -p chromatic --lib -- \
+    node::tests::fat_leaf_roundtrip validate::negative_tests
+timeout 1800 cargo +nightly miri test -p cbat-core --lib -- \
+    version::tests::fat_leaf_versions_fold_their_entries version::tests::hot_objects_fit_in_64_bytes
+timeout 1800 cargo +nightly miri test -p cbat-core --test version_tree_mirror -- \
+    mirror_after_one_node_patches
 
 echo "miri: clean"

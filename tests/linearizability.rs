@@ -6,7 +6,7 @@
 //! adapters: BAT under two delegation policies, the fanout tree and the
 //! unaugmented chromatic tree. The adapters' BAT holds one key per leaf, as
 //! the paper's does; `FatLeaves` runs the same histories on the shipped
-//! `BatSet`, where all 8 hot keys share a leaf or two.
+//! `BatSet`, where all 8 hot keys share one leaf.
 //!
 //! Histories are recorded on a hot 8-key space by 6 threads, so nearly
 //! every operation contends; each per-key sub-history is then checked

@@ -14,6 +14,9 @@ use cbat::{BatMap, BatSet, DelegationPolicy, SizeOnly, LEAF_KEYS};
 /// rather than growing with the operation count.
 #[test]
 fn churn_does_not_leak() {
+    // One guard for both runs: between them another test could take the
+    // epoch and find the first run's garbage still in this thread's bags.
+    let _serial = ebr::own_the_global_epoch();
     // One key per leaf: an effective update retires its leaf (or two
     // nodes), the versions of its path and its nil fills.
     churn_does_not_leak_at::<1>(4);
@@ -25,7 +28,6 @@ fn churn_does_not_leak() {
 /// Churn retires at least one object per `per` ops, and the unreclaimed
 /// gap stays bounded.
 fn churn_does_not_leak_at<const B: usize>(per: u64) {
-    let _serial = ebr::own_the_global_epoch();
     let map = BatMap::<u64, u64, SizeOnly, B>::new();
     // Warm up and measure the baseline gap.
     for k in 0..500u64 {
