@@ -79,8 +79,8 @@ pub struct Node<K, V, P> {
     weight: u32,
     /// A leaf's entry count: 0 for a sentinel leaf (and every internal
     /// node), 1 for a leaf whose entry is `key` / `value`, ≥ 2 for a
-    /// [`FatLeaf`]. Two bytes of what was padding: the node is no larger
-    /// for it (a `BatSet<u64>` node is still 64 bytes).
+    /// [`FatLeaf`]. It fits in the node's padding: a `BatSet<u64>` node
+    /// is 64 bytes with it.
     len: u16,
     /// A one-entry leaf's value; `None` for every other node.
     value: Option<V>,

@@ -20,8 +20,8 @@
 //!   key added or dropped, at the leaf's weight: `v = [p, l]`,
 //!   `fresh = [l']`. No internal node is born and no weight moves, so it
 //!   creates no violation and runs no cleanup.
-//! * **Today's shapes otherwise.** An insert into a full leaf splits its
-//!   `B + 1` keys in half under a new internal node keyed by the right
+//! * **\[7\]'s shapes otherwise.** An insert into a full leaf splits
+//!   its `B + 1` keys in half under a new internal node keyed by the right
 //!   half's first key, at \[7\]'s weight rule; an insert into a sentinel
 //!   leaf (which never holds a real key) adds a one-key leaf beside it the
 //!   same way; a delete of a leaf's last key removes the leaf and its

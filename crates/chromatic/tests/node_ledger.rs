@@ -250,7 +250,7 @@ fn every_allocated_node_is_reclaimed_exactly_once() {
     let tree = Arc::new(Tree::<FAT>::new());
     fire_every_rebalance_kind(&tree);
     let failures = tree.stats.snapshot().scx_failures;
-    for round in 0..40u64 {
+    for round in 0..16u64 {
         contend(&tree, round);
     }
     assert!(

@@ -208,11 +208,14 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
 }
 
 /// The nil fills a propagate is expected to make beyond its path's
-/// refreshes, rounded up: `core.nil_fixes_per_propagate` reads ≈ 1.7 on the
-/// benchmark's `bat-update` — an insert's new parent is born nil, and so is
-/// each internal node a rebalancing step rebuilds. Each fill builds one
-/// `Version`, as each refresh does; an update's root check
-/// (`BatMap::insert`) sizes its pool prefetch by the two.
+/// refreshes, rounded up: `core.nil_fixes_per_propagate` read ≈ 1.7 on the
+/// benchmark's `bat-update` with one key per leaf — a split's new parent is
+/// born nil, and so is each internal node a rebalancing step rebuilds.
+/// With the shipped fat leaves most updates are one-node patches and it
+/// reads ≈ 0.02, so these two blocks of the prefetch are mostly spare (a
+/// hint either way). Each fill builds one `Version`, as each refresh does;
+/// an update's root check (`BatMap::insert`) sizes its pool prefetch by
+/// the two.
 pub(crate) const EXPECTED_NIL_FILLS: usize = 2;
 
 /// Run `Propagate(key)` on the tree rooted at `entry` under `policy`.

@@ -82,7 +82,7 @@ const TAGS: u64 = LEFT_LEAF | RIGHT_LEAF | LEFT_FAT | RIGHT_FAT;
 /// capacity, [`crate::LEAF_KEYS`] (three lines for `BatSet<u64>`). A
 /// version does not know its tree's `B`; at another capacity the span is
 /// still only a hint.
-type FatLeafLines<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { crate::LEAF_KEYS }>;
+type ShippedLeaf<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { crate::LEAF_KEYS }>;
 
 /// One immutable version of an internal node's supplementary fields.
 ///
@@ -224,7 +224,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     pub(crate) fn prefetch_children(&self) {
         let prefetch = |raw, leaf, fat| {
             if self.node & fat != 0 {
-                ebr::prefetch::<FatLeafLines<K, V, A>, false>(raw);
+                ebr::prefetch::<ShippedLeaf<K, V, A>, false>(raw);
             } else if self.node & leaf != 0 {
                 ebr::prefetch::<BatNode<K, V, A>, false>(raw);
             } else {
@@ -501,7 +501,7 @@ mod tests {
         // A `BatSet<u64>` fat leaf at the shipped capacity: its 64-byte
         // node, then 16 entries of 8 bytes, exactly three lines (stride
         // 192).
-        type Fat = FatLeafLines<u64, (), SizeOnly>;
+        type Fat = ShippedLeaf<u64, (), SizeOnly>;
         assert_eq!(crate::LEAF_KEYS, 16);
         assert_eq!(size_of::<Fat>(), 192);
         assert_eq!(pooled_addr::<Fat>() % 64, 0);

@@ -194,9 +194,9 @@ fn rebalance_mix(set: &dyn Updates) {
     }
 }
 
-/// Keys of the uniform rows: 2^16 of them, half present after the prefill.
-const SPACE: u64 = 1 << 16;
-const UNIFORM_OPS: u64 = 50_000;
+/// Keys of the uniform rows: 2^15 of them, half present after the prefill.
+const SPACE: u64 = 1 << 15;
+const UNIFORM_OPS: u64 = 20_000;
 
 fn xorshift(x: &mut u64) -> u64 {
     *x ^= *x << 13;
@@ -206,7 +206,7 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 /// Prefill half the keys in scattered order (a sorted prefill would make
-/// FR-BST a list), then 5·10^4 uniform updates, half inserts.
+/// FR-BST a list), then 2·10^4 uniform updates, half inserts.
 fn uniform(set: &dyn Updates) {
     for i in 0..SPACE / 2 {
         // An odd multiplier permutes the key space.
