@@ -110,8 +110,6 @@ pub enum Invalid {
 pub struct TreeShape {
     /// Number of real (non-sentinel) keys.
     pub keys: usize,
-    /// Number of leaves of the real tree, sentinel leaves included.
-    pub leaves: usize,
     /// Height of the real tree (edges from real root to deepest leaf).
     pub height: usize,
     /// Total weight along the leftmost real path.
@@ -263,7 +261,6 @@ where
 
         Ok(TreeShape {
             keys,
-            leaves,
             height: max_depth,
             weighted_height: path_weight.unwrap_or(0),
             internal,

@@ -265,8 +265,8 @@ fn split_race(policy: DelegationPolicy) {
             .node_tree()
             .validate(true)
             .expect("valid")
-            .leaves,
-        2,
+            .internal,
+        1,
         "the keys fill one leaf, beside the sentinel leaf"
     );
     let spawn = |inserts: bool| {
