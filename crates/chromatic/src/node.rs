@@ -123,7 +123,7 @@ pub type ChildSnap = (u64, u64);
 /// `B` is the tree's leaf capacity and sets the block's size, so the
 /// leaf has a pool class of its own (`B = 16`, `u64` keys and no values:
 /// three lines).
-/// Every reclaim goes through [`reclaim_node`], which picks the class by
+/// Every reclaim goes through `reclaim_node`, which picks the class by
 /// the entry count; freeing a fat leaf as a `Node` would strand its
 /// entries and return its block to the wrong class.
 #[repr(C)]

@@ -37,8 +37,8 @@ use crate::key::SentKey;
 use crate::node::{dispose_unpublished, retire_node, ChildSnap, Node, NodePlugin};
 
 /// Operation counters, matching the paper's §7 work statistics: one
-/// [`Striped`] whose stripes hold [`COMMITS`], [`FAILURES`] and then one
-/// counter per [`RebalanceKind`] from [`STEPS`] on.
+/// [`Striped`] whose stripes hold `COMMITS`, `FAILURES` and then one
+/// counter per [`RebalanceKind`] from `STEPS` on.
 #[derive(Default)]
 pub struct TreeStats(Striped<{ STEPS + 8 }>);
 

@@ -42,19 +42,19 @@
 //!   propagate exists for — and the propagate carries it there, as the
 //!   paper's no-op does.
 //!
-//! That one walk also warms what the rest of the update reads. Each
-//! version names the node it was built for (a prefetch hint, see
-//! [`Version`]), so the descent prefetches the node path the chromatic
-//! search is about to chase, and, when the root does not answer, the
-//! off-path siblings a refresh reads and the pool blocks the propagate's
-//! new versions take. [`BatStats`] counts the two branches apart
-//! (`propagates` and `root_answers`).
+//! That one walk also warms the node path the rest of the update reads.
+//! Each version names the node it was built for (a prefetch hint, see
+//! [`Version`]), so the descent prefetches the nodes the chromatic search,
+//! and then the propagate's refreshes, chase. It prefetches nothing off
+//! the path: with fat leaves that measured as noise (README, "Overlapped
+//! misses"). [`BatStats`] counts the two branches apart (`propagates` and
+//! `root_answers`).
 
 use chromatic::{ChromaticTree, SentKey};
 use ebr::Guard;
 
 use crate::augment::{Augmentation, SizeOnly};
-use crate::propagate::{propagate, DelegationPolicy, EXPECTED_NIL_FILLS};
+use crate::propagate::{propagate, DelegationPolicy};
 use crate::refresh::read_version;
 use crate::snapshot::{find_leaf, Snapshot};
 use crate::stats::{BatStats, Counter};
@@ -165,40 +165,20 @@ where
     /// An update's root check, its one walk before the node tree: does the
     /// root's current version hold `k` iff `present`? If so, counts a root
     /// answer — the no-op's linearization point is this read (see the
-    /// module doc). The descent prefetches each on-path version's node; if
-    /// the root does not answer, it then prefetches the off-path siblings'
-    /// nodes and the free blocks the coming propagate writes its versions
-    /// into (one per path node, plus [`EXPECTED_NIL_FILLS`]).
+    /// module doc). It is `Find`'s descent, which also prefetches each
+    /// on-path version's node: the lines the node-tree search chases next.
     fn root_answers(&self, k: &K, present: bool, guard: &Guard) -> bool {
-        // Siblings remembered, and so the path length the pool prefetch
-        // counts to: well above a balanced tree's height at any size that
-        // fits in memory; a degenerate FR-BST path's deeper steps warm none.
-        const PATH_HINTS: usize = 64;
         let h = self.stats.local();
         let root = read_version(self.tree.entry(), &h, guard);
         // SAFETY: `root` was the entry's version during `guard`'s pin, so it
         // is retired, if at all, after the pin began.
         // guard: `guard`, held by the calling update until it returns.
         let root = unsafe { Version::<K, V, A>::from_raw(root) };
-        let mut siblings = [None; PATH_HINTS];
-        let mut depth = 0;
-        let found = find_leaf(root, k, |on, off| {
-            on.prefetch_node();
-            if let Some(slot) = siblings.get_mut(depth) {
-                *slot = off;
-            }
-            depth += 1;
-        });
-        if found.is_some() == present {
+        let answers = find_leaf(root, k, Version::prefetch_node).is_some() == present;
+        if answers {
             Counter::RootAnswers.bump(&h);
-            return true;
         }
-        let depth = depth.min(PATH_HINTS);
-        for sibling in siblings[..depth].iter().flatten() {
-            sibling.prefetch_node();
-        }
-        ebr::pool::prefetch_free::<Version<K, V, A>>(depth + EXPECTED_NIL_FILLS);
-        false
+        answers
     }
 
     /// Take an atomic snapshot of the whole set: one read of the root's

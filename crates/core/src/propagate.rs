@@ -8,7 +8,7 @@
 //! `propagate` runs once per update that changes the set, so its working
 //! state — the set of already-refreshed nodes, the descent stack, and the list of replaced
 //! versions to retire — is kept in a reusable thread-local
-//! [`PropScratch`] arena instead of being heap-allocated per call. The
+//! `PropScratch` arena instead of being heap-allocated per call. The
 //! `refreshed` set is a root-to-leaf path, so a plain vector beats hashing
 //! *and* allocates nothing after warm-up. Its membership check scans
 //! newest-first: the node a re-descent stops at is almost always the one
@@ -17,13 +17,15 @@
 //!
 //! ## Overlapping the misses
 //!
-//! A propagate refreshes the search path bottom-up, and each refresh reads
-//! its off-path child, then that child's version, then writes a pool block
-//! — three cache misses at 2^19 keys, each dependent on the last, and the
-//! refresh CAS fences before the next level starts. Every one of those
-//! addresses is known before the first refresh: the update's root check
-//! (`BatMap::insert`) descends the root's version tree, whose versions name
-//! their nodes, and prefetches them all on the way; see [`crate::map`].
+//! A propagate refreshes the search path bottom-up. Each refresh reads a
+//! path node, its off-path child and that child's version, then writes a
+//! pool block, and its CAS fences before the next level starts. Only the
+//! path nodes are fetched ahead: the update's root check (`BatMap::insert`)
+//! descends the root's version tree, whose versions name their nodes, and
+//! prefetches each on-path node on the way; see [`crate::map`]. The
+//! siblings and the pool blocks are not fetched ahead: with fat leaves'
+//! shorter paths and almost no nil fills, that measured as noise (README,
+//! "Overlapped misses").
 
 use sched::atomic::Ordering;
 use std::cell::RefCell;
@@ -206,17 +208,6 @@ fn delegate(ps: u64, blocker: u64, h: &StatsLocal<'_>) -> WaitResult {
     }
     waited
 }
-
-/// The nil fills a propagate is expected to make beyond its path's
-/// refreshes, rounded up: `core.nil_fixes_per_propagate` read ≈ 1.7 on the
-/// benchmark's `bat-update` with one key per leaf — a split's new parent is
-/// born nil, and so is each internal node a rebalancing step rebuilds.
-/// With the shipped fat leaves most updates are one-node patches and it
-/// reads ≈ 0.02, so these two blocks of the prefetch are mostly spare (a
-/// hint either way). Each fill builds one `Version`, as each refresh does;
-/// an update's root check (`BatMap::insert`) sizes its pool prefetch by
-/// the two.
-pub(crate) const EXPECTED_NIL_FILLS: usize = 2;
 
 /// Run `Propagate(key)` on the tree rooted at `entry` under `policy`.
 ///

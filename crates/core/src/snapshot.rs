@@ -179,12 +179,11 @@ where
 /// `k` is present. Shared by [`Snapshot::contains`] /
 /// [`Snapshot::get`] and an update's root check
 /// ([`crate::map::BatMap::insert`]), which reads the root under the
-/// update's own guard. `step` sees each internal version on the path, with
-/// its off-path child if that child is a version too.
+/// update's own guard. `step` sees each internal version on the path.
 pub(crate) fn find_leaf<'v, K, V, A>(
     root: &'v Version<K, V, A>,
     k: &K,
-    mut step: impl FnMut(&'v Version<K, V, A>, Option<&'v Version<K, V, A>>),
+    mut step: impl FnMut(&'v Version<K, V, A>),
 ) -> Option<&'v V>
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -195,8 +194,7 @@ where
     while let VersionRef::Internal(n) = v {
         n.prefetch_children();
         let left = cmp_key(k, &n.key) == Ord_::Less;
-        // Off the path lies the right child when the walk turns left.
-        step(n, n.internal_child(left));
+        step(n);
         v = if left { n.left() } else { n.right() };
     }
     let leaf = v.leaf()?;
@@ -269,12 +267,12 @@ where
     /// `Find` (paper Fig. 3 lines 25–31): standard BST search on the
     /// version tree.
     pub fn contains(&self, k: &K) -> bool {
-        find_leaf(self.root(), k, |_, _| {}).is_some()
+        find_leaf(self.root(), k, |_| {}).is_some()
     }
 
     /// Point lookup returning the stored value.
     pub fn get(&self, k: &K) -> Option<V> {
-        find_leaf(self.root(), k, |_, _| {}).cloned()
+        find_leaf(self.root(), k, |_| {}).cloned()
     }
 
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.

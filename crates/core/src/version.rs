@@ -99,8 +99,10 @@ type ShippedLeaf<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { cra
 /// The rest of `node` is the address of the node the version was built for
 /// (nodes are 8-byte aligned): a prefetch hint, never dereferenced — the
 /// node may be unlinked and reused since, at the cost of one wasted
-/// [`ebr::prefetch`], which never faults. An update's root check warms the
-/// node path with it (see [`crate::map`]).
+/// [`ebr::prefetch`], which never faults. An update's root check
+/// prefetches each on-path node through it (see [`crate::map`]). The tags
+/// tell a descent's `prefetch_children` what each child is, so it fetches
+/// a version's line, a one-key leaf's node, or every line of a fat leaf.
 pub struct Version<K, V, A: Augmentation<K, V>> {
     /// Key of the node this version was created for.
     pub key: SentKey<K>,
@@ -190,17 +192,6 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
         unsafe { VersionRef::from_raw(self.right, self.node & RIGHT_LEAF != 0) }
     }
 
-    /// The child on the `right` (else left) side when it is a version;
-    /// `None` for a leaf child, which this does not read.
-    #[inline]
-    pub(crate) fn internal_child(&self, right: bool) -> Option<&Self> {
-        let raw = if right { self.right } else { self.left };
-        let bit = if right { RIGHT_LEAF } else { LEFT_LEAF };
-        // SAFETY: as for `left`.
-        // guard: the one `&self` was obtained under.
-        (self.node & bit == 0).then(|| unsafe { Self::from_raw(raw) })
-    }
-
     /// The node this version was built for: a hint, never to be
     /// dereferenced (see the type's doc).
     #[inline]
@@ -211,7 +202,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     /// Ask the cache for the node this version was built for.
     #[inline(always)]
     pub(crate) fn prefetch_node(&self) {
-        ebr::prefetch::<BatNode<K, V, A>, false>(self.node_hint() as u64);
+        ebr::prefetch::<BatNode<K, V, A>>(self.node_hint() as u64);
     }
 
     /// Ask the cache for both children before a descent decides which one
@@ -224,11 +215,11 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
     pub(crate) fn prefetch_children(&self) {
         let prefetch = |raw, leaf, fat| {
             if self.node & fat != 0 {
-                ebr::prefetch::<ShippedLeaf<K, V, A>, false>(raw);
+                ebr::prefetch::<ShippedLeaf<K, V, A>>(raw);
             } else if self.node & leaf != 0 {
-                ebr::prefetch::<BatNode<K, V, A>, false>(raw);
+                ebr::prefetch::<BatNode<K, V, A>>(raw);
             } else {
-                ebr::prefetch::<Self, false>(raw);
+                ebr::prefetch::<Self>(raw);
             }
         };
         prefetch(self.left, LEFT_LEAF, LEFT_FAT);
@@ -541,6 +532,30 @@ mod tests {
         let inner = unsafe { &*inner };
         assert_eq!((inner.size, inner.aug), (8, 2 * 46));
         assert!(inner.left().is_leaf() && inner.right().is_leaf());
+        // The tags `prefetch_children` reads: every leaf child has its leaf
+        // bit, and exactly the leaves of two or more keys their fat bit;
+        // the hint still names the node.
+        let one = VersionRef::Leaf(leaf::<SumAug>(SentKey::Key(20), Some(5)));
+        let sentinel = VersionRef::Leaf(leaf::<SumAug>(SentKey::Inf1, None));
+        let within = VersionRef::Internal(inner);
+        for (l, r, node, tags) in [
+            (v, v, 0x1000, LEFT_LEAF | LEFT_FAT | RIGHT_LEAF | RIGHT_FAT),
+            (v, one, 0x2000, LEFT_LEAF | LEFT_FAT | RIGHT_LEAF),
+            (one, v, 0x3000, LEFT_LEAF | RIGHT_LEAF | RIGHT_FAT),
+            (within, sentinel, 0x4000, RIGHT_LEAF),
+            (sentinel, within, 0x5000, LEFT_LEAF),
+        ] {
+            let c = Version::<u64, u64, SumAug>::combine(&SentKey::Key(9), node, l, r, 0);
+            let c = unsafe { &*c };
+            assert_eq!(c.node & TAGS, tags, "tags of the version at {node:#x}");
+            assert_eq!(c.node_hint() as u64, node);
+            unsafe { dispose_version::<u64, u64, SumAug>(c as *const _ as u64) };
+        }
+        for x in [one, sentinel] {
+            if let VersionRef::Leaf(n) = x {
+                dispose(n);
+            }
+        }
         unsafe { dispose_version::<u64, u64, SumAug>(inner as *const _ as u64) };
         unsafe {
             ebr::pool::dispose_pooled(

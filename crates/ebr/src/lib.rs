@@ -29,7 +29,7 @@
 //!
 //! The implementation favors clarity and auditability over micro-tuned
 //! constants; it is nonetheless allocation-free on the pin/unpin fast path
-//! and amortizes epoch scans over [`COLLECT_THRESHOLD`] retires.
+//! and amortizes epoch scans over `COLLECT_THRESHOLD` retires.
 
 use sched::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::cell::{Cell, RefCell};
@@ -410,7 +410,7 @@ fn retire_impl(items: impl ExactSizeIterator<Item = Retired>) {
 
 /// Run one reclamation round: try to advance the epoch and free every local
 /// (and orphaned) bag that is ≥ 2 epochs old. Called automatically every
-/// [`COLLECT_THRESHOLD`] retires; exposed for tests and benchmarks.
+/// `COLLECT_THRESHOLD` retires; exposed for tests and benchmarks.
 pub fn collect() {
     let g = global();
     let epoch = g.try_advance();

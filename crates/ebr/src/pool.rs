@@ -369,28 +369,6 @@ fn acquire_memory(layout: Layout) -> *mut u8 {
     p
 }
 
-/// Write-prefetch the blocks the calling thread's next `n` pool hits of
-/// `T`'s layout class will be served from (the free list is LIFO, so its
-/// last `n` entries), every line of each. A block parked on the list was
-/// last touched a grace period ago and is cold; initialising a new object
-/// in it is a store miss, and the CAS that publishes the object is a full
-/// fence that waits for the miss to drain. A caller that knows how many
-/// objects it is about to allocate starts those misses early, all at once.
-/// Pure hint: takes nothing off the list and counts nothing.
-pub fn prefetch_free<T>(n: usize) {
-    let layout = Layout::new::<T>();
-    let _ = POOLS.try_with(|pools| {
-        let Ok(classes) = pools.classes.try_borrow() else {
-            return;
-        };
-        if let Some(class) = classes.iter().find(|c| c.layout == layout) {
-            for &block in class.free.iter().rev().take(n) {
-                crate::prefetch::<T, true>(block as u64);
-            }
-        }
-    });
-}
-
 /// Return a dead block to the calling thread's free list, or to the depot
 /// when the list has no room for it.
 fn release_memory(p: *mut u8, layout: Layout) {
@@ -560,31 +538,6 @@ mod tests {
         assert_eq!(stride(Layout::new::<[u8; 56]>()), 64);
         assert_eq!(stride(Layout::new::<[u8; 72]>()), 128);
         assert_eq!(stride(Layout::new::<[u8; 1100]>()), 1152);
-    }
-
-    #[test]
-    fn prefetch_free_is_only_a_hint() {
-        // A layout distinctive to this test.
-        type Block = [u64; 7];
-        let blocks: Vec<_> = (0..3).map(|i| alloc_pooled([i; 7])).collect();
-        for b in blocks {
-            unsafe { dispose_pooled(b) };
-        }
-        let before = local_stats();
-        // Fewer than, exactly and more than the list holds; a class that
-        // does not exist; a zero-sized type.
-        for n in [0, 1, 3, 100] {
-            prefetch_free::<Block>(n);
-        }
-        prefetch_free::<[u64; 9]>(4);
-        prefetch_free::<()>(4);
-        assert_eq!(local_stats(), before, "nothing popped, nothing counted");
-        let again: Vec<_> = (0..3).map(|i| alloc_pooled([i + 10; 7])).collect();
-        assert_eq!(local_stats().0, before.0 + 3, "all three still on the list");
-        for b in again {
-            assert!(unsafe { (*b)[0] } >= 10);
-            unsafe { dispose_pooled(b) };
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the stripes up lazily. A bump therefore touches only a line this core
 //! already owns — one shared counter word makes every bump a cross-core
 //! cacheline ping-pong under multi-threaded load. And since a stripe has
-//! one writer, a bump is a plain load and store ([`bump`]), not a locked
+//! one writer, a bump is a plain load and store (`bump`), not a locked
 //! read-modify-write: a BAT propagate bumps some 25 times, and a
 //! `lock xadd` is a full fence that would sit in the middle of the refresh
 //! chain's cache misses.

@@ -24,7 +24,7 @@
 //!   the active chooser picks the next runnable thread. The sequence of
 //!   choices is the **trace**: same chooser + same seed ⇒ byte-identical
 //!   trace ([`Trace::to_bytes`]).
-//! * [`explore`] — schedule exploration on top of single runs:
+//! * [`explore`](mod@explore) — schedule exploration on top of single runs:
 //!   [`explore::explore`] (seeded random-walk or PCT-style priority
 //!   schedules, with trace dump on failure), [`explore::explore_exhaustive`]
 //!   (bounded DFS over every branching decision, for small bodies), and

@@ -5,7 +5,7 @@
 //! scheduler's condvar. At each yield point — every instrumented atomic
 //! operation under the `sched-test` feature, plus explicit [`yield_now`],
 //! [`spawn`] and [`JoinHandle::join`] calls — the running vthread asks the
-//! schedule's [`Chooser`] which runnable vthread goes next and hands the
+//! schedule's `Chooser` which runnable vthread goes next and hands the
 //! token over. The resulting sequence of chosen thread ids is the
 //! [`Trace`]; it is the complete schedule, so same chooser + same seed ⇒
 //! byte-identical trace, and a recorded trace can be replayed.

@@ -28,7 +28,7 @@
 //! one record.
 //!
 //! **How a link is followed:** the current version of an edge becomes a
-//! reference only in [`Node::child`], which borrows the caller's pin; a
+//! reference only in `Node::child`, which borrows the caller's pin; a
 //! version at a snapshot's timestamp only in `VcasSnapshot::child_at`,
 //! which borrows the snapshot (its pin and its clock registration).
 //! **How a patch commits:** `insert` and `remove` build their replacement

@@ -54,7 +54,7 @@ use llxscx::{Llx, RecordHeader};
 /// the detaching CAS doubles as an ownership transfer, so every record is
 /// retired by exactly one thread.
 ///
-/// `retire` heads a list of [`RetireCell`]s naming the nodes this record's
+/// `retire` heads a list of `RetireCell`s naming the nodes this record's
 /// publication *superseded* — the old region that stays reachable through
 /// `prev` until trimming detaches it. See the module-level "retire order"
 /// notes on [`trim`].

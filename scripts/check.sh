@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints (warnings are errors), the concurrency
-# discipline lint, build, and tests — the same sequence CI should run.
+# discipline lint, doc links, build, and tests — the same sequence CI
+# should run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # every Relaxed site, `// SAFETY:` on every `unsafe`, guard evidence on
 # every raw-pointer rehydration.
 cargo run -q -p lint
+# Doc links: a deleted item leaves its links dangling, and rustdoc only
+# warns about that (and about links to private items) unless told not to.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 # Nothing above compiles the `sched-test` cfg, and it is not only additive:
 # it swaps the atomics for the scheduler shims (under every `ebr::Striped`

@@ -2,7 +2,7 @@
 //!
 //! Umbrella crate re-exporting the whole workspace:
 //!
-//! * [`core`](cbat_core) — **BAT**: the lock-free balanced augmented tree,
+//! * [`core`] — **BAT**: the lock-free balanced augmented tree,
 //!   its delegation variants, snapshots and order-statistic queries (on
 //!   [`Snapshot`]), and the shipped augmentations [`SumAug`],
 //!   [`MinMaxAug`], [`PairAug`] and the interval tree's max-end;
