@@ -189,17 +189,6 @@ where
         Snapshot::new(root, guard)
     }
 
-    /// The map's *current* root version pointer as an opaque token —
-    /// what [`Snapshot::version_token`] would return for a snapshot
-    /// taken now. Comparing it against a held snapshot's token tells
-    /// whether any update committed since that snapshot was taken; the
-    /// `shard` crate's cross-shard cut validates its double-collect
-    /// with exactly this check.
-    pub fn version_token(&self) -> u64 {
-        let guard = ebr::pin();
-        read_version(self.tree.entry(), &self.stats.local(), &guard)
-    }
-
     /// `Find(k)`: BST search on the version tree (paper Fig. 3).
     pub fn contains(&self, k: &K) -> bool {
         self.snapshot().contains(k)
@@ -343,11 +332,6 @@ where
     /// Snapshot of the set.
     pub fn snapshot(&self) -> Snapshot<K, (), A> {
         self.map.snapshot()
-    }
-
-    /// Current root version token (see [`BatMap::version_token`]).
-    pub fn version_token(&self) -> u64 {
-        self.map.version_token()
     }
 
     /// The underlying map.

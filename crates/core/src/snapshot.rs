@@ -233,19 +233,6 @@ where
         VersionRef::Internal(self.root())
     }
 
-    /// The snapshot's root version pointer as an opaque token. Two
-    /// snapshots of the same map carry equal tokens iff they observed
-    /// the same root version — i.e. no update was installed between
-    /// them. (Pointer equality is sound here, not ABA-prone: each
-    /// snapshot's guard pins its version against reclamation, so while
-    /// both tokens are live an equal address means the same version.)
-    /// This is what a multi-structure consistent cut compares during
-    /// double-collect validation (see the `shard` crate).
-    #[inline]
-    pub fn version_token(&self) -> u64 {
-        self.root
-    }
-
     /// Number of keys in the snapshot — O(1) from the root's size field.
     #[inline]
     pub fn len(&self) -> u64 {

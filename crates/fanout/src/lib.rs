@@ -66,9 +66,10 @@
 //! index is a private field of the snapshot and dies with it: nothing is
 //! shared, nothing is written on the update path, and a snapshot that is
 //! never asked an order statistic builds nothing. The fill grows with n
-//! per snapshot, so when a scan approaches the time a snapshot is held
-//! for, a structure whose *updates* maintain counts (the BAT) is the
-//! right choice.
+//! per snapshot, so the index pays only while a scan stays short of the
+//! time a snapshot is held for; past that, a structure whose *updates*
+//! maintain counts (the BAT) would answer faster, a crossover no row has
+//! measured yet.
 //!
 //! **How a link is followed:** the current version of an edge becomes a
 //! reference only in `BNode::child`, which borrows the caller's pin (the
@@ -1586,8 +1587,8 @@ mod tests {
 
     /// Retire-order regression (the PR 7 forensics, made deterministic):
     /// a snapshot registered at `ts` whose epoch pin is NOT held across
-    /// writer churn — the serving-lease shape, and the
-    /// `ShardedSet::snapshot` double-collect shape. Under the old order
+    /// writer churn — the serving-lease shape, whose cuts
+    /// `ShardedSet::snapshot_at` reads. Under the old order
     /// (nodes retired at publish, while the superseded record stayed
     /// reachable for `ts`), the churn + `ebr::flush` below recycles the
     /// old leaf and the read panics on its poisoned length byte ("range

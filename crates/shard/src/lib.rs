@@ -15,24 +15,15 @@
 //!   the member of a one-shard cut once and bisects the key domain with
 //!   cross-shard ranks otherwise. All of them are asked of a cut
 //!   ([`ShardedSet::snapshot`] / [`ShardedSet::snapshot_at`]). There is no
-//!   ordered (range) partition: its shard-size prefix sums would repeat,
-//!   one level up, the size field a BAT member already keeps. What each
-//!   per-shard answer costs is the member's business ([`MemberSnap`]):
-//!   O(log n) on a BAT shard, whose updates maintain sizes; on a fanout
-//!   shard a scan the first time a cut is asked, O(fanout × height) from
-//!   the cut's own subtree-count index after that.
+//!   ordered (range) partition: no forest that runs asks for one. What each
+//!   per-shard answer costs is the member's business ([`MemberSnap`]): on
+//!   a fanout shard a scan the first time a cut is asked, O(fanout ×
+//!   height) from the cut's own subtree-count index after that.
 //! * **Consistent cuts come from a shared clock.** All shards of one
 //!   forest stamp their version records from a single [`vedge::SnapClock`]
 //!   (Wei et al.'s timestamp trick \[33\], widened from one tree to a
-//!   forest): one registration yields one timestamp that is a consistent
-//!   cut across every timestamp-indexed shard. Members whose snapshots
-//!   read "now" instead of a timestamp (the BAT, whose snapshot is one
-//!   root-version-pointer read) are cut by **double-collect**: take all N
-//!   snapshots, re-read every shard's current root version token, and
-//!   retry until the two collections agree — pointer equality is ABA-free
-//!   because each snapshot's epoch guard pins its version, so the
-//!   validated vector was simultaneously current at some instant between
-//!   the collections, which is the cut's linearization point.
+//!   forest): one registration yields one timestamp, and every shard read
+//!   at it is one consistent cut.
 //!
 //! ## Shard isolation
 //!
@@ -47,7 +38,6 @@
 
 use std::sync::Arc;
 
-use cbat_core::{BatSet, SizeOnly, Snapshot};
 use ebr::CachePadded;
 use fanout::{FanoutSet, FanoutSnapshot};
 use vedge::SnapClock;
@@ -68,22 +58,16 @@ impl Partition {
     }
 }
 
-/// One member structure of a sharded forest. Implemented by the BAT
-/// ([`BatSet<u64>`]) and the per-edge fanout tree ([`FanoutSet`]).
+/// One member structure of a sharded forest: the per-edge fanout tree
+/// ([`FanoutSet`]), whose snapshots read exactly the state at a timestamp
+/// of the forest's shared clock.
 pub trait ShardMember: Send + Sync + Sized + 'static {
     /// The member's snapshot type (borrowing the member where it must).
     type Snap<'a>: MemberSnap
     where
         Self: 'a;
 
-    /// Whether [`ShardMember::snapshot_at`] returns *exactly* the state
-    /// at the requested timestamp (timestamp-indexed version chains, as
-    /// in the fanout tree). When `false` the forest cut double-collects
-    /// and validates with [`ShardMember::version_token`].
-    const TIMESTAMP_EXACT: bool;
-
-    /// Build one shard stamping from the forest's shared clock. Members
-    /// that do not use the versioned-edge clock may ignore it.
+    /// Build one shard stamping from the forest's shared clock.
     fn new_in_forest(sync: &Arc<SnapClock>) -> Self;
 
     /// Insert; `true` iff newly added.
@@ -92,20 +76,14 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
     fn remove(&self, k: u64) -> bool;
     /// Linearizable membership.
     fn contains(&self, k: u64) -> bool;
-    /// Current size: O(1) for the BAT (its updates maintain the count);
-    /// Θ(n) for the fanout tree, whose updates maintain none — each call
-    /// is a fresh snapshot's cold count, with no held snapshot to amortize
-    /// it over.
+    /// Current size: Θ(n) for the fanout tree, whose updates maintain no
+    /// count — each call is a fresh snapshot's cold count, with no held
+    /// snapshot to amortize it over.
     fn len(&self) -> u64;
 
-    /// Snapshot as of the forest cut `ts` the caller registered on the
-    /// shared clock ([`Self::TIMESTAMP_EXACT`] members), or of "now"
-    /// (members validated by double-collect instead).
+    /// Snapshot exactly as of the forest cut `ts` the caller registered
+    /// on the shared clock.
     fn snapshot_at(&self, ts: u64) -> Self::Snap<'_>;
-
-    /// Token identifying the member's currently published version, for
-    /// double-collect validation. Unused (0) when snapshots are exact.
-    fn version_token(&self) -> u64;
 
     /// Cumulative publication-contention counters `(attempts, aborts,
     /// retries)`, summed forest-wide by [`ShardedSet::contention`].
@@ -116,8 +94,7 @@ pub trait ShardMember: Send + Sync + Sized + 'static {
 /// decompositions. `rank(k)` counts keys ≤ `k`, as everywhere in this
 /// workspace.
 ///
-/// Cost of `len`/`rank`/`select`/`range_count`: O(log n) on a BAT
-/// snapshot (sizes live in the version tree). On a fanout snapshot, cold
+/// Cost of `len`/`rank`/`select`/`range_count` on a fanout snapshot: cold
 /// Θ(keys covered) — paid once per subtree per snapshot — then
 /// O(fanout × height) from the snapshot's own subtree-count index, so a
 /// cut held for a lease period serves all but its first queries warm.
@@ -127,69 +104,6 @@ pub trait MemberSnap {
     fn rank(&self, k: u64) -> u64;
     fn range_count(&self, lo: u64, hi: u64) -> u64;
     fn select(&self, i: u64) -> Option<u64>;
-    /// The snapshot's version token (see [`ShardMember::version_token`]).
-    fn token(&self) -> u64;
-}
-
-// --- BAT member: snapshots read "now", cut by double-collect -----------
-
-impl ShardMember for BatSet<u64, SizeOnly> {
-    type Snap<'a> = Snapshot<u64, (), SizeOnly>;
-
-    const TIMESTAMP_EXACT: bool = false;
-
-    fn new_in_forest(_sync: &Arc<SnapClock>) -> Self {
-        // The BAT's version tree is pinned by epoch guards, not clock
-        // registrations; the forest cut validates with version tokens.
-        BatSet::new()
-    }
-
-    fn insert(&self, k: u64) -> bool {
-        BatSet::insert(self, k)
-    }
-    fn remove(&self, k: u64) -> bool {
-        BatSet::remove(self, &k)
-    }
-    fn contains(&self, k: u64) -> bool {
-        BatSet::contains(self, &k)
-    }
-    fn len(&self) -> u64 {
-        BatSet::len(self)
-    }
-
-    fn snapshot_at(&self, _ts: u64) -> Self::Snap<'_> {
-        self.snapshot()
-    }
-
-    fn version_token(&self) -> u64 {
-        BatSet::version_token(self)
-    }
-
-    fn contention(&self) -> (u64, u64, u64) {
-        let s = self.stats().snapshot();
-        (s.cas_attempts, s.cas_failures, s.cas_failures)
-    }
-}
-
-impl MemberSnap for Snapshot<u64, (), SizeOnly> {
-    fn contains(&self, k: u64) -> bool {
-        Snapshot::contains(self, &k)
-    }
-    fn len(&self) -> u64 {
-        Snapshot::len(self)
-    }
-    fn rank(&self, k: u64) -> u64 {
-        Snapshot::rank(self, &k)
-    }
-    fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        Snapshot::range_count(self, &lo, &hi)
-    }
-    fn select(&self, i: u64) -> Option<u64> {
-        Snapshot::select(self, i).map(|(k, ())| k)
-    }
-    fn token(&self) -> u64 {
-        self.version_token()
-    }
 }
 
 // --- Fanout member: timestamp-exact snapshots, one registration IS the
@@ -197,8 +111,6 @@ impl MemberSnap for Snapshot<u64, (), SizeOnly> {
 
 impl ShardMember for FanoutSet {
     type Snap<'a> = FanoutSnapshot<'a>;
-
-    const TIMESTAMP_EXACT: bool = true;
 
     fn new_in_forest(sync: &Arc<SnapClock>) -> Self {
         FanoutSet::with_clock(sync.clone())
@@ -219,10 +131,6 @@ impl ShardMember for FanoutSet {
 
     fn snapshot_at(&self, ts: u64) -> Self::Snap<'_> {
         FanoutSet::snapshot_at(self, ts)
-    }
-
-    fn version_token(&self) -> u64 {
-        0
     }
 
     fn contention(&self) -> (u64, u64, u64) {
@@ -246,9 +154,6 @@ impl MemberSnap for FanoutSnapshot<'_> {
     }
     fn select(&self, i: u64) -> Option<u64> {
         FanoutSnapshot::select(self, i)
-    }
-    fn token(&self) -> u64 {
-        0
     }
 }
 
@@ -314,9 +219,8 @@ impl<S: ShardMember> ShardedSet<S> {
         self.shard_for(k).contains(k)
     }
 
-    /// Sum of shard sizes, each [`ShardMember::len`]: an atomic read of a
-    /// BAT shard's current size, a Θ(keys) cold count of a fanout shard.
-    /// The sum is *not* one instant's value — use
+    /// Sum of shard sizes, each [`ShardMember::len`]: a Θ(keys) cold
+    /// count of a fanout shard. The sum is *not* one instant's value — use
     /// [`ShardedSet::snapshot`] for a consistent `len`.
     pub fn len(&self) -> u64 {
         self.shards().map(|s| s.len()).sum()
@@ -333,15 +237,10 @@ impl<S: ShardMember> ShardedSet<S> {
 
     /// One consistent cut across all shards.
     ///
-    /// Registers once on the shared clock — for timestamp-exact members
-    /// the returned timestamp *is* the cut (every shard read at it), and
-    /// the registration bounds version-chain trimming below it for the
-    /// snapshot's lifetime. Current-root members are double-collected:
-    /// snapshots are retaken until no shard's root version changed across
-    /// the collection, so the vector was simultaneously current at some
-    /// instant — the cut's linearization point. The retry loop only
-    /// repeats while updates keep committing somewhere in the forest
-    /// during the (short) collection window.
+    /// Registers once on the shared clock: the returned timestamp *is*
+    /// the cut (every shard read at it), and the registration bounds
+    /// version-chain trimming below it for the snapshot's lifetime. The
+    /// snapshot owns that registration and releases it on drop.
     pub fn snapshot(&self) -> ShardedSnapshot<'_, S> {
         let ts = self.sync.register();
         let snaps = self.collect_at(ts);
@@ -362,9 +261,6 @@ impl<S: ShardMember> ShardedSet<S> {
     /// The registration must stay live (same thread) for the returned
     /// snapshot's whole lifetime: it is what bounds version-chain
     /// trimming below `ts`. Dropping this snapshot does NOT deregister.
-    /// For current-root members (`TIMESTAMP_EXACT == false`) the cut is
-    /// double-collected at "now" — still one consistent forest cut, just
-    /// not pinned to `ts`.
     pub fn snapshot_at(&self, ts: u64) -> ShardedSnapshot<'_, S> {
         let snaps = self.collect_at(ts);
         ShardedSnapshot {
@@ -375,22 +271,12 @@ impl<S: ShardMember> ShardedSet<S> {
     }
 
     fn collect_at(&self, ts: u64) -> Vec<S::Snap<'_>> {
-        loop {
-            let snaps: Vec<S::Snap<'_>> = self.shards().map(|s| s.snapshot_at(ts)).collect();
-            if S::TIMESTAMP_EXACT
-                || self
-                    .shards()
-                    .zip(&snaps)
-                    .all(|(s, snap)| s.version_token() == snap.token())
-            {
-                break snaps;
-            }
-        }
+        self.shards().map(|s| s.snapshot_at(ts)).collect()
     }
 }
 
 /// A consistent cut of the whole forest: one member snapshot per shard,
-/// all current at the same instant (see [`ShardedSet::snapshot`]). A cut
+/// all read at the same timestamp (see [`ShardedSet::snapshot`]). A cut
 /// taken by [`ShardedSet::snapshot`] owns the clock registration that
 /// keeps every shard's versions readable and releases it on drop; a cut
 /// taken by [`ShardedSet::snapshot_at`] reads under the **caller's**

@@ -4,19 +4,17 @@
 //! all-or-nothing *per the shared clock* — if the later write is inside
 //! the cut, the earlier one must be too, and the cut's size/rank/range
 //! views must agree with each other. The two shards are hashed, and the
-//! keys are picked so that each write lands on a different one. Explored
-//! for both member kinds: the fanout forest (where one shared-clock
-//! timestamp is the cut) and the BAT forest (where double-collect
-//! validation supplies it).
+//! keys are picked so that each write lands on a different one. One
+//! shared-clock timestamp is the fanout forest's cut.
 
 use std::sync::Arc;
 
-use cbat_core::BatSet;
+use fanout::FanoutSet;
 use sched::{explore, ExploreConfig, Policy};
 
 use super::{Partition, ShardMember, ShardedSet};
 
-/// Schedules per member kind, split evenly over the two policies: 60
+/// Schedules for the cut race, split evenly over the two policies: 60
 /// unless `SHARD_SCHED_SCHEDULES` names another count.
 fn budget() -> usize {
     std::env::var("SHARD_SCHED_SCHEDULES")
@@ -35,10 +33,10 @@ fn one_key_per_shard(from: u64) -> [u64; 2] {
 /// One cut race over two hashed shards: each holds one base key; the
 /// writer inserts `ka` (shard 0) and then `kb` (shard 1); the reader takes
 /// one forest snapshot somewhere inside that window.
-fn cut_race_body<S: ShardMember>() {
+fn cut_race_body() {
     let bases = one_key_per_shard(1);
     let [ka, kb] = one_key_per_shard(bases[0].max(bases[1]) + 1);
-    let set = Arc::new(ShardedSet::<S>::new(2));
+    let set = Arc::new(ShardedSet::<FanoutSet>::new(2));
     for k in bases {
         set.insert(k);
     }
@@ -61,9 +59,8 @@ fn cut_race_body<S: ShardMember>() {
             let a = snap.contains(ka);
             let b = snap.contains(kb);
             // The cut respects the writer's program order: clock stamps
-            // are monotone (fanout) / the validated vector was
-            // simultaneously current (BAT), so seeing the later kb
-            // without the earlier ka would be a torn cut.
+            // are monotone, so seeing the later kb without the earlier ka
+            // would be a torn cut.
             assert!(
                 a || !b,
                 "torn cut: kb visible without the earlier ka (a={a}, b={b})"
@@ -94,11 +91,12 @@ fn cut_race_body<S: ShardMember>() {
     }
 }
 
-fn explore_cut<S: ShardMember>(what: &str, seed_base: u64) {
+#[test]
+fn fanout_forest_cut_is_all_or_nothing() {
     let per_cell = (budget() / 2).max(1);
     for (policy, seed) in [
-        (Policy::RandomWalk, seed_base),
-        (Policy::Pct { depth: 3 }, seed_base ^ 0x1),
+        (Policy::RandomWalk, 0x5AAD_0001),
+        (Policy::Pct { depth: 3 }, 0x5AAD_0000),
     ] {
         let report = explore(
             &ExploreConfig {
@@ -108,18 +106,8 @@ fn explore_cut<S: ShardMember>(what: &str, seed_base: u64) {
                 policy,
                 stop_on_failure: true,
             },
-            cut_race_body::<S>,
+            cut_race_body,
         );
-        report.assert_clean(&format!("{what} cut race under {policy:?}"));
+        report.assert_clean(&format!("fanout forest cut race under {policy:?}"));
     }
-}
-
-#[test]
-fn fanout_forest_cut_is_all_or_nothing() {
-    explore_cut::<fanout::FanoutSet>("fanout forest", 0x5AAD_0001);
-}
-
-#[test]
-fn bat_forest_cut_is_all_or_nothing() {
-    explore_cut::<BatSet<u64>>("BAT forest", 0x5AAD_0003);
 }

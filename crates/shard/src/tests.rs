@@ -1,5 +1,5 @@
 //! Deterministic oracle tests for the sharded front-end: every shard
-//! count × member combination must agree with single-structure semantics, both
+//! count must agree with single-structure semantics, both
 //! sequentially and with the final state of a concurrent run (ISSUE 6's
 //! "cross-shard rank/select/range_query agree with a single-tree oracle
 //! under concurrent updates" acceptance criterion).
@@ -26,8 +26,8 @@ fn xs(x: &mut u64) -> u64 {
 
 /// Drive `set` and a `BTreeSet` oracle through the same op stream and
 /// compare every return value and every order statistic along the way.
-fn sequential_oracle<S: ShardMember>(shards: usize) {
-    let set = ShardedSet::<S>::new(shards);
+fn sequential_oracle(shards: usize) {
+    let set = ShardedSet::<FanoutSet>::new(shards);
     let mut oracle = BTreeSet::new();
     let mut x = 0x0BA7_0006_u64;
     for step in 0..2_000u64 {
@@ -80,16 +80,9 @@ fn sequential_oracle<S: ShardMember>(shards: usize) {
 }
 
 #[test]
-fn bat_forest_matches_oracle_sequentially() {
-    for shards in [1, 3, 4] {
-        sequential_oracle::<BatSet<u64>>(shards);
-    }
-}
-
-#[test]
 fn fanout_forest_matches_oracle_sequentially() {
-    for shards in [1, 4] {
-        sequential_oracle::<fanout::FanoutSet>(shards);
+    for shards in [1, 3, 4] {
+        sequential_oracle(shards);
     }
 }
 
@@ -101,7 +94,7 @@ fn fanout_forest_matches_oracle_sequentially() {
 #[test]
 fn fanout_forest_select_matches_oracle_at_every_index() {
     for shards in [1, 3, 4] {
-        let set = ShardedSet::<fanout::FanoutSet>::new(shards);
+        let set = ShardedSet::<FanoutSet>::new(shards);
         let mut oracle = BTreeSet::new();
         let mut x = 0x5E1E_C700_u64 + shards as u64;
         // Keys past the churned range; `u64::MAX` is the far end of a
@@ -143,10 +136,11 @@ fn fanout_forest_select_matches_oracle_at_every_index() {
 /// streams (so the final membership is interleaving-independent), then
 /// the forest's order statistics are compared point by point against a
 /// *single-tree* BAT oracle replaying the same streams.
-fn concurrent_vs_single_tree<S: ShardMember>() {
+#[test]
+fn fanout_forest_agrees_with_single_tree_under_concurrent_updates() {
     const THREADS: u64 = 4;
     const OPS: u64 = 3_000;
-    let set = Arc::new(ShardedSet::<S>::new(4));
+    let set = Arc::new(ShardedSet::<FanoutSet>::new(4));
     let span = MAX_KEY / THREADS;
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -206,21 +200,12 @@ fn concurrent_vs_single_tree<S: ShardMember>() {
     ebr::flush();
 }
 
-#[test]
-fn bat_forest_agrees_with_single_tree_under_concurrent_updates() {
-    concurrent_vs_single_tree::<BatSet<u64>>();
-}
-
-#[test]
-fn fanout_forest_agrees_with_single_tree_under_concurrent_updates() {
-    concurrent_vs_single_tree::<fanout::FanoutSet>();
-}
-
 /// Mid-flight cut consistency: while writers churn, every snapshot must
 /// be internally coherent — its size, rank, select and range views all
 /// describe the same instant.
-fn cuts_are_coherent_mid_flight<S: ShardMember>() {
-    let set = Arc::new(ShardedSet::<S>::new(4));
+#[test]
+fn fanout_forest_cuts_are_coherent_mid_flight() {
+    let set = Arc::new(ShardedSet::<FanoutSet>::new(4));
     for k in (0..MAX_KEY).step_by(4) {
         set.insert(k);
     }
@@ -264,16 +249,6 @@ fn cuts_are_coherent_mid_flight<S: ShardMember>() {
 }
 
 #[test]
-fn bat_forest_cuts_are_coherent_mid_flight() {
-    cuts_are_coherent_mid_flight::<BatSet<u64>>();
-}
-
-#[test]
-fn fanout_forest_cuts_are_coherent_mid_flight() {
-    cuts_are_coherent_mid_flight::<fanout::FanoutSet>();
-}
-
-#[test]
 fn partition_maps_cover_all_shards_and_respect_bounds() {
     for n in [1usize, 2, 3, 8] {
         let mut hit = vec![false; n];
@@ -290,8 +265,9 @@ fn partition_maps_cover_all_shards_and_respect_bounds() {
 
 /// 512 fresh inserts over four shards: each publishes at least once on its
 /// shard, and the forest's sum sees every one.
-fn contention_sums_over_shards<S: ShardMember>() {
-    let set = ShardedSet::<S>::new(4);
+#[test]
+fn forest_contention_counters_aggregate_over_shards() {
+    let set = ShardedSet::<FanoutSet>::new(4);
     for k in 0..512 {
         assert!(set.insert(k));
     }
@@ -305,10 +281,39 @@ fn contention_sums_over_shards<S: ShardMember>() {
     ebr::flush();
 }
 
+/// Who releases a cut's clock registration: a cut from `snapshot()` made
+/// its own and releases it on drop; a cut from `snapshot_at(ts)` reads
+/// under the caller's and leaves it live until the caller deregisters.
 #[test]
-fn forest_contention_counters_aggregate_over_shards() {
-    contention_sums_over_shards::<BatSet<u64>>();
-    contention_sums_over_shards::<FanoutSet>();
+fn a_cut_releases_only_the_registration_it_made() {
+    let set = ShardedSet::<FanoutSet>::new(2);
+    for k in 0..64 {
+        set.insert(k);
+    }
+    let clock = set.snap_clock();
+    assert_eq!(clock.min_active(), u64::MAX, "a fresh forest has no reader");
+
+    let snap = set.snapshot();
+    assert!(
+        clock.min_active() < u64::MAX,
+        "snapshot() is not registered"
+    );
+    assert_eq!(snap.len(), 64);
+    drop(snap);
+    assert_eq!(clock.min_active(), u64::MAX, "snapshot() outlived its drop");
+
+    let ts = clock.register();
+    set.insert(64);
+    let snap = set.snapshot_at(ts);
+    assert_eq!(snap.len(), 64, "snapshot_at({ts}) saw a later insert");
+    drop(snap);
+    assert!(
+        clock.min_active() <= ts,
+        "dropping snapshot_at({ts}) released the caller's registration"
+    );
+    clock.deregister();
+    assert_eq!(clock.min_active(), u64::MAX);
+    ebr::flush();
 }
 
 /// A fanout member that counts the `select` and `rank` calls its
@@ -326,7 +331,6 @@ struct CountingSnap<'a> {
 
 impl ShardMember for Counting {
     type Snap<'a> = CountingSnap<'a>;
-    const TIMESTAMP_EXACT: bool = true;
 
     fn new_in_forest(sync: &Arc<SnapClock>) -> Self {
         Counting {
@@ -353,9 +357,6 @@ impl ShardMember for Counting {
             member: self,
         }
     }
-    fn version_token(&self) -> u64 {
-        0
-    }
     fn contention(&self) -> (u64, u64, u64) {
         <FanoutSet as ShardMember>::contention(&self.set)
     }
@@ -378,9 +379,6 @@ impl MemberSnap for CountingSnap<'_> {
     fn select(&self, i: u64) -> Option<u64> {
         self.member.selects.fetch_add(1, Ordering::Relaxed);
         self.snap.select(i)
-    }
-    fn token(&self) -> u64 {
-        0
     }
 }
 

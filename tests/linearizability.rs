@@ -15,7 +15,7 @@
 //! A sharded forest has no row of its own: its point op on `k` is the
 //! member's op on the shard `Partition::shard_of(k)` picks, a pure
 //! function of `k`, so each of its per-key histories is a history of one
-//! BAT or fanout member, which the rows below check. `shard`'s
+//! fanout member, which the rows below check. `shard`'s
 //! `sequential_oracle` checks the routing.
 
 use bench::{BatAdapter, ChromaticAdapter, FanoutAdapter};
