@@ -121,8 +121,10 @@ pub type ChildSnap = (u64, u64);
 /// A leaf of two or more keys: the node, with its smallest key as `key` and
 /// no `value`, followed in the same pool block by its entries in key order.
 /// `B` is the tree's leaf capacity and sets the block's size, so the
-/// leaf has a pool class of its own (`B = 16`, `u64` keys and no values:
-/// three lines).
+/// leaf has a pool class of its own (`B = 64`, `u64` keys and no values:
+/// nine lines). A leaf is built by cloning slices of entries straight
+/// into its block ([`Node::new_leaf_from`]) and read as one slice
+/// ([`Node::fat_entries`]).
 /// Every reclaim goes through `reclaim_node`, which picks the class by
 /// the entry count; freeing a fat leaf as a `Node` would strand its
 /// entries and return its block to the wrong class.
@@ -175,28 +177,44 @@ impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
         })
     }
 
-    /// Allocate a leaf of `len` (1 to `B`) entries, the `i`-th being
-    /// `entry(i)`, in strictly increasing key order: a plain node for one
-    /// entry, a [`FatLeaf`] of capacity `B` for more.
-    pub fn new_leaf_of<const B: usize>(
-        len: usize,
-        weight: u32,
-        mut entry: impl FnMut(usize) -> (K, V),
-    ) -> *mut Self {
-        debug_assert!((1..=B).contains(&len), "a real leaf holds 1 to B keys");
+    /// Allocate a leaf of capacity `B` whose entries are `parts` one after
+    /// the other (1 to `B` in all, in strictly increasing key order): a
+    /// plain node for one entry, else a [`FatLeaf`] whose entries are
+    /// cloned slice by slice straight into its pool block. An insert passes
+    /// a leaf's prefix, the new entry and the suffix; a delete the prefix
+    /// and the suffix past the key; a split each half.
+    pub fn new_leaf_from<const B: usize>(weight: u32, parts: &[&[(K, V)]]) -> *mut Self {
+        const { assert!(B <= u16::MAX as usize, "a leaf's length fits its u16") };
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        // Not debug-only: an empty leaf would read its key out of an
+        // unwritten slot below.
+        assert!((1..=B).contains(&len), "a real leaf holds 1 to B keys");
         if len == 1 {
-            let (k, v) = entry(0);
-            return Self::new_leaf(SentKey::Key(k), weight, Some(v));
+            let (k, v) = parts
+                .iter()
+                .find_map(|part| part.first())
+                .expect("one entry");
+            return Self::new_leaf(SentKey::Key(k.clone()), weight, Some(v.clone()));
         }
-        let mut entries = [const { MaybeUninit::uninit() }; B];
-        for (i, slot) in entries[..len].iter_mut().enumerate() {
-            slot.write(entry(i));
+        let leaf = ebr::pool::alloc_pooled(MaybeUninit::<FatLeaf<K, V, P, B>>::uninit())
+            as *mut FatLeaf<K, V, P, B>;
+        // SAFETY: `leaf` is this call's block, of `FatLeaf`'s layout; its
+        // entry slots are `MaybeUninit`, so a reference to them may span
+        // the block's uninitialized bytes.
+        // guard: none needed, nothing else can reach the block yet.
+        let entries = unsafe { &mut (*leaf).entries };
+        let mut at = 0;
+        for part in parts {
+            entries[at..at + part.len()].write_clone_of_slice(part);
+            at += part.len();
         }
         // SAFETY: `len >= 2`, so entry 0 was written above.
         let key = SentKey::Key(unsafe { entries[0].assume_init_ref() }.0.clone());
         let plugin = P::new_leaf(&key, len);
-        let leaf = ebr::pool::alloc_pooled(FatLeaf {
-            node: Node {
+        // SAFETY: as above; the node's slot is written once, here, and the
+        // block is a whole `FatLeaf` from now on.
+        unsafe {
+            (&raw mut (*leaf).node).write(Node {
                 header: RecordHeader::new(),
                 left: AtomicU64::new(0),
                 right: AtomicU64::new(0),
@@ -205,9 +223,8 @@ impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
                 len: len as u16,
                 value: None,
                 plugin,
-            },
-            entries,
-        });
+            })
+        };
         // `#[repr(C)]` puts the node at the block's start.
         leaf as *mut Self
     }
@@ -238,7 +255,7 @@ impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
         } else if self.len <= 1 {
             Self::new_leaf(self.key.clone(), weight, self.value.clone())
         } else {
-            Self::new_leaf_of::<B>(self.len(), weight, |i| self.cloned_entry(i))
+            Self::new_leaf_from::<B>(weight, &[self.fat_entries()])
         }
     }
 
@@ -280,22 +297,33 @@ impl<K, V, P> Node<K, V, P> {
     /// The leaf's `i`-th entry in key order, `i < self.len()`.
     #[inline]
     pub fn entry(&self, i: usize) -> (&K, &V) {
-        assert!(i < self.len(), "leaf entry {i} of {}", self.len);
-        if self.len == 1 {
+        if self.len == 1 && i == 0 {
             let (SentKey::Key(k), Some(v)) = (&self.key, &self.value) else {
                 unreachable!("a one-entry leaf is its key and value");
             };
             return (k, v);
         }
+        let (k, v) = &self.fat_entries()[i];
+        (k, v)
+    }
+
+    /// A [`FatLeaf`]'s entries in key order, as one slice of its block —
+    /// what a search, a fold or a copy of a leaf reads; empty for every
+    /// node of fewer than two entries (a one-entry leaf's entry is its
+    /// `key` and `value`: [`Node::entry`] reads both kinds).
+    #[inline]
+    pub fn fat_entries(&self) -> &[(K, V)] {
+        if self.len < 2 {
+            return &[];
+        }
         let first = (self.as_raw() as usize + entries_offset::<K, V, P>()) as *const (K, V);
         // SAFETY: a node of two or more entries was allocated as a
-        // `FatLeaf` (`new_leaf_of`), whose first `len` entries follow at
+        // `FatLeaf` (`new_leaf_from`), whose first `len` entries follow at
         // `entries_offset` and never change while the node is live; the
         // address comes from the block's exposed provenance (`as_raw`),
         // not from `&self`, which spans the node alone.
         // guard: the node is borrowed, so the caller's pin keeps it live.
-        let (k, v) = unsafe { &*first.add(i) };
-        (k, v)
+        unsafe { std::slice::from_raw_parts(first, self.len()) }
     }
 
     /// True if this node is a leaf (no children).
@@ -428,7 +456,7 @@ impl<K, V, P> Node<K, V, P> {
 ///
 /// # Safety
 /// `ptr` must be a published `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_leaf_of::<B>`] / [`Node::new_internal`] that no thread
+/// [`Node::new_leaf_from::<B>`] / [`Node::new_internal`] that no thread
 /// pinning from now on can reach through the node tree, freed exactly once.
 pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
     // SAFETY: the caller's contract: `ptr` is a live node whose links no
@@ -451,7 +479,7 @@ pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *
 ///
 /// # Safety
 /// `ptr` must be a `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_leaf_of::<B>`] / [`Node::new_internal`] that no thread can
+/// [`Node::new_leaf_from::<B>`] / [`Node::new_internal`] that no thread can
 /// reach, reclaimed exactly once.
 unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
     let node = ptr as *mut Node<K, V, P>;
@@ -504,16 +532,14 @@ impl<K: Ord, V, P> Node<K, V, P> {
     /// holds none.
     #[inline]
     pub fn search_leaf(&self, k: &K) -> Result<usize, usize> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.entry(mid).0.cmp(k) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Equal => return Ok(mid),
-                std::cmp::Ordering::Greater => hi = mid,
-            }
+        if self.len == 1 {
+            return match self.key.as_key().map(|own| own.cmp(k)) {
+                Some(std::cmp::Ordering::Less) => Err(1),
+                Some(std::cmp::Ordering::Equal) => Ok(0),
+                _ => Err(0),
+            };
         }
-        Err(lo)
+        self.fat_entries().binary_search_by(|(e, _)| e.cmp(k))
     }
 
     /// Follow the link a search for the sentinel-extended key takes
@@ -555,7 +581,8 @@ mod tests {
         type S = Node<u64, String, ()>;
         let _g = ebr::pin();
         let keys = [3u64, 5, 9];
-        let leaf = S::new_leaf_of::<8>(3, 2, |i| (keys[i], format!("v{}", keys[i])));
+        let entries = keys.map(|k| (k, format!("v{k}")));
+        let leaf = S::new_leaf_from::<8>(2, &[&entries]);
         let leaf = unsafe { &*leaf };
         assert!(leaf.is_leaf() && !leaf.is_sentinel());
         assert_eq!((leaf.len(), leaf.weight()), (3, 2));
@@ -570,7 +597,7 @@ mod tests {
         let copy = unsafe { &*leaf.copy_with_weight::<8>(1, (0, 0)) };
         assert_eq!((copy.len(), copy.weight()), (3, 1));
         assert_eq!(copy.entry(2), (&9, &"v9".to_string()));
-        let single = unsafe { &*S::new_leaf_of::<8>(1, 1, |_| (7, "v7".to_string())) };
+        let single = unsafe { &*S::new_leaf_from::<8>(1, &[&[], &[(7, "v7".to_string())]]) };
         assert_eq!(
             (single.len(), single.entry(0)),
             (1, (&7, &"v7".to_string()))
@@ -581,6 +608,45 @@ mod tests {
         for n in [leaf, copy, single, sentinel] {
             unsafe { dispose_unpublished::<u64, String, (), 8>(n.as_raw()) };
         }
+    }
+
+    /// `new_leaf_from` clones its parts in order into one block, whatever
+    /// their lengths (an insert's three, a delete's two, a copy's one),
+    /// and `fat_entries` reads them back as one slice; a run of one entry
+    /// is a plain node, whose slice is empty.
+    #[test]
+    fn leaves_build_from_slices() {
+        type S = Node<u64, String, ()>;
+        let _g = ebr::pin();
+        let e = |k: u64| (k, format!("v{k}"));
+        let old = [e(1), e(3), e(5), e(7)];
+        let new = [e(4)];
+        let inserted = unsafe { &*S::new_leaf_from::<8>(3, &[&old[..2], &new, &old[2..]]) };
+        assert_eq!(inserted.fat_entries(), [e(1), e(3), e(4), e(5), e(7)]);
+        assert_eq!((inserted.len(), inserted.weight()), (5, 3));
+        assert_eq!(inserted.key(), &SentKey::Key(1));
+        let deleted = inserted.fat_entries();
+        let deleted = unsafe { &*S::new_leaf_from::<8>(1, &[&deleted[..2], &deleted[3..]]) };
+        assert_eq!(deleted.fat_entries(), old);
+        let full = unsafe { &*S::new_leaf_from::<5>(1, &[&[], inserted.fat_entries(), &[]]) };
+        assert_eq!(
+            full.fat_entries(),
+            inserted.fat_entries(),
+            "a leaf at its capacity"
+        );
+        let one = unsafe { &*S::new_leaf_from::<8>(2, &[&[], &[], &new]) };
+        assert_eq!(
+            (one.len(), one.entry(0), one.weight()),
+            (1, (&4, &e(4).1), 2)
+        );
+        assert!(
+            one.fat_entries().is_empty(),
+            "a one-key leaf is a plain node"
+        );
+        for n in [inserted, deleted, one] {
+            unsafe { dispose_unpublished::<u64, String, (), 8>(n.as_raw()) };
+        }
+        unsafe { dispose_unpublished::<u64, String, (), 5>(full.as_raw()) };
     }
 
     #[test]

@@ -159,6 +159,17 @@ pub(crate) fn in_order<T>(a_left: bool, a: T, b: T) -> (T, T) {
     }
 }
 
+/// `parts` read as one run and cut before its `at`-th item: a split's two
+/// halves, each still a list of slices.
+fn cut_at<T>(parts: [&[T]; 3], mut at: usize) -> ([&[T]; 3], [&[T]; 3]) {
+    let (mut lo, mut hi): ([&[T]; 3], [&[T]; 3]) = ([&[]; 3], [&[]; 3]);
+    for (i, part) in parts.into_iter().enumerate() {
+        (lo[i], hi[i]) = part.split_at(at.min(part.len()));
+        at -= lo[i].len();
+    }
+    (lo, hi)
+}
+
 impl<K, V, P, const B: usize> ChromaticTree<K, V, P, B>
 where
     K: Ord + Clone + Send + Sync,
@@ -362,29 +373,35 @@ where
     /// internal node — then fix any balance violation. Returns `false` if
     /// `k` was already present.
     pub fn insert(&self, k: K, v: V, guard: &Guard) -> bool {
+        let entry = (k, v);
+        let k = &entry.0;
         loop {
-            let (_gp, p, l) = self.search(&k, guard);
-            let Err(pos) = l.search_leaf(&k) else {
+            let (_gp, p, l) = self.search(k, guard);
+            let Err(pos) = l.search_leaf(k) else {
                 return false;
             };
-            let l_left = p.key().goes_left(&k);
+            let l_left = p.key().goes_left(k);
             let Some((p_ll, _)) = self.llx_link(p, l_left, l) else {
                 continue;
             };
             let Some((l_ll, _)) = self.llx(l) else {
                 continue;
             };
-            // `l`'s entries with `(k, v)` at `pos`.
-            let len = l.len() + 1;
-            let merged = |i: usize| match i.cmp(&pos) {
-                std::cmp::Ordering::Less => l.cloned_entry(i),
-                std::cmp::Ordering::Equal => (k.clone(), v.clone()),
-                std::cmp::Ordering::Greater => l.cloned_entry(i - 1),
+            // `l`'s entries with `entry` at `pos`, as three slices (a
+            // one-key leaf's entry is cloned into one of its own first).
+            let one;
+            let old = if l.len() == 1 {
+                one = [l.cloned_entry(0)];
+                &one[..]
+            } else {
+                l.fat_entries()
             };
+            let merged = [&old[..pos], std::slice::from_ref(&entry), &old[pos..]];
+            let len = l.len() + 1;
 
             if !l.is_sentinel() && len <= B {
                 // One-node patch: the leaf with `k` added, at its weight.
-                let l_new = Node::<K, V, P>::new_leaf_of::<B>(len, l.weight(), merged) as u64;
+                let l_new = Node::<K, V, P>::new_leaf_from::<B>(l.weight(), &merged) as u64;
                 if self.replace_patch(l_left, &[p_ll, l_ll], &[l_new], guard) {
                     return true;
                 }
@@ -400,16 +417,15 @@ where
             };
             let (lc, rc, ikey) = if l.is_sentinel() {
                 // A sentinel leaf keeps its key and gains a one-key sibling.
-                let new_leaf =
-                    Node::<K, V, P>::new_leaf(SentKey::Key(k.clone()), 1, Some(v.clone()));
+                let new_leaf = Node::<K, V, P>::new_leaf_from::<B>(1, &merged);
                 let leaf_copy = Node::<K, V, P>::new_leaf(l.key().clone(), 1, None);
                 (new_leaf as u64, leaf_copy as u64, l.key().clone())
             } else {
                 // Split the `B + 1` keys in half; the right half's first
                 // key routes.
-                let half = len / 2;
-                let left = Node::<K, V, P>::new_leaf_of::<B>(half, 1, merged);
-                let right = Node::<K, V, P>::new_leaf_of::<B>(len - half, 1, |i| merged(half + i));
+                let (lo, hi) = cut_at(merged, len / 2);
+                let left = Node::<K, V, P>::new_leaf_from::<B>(1, &lo);
+                let right = Node::<K, V, P>::new_leaf_from::<B>(1, &hi);
                 // SAFETY: `right` is this attempt's fresh allocation.
                 // guard: none needed, nothing else can reach it yet.
                 let ikey = unsafe { &*right }.key().clone();
@@ -421,7 +437,7 @@ where
             if self.replace_patch(l_left, &[p_ll, l_ll], &fresh, guard) {
                 let violation = (new_weight == 0 && p.weight() == 0) || new_weight >= 2;
                 if self.balanced && violation {
-                    self.cleanup(&SentKey::Key(k), guard);
+                    self.cleanup(&SentKey::Key(entry.0), guard);
                 }
                 return true;
             }
@@ -448,8 +464,9 @@ where
                 let Some((l_ll, _)) = self.llx(l) else {
                     continue;
                 };
-                let kept = |i: usize| l.cloned_entry(i + (i >= pos) as usize);
-                let l_new = Node::<K, V, P>::new_leaf_of::<B>(l.len() - 1, l.weight(), kept);
+                let old = l.fat_entries();
+                let kept = [&old[..pos], &old[pos + 1..]];
+                let l_new = Node::<K, V, P>::new_leaf_from::<B>(l.weight(), &kept);
                 if self.replace_patch(l_left, &[p_ll, l_ll], &[l_new as u64], guard) {
                     return true;
                 }
@@ -545,6 +562,19 @@ mod tests {
         }
         fn on_reclaim(&self) {
             RECLAIMS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A split's cut lands at every place of the merged run: inside a
+    /// slice, between two, and at either end.
+    #[test]
+    fn cut_at_splits_a_run_of_slices() {
+        let run = [1, 2, 3, 4, 5, 6];
+        let parts = [&run[..2], &run[2..3], &run[3..]];
+        for at in 0..=run.len() {
+            let (lo, hi) = cut_at(parts, at);
+            assert_eq!(lo.concat(), run[..at], "before {at}");
+            assert_eq!(hi.concat(), run[at..], "from {at}");
         }
     }
 

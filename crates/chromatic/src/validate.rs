@@ -386,7 +386,8 @@ mod negative_tests {
 
     /// A leaf of `keys`, in the given order, at capacity 8.
     fn fat(keys: &[u64]) -> u64 {
-        N::new_leaf_of::<8>(keys.len(), 1, |i| (keys[i], ())) as u64
+        let entries: Vec<_> = keys.iter().map(|&k| (k, ())).collect();
+        N::new_leaf_from::<8>(1, &[&entries]) as u64
     }
 
     #[test]

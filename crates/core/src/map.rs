@@ -61,15 +61,25 @@ use crate::stats::{BatStats, Counter};
 use crate::version::{Version, VersionSlot};
 
 /// The leaf capacity [`BatMap`] and [`BatSet`] ship with: the most keys
-/// one leaf holds. With `u64` keys and no values a leaf of 16 fills three
-/// cache lines: its 64-byte node, then its 16 entries. Chosen over 4 and 8
-/// by the benchmark's `bat-update` and `bat-analytics` (README, "Fat
-/// leaves").
-pub const LEAF_KEYS: usize = 16;
+/// one leaf holds. With `u64` keys and no values a leaf of 64 fills nine
+/// cache lines: its 64-byte node, then its 64 entries. Chosen over 16, 32
+/// and 128 by the benchmark's `bat-update` and `bat-analytics` (README,
+/// "Fat leaves"): 128 was as fast on updates and faster on analytics, but
+/// raised `bat-analytics`' peak RSS, which 64 does not.
+///
+/// Every effective update clones its whole leaf, up to `B` entries, and a
+/// leaf's aggregate is folded on read, up to `B − 1` combines. For `u64`
+/// keys and values that is a short copy and, with `SizeOnly`, free; keys
+/// or values whose `Clone` allocates, or a costly `Augmentation::combine`,
+/// pay per update in proportion to `B`, and such a map can name a smaller
+/// `B` (`BatMap<K, V, A, 8>`).
+pub const LEAF_KEYS: usize = 64;
 
 /// A lock-free balanced augmented ordered map (the paper's BAT), generic
 /// over keys, values, the augmentation function and the leaf capacity `B`
-/// (the paper's one key per leaf is `B = 1`; see [`LEAF_KEYS`]).
+/// (the paper's one key per leaf is `B = 1`; see [`LEAF_KEYS`]). An
+/// update copies a leaf of up to `B` entries, so entries with a costly
+/// `Clone` pay per update in proportion to `B`: name a smaller one.
 ///
 /// The same type also embodies **FR-BST** (the unbalanced augmented
 /// baseline \[13\]): constructed with [`BatMap::new_unbalanced`], the node

@@ -372,7 +372,10 @@ where
             let VersionRef::Internal(n) = v else {
                 if let Some(Piece::Run(leaf, range)) = v.leaf().and_then(|l| Piece::run(l, lo, hi))
                 {
-                    out.extend(range.map(|i| leaf.cloned_entry(i)));
+                    match leaf.len() {
+                        1 => out.push(leaf.cloned_entry(0)),
+                        _ => out.extend_from_slice(&leaf.fat_entries()[range]),
+                    }
                 }
                 return;
             };
@@ -393,7 +396,7 @@ where
     pub fn iter(&self) -> SnapIter<'_, K, V, A> {
         SnapIter {
             stack: vec![self.root_version()],
-            leaf: None,
+            leaf: [].iter(),
         }
     }
 
@@ -406,8 +409,8 @@ where
 /// In-order traversal over a snapshot's real leaves' entries.
 pub struct SnapIter<'s, K, V, A: Augmentation<K, V>> {
     stack: Vec<VersionRef<'s, K, V, A>>,
-    /// The leaf being walked and its next entry.
-    leaf: Option<(&'s BatNode<K, V, A>, usize)>,
+    /// The rest of the fat leaf being walked.
+    leaf: std::slice::Iter<'s, (K, V)>,
 }
 
 impl<'s, K, V, A> Iterator for SnapIter<'s, K, V, A>
@@ -420,14 +423,12 @@ where
 
     fn next(&mut self) -> Option<(K, V)> {
         loop {
-            if let Some((leaf, i)) = &mut self.leaf {
-                if *i < leaf.len() {
-                    *i += 1;
-                    return Some(leaf.cloned_entry(*i - 1));
-                }
+            if let Some(entry) = self.leaf.next() {
+                return Some(entry.clone());
             }
             match self.stack.pop()? {
-                VersionRef::Leaf(leaf) => self.leaf = Some((leaf, 0)),
+                VersionRef::Leaf(leaf) if leaf.len() == 1 => return Some(leaf.cloned_entry(0)),
+                VersionRef::Leaf(leaf) => self.leaf = leaf.fat_entries().iter(),
                 VersionRef::Internal(n) => {
                     // Right first so the left is popped (visited) first.
                     self.stack.push(n.right());

@@ -41,7 +41,9 @@ fn all_shipped_augmentations_satisfy_laws() {
 }
 
 /// Aggregates must be independent of insertion order (tree shape): the
-/// direct consequence of the laws that BAT's correctness rests on.
+/// direct consequence of the laws that BAT's correctness rests on. Eight
+/// keys are one shipped leaf, so the test also runs at a capacity of 4,
+/// where the orders build different trees of several leaves.
 fn aggregate_is_shape_independent_at<const B: usize>() {
     let orders: [&[u64]; 3] = [
         &[1, 2, 3, 4, 5, 6, 7, 8],
@@ -65,6 +67,7 @@ fn aggregate_is_shape_independent_at<const B: usize>() {
 #[test]
 fn aggregate_is_shape_independent() {
     aggregate_is_shape_independent_at::<1>();
+    aggregate_is_shape_independent_at::<4>();
     aggregate_is_shape_independent_at::<LEAF_KEYS>();
 }
 

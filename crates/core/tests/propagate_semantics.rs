@@ -1,8 +1,17 @@
 //! Focused tests of Propagate's guarantees (paper §4.1): information
 //! about every update reaches the root before the update returns, under
 //! all three variants, including after rotations rewrote the path.
+//!
+//! Every test runs with one key per leaf and at the shipped leaf capacity.
+//! The ones whose few hundred keys fill only a handful of shipped leaves
+//! also run at [`SMALL_FAT`], where the same keys split, patch and
+//! rebalance many fat leaves.
 
 use cbat_core::{BatMap, DelegationPolicy, SizeOnly, LEAF_KEYS};
+
+/// A fat-leaf capacity small enough that every test's keys span many
+/// leaves.
+const SMALL_FAT: usize = 4;
 
 fn policies() -> Vec<DelegationPolicy> {
     vec![
@@ -36,6 +45,7 @@ fn every_update_visible_at_return_at<const B: usize>() {
 #[test]
 fn every_update_visible_at_return() {
     every_update_visible_at_return_at::<1>();
+    every_update_visible_at_return_at::<SMALL_FAT>();
     every_update_visible_at_return_at::<LEAF_KEYS>();
 }
 
@@ -66,6 +76,7 @@ fn rotations_do_not_lose_arrivals_at<const B: usize>() {
 #[test]
 fn rotations_do_not_lose_arrivals() {
     rotations_do_not_lose_arrivals_at::<1>();
+    rotations_do_not_lose_arrivals_at::<SMALL_FAT>();
     rotations_do_not_lose_arrivals_at::<LEAF_KEYS>();
 }
 
@@ -114,17 +125,20 @@ fn failed_updates_propagate_others_work_at<const B: usize>() {
 #[test]
 fn failed_updates_propagate_others_work() {
     failed_updates_propagate_others_work_at::<1>();
+    failed_updates_propagate_others_work_at::<SMALL_FAT>();
     failed_updates_propagate_others_work_at::<LEAF_KEYS>();
 }
 
 /// Work-counter sanity: propagates visit O(height) nodes on a balanced
 /// tree and Θ(n)-ish on the unbalanced one under sorted keys — the §7
-/// statistic that explains fig5b.
+/// statistic that explains fig5b. Sorted inserts leave half-full leaves,
+/// so past `B = 16` the key count grows with `B`: the tree keeps some 500
+/// leaves.
 fn propagate_path_length_statistics_at<const B: usize>() {
     let bal = BatMap::<u64, (), SizeOnly, B>::new();
     let unb = BatMap::<u64, (), SizeOnly, B>::new_unbalanced();
-    const N: u64 = 4_000;
-    for k in 0..N {
+    let n = 4_000.max(250 * B as u64);
+    for k in 0..n {
         bal.insert(k, ());
         unb.insert(k, ());
     }
@@ -132,7 +146,8 @@ fn propagate_path_length_statistics_at<const B: usize>() {
     let u = unb.stats.snapshot();
     let b_avg = b.avg_nodes_per_propagate();
     let u_avg = u.avg_nodes_per_propagate();
-    // Balanced: ~height ≈ 2log2(4000) ≈ 24. Unbalanced sorted: ~n/2.
+    // Balanced: ~height ≈ 2log2(leaves) ≈ 18 to 24. Unbalanced sorted:
+    // ~leaves/2.
     assert!(
         b_avg < 60.0,
         "balanced propagate touches too many nodes: {b_avg}"
@@ -178,6 +193,7 @@ fn nil_fills_are_rare_at<const B: usize>() {
 #[test]
 fn nil_fills_are_rare() {
     nil_fills_are_rare_at::<1>();
+    nil_fills_are_rare_at::<SMALL_FAT>();
     nil_fills_are_rare_at::<LEAF_KEYS>();
 }
 

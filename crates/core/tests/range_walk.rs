@@ -6,10 +6,12 @@
 //! folds the subtrees off the two boundary paths. `FirstLast` is
 //! associative but not commutative, so it catches a fold that gets the
 //! pieces' order wrong; `SumAug` and the count catch a piece that is
-//! missing or counted twice. Every shape is built with one key per leaf and
-//! at the shipped leaf capacity, where the walk splits the boundary leaves:
-//! `fat_leaf_boundaries` puts both bounds inside one leaf, and each inside
-//! a different one. Single-threaded, so `scripts/miri.sh` runs it.
+//! missing or counted twice. Every shape is built with one key per leaf,
+//! at [`SMALL_FAT`] and at the shipped leaf capacity, where the walk
+//! splits the boundary leaves. The shapes' 26 keys make several leaves of
+//! `SMALL_FAT` keys and one shipped leaf; `fat_leaf_boundaries` puts both
+//! bounds inside one leaf, and each inside a different one, so it runs at
+//! `SMALL_FAT`. Single-threaded, so `scripts/miri.sh` runs it.
 
 use std::collections::BTreeMap;
 
@@ -33,6 +35,9 @@ impl Augmentation<u64, u64> for FirstLast {
         }
     }
 }
+
+/// A fat-leaf capacity at which the shapes' keys span several leaves.
+const SMALL_FAT: usize = 4;
 
 type Aug = PairAug<SumAug, FirstLast>;
 type Map<const B: usize> = BatMap<u64, u64, Aug, B>;
@@ -162,10 +167,12 @@ fn shapes<const B: usize>() -> Vec<Shape<B>> {
     ]
 }
 
-/// Run `test` with one key per leaf and at the shipped leaf capacity.
-macro_rules! at_both_capacities {
+/// Run `test` with one key per leaf, at `SMALL_FAT` and at the shipped
+/// leaf capacity.
+macro_rules! at_every_capacity {
     ($test:ident) => {
         $test::<1>();
+        $test::<SMALL_FAT>();
         $test::<LEAF_KEYS>();
     };
 }
@@ -178,7 +185,7 @@ fn every_range<const B: usize>() {
 
 #[test]
 fn every_range_over_every_shape_matches_the_oracle() {
-    at_both_capacities!(every_range);
+    at_every_capacity!(every_range);
 }
 
 /// Bounds inside one fat leaf, and in two different ones: the walk must
@@ -187,7 +194,7 @@ fn every_range_over_every_shape_matches_the_oracle() {
 fn fat_leaf_boundaries() {
     let mut inside_one = 0;
     let mut across = 0;
-    for shape in shapes::<LEAF_KEYS>() {
+    for shape in shapes::<SMALL_FAT>() {
         let leaves = shape.leaves();
         for leaf in &leaves {
             if let [first, .., last] = leaf[..] {
@@ -220,7 +227,7 @@ fn empty_ranges<const B: usize>() {
 
 #[test]
 fn empty_map_has_empty_ranges() {
-    at_both_capacities!(empty_ranges);
+    at_every_capacity!(empty_ranges);
 }
 
 fn reversed_bounds<const B: usize>() {
@@ -235,7 +242,7 @@ fn reversed_bounds<const B: usize>() {
 
 #[test]
 fn reversed_bounds_are_empty() {
-    at_both_capacities!(reversed_bounds);
+    at_every_capacity!(reversed_bounds);
 }
 
 fn single_keys<const B: usize>() {
@@ -255,7 +262,7 @@ fn single_keys<const B: usize>() {
 
 #[test]
 fn single_key_ranges() {
-    at_both_capacities!(single_keys);
+    at_every_capacity!(single_keys);
 }
 
 fn outside_bounds<const B: usize>() {
@@ -273,7 +280,7 @@ fn outside_bounds<const B: usize>() {
 
 #[test]
 fn bounds_outside_the_keys() {
-    at_both_capacities!(outside_bounds);
+    at_every_capacity!(outside_bounds);
 }
 
 /// `u64::MAX` is the largest real key, and real keys sort below the
@@ -298,5 +305,5 @@ fn top_of_the_key_space<const B: usize>() {
 
 #[test]
 fn top_of_the_key_space_against_the_sentinels() {
-    at_both_capacities!(top_of_the_key_space);
+    at_every_capacity!(top_of_the_key_space);
 }

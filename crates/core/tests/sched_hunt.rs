@@ -28,7 +28,12 @@
 //! must leave the set as the order of their answers says.
 //!
 //! Every cell runs with one key per leaf (the paper's tree) and at the
-//! shipped leaf capacity. Fat leaves add a conflict of their own: two
+//! shipped leaf capacity; the hunt and the races of one key also run at
+//! [`SMALL_FAT`], where their few keys fill several leaves, so the
+//! schedules interleave splits and rebalancing, not only one-node patches
+//! of the one leaf the shipped capacity puts them in (at `SMALL_FAT`, an
+//! insert of the race key into the full leaf 0, 2, 4, 6 splits it). Fat
+//! leaves add a conflict of their own: two
 //! updates of *different* keys of one leaf replace the same node, so one
 //! SCX fails and retries. `same_leaf_race` races an insert and a remove of
 //! two keys of one leaf, and `split_race` a splitting insert and a
@@ -43,6 +48,9 @@ use sched::{explore, run_random, ExploreConfig, Policy};
 /// Key space of the hunt mix: small enough that every operation contends
 /// on structure and version-tree state.
 const KEY_SPACE: u64 = 24;
+
+/// A fat-leaf capacity at which the cells' keys fill several leaves.
+const SMALL_FAT: usize = 4;
 
 /// One hunt scenario: three vthreads running a mixed workload whose op
 /// streams derive from `opseed` (fixed per exploration; the schedule
@@ -127,6 +135,9 @@ fn bat_reclamation_hunt_under_explored_schedules() {
         };
         let report = explore(&cfg, move || hunt_body::<1>(opseed));
         report.assert_clean("BAT reclamation hunt, one key per leaf");
+        explored += report.schedules;
+        let report = explore(&cfg, move || hunt_body::<SMALL_FAT>(opseed));
+        report.assert_clean("BAT reclamation hunt, small fat leaves");
         explored += report.schedules;
         let report = explore(&cfg, move || hunt_body::<LEAF_KEYS>(opseed));
         report.assert_clean("BAT reclamation hunt, fat leaves");
@@ -323,6 +334,9 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
         let report = explore(&cfg, move || same_key_race::<1>(policy, inserts));
         report.assert_clean(what);
         explored += report.schedules;
+        let report = explore(&cfg, move || same_key_race::<SMALL_FAT>(policy, inserts));
+        report.assert_clean(&format!("{what}, small fat leaves"));
+        explored += report.schedules;
         let report = explore(&cfg, move || same_key_race::<LEAF_KEYS>(policy, inserts));
         report.assert_clean(&format!("{what}, fat leaves"));
         explored += report.schedules;
@@ -348,6 +362,11 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
         };
         let report = explore(&cfg, move || insert_remove_race::<1>(policy, present));
         report.assert_clean(what);
+        explored += report.schedules;
+        let report = explore(&cfg, move || {
+            insert_remove_race::<SMALL_FAT>(policy, present)
+        });
+        report.assert_clean(&format!("{what}, small fat leaves"));
         explored += report.schedules;
         let report = explore(&cfg, move || {
             insert_remove_race::<LEAF_KEYS>(policy, present)

@@ -6,7 +6,8 @@
 //! objects are the internal nodes' — one each, and each names its own node
 //! in its prefetch hint. A leaf's size is its key count and its aggregate
 //! the fold of its entries (here a sum). Every test runs with one key per
-//! leaf and at the shipped leaf capacity.
+//! leaf and at the shipped leaf capacity, and the ones whose keys fill
+//! only a few shipped leaves also at [`SMALL_FAT`].
 
 use cbat_core::version::{Version, VersionRef, VersionSlot};
 use cbat_core::{BatMap, SumAug, LEAF_KEYS};
@@ -15,6 +16,10 @@ use chromatic::Node;
 type N = Node<u64, u64, VersionSlot<u64, u64, SumAug>>;
 type R<'g> = VersionRef<'g, u64, u64, SumAug>;
 type Map<const B: usize> = BatMap<u64, u64, SumAug, B>;
+
+/// A fat-leaf capacity small enough that a few hundred keys span many
+/// leaves.
+const SMALL_FAT: usize = 4;
 
 /// Internal nodes of the node tree below `node`, the sentinels' included.
 fn internal_nodes(node: &N, guard: &ebr::Guard) -> u64 {
@@ -95,6 +100,11 @@ fn sequential_ops<const B: usize>() {
         m.insert(k, k);
     }
     assert_mirrors(&m);
+    let internal = m.node_tree().validate(true).expect("valid").internal;
+    assert!(
+        internal > 3,
+        "500 keys split into several leaves: {internal}"
+    );
     for k in (0..500u64).step_by(3) {
         m.remove(&k);
     }
@@ -104,6 +114,7 @@ fn sequential_ops<const B: usize>() {
 #[test]
 fn mirror_after_sequential_ops() {
     sequential_ops::<1>();
+    sequential_ops::<SMALL_FAT>();
     sequential_ops::<LEAF_KEYS>();
 }
 
@@ -117,6 +128,10 @@ fn rotation_heavy_ops<const B: usize>() {
         m.insert(k, k);
     }
     assert_mirrors(&m);
+    assert!(
+        m.node_tree().stats.total_rebalances() > 0,
+        "the runs rebalance"
+    );
 }
 
 #[test]
@@ -185,5 +200,6 @@ fn concurrent_stress<const B: usize>() {
 #[test]
 fn mirror_after_concurrent_stress() {
     concurrent_stress::<1>();
+    concurrent_stress::<SMALL_FAT>();
     concurrent_stress::<LEAF_KEYS>();
 }

@@ -289,6 +289,33 @@ pub fn run(set: &dyn BenchSet, cfg: &RunConfig) -> RunResult {
     result
 }
 
+/// The keys one worker draws, by `dist` over `[0, max_key)`: the sorted
+/// stream takes batches of 100 from the threads' shared counter.
+struct KeyStream<'a> {
+    dist: KeyDist,
+    max_key: u64,
+    zipf: Option<&'a Zipf>,
+    sorted_counter: &'a AtomicU64,
+    /// The rest of this worker's sorted batch.
+    batch: std::ops::Range<u64>,
+}
+
+impl KeyStream<'_> {
+    fn next(&mut self, rng: &mut Xorshift) -> u64 {
+        match self.dist {
+            KeyDist::Uniform => rng.below(self.max_key),
+            KeyDist::Zipf(_) => scramble(self.zipf.expect("zipf built").sample(rng), self.max_key),
+            KeyDist::Sorted => {
+                if self.batch.is_empty() {
+                    let start = self.sorted_counter.fetch_add(100, Ordering::Relaxed);
+                    self.batch = start..start + 100;
+                }
+                self.batch.next().expect("a fresh batch") % self.max_key
+            }
+        }
+    }
+}
+
 /// Per-thread measured phase.
 fn worker(
     set: &dyn BenchSet,
@@ -305,8 +332,13 @@ fn worker(
         upd: LatAcc::default(),
         qry: LatAcc::default(),
     };
-    let mut sorted_batch_next = 0u64;
-    let mut sorted_batch_end = 0u64;
+    let mut keys = KeyStream {
+        dist: cfg.dist,
+        max_key: cfg.max_key,
+        zipf,
+        sorted_counter,
+        batch: 0..0,
+    };
     let mut op_idx = 0u64;
 
     while !stop.load(Ordering::Relaxed) {
@@ -321,20 +353,7 @@ fn worker(
         } else {
             3
         };
-        // Choose a key.
-        let key = match cfg.dist {
-            KeyDist::Uniform => rng.below(cfg.max_key),
-            KeyDist::Zipf(_) => scramble(zipf.expect("zipf built").sample(&mut rng), cfg.max_key),
-            KeyDist::Sorted => {
-                if sorted_batch_next >= sorted_batch_end {
-                    sorted_batch_next = sorted_counter.fetch_add(100, Ordering::Relaxed);
-                    sorted_batch_end = sorted_batch_next + 100;
-                }
-                let k = sorted_batch_next;
-                sorted_batch_next += 1;
-                k % cfg.max_key
-            }
-        };
+        let key = keys.next(&mut rng);
 
         op_idx += 1;
         let sample = op_idx & ((1 << LAT_SHIFT) - 1) == 0;
@@ -493,16 +512,28 @@ mod tests {
         assert_eq!(s.len(), r.ops[0]);
     }
 
+    /// A fixed number of inserts drawn from the workers' own key stream,
+    /// so the op count does not depend on how many fit in a wall-clock
+    /// window.
     #[test]
     fn zipf_workload_hits_hot_keys() {
+        const OPS: u64 = 50_000;
         let s = OracleSet::new();
-        let mut cfg = RunConfig::new(1, 100_000);
-        cfg.duration = Duration::from_millis(30);
-        cfg.mix = OpMix::percent(100, 0, 0, 0);
-        cfg.dist = KeyDist::Zipf(0.95);
-        cfg.prefill = false;
-        let r = run(&s, &cfg);
-        // Heavy skew => many duplicate keys => set far smaller than op count.
-        assert!(s.len() * 2 < r.ops[0], "zipf should repeat keys");
+        let zipf = Zipf::new(100_000, 0.95);
+        let mut keys = KeyStream {
+            dist: KeyDist::Zipf(0.95),
+            max_key: 100_000,
+            zipf: Some(&zipf),
+            sorted_counter: &AtomicU64::new(0),
+            batch: 0..0,
+        };
+        let mut rng = Xorshift::new(0xC0FFEE);
+        for _ in 0..OPS {
+            s.insert(keys.next(&mut rng));
+        }
+        // Heavy skew => many duplicate keys => set far smaller than op count:
+        // 16 969 distinct keys on every run, where as many uniform draws
+        // would leave about 39 000.
+        assert!(s.len() * 2 < OPS, "zipf should repeat keys: {}", s.len());
     }
 }

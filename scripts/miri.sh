@@ -84,13 +84,16 @@ echo "== miri: cbat-core augmentation laws + range walk + root answers (single-t
 timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk \
     --test root_answer_is_read_only
 
-# A fat leaf's entries are read past its `Node` through the block's exposed
-# address (`Node::entry`), and reclaimed as the `FatLeaf` they were allocated
-# as: the unit tests that build, read, copy and dispose of fat leaves, and
-# the single-threaded mirror test whose updates are all one-node patches.
+# A fat leaf's entries are cloned slice by slice into an uninitialized pool
+# block (`Node::new_leaf_from`), read past its `Node` as one slice through
+# the block's exposed address (`Node::fat_entries`), and reclaimed as the
+# `FatLeaf` they were allocated as: the unit tests that build, read, copy
+# and dispose of fat leaves, the split's slice cut, and the single-threaded
+# mirror test whose updates are all one-node patches.
 echo "== miri: fat leaves (chromatic + cbat-core, single-threaded) =="
 timeout 1800 cargo +nightly miri test -p chromatic --lib -- \
-    node::tests::fat_leaf_roundtrip validate::negative_tests
+    node::tests::fat_leaf_roundtrip node::tests::leaves_build_from_slices \
+    tree::tests::cut_at_splits_a_run_of_slices validate::negative_tests
 timeout 1800 cargo +nightly miri test -p cbat-core --lib -- \
     version::tests::fat_leaf_versions_fold_their_entries version::tests::hot_objects_fit_in_64_bytes
 timeout 1800 cargo +nightly miri test -p cbat-core --test version_tree_mirror -- \

@@ -6,12 +6,16 @@
 //! (not the external `proptest` crate, which this environment does not
 //! vendor): every case derives from a fixed seed, so the suite runs
 //! unconditionally and failures reproduce exactly. Every BAT case runs with
-//! one key per leaf and at the shipped leaf capacity.
+//! one key per leaf, at [`SMALL_FAT`] and at the shipped leaf capacity.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cbat::workloads::Xorshift;
 use cbat::{BatMap, BatSet, DelegationPolicy, SizeOnly, SumAug, LEAF_KEYS};
+
+/// A fat-leaf capacity at which a case's few hundred keys span many
+/// leaves; at the shipped capacity they fill only a handful.
+const SMALL_FAT: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -108,6 +112,7 @@ fn bat_matches_btreemap_at<const B: usize>() {
 #[test]
 fn bat_matches_btreemap() {
     bat_matches_btreemap_at::<1>();
+    bat_matches_btreemap_at::<SMALL_FAT>();
     bat_matches_btreemap_at::<LEAF_KEYS>();
 }
 
@@ -121,6 +126,7 @@ fn bat_del_matches_btreemap_at<const B: usize>() {
 #[test]
 fn bat_del_matches_btreemap() {
     bat_del_matches_btreemap_at::<1>();
+    bat_del_matches_btreemap_at::<SMALL_FAT>();
     bat_del_matches_btreemap_at::<LEAF_KEYS>();
 }
 
@@ -134,6 +140,7 @@ fn frbst_matches_btreemap_at<const B: usize>() {
 #[test]
 fn frbst_matches_btreemap() {
     frbst_matches_btreemap_at::<1>();
+    frbst_matches_btreemap_at::<SMALL_FAT>();
     frbst_matches_btreemap_at::<LEAF_KEYS>();
 }
 
@@ -249,6 +256,7 @@ fn rank_select_duality_at<const B: usize>() {
 #[test]
 fn rank_select_duality() {
     rank_select_duality_at::<1>();
+    rank_select_duality_at::<SMALL_FAT>();
     rank_select_duality_at::<LEAF_KEYS>();
 }
 
@@ -279,5 +287,6 @@ fn snapshot_frozen_under_any_later_ops_at<const B: usize>() {
 #[test]
 fn snapshot_frozen_under_any_later_ops() {
     snapshot_frozen_under_any_later_ops_at::<1>();
+    snapshot_frozen_under_any_later_ops_at::<SMALL_FAT>();
     snapshot_frozen_under_any_later_ops_at::<LEAF_KEYS>();
 }
