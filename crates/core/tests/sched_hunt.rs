@@ -12,8 +12,8 @@
 //! a replayable trace. A reproduction therefore surfaces as a *seeded,
 //! byte-replayable* failure instead of a once-in-430-runs SIGSEGV.
 //!
-//! The default corpus is sized for CI; set `CBAT_SCHED_HUNT_SCHEDULES`
-//! for long campaigns.
+//! The corpus is sized for CI; a long campaign raises `HUNT_SCHEDULES`
+//! on a scratch copy.
 //!
 //! The hunt is only replayable if scheduled code is clock-free, so this
 //! file also holds the check that `wait_for_delegatee`'s timeout is a
@@ -109,16 +109,14 @@ fn hunt_body<const B: usize>(opseed: u64) {
     assert_eq!(set.rank(&(KEY_SPACE - 1)), n);
 }
 
+/// Schedules per cell and leaf size of the reclamation hunt.
+const HUNT_SCHEDULES: usize = 30;
+
 #[test]
 fn bat_reclamation_hunt_under_explored_schedules() {
     let _serial = ebr::own_the_global_epoch();
-    let budget: usize = std::env::var("CBAT_SCHED_HUNT_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
-    // Split the budget across op-stream seeds and the two policies, so a
-    // campaign varies both the workload and the preemption shape.
-    let per_cell = (budget / 4).max(1);
+    // Cells cross two op-stream seeds with the two policies, so a campaign
+    // varies both the workload and the preemption shape.
     let mut explored = 0usize;
     for (opseed, policy, seed) in [
         (0x0BA7_0001u64, Policy::RandomWalk, 0x4017_0001u64),
@@ -127,11 +125,10 @@ fn bat_reclamation_hunt_under_explored_schedules() {
         (0x0BA7_0002, Policy::Pct { depth: 3 }, 0x4017_0004),
     ] {
         let cfg = ExploreConfig {
-            schedules: per_cell,
+            schedules: HUNT_SCHEDULES,
             seed,
             max_steps: 3_000_000,
             policy,
-            stop_on_failure: true,
         };
         let report = explore(&cfg, move || hunt_body::<1>(opseed));
         report.assert_clean("BAT reclamation hunt, one key per leaf");
@@ -145,7 +142,7 @@ fn bat_reclamation_hunt_under_explored_schedules() {
     }
     eprintln!(
         "sched hunt: {explored} schedules clean (poisoning + fences armed); \
-         scale with CBAT_SCHED_HUNT_SCHEDULES"
+         raise HUNT_SCHEDULES for a campaign"
     );
 }
 
@@ -324,7 +321,6 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
             seed: 0x0A0B_0001 + i as u64,
             max_steps: 1_000_000,
             policy: sched_policy,
-            stop_on_failure: true,
         };
         let what = if inserts {
             "two inserts of one key"
@@ -353,7 +349,6 @@ fn no_op_update_sees_root_agree_under_explored_schedules() {
             seed: 0x0A0B_0101 + i as u64,
             max_steps: 1_000_000,
             policy: sched_policy,
-            stop_on_failure: true,
         };
         let what = if present {
             "an insert and a remove of a present key"
@@ -395,7 +390,6 @@ fn same_leaf_updates_under_explored_schedules() {
             seed: 0x0A0B_0201 + i as u64,
             max_steps: 1_000_000,
             policy: sched_policy,
-            stop_on_failure: true,
         };
         let report = explore(&cfg, move || same_leaf_race(policy));
         report.assert_clean("an insert and a remove of two keys of one leaf");

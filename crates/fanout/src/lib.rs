@@ -1171,7 +1171,6 @@ mod sched_tests {
                 seed,
                 max_steps: 400_000,
                 policy,
-                stop_on_failure: true,
             };
             let report = explore(&cfg, move || {
                 let d = race_once(false);
@@ -1204,7 +1203,6 @@ mod sched_tests {
             seed: 0x005A_3E01,
             max_steps: 400_000,
             policy: Policy::RandomWalk,
-            stop_on_failure: true,
         };
         let c2 = conflicts.clone();
         let report = explore(&cfg, move || {
@@ -1235,7 +1233,6 @@ mod sched_tests {
             seed: 0x0005_AAB5,
             max_steps: 400_000,
             policy: Policy::RandomWalk,
-            stop_on_failure: true,
         };
         explore(&cfg, || {
             let (s, ka, kb) = setup(false);

@@ -563,7 +563,6 @@ mod sched_tests {
                 seed,
                 max_steps: 200_000,
                 policy,
-                stop_on_failure: true,
             };
             explore(&cfg, || {
                 let c = Arc::new(Cell::new(0));
@@ -594,7 +593,6 @@ mod sched_tests {
             seed: 0x0F1A_A17E,
             max_steps: 200_000,
             policy: Policy::RandomWalk,
-            stop_on_failure: true,
         };
         explore(&cfg, || {
             let a = Arc::new(Cell::new(10));
@@ -696,7 +694,6 @@ mod sched_tests {
             seed: 0x0DEA_D0A7,
             max_steps: 200_000,
             policy: Policy::RandomWalk,
-            stop_on_failure: true,
         };
         explore(&cfg, || {
             let a = Arc::new(Cell::new(10));
@@ -788,7 +785,6 @@ mod sched_tests {
             seed: 0x000F_5E75,
             max_steps: 200_000,
             policy: Policy::RandomWalk,
-            stop_on_failure: true,
         };
         explore(&cfg, || {
             let a = Arc::new(Cell::new(0));

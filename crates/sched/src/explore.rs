@@ -10,6 +10,9 @@
 //!   few yield points); reports whether the space was exhausted within
 //!   the schedule budget.
 //!
+//! Both stop at the first failing schedule and return one
+//! [`ExploreReport`].
+//!
 //! Bodies are `Fn` closures invoked once per schedule; share state across
 //! schedules via `Arc`/atomics captured by the closure. Each run executes
 //! the body as vthread 0; the body spawns the racing vthreads with
@@ -42,22 +45,6 @@ pub struct ExploreConfig {
     pub max_steps: u64,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Stop at the first failing schedule (default) or keep going.
-    pub stop_on_failure: bool,
-}
-
-impl ExploreConfig {
-    /// `schedules` random-walk schedules from `seed` with a generous step
-    /// budget.
-    pub fn random(schedules: usize, seed: u64) -> Self {
-        ExploreConfig {
-            schedules,
-            seed,
-            max_steps: 2_000_000,
-            policy: Policy::RandomWalk,
-            stop_on_failure: true,
-        }
-    }
 }
 
 /// One failing schedule.
@@ -65,33 +52,38 @@ impl ExploreConfig {
 pub struct ScheduleFailure {
     /// Index of the schedule within the exploration.
     pub index: usize,
-    /// The derived seed that reproduces it (for [`run_random`]).
-    pub seed: u64,
+    /// The derived seed of an [`explore`] schedule (under
+    /// [`Policy::RandomWalk`], [`run_random`] reproduces it from this
+    /// alone); `None` for an [`explore_exhaustive`] schedule.
+    pub seed: Option<u64>,
     /// The failure message (panic text, deadlock, or step budget).
     pub message: String,
     /// The complete schedule up to the failure (for [`replay`]).
     pub trace: Trace,
 }
 
-/// Aggregate result of an [`explore`] call.
+/// Result of an [`explore`] or [`explore_exhaustive`] call. Both stop at
+/// the first failing schedule.
 #[derive(Debug)]
 pub struct ExploreReport {
-    /// Schedules actually run.
+    /// Schedules run, the failing one included.
     pub schedules: usize,
-    /// Failing schedules (empty for a clean exploration).
-    pub failures: Vec<ScheduleFailure>,
-    /// Total scheduling decisions across all schedules.
-    pub total_steps: u64,
+    /// The failing schedule, if any.
+    pub failure: Option<ScheduleFailure>,
+    /// True if [`explore_exhaustive`] enumerated every schedule (at the
+    /// branching-decision granularity) within its budget; [`explore`]
+    /// samples and never sets it.
+    pub exhausted: bool,
 }
 
 impl ExploreReport {
-    /// Panic with a replay recipe if any schedule failed.
+    /// Panic with a replay recipe if a schedule failed.
     pub fn assert_clean(&self, what: &str) {
-        if let Some(f) = self.failures.first() {
+        if let Some(f) = &self.failure {
+            let seed = f.seed.map_or(String::new(), |s| format!(" (seed {s:#x})"));
             panic!(
-                "{what}: schedule {} (seed {:#x}) failed: {}\n  replay trace: {}",
+                "{what}: schedule {}{seed} failed: {}\n  replay trace: {}",
                 f.index,
-                f.seed,
                 f.message,
                 f.trace.render()
             );
@@ -116,28 +108,13 @@ pub fn run_random(seed: u64, max_steps: u64, body: impl FnOnce() + Send + 'stati
     run_with_chooser(Chooser::random(seed), max_steps, Box::new(body)).0
 }
 
-/// Run one schedule under a PCT-style priority chooser.
-pub fn run_pct(
-    seed: u64,
-    depth: usize,
-    max_steps: u64,
-    body: impl FnOnce() + Send + 'static,
-) -> RunReport {
-    run_with_chooser(
-        Chooser::pct(seed, depth, max_steps.min(10_000)),
-        max_steps,
-        Box::new(body),
-    )
-    .0
-}
-
 /// Replay a recorded trace (from a [`ScheduleFailure`] dump).
 pub fn replay(trace: &Trace, max_steps: u64, body: impl FnOnce() + Send + 'static) -> RunReport {
     run_with_chooser(Chooser::replay(trace.0.clone()), max_steps, Box::new(body)).0
 }
 
-/// Explore `cfg.schedules` seeded schedules of `body`. Failures are
-/// collected (with seed + trace) and dumped to stderr as they occur.
+/// Explore up to `cfg.schedules` seeded schedules of `body`, stopping at
+/// the first failure, which is dumped (with seed + trace) to stderr.
 pub fn explore<F>(cfg: &ExploreConfig, body: F) -> ExploreReport
 where
     F: Fn() + Send + Sync + 'static,
@@ -145,8 +122,8 @@ where
     let body = Arc::new(body);
     let mut report = ExploreReport {
         schedules: 0,
-        failures: Vec::new(),
-        total_steps: 0,
+        failure: None,
+        exhausted: false,
     };
     for i in 0..cfg.schedules {
         let seed = derive_seed(cfg.seed, i);
@@ -157,7 +134,6 @@ where
         let b = body.clone();
         let (run, _) = run_with_chooser(chooser, cfg.max_steps, Box::new(move || b()));
         report.schedules += 1;
-        report.total_steps += run.steps;
         if let Some(message) = run.failure {
             eprintln!(
                 "sched: schedule {i} FAILED (policy {:?}, seed {seed:#x}): {message}\n\
@@ -166,60 +142,33 @@ where
                 run.trace.len(),
                 run.trace.render()
             );
-            report.failures.push(ScheduleFailure {
+            report.failure = Some(ScheduleFailure {
                 index: i,
-                seed,
+                seed: Some(seed),
                 message,
                 trace: run.trace,
             });
-            if cfg.stop_on_failure {
-                break;
-            }
+            break;
         }
     }
     report
-}
-
-/// Result of a bounded exhaustive exploration.
-#[derive(Debug)]
-pub struct ExhaustiveReport {
-    /// Schedules run.
-    pub schedules: usize,
-    /// True if every schedule (at the branching-decision granularity) was
-    /// enumerated within the budget.
-    pub exhausted: bool,
-    /// Failing schedules.
-    pub failures: Vec<ScheduleFailure>,
-}
-
-impl ExhaustiveReport {
-    /// Panic with a replay recipe if any schedule failed.
-    pub fn assert_clean(&self, what: &str) {
-        if let Some(f) = self.failures.first() {
-            panic!(
-                "{what}: exhaustive schedule {} failed: {}\n  replay trace: {}",
-                f.index,
-                f.message,
-                f.trace.render()
-            );
-        }
-    }
 }
 
 /// Depth-first enumeration of every schedule of `body`, bounded by
 /// `max_schedules` (and `max_steps` per schedule). At each decision with
 /// `k ≥ 2` runnable vthreads the explorer eventually tries all `k`
 /// choices; single-runnable decisions do not branch, so the space is the
-/// tree of true preemption choices.
-pub fn explore_exhaustive<F>(max_schedules: usize, max_steps: u64, body: F) -> ExhaustiveReport
+/// tree of true preemption choices. Stops at the first failing schedule,
+/// leaving `exhausted` false.
+pub fn explore_exhaustive<F>(max_schedules: usize, max_steps: u64, body: F) -> ExploreReport
 where
     F: Fn() + Send + Sync + 'static,
 {
     let body = Arc::new(body);
-    let mut report = ExhaustiveReport {
+    let mut report = ExploreReport {
         schedules: 0,
+        failure: None,
         exhausted: false,
-        failures: Vec::new(),
     };
     let mut prescribed: Vec<u32> = Vec::new();
     loop {
@@ -241,12 +190,13 @@ where
                 run.trace.len(),
                 run.trace.render()
             );
-            report.failures.push(ScheduleFailure {
+            report.failure = Some(ScheduleFailure {
                 index: report.schedules - 1,
-                seed: 0,
+                seed: None,
                 message,
                 trace: run.trace,
             });
+            return report;
         }
         // Advance to the next untried branch, odometer-style from the end.
         let Chooser::Dfs {
@@ -281,12 +231,31 @@ mod tests {
     use crate::vthread::{spawn, yield_now};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Fails on the schedules that run the spawned child before the
+    /// parent's check.
+    fn fails_when_the_child_runs_first() {
+        let flag = Arc::new(AtomicUsize::new(0));
+        let f = flag.clone();
+        let h = spawn(move || f.store(1, Ordering::SeqCst));
+        yield_now();
+        assert_eq!(flag.load(Ordering::SeqCst), 0, "child ran before parent");
+        h.join();
+    }
+
+    fn random_walk(schedules: usize, seed: u64) -> ExploreConfig {
+        ExploreConfig {
+            schedules,
+            seed,
+            max_steps: 10_000,
+            policy: Policy::RandomWalk,
+        }
+    }
+
     #[test]
     fn explore_runs_the_requested_schedule_count() {
         let runs = Arc::new(AtomicUsize::new(0));
         let r2 = runs.clone();
-        let cfg = ExploreConfig::random(17, 0xBEEF);
-        let report = explore(&cfg, move || {
+        let report = explore(&random_walk(17, 0xBEEF), move || {
             r2.fetch_add(1, Ordering::SeqCst);
             let h = spawn(yield_now);
             h.join();
@@ -298,47 +267,29 @@ mod tests {
 
     #[test]
     fn explore_reports_failures_with_seed_and_trace() {
-        // Fails only when the child runs to completion before the parent's
-        // second yield — some schedules hit it, proving failures carry
-        // their schedule context.
-        let cfg = ExploreConfig {
-            schedules: 100,
-            seed: 3,
-            max_steps: 10_000,
-            policy: Policy::RandomWalk,
-            stop_on_failure: true,
-        };
-        let flag = Arc::new(AtomicUsize::new(0));
-        let f2 = flag.clone();
-        let report = explore(&cfg, move || {
-            f2.store(0, Ordering::SeqCst);
-            let f = f2.clone();
-            let h = spawn(move || {
-                f.store(1, Ordering::SeqCst);
-            });
-            yield_now();
-            assert_eq!(f2.load(Ordering::SeqCst), 0, "child ran before parent");
-            h.join();
-        });
-        let fail = report
-            .failures
-            .first()
-            .expect("some schedule runs the child first");
+        let report = explore(&random_walk(100, 3), fails_when_the_child_runs_first);
+        let fail = report.failure.expect("some schedule runs the child first");
         assert!(fail.message.contains("child ran before parent"));
         assert!(!fail.trace.is_empty());
         // The seed alone reproduces the failing schedule.
-        let f3 = flag.clone();
-        let rerun = run_random(fail.seed, 10_000, move || {
-            f3.store(0, Ordering::SeqCst);
-            let f = f3.clone();
-            let h = spawn(move || {
-                f.store(1, Ordering::SeqCst);
-            });
-            yield_now();
-            assert_eq!(f3.load(Ordering::SeqCst), 0, "child ran before parent");
-            h.join();
-        });
+        let seed = fail.seed.expect("a sampled schedule has a seed");
+        let rerun = run_random(seed, 10_000, fails_when_the_child_runs_first);
         assert!(rerun.failure.is_some(), "seed must reproduce the failure");
+    }
+
+    #[test]
+    fn both_explorers_stop_at_the_first_failure() {
+        let report = explore(&random_walk(100, 3), fails_when_the_child_runs_first);
+        let f = report.failure.expect("some schedule runs the child first");
+        assert_eq!(report.schedules, f.index + 1, "explore ran past a failure");
+        let report = explore_exhaustive(10_000, 10_000, fails_when_the_child_runs_first);
+        let f = report.failure.expect("some schedule runs the child first");
+        assert_eq!(
+            report.schedules,
+            f.index + 1,
+            "explore_exhaustive ran past a failure"
+        );
+        assert!(!report.exhausted, "a failed enumeration is not exhausted");
     }
 
     #[test]

@@ -26,9 +26,12 @@
 //!   trace ([`Trace::to_bytes`]).
 //! * [`explore`](mod@explore) — schedule exploration on top of single runs:
 //!   [`explore::explore`] (seeded random-walk or PCT-style priority
-//!   schedules, with trace dump on failure), [`explore::explore_exhaustive`]
-//!   (bounded DFS over every branching decision, for small bodies), and
-//!   [`explore::replay`] (re-run a recorded trace).
+//!   schedules, with trace dump on failure) and
+//!   [`explore::explore_exhaustive`] (bounded DFS over every branching
+//!   decision, for small bodies), which both stop at the first failing
+//!   schedule and return one [`ExploreReport`]; [`explore::run_random`]
+//!   and [`explore::replay`] re-run one schedule from its seed or its
+//!   recorded trace.
 //!
 //! ## Determinism contract
 //!
@@ -56,7 +59,7 @@ pub mod explore;
 pub mod vthread;
 
 pub use explore::{
-    explore, explore_exhaustive, replay, run_random, ExhaustiveReport, ExploreConfig,
-    ExploreReport, Policy, ScheduleFailure,
+    explore, explore_exhaustive, replay, run_random, ExploreConfig, ExploreReport, Policy,
+    ScheduleFailure,
 };
 pub use vthread::{is_managed, spawn, yield_now, yield_point, JoinHandle, RunReport, Trace};

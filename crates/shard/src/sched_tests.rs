@@ -14,14 +14,8 @@ use sched::{explore, ExploreConfig, Policy};
 
 use super::{Partition, ShardMember, ShardedSet};
 
-/// Schedules for the cut race, split evenly over the two policies: 60
-/// unless `SHARD_SCHED_SCHEDULES` names another count.
-fn budget() -> usize {
-    std::env::var("SHARD_SCHED_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60)
-}
+/// Schedules per policy of the cut race.
+const CUT_RACE_SCHEDULES: usize = 30;
 
 /// The smallest keys from `from` up that the forest's hash puts on shard
 /// 0 and on shard 1 of two.
@@ -93,18 +87,16 @@ fn cut_race_body() {
 
 #[test]
 fn fanout_forest_cut_is_all_or_nothing() {
-    let per_cell = (budget() / 2).max(1);
     for (policy, seed) in [
         (Policy::RandomWalk, 0x5AAD_0001),
         (Policy::Pct { depth: 3 }, 0x5AAD_0000),
     ] {
         let report = explore(
             &ExploreConfig {
-                schedules: per_cell,
+                schedules: CUT_RACE_SCHEDULES,
                 seed,
                 max_steps: 3_000_000,
                 policy,
-                stop_on_failure: true,
             },
             cut_race_body,
         );

@@ -607,7 +607,6 @@ mod sched_tests {
                 seed,
                 max_steps: 400_000,
                 policy,
-                stop_on_failure: true,
             };
             let report = explore(&cfg, race_once);
             report.assert_clean("vcas insert vs sibling remove");

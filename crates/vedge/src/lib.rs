@@ -881,11 +881,11 @@ mod tests {
 /// length ≤ 2 per publish, no retry loops), so the window can be
 /// enumerated with **exhaustive DFS** rather than sampled: every explored
 /// schedule is a distinct interleaving, visited systematically from the
-/// first divergence point (the full space is larger than CI budgets —
-/// scale `VEDGE_SCHED_SCHEDULES` for campaigns). A use-after-retire under the
-/// debug pool's 0xDD poison surfaces as a poisoned `child()` value or a
-/// "use-after-retire" panic, both failing the oracle with a replayable
-/// trace.
+/// first divergence point (the full space is larger than CI budgets — a
+/// campaign raises the schedule constants on a scratch copy). A
+/// use-after-retire under the debug pool's 0xDD poison surfaces as a
+/// poisoned `child()` value or a "use-after-retire" panic, both failing
+/// the oracle with a replayable trace.
 #[cfg(all(test, feature = "sched-test"))]
 mod sched_tests {
     use super::*;
@@ -989,14 +989,15 @@ mod sched_tests {
         s.finish(20);
     }
 
+    /// DFS schedule budget of each read shape of the register-vs-trim race.
+    const REGISTER_VS_TRIM_DFS_SCHEDULES: usize = 20_000;
+
     #[test]
     fn register_vs_trim_exhaustive_dfs() {
-        let budget: usize = std::env::var("VEDGE_SCHED_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000);
         for repin in [false, true] {
-            let report = explore_exhaustive(budget, 500_000, move || register_vs_trim_body(repin));
+            let report = explore_exhaustive(REGISTER_VS_TRIM_DFS_SCHEDULES, 500_000, move || {
+                register_vs_trim_body(repin)
+            });
             report.assert_clean(if repin {
                 "register-vs-trim (repinned read)"
             } else {
@@ -1043,28 +1044,28 @@ mod sched_tests {
         s.finish(30);
     }
 
+    /// Schedules per policy of the contended register-vs-trim corpus.
+    const REGISTER_VS_TRIM_SCHEDULES: usize = 300;
+
     #[test]
     fn register_vs_trim_explored_random() {
-        let budget: usize = std::env::var("VEDGE_SCHED_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(600);
-        let per_cell = (budget / 2).max(1);
         for (policy, seed) in [
             (Policy::RandomWalk, 0x7ED6_0001u64),
             (Policy::Pct { depth: 3 }, 0x7ED6_0002),
         ] {
             let cfg = ExploreConfig {
-                schedules: per_cell,
+                schedules: REGISTER_VS_TRIM_SCHEDULES,
                 seed,
                 max_steps: 1_000_000,
                 policy,
-                stop_on_failure: true,
             };
             let report = explore(&cfg, contended_body);
             report.assert_clean("register-vs-trim contended");
         }
-        eprintln!("register-vs-trim contended: {budget} schedules clean");
+        eprintln!(
+            "register-vs-trim contended: {} schedules clean",
+            2 * REGISTER_VS_TRIM_SCHEDULES
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1197,13 +1198,12 @@ mod sched_tests {
         s.finish();
     }
 
+    /// DFS schedule budget of the retire-order race.
+    const RETIRE_ORDER_DFS_SCHEDULES: usize = 10_000;
+
     #[test]
     fn retire_order_exhaustive_dfs() {
-        let budget: usize = std::env::var("VEDGE_SCHED_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
-        let report = explore_exhaustive(budget, 500_000, retire_order_body);
+        let report = explore_exhaustive(RETIRE_ORDER_DFS_SCHEDULES, 500_000, retire_order_body);
         report.assert_clean("retire-order (attach-before-publish)");
         eprintln!(
             "retire-order: {} schedules, exhausted={}",
@@ -1211,27 +1211,27 @@ mod sched_tests {
         );
     }
 
+    /// Schedules per policy of the contended retire-order corpus.
+    const RETIRE_ORDER_SCHEDULES: usize = 200;
+
     #[test]
     fn retire_order_explored_random() {
-        let budget: usize = std::env::var("VEDGE_SCHED_SCHEDULES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(400);
-        let per_cell = (budget / 2).max(1);
         for (policy, seed) in [
             (Policy::RandomWalk, 0x7ED6_0003u64),
             (Policy::Pct { depth: 3 }, 0x7ED6_0004),
         ] {
             let cfg = ExploreConfig {
-                schedules: per_cell,
+                schedules: RETIRE_ORDER_SCHEDULES,
                 seed,
                 max_steps: 1_000_000,
                 policy,
-                stop_on_failure: true,
             };
             let report = explore(&cfg, retire_order_body);
             report.assert_clean("retire-order contended");
         }
-        eprintln!("retire-order contended: {budget} schedules clean");
+        eprintln!(
+            "retire-order contended: {} schedules clean",
+            2 * RETIRE_ORDER_SCHEDULES
+        );
     }
 }

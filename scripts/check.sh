@@ -20,7 +20,7 @@ cargo build --release
 # counter too) and the delegation wait's clock for a yield budget
 # (`cbat_core::propagate::wait_for_delegatee`). CI's exploration job runs
 # those corpora; this keeps the local gate from breaking their build.
-cargo check -p cbat-core -p ebr -p chromatic -p fanout -p shard -p vcas -p vedge -p llxscx --features sched-test --all-targets
+cargo check -p sched -p cbat-core -p ebr -p chromatic -p fanout -p shard -p vcas -p vedge -p llxscx --features sched-test --all-targets
 # The benchmark is a workspace of its own (benchmark/Cargo.toml), so no
 # other step compiles it: a change to the API of the crates it path-depends
 # on would break it unnoticed. Build it, and hold its catalog to what

@@ -109,30 +109,6 @@ fn sorted_distribution_drives_spine_growth() {
     // On the unbalanced tree, the sorted stream is adversarial: per-op
     // cost grows, so ops/sec collapses relative to BAT under the same
     // stream — the fig5b mechanism, asserted as a ratio.
-    struct Fr(cbat::FrSet<u64>);
-    impl workloads::BenchSet for Fr {
-        fn insert(&self, k: u64) -> bool {
-            self.0.insert(k)
-        }
-        fn remove(&self, k: u64) -> bool {
-            self.0.remove(&k)
-        }
-        fn contains(&self, k: u64) -> bool {
-            self.0.contains(&k)
-        }
-        fn range_count(&self, lo: u64, hi: u64) -> u64 {
-            self.0.range_count(&lo, &hi)
-        }
-        fn rank(&self, k: u64) -> u64 {
-            self.0.rank(&k)
-        }
-        fn select(&self, i: u64) -> Option<u64> {
-            self.0.select(i)
-        }
-        fn name(&self) -> &'static str {
-            "FR-BST"
-        }
-    }
     let mut cfg = RunConfig::new(1, 1_000_000);
     cfg.duration = Duration::from_millis(250);
     cfg.mix = OpMix::percent(100, 0, 0, 0);
@@ -141,7 +117,7 @@ fn sorted_distribution_drives_spine_growth() {
 
     let bat = Bat(cbat::BatSet::new());
     let r_bat = workloads::run(&bat, &cfg);
-    let fr = Fr(cbat::FrSet::new());
+    let fr = bench::BatAdapter::fr();
     let r_fr = workloads::run(&fr, &cfg);
     assert!(
         r_bat.total_ops as f64 > 3.0 * r_fr.total_ops as f64,
