@@ -9,10 +9,11 @@
 //! Every version always carries the subtree **size** (the paper's running
 //! example, needed by order-statistic queries) *plus* a user augmentation
 //! value of type [`Augmentation::Value`]. A leaf is born as its own version
-//! (Definition 1, rules 1–2) and stores neither: its size is 1 (0 for a
-//! sentinel) and its value is [`Augmentation::leaf`] of its immutable key
-//! and value ([`Augmentation::sentinel`] for a sentinel), computed whenever
-//! a refresh or a query reads it — so `leaf` should be cheap.
+//! (Definition 1, rules 1–2) and stores neither: its size is the number of
+//! keys it holds (0 for a sentinel) and its value is the fold of
+//! [`Augmentation::leaf`] over its immutable entries
+//! ([`Augmentation::sentinel`] for none), computed whenever a refresh or a
+//! query reads it — so `leaf` should be cheap.
 
 /// A user-supplied augmentation: what each leaf contributes and how two
 /// children's values combine. `combine` must be associative with respect

@@ -1,19 +1,20 @@
-//! End-to-end serving layer over the sharded forest.
+//! End-to-end serving layer over the sharded fanout forest
+//! ([`build_forest`]).
 //!
 //! Everything below is in-process plumbing — no sockets, no external
 //! crates — but it has the shape of a real server front-end:
 //!
 //! * **Bounded request rings** ([`Ring`], a Vyukov-style MPMC queue of
-//!   request-cell pointers): one per shard for point ops, plus two
-//!   (one per analytics class) in front of a dedicated analytics
+//!   request-cell pointers): one per shard for point ops, plus one
+//!   shared by both analytics classes in front of a dedicated analytics
 //!   worker. `try_push` on a full ring fails immediately — that *is*
 //!   the admission-control decision; the client records a rejection
 //!   and moves on instead of queueing unboundedly.
-//! * **Class fairness**: point ops never share a queue with analytics,
-//!   so a flood of `range_count`s cannot starve `insert`s
-//!   (structural isolation), and the analytics worker alternates
-//!   between the rank/select ring and the range ring in fixed quanta
-//!   so neither analytics class starves the other at saturation.
+//! * **Class isolation**: point ops never share a queue with analytics,
+//!   so a flood of `range_count`s cannot starve `insert`s. The analytics
+//!   worker serves rank/select and range requests in arrival order from
+//!   their one ring, so neither analytics class can starve the other:
+//!   a request waits behind at most a ring's worth of earlier ones.
 //! * **Snapshot leases** ([`SnapshotLease`]): the analytics worker
 //!   registers once on the forest clock, serves every query of the
 //!   lease period from one [`ShardedSet::snapshot_at`] cut, and
@@ -33,7 +34,7 @@
 //! * client — window full, next arrival not yet due, stragglers at the
 //!   end: `relax`;
 //! * point worker — ring empty: `relax`;
-//! * analytics worker — rings empty: `relax` for one lease period,
+//! * analytics worker — ring empty: `relax` for one lease period,
 //!   then release the cut and the lease and `park` until a client
 //!   admits a `Stat`/`Range` request or the run stops.
 //!
@@ -46,7 +47,8 @@ use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use shard::{ShardMember, ShardedSet};
+use fanout::FanoutSet;
+use shard::{ShardedSet, ShardedSnapshot};
 
 // ---------------------------------------------------------------------------
 // Bounded MPMC ring
@@ -225,7 +227,7 @@ impl ReqCell {
     }
 }
 
-fn exec_point<S: ShardMember>(set: &ShardedSet<S>, cell: &ReqCell) {
+fn exec_point(set: &ShardedSet<FanoutSet>, cell: &ReqCell) {
     let op = cell.op.load(Ordering::Relaxed);
     let a = cell.a.load(Ordering::Relaxed);
     let r = match op {
@@ -237,7 +239,7 @@ fn exec_point<S: ShardMember>(set: &ShardedSet<S>, cell: &ReqCell) {
     cell.state.store(ST_DONE, Ordering::Release);
 }
 
-fn exec_snap<S: ShardMember>(snap: &shard::ShardedSnapshot<'_, S>, cell: &ReqCell) {
+fn exec_snap(snap: &ShardedSnapshot<'_, FanoutSet>, cell: &ReqCell) {
     let op = cell.op.load(Ordering::Relaxed);
     let a = cell.a.load(Ordering::Relaxed);
     let b = cell.b.load(Ordering::Relaxed);
@@ -272,8 +274,8 @@ fn exec_snap<S: ShardMember>(snap: &shard::ShardedSnapshot<'_, S>, cell: &ReqCel
 /// register) — nesting them would silently keep pinning the old
 /// timestamp. Registrations are per-thread state: a lease must be
 /// taken, renewed, and dropped on one thread (this type is `!Send`).
-pub struct SnapshotLease<'a, S: ShardMember> {
-    set: &'a ShardedSet<S>,
+pub struct SnapshotLease<'a> {
+    set: &'a ShardedSet<FanoutSet>,
     ts: u64,
     taken: Instant,
     period: Duration,
@@ -281,9 +283,9 @@ pub struct SnapshotLease<'a, S: ShardMember> {
     _not_send: std::marker::PhantomData<*mut ()>,
 }
 
-impl<'a, S: ShardMember> SnapshotLease<'a, S> {
+impl<'a> SnapshotLease<'a> {
     /// Register on the forest clock and start the lease period.
-    pub fn take(set: &'a ShardedSet<S>, period: Duration) -> Self {
+    pub fn take(set: &'a ShardedSet<FanoutSet>, period: Duration) -> Self {
         let ts = set.snap_clock().register();
         SnapshotLease {
             set,
@@ -315,7 +317,7 @@ impl<'a, S: ShardMember> SnapshotLease<'a, S> {
     }
 }
 
-impl<S: ShardMember> Drop for SnapshotLease<'_, S> {
+impl Drop for SnapshotLease<'_> {
     fn drop(&mut self) {
         self.set.snap_clock().deregister();
     }
@@ -347,7 +349,8 @@ pub struct ServeConfig {
     pub window: usize,
     /// Capacity of each per-shard point ring.
     pub point_queue_cap: usize,
-    /// Capacity of each analytics ring (stat, range).
+    /// Capacity of the one analytics ring, which `Stat` and `Range`
+    /// requests share.
     pub analytics_queue_cap: usize,
     /// Wall-clock run length.
     pub duration: Duration,
@@ -441,11 +444,10 @@ impl ServeReport {
 // The serving loop
 // ---------------------------------------------------------------------------
 
-struct Shared<'a, S: ShardMember> {
-    set: &'a ShardedSet<S>,
+struct Shared<'a> {
+    set: &'a ShardedSet<FanoutSet>,
     point_rings: Vec<Ring>,
-    stat_ring: Ring,
-    range_ring: Ring,
+    analytics_ring: Ring,
     stop: AtomicBool,
     /// Clients still submitting; workers drain-and-exit only after
     /// this hits zero (a client's last push happens-before its
@@ -458,13 +460,13 @@ struct Shared<'a, S: ShardMember> {
     analytics_parked: AtomicBool,
 }
 
-impl<S: ShardMember> Shared<'_, S> {
+impl Shared<'_> {
     /// The waker's half of the park handshake, called after the store
     /// the worker must not sleep through (an analytics `try_push`, or
     /// `stop`). Dekker pairing: the waker stores, fences, loads
     /// `analytics_parked`; the worker stores `analytics_parked`, fences,
-    /// loads the rings and `stop` (`park_analytics`). One of the two
-    /// fences comes first in the `SeqCst` order, so either the worker
+    /// loads the analytics ring and `stop` (`park_analytics`). One of the
+    /// two fences comes first in the `SeqCst` order, so either the worker
     /// sees the store and stays up, or the waker sees the flag and
     /// unparks. An `unpark` that lands before the `park` leaves a token
     /// that makes that `park` return at once.
@@ -487,10 +489,7 @@ impl<S: ShardMember> Shared<'_, S> {
         self.analytics_parked.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
         let mut slept = false;
-        while self.stat_ring.is_empty()
-            && self.range_ring.is_empty()
-            && !self.stop.load(Ordering::Acquire)
-        {
+        while self.analytics_ring.is_empty() && !self.stop.load(Ordering::Acquire) {
             std::thread::park();
             slept = true;
         }
@@ -514,7 +513,7 @@ fn xorshift(s: &mut u64) -> u64 {
     *s
 }
 
-fn point_worker<S: ShardMember>(sh: &Shared<'_, S>, idx: usize) {
+fn point_worker(sh: &Shared<'_>, idx: usize) {
     let ring = &sh.point_rings[idx];
     loop {
         if let Some(p) = ring.try_pop() {
@@ -535,12 +534,8 @@ fn point_worker<S: ShardMember>(sh: &Shared<'_, S>, idx: usize) {
     }
 }
 
-/// Analytics requests the worker serves from one class's ring before it
-/// turns to the other.
-const QUANTUM: usize = 8;
-
 /// Returns `(lease_renewals, parks)` for the [`ServeReport`].
-fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration) -> (u64, u64) {
+fn analytics_worker(sh: &Shared<'_>, lease_period: Duration) -> (u64, u64) {
     let mut lease = SnapshotLease::take(sh.set, lease_period);
     let (mut moved, mut parks) = (0u64, 0u64);
     'run: loop {
@@ -551,31 +546,19 @@ fn analytics_worker<S: ShardMember>(sh: &Shared<'_, S>, lease_period: Duration) 
         let snap = sh.set.snapshot_at(lease.ts());
         let mut served_under_lease = false;
         loop {
-            let mut served = 0usize;
-            for ring in [&sh.stat_ring, &sh.range_ring] {
-                for _ in 0..QUANTUM {
-                    match ring.try_pop() {
-                        // SAFETY: see point_worker — cells outlive
-                        // their in-flight window.
-                        Some(p) => {
-                            exec_snap(&snap, unsafe { &*(p as *const ReqCell) });
-                            served += 1;
-                        }
-                        None => break,
-                    }
+            if let Some(p) = sh.analytics_ring.try_pop() {
+                // SAFETY: see point_worker — cells outlive their
+                // in-flight window.
+                exec_snap(&snap, unsafe { &*(p as *const ReqCell) });
+                served_under_lease = true;
+            } else if sh.stop.load(Ordering::Acquire) && sh.submitters.load(Ordering::Acquire) == 0
+            {
+                while let Some(p) = sh.analytics_ring.try_pop() {
+                    // SAFETY: as above.
+                    exec_snap(&snap, unsafe { &*(p as *const ReqCell) });
                 }
-            }
-            served_under_lease |= served > 0;
-            if served == 0 {
-                if sh.stop.load(Ordering::Acquire) && sh.submitters.load(Ordering::Acquire) == 0 {
-                    for ring in [&sh.stat_ring, &sh.range_ring] {
-                        while let Some(p) = ring.try_pop() {
-                            // SAFETY: as above.
-                            exec_snap(&snap, unsafe { &*(p as *const ReqCell) });
-                        }
-                    }
-                    break 'run;
-                }
+                break 'run;
+            } else {
                 relax();
             }
             if lease.expired() {
@@ -604,7 +587,7 @@ struct ClientOut {
     stats: [ClassStats; NUM_CLASSES],
 }
 
-fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize) -> ClientOut {
+fn client_loop(sh: &Shared<'_>, cfg: &ServeConfig, id: usize) -> ClientOut {
     let mut rng = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1));
     let cells: Vec<Box<ReqCell>> = (0..cfg.window).map(|_| Box::new(ReqCell::new())).collect();
     // Client-private per-slot bookkeeping: class + latency clock start.
@@ -697,8 +680,7 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
 
         let ring = match class {
             Class::Point => &sh.point_rings[partition.shard_of(key, shards)],
-            Class::Stat => &sh.stat_ring,
-            Class::Range => &sh.range_ring,
+            Class::Stat | Class::Range => &sh.analytics_ring,
         };
         match ring.try_push(addr) {
             Ok(()) => {
@@ -738,7 +720,7 @@ fn client_loop<S: ShardMember>(sh: &Shared<'_, S>, cfg: &ServeConfig, id: usize)
 ///
 /// Panics, on the calling thread, if `clients`, `window` or `max_key` is
 /// 0 or if `mix` asks for more than 1000 ‰.
-pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> ServeReport {
+pub fn run_serve(set: &ShardedSet<FanoutSet>, cfg: &ServeConfig) -> ServeReport {
     // A client that panics never leaves `submitters`, and the workers wait
     // for it for ever: refuse here what would make one panic.
     assert!(cfg.clients >= 1 && cfg.window >= 1);
@@ -752,8 +734,7 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
         point_rings: (0..set.num_shards())
             .map(|_| Ring::new(cfg.point_queue_cap))
             .collect(),
-        stat_ring: Ring::new(cfg.analytics_queue_cap),
-        range_ring: Ring::new(cfg.analytics_queue_cap),
+        analytics_ring: Ring::new(cfg.analytics_queue_cap),
         stop: AtomicBool::new(false),
         submitters: AtomicUsize::new(cfg.clients),
         analytics: OnceLock::new(),
@@ -805,8 +786,8 @@ pub fn run_serve<S: ShardMember>(set: &ShardedSet<S>, cfg: &ServeConfig) -> Serv
 
 /// A ready-to-serve forest: `shards` fanout shards pre-loaded with
 /// `prefill` keys evenly spread over `[0, max_key)`.
-pub fn build_forest(shards: usize, prefill: u64, max_key: u64) -> ShardedSet<fanout::FanoutSet> {
-    let set = ShardedSet::<fanout::FanoutSet>::new(shards);
+pub fn build_forest(shards: usize, prefill: u64, max_key: u64) -> ShardedSet<FanoutSet> {
+    let set = ShardedSet::<FanoutSet>::new(shards);
     let step = (max_key / prefill.max(1)).max(1);
     let mut k = 0;
     while k < max_key {
@@ -990,42 +971,43 @@ mod tests {
 
     #[test]
     fn serve_completes_all_classes_at_saturation() {
-        // Open throttle + tiny analytics rings: saturation by design.
-        // Fairness claim: every class still completes work.
+        // Open throttle + tiny rings: saturation by design. No class
+        // starves — not even `Stat` when `Range` outnumbers it 13 to 1 in
+        // the ring they share — and every admitted request completes.
         let set = build_forest(2, 4096, 1 << 14);
-        let cfg = ServeConfig {
-            clients: 2,
-            window: 8,
-            point_queue_cap: 8,
-            analytics_queue_cap: 8,
-            duration: Duration::from_millis(250),
-            offered_rps: 0,
-            mix: ClassMix {
-                stat_pm: 300,
-                range_pm: 200,
-            },
-            max_key: 1 << 14,
-            lease: Duration::from_millis(5),
-            range_span: 1 << 9,
-            seed: 42,
-        };
-        let rep = run_serve(&set, &cfg);
-        for (i, c) in rep.classes.iter().enumerate() {
-            assert!(c.completed > 0, "class {i} starved: {c:?}");
-            assert_eq!(
-                c.submitted, c.completed,
-                "class {i}: admitted requests must all complete"
-            );
-            assert_eq!(c.completed as usize, c.samples.len());
+        for (stat_pm, range_pm) in [(300, 200), (50, 650)] {
+            let cfg = ServeConfig {
+                clients: 2,
+                window: 8,
+                point_queue_cap: 8,
+                analytics_queue_cap: 8,
+                duration: Duration::from_millis(250),
+                offered_rps: 0,
+                mix: ClassMix { stat_pm, range_pm },
+                max_key: 1 << 14,
+                lease: Duration::from_millis(5),
+                range_span: 1 << 9,
+                seed: 42,
+            };
+            let rep = run_serve(&set, &cfg);
+            for (i, c) in rep.classes.iter().enumerate() {
+                assert!(c.completed > 0, "{:?}: class {i} starved: {c:?}", cfg.mix);
+                assert_eq!(
+                    c.submitted, c.completed,
+                    "{:?}: class {i}: admitted requests must all complete",
+                    cfg.mix
+                );
+                assert_eq!(c.completed as usize, c.samples.len());
+            }
+            assert!(rep.lease_renewals > 0, "{:?}: lease never renewed", cfg.mix);
         }
-        assert!(rep.lease_renewals > 0, "lease never renewed");
         ebr::flush();
     }
 
     #[test]
     fn serve_backpressure_rejects_then_recovers() {
-        // One client hammering two slots' worth of queue: rejections
-        // must show up, yet everything admitted completes.
+        // Two clients hammering two-slot rings: every class must be
+        // refused, yet everything admitted completes.
         let set = build_forest(1, 256, 1 << 10);
         let cfg = ServeConfig {
             clients: 2,
@@ -1046,6 +1028,11 @@ mod tests {
         let rep = run_serve(&set, &cfg);
         assert!(rep.completed() > 0);
         for (i, c) in rep.classes.iter().enumerate() {
+            assert!(
+                c.rejected > 0,
+                "class {i} was never refused ({} admitted)",
+                c.submitted
+            );
             assert_eq!(c.submitted, c.completed, "class {i} lost requests");
         }
         ebr::flush();
