@@ -13,9 +13,10 @@
 //! that decides which nodes a commit retires and an abort disposes of.
 //!
 //! The tree is parameterized by a [`node::NodePlugin`] so the augmentation
-//! layer (crate `cbat-core`) can hang a version pointer off every node and
-//! apply the paper's Version Initialization Rules (Definition 1) at node
-//! construction time — without this crate knowing anything about versions.
+//! layer (crate `cbat-core`) can hang a version pointer off every internal
+//! node and apply the paper's Version Initialization Rules (Definition 1)
+//! at node construction time — without this crate knowing anything about
+//! versions. A leaf carries its entries instead ([`node`]).
 //!
 //! ## Example
 //!
@@ -39,7 +40,7 @@ pub mod tree;
 pub mod validate;
 
 pub use key::SentKey;
-pub use node::{ChildSnap, FatLeaf, Node, NodePlugin};
+pub use node::{ChildSnap, Internal, Leaf, Node, NodePlugin};
 pub use set::ChromaticSet;
 pub use tree::{ChromaticTree, RebalanceKind, TreeSnapshot, TreeStats};
 pub use validate::{Invalid, TreeShape};

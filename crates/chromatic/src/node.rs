@@ -1,17 +1,28 @@
 //! Tree nodes and the augmentation plugin interface.
 //!
 //! A [`Node`] is an LLX/SCX *record*: its mutable fields are the two child
-//! pointers; key, weight, value and a leaf's entries are immutable after
-//! construction. A leaf holds up to `B` sorted keys (the tree's capacity,
-//! a const generic of [`crate::ChromaticTree`]): a leaf of one key is a
-//! plain `Node` whose `key` / `value` are that entry, and a leaf of two or
-//! more is a [`FatLeaf`], a `Node` followed by its entries in the same pool
-//! block. The entry count says which, so a reader needs no `B`. The
-//! `plugin` slot carries whatever per-node state an augmentation layer
-//! needs — for BAT it is the `version` pointer, which the paper explicitly
-//! keeps *outside* the LLX/SCX record so augmentation does not interfere
-//! with chromatic tree operations (§4).
+//! pointers; the key, the weight and everything past them are immutable
+//! after construction. `Node` is the `#[repr(C)]` head every node starts
+//! with — the record header, the links, the key, the weight and the entry
+//! count — and the node's pool block goes on with what its kind holds:
+//!
+//! * a **leaf** ([`Leaf`]): its entries in key order, up to `B` of them
+//!   (the tree's capacity, a const generic of [`crate::ChromaticTree`]); a
+//!   sentinel leaf holds none. Its `key` is its smallest key (a sentinel
+//!   leaf's is `∞₁` / `∞₂`). Every leaf has this one format, whatever its
+//!   length, is read as one slice ([`Node::entries`]) and is built by one
+//!   allocation path (`Node::new_leaf_from` for a real leaf,
+//!   `Node::new_sentinel_leaf` for a sentinel).
+//! * an **internal node**: the plugin ([`Node::plugin`]), whatever
+//!   per-node state an augmentation layer needs — for BAT the version
+//!   pointer, which the paper explicitly keeps *outside* the LLX/SCX
+//!   record so augmentation does not interfere with chromatic tree
+//!   operations (§4). A leaf has none: under BAT it is its own version.
+//!
+//! The kind is the links': a leaf's are null, an internal node's never are
+//! ([`Node::is_leaf`]).
 
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 
 use sched::atomic::{AtomicU64, Ordering};
@@ -21,28 +32,24 @@ use llxscx::{Linked, Llx, RecordHeader};
 
 use crate::key::SentKey;
 
-/// Per-node augmentation state plus the hooks the paper's Definition 1
-/// ("Version Initialization Rules") requires at node-allocation time.
+/// Per-internal-node augmentation state plus the hooks the paper's
+/// Definition 1 ("Version Initialization Rules") requires at
+/// node-allocation time.
 ///
-/// The unaugmented tree uses `()`; BAT uses a version-pointer slot, which
-/// only internal nodes fill: under rules 1–2 a BAT leaf is born as its own
-/// version — its immutable key and value are all a version of it would
-/// hold — and [`NodePlugin::LEAVES_OUTLIVE_UNLINK`] gives it the lifetime
-/// a version needs.
+/// The unaugmented tree uses `()`; BAT uses a version-pointer slot. Only
+/// internal nodes carry one: under rules 1–2 a BAT leaf is born as its own
+/// version — its immutable entries are all a version of it would hold —
+/// and [`NodePlugin::LEAVES_OUTLIVE_UNLINK`] gives it the lifetime a
+/// version needs.
 pub trait NodePlugin<K, V>: Sized + Send + Sync {
-    /// Plugin state for a newly created leaf with the given (smallest) key
-    /// holding `len` keys (Definition 1, rules 1–2: a real leaf, or a
-    /// sentinel leaf with `len` 0).
-    fn new_leaf(key: &SentKey<K>, len: usize) -> Self;
-
     /// Plugin state for a newly created internal node
     /// (Definition 1, rule 3: version starts `nil`).
     fn new_internal(key: &SentKey<K>) -> Self;
 
-    /// Called exactly once per node when the node's memory is about to be
-    /// reclaimed (both for published nodes after their epoch grace period
-    /// and for patch nodes whose SCX failed). For BAT this retires the
-    /// node's final version (§6).
+    /// Called exactly once per internal node when the node's memory is
+    /// about to be reclaimed (both for published nodes after their epoch
+    /// grace period and for patch nodes whose SCX failed). For BAT this
+    /// retires the node's final version (§6).
     fn on_reclaim(&self);
 
     /// Whether a published leaf waits one more grace period, after the one
@@ -57,19 +64,18 @@ pub trait NodePlugin<K, V>: Sized + Send + Sync {
 
 impl<K, V> NodePlugin<K, V> for () {
     #[inline]
-    fn new_leaf(_: &SentKey<K>, _: usize) -> Self {}
-    #[inline]
     fn new_internal(_: &SentKey<K>) -> Self {}
     #[inline]
     fn on_reclaim(&self) {}
 }
 
-/// A chromatic tree node.
+/// A chromatic tree node's head, which every node starts with.
 ///
-/// Leaves have null child pointers and carry their entries; internal nodes
-/// route searches only. `weight` encodes color: 0 = red, 1 = black, ≥ 2 =
-/// overweight. A leaf's `key` is its smallest key (a sentinel leaf's is
-/// `∞₁` / `∞₂`).
+/// Leaves have null child pointers and are followed by their entries;
+/// internal nodes route searches and are followed by the plugin `P`.
+/// `weight` encodes color: 0 = red, 1 = black, ≥ 2 = overweight. A leaf's
+/// `key` is its smallest key (a sentinel leaf's is `∞₁` / `∞₂`).
+#[repr(C)]
 pub struct Node<K, V, P> {
     /// LLX/SCX coordination word + finalized flag.
     pub header: RecordHeader,
@@ -77,16 +83,11 @@ pub struct Node<K, V, P> {
     right: AtomicU64,
     key: SentKey<K>,
     weight: u32,
-    /// A leaf's entry count: 0 for a sentinel leaf (and every internal
-    /// node), 1 for a leaf whose entry is `key` / `value`, ≥ 2 for a
-    /// [`FatLeaf`]. It fits in the node's padding: a `BatSet<u64>` node
-    /// is 64 bytes with it.
+    /// A leaf's entry count: 0 for a sentinel leaf and every internal
+    /// node. It fits in the head's padding.
     len: u16,
-    /// A one-entry leaf's value; `None` for every other node.
-    value: Option<V>,
-    /// Augmentation slot (e.g. BAT's version pointer). Not part of the
-    /// LLX/SCX record; mutated directly with CAS by the augmentation layer.
-    pub plugin: P,
+    /// What follows the head: `(K, V)` entries, or a `P`.
+    _body: PhantomData<(V, P)>,
 }
 
 /// The check every followed link passes before it is dereferenced: null
@@ -115,26 +116,29 @@ fn fence_failed(raw: u64, parent: u64) -> ! {
     );
 }
 
-/// Atomic snapshot of a node's mutable fields, as returned by [`Node::llx`].
-pub type ChildSnap = (u64, u64);
-
-/// A leaf of two or more keys: the node, with its smallest key as `key` and
-/// no `value`, followed in the same pool block by its entries in key order.
-/// `B` is the tree's leaf capacity and sets the block's size, so the
-/// leaf has a pool class of its own (`B = 64`, `u64` keys and no values:
-/// nine lines). A leaf is built by cloning slices of entries straight
-/// into its block ([`Node::new_leaf_from`]) and read as one slice
-/// ([`Node::fat_entries`]).
-/// Every reclaim goes through `reclaim_node`, which picks the class by
-/// the entry count; freeing a fat leaf as a `Node` would strand its
-/// entries and return its block to the wrong class.
+/// An internal node: the head, then the plugin. What a prefetch of an
+/// internal node covers.
 #[repr(C)]
-pub struct FatLeaf<K, V, P, const B: usize> {
+pub struct Internal<K, V, P> {
+    node: Node<K, V, P>,
+    plugin: P,
+}
+
+/// A leaf of capacity `B`: the head, with the smallest key as its `key`,
+/// followed in the same pool block by its entries in key order. `B` sets
+/// the block's size, so a tree's leaves have a pool class of their own
+/// (`B = 64`, `u64` keys and no values: nine lines; `B = 1`: one). A leaf
+/// is built by cloning slices of entries straight into its block
+/// ([`Node::new_leaf_from`]) and read as one slice ([`Node::entries`]).
+/// Every reclaim goes through `reclaim_node`, which picks the class by the
+/// node's kind.
+#[repr(C)]
+pub struct Leaf<K, V, P, const B: usize> {
     node: Node<K, V, P>,
     entries: [MaybeUninit<(K, V)>; B],
 }
 
-impl<K, V, P, const B: usize> Drop for FatLeaf<K, V, P, B> {
+impl<K, V, P, const B: usize> Drop for Leaf<K, V, P, B> {
     fn drop(&mut self) {
         for e in &mut self.entries[..self.node.len as usize] {
             // SAFETY: the first `len` entries were written at construction
@@ -144,61 +148,71 @@ impl<K, V, P, const B: usize> Drop for FatLeaf<K, V, P, B> {
     }
 }
 
-/// Where a [`FatLeaf`]'s entries start, past its node: the same for every
+/// Where a [`Leaf`]'s entries start, past its head: the same for every
 /// `B`, since `#[repr(C)]` places a field by the ones before it alone.
 #[inline(always)]
 fn entries_offset<K, V, P>() -> usize {
-    std::mem::offset_of!(FatLeaf<K, V, P, 1>, entries)
+    std::mem::offset_of!(Leaf<K, V, P, 1>, entries)
 }
 
-impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
-    /// Allocate a leaf of at most one entry: `key` with `Some(value)`, or a
-    /// sentinel key with `None` (weight defaults to 1 for fresh leaves;
-    /// deletes pass explicit weights when copying). Memory comes from the
-    /// EBR free-list pool, so steady-state update patches recycle the nodes
-    /// they retire instead of round-tripping the global allocator.
-    pub fn new_leaf(key: SentKey<K>, weight: u32, value: Option<V>) -> *mut Self {
-        debug_assert_eq!(
-            key.is_sentinel(),
-            value.is_none(),
-            "a real leaf has a value"
-        );
-        let len = value.is_some() as u16;
-        let plugin = P::new_leaf(&key, len as usize);
-        ebr::pool::alloc_pooled(Node {
+/// Where an internal node's plugin starts, past its head.
+#[inline(always)]
+fn plugin_offset<K, V, P>() -> usize {
+    std::mem::offset_of!(Internal<K, V, P>, plugin)
+}
+
+/// Atomic snapshot of a node's mutable fields, as returned by [`Node::llx`].
+pub type ChildSnap = (u64, u64);
+
+impl<K, V, P> Node<K, V, P> {
+    /// A fresh head: unfrozen, with the given links.
+    fn head(key: SentKey<K>, weight: u32, left: u64, right: u64, len: u16) -> Self {
+        Node {
             header: RecordHeader::new(),
-            left: AtomicU64::new(0),
-            right: AtomicU64::new(0),
+            left: AtomicU64::new(left),
+            right: AtomicU64::new(right),
             key,
             weight,
             len,
-            value,
-            plugin,
-        })
+            _body: PhantomData,
+        }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
+    /// Allocate a real leaf of capacity `B` whose entries are `parts` one
+    /// after the other (1 to `B` in all, in strictly increasing key order),
+    /// cloned slice by slice straight into its pool block; its key is the
+    /// first entry's. An insert passes a leaf's prefix, the new entry and
+    /// the suffix; a delete the prefix and the suffix past the key; a split
+    /// each half.
+    pub fn new_leaf_from<const B: usize>(weight: u32, parts: &[&[(K, V)]]) -> *mut Self {
+        let (first, _) = parts
+            .iter()
+            .find_map(|part| part.first())
+            .expect("a real leaf holds 1 to B keys");
+        Self::alloc_leaf::<B>(SentKey::Key(first.clone()), weight, parts)
     }
 
-    /// Allocate a leaf of capacity `B` whose entries are `parts` one after
-    /// the other (1 to `B` in all, in strictly increasing key order): a
-    /// plain node for one entry, else a [`FatLeaf`] whose entries are
-    /// cloned slice by slice straight into its pool block. An insert passes
-    /// a leaf's prefix, the new entry and the suffix; a delete the prefix
-    /// and the suffix past the key; a split each half.
-    pub fn new_leaf_from<const B: usize>(weight: u32, parts: &[&[(K, V)]]) -> *mut Self {
+    /// Allocate a sentinel leaf (`key` is `∞₁` or `∞₂`) of capacity `B`:
+    /// a leaf of no entries.
+    pub fn new_sentinel_leaf<const B: usize>(key: SentKey<K>, weight: u32) -> *mut Self {
+        Self::alloc_leaf::<B>(key, weight, &[])
+    }
+
+    /// The one leaf constructor: a [`Leaf`] of capacity `B` keyed `key`
+    /// whose entries are `parts` one after the other. Memory comes from the
+    /// EBR free-list pool, so steady-state update patches recycle the nodes
+    /// they retire instead of round-tripping the global allocator.
+    fn alloc_leaf<const B: usize>(key: SentKey<K>, weight: u32, parts: &[&[(K, V)]]) -> *mut Self {
         const { assert!(B <= u16::MAX as usize, "a leaf's length fits its u16") };
         let len: usize = parts.iter().map(|part| part.len()).sum();
-        // Not debug-only: an empty leaf would read its key out of an
-        // unwritten slot below.
-        assert!((1..=B).contains(&len), "a real leaf holds 1 to B keys");
-        if len == 1 {
-            let (k, v) = parts
-                .iter()
-                .find_map(|part| part.first())
-                .expect("one entry");
-            return Self::new_leaf(SentKey::Key(k.clone()), weight, Some(v.clone()));
-        }
-        let leaf = ebr::pool::alloc_pooled(MaybeUninit::<FatLeaf<K, V, P, B>>::uninit())
-            as *mut FatLeaf<K, V, P, B>;
-        // SAFETY: `leaf` is this call's block, of `FatLeaf`'s layout; its
+        // Not debug-only: the copies below would run past the block.
+        assert!(len <= B, "a leaf holds at most B keys");
+        debug_assert_eq!(key.is_sentinel(), len == 0, "only a sentinel is empty");
+        let leaf = ebr::pool::alloc_pooled(MaybeUninit::<Leaf<K, V, P, B>>::uninit())
+            as *mut Leaf<K, V, P, B>;
+        // SAFETY: `leaf` is this call's block, of `Leaf`'s layout; its
         // entry slots are `MaybeUninit`, so a reference to them may span
         // the block's uninitialized bytes.
         // guard: none needed, nothing else can reach the block yet.
@@ -208,62 +222,32 @@ impl<K: Ord + Clone, V: Clone, P: NodePlugin<K, V>> Node<K, V, P> {
             entries[at..at + part.len()].write_clone_of_slice(part);
             at += part.len();
         }
-        // SAFETY: `len >= 2`, so entry 0 was written above.
-        let key = SentKey::Key(unsafe { entries[0].assume_init_ref() }.0.clone());
-        let plugin = P::new_leaf(&key, len);
-        // SAFETY: as above; the node's slot is written once, here, and the
-        // block is a whole `FatLeaf` from now on.
-        unsafe {
-            (&raw mut (*leaf).node).write(Node {
-                header: RecordHeader::new(),
-                left: AtomicU64::new(0),
-                right: AtomicU64::new(0),
-                key,
-                weight,
-                len: len as u16,
-                value: None,
-                plugin,
-            })
-        };
-        // `#[repr(C)]` puts the node at the block's start.
+        // SAFETY: as above; the head's slot is written once, here, and the
+        // block is a whole `Leaf` from now on.
+        unsafe { (&raw mut (*leaf).node).write(Self::head(key, weight, 0, 0, len as u16)) };
+        // `#[repr(C)]` puts the head at the block's start.
         leaf as *mut Self
     }
 
-    /// Allocate an internal node with the given children (pool-backed,
-    /// like [`Node::new_leaf`]).
+    /// Allocate an internal node with the given children and a fresh
+    /// plugin (pool-backed, like a leaf).
     pub fn new_internal(key: SentKey<K>, weight: u32, left: u64, right: u64) -> *mut Self {
         debug_assert!(left != 0 && right != 0, "internal node requires children");
         let plugin = P::new_internal(&key);
-        ebr::pool::alloc_pooled(Node {
-            header: RecordHeader::new(),
-            left: AtomicU64::new(left),
-            right: AtomicU64::new(right),
-            key,
-            weight,
-            len: 0,
-            value: None,
-            plugin,
-        })
+        let node = Self::head(key, weight, left, right, 0);
+        // `#[repr(C)]` puts the head at the block's start.
+        ebr::pool::alloc_pooled(Internal { node, plugin }) as *mut Self
     }
 
     /// Copy this node with a new weight; children taken from an LLX
     /// snapshot (internal) or entries cloned (leaf, into a leaf of
     /// capacity `B`).
     pub fn copy_with_weight<const B: usize>(&self, weight: u32, snap: ChildSnap) -> *mut Self {
-        if !self.is_leaf() {
-            Self::new_internal(self.key.clone(), weight, snap.0, snap.1)
-        } else if self.len <= 1 {
-            Self::new_leaf(self.key.clone(), weight, self.value.clone())
+        if self.is_leaf() {
+            Self::alloc_leaf::<B>(self.key.clone(), weight, &[self.entries()])
         } else {
-            Self::new_leaf_from::<B>(weight, &[self.fat_entries()])
+            Self::new_internal(self.key.clone(), weight, snap.0, snap.1)
         }
-    }
-
-    /// The leaf's `i`-th entry, cloned.
-    #[inline]
-    pub fn cloned_entry(&self, i: usize) -> (K, V) {
-        let (k, v) = self.entry(i);
-        (k.clone(), v.clone())
     }
 }
 
@@ -294,36 +278,34 @@ impl<K, V, P> Node<K, V, P> {
         self.len == 0
     }
 
-    /// The leaf's `i`-th entry in key order, `i < self.len()`.
+    /// The leaf's entries in key order, as one slice of its block — what a
+    /// search, a fold or a copy of a leaf reads; empty for a sentinel leaf
+    /// and for an internal node.
     #[inline]
-    pub fn entry(&self, i: usize) -> (&K, &V) {
-        if self.len == 1 && i == 0 {
-            let (SentKey::Key(k), Some(v)) = (&self.key, &self.value) else {
-                unreachable!("a one-entry leaf is its key and value");
-            };
-            return (k, v);
-        }
-        let (k, v) = &self.fat_entries()[i];
-        (k, v)
-    }
-
-    /// A [`FatLeaf`]'s entries in key order, as one slice of its block —
-    /// what a search, a fold or a copy of a leaf reads; empty for every
-    /// node of fewer than two entries (a one-entry leaf's entry is its
-    /// `key` and `value`: [`Node::entry`] reads both kinds).
-    #[inline]
-    pub fn fat_entries(&self) -> &[(K, V)] {
-        if self.len < 2 {
-            return &[];
-        }
+    pub fn entries(&self) -> &[(K, V)] {
         let first = (self.as_raw() as usize + entries_offset::<K, V, P>()) as *const (K, V);
-        // SAFETY: a node of two or more entries was allocated as a
-        // `FatLeaf` (`new_leaf_from`), whose first `len` entries follow at
-        // `entries_offset` and never change while the node is live; the
-        // address comes from the block's exposed provenance (`as_raw`),
-        // not from `&self`, which spans the node alone.
+        // SAFETY: a leaf was allocated as a `Leaf` (`alloc_leaf`), whose
+        // first `len` entries follow at `entries_offset` and never change
+        // while the node is live; an internal node's `len` is 0, and its
+        // block, a pool block of at least one line, is line-aligned, so the
+        // address is aligned for `(K, V)` either way. The address comes
+        // from the block's exposed provenance (`as_raw`), not from `&self`,
+        // which spans the head alone.
         // guard: the node is borrowed, so the caller's pin keeps it live.
         unsafe { std::slice::from_raw_parts(first, self.len()) }
+    }
+
+    /// An internal node's plugin. Panics on a leaf, which has none.
+    #[inline]
+    pub fn plugin(&self) -> &P {
+        assert!(!self.is_leaf(), "a leaf has no plugin");
+        let plugin = (self.as_raw() as usize + plugin_offset::<K, V, P>()) as *const P;
+        // SAFETY: an internal node was allocated as an `Internal`
+        // (`new_internal`), whose plugin follows at `plugin_offset` for as
+        // long as the node is live; the address comes from the block's
+        // exposed provenance, as in `entries`.
+        // guard: the node is borrowed, so the caller's pin keeps it live.
+        unsafe { &*plugin }
     }
 
     /// True if this node is a leaf (no children).
@@ -370,7 +352,7 @@ impl<K, V, P> Node<K, V, P> {
     ///
     /// ```compile_fail
     /// use chromatic::{Node, SentKey};
-    /// let leaf = Node::<u64, (), ()>::new_leaf(SentKey::Key(1), 1, None) as u64;
+    /// let leaf = Node::<u64, (), ()>::new_sentinel_leaf::<1>(SentKey::Inf1, 1) as u64;
     /// let node = unsafe { &*Node::<u64, (), ()>::new_internal(SentKey::Key(1), 1, leaf, leaf) };
     /// let guard = ebr::pin();
     /// let child = node.left(&guard);
@@ -455,9 +437,9 @@ impl<K, V, P> Node<K, V, P> {
 /// is reclaimed one grace period later.
 ///
 /// # Safety
-/// `ptr` must be a published `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_leaf_from::<B>`] / [`Node::new_internal`] that no thread
-/// pinning from now on can reach through the node tree, freed exactly once.
+/// `ptr` must be a published node of a tree of leaf capacity `B`, allocated
+/// by one of [`Node`]'s constructors, that no thread pinning from now on
+/// can reach through the node tree, freed exactly once.
 pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
     // SAFETY: the caller's contract: `ptr` is a live node whose links no
     // longer change. (A plugin that does not opt in never reads it here.)
@@ -473,28 +455,28 @@ pub(crate) unsafe fn free_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *
     }
 }
 
-/// Runs the plugin hook, drops the node in place and returns its memory to
-/// the reclaiming thread's free-list pool — a [`FatLeaf`]'s to its own
-/// class, with its entries.
+/// Drops the node in place and returns its memory to the reclaiming
+/// thread's free-list pool, in the class of its kind: a leaf as the
+/// [`Leaf`] of capacity `B` it was allocated as, with its entries; an
+/// internal node after its plugin's hook has run.
 ///
 /// # Safety
-/// `ptr` must be a `Node` allocated by [`Node::new_leaf`] /
-/// [`Node::new_leaf_from::<B>`] / [`Node::new_internal`] that no thread can
-/// reach, reclaimed exactly once.
+/// `ptr` must be a node of a tree of leaf capacity `B`, allocated by one of
+/// [`Node`]'s constructors, that no thread can reach, reclaimed exactly
+/// once.
 unsafe fn reclaim_node<K, V, P: NodePlugin<K, V>, const B: usize>(ptr: *mut u8) {
-    let node = ptr as *mut Node<K, V, P>;
-    // SAFETY: the caller's contract — `node` is a live pool allocation that
+    // SAFETY: the caller's contract — `ptr` is a live pool allocation that
     // nothing else can reach, so the hook may read it and the pool may drop
-    // and recycle it, once, as the type it was allocated as: a node of two
-    // or more entries is a `FatLeaf` of this tree's `B`.
+    // and recycle it, once, as the type it was allocated as: a leaf is a
+    // `Leaf` of this tree's `B`, any other node an `Internal`.
     // guard: none needed, the node is unreachable.
     unsafe {
-        (*node).plugin.on_reclaim();
-        if (*node).len >= 2 {
-            debug_assert!((*node).len() <= B, "a leaf over its tree's capacity");
-            ebr::pool::dispose_pooled(ptr as *mut FatLeaf<K, V, P, B>);
+        if (*(ptr as *const Node<K, V, P>)).is_leaf() {
+            ebr::pool::dispose_pooled(ptr as *mut Leaf<K, V, P, B>);
         } else {
-            ebr::pool::dispose_pooled(node);
+            let internal = ptr as *mut Internal<K, V, P>;
+            (*internal).plugin.on_reclaim();
+            ebr::pool::dispose_pooled(internal);
         }
     }
 }
@@ -515,8 +497,8 @@ where
 /// Immediately dispose of a node that was never published (failed SCX).
 ///
 /// # Safety
-/// `raw` must point to a node created by this thread that no other thread
-/// has ever seen.
+/// `raw` must point to a node of a tree of leaf capacity `B` created by
+/// this thread that no other thread has ever seen.
 pub(crate) unsafe fn dispose_unpublished<K, V, P, const B: usize>(raw: u64)
 where
     P: NodePlugin<K, V>,
@@ -532,14 +514,7 @@ impl<K: Ord, V, P> Node<K, V, P> {
     /// holds none.
     #[inline]
     pub fn search_leaf(&self, k: &K) -> Result<usize, usize> {
-        if self.len == 1 {
-            return match self.key.as_key().map(|own| own.cmp(k)) {
-                Some(std::cmp::Ordering::Less) => Err(1),
-                Some(std::cmp::Ordering::Equal) => Ok(0),
-                _ => Err(0),
-            };
-        }
-        self.fat_entries().binary_search_by(|(e, _)| e.cmp(k))
+        self.entries().binary_search_by(|(e, _)| e.cmp(k))
     }
 
     /// Follow the link a search for the sentinel-extended key takes
@@ -560,22 +535,25 @@ mod tests {
 
     type N = Node<u64, (), ()>;
 
+    fn one(k: u64) -> *mut N {
+        N::new_leaf_from::<1>(1, &[&[(k, ())]])
+    }
+
     #[test]
     fn leaf_roundtrip() {
         let _g = ebr::pin();
-        let leaf = N::new_leaf(SentKey::Key(5), 1, Some(()));
-        let leaf = unsafe { &*leaf };
+        let leaf = unsafe { &*one(5) };
         assert!(leaf.is_leaf());
         assert_eq!(leaf.key(), &SentKey::Key(5));
-        assert_eq!(leaf.weight(), 1);
+        assert_eq!((leaf.weight(), leaf.entries()), (1, &[(5, ())][..]));
         assert!(!leaf.is_finalized());
         unsafe { dispose_unpublished::<u64, (), (), 1>(leaf.as_raw()) };
     }
 
-    /// A leaf of several keys is a `FatLeaf`: its entries read back in
-    /// order, a search finds each and places the absent ones, a copy is a
-    /// fat leaf again, and reclaiming drops every entry (`String`s, so a
-    /// leak or a double drop shows under Miri and ASan).
+    /// A leaf's entries read back in order, a search finds each and places
+    /// the absent ones, a copy is the same leaf again, a one-key leaf is a
+    /// leaf of the same format, and reclaiming drops every entry
+    /// (`String`s, so a leak or a double drop shows under Miri and ASan).
     #[test]
     fn fat_leaf_roundtrip() {
         type S = Node<u64, String, ()>;
@@ -587,33 +565,35 @@ mod tests {
         assert!(leaf.is_leaf() && !leaf.is_sentinel());
         assert_eq!((leaf.len(), leaf.weight()), (3, 2));
         assert_eq!(leaf.key(), &SentKey::Key(3), "a leaf's key is its smallest");
+        assert_eq!(leaf.entries(), entries);
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(leaf.entry(i), (k, &format!("v{k}")));
             assert_eq!(leaf.search_leaf(k), Ok(i));
         }
         assert_eq!(leaf.search_leaf(&0), Err(0));
         assert_eq!(leaf.search_leaf(&4), Err(1));
         assert_eq!(leaf.search_leaf(&10), Err(3));
         let copy = unsafe { &*leaf.copy_with_weight::<8>(1, (0, 0)) };
-        assert_eq!((copy.len(), copy.weight()), (3, 1));
-        assert_eq!(copy.entry(2), (&9, &"v9".to_string()));
+        assert_eq!((copy.entries(), copy.weight()), (&entries[..], 1));
         let single = unsafe { &*S::new_leaf_from::<8>(1, &[&[], &[(7, "v7".to_string())]]) };
-        assert_eq!(
-            (single.len(), single.entry(0)),
-            (1, (&7, &"v7".to_string()))
-        );
-        let sentinel = unsafe { &*S::new_leaf(SentKey::Inf1, 1, None) };
-        assert!(sentinel.is_empty());
+        assert_eq!(single.entries(), [(7, "v7".to_string())]);
+        assert_eq!(single.search_leaf(&7), Ok(0));
+        let sentinel = unsafe { &*S::new_sentinel_leaf::<8>(SentKey::Inf1, 1) };
+        assert!(sentinel.is_empty() && sentinel.entries().is_empty());
         assert_eq!(sentinel.search_leaf(&7), Err(0));
-        for n in [leaf, copy, single, sentinel] {
+        let sentinel_copy = unsafe { &*sentinel.copy_with_weight::<8>(3, (0, 0)) };
+        assert_eq!(
+            (sentinel_copy.key(), sentinel_copy.weight()),
+            (&SentKey::Inf1, 3)
+        );
+        for n in [leaf, copy, single, sentinel, sentinel_copy] {
             unsafe { dispose_unpublished::<u64, String, (), 8>(n.as_raw()) };
         }
     }
 
     /// `new_leaf_from` clones its parts in order into one block, whatever
     /// their lengths (an insert's three, a delete's two, a copy's one),
-    /// and `fat_entries` reads them back as one slice; a run of one entry
-    /// is a plain node, whose slice is empty.
+    /// and `entries` reads them back as one slice, a run of one entry
+    /// included.
     #[test]
     fn leaves_build_from_slices() {
         type S = Node<u64, String, ()>;
@@ -622,27 +602,17 @@ mod tests {
         let old = [e(1), e(3), e(5), e(7)];
         let new = [e(4)];
         let inserted = unsafe { &*S::new_leaf_from::<8>(3, &[&old[..2], &new, &old[2..]]) };
-        assert_eq!(inserted.fat_entries(), [e(1), e(3), e(4), e(5), e(7)]);
+        assert_eq!(inserted.entries(), [e(1), e(3), e(4), e(5), e(7)]);
         assert_eq!((inserted.len(), inserted.weight()), (5, 3));
         assert_eq!(inserted.key(), &SentKey::Key(1));
-        let deleted = inserted.fat_entries();
+        let deleted = inserted.entries();
         let deleted = unsafe { &*S::new_leaf_from::<8>(1, &[&deleted[..2], &deleted[3..]]) };
-        assert_eq!(deleted.fat_entries(), old);
-        let full = unsafe { &*S::new_leaf_from::<5>(1, &[&[], inserted.fat_entries(), &[]]) };
-        assert_eq!(
-            full.fat_entries(),
-            inserted.fat_entries(),
-            "a leaf at its capacity"
-        );
+        assert_eq!(deleted.entries(), old);
+        let full = unsafe { &*S::new_leaf_from::<5>(1, &[&[], inserted.entries(), &[]]) };
+        assert_eq!(full.entries(), inserted.entries(), "a leaf at its capacity");
         let one = unsafe { &*S::new_leaf_from::<8>(2, &[&[], &[], &new]) };
-        assert_eq!(
-            (one.len(), one.entry(0), one.weight()),
-            (1, (&4, &e(4).1), 2)
-        );
-        assert!(
-            one.fat_entries().is_empty(),
-            "a one-key leaf is a plain node"
-        );
+        assert_eq!((one.entries(), one.weight()), (&new[..], 2));
+        assert_eq!(one.key(), &SentKey::Key(4));
         for n in [inserted, deleted, one] {
             unsafe { dispose_unpublished::<u64, String, (), 8>(n.as_raw()) };
         }
@@ -652,11 +622,10 @@ mod tests {
     #[test]
     fn internal_routes_search() {
         let _g = ebr::pin();
-        let l = N::new_leaf(SentKey::Key(1), 1, Some(()));
-        let r = N::new_leaf(SentKey::Key(9), 1, Some(()));
+        let (l, r) = (one(1), one(9));
         let n = N::new_internal(SentKey::Key(5), 1, l as u64, r as u64);
         let n = unsafe { &*n };
-        assert!(!n.is_leaf());
+        assert!(!n.is_leaf() && n.entries().is_empty());
         let toward = |k| n.child_toward(&SentKey::Key(k), &_g).as_raw();
         assert_eq!(toward(3), l as u64);
         assert_eq!(toward(5), r as u64); // ties go right
@@ -671,9 +640,7 @@ mod tests {
     /// An internal node whose left link was overwritten with `link`, as a
     /// read after reclamation would find it (leaked: the tests panic).
     fn internal_with_left_link(link: u64) -> &'static N {
-        let l = N::new_leaf(SentKey::Key(1), 1, Some(())) as u64;
-        let r = N::new_leaf(SentKey::Key(9), 1, Some(())) as u64;
-        let n = unsafe { &*N::new_internal(SentKey::Key(5), 1, l, r) };
+        let n = unsafe { &*N::new_internal(SentKey::Key(5), 1, one(1) as u64, one(9) as u64) };
         unsafe { (*n.left_field()).store(link, Ordering::Release) };
         n
     }
@@ -693,24 +660,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a leaf has no plugin")]
+    fn a_leaf_has_no_plugin() {
+        unsafe { &*one(1) }.plugin();
+    }
+
+    #[test]
     fn plugin_reclaim_hook_runs() {
         use std::sync::atomic::AtomicUsize;
         static RECLAIMS: AtomicUsize = AtomicUsize::new(0);
-        struct Counting;
+        struct Counting(u64);
         impl NodePlugin<u64, ()> for Counting {
-            fn new_leaf(_: &SentKey<u64>, _: usize) -> Self {
-                Counting
-            }
             fn new_internal(_: &SentKey<u64>) -> Self {
-                Counting
+                Counting(7)
             }
             fn on_reclaim(&self) {
                 RECLAIMS.fetch_add(1, Ordering::SeqCst);
             }
         }
+        type C = Node<u64, (), Counting>;
         let before = RECLAIMS.load(Ordering::SeqCst);
-        let leaf = Node::<u64, (), Counting>::new_leaf(SentKey::Key(1), 1, Some(()));
-        unsafe { dispose_unpublished::<u64, (), Counting, 1>(leaf as u64) };
+        let leaf = |k| C::new_leaf_from::<1>(1, &[&[(k, ())]]) as u64;
+        let (l, r) = (leaf(1), leaf(9));
+        let n = unsafe { &*C::new_internal(SentKey::Key(5), 1, l, r) };
+        assert_eq!(
+            n.plugin().0,
+            7,
+            "an internal node's plugin follows its head"
+        );
+        unsafe {
+            dispose_unpublished::<u64, (), Counting, 1>(l);
+            dispose_unpublished::<u64, (), Counting, 1>(r);
+        }
+        assert_eq!(RECLAIMS.load(Ordering::SeqCst), before, "leaves have none");
+        unsafe { dispose_unpublished::<u64, (), Counting, 1>(n.as_raw()) };
         assert_eq!(RECLAIMS.load(Ordering::SeqCst), before + 1);
     }
 }

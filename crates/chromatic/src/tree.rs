@@ -12,8 +12,11 @@
 //! ## Leaves of up to `B` keys
 //!
 //! A leaf holds up to `B` sorted keys (`B` a const generic; `B = 1` is
-//! \[7\]'s tree exactly, byte for byte). An update takes one of two patch
-//! shapes, both runs of the same template:
+//! \[7\]'s tree, one key per leaf). Every leaf has one format, whatever
+//! its length: a node head followed by its entries, in a pool block sized
+//! for `B` of them and read as one slice ([`Node::entries`]); a sentinel
+//! leaf holds none. An update takes one of two patch shapes, both runs of
+//! the same template:
 //!
 //! * **One-node patch**: an insert into a real leaf with room, or a delete
 //!   from a leaf of two or more keys, replaces the leaf by a copy with the
@@ -197,10 +200,10 @@ where
                 "a leaf holds 1 to 65 535 keys"
             )
         };
-        let real_slot = Node::<K, V, P>::new_leaf(SentKey::Inf1, 1, None) as u64;
-        let inf1_right = Node::<K, V, P>::new_leaf(SentKey::Inf1, 1, None) as u64;
+        let sentinel = |key| Node::<K, V, P>::new_sentinel_leaf::<B>(key, 1) as u64;
+        let (real_slot, inf1_right) = (sentinel(SentKey::Inf1), sentinel(SentKey::Inf1));
         let inf1 = Node::<K, V, P>::new_internal(SentKey::Inf1, 1, real_slot, inf1_right) as u64;
-        let inf2_leaf = Node::<K, V, P>::new_leaf(SentKey::Inf2, 1, None) as u64;
+        let inf2_leaf = sentinel(SentKey::Inf2);
         let entry = Node::<K, V, P>::new_internal(SentKey::Inf2, 1, inf1, inf2_leaf) as u64;
         ChromaticTree {
             entry,
@@ -387,15 +390,8 @@ where
             let Some((l_ll, _)) = self.llx(l) else {
                 continue;
             };
-            // `l`'s entries with `entry` at `pos`, as three slices (a
-            // one-key leaf's entry is cloned into one of its own first).
-            let one;
-            let old = if l.len() == 1 {
-                one = [l.cloned_entry(0)];
-                &one[..]
-            } else {
-                l.fat_entries()
-            };
+            // `l`'s entries with `entry` at `pos`, as three slices.
+            let old = l.entries();
             let merged = [&old[..pos], std::slice::from_ref(&entry), &old[pos..]];
             let len = l.len() + 1;
 
@@ -418,7 +414,7 @@ where
             let (lc, rc, ikey) = if l.is_sentinel() {
                 // A sentinel leaf keeps its key and gains a one-key sibling.
                 let new_leaf = Node::<K, V, P>::new_leaf_from::<B>(1, &merged);
-                let leaf_copy = Node::<K, V, P>::new_leaf(l.key().clone(), 1, None);
+                let leaf_copy = Node::<K, V, P>::new_sentinel_leaf::<B>(l.key().clone(), 1);
                 (new_leaf as u64, leaf_copy as u64, l.key().clone())
             } else {
                 // Split the `B + 1` keys in half; the right half's first
@@ -464,7 +460,7 @@ where
                 let Some((l_ll, _)) = self.llx(l) else {
                     continue;
                 };
-                let old = l.fat_entries();
+                let old = l.entries();
                 let kept = [&old[..pos], &old[pos + 1..]];
                 let l_new = Node::<K, V, P>::new_leaf_from::<B>(l.weight(), &kept);
                 if self.replace_patch(l_left, &[p_ll, l_ll], &[l_new as u64], guard) {
@@ -554,9 +550,6 @@ mod tests {
     struct Counting;
 
     impl NodePlugin<u64, ()> for Counting {
-        fn new_leaf(_: &SentKey<u64>, _: usize) -> Self {
-            Counting
-        }
         fn new_internal(_: &SentKey<u64>) -> Self {
             Counting
         }
@@ -579,7 +572,9 @@ mod tests {
     }
 
     /// The abort arm of the template: stale tags make the SCX fail, and the
-    /// failure disposes of the attempt's fresh nodes and of nothing else.
+    /// failure disposes of the attempt's fresh nodes and of nothing else —
+    /// counted by the internal node's plugin hook and, for all three, by
+    /// this thread's pool, which gets their blocks back at once.
     #[test]
     fn stale_tags_abort_and_dispose_of_exactly_the_fresh_nodes() {
         type N = Node<u64, (), Counting>;
@@ -599,13 +594,15 @@ mod tests {
         assert!(tree.insert(25, (), &guard));
         assert!(!p.is_finalized() && !l.is_finalized());
 
-        let a = N::new_leaf(SentKey::Key(5), 1, Some(())) as u64;
-        let b = N::new_leaf(SentKey::Key(10), 1, Some(())) as u64;
+        let a = N::new_leaf_from::<1>(1, &[&[(5, ())]]) as u64;
+        let b = N::new_leaf_from::<1>(1, &[&[(10, ())]]) as u64;
         let top = N::new_internal(SentKey::Key(10), 1, a, b) as u64;
         let reclaims = RECLAIMS.load(Ordering::SeqCst);
+        let (_, _, recycled) = ebr::pool::local_stats();
         let before = tree.stats.snapshot();
         assert!(!tree.replace_patch(l_left, &[p_ll, l_ll], &[top, a, b], &guard));
-        assert_eq!(RECLAIMS.load(Ordering::SeqCst), reclaims + 3);
+        assert_eq!(RECLAIMS.load(Ordering::SeqCst), reclaims + 1);
+        assert_eq!(ebr::pool::local_stats().2, recycled + 3);
         let after = tree.stats.snapshot();
         assert_eq!(after.scx_failures, before.scx_failures + 1);
         assert_eq!(after.scx_commits, before.scx_commits);

@@ -55,29 +55,27 @@ where
             node.key()
         )));
     }
-    if node.key().as_key() != Some(node.entry(0).0) {
+    let entries = node.entries();
+    if node.key().as_key() != Some(&entries[0].0) {
         return Err(Invalid::LeafLen(format!(
             "leaf key {:?} is not its first entry {:?}",
             node.key(),
-            node.entry(0).0
+            entries[0].0
         )));
     }
-    for i in 1..len {
-        if node.entry(i - 1).0 >= node.entry(i).0 {
+    for pair in entries.windows(2) {
+        if pair[0].0 >= pair[1].0 {
             return Err(Invalid::BstOrder(format!(
                 "leaf keys {:?} and {:?} out of order",
-                node.entry(i - 1).0,
-                node.entry(i).0
+                pair[0].0, pair[1].0
             )));
         }
     }
     // The last key below the upper bound (its first is checked above).
-    if let (Some(hi), Some(last)) = (upper, len.checked_sub(1)) {
-        if &SentKey::Key(node.entry(last).0.clone()) >= hi {
+    if let (Some(hi), Some((last, _))) = (upper, entries.last()) {
+        if &SentKey::Key(last.clone()) >= hi {
             return Err(Invalid::BstOrder(format!(
-                "leaf key {:?} at/above upper bound {:?}",
-                node.entry(last).0,
-                hi
+                "leaf key {last:?} at/above upper bound {hi:?}"
             )));
         }
     }
@@ -277,7 +275,7 @@ where
             P: NodePlugin<K, V>,
         {
             if node.is_leaf() {
-                out.extend((0..node.len()).map(|i| node.entry(i).0.clone()));
+                out.extend(node.entries().iter().map(|(k, _)| k.clone()));
                 return;
             }
             walk(node.left(guard), out, guard);
@@ -424,11 +422,11 @@ mod negative_tests {
     }
 
     fn leaf(k: u64, w: u32) -> u64 {
-        N::new_leaf(SentKey::Key(k), w, Some(())) as u64
+        N::new_leaf_from::<1>(w, &[&[(k, ())]]) as u64
     }
 
     fn inf_leaf(w: u32) -> u64 {
-        N::new_leaf(SentKey::Inf1, w, None) as u64
+        N::new_sentinel_leaf::<1>(SentKey::Inf1, w) as u64
     }
 
     fn internal(k: u64, w: u32, l: u64, r: u64) -> u64 {

@@ -1,28 +1,32 @@
 //! Node ledger: every node the tree allocates is reclaimed exactly once.
 //!
-//! A counting [`NodePlugin`] sees every allocation (`new_leaf` /
-//! `new_internal`) and every reclamation (`on_reclaim`, which runs once per
-//! node whether it was retired after a committed SCX, disposed of after an
-//! aborted one, or freed by `Drop`). A forgotten retire leaves the ledger
-//! short; a double dispose or a node both disposed of and retired overdraws
-//! it. One test, so the file is its own process and nothing else allocates
-//! `Ledger` nodes.
+//! Three counts keep the ledger. A counting [`NodePlugin`] sees every
+//! internal node's allocation (`new_internal`) and reclamation
+//! (`on_reclaim`, which runs once per internal node whether it was retired
+//! after a committed SCX, disposed of after an aborted one, or freed by
+//! `Drop`). Leaves carry no plugin, so every value is a `Tracked`, which
+//! counts its live copies: a leaf never reclaimed leaves its entries alive,
+//! and one reclaimed twice, or as an internal node, drops them twice or not
+//! at all. And in the single-threaded phases this thread's `ebr::pool`
+//! counters see every block, sentinel leaves included: the blocks acquired
+//! (hits and misses) must all come back (recycles). A forgotten retire
+//! leaves a count short; a double dispose, or a node both disposed of and
+//! retired, overdraws it. One test, so the file is its own process and
+//! nothing else allocates `Ledger` nodes or touches this thread's pool.
 //!
 //! The same phases run with one key per leaf and with leaves of up to
-//! [`FAT`] keys. A fat leaf (two or more keys) is counted apart, and every
-//! value is a `Tracked`, which counts its live copies: a fat leaf reclaimed
-//! as a plain node would skip its entries' destructors (and return its
-//! block to the wrong pool class), and the live count would stay above 0.
+//! [`FAT`] keys.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chromatic::{ChromaticTree, NodePlugin, SentKey};
 
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static RECLAIMED: AtomicU64 = AtomicU64::new(0);
-static FAT_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static FAT_RECLAIMED: AtomicU64 = AtomicU64::new(0);
+static INTERNAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static INTERNAL_RECLAIMED: AtomicU64 = AtomicU64::new(0);
+/// Nodes the current phase's updates allocated, leaves and internal nodes
+/// alike: the pool blocks each update acquired, on its own thread.
+static NODES: AtomicU64 = AtomicU64::new(0);
 /// `Tracked` values alive: created or cloned, and not yet dropped.
 static LIVE: AtomicI64 = AtomicI64::new(0);
 
@@ -51,36 +55,46 @@ impl Drop for Tracked {
     }
 }
 
-/// Whether the node is a fat leaf.
-struct Ledger {
-    fat: bool,
-}
+struct Ledger;
 
 impl NodePlugin<u64, Tracked> for Ledger {
-    fn new_leaf(_: &SentKey<u64>, len: usize) -> Self {
-        ALLOCATED.fetch_add(1, Ordering::SeqCst);
-        let fat = len >= 2;
-        FAT_ALLOCATED.fetch_add(fat as u64, Ordering::SeqCst);
-        Ledger { fat }
-    }
     fn new_internal(_: &SentKey<u64>) -> Self {
-        ALLOCATED.fetch_add(1, Ordering::SeqCst);
-        Ledger { fat: false }
+        INTERNAL_ALLOCATED.fetch_add(1, Ordering::SeqCst);
+        Ledger
     }
     fn on_reclaim(&self) {
-        RECLAIMED.fetch_add(1, Ordering::SeqCst);
-        FAT_RECLAIMED.fetch_add(self.fat as u64, Ordering::SeqCst);
+        INTERNAL_RECLAIMED.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// Blocks this thread has taken from its pool so far.
+fn acquired() -> u64 {
+    let (hits, misses, _) = ebr::pool::local_stats();
+    hits + misses
+}
+
+/// Run one update, adding the nodes it allocated to [`NODES`].
+fn counted(update: impl FnOnce() -> bool) -> bool {
+    let before = acquired();
+    let changed = update();
+    NODES.fetch_add(acquired() - before, Ordering::SeqCst);
+    changed
 }
 
 type Tree<const B: usize> = ChromaticTree<u64, Tracked, Ledger, B>;
 
 fn insert<const B: usize>(tree: &Tree<B>, k: u64) -> bool {
-    tree.insert(k, Tracked::new(), &ebr::pin())
+    counted(|| tree.insert(k, Tracked::new(), &ebr::pin()))
 }
 
 fn delete<const B: usize>(tree: &Tree<B>, k: u64) -> bool {
-    tree.delete(&k, &ebr::pin())
+    counted(|| tree.delete(&k, &ebr::pin()))
+}
+
+/// A fresh tree, with [`NODES`] counting from zero.
+fn fresh_tree<const B: usize>() -> Arc<Tree<B>> {
+    NODES.store(0, Ordering::SeqCst);
+    Arc::new(Tree::new())
 }
 
 /// `rebalance_cases.rs`'s insertion patterns, on one tree: together they
@@ -134,15 +148,19 @@ fn fire_every_rebalance_kind<const B: usize>(tree: &Tree<B>) -> (u64, u64) {
 /// (W-near, counted with W-far, allocates four as well).
 const PATCH_SIZE: [u64; 8] = [3, 2, 3, 1, 2, 3, 4, 1];
 
-/// Nodes allocated so far by attempts whose SCX then aborted: everything
-/// allocated beyond the patches of the committed updates and steps.
+/// Nodes allocated so far by updates whose SCX then aborted: everything
+/// the updates allocated beyond the patches of the committed updates and
+/// steps.
 fn allocated_by_aborted_attempts(tree: &Tree<1>, inserts: u64, deletes: u64) -> u64 {
     let steps = tree.stats.snapshot().rebalance_steps;
-    let committed = 5 // the sentinels
-        + 3 * inserts
+    let committed = 3 * inserts
         + deletes
-        + steps.iter().zip(PATCH_SIZE).map(|(n, size)| n * size).sum::<u64>();
-    ALLOCATED.load(Ordering::SeqCst) - committed
+        + steps
+            .iter()
+            .zip(PATCH_SIZE)
+            .map(|(n, size)| n * size)
+            .sum::<u64>();
+    NODES.load(Ordering::SeqCst) - committed
 }
 
 /// Two threads on the same four keys for one round, seeded by `round`.
@@ -180,24 +198,25 @@ fn contend<const B: usize>(tree: &Arc<Tree<B>>, round: u64) -> (u64, u64) {
     })
 }
 
-/// Two threads on the same four keys until some SCX has aborted after its
-/// patch was built (a failed LLX allocates nothing, so it would not do).
-fn contend_until_an_scx_aborts(tree: &Arc<Tree<1>>, mut inserts: u64, mut deletes: u64) {
-    assert_eq!(allocated_by_aborted_attempts(tree, inserts, deletes), 0);
+/// Two threads on the same four keys of a fresh tree until some SCX has
+/// aborted after its patch was built (a failed LLX allocates nothing, so
+/// it would not do).
+fn contend_until_an_scx_aborts() -> Arc<Tree<1>> {
+    let tree = fresh_tree::<1>();
+    let (mut inserts, mut deletes) = (0, 0);
     for round in 0..400u64 {
-        let (i, d) = contend(tree, round);
+        let (i, d) = contend(&tree, round);
         inserts += i;
         deletes += d;
-        if allocated_by_aborted_attempts(tree, inserts, deletes) > 0 {
-            return;
+        if allocated_by_aborted_attempts(&tree, inserts, deletes) > 0 {
+            return tree;
         }
     }
     panic!("no SCX aborted in 400 rounds of two threads on four keys");
 }
 
-/// Drop `tree` and flush until every node allocated so far is reclaimed,
-/// then check the ledger: every node, and every fat leaf, exactly once,
-/// and no value left alive.
+/// Drop `tree` and flush until every retired node is reclaimed, then check
+/// the ledger: every internal node exactly once, and no value left alive.
 fn drop_and_balance<const B: usize>(tree: Arc<Tree<B>>) {
     let guard = ebr::pin();
     tree.cleanup_everywhere(&guard);
@@ -207,59 +226,73 @@ fn drop_and_balance<const B: usize>(tree: Arc<Tree<B>>) {
     drop(Arc::into_inner(tree).expect("the workers have exited"));
     // Nothing is pinned and every worker has exited: flush until the limbo
     // is empty.
-    let allocated = ALLOCATED.load(Ordering::SeqCst);
     for _ in 0..16 {
-        if RECLAIMED.load(Ordering::SeqCst) == allocated {
+        let stats = ebr::stats();
+        if stats.freed == stats.retired {
             break;
         }
         ebr::flush();
     }
-    assert!(allocated > 100_000, "the phases ran: {allocated}");
+    let stats = ebr::stats();
+    assert_eq!(stats.freed, stats.retired, "the limbo drains (B = {B})");
     assert_eq!(
-        RECLAIMED.load(Ordering::SeqCst),
-        allocated,
-        "allocations and reclamations must balance (B = {B})"
-    );
-    assert_eq!(
-        FAT_RECLAIMED.load(Ordering::SeqCst),
-        FAT_ALLOCATED.load(Ordering::SeqCst),
-        "every fat leaf is reclaimed exactly once (B = {B})"
+        INTERNAL_RECLAIMED.load(Ordering::SeqCst),
+        INTERNAL_ALLOCATED.load(Ordering::SeqCst),
+        "every internal node is reclaimed exactly once (B = {B})"
     );
     assert_eq!(
         LIVE.load(Ordering::SeqCst),
         0,
-        "every entry of every reclaimed leaf is dropped (B = {B})"
+        "every entry of every reclaimed leaf is dropped once (B = {B})"
+    );
+}
+
+/// Every rebalancing pattern on a fresh tree, all on this thread, which
+/// then gets back every pool block it handed out, sentinel leaves
+/// included: what retires a node hands it to this thread's limbo, and the
+/// flushes free it here. Before it, the limbo is empty, so no other
+/// thread's garbage is freed here. `fired` sees the tree and the number of
+/// successful inserts and deletes before it is dropped.
+fn single_threaded<const B: usize>(fired: impl FnOnce(&Tree<B>, u64, u64)) {
+    let (hits, misses, recycled) = ebr::pool::local_stats();
+    let tree = fresh_tree::<B>();
+    let (inserts, deletes) = fire_every_rebalance_kind(&tree);
+    assert!(NODES.load(Ordering::SeqCst) > 10_000, "the phase ran");
+    fired(&tree, inserts, deletes);
+    drop_and_balance(tree);
+    let (hits, misses, recycled) = {
+        let (h, m, r) = ebr::pool::local_stats();
+        (h - hits, m - misses, r - recycled)
+    };
+    assert_eq!(
+        recycled,
+        hits + misses,
+        "every pool block goes back exactly once (B = {B})"
     );
 }
 
 #[test]
 fn every_allocated_node_is_reclaimed_exactly_once() {
     let _serial = ebr::own_the_global_epoch();
-    let tree = Arc::new(Tree::<1>::new());
-    let (inserts, deletes) = fire_every_rebalance_kind(&tree);
-    contend_until_an_scx_aborts(&tree, inserts, deletes);
-    drop_and_balance(tree);
-    assert_eq!(
-        FAT_ALLOCATED.load(Ordering::SeqCst),
-        0,
-        "B = 1 has no fat leaf"
-    );
+    single_threaded::<1>(|tree, inserts, deletes| {
+        assert_eq!(
+            allocated_by_aborted_attempts(tree, inserts, deletes),
+            0,
+            "one thread aborts no SCX: every node is a committed patch's"
+        );
+    });
+    drop_and_balance(contend_until_an_scx_aborts());
 
     // Fat leaves: the same phases, then contention on four keys of one
     // leaf, where most updates are one-node patches of the same node.
-    let tree = Arc::new(Tree::<FAT>::new());
-    fire_every_rebalance_kind(&tree);
-    let failures = tree.stats.snapshot().scx_failures;
+    single_threaded::<FAT>(|_, _, _| {});
+    let tree = fresh_tree::<FAT>();
     for round in 0..16u64 {
         contend(&tree, round);
     }
     assert!(
-        tree.stats.snapshot().scx_failures > failures,
+        tree.stats.snapshot().scx_failures > 0,
         "updates of one leaf conflict"
-    );
-    assert!(
-        FAT_ALLOCATED.load(Ordering::SeqCst) > 10_000,
-        "fat leaves were made"
     );
     drop_and_balance(tree);
 }

@@ -98,8 +98,7 @@ fn stab_rec(v: VersionRef<'_, IvKey, u64, MaxEndAug>, p: u64, out: &mut Vec<(u64
     }
     let VersionRef::Internal(n) = v else {
         let leaf = v.leaf().expect("a version tree ends in leaves");
-        for i in 0..leaf.len() {
-            let (&(start, id), &end) = leaf.entry(i);
+        for &((start, id), end) in leaf.entries() {
             if start <= p && p <= end {
                 out.push((start, end, id));
             }

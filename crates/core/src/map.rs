@@ -1,8 +1,8 @@
 //! The public BAT API: [`BatMap`] and [`BatSet`].
 //!
 //! `Insert`/`Delete` run the chromatic-tree update (with Definition 1's
-//! version initialization applied to every allocated node via the plugin:
-//! a new internal node starts nil, a new leaf is born as its own version),
+//! version initialization: a new internal node's plugin, its version slot,
+//! starts nil; a new leaf has no slot and is born as its own version),
 //! then call `Propagate`, which carries the update to the root: an
 //! effective update linearizes when it *arrives* there (§4.1). Queries
 //! take a [`Snapshot`] and run sequential algorithms on it; `Find`
@@ -62,7 +62,7 @@ use crate::version::{Version, VersionSlot};
 
 /// The leaf capacity [`BatMap`] and [`BatSet`] ship with: the most keys
 /// one leaf holds. With `u64` keys and no values a leaf of 64 fills nine
-/// cache lines: its 64-byte node, then its 64 entries. Chosen over 16, 32
+/// cache lines: its 56-byte node head, then its 64 entries. Chosen over 16, 32
 /// and 128 by the benchmark's `bat-update` and `bat-analytics` (README,
 /// "Fat leaves"): 128 was as fast on updates and faster on analytics, but
 /// raised `bat-analytics`' peak RSS, which 64 does not.

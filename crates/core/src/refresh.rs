@@ -19,8 +19,8 @@ use crate::augment::Augmentation;
 use crate::stats::{Counter, StatsLocal};
 use crate::version::{dispose_version, Version, VersionRef, VersionSlot};
 
-/// A node of the augmented tree: a chromatic node whose plugin slot is the
-/// version pointer.
+/// A node of the augmented tree: a chromatic node whose plugin — on an
+/// internal node; a leaf is its own version — is the version pointer.
 pub type BatNode<K, V, A> = Node<K, V, VersionSlot<K, V, A>>;
 
 /// Debug fence for the version pointer a [`VersionSlot`] returns, the
@@ -65,13 +65,13 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    let v = x.plugin.load();
+    let v = x.plugin().load();
     if v != 0 {
         fence_version_ptr(v, x.as_raw());
         return v;
     }
     refresh_nil(x, h, guard);
-    let v = x.plugin.load();
+    let v = x.plugin().load();
     debug_assert_ne!(v, 0, "refresh_nil leaves a non-nil version");
     v
 }
@@ -115,7 +115,7 @@ where
     if node.is_leaf() {
         node.as_raw()
     } else {
-        node.plugin.load()
+        node.plugin().load()
     }
 }
 
@@ -142,7 +142,7 @@ where
     let vr = child_version(x, BatNode::right, h, guard);
     let new = Version::<K, V, A>::combine(x.key(), x.as_raw(), vl, vr, 0) as u64;
     Counter::CasAttempts.bump(h);
-    if x.plugin.cas(0, new).is_err() {
+    if x.plugin().cas(0, new).is_err() {
         // SAFETY: another thread fixed the nil pointer first, so `new` was
         // never published.
         unsafe { dispose_version::<K, V, A>(new) };
@@ -171,7 +171,7 @@ where
     let new = Version::<K, V, A>::combine(x.key(), x.as_raw(), l, r, status) as u64;
     let (vl, vr) = (l.as_raw(), r.as_raw());
     Counter::CasAttempts.bump(h);
-    match x.plugin.cas(old, new) {
+    match x.plugin().cas(old, new) {
         Ok(()) => RefreshOutcome {
             success: true,
             replaced: old,
@@ -204,7 +204,7 @@ mod tests {
     use super::*;
     use crate::augment::SizeOnly;
     use crate::stats::BatStats;
-    use chromatic::{ChromaticTree, SentKey};
+    use chromatic::ChromaticTree;
 
     type Tree = ChromaticTree<u64, u64, VersionSlot<u64, u64, SizeOnly>>;
 
@@ -285,7 +285,7 @@ mod tests {
             r,
             0,
         ) as u64;
-        match tree.entry().plugin.cas(old, new) {
+        match tree.entry().plugin().cas(old, new) {
             Ok(()) => panic!("stale CAS must fail"),
             Err(cur) => {
                 let v = unsafe { Version::<u64, u64, SizeOnly>::from_raw(cur) };
@@ -295,6 +295,5 @@ mod tests {
         }
         unsafe { ebr::pool::dispose_pooled(ps as *mut crate::version::PropStatus) };
         drop(guard);
-        let _ = SentKey::Key(0u64); // silence unused import on some cfgs
     }
 }

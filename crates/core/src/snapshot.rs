@@ -198,7 +198,7 @@ where
         v = if left { n.left() } else { n.right() };
     }
     let leaf = v.leaf()?;
-    Some(leaf.entry(leaf.search_leaf(k).ok()?).1)
+    Some(&leaf.entries()[leaf.search_leaf(k).ok()?].1)
 }
 
 impl<K, V, A> Snapshot<K, V, A>
@@ -265,35 +265,37 @@ where
     /// Rank query (paper §7 "Queries"): the number of keys ≤ `k`.
     /// One root-to-leaf descent, O(height), finished inside the leaf.
     pub fn rank(&self, k: &K) -> u64 {
-        let mut count = 0u64;
-        let mut v = self.root_version();
-        while let VersionRef::Internal(n) = v {
-            n.prefetch_children();
-            if cmp_key(k, &n.key) == Ord_::Less {
-                v = n.left();
-            } else {
-                count += n.left().size();
-                v = n.right();
-            }
-        }
-        count + v.leaf().map_or(0, |leaf| keys_below(leaf, k, true)) as u64
+        self.rank_descent::<true>(k)
     }
 
     /// The number of keys strictly less than `k`.
     pub fn rank_exclusive(&self, k: &K) -> u64 {
+        self.rank_descent::<false>(k)
+    }
+
+    /// The number of keys below `k` (`INCLUSIVE`: at most `k`): one
+    /// descent, finished inside the leaf, that goes right at `n` — counting
+    /// `n`'s left subtree, whose keys are all below `n.key` — iff
+    /// `n.key <= k` (`INCLUSIVE`) or `n.key < k`.
+    #[inline]
+    fn rank_descent<const INCLUSIVE: bool>(&self, k: &K) -> u64 {
         let mut count = 0u64;
         let mut v = self.root_version();
         while let VersionRef::Internal(n) = v {
             n.prefetch_children();
-            // Left subtree keys are < n.key; all are < k iff n.key ≤ k.
-            if cmp_key(k, &n.key) != Ord_::Greater {
+            let left = match cmp_key(k, &n.key) {
+                Ord_::Less => true,
+                Ord_::Equal => !INCLUSIVE,
+                Ord_::Greater => false,
+            };
+            if left {
                 v = n.left();
             } else {
                 count += n.left().size();
                 v = n.right();
             }
         }
-        count + v.leaf().map_or(0, |leaf| keys_below(leaf, k, false)) as u64
+        count + v.leaf().map_or(0, |leaf| keys_below(leaf, k, INCLUSIVE)) as u64
     }
 
     /// Select query: the `i`-th smallest key (0-indexed) and its value.
@@ -314,7 +316,7 @@ where
                 v = n.right();
             }
         }
-        Some(v.leaf()?.cloned_entry(i as usize))
+        Some(v.leaf()?.entries()[i as usize].clone())
     }
 
     /// Count of keys in `[lo, hi]`, O(height): the sizes of the subtrees
@@ -372,10 +374,7 @@ where
             let VersionRef::Internal(n) = v else {
                 if let Some(Piece::Run(leaf, range)) = v.leaf().and_then(|l| Piece::run(l, lo, hi))
                 {
-                    match leaf.len() {
-                        1 => out.push(leaf.cloned_entry(0)),
-                        _ => out.extend_from_slice(&leaf.fat_entries()[range]),
-                    }
+                    out.extend_from_slice(&leaf.entries()[range]);
                 }
                 return;
             };
@@ -409,7 +408,7 @@ where
 /// In-order traversal over a snapshot's real leaves' entries.
 pub struct SnapIter<'s, K, V, A: Augmentation<K, V>> {
     stack: Vec<VersionRef<'s, K, V, A>>,
-    /// The rest of the fat leaf being walked.
+    /// The rest of the leaf being walked.
     leaf: std::slice::Iter<'s, (K, V)>,
 }
 
@@ -427,8 +426,7 @@ where
                 return Some(entry.clone());
             }
             match self.stack.pop()? {
-                VersionRef::Leaf(leaf) if leaf.len() == 1 => return Some(leaf.cloned_entry(0)),
-                VersionRef::Leaf(leaf) => self.leaf = leaf.fat_entries().iter(),
+                VersionRef::Leaf(leaf) => self.leaf = leaf.entries().iter(),
                 VersionRef::Internal(n) => {
                     // Right first so the left is popped (visited) first.
                     self.stack.push(n.right());

@@ -2,12 +2,14 @@
 //!
 //! Each internal node points to a [`Version`] storing its supplementary
 //! fields (paper Fig. 3: key, size, child-version pointers — extended here
-//! with the generic augmentation value). A leaf is born as its own version
-//! (Definition 1, rules 1–2): its entries are immutable, its size is the
-//! number of keys it holds (0 for a sentinel) and its augmentation value is
-//! the fold of `A::leaf` over its entries (`A::sentinel()` for none), so an
-//! internal version points to a leaf child as the leaf node itself, and
-//! [`VersionRef`] reads either kind. The versions of
+//! with the generic augmentation value): its [`VersionSlot`] is the
+//! plugin that follows the internal node's head. A leaf has no slot: it is
+//! born as its own version (Definition 1, rules 1–2). Its head is followed
+//! by its immutable entries, read as one slice (`Node::entries`), its size
+//! is the number of keys it holds (0 for a sentinel) and its augmentation
+//! value is the fold of `A::leaf` over its entries (`A::sentinel()` for
+//! none), so an internal version points to a leaf child as the leaf node
+//! itself, and [`VersionRef`] reads either kind. The versions of
 //! a snapshot and the leaves they name form an immutable BST (the *version
 //! tree*) mirroring the node tree (Fig. 4a). Queries read the root's
 //! version and run sequential algorithms on the frozen version tree.
@@ -71,7 +73,8 @@ const LEFT_LEAF: u64 = 1;
 /// Bit of [`Version`]'s `node` word set when `right` names a leaf node.
 const RIGHT_LEAF: u64 = 2;
 /// Bit of [`Version`]'s `node` word set when `left` names a leaf of two or
-/// more keys (a `chromatic::FatLeaf`, which spans more than one line).
+/// more keys: a prefetch hint that the leaf's entries may span more than
+/// its first line.
 const LEFT_FAT: u64 = 4;
 /// As [`LEFT_FAT`], for `right`.
 const RIGHT_FAT: u64 = 8;
@@ -84,7 +87,10 @@ const TAGS: u64 = LEFT_LEAF | RIGHT_LEAF | LEFT_FAT | RIGHT_FAT;
 /// still only a hint. The whole leaf, not its node's line alone: with the
 /// node line only, `bat-update` and `bat-analytics` ran 21 % and 17 %
 /// slower at `B = 64` (README, "Fat leaves").
-type ShippedLeaf<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { crate::LEAF_KEYS }>;
+type ShippedLeaf<K, V, A> = chromatic::Leaf<K, V, VersionSlot<K, V, A>, { crate::LEAF_KEYS }>;
+
+/// What a prefetch of a leaf of one key covers: its head and its entry.
+type OneKeyLeaf<K, V, A> = chromatic::Leaf<K, V, VersionSlot<K, V, A>, 1>;
 
 /// One immutable version of an internal node's supplementary fields.
 ///
@@ -104,7 +110,8 @@ type ShippedLeaf<K, V, A> = chromatic::FatLeaf<K, V, VersionSlot<K, V, A>, { cra
 /// [`ebr::prefetch`], which never faults. An update's root check
 /// prefetches each on-path node through it (see [`crate::map`]). The tags
 /// tell a descent's `prefetch_children` what each child is, so it fetches
-/// a version's line, a one-key leaf's node, or every line of a fat leaf.
+/// a version's line, a one-key leaf's head and entry, or every line of a
+/// full leaf.
 pub struct Version<K, V, A: Augmentation<K, V>> {
     /// Key of the node this version was created for.
     pub key: SentKey<K>,
@@ -201,25 +208,27 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
         (self.node & !TAGS) as *const BatNode<K, V, A>
     }
 
-    /// Ask the cache for the node this version was built for.
+    /// Ask the cache for the node this version was built for: its head and
+    /// its version slot.
     #[inline(always)]
     pub(crate) fn prefetch_node(&self) {
-        ebr::prefetch::<BatNode<K, V, A>>(self.node_hint() as u64);
+        ebr::prefetch::<chromatic::Internal<K, V, VersionSlot<K, V, A>>>(self.node_hint() as u64);
     }
 
     /// Ask the cache for both children before a descent decides which one
     /// it follows: the turn then waits on a line already in flight, and
     /// `select`'s read of the left child's size overlaps the fetch of the
-    /// right one. A fat leaf's entries follow its node, so its prefetch
-    /// covers every line of a full leaf. A prefetch never faults and reads
-    /// nothing the program sees; see [`ebr::prefetch`].
+    /// right one. A leaf's entries follow its head, so the prefetch of a
+    /// leaf of two or more keys covers every line of a full leaf. A
+    /// prefetch never faults and reads nothing the program sees; see
+    /// [`ebr::prefetch`].
     #[inline(always)]
     pub(crate) fn prefetch_children(&self) {
         let prefetch = |raw, leaf, fat| {
             if self.node & fat != 0 {
                 ebr::prefetch::<ShippedLeaf<K, V, A>>(raw);
             } else if self.node & leaf != 0 {
-                ebr::prefetch::<BatNode<K, V, A>>(raw);
+                ebr::prefetch::<OneKeyLeaf<K, V, A>>(raw);
             } else {
                 ebr::prefetch::<Self>(raw);
             }
@@ -233,7 +242,7 @@ impl<K, V, A: Augmentation<K, V>> Version<K, V, A> {
 /// [`Version`], or a leaf node, which is its own version (Definition 1,
 /// rules 1–2). Queries step through these, so a walk keeps the shape it
 /// had over a tree of versions alone, and finishes inside the leaf it
-/// ends at (`BatNode::entry`, `BatNode::search_leaf`).
+/// ends at (`BatNode::entries`, `BatNode::search_leaf`).
 pub enum VersionRef<'g, K, V, A: Augmentation<K, V>> {
     /// A leaf: its size is its key count and its value the fold of
     /// `A::leaf` over its entries; size 0 and `A::sentinel()` for a
@@ -331,15 +340,7 @@ pub(crate) fn leaf_aug<K, V, A: Augmentation<K, V>>(
     node: &BatNode<K, V, A>,
     range: std::ops::Range<usize>,
 ) -> A::Value {
-    if node.len() == 1 {
-        let (k, v) = node.entry(0);
-        return if range.is_empty() {
-            A::sentinel()
-        } else {
-            A::leaf(k, v)
-        };
-    }
-    node.fat_entries()[range]
+    node.entries()[range]
         .iter()
         .map(|(k, v)| A::leaf(k, v))
         .reduce(|acc, x| A::combine(&acc, &x))
@@ -364,13 +365,11 @@ fn fence_leaf<K, V, A: Augmentation<K, V>>(node: &BatNode<K, V, A>) {
     }
 }
 
-/// The per-node plugin BAT hangs off every chromatic-tree node: one atomic
+/// The plugin BAT hangs off every internal chromatic-tree node: one atomic
 /// version pointer, kept *outside* the LLX/SCX record (§4) and mutated
-/// directly with CAS. Only internal nodes fill it: a leaf is its own
-/// version.
+/// directly with CAS. A leaf has none: it is its own version.
 pub struct VersionSlot<K, V, A: Augmentation<K, V>> {
-    /// `*const Version`, or 0 = nil ("supplementary fields missing"; for
-    /// a leaf, always).
+    /// `*const Version`, or 0 = nil ("supplementary fields missing").
     version: AtomicU64,
     _marker: std::marker::PhantomData<(K, V, A)>,
 }
@@ -389,13 +388,6 @@ impl<K, V, A: Augmentation<K, V>> VersionSlot<K, V, A> {
             .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
             .map(|_| ())
     }
-
-    fn nil() -> Self {
-        VersionSlot {
-            version: AtomicU64::new(0),
-            _marker: std::marker::PhantomData,
-        }
-    }
 }
 
 impl<K, V, A> NodePlugin<K, V> for VersionSlot<K, V, A>
@@ -404,15 +396,13 @@ where
     V: Clone + Send + Sync + 'static,
     A: Augmentation<K, V>,
 {
-    fn new_leaf(_key: &SentKey<K>, _len: usize) -> Self {
-        // Definition 1, rules 1–2: a leaf is born as its own version (see
-        // `VersionRef::Leaf`), so its slot stays empty.
-        Self::nil()
-    }
-
     fn new_internal(_key: &SentKey<K>) -> Self {
         // Definition 1, rule 3: internal nodes are born with nil versions.
-        Self::nil()
+        // (Rules 1–2: a leaf is born as its own version, `VersionRef::Leaf`.)
+        VersionSlot {
+            version: AtomicU64::new(0),
+            _marker: std::marker::PhantomData,
+        }
     }
 
     fn on_reclaim(&self) {
@@ -456,23 +446,30 @@ mod tests {
     type Ver = Version<u64, u64, SizeOnly>;
     type Leaf = BatNode<u64, u64, SizeOnly>;
 
-    fn leaf<A: Augmentation<u64, u64>>(
-        key: SentKey<u64>,
-        value: Option<u64>,
-    ) -> &'static BatNode<u64, u64, A> {
+    /// A leaf of capacity 1 holding `(k, v)`.
+    fn leaf<A: Augmentation<u64, u64>>(k: u64, v: u64) -> &'static BatNode<u64, u64, A> {
         // SAFETY: fresh from the pool; each test disposes of it.
-        unsafe { &*BatNode::new_leaf(key, 1, value) }
+        unsafe { &*BatNode::new_leaf_from::<1>(1, &[&[(k, v)]]) }
     }
 
-    fn dispose<T>(x: &T) {
+    /// A sentinel leaf of capacity 1.
+    fn sentinel<A: Augmentation<u64, u64>>(key: SentKey<u64>) -> &'static BatNode<u64, u64, A> {
+        // SAFETY: fresh from the pool; each test disposes of it.
+        unsafe { &*BatNode::new_sentinel_leaf::<1>(key, 1) }
+    }
+
+    /// Dispose of a leaf of capacity `B` as the block it was allocated as.
+    fn dispose<A: Augmentation<u64, u64>, const B: usize>(x: &BatNode<u64, u64, A>) {
+        type L<A, const B: usize> = chromatic::Leaf<u64, u64, VersionSlot<u64, u64, A>, B>;
         // SAFETY: never published; not used afterwards.
-        unsafe { ebr::pool::dispose_pooled(x as *const T as *mut T) };
+        unsafe { ebr::pool::dispose_pooled(x.as_raw() as *mut L<A, B>) };
     }
 
     /// `ebr::pool` carves blocks of at most 64 bytes at a power-of-two
-    /// stride from line-aligned pieces, so each of these objects occupies
-    /// one cache line: what an update's root check fetches per object, and what a query
-    /// pays per version it reads.
+    /// stride from line-aligned pieces, and larger ones at a multiple of 64
+    /// from a line, so each of the one-line objects here occupies one cache
+    /// line: what an update's root check fetches per object, and what a
+    /// query pays per version it reads.
     #[test]
     fn hot_objects_fit_in_64_bytes() {
         use std::mem::{size_of, MaybeUninit};
@@ -481,13 +478,10 @@ mod tests {
             unsafe { ebr::pool::dispose_pooled(p) };
             p as u64
         }
-        type Node = crate::refresh::BatNode<u64, (), SizeOnly>;
-        assert!(size_of::<Version<u64, (), SizeOnly>>() <= 64);
-        assert!(size_of::<Version<u64, u64, SumAug>>() <= 64);
-        assert!(size_of::<Node>() <= 64);
-        assert_eq!(pooled_addr::<Version<u64, (), SizeOnly>>() % 64, 0);
-        assert_eq!(pooled_addr::<Version<u64, u64, SumAug>>() % 64, 0);
-        assert_eq!(pooled_addr::<Node>() % 64, 0);
+        type Internal<V, A> = chromatic::Internal<u64, V, VersionSlot<u64, V, A>>;
+        type SetNode = Internal<(), SizeOnly>;
+        type MapNode = Internal<u64, SumAug>;
+        type SetLeaf = OneKeyLeaf<u64, (), SizeOnly>;
         // The sizes README's table lists (stride: the next power of two up
         // to 64 bytes, the next multiple of 64 above).
         assert_eq!(size_of::<Version<u64, (), SizeOnly>>(), 56);
@@ -497,35 +491,49 @@ mod tests {
             size_of::<Version<u64, u64, PairAug<SumAug, MinMaxAug>>>(),
             88
         );
-        // A `BatSet<u64>` fat leaf at the shipped capacity: its 64-byte
-        // node, then 64 entries of 8 bytes, exactly nine lines (stride
-        // 576).
+        // A node is a 56-byte head, then its version slot (internal) or its
+        // entries (leaf).
+        assert_eq!(size_of::<BatNode<u64, u64, SumAug>>(), 56);
+        assert_eq!(size_of::<SetNode>(), 64, "a BatSet<u64> internal node");
+        assert_eq!(size_of::<MapNode>(), 64, "a BatMap<u64, u64> internal node");
+        assert_eq!(size_of::<SetLeaf>(), 64, "a BatSet<u64> leaf at B = 1");
+        for addr in [
+            pooled_addr::<Version<u64, (), SizeOnly>>(),
+            pooled_addr::<Version<u64, u64, SumAug>>(),
+            pooled_addr::<SetNode>(),
+            pooled_addr::<MapNode>(),
+            pooled_addr::<SetLeaf>(),
+        ] {
+            assert_eq!(addr % 64, 0);
+        }
+        // A `BatSet<u64>` leaf at the shipped capacity: its head, then 64
+        // entries of 8 bytes, on a stride of exactly nine lines; a
+        // `BatMap<u64, u64>` one on seventeen.
         type Fat = ShippedLeaf<u64, (), SizeOnly>;
         assert_eq!(crate::LEAF_KEYS, 64);
-        assert_eq!(size_of::<Fat>(), 576);
+        assert_eq!(size_of::<Fat>(), 568);
+        assert_eq!(size_of::<Fat>().next_multiple_of(64), 576);
         assert_eq!(pooled_addr::<Fat>() % 64, 0);
+        assert_eq!(size_of::<ShippedLeaf<u64, u64, SumAug>>(), 1080);
     }
 
     #[test]
     fn leaf_versions_have_size_one() {
-        let node = leaf::<SizeOnly>(SentKey::Key(7), Some(70));
+        let node = leaf::<SizeOnly>(7, 70);
         let v = VersionRef::Leaf(node);
         assert_eq!(v.size(), 1);
         assert_eq!(v.key(), &SentKey::Key(7));
-        assert_eq!(node.entry(0), (&7, &70));
+        assert_eq!(node.entries(), [(7, 70)]);
         assert!(v.is_leaf());
         assert_eq!(v.as_raw(), node.as_raw(), "a leaf is its own version");
-        assert_eq!(node.plugin.load(), 0, "a leaf's slot stays empty");
-        let sum = VersionRef::<u64, u64, SumAug>::Leaf(leaf(SentKey::Key(7), Some(70)));
-        assert_eq!(*sum.aug(), 70, "A::leaf(key, value)");
-        dispose(node);
-        if let VersionRef::Leaf(n) = sum {
-            dispose(n);
-        }
+        let sum = leaf::<SumAug>(7, 70);
+        assert_eq!(*VersionRef::Leaf(sum).aug(), 70, "A::leaf(key, value)");
+        dispose::<_, 1>(node);
+        dispose::<_, 1>(sum);
     }
 
-    /// A fat leaf is its own version too: its size is its length and its
-    /// aggregate the in-order fold of its entries.
+    /// A leaf of several keys is its own version too: its size is its
+    /// length and its aggregate the in-order fold of its entries.
     #[test]
     fn fat_leaf_versions_fold_their_entries() {
         type L = BatNode<u64, u64, SumAug>;
@@ -544,10 +552,10 @@ mod tests {
         // The tags `prefetch_children` reads: every leaf child has its leaf
         // bit, and exactly the leaves of two or more keys their fat bit;
         // the hint still names the node.
-        let one = VersionRef::Leaf(leaf::<SumAug>(SentKey::Key(20), Some(5)));
-        let sentinel = VersionRef::Leaf(leaf::<SumAug>(SentKey::Inf1, None));
+        let one_node = leaf::<SumAug>(20, 5);
+        let sentinel_node = sentinel::<SumAug>(SentKey::Inf1);
+        let (one, sentinel) = (VersionRef::Leaf(one_node), VersionRef::Leaf(sentinel_node));
         let within = VersionRef::Internal(inner);
-        let one_node = one.leaf().unwrap();
         assert_eq!(
             leaf_aug(one_node, 0..1),
             5,
@@ -567,41 +575,28 @@ mod tests {
             assert_eq!(c.node_hint() as u64, node);
             unsafe { dispose_version::<u64, u64, SumAug>(c as *const _ as u64) };
         }
-        for x in [one, sentinel] {
-            if let VersionRef::Leaf(n) = x {
-                dispose(n);
-            }
-        }
+        dispose::<_, 1>(one_node);
+        dispose::<_, 1>(sentinel_node);
         unsafe { dispose_version::<u64, u64, SumAug>(inner as *const _ as u64) };
-        unsafe {
-            ebr::pool::dispose_pooled(
-                node as *const L
-                    as *mut chromatic::FatLeaf<u64, u64, VersionSlot<u64, u64, SumAug>, 8>,
-            )
-        };
+        dispose::<_, 8>(node);
     }
 
     #[test]
     fn sentinel_versions_have_size_zero() {
-        let node = leaf::<SizeOnly>(SentKey::Inf1, None);
+        let node = sentinel::<SizeOnly>(SentKey::Inf1);
         let v = VersionRef::Leaf(node);
         assert_eq!(v.size(), 0);
         assert!(node.is_empty());
         assert!(v.is_leaf());
-        let sum = VersionRef::<u64, u64, SumAug>::Leaf(leaf(SentKey::Inf2, None));
-        assert_eq!(*sum.aug(), 0, "A::sentinel()");
-        dispose(node);
-        if let VersionRef::Leaf(n) = sum {
-            dispose(n);
-        }
+        let sum = sentinel::<SumAug>(SentKey::Inf2);
+        assert_eq!(*VersionRef::Leaf(sum).aug(), 0, "A::sentinel()");
+        dispose::<_, 1>(node);
+        dispose::<_, 1>(sum);
     }
 
     #[test]
     fn combine_sums_sizes() {
-        let (a, b) = (
-            leaf(SentKey::Key(1), Some(10)),
-            leaf(SentKey::Key(2), Some(20)),
-        );
+        let (a, b, inf) = (leaf(1, 10), leaf(2, 20), sentinel(SentKey::Inf1));
         // Stand-in node addresses: a hint is never dereferenced.
         let (inner_node, c_node) = (0x1000, 0x2000);
         let inner = Ver::combine(
@@ -616,7 +611,7 @@ mod tests {
             &SentKey::Key(3),
             c_node,
             VersionRef::Internal(inner),
-            VersionRef::Leaf(leaf(SentKey::Inf1, None)),
+            VersionRef::Leaf(inf),
             0,
         );
         let c = unsafe { &*c };
@@ -632,11 +627,12 @@ mod tests {
         assert!(l.right().is_leaf() && c.right().is_leaf());
         assert_eq!(l.left().key(), &SentKey::Key(1));
         assert_eq!(c.right().size(), 0);
-        let VersionRef::Leaf(sentinel) = c.right() else {
+        let VersionRef::Leaf(right) = c.right() else {
             panic!("a leaf child reads back as a leaf");
         };
-        for x in [a, b, sentinel] {
-            dispose(x);
+        assert!(std::ptr::eq(right, inf));
+        for x in [a, b, inf] {
+            dispose::<_, 1>(x);
         }
         unsafe {
             dispose_version::<u64, u64, SizeOnly>(c as *const _ as u64);
@@ -650,10 +646,7 @@ mod tests {
             &SentKey::Key(5),
         );
         assert_eq!(slot.load(), 0, "internal slots start nil (rule 3)");
-        let (a, b) = (
-            leaf(SentKey::Key(5), Some(50)),
-            leaf(SentKey::Key(6), Some(60)),
-        );
+        let (a, b) = (leaf(5, 50), leaf(6, 60));
         let pair = |l, r| {
             Ver::combine(
                 &SentKey::Key(6),
@@ -676,7 +669,7 @@ mod tests {
         slot.on_reclaim();
         ebr::flush();
         ebr::flush();
-        dispose(a);
-        dispose(b);
+        dispose::<_, 1>(a);
+        dispose::<_, 1>(b);
     }
 }

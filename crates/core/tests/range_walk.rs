@@ -76,7 +76,7 @@ impl<const B: usize> Shape<B> {
         fn walk(n: &N, out: &mut Vec<Vec<u64>>, guard: &ebr::Guard) {
             if n.is_leaf() {
                 if !n.is_empty() {
-                    out.push((0..n.len()).map(|i| *n.entry(i).0).collect());
+                    out.push(n.entries().iter().map(|(k, _)| *k).collect());
                 }
                 return;
             }

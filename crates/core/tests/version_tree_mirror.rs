@@ -43,7 +43,7 @@ fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64
             );
             let len = node.len() as u64;
             assert_eq!(version.size(), len, "a leaf's size is its length");
-            let sum = (0..node.len()).map(|i| *node.entry(i).1).sum::<u64>();
+            let sum = node.entries().iter().map(|(_, v)| v).sum::<u64>();
             assert_eq!(*version.aug(), sum, "a leaf's aggregate is the fold");
             return len;
         }
@@ -75,7 +75,7 @@ fn check_mirror(node: &N, version: R<'_>, guard: &ebr::Guard, versions: &mut u64
 fn assert_mirrors<const B: usize>(map: &Map<B>) {
     let guard = ebr::pin();
     let entry = map.node_tree().entry();
-    let vroot_raw = entry.plugin.load();
+    let vroot_raw = entry.plugin().load();
     assert_ne!(vroot_raw, 0, "entry version must be non-nil");
     let vroot = unsafe { Version::from_raw(vroot_raw) };
     let mut versions = 0;

@@ -785,14 +785,14 @@ pub fn run_serve(set: &ShardedSet<FanoutSet>, cfg: &ServeConfig) -> ServeReport 
 }
 
 /// A ready-to-serve forest: `shards` fanout shards pre-loaded with
-/// `prefill` keys evenly spread over `[0, max_key)`.
+/// `n = min(prefill, max_key)` keys evenly spread over `[0, max_key)`:
+/// key `i` is `i · max_key / n` for `i < n`.
 pub fn build_forest(shards: usize, prefill: u64, max_key: u64) -> ShardedSet<FanoutSet> {
     let set = ShardedSet::<FanoutSet>::new(shards);
-    let step = (max_key / prefill.max(1)).max(1);
-    let mut k = 0;
-    while k < max_key {
-        set.insert(k);
-        k += step;
+    let n = prefill.min(max_key);
+    for i in 0..n {
+        // `i < n <= max_key`, so the quotient is below `max_key`.
+        set.insert((u128::from(i) * u128::from(max_key) / u128::from(n)) as u64);
     }
     set
 }
@@ -829,6 +829,25 @@ mod tests {
             assert_eq!(r.try_pop(), Some(v));
         }
         assert_eq!(r.try_pop(), None);
+    }
+
+    /// `build_forest` inserts exactly `min(prefill, max_key)` keys,
+    /// evenly spread, whether or not `prefill` divides `max_key`.
+    #[test]
+    fn build_forest_inserts_exactly_the_keys_asked_for() {
+        let keys = |prefill, max_key| {
+            let set = build_forest(2, prefill, max_key);
+            let snap = set.snapshot();
+            (0..snap.len())
+                .map(|i| snap.select(i).unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(keys(0, 10), [], "no prefill, no key");
+        assert_eq!(keys(3, 10), [0, 3, 6]);
+        assert_eq!(keys(4, 16), [0, 4, 8, 12], "a dividing prefill");
+        assert_eq!(keys(8, 5), [0, 1, 2, 3, 4], "at most max_key keys");
+        // `2 · max_key` is past `u64::MAX`.
+        assert_eq!(keys(3, 3 << 62), [0, 1 << 62, 1 << 63], "no overflow");
     }
 
     #[test]

@@ -65,6 +65,27 @@ fi
 
 export MIRIFLAGS="-Zmiri-permissive-provenance -Zmiri-disable-isolation"
 
+# `cargo +nightly miri test <target> -- <filter>`, once per filter (a test's
+# path, or a module's), for the steps that select tests by name: a run that
+# reports `running 0 tests` fails, since a name that no longer exists would
+# otherwise select nothing and pass. `<target>` is one word-split string of
+# cargo arguments.
+miri_named() {
+    local target=$1 name out
+    shift
+    out=$(mktemp)
+    for name in "$@"; do
+        # shellcheck disable=SC2086 # `target` is a list of cargo arguments.
+        timeout 1800 cargo +nightly miri test $target -- "$name" 2>&1 | tee "$out"
+        if grep -q '^running 0 tests$' "$out"; then
+            echo "miri: no test is named \`$name\` in \`$target\`" >&2
+            rm -f "$out"
+            return 1
+        fi
+    done
+    rm -f "$out"
+}
+
 echo "== miri: ebr pool + retire contracts (single-threaded subset) =="
 timeout 1800 cargo +nightly miri test -p ebr -- \
     --skip many_threads_stress \
@@ -84,19 +105,24 @@ echo "== miri: cbat-core augmentation laws + range walk + root answers (single-t
 timeout 1800 cargo +nightly miri test -p cbat-core --test augmentation_laws --test range_walk \
     --test root_answer_is_read_only
 
-# A fat leaf's entries are cloned slice by slice into an uninitialized pool
-# block (`Node::new_leaf_from`), read past its `Node` as one slice through
-# the block's exposed address (`Node::fat_entries`), and reclaimed as the
-# `FatLeaf` they were allocated as: the unit tests that build, read, copy
-# and dispose of fat leaves, the split's slice cut, and the single-threaded
-# mirror test whose updates are all one-node patches.
-echo "== miri: fat leaves (chromatic + cbat-core, single-threaded) =="
-timeout 1800 cargo +nightly miri test -p chromatic --lib -- \
-    node::tests::fat_leaf_roundtrip node::tests::leaves_build_from_slices \
-    tree::tests::cut_at_splits_a_run_of_slices validate::negative_tests
-timeout 1800 cargo +nightly miri test -p cbat-core --lib -- \
-    version::tests::fat_leaf_versions_fold_their_entries version::tests::hot_objects_fit_in_64_bytes
-timeout 1800 cargo +nightly miri test -p cbat-core --test version_tree_mirror -- \
-    mirror_after_one_node_patches
+# A leaf's entries are cloned slice by slice into an uninitialized pool
+# block (`Node::new_leaf_from`), read past the node's head as one slice
+# through the block's exposed address (`Node::entries`), and reclaimed as
+# the `Leaf` they were allocated as; an internal node's plugin is read the
+# same way past its head (`Node::plugin`) and reclaimed as an `Internal`:
+# the unit tests that build, read, copy and dispose of leaves and internal
+# nodes, the split's slice cut, and the single-threaded mirror test whose
+# updates are all one-node patches.
+echo "== miri: node layout (chromatic + cbat-core, single-threaded) =="
+miri_named "-p chromatic --lib" \
+    node::tests::leaf_roundtrip node::tests::fat_leaf_roundtrip \
+    node::tests::leaves_build_from_slices node::tests::internal_routes_search \
+    node::tests::plugin_reclaim_hook_runs tree::tests::cut_at_splits_a_run_of_slices \
+    validate::negative_tests
+miri_named "-p cbat-core --lib" \
+    version::tests::fat_leaf_versions_fold_their_entries \
+    version::tests::hot_objects_fit_in_64_bytes version::tests::leaf_versions_have_size_one \
+    version::tests::combine_sums_sizes
+miri_named "-p cbat-core --test version_tree_mirror" mirror_after_one_node_patches
 
 echo "miri: clean"
